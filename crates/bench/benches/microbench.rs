@@ -4,6 +4,11 @@
 //! `fn main` harness (hermetic build: no criterion); run with
 //! `cargo bench --bench microbench`.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "host wall-clock budget, not sim-visible"
+)]
+
 use std::hint::black_box;
 use std::time::Instant;
 

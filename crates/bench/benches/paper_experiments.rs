@@ -5,6 +5,11 @@
 //! regenerators are the `paragon-bench` binaries. Plain `fn main`
 //! harness (hermetic build: no criterion).
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "host wall-clock budget, not sim-visible"
+)]
+
 use std::hint::black_box;
 use std::time::Instant;
 

@@ -525,8 +525,10 @@ fn bench_throughput() -> Result<f64, String> {
         cfg.with_prefetch()
     };
     let timed = |passes: u32| {
-        // paragon-lint: allow(D2) — the bench harness measures *host* wall
-        // time by design; the reading never feeds back into the simulation.
+        #[expect(
+            clippy::disallowed_types,
+            reason = "the bench harness measures host wall time; the reading never feeds back into the simulation"
+        )]
         let t0 = std::time::Instant::now();
         let r = run(&shape(passes));
         (t0.elapsed().as_secs_f64(), r.total_bytes)
@@ -563,8 +565,6 @@ fn bench_throughput() -> Result<f64, String> {
 /// speedup floor is meaningless without the hardware under it.
 fn bench_parallel_speedup() -> Result<Option<f64>, String> {
     const WORKERS: usize = 4;
-    // paragon-lint: allow(D2) — host capability probe for the host-timed
-    // bench harness; never feeds into a simulation.
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     if cores < WORKERS {
         eprintln!(
@@ -586,8 +586,10 @@ fn bench_parallel_speedup() -> Result<Option<f64>, String> {
         cfg.with_prefetch()
     };
     let timed = |passes: u32, workers: usize| {
-        // paragon-lint: allow(D2) — the bench harness measures *host* wall
-        // time by design; the reading never feeds back into the simulation.
+        #[expect(
+            clippy::disallowed_types,
+            reason = "the bench harness measures host wall time; the reading never feeds back into the simulation"
+        )]
         let t0 = std::time::Instant::now();
         run(&shape(passes, workers));
         t0.elapsed().as_secs_f64()
@@ -619,8 +621,6 @@ fn bench_kernel_profile() -> Vec<(&'static str, f64)> {
     cfg.layout = StripeLayout::Across { factor: 16 };
     cfg.file_size = 32 << 20;
     cfg.shards = Some(4);
-    // paragon-lint: allow(D2) — host capability probe for the host-timed
-    // bench harness; never feeds into a simulation.
     cfg.workers = std::thread::available_parallelism().map_or(1, |n| n.get().min(4));
     let (_, prof) = run_profiled(&cfg);
     kernel_scalars(&prof)

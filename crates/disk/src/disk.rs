@@ -264,7 +264,10 @@ impl Disk {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the disk task owns one handle per shared Disk field"
+)]
 async fn server_loop(
     sim: Sim,
     mut rx: Receiver<DiskRequest>,
@@ -461,7 +464,6 @@ impl Segments {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn service_time(
     params: &DiskParams,
     segments: &mut Segments,

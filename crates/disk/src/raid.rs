@@ -208,32 +208,21 @@ impl RaidArray {
     /// issues one device command per run, like a real array (otherwise a
     /// request spanning several rows would pay per-unit command overhead).
     fn runs(&self, offset: u64, len: u64) -> Vec<(usize, u64, Vec<StripePiece>)> {
-        let mut per_member: Vec<Vec<StripePiece>> = vec![Vec::new(); self.members.len()];
-        // paragon-lint: allow(P1) — split() yields member < members.len() by
-        // stripe arithmetic, and per_member is sized to members.len()
-        for p in self.map.split(offset, len) {
-            per_member[p.member].push(p);
-        }
-        let mut runs = Vec::new();
-        for (member, mut ps) in per_member.into_iter().enumerate() {
-            if ps.is_empty() {
-                continue;
-            }
-            ps.sort_by_key(|p| p.offset);
-            let mut current: Vec<StripePiece> = Vec::new();
-            for p in ps {
-                match current.last() {
-                    Some(last) if last.offset + last.len == p.offset => current.push(p),
-                    Some(_) => {
-                        let start = current[0].offset;
-                        runs.push((member, start, std::mem::take(&mut current)));
-                        current.push(p);
-                    }
-                    None => current.push(p),
+        let mut pieces = self.map.split(offset, len);
+        pieces.sort_by_key(|p| (p.member, p.offset));
+        let mut runs: Vec<(usize, u64, Vec<StripePiece>)> = Vec::new();
+        for p in pieces {
+            match runs.last_mut() {
+                Some((member, _, run))
+                    if *member == p.member
+                        && run
+                            .last()
+                            .is_some_and(|last| last.offset + last.len == p.offset) =>
+                {
+                    run.push(p)
                 }
+                _ => runs.push((p.member, p.offset, vec![p])),
             }
-            let start = current[0].offset;
-            runs.push((member, start, current));
         }
         runs
     }
@@ -281,7 +270,7 @@ impl RaidArray {
         rlen: u32,
         req: ReqId,
     ) -> Result<(), DiskError> {
-        match self.member(member).read_timing_req(start, rlen, req).await {
+        match self.member(member)?.read_timing_req(start, rlen, req).await {
             Ok(()) => Ok(()),
             Err(DiskError::Dead) => self.reconstruct(member, start, rlen, req).await,
             Err(e) => Err(e),
@@ -357,7 +346,7 @@ impl RaidArray {
             // payload lands in the logical store once the members finish).
             let mut handles = Vec::with_capacity(runs.len());
             for (member, start, pieces) in runs {
-                let disk = self.member(member).clone();
+                let disk = self.member(member)?.clone();
                 let rlen: u64 = pieces.iter().map(|p| p.len).sum();
                 handles.push(self.sim.spawn_named("raid-write-run", async move {
                     disk.write_timing_req(start, rlen as u32, req).await
@@ -404,6 +393,7 @@ impl RaidArray {
         rlen: u32,
         req: ReqId,
     ) -> Result<(), DiskError> {
+        let disk = self.member(member)?;
         let old_parity_alive = match parity.read_timing_req(start, rlen, req).await {
             Ok(()) => true,
             Err(DiskError::Dead) => false,
@@ -411,9 +401,9 @@ impl RaidArray {
         };
         if !old_parity_alive {
             // Parity member is dead: no redundancy to maintain.
-            return self.member(member).write_timing_req(start, rlen, req).await;
+            return disk.write_timing_req(start, rlen, req).await;
         }
-        let member_alive = match self.member(member).read_timing_req(start, rlen, req).await {
+        let member_alive = match disk.read_timing_req(start, rlen, req).await {
             Ok(()) => true,
             Err(DiskError::Dead) => {
                 self.reconstruct(member, start, rlen, req).await?;
@@ -427,7 +417,7 @@ impl RaidArray {
             p.write_timing_req(start, rlen, req).await
         });
         let data_write = member_alive.then(|| {
-            let d = self.member(member).clone();
+            let d = disk.clone();
             self.sim.spawn_named("raid-write-run", async move {
                 d.write_timing_req(start, rlen, req).await
             })
@@ -497,11 +487,11 @@ impl RaidArray {
         }
     }
 
-    /// Shared handle to member disk `m`.
-    fn member(&self, m: usize) -> &Disk {
-        // paragon-lint: allow(P1) — m is produced by the stripe map or member
-        // enumeration and is always < members.len() by construction
-        &self.members[m]
+    /// Shared handle to member disk `m`. The stripe map only yields
+    /// members of this array, so the error is unreachable in practice; a
+    /// member past the array has no server task, hence `Down`.
+    fn member(&self, m: usize) -> Result<&Disk, DiskError> {
+        self.members.get(m).ok_or(DiskError::Down)
     }
 }
 

@@ -48,6 +48,10 @@ impl BlockStore {
     ///
     /// A read contained in one page is zero-copy: it returns a view of the
     /// resident page (or of a shared zero page for a hole).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "hot copy loop: chunk <= STORE_PAGE - in_page and pos + chunk <= len"
+    )]
     pub fn read(&self, offset: u64, len: usize) -> Bytes {
         let in_page = (offset % STORE_PAGE) as usize;
         if in_page + len <= STORE_PAGE as usize {
@@ -73,6 +77,10 @@ impl BlockStore {
     }
 
     /// Write `data` starting at `offset`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "hot copy loop: chunk <= STORE_PAGE - in_page and pos + chunk <= data.len()"
+    )]
     pub fn write(&mut self, offset: u64, data: &[u8]) {
         let mut pos = 0usize;
         while pos < data.len() {

@@ -1,20 +1,11 @@
 //! Randomized tests: the disk and RAID layers preserve data under
 //! arbitrary operation mixes, and the RAID stripe map is a bijection.
-//! Cases come from the in-repo [`Rng`]; `heavy-tests` multiplies the
-//! count.
+//! Cases come from the in-repo [`Rng`].
 
 use bytes::Bytes;
 
 use paragon_disk::{Disk, DiskParams, RaidArray, SchedPolicy, StripeMap};
 use paragon_sim::{Rng, Sim};
-
-fn cases(light: usize, heavy: usize) -> usize {
-    if cfg!(feature = "heavy-tests") {
-        heavy
-    } else {
-        light
-    }
-}
 
 #[derive(Debug, Clone)]
 struct Op {
@@ -38,7 +29,7 @@ fn ops(rng: &mut Rng) -> Vec<Op> {
 #[test]
 fn disk_preserves_data() {
     let mut rng = Rng::seed_from_u64(0xd15c);
-    for _ in 0..cases(48, 384) {
+    for _ in 0..48 {
         let script = ops(&mut rng);
         let elevator = rng.gen_bool(0.5);
         let sim = Sim::new(5);
@@ -74,7 +65,7 @@ fn disk_preserves_data() {
 #[test]
 fn raid_preserves_data() {
     let mut rng = Rng::seed_from_u64(0x4a1d);
-    for _ in 0..cases(48, 384) {
+    for _ in 0..48 {
         let script = ops(&mut rng);
         let width = rng.range_usize(1..6);
         let interleave = rng.range_u64(1..40_000);
@@ -115,7 +106,7 @@ fn raid_preserves_data() {
 #[test]
 fn stripe_map_bijection() {
     let mut rng = Rng::seed_from_u64(0xb17e);
-    for _ in 0..cases(256, 4096) {
+    for _ in 0..256 {
         let interleave = rng.range_u64(1..100_000);
         let width = rng.range_usize(1..9);
         let offset = rng.range_u64(0..1 << 30);

@@ -8,7 +8,18 @@
 
 // Robustness: a lost or misrouted frame must surface as an observable
 // drop (or an `Err`), never a panic on the transport path.
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::indexing_slicing,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 mod net;
 mod topology;

@@ -1,24 +1,15 @@
 //! Randomized tests for the mesh: XY routing geometry and per-pair FIFO
-//! delivery under arbitrary traffic. Cases come from the in-repo [`Rng`];
-//! `heavy-tests` multiplies the count.
+//! delivery under arbitrary traffic. Cases come from the in-repo [`Rng`].
 
 use paragon_mesh::{Mesh, MeshParams, NodeId, Topology};
 use paragon_sim::{Rng, Sim};
-
-fn cases(light: usize, heavy: usize) -> usize {
-    if cfg!(feature = "heavy-tests") {
-        heavy
-    } else {
-        light
-    }
-}
 
 /// Hop count is the Manhattan distance, symmetric, and triangle-
 /// inequality-consistent; the XY route has exactly hops+1 nodes.
 #[test]
 fn routing_geometry() {
     let mut rng = Rng::seed_from_u64(0x4e57);
-    for _ in 0..cases(256, 4096) {
+    for _ in 0..256 {
         let cols = rng.range_usize(1..12);
         let rows = rng.range_usize(1..12);
         let t = Topology::new(cols, rows);
@@ -44,7 +35,7 @@ fn routing_geometry() {
 #[test]
 fn per_pair_fifo() {
     let mut rng = Rng::seed_from_u64(0xf1f0);
-    for _ in 0..cases(32, 256) {
+    for _ in 0..32 {
         let sizes: Vec<u64> = (0..rng.range_usize(1..30))
             .map(|_| rng.range_u64(0..100_000))
             .collect();

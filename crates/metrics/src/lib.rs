@@ -20,3 +20,16 @@ pub use json::Json;
 pub use record::{summary, DataPoint, ExperimentRecord};
 pub use registry::{time_mean, HistSummary, MetricsRegistry, MetricsSnapshot, Sampler};
 pub use table::Table;
+
+/// Declares a module's metric names: one documented `pub const` per
+/// name plus `ALL`, every name in declaration order, so a test can check
+/// that each one is registered or exported without a list to keep in
+/// sync by hand.
+#[macro_export]
+macro_rules! metric_names {
+    ($($(#[$doc:meta])* $name:ident = $value:literal;)*) => {
+        $($(#[$doc])* pub const $name: &str = $value;)*
+        /// Every name declared above.
+        pub const ALL: &[&str] = &[$($name),*];
+    };
+}

@@ -210,13 +210,14 @@ impl<T> AsyncHandle<T> {
 
     /// Wait for completion and take the result. Panics if another clone
     /// already took it — one request has one consumer.
+    #[expect(
+        clippy::panic,
+        reason = "a double take breaks the documented one-consumer contract; no fault can cause it"
+    )]
     pub async fn join(&self) -> T {
         self.done.wait().await;
         match self.slot.borrow_mut().take() {
             Some(v) => v,
-            // paragon-lint: allow(P1) — double-take of a oneshot result is
-            // a caller programming error, not an injectable fault; the
-            // documented contract is one request, one consumer
             None => panic!("async request result taken twice"),
         }
     }

@@ -98,7 +98,10 @@ pub struct PfsFile {
 
 impl PfsFile {
     /// Assemble a handle. Library users go through `ParallelFs::open`.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one field per argument; the only caller is ParallelFs::open"
+    )]
     pub(crate) fn new(
         sim: Sim,
         rpc: RpcClient<PfsRequest, PfsResponse>,
@@ -199,6 +202,10 @@ impl PfsFile {
     /// access covers. Panics for shared-pointer modes — their pointer
     /// motion is inseparable from the access (the paper's prototype
     /// likewise targets the individual-pointer modes).
+    #[expect(
+        clippy::panic,
+        reason = "documented caller contract: the prefetch engine drives individual-pointer modes only"
+    )]
     pub async fn advance_pointer(&self, len: u32) -> u64 {
         match self.mode {
             IoMode::MRecord => {
@@ -220,8 +227,6 @@ impl PfsFile {
                 st.local_offset += len as u64;
                 at
             }
-            // paragon-lint: allow(P1) — documented caller contract: the
-            // prefetch engine only drives individual-pointer modes
             m => panic!("advance_pointer on shared-pointer mode {m}"),
         }
     }
@@ -229,14 +234,16 @@ impl PfsFile {
     /// Offset the *next* `len`-byte access of this node would cover, for
     /// individual-pointer modes, without advancing anything. Used by
     /// sequential predictors.
+    #[expect(
+        clippy::panic,
+        reason = "documented caller contract: the predictors drive individual-pointer modes only"
+    )]
     pub fn peek_pointer(&self, len: u32) -> u64 {
         let st = self.state.borrow();
         match self.mode {
             IoMode::MRecord => (st.round * self.nprocs as u64 + self.rank as u64) * len as u64,
             IoMode::MGlobal => st.round * len as u64,
             IoMode::MAsync => st.local_offset,
-            // paragon-lint: allow(P1) — documented caller contract: the
-            // sequential predictors only drive individual-pointer modes
             m => panic!("peek_pointer on shared-pointer mode {m}"),
         }
     }
@@ -510,11 +517,12 @@ impl PfsFile {
         // offsets (src == dst) is the whole extent — the reply buffer is
         // the result, no reassembly needed. The leg still runs in its own
         // spawned task so event interleaving matches the general path.
-        let direct = handles.len() == 1 && {
-            let sreq = &handles[0].0;
-            sreq.pieces
+        let direct = match handles.as_slice() {
+            [(sreq, _)] => sreq
+                .pieces
                 .iter()
-                .all(|p| p.slot_offset - sreq.slot_offset == p.logical_offset)
+                .all(|p| p.slot_offset - sreq.slot_offset == p.logical_offset),
+            _ => false,
         };
         let mut out = if direct {
             BytesMut::new()
@@ -536,6 +544,11 @@ impl PfsFile {
                     for p in &sreq.pieces {
                         let src = (p.slot_offset - sreq.slot_offset) as usize;
                         let dst = p.logical_offset as usize;
+                        #[expect(
+                            clippy::indexing_slicing,
+                            reason = "hot copy-out: the plan keeps every piece inside the \
+                                      request and inside its slot reply"
+                        )]
                         out[dst..dst + p.len as usize]
                             .copy_from_slice(&data[src..src + p.len as usize]);
                     }
@@ -658,6 +671,11 @@ impl PfsFile {
                 for p in &sreq.pieces {
                     let dst_at = (p.slot_offset - sreq.slot_offset) as usize;
                     let src_at = p.logical_offset as usize;
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "hot gather: the plan keeps every piece inside the \
+                                  request and inside its slot buffer"
+                    )]
                     buf[dst_at..dst_at + p.len as usize]
                         .copy_from_slice(&data[src_at..src_at + p.len as usize]);
                 }

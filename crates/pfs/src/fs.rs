@@ -287,16 +287,13 @@ impl ParallelFs {
                 BytesMut::zeroed(len as usize)
             })
             .collect();
-        for unit in 0..size.div_ceil(su) {
-            let slot = (unit % g) as usize;
-            let row = unit / g;
-            let ustart = unit * su;
-            let ulen = su.min(size - ustart);
-            // paragon-lint: allow(P1) — slot = unit % g < g = slot_bufs.len(),
-            // and each buffer was sized above to hold exactly its rows
-            let buf = &mut slot_bufs[slot][(row * su) as usize..(row * su + ulen) as usize];
-            for (i, b) in buf.iter_mut().enumerate() {
-                *b = fill(ustart + i as u64);
+        // Row `row` of slot `slot` holds stripe unit `row * g + slot`.
+        for (slot, buf) in slot_bufs.iter_mut().enumerate() {
+            for (row, unit_buf) in buf.chunks_mut(su as usize).enumerate() {
+                let ustart = (row as u64 * g + slot as u64) * su;
+                for (i, b) in unit_buf.iter_mut().enumerate() {
+                    *b = fill(ustart + i as u64);
+                }
             }
         }
         let mut handles = Vec::new();

@@ -305,7 +305,10 @@ impl IonServer {
         meta.inode_on(slot, self.ion_index)
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the decoded fields of PfsRequest::Read"
+    )]
     async fn read(
         &self,
         file: PfsFileId,
@@ -347,7 +350,10 @@ impl IonServer {
 
     /// M_GLOBAL: the first arrival does the physical I/O; the other
     /// `parties - 1` arrivals wait on it and share the result.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the decoded fields of PfsRequest::Read"
+    )]
     async fn global_read(
         &self,
         file: PfsFileId,
@@ -442,7 +448,10 @@ impl IonServer {
         Ok(data)
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the decoded fields of PfsRequest::Write"
+    )]
     async fn write(
         &self,
         file: PfsFileId,

@@ -72,40 +72,22 @@ impl StripeAttrs {
     /// server requests — the client half of PFS block coalescing. Requests
     /// come out ordered by slot.
     pub fn coalesce(&self, pieces: &[StripePiece]) -> Vec<SlotRequest> {
-        let mut per_slot: Vec<Vec<StripePiece>> = vec![Vec::new(); self.factor()];
-        for p in pieces {
-            // paragon-lint: allow(P1) — plan() computes slot = unit % factor,
-            // so every piece's slot is < factor == per_slot.len()
-            per_slot[p.slot].push(*p);
-        }
-        let mut out = Vec::new();
-        for (slot, mut ps) in per_slot.into_iter().enumerate() {
-            if ps.is_empty() {
-                continue;
-            }
-            ps.sort_by_key(|p| p.slot_offset);
-            let mut current = SlotRequest {
-                slot,
-                slot_offset: ps[0].slot_offset,
-                len: 0,
-                pieces: Vec::new(),
-            };
-            for p in ps {
-                if current.len > 0 && current.slot_offset + current.len != p.slot_offset {
-                    out.push(std::mem::replace(
-                        &mut current,
-                        SlotRequest {
-                            slot,
-                            slot_offset: p.slot_offset,
-                            len: 0,
-                            pieces: Vec::new(),
-                        },
-                    ));
+        let mut sorted = pieces.to_vec();
+        sorted.sort_by_key(|p| (p.slot, p.slot_offset));
+        let mut out: Vec<SlotRequest> = Vec::new();
+        for p in sorted {
+            match out.last_mut() {
+                Some(run) if run.slot == p.slot && run.slot_offset + run.len == p.slot_offset => {
+                    run.len += p.len;
+                    run.pieces.push(p);
                 }
-                current.len += p.len;
-                current.pieces.push(p);
+                _ => out.push(SlotRequest {
+                    slot: p.slot,
+                    slot_offset: p.slot_offset,
+                    len: p.len,
+                    pieces: vec![p],
+                }),
             }
-            out.push(current);
         }
         out
     }

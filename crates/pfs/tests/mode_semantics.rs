@@ -32,12 +32,7 @@ async fn make_file(pfs: &ParallelFs, size: u64, seed: u64) -> PfsFileId {
 #[test]
 fn m_record_offsets_partition_the_file() {
     let mut rng = Rng::seed_from_u64(0x3ec0);
-    let n_cases = if cfg!(feature = "heavy-tests") {
-        192
-    } else {
-        24
-    };
-    for _ in 0..n_cases {
+    for _ in 0..24 {
         let nprocs = rng.range_usize(1..7);
         let rounds = rng.range_u64(1..12);
         let len = rng.range_u64(1..100_000) as u32;

@@ -1,17 +1,8 @@
 //! Randomized tests for the declustering math — the invariants every
-//! layer above relies on. Cases come from the in-repo [`Rng`];
-//! `heavy-tests` multiplies the count.
+//! layer above relies on. Cases come from the in-repo [`Rng`].
 
 use paragon_pfs::StripeAttrs;
 use paragon_sim::Rng;
-
-fn cases(light: usize, heavy: usize) -> usize {
-    if cfg!(feature = "heavy-tests") {
-        heavy
-    } else {
-        light
-    }
-}
 
 fn rand_attrs(rng: &mut Rng) -> StripeAttrs {
     StripeAttrs::across(rng.range_usize(1..17), rng.range_u64(1..256 * 1024 + 1))
@@ -21,7 +12,7 @@ fn rand_attrs(rng: &mut Rng) -> StripeAttrs {
 #[test]
 fn decluster_tiles_exactly() {
     let mut rng = Rng::seed_from_u64(0x7117);
-    for _ in 0..cases(256, 2048) {
+    for _ in 0..256 {
         let attrs = rand_attrs(&mut rng);
         let offset = rng.range_u64(0..1 << 30);
         let len = rng.range_u64(1..4 << 20);
@@ -42,7 +33,7 @@ fn decluster_tiles_exactly() {
 #[test]
 fn decluster_is_figure3() {
     let mut rng = Rng::seed_from_u64(0xf163);
-    for _ in 0..cases(256, 2048) {
+    for _ in 0..256 {
         let attrs = rand_attrs(&mut rng);
         let offset = rng.range_u64(0..1 << 30);
         let len = rng.range_u64(1..1 << 20);
@@ -64,7 +55,7 @@ fn decluster_is_figure3() {
 #[test]
 fn coalesce_preserves_pieces() {
     let mut rng = Rng::seed_from_u64(0xc0a1);
-    for _ in 0..cases(256, 2048) {
+    for _ in 0..256 {
         let attrs = rand_attrs(&mut rng);
         let offset = rng.range_u64(0..1 << 28);
         let len = rng.range_u64(1..4 << 20);
@@ -100,7 +91,7 @@ fn coalesce_preserves_pieces() {
 #[test]
 fn logical_end_matches_decluster() {
     let mut rng = Rng::seed_from_u64(0x10e4);
-    for _ in 0..cases(256, 2048) {
+    for _ in 0..256 {
         let attrs = rand_attrs(&mut rng);
         let size = rng.range_u64(1..4 << 20);
         // Compute slot sizes by declustering the whole file.

@@ -27,20 +27,21 @@ pub mod perfetto;
 
 /// Names of the `bench.kernel.*` scalars the self-profiler exports into
 /// `BENCH_metrics.json`. Declared once so the bench harness, the
-/// regression gate, and the renderer cannot drift apart; `paragon-lint`
-/// (rule X1) checks that every constant here is actually exported and
-/// gated somewhere in the workspace.
+/// regression gate, and the renderer cannot drift apart; a unit test
+/// checks that [`kernel_scalars`] exports exactly `names::ALL`.
 pub mod names {
-    /// Fraction of summed worker host time parked at epoch barriers.
-    pub const KERNEL_BARRIER_STALL_FRAC: &str = "bench.kernel.barrier_stall_frac";
-    /// Conservative-lookahead epochs driven to quiescence.
-    pub const KERNEL_EPOCHS: &str = "bench.kernel.epochs";
-    /// Virtual events fired per host second, machine-wide.
-    pub const KERNEL_EVENTS_PER_HOST_SEC: &str = "bench.kernel.events_per_host_second";
-    /// Cross-shard frames handed over at epoch barriers.
-    pub const KERNEL_CROSS_SHARD_FRAMES: &str = "bench.kernel.cross_shard_frames";
-    /// Calendar-queue rebuilds summed over every shard world.
-    pub const KERNEL_CALENDAR_REBUILDS: &str = "bench.kernel.calendar_rebuilds";
+    paragon_metrics::metric_names! {
+        /// Fraction of summed worker host time parked at epoch barriers.
+        KERNEL_BARRIER_STALL_FRAC = "bench.kernel.barrier_stall_frac";
+        /// Conservative-lookahead epochs driven to quiescence.
+        KERNEL_EPOCHS = "bench.kernel.epochs";
+        /// Virtual events fired per host second, machine-wide.
+        KERNEL_EVENTS_PER_HOST_SEC = "bench.kernel.events_per_host_second";
+        /// Cross-shard frames handed over at epoch barriers.
+        KERNEL_CROSS_SHARD_FRAMES = "bench.kernel.cross_shard_frames";
+        /// Calendar-queue rebuilds summed over every shard world.
+        KERNEL_CALENDAR_REBUILDS = "bench.kernel.calendar_rebuilds";
+    }
 }
 
 pub use critical::{critical_paths, render_critical_path, CriticalPath, COMPONENTS};

@@ -14,6 +14,10 @@
 //! `std::task::Waker` is vacuously met and the ready ring needs no lock.
 //! Each slot caches the `Waker` for its current occupant, so polling
 //! allocates nothing.
+#![expect(
+    unsafe_code,
+    reason = "the Rc waker vtable; its safety argument is on VTABLE"
+)]
 
 use std::cell::RefCell;
 use std::collections::VecDeque;

@@ -84,214 +84,145 @@ impl Track {
     }
 }
 
-/// What happened. The `a`/`b` detail fields of [`TraceEvent`] carry the
-/// kind-specific payload noted on each variant (usually offset/length).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum EventKind {
-    /// Demand read entered the client (`a`=offset, `b`=len).
-    ReadStart,
-    /// Demand read returned to the application (`a`=offset, `b`=len).
-    ReadDone,
-    /// Write entered the client (`a`=offset, `b`=len).
-    WriteStart,
-    /// Write acknowledged (`a`=offset, `b`=len).
-    WriteDone,
-    /// Operation handed to an asynchronous request thread (`a`=queue pos).
-    ArtSubmit,
-    /// ART began running the operation after its dispatch latency.
-    ArtStart,
-    /// ART finished the operation.
-    ArtDone,
-    /// Message entered the mesh at its source NIC (`a`=wire bytes,
-    /// `b`=destination node id).
-    NetTx,
-    /// Message delivered at its destination (`a`=wire bytes, `b`=source
-    /// node id).
-    NetRx,
-    /// PFS server began handling a request (`a`=offset, `b`=len).
-    ServeStart,
-    /// PFS server finished a request (`a`=offset, `b`=len).
-    ServeDone,
-    /// Disk service of one device command began (`a`=offset, `b`=len).
-    DiskStart,
-    /// Disk service of one device command completed (`a`=offset, `b`=len).
-    DiskDone,
-    /// Prefetch issued for a predicted read (`a`=offset, `b`=len).
-    PrefetchIssue,
-    /// Demand read matched a completed prefetch buffer (`a`=offset,
-    /// `b`=len).
-    PrefetchHitReady,
-    /// Demand read matched a prefetch still in flight (`a`=offset,
-    /// `b`=len).
-    PrefetchHitInflight,
-    /// Demand read found no matching buffer (`a`=offset, `b`=len).
-    PrefetchMiss,
-    /// Prefetch entry discarded at close while still in flight
-    /// (`a`=offset, `b`=len).
-    PrefetchCancel,
-    /// Prefetch entry evicted to make room (`a`=offset, `b`=len).
-    PrefetchEvict,
-    /// Buffer-to-buffer copy charged (`a`=bytes, `b`=unused).
-    Copy,
-    /// Shared-pointer operation at the service node (`a`=resulting
-    /// offset).
-    PtrOp,
-    /// Anything else (`a`/`b` free-form).
-    Mark,
-    /// Injected disk read error (`a`=offset, `b`=len). Transient unless a
-    /// `FaultDiskDown` for the same track precedes it.
-    FaultDiskError,
-    /// A disk (RAID member) died per the fault plan (`a`/`b` unused).
-    FaultDiskDown,
-    /// Mesh message dropped — injected fault or dead receiver (`a`=wire
-    /// bytes, `b`=destination node id).
-    MeshDrop,
-    /// Mesh message duplicated by the fault plan (`a`=wire bytes,
-    /// `b`=destination node id).
-    MeshDup,
-    /// Mesh message delayed by the fault plan (`a`=extra nanoseconds,
-    /// `b`=destination node id).
-    MeshDelay,
-    /// A node entered a crash window (`a`=node id, `b`=until-nanos).
-    FaultNodeDown,
-    /// A crashed node restarted (`a`=node id).
-    FaultNodeUp,
-    /// RPC attempt timed out; the client is retrying (`a`=attempt number,
-    /// `b`=destination node id).
-    RpcRetry,
-    /// RPC gave up after exhausting its retry budget (`a`=attempts,
-    /// `b`=destination node id).
-    RpcGiveUp,
-    /// RAID read reconstructed a dead member from parity (`a`=member
-    /// offset, `b`=len).
-    RaidReconstruct,
-    /// A prefetch came back with an error and was quarantined
-    /// (`a`=offset, `b`=len).
-    PrefetchFault,
-    /// The prefetch engine disabled itself after repeated faults
-    /// (`a`=consecutive fault count).
-    PrefetchThrottle,
-    /// The prefetch engine re-enabled after a clean demand read.
-    PrefetchResume,
-    /// Replicated read fell over to another copy of the slot
-    /// (`a`=slot, `b`=replica index served next).
-    ReplicaFailover,
-    /// Recovery coordinator began re-replicating after an I/O-node crash
-    /// (`a`=under-replicated stripe slots, `b`=crashed node id).
-    RebuildStart,
-    /// One stripe slot's lost copy was re-replicated to a surviving
-    /// I/O node (`a`=slot, `b`=bytes copied).
-    RebuildCopy,
-    /// Recovery coordinator drained its queue — full redundancy restored
-    /// (`a`=slots copied, `b`=bytes copied).
-    RebuildDone,
-    /// A crash window was explicitly closed and the node rejoined
-    /// (`a`=node id, `b`=degraded nanoseconds).
-    FaultNodeRecovered,
+/// Declares [`EventKind`] with its `ALL` table, wire names and hash codes
+/// from one list, so a kind cannot miss its wire name or its place in
+/// `ALL`. Declaration order is the hash code: new kinds are appended,
+/// never inserted, to keep old trace hashes stable.
+macro_rules! event_kinds {
+    ($($(#[$doc:meta])* $kind:ident => $name:literal,)*) => {
+        /// What happened. The `a`/`b` detail fields of [`TraceEvent`] carry
+        /// the kind-specific payload noted on each variant (usually
+        /// offset/length).
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum EventKind {
+            $($(#[$doc])* $kind,)*
+        }
+
+        impl EventKind {
+            /// Every kind, in declaration (hash/serialization) order.
+            pub const ALL: [EventKind; [$($name),*].len()] = [$(EventKind::$kind),*];
+
+            /// Stable wire name.
+            pub fn as_str(&self) -> &'static str {
+                match self {
+                    $(EventKind::$kind => $name,)*
+                }
+            }
+
+            /// Parse a wire name back.
+            pub fn parse(s: &str) -> Option<EventKind> {
+                EventKind::ALL.iter().copied().find(|k| k.as_str() == s)
+            }
+
+            /// Stable small integer for hashing: the declaration index.
+            fn code(&self) -> u64 {
+                *self as u64
+            }
+        }
+    };
 }
 
-impl EventKind {
-    /// Every kind, in hash/serialization order. New kinds are appended —
-    /// [`EventKind::code`] is positional, so the existing order is frozen
-    /// to keep old trace hashes stable.
-    pub const ALL: [EventKind; 40] = [
-        EventKind::ReadStart,
-        EventKind::ReadDone,
-        EventKind::WriteStart,
-        EventKind::WriteDone,
-        EventKind::ArtSubmit,
-        EventKind::ArtStart,
-        EventKind::ArtDone,
-        EventKind::NetTx,
-        EventKind::NetRx,
-        EventKind::ServeStart,
-        EventKind::ServeDone,
-        EventKind::DiskStart,
-        EventKind::DiskDone,
-        EventKind::PrefetchIssue,
-        EventKind::PrefetchHitReady,
-        EventKind::PrefetchHitInflight,
-        EventKind::PrefetchMiss,
-        EventKind::PrefetchCancel,
-        EventKind::PrefetchEvict,
-        EventKind::Copy,
-        EventKind::PtrOp,
-        EventKind::Mark,
-        EventKind::FaultDiskError,
-        EventKind::FaultDiskDown,
-        EventKind::MeshDrop,
-        EventKind::MeshDup,
-        EventKind::MeshDelay,
-        EventKind::FaultNodeDown,
-        EventKind::FaultNodeUp,
-        EventKind::RpcRetry,
-        EventKind::RpcGiveUp,
-        EventKind::RaidReconstruct,
-        EventKind::PrefetchFault,
-        EventKind::PrefetchThrottle,
-        EventKind::PrefetchResume,
-        EventKind::ReplicaFailover,
-        EventKind::RebuildStart,
-        EventKind::RebuildCopy,
-        EventKind::RebuildDone,
-        EventKind::FaultNodeRecovered,
-    ];
-
-    /// Stable wire name.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            EventKind::ReadStart => "read-start",
-            EventKind::ReadDone => "read-done",
-            EventKind::WriteStart => "write-start",
-            EventKind::WriteDone => "write-done",
-            EventKind::ArtSubmit => "art-submit",
-            EventKind::ArtStart => "art-start",
-            EventKind::ArtDone => "art-done",
-            EventKind::NetTx => "net-tx",
-            EventKind::NetRx => "net-rx",
-            EventKind::ServeStart => "serve-start",
-            EventKind::ServeDone => "serve-done",
-            EventKind::DiskStart => "disk-start",
-            EventKind::DiskDone => "disk-done",
-            EventKind::PrefetchIssue => "pf-issue",
-            EventKind::PrefetchHitReady => "pf-hit-ready",
-            EventKind::PrefetchHitInflight => "pf-hit-inflight",
-            EventKind::PrefetchMiss => "pf-miss",
-            EventKind::PrefetchCancel => "pf-cancel",
-            EventKind::PrefetchEvict => "pf-evict",
-            EventKind::Copy => "copy",
-            EventKind::PtrOp => "ptr-op",
-            EventKind::Mark => "mark",
-            EventKind::FaultDiskError => "fault-disk-error",
-            EventKind::FaultDiskDown => "fault-disk-down",
-            EventKind::MeshDrop => "mesh-drop",
-            EventKind::MeshDup => "mesh-dup",
-            EventKind::MeshDelay => "mesh-delay",
-            EventKind::FaultNodeDown => "fault-node-down",
-            EventKind::FaultNodeUp => "fault-node-up",
-            EventKind::RpcRetry => "rpc-retry",
-            EventKind::RpcGiveUp => "rpc-give-up",
-            EventKind::RaidReconstruct => "raid-reconstruct",
-            EventKind::PrefetchFault => "pf-fault",
-            EventKind::PrefetchThrottle => "pf-throttle",
-            EventKind::PrefetchResume => "pf-resume",
-            EventKind::ReplicaFailover => "replica-failover",
-            EventKind::RebuildStart => "rebuild-start",
-            EventKind::RebuildCopy => "rebuild-copy",
-            EventKind::RebuildDone => "rebuild-done",
-            EventKind::FaultNodeRecovered => "fault-node-recovered",
-        }
-    }
-
-    /// Parse a wire name back.
-    pub fn parse(s: &str) -> Option<EventKind> {
-        EventKind::ALL.iter().copied().find(|k| k.as_str() == s)
-    }
-
-    /// Stable small integer for hashing.
-    fn code(&self) -> u64 {
-        EventKind::ALL.iter().position(|k| k == self).unwrap() as u64
-    }
+event_kinds! {
+    /// Demand read entered the client (`a`=offset, `b`=len).
+    ReadStart => "read-start",
+    /// Demand read returned to the application (`a`=offset, `b`=len).
+    ReadDone => "read-done",
+    /// Write entered the client (`a`=offset, `b`=len).
+    WriteStart => "write-start",
+    /// Write acknowledged (`a`=offset, `b`=len).
+    WriteDone => "write-done",
+    /// Operation handed to an asynchronous request thread (`a`=queue pos).
+    ArtSubmit => "art-submit",
+    /// ART began running the operation after its dispatch latency.
+    ArtStart => "art-start",
+    /// ART finished the operation.
+    ArtDone => "art-done",
+    /// Message entered the mesh at its source NIC (`a`=wire bytes,
+    /// `b`=destination node id).
+    NetTx => "net-tx",
+    /// Message delivered at its destination (`a`=wire bytes, `b`=source
+    /// node id).
+    NetRx => "net-rx",
+    /// PFS server began handling a request (`a`=offset, `b`=len).
+    ServeStart => "serve-start",
+    /// PFS server finished a request (`a`=offset, `b`=len).
+    ServeDone => "serve-done",
+    /// Disk service of one device command began (`a`=offset, `b`=len).
+    DiskStart => "disk-start",
+    /// Disk service of one device command completed (`a`=offset, `b`=len).
+    DiskDone => "disk-done",
+    /// Prefetch issued for a predicted read (`a`=offset, `b`=len).
+    PrefetchIssue => "pf-issue",
+    /// Demand read matched a completed prefetch buffer (`a`=offset,
+    /// `b`=len).
+    PrefetchHitReady => "pf-hit-ready",
+    /// Demand read matched a prefetch still in flight (`a`=offset,
+    /// `b`=len).
+    PrefetchHitInflight => "pf-hit-inflight",
+    /// Demand read found no matching buffer (`a`=offset, `b`=len).
+    PrefetchMiss => "pf-miss",
+    /// Prefetch entry discarded at close while still in flight
+    /// (`a`=offset, `b`=len).
+    PrefetchCancel => "pf-cancel",
+    /// Prefetch entry evicted to make room (`a`=offset, `b`=len).
+    PrefetchEvict => "pf-evict",
+    /// Buffer-to-buffer copy charged (`a`=bytes, `b`=unused).
+    Copy => "copy",
+    /// Shared-pointer operation at the service node (`a`=resulting
+    /// offset).
+    PtrOp => "ptr-op",
+    /// Anything else (`a`/`b` free-form).
+    Mark => "mark",
+    /// Injected disk read error (`a`=offset, `b`=len). Transient unless a
+    /// `FaultDiskDown` for the same track precedes it.
+    FaultDiskError => "fault-disk-error",
+    /// A disk (RAID member) died per the fault plan (`a`/`b` unused).
+    FaultDiskDown => "fault-disk-down",
+    /// Mesh message dropped — injected fault or dead receiver (`a`=wire
+    /// bytes, `b`=destination node id).
+    MeshDrop => "mesh-drop",
+    /// Mesh message duplicated by the fault plan (`a`=wire bytes,
+    /// `b`=destination node id).
+    MeshDup => "mesh-dup",
+    /// Mesh message delayed by the fault plan (`a`=extra nanoseconds,
+    /// `b`=destination node id).
+    MeshDelay => "mesh-delay",
+    /// A node entered a crash window (`a`=node id, `b`=until-nanos).
+    FaultNodeDown => "fault-node-down",
+    /// A crashed node restarted (`a`=node id).
+    FaultNodeUp => "fault-node-up",
+    /// RPC attempt timed out; the client is retrying (`a`=attempt number,
+    /// `b`=destination node id).
+    RpcRetry => "rpc-retry",
+    /// RPC gave up after exhausting its retry budget (`a`=attempts,
+    /// `b`=destination node id).
+    RpcGiveUp => "rpc-give-up",
+    /// RAID read reconstructed a dead member from parity (`a`=member
+    /// offset, `b`=len).
+    RaidReconstruct => "raid-reconstruct",
+    /// A prefetch came back with an error and was quarantined
+    /// (`a`=offset, `b`=len).
+    PrefetchFault => "pf-fault",
+    /// The prefetch engine disabled itself after repeated faults
+    /// (`a`=consecutive fault count).
+    PrefetchThrottle => "pf-throttle",
+    /// The prefetch engine re-enabled after a clean demand read.
+    PrefetchResume => "pf-resume",
+    /// Replicated read fell over to another copy of the slot
+    /// (`a`=slot, `b`=replica index served next).
+    ReplicaFailover => "replica-failover",
+    /// Recovery coordinator began re-replicating after an I/O-node crash
+    /// (`a`=under-replicated stripe slots, `b`=crashed node id).
+    RebuildStart => "rebuild-start",
+    /// One stripe slot's lost copy was re-replicated to a surviving
+    /// I/O node (`a`=slot, `b`=bytes copied).
+    RebuildCopy => "rebuild-copy",
+    /// Recovery coordinator drained its queue — full redundancy restored
+    /// (`a`=slots copied, `b`=bytes copied).
+    RebuildDone => "rebuild-done",
+    /// A crash window was explicitly closed and the node rejoined
+    /// (`a`=node id, `b`=degraded nanoseconds).
+    FaultNodeRecovered => "fault-node-recovered",
 }
 
 /// One recorded event.

@@ -1,20 +1,11 @@
 //! Randomized tests for the simulation kernel: determinism, FIFO
 //! fairness, and monotone time under arbitrary task structures. Cases
-//! are driven by the in-repo [`Rng`] so the suite is hermetic; the
-//! `heavy-tests` feature multiplies the case count for CI soak.
+//! are driven by the in-repo [`Rng`] so the suite is hermetic.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use paragon_sim::{ev, sync::Semaphore, EventKind, Rng, RunReport, Sim, SimDuration, Track};
-
-fn cases(light: usize, heavy: usize) -> usize {
-    if cfg!(feature = "heavy-tests") {
-        heavy
-    } else {
-        light
-    }
-}
 
 /// A little random program: `n` tasks, each doing `k` sleeps of pseudo-random
 /// length, contending on one semaphore of capacity `cap`.
@@ -46,7 +37,7 @@ fn run_model(seed: u64, tasks: u8, steps: u8, cap: u8) -> (RunReport, Vec<(u8, u
 #[test]
 fn equal_seed_equal_world() {
     let mut rng = Rng::seed_from_u64(0x5eed);
-    for _ in 0..cases(64, 512) {
+    for _ in 0..64 {
         let seed = rng.next_u64();
         let tasks = rng.range_u64(1..8) as u8;
         let steps = rng.range_u64(1..6) as u8;
@@ -63,7 +54,7 @@ fn equal_seed_equal_world() {
 #[test]
 fn time_is_monotone() {
     let mut rng = Rng::seed_from_u64(0x7133);
-    for _ in 0..cases(64, 512) {
+    for _ in 0..64 {
         let seed = rng.next_u64();
         let tasks = rng.range_u64(1..8) as u8;
         let steps = rng.range_u64(1..6) as u8;

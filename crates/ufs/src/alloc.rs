@@ -96,9 +96,7 @@ impl ExtentAllocator {
             });
         }
         // Prefer one contiguous run: first fit.
-        if let Some(idx) = self.free.iter().position(|e| e.len >= n) {
-            // paragon-lint: allow(P1) — idx comes from position() on this same vec
-            let run = &mut self.free[idx];
+        if let Some((idx, run)) = self.free.iter_mut().enumerate().find(|(_, e)| e.len >= n) {
             let got = Extent {
                 start: run.start,
                 len: n,
@@ -140,33 +138,26 @@ impl ExtentAllocator {
     pub fn free(&mut self, ext: Extent) {
         assert!(ext.len > 0 && ext.end() <= self.capacity, "bad free {ext}");
         let pos = self.free.partition_point(|e| e.start < ext.start);
-        // paragon-lint: allow(P1) — pos comes from partition_point on this
-        // same vec and every neighbour access is guarded by the explicit
-        // pos bounds checks above it
-        if pos > 0 {
-            assert!(
-                self.free[pos - 1].end() <= ext.start,
-                "double free: {ext} overlaps {}",
-                self.free[pos - 1]
-            );
+        let left = pos.checked_sub(1);
+        if let Some(l) = left.and_then(|i| self.free.get(i)) {
+            assert!(l.end() <= ext.start, "double free: {ext} overlaps {l}");
         }
-        if pos < self.free.len() {
-            assert!(
-                ext.end() <= self.free[pos].start,
-                "double free: {ext} overlaps {}",
-                self.free[pos]
-            );
+        // Coalesce with the right neighbour, then the left.
+        let mut merged = ext;
+        if let Some(&r) = self.free.get(pos) {
+            assert!(ext.end() <= r.start, "double free: {ext} overlaps {r}");
+            if ext.end() == r.start {
+                merged.len += r.len;
+                self.free.remove(pos);
+            }
         }
-        self.free.insert(pos, ext);
-        // Coalesce with right neighbour, then left.
-        if pos + 1 < self.free.len() && self.free[pos].end() == self.free[pos + 1].start {
-            self.free[pos].len += self.free[pos + 1].len;
-            self.free.remove(pos + 1);
+        if let Some(l) = left.and_then(|i| self.free.get_mut(i)) {
+            if l.end() == merged.start {
+                l.len += merged.len;
+                return;
+            }
         }
-        if pos > 0 && self.free[pos - 1].end() == self.free[pos].start {
-            self.free[pos - 1].len += self.free[pos].len;
-            self.free.remove(pos);
-        }
+        self.free.insert(pos, merged);
     }
 }
 

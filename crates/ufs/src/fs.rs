@@ -325,7 +325,7 @@ impl Ufs {
         // range, so its reply *is* the result — no gather buffer. The run
         // still goes through the same spawned task as the general path so
         // event interleaving (and the trace hash) is unchanged.
-        if handles.len() == 1 && handles[0].0 == 0 {
+        if matches!(handles.as_slice(), [(0, _)]) {
             if let Some((_, h)) = handles.pop() {
                 let data = h.await.map_err(UfsError::Disk)?;
                 debug_assert_eq!(data.len(), len as usize);
@@ -335,6 +335,10 @@ impl Ufs {
         let mut out = BytesMut::zeroed(len as usize);
         for (at, h) in handles {
             let data = h.await.map_err(UfsError::Disk)?;
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "each run covers its own part of [offset, end), so at + data.len() <= len"
+            )]
             out[at..at + data.len()].copy_from_slice(&data);
         }
         Ok(out.freeze())
@@ -431,16 +435,11 @@ impl Ufs {
             }
         }
         // Coalesce missing blocks into device runs and fill the cache.
-        // paragon-lint: allow(P1) — i and j stay < missing.len() by the loop
-        // conditions; the window walk never leaves the vec
-        let mut i = 0;
-        while i < missing.len() {
-            let mut j = i;
-            while j + 1 < missing.len() && missing[j + 1] == missing[j] + 1 {
-                j += 1;
-            }
-            let run_first = missing[i];
-            let run_len = (j - i + 1) as u64;
+        for missing_run in missing.chunk_by(|a, b| *b == a + 1) {
+            let Some(&run_first) = missing_run.first() else {
+                continue;
+            };
+            let run_len = missing_run.len() as u64;
             let runs = {
                 let inner = self.inner.borrow();
                 let inode = inner.inodes.get(id).ok_or(UfsError::NotFound)?;
@@ -477,7 +476,6 @@ impl Ufs {
                     }
                 }
             }
-            i = j + 1;
         }
         // The buffered path pays a memory copy cache → caller.
         self.sim
@@ -591,6 +589,10 @@ impl Ufs {
             .ok_or(UfsError::Unmapped { block: first_block })
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "lo..hi lies inside both this block and [offset, end)"
+    )]
     fn place_block(&self, out: &mut BytesMut, block: u64, data: &Bytes, offset: u64, end: u64) {
         let bs = self.bs();
         let block_start = block * bs;

@@ -31,7 +31,18 @@
 
 // Robustness: the I/O path under the PFS servers must surface failures
 // as `UfsError` values, never a panic.
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::indexing_slicing,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 mod alloc;
 mod cache;

@@ -1,22 +1,13 @@
 //! Randomized tests for the UFS building blocks: the extent allocator
 //! never double-allocates, the cache never exceeds capacity or loses
 //! dirty data, and the file system round-trips arbitrary write/read
-//! scripts byte-for-byte. Cases come from the in-repo [`Rng`];
-//! `heavy-tests` multiplies the count.
+//! scripts byte-for-byte. Cases come from the in-repo [`Rng`].
 
 use bytes::Bytes;
 
 use paragon_disk::{DiskParams, RaidArray, SchedPolicy};
 use paragon_sim::{Rng, Sim};
 use paragon_ufs::{BlockCache, BlockKey, Extent, ExtentAllocator, InodeId, Ufs, UfsParams};
-
-fn cases(light: usize, heavy: usize) -> usize {
-    if cfg!(feature = "heavy-tests") {
-        heavy
-    } else {
-        light
-    }
-}
 
 // ---------------------------------------------------------------- allocator
 
@@ -41,7 +32,7 @@ fn alloc_ops(rng: &mut Rng) -> Vec<AllocOp> {
 #[test]
 fn allocator_never_overlaps_and_conserves() {
     let mut rng = Rng::seed_from_u64(0xa110);
-    for _ in 0..cases(256, 2048) {
+    for _ in 0..256 {
         let ops = alloc_ops(&mut rng);
         let capacity = 500u64;
         let mut a = ExtentAllocator::new(capacity);
@@ -99,7 +90,7 @@ fn cache_ops(rng: &mut Rng) -> Vec<CacheOp> {
 #[test]
 fn cache_bounds_and_dirty_conservation() {
     let mut rng = Rng::seed_from_u64(0xcac4e);
-    for _ in 0..cases(256, 2048) {
+    for _ in 0..256 {
         let ops = cache_ops(&mut rng);
         let cap = rng.range_usize(1..8);
         let mut c = BlockCache::new(cap);
@@ -109,7 +100,7 @@ fn cache_bounds_and_dirty_conservation() {
             inode: InodeId(0),
             block: b,
         };
-        let mut dirty_now: std::collections::HashSet<u64> = Default::default();
+        let mut dirty_now: std::collections::BTreeSet<u64> = Default::default();
         for op in ops {
             match op {
                 CacheOp::Get(b) => {
@@ -173,7 +164,7 @@ fn write_script(rng: &mut Rng) -> Vec<WriteOp> {
 #[test]
 fn fs_matches_flat_model() {
     let mut rng = Rng::seed_from_u64(0xf5f5);
-    for _ in 0..cases(32, 256) {
+    for _ in 0..32 {
         let script = write_script(&mut rng);
         let sim = Sim::new(3);
         let raid = RaidArray::new(

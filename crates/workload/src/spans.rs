@@ -77,8 +77,7 @@ impl ReadSpan {
 ///
 /// [`kind_class`] matches every [`EventKind`] by name and without a
 /// wildcard arm, so adding a kind to the recorder without deciding where
-/// the span analyzer files it is a compile error here (and a
-/// `paragon-lint` X1 finding until the name appears).
+/// the span analyzer files it is a compile error here.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KindClass {
     /// Client-side transfer lifecycle and buffer copies.

@@ -33,58 +33,60 @@ use crate::spans::{read_spans, SpanBreakdown, SpanKind};
 
 /// Stable dotted metric names. Per-I/O-node instruments derive their
 /// names from these via [`ion_metric`]; everything else uses the
-/// constant verbatim. `paragon-lint` checks each constant is actually
-/// registered or consumed somewhere.
+/// constant verbatim. `tests/vocabulary_coverage.rs` checks that each
+/// name in `names::ALL` is registered by an instrumented run.
 pub mod names {
-    /// Gauge: outstanding commands across every disk of one/all arrays.
-    pub const DISK_QUEUE: &str = "disk.queue";
-    /// Gauge: requests being handled by one/all I/O-node servers.
-    pub const SERVER_QUEUE: &str = "server.queue";
-    /// Gauge: message bytes currently in mesh transit.
-    pub const MESH_INFLIGHT_BYTES: &str = "mesh.inflight_bytes";
-    /// Gauge: ARTs on the active FIFO across all compute nodes.
-    pub const ART_ACTIVE: &str = "art.active";
-    /// Gauge: prefetch buffers held across all open files.
-    pub const PREFETCH_BUFFERS: &str = "prefetch.buffers";
-    /// Gauge: compute-node bytes those prefetch buffers pin.
-    pub const PREFETCH_BYTES: &str = "prefetch.bytes";
-    /// Gauge: compute nodes currently inside a read call.
-    pub const NODES_IN_IO: &str = "cn.nodes_in_io";
-    /// Counter: disk busy nanoseconds, summed over spindles.
-    pub const DISK_BUSY_NS: &str = "disk.busy_ns";
-    /// Counter: disk commands issued.
-    pub const DISK_REQUESTS: &str = "disk.requests";
-    /// Counter: server thread-held nanoseconds. A thread stays held
-    /// across its disk await, so this covers the service *and* disk
-    /// span phases, not server CPU alone.
-    pub const SERVER_BUSY_NS: &str = "server.busy_ns";
-    /// Counter: bytes the servers read off their file systems.
-    pub const SERVER_BYTES_READ: &str = "server.bytes_read";
-    /// Counter: mesh payload bytes sent.
-    pub const MESH_BYTES: &str = "mesh.bytes";
-    /// Counter: mesh messages sent.
-    pub const MESH_MESSAGES: &str = "mesh.messages";
-    /// Counter: router hops traversed, summed over messages.
-    pub const MESH_HOPS: &str = "mesh.hops";
-    /// Counter: busiest single NIC's occupancy nanoseconds.
-    pub const NIC_BUSY_NS_MAX: &str = "mesh.nic_busy_ns.max";
-    /// Counter: NIC occupancy nanoseconds summed over all nodes.
-    pub const NIC_BUSY_NS_TOTAL: &str = "mesh.nic_busy_ns.total";
-    /// Counter: asynchronous request threads submitted.
-    pub const ART_SUBMITTED: &str = "art.submitted";
-    /// Counter: asynchronous request threads completed.
-    pub const ART_COMPLETED: &str = "art.completed";
-    /// Histogram: per-request end-to-end read time, seconds.
-    pub const READ_TIME_S: &str = "read.time_s";
-    /// Gauge: stripe slots still awaiting re-replication (drains to
-    /// exactly zero once a rebuild completes).
-    pub const REBUILD_QUEUE: &str = "rebuild.queue";
-    /// Counter: bytes the recovery coordinator has re-replicated.
-    pub const REBUILD_BYTES: &str = "rebuild.bytes";
-    /// Counter: reads that failed over from one replica to another.
-    pub const REPLICA_FAILOVERS: &str = "replica.failovers";
-    /// Counter: reads served by a non-primary replica.
-    pub const REPLICA_READS: &str = "replica.reads";
+    paragon_metrics::metric_names! {
+        /// Gauge: outstanding commands across every disk of one/all arrays.
+        DISK_QUEUE = "disk.queue";
+        /// Gauge: requests being handled by one/all I/O-node servers.
+        SERVER_QUEUE = "server.queue";
+        /// Gauge: message bytes currently in mesh transit.
+        MESH_INFLIGHT_BYTES = "mesh.inflight_bytes";
+        /// Gauge: ARTs on the active FIFO across all compute nodes.
+        ART_ACTIVE = "art.active";
+        /// Gauge: prefetch buffers held across all open files.
+        PREFETCH_BUFFERS = "prefetch.buffers";
+        /// Gauge: compute-node bytes those prefetch buffers pin.
+        PREFETCH_BYTES = "prefetch.bytes";
+        /// Gauge: compute nodes currently inside a read call.
+        NODES_IN_IO = "cn.nodes_in_io";
+        /// Counter: disk busy nanoseconds, summed over spindles.
+        DISK_BUSY_NS = "disk.busy_ns";
+        /// Counter: disk commands issued.
+        DISK_REQUESTS = "disk.requests";
+        /// Counter: server thread-held nanoseconds. A thread stays held
+        /// across its disk await, so this covers the service *and* disk
+        /// span phases, not server CPU alone.
+        SERVER_BUSY_NS = "server.busy_ns";
+        /// Counter: bytes the servers read off their file systems.
+        SERVER_BYTES_READ = "server.bytes_read";
+        /// Counter: mesh payload bytes sent.
+        MESH_BYTES = "mesh.bytes";
+        /// Counter: mesh messages sent.
+        MESH_MESSAGES = "mesh.messages";
+        /// Counter: router hops traversed, summed over messages.
+        MESH_HOPS = "mesh.hops";
+        /// Counter: busiest single NIC's occupancy nanoseconds.
+        NIC_BUSY_NS_MAX = "mesh.nic_busy_ns.max";
+        /// Counter: NIC occupancy nanoseconds summed over all nodes.
+        NIC_BUSY_NS_TOTAL = "mesh.nic_busy_ns.total";
+        /// Counter: asynchronous request threads submitted.
+        ART_SUBMITTED = "art.submitted";
+        /// Counter: asynchronous request threads completed.
+        ART_COMPLETED = "art.completed";
+        /// Histogram: per-request end-to-end read time, seconds.
+        READ_TIME_S = "read.time_s";
+        /// Gauge: stripe slots still awaiting re-replication (drains to
+        /// exactly zero once a rebuild completes).
+        REBUILD_QUEUE = "rebuild.queue";
+        /// Counter: bytes the recovery coordinator has re-replicated.
+        REBUILD_BYTES = "rebuild.bytes";
+        /// Counter: reads that failed over from one replica to another.
+        REPLICA_FAILOVERS = "replica.failovers";
+        /// Counter: reads served by a non-primary replica.
+        REPLICA_READS = "replica.reads";
+    }
 }
 
 /// The per-I/O-node variant of a metric name: `disk.queue.ion3`.

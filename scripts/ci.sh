@@ -5,16 +5,16 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "=== paragon-lint"
-# Workspace invariant checker (crates/lint), first so a rule violation
-# fails the gate before the expensive build/test stages run: D1
-# deterministic containers, D2 no ambient nondeterminism, P1
-# panic-freedom on the I/O path, C1/C2 shard safety (shared mutable
-# state and host channels confined to the sanctioned parallel kernel),
-# X1 protocol/trace exhaustiveness, W1 waiver hygiene, W2 stale-waiver
-# detection. Exits nonzero on any finding; waivers need
-# `// paragon-lint: allow(RULE) — <reason>`.
-cargo run -q -p paragon-lint --release
+echo "=== cargo clippy -D warnings"
+# First, so a rule violation fails the gate before the expensive
+# build/test stages run. The root clippy.toml bans HashMap/HashSet (D1),
+# the host clock and host threads (D2), thread-shared state and host
+# channels (C1/C2) outside sim::parallel; the I/O-path crates (disk, os,
+# pfs, mesh, ufs) deny unwrap/expect/indexing/panic in non-test code
+# (P1); the workspace denies a lint suppression without a reason (W1),
+# and rustc reports an #[expect] that no longer fires (W2). See
+# DESIGN.md section 8.
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "=== cargo build --release"
 cargo build --release
@@ -83,12 +83,5 @@ cargo test -q -p paragon-profile
 
 echo "=== cargo fmt --check"
 cargo fmt --check
-
-echo "=== cargo clippy -D warnings"
-# The I/O-path crates (disk, os, pfs, mesh, ufs) and paragon-core
-# additionally carry a crate-level deny(clippy::unwrap_used,
-# clippy::expect_used) for non-test code — the I/O path must propagate
-# errors, not panic — which this lint run enforces.
-cargo clippy --workspace --all-targets -- -D warnings
 
 echo "ci: all green"

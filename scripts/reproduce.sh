@@ -23,7 +23,7 @@ BINARIES=(
 )
 
 # Preflight: don't regenerate tables from a tree that fails the gate
-# (build, tests, the paragon-lint invariant checker, fmt, clippy) —
+# (clippy with the clippy.toml invariants, build, tests, fmt) —
 # numbers from a nondeterministic or panicky tree are not reproductions.
 ./scripts/ci.sh
 

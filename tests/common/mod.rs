@@ -1,7 +1,7 @@
 //! Config matrix shared by the determinism and parallel-equivalence
 //! suites: one named config per EXT axis, frozen so both suites pin the
 //! same behaviours.
-#![allow(dead_code)] // each test binary uses its own subset
+#![allow(dead_code, reason = "each test binary uses its own subset")]
 
 use paragon::machine::Calibration;
 use paragon::pfs::{IoMode, Redundancy};
@@ -79,4 +79,20 @@ pub fn ext_matrix() -> Vec<(&'static str, ExperimentConfig)> {
     c.delay = SimDuration::from_millis(25);
     m.push(("scaling-8x4-pf", c));
     m
+}
+
+/// RF=2 replication on 4×4 with I/O node 1 crashed mid-stream:
+/// foreground reads fail over while the recovery coordinator
+/// re-replicates the lost copies.
+pub fn crash_and_rebuild(seed: u64) -> ExperimentConfig {
+    let mut c = cfg(seed, IoMode::MRecord);
+    c.calib.rpc_attempt_timeout = SimDuration::from_millis(250);
+    c.io_nodes = 4;
+    c.layout = StripeLayout::Across { factor: 4 };
+    c.file_size = 8 << 20;
+    c.delay = SimDuration::ZERO;
+    c.verify_data = true;
+    c.redundancy = Redundancy::Replicated { rf: 2 };
+    c.faults.ion_crash = Some((1, SimDuration::from_millis(50), SimDuration::from_secs(30)));
+    c
 }

@@ -2,6 +2,11 @@
 //! real 1995 calibration on reduced file sizes, so every claim the
 //! experiment binaries print is also enforced by `cargo test`.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "host wall-clock budget, not sim-visible"
+)]
+
 use paragon::pfs::IoMode;
 use paragon::sim::SimDuration;
 use paragon::workload::{run, ExperimentConfig, StripeLayout};

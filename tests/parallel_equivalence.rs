@@ -9,9 +9,8 @@
 
 mod common;
 
-use common::{cfg, ext_matrix};
-use paragon::machine::Calibration;
-use paragon::pfs::{IoMode, Redundancy};
+use common::{cfg, crash_and_rebuild, ext_matrix};
+use paragon::pfs::IoMode;
 use paragon::sim::SimDuration;
 use paragon::workload::{run, ExperimentConfig, RunResult, StripeLayout};
 
@@ -145,17 +144,7 @@ fn crash_and_rebuild_are_worker_invariant() {
     // the recovery coordinator re-replicating *across the shard cut*
     // (each target I/O node lives in a different world than the
     // coordinator) while foreground reads fail over. Still byte-equal.
-    let mut calib = Calibration::paragon_1995();
-    calib.rpc_attempt_timeout = SimDuration::from_millis(250);
-    let mut c = cfg(44, IoMode::MRecord);
-    c.calib = calib;
-    c.io_nodes = 4;
-    c.layout = StripeLayout::Across { factor: 4 };
-    c.file_size = 8 << 20;
-    c.delay = SimDuration::ZERO;
-    c.verify_data = true;
-    c.redundancy = Redundancy::Replicated { rf: 2 };
-    c.faults.ion_crash = Some((1, SimDuration::from_millis(50), SimDuration::from_secs(30)));
+    let c = crash_and_rebuild(44);
     let a = run(&sharded(c.clone(), 1));
     let b = run(&sharded(c, 4));
     assert_equivalent("crash-rebuild", &a, &b);

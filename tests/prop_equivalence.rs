@@ -147,12 +147,7 @@ mod calendar_vs_heap {
     #[test]
     fn calendar_queue_matches_binary_heap_reference() {
         let mut rng = Rng::seed_from_u64(0xca1e);
-        let n_cases = if cfg!(feature = "heavy-tests") {
-            64
-        } else {
-            16
-        };
-        for case in 0..n_cases {
+        for case in 0..16 {
             let mut cal = CalendarQueue::new();
             let mut reference = RefHeap::default();
             let mut seq = 0u64;
@@ -237,12 +232,7 @@ mod calendar_vs_heap {
 #[test]
 fn prefetching_is_invisible_to_the_application() {
     let mut rng = Rng::seed_from_u64(0xe9a1);
-    let n_cases = if cfg!(feature = "heavy-tests") {
-        192
-    } else {
-        24
-    };
-    for _ in 0..n_cases {
+    for _ in 0..24 {
         let s = random_script(&mut rng);
         let plain = run_script(&s, false);
         let prefetched = run_script(&s, true);
