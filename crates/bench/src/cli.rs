@@ -6,15 +6,15 @@ use paragon_machine::Calibration;
 use paragon_metrics::{ExperimentRecord, Json};
 use paragon_pfs::{IoMode, Redundancy};
 use paragon_profile::{
-    export_perfetto, kernel_scalars, render_critical_path, render_kernel_profile,
+    critical_paths, export_perfetto, kernel_scalars, render_critical_path, render_kernel_profile,
+    PhaseBreakdown, SpanKind,
 };
 use paragon_sim::{
     export_json, hash_events, parse_json, render_track_summary, FaultStats, SimDuration, TraceEvent,
 };
 use paragon_workload::{
-    metrics_check, metrics_report, read_spans, render_report, run, run_profiled, AccessPattern,
-    ExperimentConfig, FaultSpec, RunResult, SpanBreakdown, SpanKind, StripeLayout,
-    PARALLEL_SPEEDUP_SCALAR,
+    metrics_check, metrics_report, render_report, run, run_profiled, AccessPattern,
+    ExperimentConfig, FaultSpec, RunResult, StripeLayout, PARALLEL_SPEEDUP_SCALAR,
 };
 
 use std::process::ExitCode;
@@ -316,9 +316,9 @@ fn report_json(cfg: &ExperimentConfig, results: &[(&str, RunResult)]) {
     println!("{}", rec.to_json());
 }
 
-/// Summarize parsed trace events: header, per-track table, the
-/// span-reconstructed access-time decomposition, and (for `top > 0`)
-/// the `top` slowest spans with their request ids.
+/// Summarize parsed trace events: header, per-track table, the Table-2
+/// access-time decomposition projected from each read's critical path,
+/// and (for `top > 0`) the `top` slowest reads with their request ids.
 pub(crate) fn summarize_events(events: &[TraceEvent], top: usize) -> String {
     let mut out = String::new();
     out.push_str(&format!(
@@ -327,48 +327,37 @@ pub(crate) fn summarize_events(events: &[TraceEvent], top: usize) -> String {
         hash_events(events)
     ));
     out.push_str(&render_track_summary(events));
-    let spans = read_spans(events);
-    let demand: Vec<_> = spans
-        .iter()
-        .filter(|s| s.kind != SpanKind::Prefetch)
-        .cloned()
-        .collect();
-    let prefetch: Vec<_> = spans
-        .iter()
-        .filter(|s| s.kind == SpanKind::Prefetch)
-        .cloned()
-        .collect();
+    let paths = critical_paths(events);
+    let (prefetch, demand): (Vec<_>, Vec<_>) =
+        paths.iter().partition(|p| p.kind == SpanKind::Prefetch);
     if !demand.is_empty() {
         out.push_str(&format!("\ndemand reads ({} spans)\n", demand.len()));
-        out.push_str(&SpanBreakdown::of(&demand).render());
+        out.push_str(&PhaseBreakdown::of(demand).render());
     }
     if !prefetch.is_empty() {
         out.push_str(&format!(
             "\nprefetch transfers ({} spans)\n",
             prefetch.len()
         ));
-        out.push_str(&SpanBreakdown::of(&prefetch).render());
+        out.push_str(&PhaseBreakdown::of(prefetch).render());
     }
-    if top > 0 && !spans.is_empty() {
+    if top > 0 && !paths.is_empty() {
         // Slowest first; ties break on request id so the listing is a
         // pure function of the trace.
-        let mut slowest: Vec<&paragon_workload::ReadSpan> = spans.iter().collect();
-        slowest.sort_by_key(|s| (std::cmp::Reverse(s.total()), s.req));
+        let mut slowest: Vec<_> = paths.iter().collect();
+        slowest.sort_by_key(|p| (std::cmp::Reverse(p.total_ns()), p.req));
         slowest.truncate(top);
         out.push_str(&format!("\ntop {} slowest spans:\n", slowest.len()));
-        for s in slowest {
+        for p in slowest {
+            let [request, service, disk, reply] = p.phases().map(SimDuration::from_nanos);
             out.push_str(&format!(
                 "  req {:>6}  {:>12}  {:?}  offset {}  len {}  \
-                 (request {} | service {} | disk {} | reply {})\n",
-                s.req,
-                format!("{}", s.total()),
-                s.kind,
-                s.offset,
-                s.len,
-                s.request,
-                s.service,
-                s.disk,
-                s.reply,
+                 (request {request} | service {service} | disk {disk} | reply {reply})\n",
+                p.req,
+                format!("{}", SimDuration::from_nanos(p.total_ns())),
+                p.kind,
+                p.offset,
+                p.len,
             ));
         }
     }
@@ -1386,6 +1375,43 @@ mod tests {
         assert!(text.contains("req      1"), "{text}");
         // --top 0 drops the listing.
         assert!(!summarize_events(&parsed, 0).contains("slowest spans"));
+    }
+
+    /// The full `trace summarize` text of a buffered, prefetching reread
+    /// run is pinned in `tests/goldens/trace_summarize.txt`: both the
+    /// demand-read and prefetch-transfer decompositions, diskless
+    /// (server-cache) reads included. Regenerate after an intentional
+    /// change with `PARAGON_BLESS=1 cargo test -p paragon-bench summarize`.
+    #[test]
+    fn summarize_matches_the_pinned_golden() {
+        let cfg = build_config(&mut args(
+            "--cn 4 --ion 2 --file-mb 4 --delay-ms 5 --seed 19 --mode async \
+             --pattern reread:2 --buffered --prefetch --trace 1048576",
+        ))
+        .unwrap();
+        let trace = run(&cfg).trace;
+        assert!(
+            critical_paths(&trace).iter().any(|p| p.legs[5] == 0),
+            "the golden must cover a diskless read"
+        );
+        let text = summarize_events(&trace, 10);
+        assert!(text.contains("demand reads") && text.contains("prefetch transfers"));
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../tests/goldens/trace_summarize.txt");
+        if std::env::var_os("PARAGON_BLESS").is_some() {
+            std::fs::write(&path, &text).unwrap();
+            return;
+        }
+        let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+            panic!(
+                "missing golden {} ({e}); regenerate with PARAGON_BLESS=1",
+                path.display()
+            )
+        });
+        assert_eq!(
+            text, want,
+            "trace summarize drifted; if intentional, regenerate with PARAGON_BLESS=1"
+        );
     }
 
     #[test]

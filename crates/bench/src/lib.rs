@@ -20,6 +20,7 @@
 //! | `ext_ablation` | ablations: Fast Path, copy bandwidth, ART limit |
 //! | `ext_writes` | extension: write-behind (the prototype's write-side dual) |
 //! | `ext_double_buffering` | extension: vs application-level double buffering |
+//! | `ext_scsi16` | extension: the SCSI-16 hardware upgrade |
 //! | `paragonctl` | CLI: run any machine/mode/pattern/prefetch combination |
 
 pub mod cli;

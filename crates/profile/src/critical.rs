@@ -1,8 +1,10 @@
-//! Per-request critical-path analysis.
+//! Per-request critical-path analysis: the repo's one span model.
 //!
-//! [`read_spans`](https://docs.rs) in `paragon-workload` decomposes a
-//! read into four coarse phases; this module sharpens that into the full
-//! component chain a demand read's critical path actually walks:
+//! Every PFS transfer carries a request id from the compute node through
+//! the ART, the mesh, the server, and the disks (see
+//! `paragon_sim::trace`). This module groups a recording by request id
+//! and charges each read's `read-start → read-done` interval to the
+//! component chain its critical path walks:
 //!
 //! ```text
 //! client → art-queue → mesh-request → server-queue → service → disk
@@ -19,6 +21,17 @@
 //! arrival/completion wins, earlier dead legs are absorbed into the
 //! component that covered them in wall-clock terms.
 //!
+//! The paper's Table 2 access-time decomposition is a fixed projection
+//! of the nine legs ([`CriticalPath::phases`]):
+//!
+//! * **request** = client + art-queue + mesh-request;
+//! * **service** = server-queue + service;
+//! * **disk** = disk;
+//! * **reply** = server-reply + mesh-reply + client-finish.
+//!
+//! The four phases therefore sum exactly to the end-to-end latency as
+//! well; [`PhaseBreakdown`] aggregates and renders them per [`SpanKind`].
+//!
 //! Overlap accounting: the `disk` leg is the wall-clock envelope from
 //! the first member command start to the last completion. Striped and
 //! mirrored reads keep several spindles busy inside that envelope; the
@@ -26,9 +39,11 @@
 //! separately and deliberately kept out of the blame sum, because it
 //! was bought, not waited for.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
+use std::ops::Range;
 
-use paragon_sim::{EventKind, ReqId, SimTime, TraceEvent, Track};
+use paragon_metrics::{Histogram, Table};
+use paragon_sim::{EventKind, ReqId, SimDuration, SimTime, TraceEvent, Track};
 
 /// Component labels, in pipeline order; index-aligned with
 /// [`CriticalPath::legs`].
@@ -44,6 +59,26 @@ pub const COMPONENTS: [&str; 9] = [
     "client-finish",
 ];
 
+/// The paper's Table-2 phases, in order, each with the range of
+/// [`CriticalPath::legs`] it sums.
+const PHASES: [(&str, Range<usize>); 4] = [
+    ("request", 0..3),
+    ("service", 3..5),
+    ("disk", 5..6),
+    ("reply", 6..9),
+];
+
+/// How a transfer entered the system.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SpanKind {
+    /// Plain demand read (no prefetch engine, or engine bypass).
+    Demand,
+    /// Demand read that missed the prefetch list and went to the PFS.
+    DemandMiss,
+    /// Asynchronous prefetch transfer issued by the engine.
+    Prefetch,
+}
+
 /// One request's critical path: its end-to-end interval charged, to the
 /// nanosecond, across the nine pipeline components.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,6 +89,8 @@ pub struct CriticalPath {
     pub offset: u64,
     /// Bytes requested.
     pub len: u64,
+    /// Demand read, prefetch miss, or prefetch transfer.
+    pub kind: SpanKind,
     /// Time the read entered the client.
     pub start: SimTime,
     /// Time the read returned to the caller.
@@ -73,6 +110,12 @@ impl CriticalPath {
     /// End-to-end latency in nanoseconds; equals the sum of `legs`.
     pub fn total_ns(&self) -> u64 {
         self.end.since(self.start).as_nanos()
+    }
+
+    /// Nanoseconds per Table-2 phase (request, service, disk, reply);
+    /// sums exactly to [`total_ns`](Self::total_ns).
+    pub fn phases(&self) -> [u64; 4] {
+        PHASES.map(|(_, legs)| self.legs[legs].iter().sum())
     }
 }
 
@@ -152,23 +195,17 @@ pub fn critical_paths(events: &[TraceEvent]) -> Vec<CriticalPath> {
         // Overlap accounting: FIFO-pair each spindle's start/done
         // commands, sum the member busy time, subtract the wall-clock
         // envelope the `disk` leg already charged.
-        let mut open: BTreeMap<Track, Vec<SimTime>> = BTreeMap::new();
+        let mut open: BTreeMap<Track, VecDeque<SimTime>> = BTreeMap::new();
         let mut member_busy = 0u64;
         let (mut first_disk, mut last_disk) = (None::<SimTime>, None::<SimTime>);
         for e in &evs {
             match e.kind {
                 EventKind::DiskStart => {
-                    open.entry(e.track).or_default().push(e.time);
+                    open.entry(e.track).or_default().push_back(e.time);
                     first_disk = Some(first_disk.map_or(e.time, |t: SimTime| t.min(e.time)));
                 }
                 EventKind::DiskDone => {
-                    if let Some(s) = open.get_mut(&e.track).and_then(|v| {
-                        if v.is_empty() {
-                            None
-                        } else {
-                            Some(v.remove(0))
-                        }
-                    }) {
+                    if let Some(s) = open.get_mut(&e.track).and_then(VecDeque::pop_front) {
                         member_busy += e.time.since(s).as_nanos();
                     }
                     last_disk = Some(last_disk.map_or(e.time, |t: SimTime| t.max(e.time)));
@@ -182,10 +219,18 @@ pub fn critical_paths(events: &[TraceEvent]) -> Vec<CriticalPath> {
         };
         let overlap_hidden_ns = member_busy.saturating_sub(envelope);
         let faults = evs.iter().filter(|e| is_fault_recovery(e.kind)).count() as u32;
+        let kind = if evs.iter().any(|e| e.kind == EventKind::PrefetchIssue) {
+            SpanKind::Prefetch
+        } else if evs.iter().any(|e| e.kind == EventKind::PrefetchMiss) {
+            SpanKind::DemandMiss
+        } else {
+            SpanKind::Demand
+        };
         out.push(CriticalPath {
             req,
             offset: start_ev.a,
             len: start_ev.b,
+            kind,
             start,
             end,
             legs,
@@ -307,6 +352,45 @@ pub fn render_critical_path(events: &[TraceEvent], top: usize) -> String {
     out
 }
 
+/// Per-phase aggregate over a set of critical paths: one [`Histogram`]
+/// of seconds per Table-2 phase plus one for the end-to-end latency.
+#[derive(Debug, Default)]
+pub struct PhaseBreakdown {
+    pub phases: [Histogram; 4],
+    pub total: Histogram,
+}
+
+impl PhaseBreakdown {
+    /// Aggregate `paths` (typically pre-filtered by [`SpanKind`]).
+    pub fn of<'a>(paths: impl IntoIterator<Item = &'a CriticalPath>) -> PhaseBreakdown {
+        let secs = |ns: u64| SimDuration::from_nanos(ns).as_secs_f64();
+        let mut b = PhaseBreakdown::default();
+        for p in paths {
+            for (h, ns) in b.phases.iter_mut().zip(p.phases()) {
+                h.record(secs(ns));
+            }
+            b.total.record(secs(p.total_ns()));
+        }
+        b
+    }
+
+    /// Render the Table-2-style access-time decomposition: one row per
+    /// phase with mean/p50/max in milliseconds, plus the end-to-end row.
+    pub fn render(&mut self) -> String {
+        let mut t = Table::new(
+            "access-time decomposition",
+            &["phase", "mean ms", "p50 ms", "max ms"],
+        );
+        let ms = |v: Option<f64>| format!("{:.3}", v.unwrap_or(0.0) * 1e3);
+        let rows = PHASES.iter().map(|(name, _)| *name).chain(["end-to-end"]);
+        for (name, h) in rows.zip(self.phases.iter_mut().chain([&mut self.total])) {
+            let (mean, p50, max) = (ms(h.mean()), ms(h.quantile(0.5)), ms(h.max()));
+            t.row(&[name, &mean, &p50, &max]);
+        }
+        t.render()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -397,6 +481,78 @@ mod tests {
         assert_eq!(p.legs[0], 1_000);
         assert_eq!(p.legs[1], 2_000);
         assert_eq!(p.legs[2], 7_000);
+    }
+
+    #[test]
+    fn phases_project_the_legs_onto_table_2() {
+        let p = &critical_paths(&demand_read(1, 100))[0];
+        assert_eq!(p.kind, SpanKind::Demand);
+        // request 0→10, service 10→15, disk 15→45, reply 45→62 µs.
+        assert_eq!(p.phases(), [10_000, 5_000, 30_000, 17_000]);
+        assert_eq!(p.phases().iter().sum::<u64>(), p.total_ns());
+    }
+
+    #[test]
+    fn diskless_read_charges_a_lagging_serve_start_to_service() {
+        // A server-cache hit whose ServeStart lags the request arrival:
+        // the gap is server time, so it lands in `service`, not `reply`.
+        let req = 7;
+        let evs = vec![
+            mk(0, ev(Track::Cn(0), EventKind::ReadStart, req, 0, 64)),
+            mk(5, ev(Track::Node(0), EventKind::NetTx, req, 96, 2)),
+            mk(9, ev(Track::Node(2), EventKind::NetRx, req, 96, 0)),
+            mk(12, ev(Track::Ion(1), EventKind::ServeStart, req, 0, 64)),
+            mk(14, ev(Track::Ion(1), EventKind::ServeDone, req, 0, 64)),
+            mk(15, ev(Track::Node(2), EventKind::NetTx, req, 128, 0)),
+            mk(19, ev(Track::Node(0), EventKind::NetRx, req, 128, 2)),
+            mk(20, ev(Track::Cn(0), EventKind::ReadDone, req, 0, 64)),
+        ];
+        let paths = critical_paths(&evs);
+        assert_eq!(paths.len(), 1);
+        assert_eq!(paths[0].phases(), [9_000, 3_000, 0, 8_000]);
+    }
+
+    #[test]
+    fn unfinished_and_contextless_events_are_skipped() {
+        let mut evs = demand_read(1, 0);
+        evs.pop(); // drop read-done
+        evs.push(mk(500, ev(Track::Sys, EventKind::Mark, 0, 0, 0)));
+        assert!(critical_paths(&evs).is_empty());
+    }
+
+    #[test]
+    fn kinds_follow_prefetch_markers() {
+        let mut evs = demand_read(2, 0);
+        evs.insert(
+            0,
+            mk(0, ev(Track::Cn(0), EventKind::PrefetchMiss, 2, 0, 65536)),
+        );
+        let mut pf = demand_read(3, 1000);
+        pf.insert(
+            0,
+            mk(
+                1000,
+                ev(Track::Cn(0), EventKind::PrefetchIssue, 3, 0, 65536),
+            ),
+        );
+        evs.extend(pf);
+        let paths = critical_paths(&evs);
+        assert_eq!(paths.len(), 2);
+        assert_eq!(paths[0].kind, SpanKind::DemandMiss);
+        assert_eq!(paths[1].kind, SpanKind::Prefetch);
+    }
+
+    #[test]
+    fn breakdown_aggregates_and_renders() {
+        let mut evs = demand_read(1, 0);
+        evs.extend(demand_read(2, 1000));
+        let paths = critical_paths(&evs);
+        let mut b = PhaseBreakdown::of(&paths);
+        assert_eq!(b.total.len(), 2);
+        assert_eq!(b.total.mean(), Some(62e-6));
+        let table = b.render();
+        assert!(table.contains("end-to-end"));
+        assert!(table.contains("disk"));
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! * [`critical`] reconstructs each request's span DAG from the flight
 //!   recorder and charges every nanosecond of its end-to-end latency to
 //!   exactly one pipeline component — integer-exact blame, so the
-//!   per-component sums reproduce the total with no float drift.
+//!   per-component sums reproduce the total with no float drift. The
+//!   paper's Table-2 phases (request/service/disk/reply) are fixed sums
+//!   of those legs.
 //! * [`perfetto`] renders a recording (plus optional telemetry counter
 //!   series) as Chrome-trace JSON: one thread lane per CN/ION/spindle,
 //!   duration slices for paired start/done events, flow arrows stitching
@@ -44,6 +46,8 @@ pub mod names {
     }
 }
 
-pub use critical::{critical_paths, render_critical_path, CriticalPath, COMPONENTS};
+pub use critical::{
+    critical_paths, render_critical_path, CriticalPath, PhaseBreakdown, SpanKind, COMPONENTS,
+};
 pub use kernel::{kernel_scalars, render_kernel_profile};
 pub use perfetto::export_perfetto;

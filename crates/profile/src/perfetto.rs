@@ -14,7 +14,7 @@
 //! enter timestamps (`ts`/`dur` are integer-nanosecond values printed as
 //! fixed-point microseconds), so equal recordings yield equal files.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 
 use paragon_metrics::MetricsSnapshot;
@@ -75,7 +75,7 @@ pub fn export_perfetto(events: &[TraceEvent], counters: Option<&MetricsSnapshot>
     // FIFO-pair start/done events per (track, request, slice name); a
     // done without an open start (trace-cap truncation) degrades to an
     // instant rather than being dropped.
-    let mut open: BTreeMap<(Track, ReqId, &'static str), Vec<u64>> = BTreeMap::new();
+    let mut open: BTreeMap<(Track, ReqId, &'static str), VecDeque<u64>> = BTreeMap::new();
     // Flow stitching: how many net legs each request has in total, and
     // how many we have emitted so far — the first is a flow start, the
     // last a flow end, the rest steps.
@@ -92,12 +92,12 @@ pub fn export_perfetto(events: &[TraceEvent], counters: Option<&MetricsSnapshot>
         let ns = e.time.as_nanos();
         match pair_name(e.kind) {
             Some((name, true)) => {
-                open.entry((e.track, e.req, name)).or_default().push(ns);
+                open.entry((e.track, e.req, name)).or_default().push_back(ns);
             }
             Some((name, false)) => {
                 let started = open
                     .get_mut(&(e.track, e.req, name))
-                    .and_then(|v| if v.is_empty() { None } else { Some(v.remove(0)) });
+                    .and_then(VecDeque::pop_front);
                 match started {
                     Some(s) => body.push(format!(
                         "{{\"ph\":\"X\",\"pid\":1,\"tid\":{t},\"ts\":{},\"dur\":{},\"name\":\"{name}\",\"cat\":\"pfs\",\"args\":{{\"req\":{},\"a\":{},\"b\":{}}}}}",

@@ -13,15 +13,11 @@ mod config;
 mod driver;
 mod result;
 mod shard;
-pub mod spans;
 pub mod telemetry;
 
 pub use config::{AccessPattern, ExperimentConfig, FaultSpec, StripeLayout};
 pub use driver::{run, run_profiled};
 pub use result::{NodeResult, RunResult};
-pub use spans::{
-    fault_events, kind_class, read_spans, KindClass, ReadSpan, SpanBreakdown, SpanKind,
-};
 pub use telemetry::{
     metrics_check, metrics_report, render_report, Telemetry, PARALLEL_SPEEDUP_FLOOR,
     PARALLEL_SPEEDUP_SCALAR,

@@ -25,11 +25,11 @@ use paragon_core::PrefetchGauges;
 use paragon_machine::Machine;
 use paragon_metrics::{Json, MetricsRegistry, MetricsSnapshot, Sampler};
 use paragon_pfs::ParallelFs;
+use paragon_profile::{critical_paths, CriticalPath, PhaseBreakdown, SpanKind};
 use paragon_sim::{Sim, SimDuration};
 
 use crate::config::ExperimentConfig;
 use crate::result::RunResult;
-use crate::spans::{read_spans, SpanBreakdown, SpanKind};
 
 /// Stable dotted metric names. Per-I/O-node instruments derive their
 /// names from these via [`ion_metric`]; everything else uses the
@@ -299,16 +299,18 @@ pub fn metrics_report(cfg: &ExperimentConfig, result: &RunResult) -> Json {
     // agree about the same run — the internal-consistency cross-check.
     let l = snap.series_time_mean(names::NODES_IN_IO).unwrap_or(0.0);
     let lambda = reads as f64 / elapsed_s;
-    let spans = read_spans(&result.trace);
-    let demand: Vec<_> = spans
-        .iter()
-        .filter(|s| s.kind != SpanKind::Prefetch)
-        .cloned()
+    let demand: Vec<CriticalPath> = critical_paths(&result.trace)
+        .into_iter()
+        .filter(|p| p.kind != SpanKind::Prefetch)
         .collect();
     let w = if demand.is_empty() {
         result.read_time_mean().as_secs_f64()
     } else {
-        demand.iter().map(|s| s.total().as_secs_f64()).sum::<f64>() / demand.len() as f64
+        demand
+            .iter()
+            .map(|p| SimDuration::from_nanos(p.total_ns()).as_secs_f64())
+            .sum::<f64>()
+            / demand.len() as f64
     };
     let littles_ratio = if lambda * w > 0.0 {
         l / (lambda * w)
@@ -434,14 +436,14 @@ pub fn metrics_report(cfg: &ExperimentConfig, result: &RunResult) -> Json {
 /// is active across mesh, server, and disk. The busier hardware layer by
 /// counters must also own more of the end-to-end access time by trace.
 /// With no spans recorded the check is vacuously true.
-fn span_consistency(demand: &[crate::spans::ReadSpan], disk: f64, mesh: f64) -> bool {
+fn span_consistency(demand: &[CriticalPath], disk: f64, mesh: f64) -> bool {
     if demand.is_empty() {
         return true;
     }
-    let b = SpanBreakdown::of(demand);
+    let [request, _, disk_phase, reply] = PhaseBreakdown::of(demand).phases;
     let phase = |h: &paragon_metrics::Histogram| h.mean().unwrap_or(0.0) * h.len() as f64;
-    let time_disk = phase(&b.disk);
-    let time_mesh = phase(&b.request) + phase(&b.reply);
+    let time_disk = phase(&disk_phase);
+    let time_mesh = phase(&request) + phase(&reply);
     (disk >= mesh) == (time_disk >= time_mesh)
 }
 

@@ -19,13 +19,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "=== cargo build --release"
 cargo build --release
 
-echo "=== cargo test -q"
-cargo test -q
-
-echo "=== fault-injection suite"
-cargo test -q --test failure_injection
-cargo test -q -p paragon-workload
-cargo test -q -p paragon-sim fault
+echo "=== cargo test -q --workspace"
+# Every crate's unit and integration tests, the fault-injection suite
+# included. The root Cargo.toml is itself a package, so a bare
+# `cargo test` would run only the root's tests/*.rs.
+cargo test -q --workspace
 
 echo "=== rebuild-storm smoke"
 # Crash 1 of 16 I/O nodes under RF=2 replication mid-run: the foreground
@@ -79,7 +77,6 @@ echo "=== profile"
 # after an intentional trace-schema change with
 # `PARAGON_BLESS=1 cargo test --test profile_goldens`.
 cargo test -q --release --test profile_goldens
-cargo test -q -p paragon-profile
 
 echo "=== cargo fmt --check"
 cargo fmt --check

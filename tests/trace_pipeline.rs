@@ -8,8 +8,9 @@ use std::rc::Rc;
 use paragon::machine::{Calibration, Machine, MachineConfig};
 use paragon::pfs::{pattern_byte, IoMode, OpenOptions, ParallelFs, StripeAttrs};
 use paragon::prefetch::{PrefetchConfig, PrefetchingFile};
+use paragon::profile::{critical_paths, SpanKind};
 use paragon::sim::{export_json, hash_events, EventKind, Sim, TraceEvent};
-use paragon::workload::{read_spans, run, ExperimentConfig, SpanKind};
+use paragon::workload::{run, ExperimentConfig};
 
 const KB: u64 = 1024;
 
@@ -147,21 +148,25 @@ fn trace_derived_decomposition_matches_measured_latency() {
     let mut cfg = ExperimentConfig::paper_iobound(64 * 1024, 1);
     cfg.trace_cap = 1 << 20;
     let r = run(&cfg);
-    let spans: Vec<_> = read_spans(&r.trace)
+    let paths: Vec<_> = critical_paths(&r.trace)
         .into_iter()
-        .filter(|s| s.kind != SpanKind::Prefetch)
+        .filter(|p| p.kind != SpanKind::Prefetch)
         .collect();
-    assert!(!spans.is_empty(), "demand reads were reconstructed");
-    // Phases partition each span exactly — the decomposition never
+    assert!(!paths.is_empty(), "demand reads were reconstructed");
+    // Phases partition each read exactly — the decomposition never
     // loses or invents time.
-    for s in &spans {
-        assert_eq!(s.request + s.service + s.disk + s.reply, s.total());
-        assert!(s.disk.as_secs_f64() > 0.0, "I/O-bound reads touch disk");
+    for p in &paths {
+        let [_, _, disk, _] = p.phases();
+        assert_eq!(p.phases().iter().sum::<u64>(), p.total_ns());
+        assert!(disk > 0, "I/O-bound reads touch disk");
     }
     // And the reconstructed mean matches the driver's measured mean
     // access time to within 1%.
-    let trace_mean =
-        spans.iter().map(|s| s.total().as_secs_f64()).sum::<f64>() / spans.len() as f64;
+    let trace_mean = paths
+        .iter()
+        .map(|p| p.total_ns() as f64 * 1e-9)
+        .sum::<f64>()
+        / paths.len() as f64;
     let measured = r.read_time_mean().as_secs_f64();
     let rel = (trace_mean - measured).abs() / measured;
     assert!(
