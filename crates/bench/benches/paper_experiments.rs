@@ -2,7 +2,7 @@
 //! reduced-size version of the corresponding experiment (same code path,
 //! smaller file), so `cargo bench` exercises the entire harness and
 //! tracks the host cost of regenerating each artifact. The full-size
-//! regenerators are the `paragon-bench` binaries. Plain `fn main`
+//! regenerator is `paragonctl reproduce <ID|all>`. Plain `fn main`
 //! harness (hermetic build: no criterion).
 
 #![expect(

@@ -17,13 +17,18 @@ use paragon_workload::{
     ExperimentConfig, FaultSpec, RunResult, StripeLayout, PARALLEL_SPEEDUP_SCALAR,
 };
 
+use std::path::Path;
 use std::process::ExitCode;
+
+use crate::experiments::{Experiment, EXPERIMENTS};
+use crate::{col, results_dir, row, save_record, shown, stored, Sweep};
 
 /// The help text.
 pub const USAGE: &str = "\
 paragonctl — drive the simulated Paragon PFS
 
 USAGE:
+    paragonctl reproduce <ID|all>
     paragonctl run [OPTIONS]
     paragonctl faults [OPTIONS]
     paragonctl trace capture [OPTIONS] --out FILE
@@ -35,6 +40,11 @@ USAGE:
     paragonctl profile critical-path [FILE | OPTIONS] [--top N]
     paragonctl profile export [FILE | OPTIONS] [--format perfetto] [--out FILE]
     paragonctl profile kernel [OPTIONS]
+
+REPRODUCE:
+    regenerate a table, figure or extension study of the paper by id
+    (`all`: every one, in order): print it and write its record as
+    results/<id>.json ($PARAGON_RESULTS_DIR overrides); lists the ids
 
 PROFILE:
     critical-path  reconstruct every completed read's span DAG from a
@@ -969,70 +979,58 @@ fn redundancy_sweep(base: &ExperimentConfig, json: bool) -> ExitCode {
             0.0
         }
     };
-    if json {
-        let mut rec = ExperimentRecord::new("EXT-FAULTS", "paragonctl faults --redundancy all");
-        rec.config("mode", base.mode)
-            .config("compute_nodes", base.compute_nodes)
-            .config("io_nodes", base.io_nodes)
-            .config("request_kb", base.request_size / 1024)
-            .config("file_mb", base.file_size >> 20)
-            .config("seed", base.seed);
-        for (mode, h, c) in &rows {
-            rec.point(
-                &[("redundancy", &mode.label())],
-                &[
-                    ("bw_healthy_mb_s", h.bandwidth_mb_s()),
-                    ("bw_crashed_mb_s", c.bandwidth_mb_s()),
-                    ("keep_pct", keep(h, c)),
-                    ("read_errors", c.read_errors as f64),
-                    ("reconstructed_reads", c.raid.reconstructed_reads as f64),
-                    ("replica_failovers", c.replica_failovers as f64),
-                    ("replica_reads", c.replica_reads as f64),
-                    (
-                        "rebuild_bytes",
-                        c.rebuild.as_ref().map_or(0.0, |r| r.bytes_copied as f64),
-                    ),
-                    ("rebuild_pending", c.rebuild_pending as f64),
-                ],
-            );
-        }
-        println!("{}", rec.to_json());
-    } else {
-        println!(
+    let mut sweep = Sweep::new("EXT-FAULTS", "paragonctl faults --redundancy all");
+    sweep
+        .record
+        .config("mode", base.mode)
+        .config("compute_nodes", base.compute_nodes)
+        .config("io_nodes", base.io_nodes)
+        .config("request_kb", base.request_size / 1024)
+        .config("file_mb", base.file_size >> 20)
+        .config("seed", base.seed);
+    sweep.table(
+        &format!(
             "== redundancy sweep: ion 0 down for the whole run, {} cn x {} ion, {:?}, {} KB requests",
             base.compute_nodes,
             base.io_nodes,
             base.mode,
             base.request_size / 1024
+        ),
+        vec![
+            col("redundancy", "redundancy"),
+            col("healthy", "bw_healthy_mb_s"),
+            col("crashed", "bw_crashed_mb_s"),
+            col("keep%", "keep_pct").prec(1),
+            col("errs", "read_errors").prec(0),
+            col("reconst", "reconstructed_reads").prec(0),
+            col("failov", "replica_failovers").prec(0),
+            col("alt-rd", "replica_reads").prec(0),
+            shown("rb-KB").prec(0),
+            stored("rebuild_bytes"),
+            col("pend", "rebuild_pending").prec(0),
+        ],
+    );
+    for (mode, h, c) in &rows {
+        let rebuilt = c.rebuild.as_ref().map_or(0, |r| r.bytes_copied);
+        row!(
+            sweep,
+            mode.label(),
+            h.bandwidth_mb_s(),
+            c.bandwidth_mb_s(),
+            keep(h, c),
+            c.read_errors,
+            c.raid.reconstructed_reads,
+            c.replica_failovers,
+            c.replica_reads,
+            rebuilt >> 10,
+            rebuilt,
+            c.rebuild_pending,
         );
-        println!(
-            "{:<13} {:>9} {:>9} {:>6} {:>5} {:>7} {:>7} {:>7} {:>6} {:>5}",
-            "redundancy",
-            "healthy",
-            "crashed",
-            "keep%",
-            "errs",
-            "reconst",
-            "failov",
-            "alt-rd",
-            "rb-KB",
-            "pend"
-        );
-        for (mode, h, c) in &rows {
-            println!(
-                "{:<13} {:>9.2} {:>9.2} {:>6.1} {:>5} {:>7} {:>7} {:>7} {:>6} {:>5}",
-                mode.label(),
-                h.bandwidth_mb_s(),
-                c.bandwidth_mb_s(),
-                keep(h, c),
-                c.read_errors,
-                c.raid.reconstructed_reads,
-                c.replica_failovers,
-                c.replica_reads,
-                c.rebuild.as_ref().map_or(0, |r| r.bytes_copied >> 10),
-                c.rebuild_pending,
-            );
-        }
+    }
+    if json {
+        println!("{}", sweep.record.to_json());
+    } else {
+        sweep.print();
     }
 
     let mut ok = true;
@@ -1123,60 +1121,86 @@ fn faults_cmd(argv: Vec<String>) -> ExitCode {
         results.push((label, run(&cfg)));
     }
 
-    if json {
-        let mut rec = ExperimentRecord::new("FAULT", "paragonctl faults");
-        rec.config("mode", base.mode)
-            .config("compute_nodes", base.compute_nodes)
-            .config("io_nodes", base.io_nodes)
-            .config("request_kb", base.request_size / 1024)
-            .config("file_mb", base.file_size >> 20)
-            .config("error_pm", error_pm)
-            .config("drop_pm", drop_pm)
-            .config("seed", base.seed);
-        for (label, r) in &results {
-            rec.point(
-                &[("class", label)],
-                &[
-                    ("bw_mb_s", r.bandwidth_mb_s()),
-                    ("hit_ratio", r.prefetch.hit_ratio()),
-                    ("read_errors", r.read_errors as f64),
-                    ("reconstructed_reads", r.raid.reconstructed_reads as f64),
-                    ("prefetch_faults", r.prefetch.faults as f64),
-                    ("verify_failures", r.verify_failures as f64),
-                ],
-            );
-        }
-        println!("{}", rec.to_json());
-    } else {
-        println!(
+    let mut sweep = Sweep::new("FAULT", "paragonctl faults");
+    sweep
+        .record
+        .config("mode", base.mode)
+        .config("compute_nodes", base.compute_nodes)
+        .config("io_nodes", base.io_nodes)
+        .config("request_kb", base.request_size / 1024)
+        .config("file_mb", base.file_size >> 20)
+        .config("error_pm", error_pm)
+        .config("drop_pm", drop_pm)
+        .config("seed", base.seed);
+    sweep.table(
+        &format!(
             "== fault sweep: {} cn × {} ion, {:?}, {} KB requests, parity on",
             base.compute_nodes,
             base.io_nodes,
             base.mode,
             base.request_size / 1024
+        ),
+        vec![
+            col("class", "class"),
+            col("bw MB/s", "bw_mb_s"),
+            shown("hit%").prec(1),
+            stored("hit_ratio"),
+            col("errs", "read_errors").prec(0),
+            col("reconst", "reconstructed_reads").prec(0),
+            col("pf-flt", "prefetch_faults").prec(0),
+            col("verify-fail", "verify_failures").prec(0),
+            shown("injected"),
+        ],
+    );
+    for (label, r) in &results {
+        row!(
+            sweep,
+            *label,
+            r.bandwidth_mb_s(),
+            r.prefetch.hit_ratio() * 100.0,
+            r.prefetch.hit_ratio(),
+            r.read_errors,
+            r.raid.reconstructed_reads,
+            r.prefetch.faults,
+            r.verify_failures,
+            injected_summary(&r.fault),
         );
-        println!(
-            "{:<15} {:>9} {:>6} {:>5} {:>7} {:>7}  injected",
-            "class", "bw MB/s", "hit%", "errs", "reconst", "pf-flt"
-        );
-        for (label, r) in &results {
-            println!(
-                "{:<15} {:>9.2} {:>6.1} {:>5} {:>7} {:>7}  {}",
-                label,
-                r.bandwidth_mb_s(),
-                r.prefetch.hit_ratio() * 100.0,
-                r.read_errors,
-                r.raid.reconstructed_reads,
-                r.prefetch.faults,
-                injected_summary(&r.fault)
-            );
-            if r.verify_failures > 0 {
-                println!("  !! VERIFY FAILURES: {}", r.verify_failures);
-            }
-        }
+    }
+    if json {
+        println!("{}", sweep.record.to_json());
+    } else {
+        sweep.print();
     }
     if results.iter().any(|(_, r)| r.verify_failures > 0) {
         return ExitCode::FAILURE;
+    }
+    ExitCode::SUCCESS
+}
+
+/// `paragonctl reproduce <ID|all>`: run the named experiments (`all`: the
+/// whole table, in order; an id in any letter case) and save their
+/// records, stopping at the first failure.
+fn reproduce(arg: &[String], dir: &Path) -> ExitCode {
+    let selected: Vec<&Experiment> = match arg {
+        [all] if all == "all" => EXPERIMENTS.iter().collect(),
+        [id] => EXPERIMENTS
+            .iter()
+            .filter(|e| e.id.eq_ignore_ascii_case(id))
+            .collect(),
+        _ => Vec::new(),
+    };
+    if selected.is_empty() {
+        eprintln!("usage: paragonctl reproduce <ID|all>, ID one of:");
+        for e in &EXPERIMENTS {
+            eprintln!("    {:<14} {}", e.id, e.description);
+        }
+        return ExitCode::FAILURE;
+    }
+    for e in selected {
+        if let Err(err) = e.record().and_then(|record| save_record(dir, &record)) {
+            eprintln!("error: {}: {err}", e.id);
+            return ExitCode::FAILURE;
+        }
     }
     ExitCode::SUCCESS
 }
@@ -1185,6 +1209,7 @@ fn faults_cmd(argv: Vec<String>) -> ExitCode {
 pub fn main_impl(argv: Vec<String>) -> ExitCode {
     match argv.first().map(String::as_str) {
         Some("run") => {}
+        Some("reproduce") => return reproduce(&argv[1..], &results_dir()),
         Some("trace") => return trace_cmd(argv[1..].to_vec()),
         Some("faults") => return faults_cmd(argv[1..].to_vec()),
         Some("metrics") => return metrics_cmd(argv[1..].to_vec()),
@@ -1564,6 +1589,54 @@ mod tests {
             ExitCode::FAILURE,
             "unrecognized argument"
         );
+    }
+
+    #[test]
+    fn experiment_ids_are_unique() {
+        let ids: std::collections::BTreeSet<_> = EXPERIMENTS.iter().map(|e| e.id).collect();
+        assert_eq!(ids.len(), EXPERIMENTS.len());
+    }
+
+    #[test]
+    fn all_runs_the_table_in_order() {
+        let ids: Vec<_> = EXPERIMENTS.iter().map(|e| e.id).collect();
+        assert_eq!(
+            ids.join(" "),
+            "FIG2 TAB1 TAB2 FIG4 FIG5 TAB3 TAB4 EXT-SCALING EXT-PATTERNS EXT-DEPTH \
+             EXT-ABLATION EXT-WRITES EXT-DOUBLEBUF EXT-SCSI16"
+        );
+    }
+
+    #[test]
+    fn unknown_or_missing_id_fails() {
+        for argv in ["reproduce NOPE", "reproduce", "reproduce FIG2 TAB1"] {
+            assert_eq!(main_impl(args(argv).0), ExitCode::FAILURE, "{argv:?}");
+        }
+    }
+
+    #[test]
+    fn every_experiment_has_a_committed_record_and_none_is_orphaned() {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+        for e in &EXPERIMENTS {
+            let name = format!("{}.json", e.id.to_lowercase());
+            let text = std::fs::read_to_string(dir.join(&name)).expect(&name);
+            let record = ExperimentRecord::from_json(&text).unwrap();
+            assert_eq!([&*record.id, &*record.description], [e.id, e.description]);
+        }
+        // Plus the one record outside the table: `faults --redundancy all --json`.
+        let json = |p: &std::path::PathBuf| p.extension() == Some("json".as_ref());
+        let records = std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().path());
+        assert_eq!(records.filter(json).count(), EXPERIMENTS.len() + 1);
+    }
+
+    #[test]
+    fn an_unwritable_results_dir_is_an_error_not_a_panic() {
+        // A directory below a regular file can never be created.
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("Cargo.toml/results");
+        let err = save_record(&dir, &ExperimentRecord::new("T", "t")).unwrap_err();
+        assert!(err.to_string().contains("Cargo.toml/results"), "{err}");
+        // EXT-DEPTH is the cheapest entry; it fails on saving, not running.
+        assert_eq!(reproduce(&args("EXT-DEPTH").0, &dir), ExitCode::FAILURE);
     }
 
     #[test]

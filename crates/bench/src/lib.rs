@@ -1,75 +1,82 @@
 //! # paragon-bench — the experiment harness
 //!
-//! One binary per table and figure of the paper (see DESIGN.md §4 for the
-//! index), plus the extension studies. Every binary prints the table or
-//! ASCII figure it regenerates and writes a machine-readable JSON record
-//! under `results/`.
-//!
-//! | binary | regenerates |
-//! |---|---|
-//! | `fig2_io_modes` | Figure 2 — read throughput of the PFS I/O modes |
-//! | `table1_iobound` | Table 1 — read BW with/without prefetching, I/O-bound |
-//! | `table2_access_times` | Table 2 — read access times per request size |
-//! | `fig4_balanced` | Figure 4 — balanced workloads, 64/128/256 KB |
-//! | `fig5_balanced_large` | Figure 5 — balanced workloads, 512/1024 KB |
-//! | `table3_stripe_units` | Table 3 — prefetching across stripe units |
-//! | `table4_stripe_groups` | Table 4 — prefetching across stripe groups |
-//! | `ext_scaling` | future work: larger systems |
-//! | `ext_patterns` | future work: more access patterns |
-//! | `ext_depth_ablation` | extension: prefetch depth 1–8 |
-//! | `ext_ablation` | ablations: Fast Path, copy bandwidth, ART limit |
-//! | `ext_writes` | extension: write-behind (the prototype's write-side dual) |
-//! | `ext_double_buffering` | extension: vs application-level double buffering |
-//! | `ext_scsi16` | extension: the SCSI-16 hardware upgrade |
-//! | `paragonctl` | CLI: run any machine/mode/pattern/prefetch combination |
+//! Every table and figure of the paper's evaluation, plus the extension
+//! studies, is one entry of the experiment table in `experiments.rs`;
+//! `paragonctl reproduce <ID|all>` runs entries, prints the table or
+//! ASCII figure each regenerates, and writes its machine-readable JSON
+//! record as `results/<id>.json` (DESIGN.md §4 maps ids to the paper).
 
 pub mod cli;
+mod experiments;
 
+use std::fmt;
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
-use paragon_metrics::ExperimentRecord;
+use paragon_metrics::{DataPoint, ExperimentRecord, Series, Table};
 use paragon_workload::{ExperimentConfig, RunResult};
 
-/// Request sizes the paper sweeps (bytes).
-pub const REQUEST_SIZES: [u32; 5] = [64 * 1024, 128 * 1024, 256 * 1024, 512 * 1024, 1024 * 1024];
+/// Why an experiment could not produce or persist its record.
+#[derive(Debug)]
+pub(crate) enum HarnessError {
+    /// Creating the results directory or writing a record at `path` failed.
+    Io {
+        path: PathBuf,
+        source: std::io::Error,
+    },
+    /// `failures` requests of sweep `case` read bytes that differ from the
+    /// file's pattern.
+    Verify { case: String, failures: u64 },
+}
 
-/// KB pretty-printer for row labels.
-pub fn kb(bytes: u32) -> u64 {
-    bytes as u64 / 1024
+impl fmt::Display for HarnessError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            HarnessError::Io { path, source } => write!(f, "{}: {source}", path.display()),
+            HarnessError::Verify { case, failures } => {
+                write!(f, "data corruption in {case}: {failures} verify failures")
+            }
+        }
+    }
 }
 
 /// Where experiment records land (`results/` at the workspace root,
 /// overridable with `PARAGON_RESULTS_DIR`).
-pub fn results_dir() -> PathBuf {
-    let dir = std::env::var_os("PARAGON_RESULTS_DIR")
+pub(crate) fn results_dir() -> PathBuf {
+    std::env::var_os("PARAGON_RESULTS_DIR")
         .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results"));
-    fs::create_dir_all(&dir).expect("cannot create results dir");
-    dir
+        .unwrap_or_else(|| PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results"))
 }
 
-/// Persist a record as `results/<id>.json`.
-pub fn save_record(record: &ExperimentRecord) {
-    let path = results_dir().join(format!("{}.json", record.id.to_lowercase()));
-    fs::write(&path, record.to_json()).expect("cannot write record");
+/// Persist a record as `<dir>/<lowercase id>.json`, creating `dir` if
+/// needed.
+pub(crate) fn save_record(dir: &Path, record: &ExperimentRecord) -> Result<(), HarnessError> {
+    let io = |path: &Path| {
+        let path = path.to_owned();
+        move |source| HarnessError::Io { path, source }
+    };
+    fs::create_dir_all(dir).map_err(io(dir))?;
+    let path = dir.join(format!("{}.json", record.id.to_lowercase()));
+    fs::write(&path, record.to_json()).map_err(io(&path))?;
     println!("\n[record saved to {}]", path.display());
+    Ok(())
 }
 
-/// Stamp the standard machine-shape config entries on a record.
-pub fn stamp_config(record: &mut ExperimentRecord, cfg: &ExperimentConfig) {
-    record
-        .config("compute_nodes", cfg.compute_nodes)
-        .config("io_nodes", cfg.io_nodes)
-        .config("stripe_unit", cfg.stripe_unit)
-        .config("mode", cfg.mode)
-        .config("seed", cfg.seed)
-        .config("fast_path", cfg.fast_path);
+/// Request sizes the paper sweeps (bytes).
+const REQUEST_SIZES: [u32; 5] = [64 * 1024, 128 * 1024, 256 * 1024, 512 * 1024, 1024 * 1024];
+
+/// The paper's balanced-workload delay sweep: 0 s – 0.1 s of computation
+/// between consecutive reads.
+const DELAYS_MS: [u64; 6] = [0, 10, 25, 50, 75, 100];
+
+/// KB pretty-printer for row labels.
+fn kb(bytes: u32) -> u64 {
+    bytes as u64 / 1024
 }
 
 /// Run and echo a one-line progress note (experiments run many configs;
 /// silence reads as a hang).
-pub fn run_logged(label: &str, cfg: &ExperimentConfig) -> RunResult {
+fn run_logged(label: &str, cfg: &ExperimentConfig) -> RunResult {
     let r = paragon_workload::run(cfg);
     eprintln!(
         "  [{label}] bw {:.2} MB/s, elapsed {}, {} reads",
@@ -80,85 +87,179 @@ pub fn run_logged(label: &str, cfg: &ExperimentConfig) -> RunResult {
     r
 }
 
-/// The paper's balanced-workload delay sweep: 0 s – 0.1 s of computation
-/// between consecutive reads.
-pub const DELAYS_MS: [u64; 6] = [0, 10, 25, 50, 75, 100];
+/// One cell of a sweep row. A number is a measured value and a text is a
+/// point parameter, matching the two maps of a record's data point.
+enum Val {
+    Num(f64),
+    Text(String),
+    /// Not measured in this row: the table shows `-`, the record omits it.
+    Blank,
+}
 
-/// Shared driver of Figures 4 and 5 (they differ only in the request-size
-/// set): for each size, sweep the inter-read delay with and without the
-/// prefetch prototype, print the per-size table + ASCII figure, and save
-/// one combined record.
-pub fn balanced_figure(id: &str, description: &str, sizes: &[u32]) {
-    use paragon_metrics::{AsciiChart, Series, Table};
-    use paragon_sim::SimDuration;
-
-    let mut record = ExperimentRecord::new(id, description);
-    for &sz in sizes {
-        let mut table = Table::new(
-            &format!(
-                "{id} (data): Balanced Workload, {} KB requests, 128 MB file",
-                kb(sz)
-            ),
-            &[
-                "Delay (s)",
-                "No prefetch (MB/s)",
-                "Prefetch (MB/s)",
-                "Ready hits",
-                "In-flight hits",
-            ],
-        );
-        let mut no_pf_series = Vec::new();
-        let mut pf_series = Vec::new();
-        for ms in DELAYS_MS {
-            let delay = SimDuration::from_millis(ms);
-            let base = ExperimentConfig::paper_balanced(sz, delay);
-            if record.config.is_empty() {
-                stamp_config(&mut record, &base);
-            }
-            let no_pf = run_logged(&format!("{}KB d={}ms no-pf", kb(sz), ms), &base);
-            let pf = run_logged(
-                &format!("{}KB d={}ms pf", kb(sz), ms),
-                &base.clone().with_prefetch(),
-            );
-            table.row(&[
-                format!("{:.3}", ms as f64 / 1000.0),
-                format!("{:.2}", no_pf.bandwidth_mb_s()),
-                format!("{:.2}", pf.bandwidth_mb_s()),
-                format!("{}", pf.prefetch.hits_ready),
-                format!("{}", pf.prefetch.hits_inflight),
-            ]);
-            record.point(
-                &[
-                    ("request_kb", &kb(sz).to_string()),
-                    ("delay_ms", &ms.to_string()),
-                ],
-                &[
-                    ("bw_no_prefetch_mb_s", no_pf.bandwidth_mb_s()),
-                    ("bw_prefetch_mb_s", pf.bandwidth_mb_s()),
-                    ("hits_ready", pf.prefetch.hits_ready as f64),
-                    ("hits_inflight", pf.prefetch.hits_inflight as f64),
-                    ("overlap_saved_s", pf.prefetch.overlap_saved.as_secs_f64()),
-                ],
-            );
-            no_pf_series.push((ms as f64 / 1000.0, no_pf.bandwidth_mb_s()));
-            pf_series.push((ms as f64 / 1000.0, pf.bandwidth_mb_s()));
-        }
-        println!("\n{}", table.render());
-        let chart = AsciiChart::new(
-            &format!("Read Bandwidths, {} KB request size", kb(sz)),
-            "computation delay between reads (s)",
-            "read bandwidth (MB/s)",
-        )
-        .series(Series::new("no prefetching", no_pf_series))
-        .series(Series::new("prefetching", pf_series));
-        println!("{}", chart.render());
+impl From<f64> for Val {
+    fn from(v: f64) -> Self {
+        Val::Num(v)
     }
-    println!(
-        "Paper's finding: significant gains whenever computation overlaps I/O;\n\
-         the closer the delay is to the read access time, the bigger the win.\n\
-         For large requests (T(sz) >> delay) no significant overlap is possible."
-    );
-    save_record(&record);
+}
+
+impl From<u64> for Val {
+    fn from(v: u64) -> Self {
+        Val::Num(v as f64)
+    }
+}
+
+impl From<&str> for Val {
+    fn from(v: &str) -> Self {
+        Val::Text(v.to_owned())
+    }
+}
+
+impl From<String> for Val {
+    fn from(v: String) -> Self {
+        Val::Text(v)
+    }
+}
+
+/// One column of a sweep: a table header, a record key, or both, and how
+/// numbers print in the table.
+struct Col {
+    header: Option<String>,
+    key: Option<String>,
+    prec: usize,
+    suffix: &'static str,
+}
+
+/// A column shown under `header` and stored under `key`; numbers print
+/// with two decimals unless [`Col::prec`] says otherwise.
+fn col(header: &str, key: impl Into<String>) -> Col {
+    Col {
+        header: Some(header.to_owned()),
+        key: Some(key.into()),
+        prec: 2,
+        suffix: "",
+    }
+}
+
+/// A table-only column.
+fn shown(header: &str) -> Col {
+    Col {
+        key: None,
+        ..col(header, "")
+    }
+}
+
+/// A record-only column.
+fn stored(key: &str) -> Col {
+    Col {
+        header: None,
+        ..col("", key)
+    }
+}
+
+impl Col {
+    fn prec(self, prec: usize) -> Self {
+        Col { prec, ..self }
+    }
+
+    fn suffix(self, suffix: &'static str) -> Self {
+        Col { suffix, ..self }
+    }
+}
+
+/// `sweep.row(a, b, ..)`: one table row and one record point from cells
+/// converted with [`Val::from`].
+macro_rules! row {
+    ($sweep:expr, $($cell:expr),+ $(,)?) => {
+        $sweep.row(&[$($crate::Val::from($cell)),+])
+    };
+}
+use row;
+
+/// An experiment's record together with the table it is printing: each
+/// row goes to both, formatted once by its column list.
+struct Sweep {
+    record: ExperimentRecord,
+    table: Table,
+    cols: Vec<Col>,
+    /// Index of the current table's first point in the record.
+    first_point: usize,
+}
+
+impl Sweep {
+    fn new(id: &str, description: &str) -> Self {
+        Sweep {
+            record: ExperimentRecord::new(id, description),
+            table: Table::default(),
+            cols: Vec::new(),
+            first_point: 0,
+        }
+    }
+
+    /// Stamp the standard machine-shape config entries on the record.
+    fn stamp(&mut self, cfg: &ExperimentConfig) {
+        self.record
+            .config("compute_nodes", cfg.compute_nodes)
+            .config("io_nodes", cfg.io_nodes)
+            .config("stripe_unit", cfg.stripe_unit)
+            .config("mode", cfg.mode)
+            .config("seed", cfg.seed)
+            .config("fast_path", cfg.fast_path);
+    }
+
+    /// Start a new table; the record carries on across tables.
+    fn table(&mut self, title: &str, cols: Vec<Col>) {
+        let headers: Vec<&str> = cols.iter().filter_map(|c| c.header.as_deref()).collect();
+        self.table = Table::new(title, &headers);
+        self.cols = cols;
+        self.first_point = self.record.points.len();
+    }
+
+    /// Add one row to the table and one point to the record.
+    fn row(&mut self, cells: &[Val]) {
+        assert_eq!(
+            cells.len(),
+            self.cols.len(),
+            "row width does not match sweep"
+        );
+        let mut shown = Vec::new();
+        let mut params = Vec::new();
+        let mut values = Vec::new();
+        for (c, cell) in self.cols.iter().zip(cells) {
+            if c.header.is_some() {
+                shown.push(match cell {
+                    Val::Num(v) => format!("{v:.prec$}{}", c.suffix, prec = c.prec),
+                    Val::Text(s) => s.clone(),
+                    Val::Blank => "-".to_owned(),
+                });
+            }
+            match (&c.key, cell) {
+                (Some(k), Val::Num(v)) => values.push((k.as_str(), *v)),
+                (Some(k), Val::Text(s)) => params.push((k.as_str(), s.as_str())),
+                _ => {}
+            }
+        }
+        self.table.row(&shown);
+        self.record.point(&params, &values);
+    }
+
+    /// Print the current table.
+    fn print(&self) {
+        println!("\n{}", self.table.render());
+    }
+
+    /// The current table's `(x(point), value[key])` series for a chart.
+    fn series(&self, name: &str, key: &str, x: impl Fn(&DataPoint) -> f64) -> Series {
+        let points = self.record.points[self.first_point..]
+            .iter()
+            .map(|p| (x(p), p.values[key]))
+            .collect();
+        Series::new(name, points)
+    }
+}
+
+/// A point parameter read back as a number (chart x coordinates).
+fn param(p: &DataPoint, key: &str) -> f64 {
+    p.params[key].parse().expect("numeric sweep parameter")
 }
 
 #[cfg(test)]
@@ -171,8 +272,26 @@ mod tests {
     }
 
     #[test]
-    fn results_dir_is_creatable() {
-        let d = results_dir();
-        assert!(d.is_dir());
+    fn a_row_feeds_the_table_and_the_record_once() {
+        let mut sw = Sweep::new("T", "test");
+        let cols = vec![
+            col("KB", "kb"),
+            shown("MB"),
+            col("BW", "bw").prec(1),
+            col("Gain", "x").suffix("x"),
+            stored("n"),
+            col("R", "r"),
+        ];
+        sw.table("t", cols);
+        row!(sw, "64", "8", 13.26, 1.5, 7u64, Val::Blank);
+        let shown: Vec<_> = (0..5).map(|c| sw.table.cell(0, c)).collect();
+        assert_eq!(shown, ["64", "8", "13.3", "1.50x", "-"]);
+        let p = &sw.record.points[0];
+        assert_eq!((p.params.len(), &*p.params["kb"]), (1, "64"));
+        assert_eq!(p.values.values().collect::<Vec<_>>(), [&13.26, &7.0, &1.5]);
+        assert_eq!(
+            sw.series("s", "bw", |p| param(p, "kb")).points,
+            [(64.0, 13.26)]
+        );
     }
 }

@@ -1,6 +1,6 @@
 //! The paper's qualitative findings, asserted as tests. These run the
 //! real 1995 calibration on reduced file sizes, so every claim the
-//! experiment binaries print is also enforced by `cargo test`.
+//! `paragonctl reproduce` prints is also enforced by `cargo test`.
 
 #![expect(
     clippy::disallowed_types,
