@@ -20,8 +20,8 @@ use paragon_workload::{
 use std::path::Path;
 use std::process::ExitCode;
 
-use crate::experiments::{Experiment, EXPERIMENTS};
-use crate::{col, results_dir, row, save_record, shown, stored, Sweep};
+use crate::experiments::{faults_base, redundancy_sweep, Experiment, EXPERIMENTS, EXT_FAULTS};
+use crate::{col, results_dir, save_record, shown, stored, HarnessError, Sweep};
 
 /// The help text.
 pub const USAGE: &str = "\
@@ -99,7 +99,8 @@ FAULTS:
                the same I/O-node crash under none (client-visible
                errors), parity (in-array reconstruction), and
                replicated:2 (replica failover + online re-replication
-               under the foreground load); any other value selects that
+               under the foreground load; `reproduce EXT-FAULTS` at the
+               default OPTIONS); any other value selects that
                redundancy mode for the five-class sweep
 
 TRACE:
@@ -936,133 +937,6 @@ fn injected_summary(f: &FaultStats) -> String {
     }
 }
 
-/// `paragonctl faults --redundancy all`: the EXT-FAULTS three-way
-/// comparison. The same I/O-node crash (ion 0 down from the measured
-/// phase's start, for a window that outlasts the run — a permanent
-/// failure as far as the workload is concerned) runs under each
-/// redundancy mode, next to that mode's healthy baseline:
-///
-/// * `none` — the crashed node's stripes are simply gone; every read of
-///   them burns the full retry budget and surfaces as an error.
-/// * `parity` — per-node RAID reconstructs dead *spindles*, but a whole
-///   crashed node still takes its stripes with it (the motivating gap).
-/// * `replicated:2` — reads fail over to surviving copies with zero
-///   client-visible errors while the recovery coordinator re-replicates
-///   the lost copies under the foreground load (the rebuild storm).
-///
-/// For the replicated rows the command enforces the robustness
-/// invariants: no client-visible read errors, and the rebuild queue
-/// drained to exactly zero.
-fn redundancy_sweep(base: &ExperimentConfig, json: bool) -> ExitCode {
-    let crash = FaultSpec {
-        ion_crash: Some((0, SimDuration::ZERO, SimDuration::from_secs(7200))),
-        ..FaultSpec::default()
-    };
-    let modes = [
-        Redundancy::None,
-        Redundancy::ParityRaid,
-        Redundancy::Replicated { rf: 2 },
-    ];
-    let mut rows = Vec::new();
-    for mode in modes {
-        let mut healthy = base.clone();
-        healthy.redundancy = mode;
-        let mut crashed = healthy.clone();
-        crashed.faults = crash.clone();
-        rows.push((mode, run(&healthy), run(&crashed)));
-    }
-
-    let keep = |h: &RunResult, c: &RunResult| {
-        if h.bandwidth_mb_s() > 0.0 {
-            c.bandwidth_mb_s() / h.bandwidth_mb_s() * 100.0
-        } else {
-            0.0
-        }
-    };
-    let mut sweep = Sweep::new("EXT-FAULTS", "paragonctl faults --redundancy all");
-    sweep
-        .record
-        .config("mode", base.mode)
-        .config("compute_nodes", base.compute_nodes)
-        .config("io_nodes", base.io_nodes)
-        .config("request_kb", base.request_size / 1024)
-        .config("file_mb", base.file_size >> 20)
-        .config("seed", base.seed);
-    sweep.table(
-        &format!(
-            "== redundancy sweep: ion 0 down for the whole run, {} cn x {} ion, {:?}, {} KB requests",
-            base.compute_nodes,
-            base.io_nodes,
-            base.mode,
-            base.request_size / 1024
-        ),
-        vec![
-            col("redundancy", "redundancy"),
-            col("healthy", "bw_healthy_mb_s"),
-            col("crashed", "bw_crashed_mb_s"),
-            col("keep%", "keep_pct").prec(1),
-            col("errs", "read_errors").prec(0),
-            col("reconst", "reconstructed_reads").prec(0),
-            col("failov", "replica_failovers").prec(0),
-            col("alt-rd", "replica_reads").prec(0),
-            shown("rb-KB").prec(0),
-            stored("rebuild_bytes"),
-            col("pend", "rebuild_pending").prec(0),
-        ],
-    );
-    for (mode, h, c) in &rows {
-        let rebuilt = c.rebuild.as_ref().map_or(0, |r| r.bytes_copied);
-        row!(
-            sweep,
-            mode.label(),
-            h.bandwidth_mb_s(),
-            c.bandwidth_mb_s(),
-            keep(h, c),
-            c.read_errors,
-            c.raid.reconstructed_reads,
-            c.replica_failovers,
-            c.replica_reads,
-            rebuilt >> 10,
-            rebuilt,
-            c.rebuild_pending,
-        );
-    }
-    if json {
-        println!("{}", sweep.record.to_json());
-    } else {
-        sweep.print();
-    }
-
-    let mut ok = true;
-    for (mode, h, c) in &rows {
-        if h.verify_failures + c.verify_failures > 0 {
-            eprintln!("!! {mode}: verify failures");
-            ok = false;
-        }
-        if matches!(mode, Redundancy::Replicated { .. }) {
-            if c.read_errors > 0 {
-                eprintln!(
-                    "!! {mode}: {} client-visible read errors (replication must mask the crash)",
-                    c.read_errors
-                );
-                ok = false;
-            }
-            if c.rebuild_pending > 0 {
-                eprintln!(
-                    "!! {mode}: rebuild queue did not drain ({} slots pending)",
-                    c.rebuild_pending
-                );
-                ok = false;
-            }
-        }
-    }
-    if ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
 /// `paragonctl faults`: sweep the fault classes over one base experiment
 /// and report the robustness metrics side by side.
 fn faults_cmd(argv: Vec<String>) -> ExitCode {
@@ -1082,38 +956,48 @@ fn faults_cmd(argv: Vec<String>) -> ExitCode {
     };
     // `--redundancy all` is a faults-only axis value, so it is peeled
     // off before `build_config` (whose parser would reject it).
-    let three_way = {
-        let pos = args
-            .0
-            .windows(2)
-            .position(|w| w[0] == "--redundancy" && w[1] == "all");
-        if let Some(i) = pos {
-            args.0.drain(i..i + 2);
-            true
-        } else {
-            false
-        }
-    };
-    let mut base = match build_config(&mut args) {
+    let all = args.0.windows(2).position(|w| w == ["--redundancy", "all"]);
+    if let Some(i) = all {
+        args.0.drain(i..i + 2);
+    }
+    let base = match build_config(&mut args) {
         Ok(c) => c,
         Err(e) => return fail(e),
     };
     if !args.0.is_empty() {
         return fail(format!("unrecognized arguments {:?}", args.0));
     }
-    base.verify_data = true;
-    if base.prefetch.is_none() {
-        base = base.with_prefetch();
+    let base = faults_base(base);
+    let (mut sweep, checked);
+    if all.is_some() {
+        sweep = Sweep::new(EXT_FAULTS[0], EXT_FAULTS[1]);
+        checked = redundancy_sweep(&mut sweep, &base);
+    } else {
+        sweep = Sweep::new("FAULT", "paragonctl faults");
+        checked = fault_class_sweep(&mut sweep, base, error_pm, drop_pm);
     }
-    if three_way {
-        return redundancy_sweep(&base, json);
+    if json {
+        println!("{}", sweep.record.to_json());
+    } else {
+        sweep.print();
     }
-    // The sweep compares like with like: every class (including the
-    // fault-free baseline) runs with a parity member so dead-member reads
-    // can reconstruct, with prefetching on so hit-rate degradation is
-    // visible, and with data verification so silent corruption fails loud.
-    base.calib.raid_parity = true;
+    if let Err(e) = checked {
+        eprintln!("error: {e}");
+        return ExitCode::FAILURE;
+    }
+    ExitCode::SUCCESS
+}
 
+/// The `faults` class sweep: one run per fault class over `base`, which
+/// compares like with like, every class (the fault-free baseline
+/// included) with a parity member so dead-member reads can reconstruct.
+fn fault_class_sweep(
+    sweep: &mut Sweep,
+    mut base: ExperimentConfig,
+    error_pm: u32,
+    drop_pm: u32,
+) -> Result<(), HarnessError> {
+    base.calib.raid_parity = true;
     let mut results: Vec<(&'static str, RunResult)> = Vec::new();
     for (label, spec) in fault_classes(error_pm, drop_pm) {
         let mut cfg = base.clone();
@@ -1121,7 +1005,6 @@ fn faults_cmd(argv: Vec<String>) -> ExitCode {
         results.push((label, run(&cfg)));
     }
 
-    let mut sweep = Sweep::new("FAULT", "paragonctl faults");
     sweep
         .record
         .config("mode", base.mode)
@@ -1153,28 +1036,25 @@ fn faults_cmd(argv: Vec<String>) -> ExitCode {
         ],
     );
     for (label, r) in &results {
-        row!(
-            sweep,
-            *label,
-            r.bandwidth_mb_s(),
-            r.prefetch.hit_ratio() * 100.0,
-            r.prefetch.hit_ratio(),
-            r.read_errors,
-            r.raid.reconstructed_reads,
-            r.prefetch.faults,
-            r.verify_failures,
-            injected_summary(&r.fault),
-        );
+        sweep.row(&[
+            (*label).into(),
+            r.bandwidth_mb_s().into(),
+            (r.prefetch.hit_ratio() * 100.0).into(),
+            r.prefetch.hit_ratio().into(),
+            r.read_errors.into(),
+            r.raid.reconstructed_reads.into(),
+            r.prefetch.faults.into(),
+            r.verify_failures.into(),
+            injected_summary(&r.fault).into(),
+        ]);
     }
-    if json {
-        println!("{}", sweep.record.to_json());
-    } else {
-        sweep.print();
+    match results.iter().find(|(_, r)| r.verify_failures > 0) {
+        Some((case, r)) => Err(HarnessError::Verify {
+            case: case.to_string(),
+            failures: r.verify_failures,
+        }),
+        None => Ok(()),
     }
-    if results.iter().any(|(_, r)| r.verify_failures > 0) {
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
 }
 
 /// `paragonctl reproduce <ID|all>`: run the named experiments (`all`: the
@@ -1197,7 +1077,8 @@ fn reproduce(arg: &[String], dir: &Path) -> ExitCode {
         return ExitCode::FAILURE;
     }
     for e in selected {
-        if let Err(err) = e.record().and_then(|record| save_record(dir, &record)) {
+        let mut sweep = Sweep::new(e.id, e.description);
+        if let Err(err) = (e.run)(&mut sweep).and_then(|()| save_record(dir, &sweep.record)) {
             eprintln!("error: {}: {err}", e.id);
             return ExitCode::FAILURE;
         }
@@ -1603,8 +1484,15 @@ mod tests {
         assert_eq!(
             ids.join(" "),
             "FIG2 TAB1 TAB2 FIG4 FIG5 TAB3 TAB4 EXT-SCALING EXT-PATTERNS EXT-DEPTH \
-             EXT-ABLATION EXT-WRITES EXT-DOUBLEBUF EXT-SCSI16"
+             EXT-ABLATION EXT-WRITES EXT-DOUBLEBUF EXT-SCSI16 EXT-FAULTS"
         );
+    }
+
+    #[test]
+    fn the_ext_faults_entry_runs_the_faults_command_defaults() {
+        let defaults = build_config(&mut Args(Vec::new())).unwrap();
+        let entry = ExperimentConfig::paper_iobound(64 * 1024, 8);
+        assert_eq!(format!("{defaults:?}"), format!("{entry:?}"));
     }
 
     #[test]
@@ -1623,10 +1511,9 @@ mod tests {
             let record = ExperimentRecord::from_json(&text).unwrap();
             assert_eq!([&*record.id, &*record.description], [e.id, e.description]);
         }
-        // Plus the one record outside the table: `faults --redundancy all --json`.
         let json = |p: &std::path::PathBuf| p.extension() == Some("json".as_ref());
         let records = std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().path());
-        assert_eq!(records.filter(json).count(), EXPERIMENTS.len() + 1);
+        assert_eq!(records.filter(json).count(), EXPERIMENTS.len());
     }
 
     #[test]

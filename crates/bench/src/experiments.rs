@@ -11,16 +11,15 @@ use paragon_core::{
     PredictorKind, PrefetchConfig, PrefetchingFile, WriteBehindConfig, WriteBehindFile,
 };
 use paragon_machine::{Calibration, Machine, MachineConfig};
-use paragon_metrics::{AsciiChart, DataPoint, ExperimentRecord};
+use paragon_metrics::AsciiChart;
 use paragon_pfs::{
-    pattern_byte, pattern_slice, IoMode, OpenOptions, ParallelFs, PfsFile, StripeAttrs,
+    pattern_byte, pattern_slice, IoMode, OpenOptions, ParallelFs, PfsFile, Redundancy, StripeAttrs,
 };
 use paragon_sim::{Sim, SimDuration};
-use paragon_workload::{AccessPattern, ExperimentConfig, StripeLayout};
+use paragon_workload::{AccessPattern, ExperimentConfig, FaultSpec, StripeLayout};
 
 use crate::{
-    col, kb, param, row, run_logged, shown, stored, HarnessError, Sweep, Val, DELAYS_MS,
-    REQUEST_SIZES,
+    col, kb, run_logged, shown, stored, HarnessError, Sweep, Val, DELAYS_MS, REQUEST_SIZES,
 };
 
 /// One reproducible experiment.
@@ -29,20 +28,12 @@ pub(crate) struct Experiment {
     pub(crate) id: &'static str,
     /// What the record measures.
     pub(crate) description: &'static str,
-    run: fn(&mut Sweep) -> Result<(), HarnessError>,
-}
-
-impl Experiment {
-    /// Run the sweep, printing its tables, and return the filled record.
-    pub(crate) fn record(&self) -> Result<ExperimentRecord, HarnessError> {
-        let mut sweep = Sweep::new(self.id, self.description);
-        (self.run)(&mut sweep)?;
-        Ok(sweep.record)
-    }
+    /// The sweep: prints its tables and fills the record.
+    pub(crate) run: fn(&mut Sweep) -> Result<(), HarnessError>,
 }
 
 /// Every experiment, in the order `paragonctl reproduce all` runs them.
-pub(crate) static EXPERIMENTS: [Experiment; 14] = [
+pub(crate) static EXPERIMENTS: [Experiment; 15] = [
     Experiment {
         id: "FIG2",
         description: "Read throughput of the PFS I/O modes vs request size, 64 KB blocks",
@@ -114,7 +105,16 @@ pub(crate) static EXPERIMENTS: [Experiment; 14] = [
         description: "Headline experiments on the SCSI-16 hardware the paper mentions",
         run: ext_scsi16,
     },
+    Experiment {
+        id: EXT_FAULTS[0],
+        description: EXT_FAULTS[1],
+        run: ext_faults,
+    },
 ];
+
+/// Id and description of the EXT-FAULTS record, which `paragonctl faults
+/// --redundancy all` also writes, at any options.
+pub(crate) const EXT_FAULTS: [&str; 2] = ["EXT-FAULTS", "paragonctl faults --redundancy all"];
 
 /// FIG2: 8 CN read one shared file in each I/O mode (Separate Files: a
 /// private file each); the modes should order
@@ -161,7 +161,7 @@ fn fig2(sweep: &mut Sweep) -> Result<(), HarnessError> {
     let keys = MODES.map(|m| (m.to_string(), format!("bw_{m}")));
     let separate = ("Separate Files".to_owned(), "bw_separate_files".to_owned());
     for (name, key) in keys.iter().chain([&separate]) {
-        chart = chart.series(sweep.series(name, key, |p| param(p, "request_kb")));
+        chart = chart.series(sweep.series(name, key, REQUEST_SIZES.map(|sz| kb(sz) as f64)));
     }
     println!("{}", chart.render());
     println!(
@@ -195,16 +195,15 @@ fn tab1(sweep: &mut Sweep) -> Result<(), HarnessError> {
         let base = ExperimentConfig::paper_iobound(sz, 8);
         let no_pf = run_logged(&format!("{}KB no-pf", kb(sz)), &base);
         let pf = run_logged(&format!("{}KB pf", kb(sz)), &base.clone().with_prefetch());
-        row!(
-            sweep,
-            kb(sz).to_string(),
-            "8",
-            no_pf.bandwidth_mb_s(),
-            pf.bandwidth_mb_s(),
-            pf.prefetch.hit_ratio(),
-            pf.prefetch.hits_inflight,
-            pf.prefetch.hits_ready,
-        );
+        sweep.row(&[
+            kb(sz).to_string().into(),
+            "8".into(),
+            no_pf.bandwidth_mb_s().into(),
+            pf.bandwidth_mb_s().into(),
+            pf.prefetch.hit_ratio().into(),
+            pf.prefetch.hits_inflight.into(),
+            pf.prefetch.hits_ready.into(),
+        ]);
     }
 
     sweep.print();
@@ -243,15 +242,14 @@ fn tab2(sweep: &mut Sweep) -> Result<(), HarnessError> {
             .access_time_histogram()
             .percentiles()
             .expect("requests ran");
-        row!(
-            sweep,
-            kb(sz).to_string(),
-            r.read_time_mean().as_secs_f64(),
-            tmin.unwrap_or_default().as_secs_f64(),
-            p50,
-            p99,
-            tmax.unwrap_or_default().as_secs_f64(),
-        );
+        sweep.row(&[
+            kb(sz).to_string().into(),
+            r.read_time_mean().as_secs_f64().into(),
+            tmin.unwrap_or_default().as_secs_f64().into(),
+            p50.into(),
+            p99.into(),
+            tmax.unwrap_or_default().as_secs_f64().into(),
+        ]);
     }
 
     sweep.print();
@@ -291,20 +289,19 @@ fn balanced(sweep: &mut Sweep, sizes: &[u32]) -> Result<(), HarnessError> {
             let (base, label) = (cfg(sz, ms), format!("{}KB d={}ms", kb(sz), ms));
             let no_pf = run_logged(&format!("{label} no-pf"), &base);
             let pf = run_logged(&format!("{label} pf"), &base.clone().with_prefetch());
-            row!(
-                sweep,
-                ms as f64 / 1000.0,
-                kb(sz).to_string(),
-                ms.to_string(),
-                no_pf.bandwidth_mb_s(),
-                pf.bandwidth_mb_s(),
-                pf.prefetch.hits_ready,
-                pf.prefetch.hits_inflight,
-                pf.prefetch.overlap_saved.as_secs_f64(),
-            );
+            sweep.row(&[
+                (ms as f64 / 1000.0).into(),
+                kb(sz).to_string().into(),
+                ms.to_string().into(),
+                no_pf.bandwidth_mb_s().into(),
+                pf.bandwidth_mb_s().into(),
+                pf.prefetch.hits_ready.into(),
+                pf.prefetch.hits_inflight.into(),
+                pf.prefetch.overlap_saved.as_secs_f64().into(),
+            ]);
         }
         sweep.print();
-        let delay_s = |p: &DataPoint| param(p, "delay_ms") / 1000.0;
+        let delay_s = DELAYS_MS.map(|ms| ms as f64 / 1000.0);
         let chart = AsciiChart::new(
             &format!("Read Bandwidths, {} KB request size", kb(sz)),
             "computation delay between reads (s)",
@@ -391,14 +388,13 @@ fn tab4(sweep: &mut Sweep) -> Result<(), HarnessError> {
         let r_narrow = run_logged(&format!("{}KB sgroup=1", kb(sz)), &narrow);
         let speedup = r_wide.bandwidth_mb_s() / r_narrow.bandwidth_mb_s();
         max_speedup = max_speedup.max(speedup);
-        row!(
-            sweep,
-            kb(sz).to_string(),
-            "8",
-            r_wide.bandwidth_mb_s(),
-            r_narrow.bandwidth_mb_s(),
-            speedup,
-        );
+        sweep.row(&[
+            kb(sz).to_string().into(),
+            "8".into(),
+            r_wide.bandwidth_mb_s().into(),
+            r_narrow.bandwidth_mb_s().into(),
+            speedup.into(),
+        ]);
     }
 
     sweep.print();
@@ -487,21 +483,20 @@ fn ext_scaling(sweep: &mut Sweep) -> Result<(), HarnessError> {
                 snap.series_max("server.queue").unwrap_or(0.0),
             )
         });
-        row!(
-            sweep,
-            format!("{cn} x {ion}"),
-            cn.to_string(),
-            ion.to_string(),
-            (per_cn_bytes(cn) >> 20).to_string(),
-            no_pf.bandwidth_mb_s(),
-            pf.bandwidth_mb_s(),
-            pf.bandwidth_mb_s() / no_pf.bandwidth_mb_s(),
-            pf.node_imbalance(),
-            pf.prefetch.hit_ratio(),
-            format!("{q_mean:.2} / {q_max:.0}"),
-            q_mean,
-            q_max,
-        );
+        sweep.row(&[
+            format!("{cn} x {ion}").into(),
+            cn.to_string().into(),
+            ion.to_string().into(),
+            (per_cn_bytes(cn) >> 20).to_string().into(),
+            no_pf.bandwidth_mb_s().into(),
+            pf.bandwidth_mb_s().into(),
+            (pf.bandwidth_mb_s() / no_pf.bandwidth_mb_s()).into(),
+            pf.node_imbalance().into(),
+            pf.prefetch.hit_ratio().into(),
+            format!("{q_mean:.2} / {q_max:.0}").into(),
+            q_mean.into(),
+            q_max.into(),
+        ]);
     }
 
     sweep.print();
@@ -562,15 +557,14 @@ fn ext_patterns(sweep: &mut Sweep) -> Result<(), HarnessError> {
             let case = name.to_owned();
             return Err(HarnessError::Verify { case, failures });
         }
-        row!(
-            sweep,
-            name,
-            no_pf.bandwidth_mb_s(),
-            pf.bandwidth_mb_s(),
-            pf.prefetch.hit_ratio(),
-            pf.prefetch.wasted,
-            pf.prefetch.issued,
-        );
+        sweep.row(&[
+            name.into(),
+            no_pf.bandwidth_mb_s().into(),
+            pf.bandwidth_mb_s().into(),
+            pf.prefetch.hit_ratio().into(),
+            pf.prefetch.wasted.into(),
+            pf.prefetch.issued.into(),
+        ]);
     }
 
     sweep.print();
@@ -608,16 +602,15 @@ fn ext_depth(sweep: &mut Sweep) -> Result<(), HarnessError> {
     };
     // Baseline without prefetching for reference.
     let no_pf = run_logged("depth 0 (off)", &base);
-    row!(
-        sweep,
-        "0 (off)",
-        "0",
-        no_pf.bandwidth_mb_s(),
+    sweep.row(&[
+        "0 (off)".into(),
+        "0".into(),
+        no_pf.bandwidth_mb_s().into(),
         Val::Blank,
         Val::Blank,
         Val::Blank,
         Val::Blank,
-    );
+    ]);
 
     for depth in [1u32, 2, 4, 8] {
         let cfg = ExperimentConfig {
@@ -628,16 +621,15 @@ fn ext_depth(sweep: &mut Sweep) -> Result<(), HarnessError> {
             ..base.clone()
         };
         let r = run_logged(&format!("depth {depth}"), &cfg);
-        row!(
-            sweep,
-            depth.to_string(),
-            depth.to_string(),
-            r.bandwidth_mb_s(),
-            r.prefetch.hit_ratio(),
-            r.prefetch.hits_ready,
-            r.prefetch.hits_inflight,
-            r.prefetch.wasted,
-        );
+        sweep.row(&[
+            depth.to_string().into(),
+            depth.to_string().into(),
+            r.bandwidth_mb_s().into(),
+            r.prefetch.hit_ratio().into(),
+            r.prefetch.hits_ready.into(),
+            r.prefetch.hits_inflight.into(),
+            r.prefetch.wasted.into(),
+        ]);
     }
 
     sweep.print();
@@ -679,13 +671,12 @@ fn ext_ablation(sweep: &mut Sweep) -> Result<(), HarnessError> {
             ..cfg
         };
         let buf = run_logged(&format!("{name} buffered"), &buffered);
-        row!(
-            sweep,
-            "fast_path",
-            name,
-            fast.bandwidth_mb_s(),
-            buf.bandwidth_mb_s(),
-        );
+        sweep.row(&[
+            "fast_path".into(),
+            name.into(),
+            fast.bandwidth_mb_s().into(),
+            buf.bandwidth_mb_s().into(),
+        ]);
     }
     sweep.print();
     println!(
@@ -714,13 +705,12 @@ fn ext_ablation(sweep: &mut Sweep) -> Result<(), HarnessError> {
             pc.copy_bw = copy_mb * 1e6;
         }
         let r = run_logged(&format!("copy {copy_mb} MB/s"), &cfg);
-        row!(
-            sweep,
-            "copy_bw",
-            format!("{copy_mb}"),
-            r.bandwidth_mb_s(),
-            r.bandwidth_mb_s() / no_pf.bandwidth_mb_s(),
-        );
+        sweep.row(&[
+            "copy_bw".into(),
+            format!("{copy_mb}").into(),
+            r.bandwidth_mb_s().into(),
+            (r.bandwidth_mb_s() / no_pf.bandwidth_mb_s()).into(),
+        ]);
     }
     sweep.print();
     println!(
@@ -745,13 +735,12 @@ fn ext_ablation(sweep: &mut Sweep) -> Result<(), HarnessError> {
             (pc.depth, pc.max_buffers) = (4, 16);
         }
         let r = run_logged(&format!("max_arts {max_arts}"), &cfg);
-        row!(
-            sweep,
-            "max_arts",
-            max_arts.to_string(),
-            r.bandwidth_mb_s(),
-            r.prefetch.hit_ratio(),
-        );
+        sweep.row(&[
+            "max_arts".into(),
+            max_arts.to_string().into(),
+            r.bandwidth_mb_s().into(),
+            r.prefetch.hit_ratio().into(),
+        ]);
     }
     sweep.print();
     println!(
@@ -865,16 +854,15 @@ fn ext_writes(sweep: &mut Sweep) -> Result<(), HarnessError> {
             let (wb_bw, stalls) = run_case(request, delay_ms, true);
             let kb = request / 1024;
             eprintln!("  [{kb}KB d={delay_ms}ms] sync {sync_bw:.2} wb {wb_bw:.2}");
-            row!(
-                sweep,
-                delay_ms as f64 / 1000.0,
-                kb.to_string(),
-                delay_ms.to_string(),
-                sync_bw,
-                wb_bw,
-                wb_bw / sync_bw,
-                stalls,
-            );
+            sweep.row(&[
+                (delay_ms as f64 / 1000.0).into(),
+                kb.to_string().into(),
+                delay_ms.to_string().into(),
+                sync_bw.into(),
+                wb_bw.into(),
+                (wb_bw / sync_bw).into(),
+                stalls.into(),
+            ]);
         }
         sweep.print();
     }
@@ -954,14 +942,13 @@ fn ext_doublebuf(sweep: &mut Sweep) -> Result<(), HarnessError> {
         let system = run_variant(Variant::SystemPrefetch, delay_ms);
         let app = run_variant(Variant::DoubleBuffered, delay_ms);
         eprintln!("  [d={delay_ms}ms] blocking {blocking:.2} system {system:.2} app {app:.2}");
-        row!(
-            sweep,
-            delay_ms as f64 / 1000.0,
-            delay_ms.to_string(),
-            blocking,
-            system,
-            app,
-        );
+        sweep.row(&[
+            (delay_ms as f64 / 1000.0).into(),
+            delay_ms.to_string().into(),
+            blocking.into(),
+            system.into(),
+            app.into(),
+        ]);
     }
 
     sweep.print();
@@ -997,15 +984,14 @@ fn ext_scsi16(sweep: &mut Sweep) -> Result<(), HarnessError> {
             ..cfg8
         };
         let new = run_logged(&format!("scsi16 {}KB", kb(sz)), &cfg16);
-        row!(
-            sweep,
-            "ceiling",
-            kb(sz).to_string(),
-            old.bandwidth_mb_s(),
-            new.bandwidth_mb_s(),
-            old.read_time_mean().as_secs_f64(),
-            new.read_time_mean().as_secs_f64(),
-        );
+        sweep.row(&[
+            "ceiling".into(),
+            kb(sz).to_string().into(),
+            old.bandwidth_mb_s().into(),
+            new.bandwidth_mb_s().into(),
+            old.read_time_mean().as_secs_f64().into(),
+            new.read_time_mean().as_secs_f64().into(),
+        ]);
     }
     sweep.print();
 
@@ -1032,15 +1018,14 @@ fn ext_scsi16(sweep: &mut Sweep) -> Result<(), HarnessError> {
             &format!("16 d={delay_ms} pf"),
             &base.clone().with_prefetch(),
         );
-        row!(
-            sweep,
-            "fig5_on_scsi16",
-            delay_ms as f64 / 1000.0,
-            delay_ms.to_string(),
-            no_pf.bandwidth_mb_s(),
-            pf.bandwidth_mb_s(),
-            pf.bandwidth_mb_s() / no_pf.bandwidth_mb_s(),
-        );
+        sweep.row(&[
+            "fig5_on_scsi16".into(),
+            (delay_ms as f64 / 1000.0).into(),
+            delay_ms.to_string().into(),
+            no_pf.bandwidth_mb_s().into(),
+            pf.bandwidth_mb_s().into(),
+            (pf.bandwidth_mb_s() / no_pf.bandwidth_mb_s()).into(),
+        ]);
     }
     sweep.print();
     println!(
@@ -1048,5 +1033,138 @@ fn ext_scsi16(sweep: &mut Sweep) -> Result<(), HarnessError> {
          bought nothing in Figure 5 now overlap usefully — faster disks widen\n\
          the regime where the paper's prefetching helps."
     );
+    Ok(())
+}
+
+/// `paragonctl faults` runs every fault class with prefetching on, so
+/// hit-rate degradation shows, and every byte read verified, so silent
+/// corruption fails loud.
+pub(crate) fn faults_base(mut cfg: ExperimentConfig) -> ExperimentConfig {
+    cfg.verify_data = true;
+    if cfg.prefetch.is_none() {
+        cfg = cfg.with_prefetch();
+    }
+    cfg
+}
+
+/// EXT-FAULTS: `paragonctl faults --redundancy all` at its default
+/// options (the paper's 8×8 I/O-bound testbed, 64 KB requests).
+fn ext_faults(sweep: &mut Sweep) -> Result<(), HarnessError> {
+    let base = faults_base(ExperimentConfig::paper_iobound(64 * 1024, 8));
+    let checked = redundancy_sweep(sweep, &base);
+    sweep.print();
+    checked
+}
+
+/// The EXT-FAULTS three-way comparison. The same I/O-node crash (ion 0
+/// down from the measured phase's start, for a window that outlasts the
+/// run — a permanent failure as far as the workload is concerned) runs
+/// under each redundancy mode, next to that mode's healthy baseline:
+///
+/// * `none` — the crashed node's stripes are simply gone; every read of
+///   them burns the full retry budget and surfaces as an error.
+/// * `parity` — per-node RAID reconstructs dead *spindles*, but a whole
+///   crashed node still takes its stripes with it (the motivating gap).
+/// * `replicated:2` — reads fail over to surviving copies with zero
+///   client-visible errors while the recovery coordinator re-replicates
+///   the lost copies under the foreground load (the rebuild storm).
+///
+/// Fills `sweep` with every row, then checks data verification and, for
+/// the replicated rows, the robustness invariants: no client-visible read
+/// errors, and the rebuild queue drained to exactly zero.
+pub(crate) fn redundancy_sweep(
+    sweep: &mut Sweep,
+    base: &ExperimentConfig,
+) -> Result<(), HarnessError> {
+    let crash = FaultSpec {
+        ion_crash: Some((0, SimDuration::ZERO, SimDuration::from_secs(7200))),
+        ..FaultSpec::default()
+    };
+    let modes = [
+        Redundancy::None,
+        Redundancy::ParityRaid,
+        Redundancy::Replicated { rf: 2 },
+    ];
+    let mut rows = Vec::new();
+    for mode in modes {
+        let mut healthy = base.clone();
+        healthy.redundancy = mode;
+        let mut crashed = healthy.clone();
+        crashed.faults = crash.clone();
+        rows.push((
+            mode,
+            paragon_workload::run(&healthy),
+            paragon_workload::run(&crashed),
+        ));
+    }
+
+    sweep
+        .record
+        .config("mode", base.mode)
+        .config("compute_nodes", base.compute_nodes)
+        .config("io_nodes", base.io_nodes)
+        .config("request_kb", base.request_size / 1024)
+        .config("file_mb", base.file_size >> 20)
+        .config("seed", base.seed);
+    sweep.table(
+        &format!(
+            "== redundancy sweep: ion 0 down for the whole run, {} cn x {} ion, {:?}, {} KB requests",
+            base.compute_nodes,
+            base.io_nodes,
+            base.mode,
+            base.request_size / 1024
+        ),
+        vec![
+            col("redundancy", "redundancy"),
+            col("healthy", "bw_healthy_mb_s"),
+            col("crashed", "bw_crashed_mb_s"),
+            col("keep%", "keep_pct").prec(1),
+            col("errs", "read_errors").prec(0),
+            col("reconst", "reconstructed_reads").prec(0),
+            col("failov", "replica_failovers").prec(0),
+            col("alt-rd", "replica_reads").prec(0),
+            shown("rb-KB").prec(0),
+            stored("rebuild_bytes"),
+            col("pend", "rebuild_pending").prec(0),
+        ],
+    );
+    for (mode, h, c) in &rows {
+        let (healthy, crashed) = (h.bandwidth_mb_s(), c.bandwidth_mb_s());
+        let keep = if healthy > 0.0 {
+            crashed / healthy * 100.0
+        } else {
+            0.0
+        };
+        let rebuilt = c.rebuild.as_ref().map_or(0, |r| r.bytes_copied);
+        sweep.row(&[
+            mode.label().into(),
+            healthy.into(),
+            crashed.into(),
+            keep.into(),
+            c.read_errors.into(),
+            c.raid.reconstructed_reads.into(),
+            c.replica_failovers.into(),
+            c.replica_reads.into(),
+            (rebuilt >> 10).into(),
+            rebuilt.into(),
+            c.rebuild_pending.into(),
+        ]);
+    }
+
+    for (mode, h, c) in &rows {
+        let case = mode.to_string();
+        let failures = h.verify_failures + c.verify_failures;
+        if failures > 0 {
+            return Err(HarnessError::Verify { case, failures });
+        }
+        let (errors, pending) = (c.read_errors, c.rebuild_pending);
+        if matches!(mode, Redundancy::Replicated { .. }) && errors + pending > 0 {
+            let what = format!(
+                "{errors} client-visible read errors, {pending} rebuild slots pending \
+                 (replication must mask the crash and drain its queue)"
+            );
+            return Err(HarnessError::Invariant { case, what });
+        }
+    }
     Ok(())
 }

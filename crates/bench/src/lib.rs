@@ -13,7 +13,7 @@ use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use paragon_metrics::{DataPoint, ExperimentRecord, Series, Table};
+use paragon_metrics::{ExperimentRecord, Series, Table};
 use paragon_workload::{ExperimentConfig, RunResult};
 
 /// Why an experiment could not produce or persist its record.
@@ -27,6 +27,8 @@ pub(crate) enum HarnessError {
     /// `failures` requests of sweep `case` read bytes that differ from the
     /// file's pattern.
     Verify { case: String, failures: u64 },
+    /// Sweep `case` broke a robustness invariant the experiment enforces.
+    Invariant { case: String, what: String },
 }
 
 impl fmt::Display for HarnessError {
@@ -36,6 +38,7 @@ impl fmt::Display for HarnessError {
             HarnessError::Verify { case, failures } => {
                 write!(f, "data corruption in {case}: {failures} verify failures")
             }
+            HarnessError::Invariant { case, what } => write!(f, "{case}: {what}"),
         }
     }
 }
@@ -166,15 +169,6 @@ impl Col {
     }
 }
 
-/// `sweep.row(a, b, ..)`: one table row and one record point from cells
-/// converted with [`Val::from`].
-macro_rules! row {
-    ($sweep:expr, $($cell:expr),+ $(,)?) => {
-        $sweep.row(&[$($crate::Val::from($cell)),+])
-    };
-}
-use row;
-
 /// An experiment's record together with the table it is printing: each
 /// row goes to both, formatted once by its column list.
 struct Sweep {
@@ -247,19 +241,17 @@ impl Sweep {
         println!("\n{}", self.table.render());
     }
 
-    /// The current table's `(x(point), value[key])` series for a chart.
-    fn series(&self, name: &str, key: &str, x: impl Fn(&DataPoint) -> f64) -> Series {
+    /// A chart series of the current table: the `i`th row's `key` value
+    /// at the `i`th of `xs`, the sweep's own loop values. Rows without a
+    /// `key` value are left out.
+    fn series(&self, name: &str, key: &str, xs: impl IntoIterator<Item = f64>) -> Series {
         let points = self.record.points[self.first_point..]
             .iter()
-            .map(|p| (x(p), p.values[key]))
+            .zip(xs)
+            .filter_map(|(p, x)| Some((x, *p.values.get(key)?)))
             .collect();
         Series::new(name, points)
     }
-}
-
-/// A point parameter read back as a number (chart x coordinates).
-fn param(p: &DataPoint, key: &str) -> f64 {
-    p.params[key].parse().expect("numeric sweep parameter")
 }
 
 #[cfg(test)]
@@ -283,15 +275,19 @@ mod tests {
             col("R", "r"),
         ];
         sw.table("t", cols);
-        row!(sw, "64", "8", 13.26, 1.5, 7u64, Val::Blank);
+        sw.row(&[
+            "64".into(),
+            "8".into(),
+            13.26.into(),
+            1.5.into(),
+            7u64.into(),
+            Val::Blank,
+        ]);
         let shown: Vec<_> = (0..5).map(|c| sw.table.cell(0, c)).collect();
         assert_eq!(shown, ["64", "8", "13.3", "1.50x", "-"]);
         let p = &sw.record.points[0];
         assert_eq!((p.params.len(), &*p.params["kb"]), (1, "64"));
         assert_eq!(p.values.values().collect::<Vec<_>>(), [&13.26, &7.0, &1.5]);
-        assert_eq!(
-            sw.series("s", "bw", |p| param(p, "kb")).points,
-            [(64.0, 13.26)]
-        );
+        assert_eq!(sw.series("s", "bw", [64.0]).points, [(64.0, 13.26)]);
     }
 }

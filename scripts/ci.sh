@@ -81,13 +81,12 @@ cargo test -q --release --test profile_goldens
 echo "=== reproduce"
 # Every committed record in results/ must be what the tree produces
 # today: regenerate all of them into a scratch directory and diff. After
-# an intentional change, rerun scripts/reproduce.sh and EXPERIMENTS.md.
+# an intentional change, regenerate them with scripts/reproduce.sh (which
+# runs this gate afterwards) and update EXPERIMENTS.md.
 fresh=$(mktemp -d)
 trap 'rm -rf "$fresh" "$fresh.log"' EXIT
 PARAGON_RESULTS_DIR="$fresh" cargo run -q -p paragon-bench --release --bin paragonctl -- \
     reproduce all > /dev/null 2> "$fresh.log" || { cat "$fresh.log"; exit 1; }
-cargo run -q -p paragon-bench --release --bin paragonctl -- \
-    faults --redundancy all --json > "$fresh/ext-faults-redundancy.json"
 diff -r --exclude=logs results "$fresh"
 
 echo "=== cargo fmt --check"

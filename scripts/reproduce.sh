@@ -6,11 +6,6 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# Preflight: don't regenerate tables from a tree that fails the gate
-# (clippy with the clippy.toml invariants, build, tests, fmt) —
-# numbers from a nondeterministic or panicky tree are not reproductions.
-./scripts/ci.sh
-
 mkdir -p results/logs
 cargo run --release -q -p paragon-bench --bin paragonctl -- reproduce all \
     2> results/logs/reproduce.err |
@@ -22,6 +17,10 @@ cargo run --release -q -p paragon-bench --bin paragonctl -- reproduce all \
              printf "%s", buf > ("results/logs/" id ".txt"); close("results/logs/" id ".txt")
              print "    -> results/logs/" id ".txt"; buf = ""
          }'
-cargo run --release -q -p paragon-bench --bin paragonctl -- faults --redundancy all --json \
-    > results/ext-faults-redundancy.json
+
+# Then the gate (clippy with the clippy.toml invariants, build, tests,
+# fmt): numbers from a nondeterministic or panicky tree are not
+# reproductions. It runs after regenerating, so its reproduce stage
+# compares the fresh records against a second, independent run.
+./scripts/ci.sh
 echo "All experiments regenerated. Compare against EXPERIMENTS.md."
