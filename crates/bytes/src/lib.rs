@@ -5,8 +5,12 @@
 //! can fan through the mesh, cache, and prefetch list without copies),
 //! and a mutable staging buffer that freezes into one. The crates.io
 //! `bytes` crate does this with atomics and a vtable; here an
-//! `Arc<[u8]>` plus a range is enough — and keeping it in-repo makes the
-//! build hermetic (tier-1 verify needs no registry access). The backing
+//! `Arc<Vec<u8>>` plus a range is enough — and keeping it in-repo makes
+//! the build hermetic (tier-1 verify needs no registry access). Backing
+//! `Bytes` with the `Vec` itself, not an `Arc<[u8]>`, is what makes
+//! `Bytes::from(Vec)` and [`BytesMut::freeze`] move the buffer instead
+//! of copying it (`Arc::<[u8]>::from(Vec)` reallocates); the price is
+//! one more pointer hop in `Deref` (`Arc` → `Vec` → bytes). The backing
 //! pointer is atomic (`Arc`, not `Rc`) so a payload can cross a shard
 //! boundary in the parallel kernel: each sharded world runs on its own
 //! host thread, and a cross-shard mesh frame carries its `Bytes` with
@@ -20,13 +24,13 @@ use std::sync::Arc;
 /// A cheaply clonable, immutable slice of bytes.
 #[derive(Clone, Default)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Arc<Vec<u8>>,
     start: usize,
     end: usize,
 }
 
 impl Bytes {
-    /// An empty buffer (no allocation).
+    /// An empty buffer.
     pub fn new() -> Bytes {
         Bytes::default()
     }
@@ -53,19 +57,6 @@ impl Bytes {
         self.start == self.end
     }
 
-    /// Wrap an existing shared allocation without copying. The whole
-    /// buffer is visible; narrow with [`Bytes::slice`]. This is the
-    /// zero-copy bridge for owners that keep data in `Arc<[u8]>` pages
-    /// (the sparse disk store) and want to hand out views of them.
-    pub fn from_shared(data: Arc<[u8]>) -> Bytes {
-        let end = data.len();
-        Bytes {
-            data,
-            start: 0,
-            end,
-        }
-    }
-
     /// O(1) sub-slice sharing the same allocation. Panics if the range
     /// is out of bounds, like slicing.
     pub fn slice(&self, range: impl RangeBounds<usize>) -> Bytes {
@@ -86,13 +77,26 @@ impl Bytes {
             end: self.start + hi,
         }
     }
+
+    /// Take the buffer back as a [`BytesMut`] without copying, when this
+    /// is the only handle to its allocation and views all of it;
+    /// otherwise hand `self` back unchanged.
+    pub fn try_into_mut(self) -> Result<BytesMut, Bytes> {
+        let Bytes { data, start, end } = self;
+        if start != 0 || end != data.len() {
+            return Err(Bytes { data, start, end });
+        }
+        Arc::try_unwrap(data)
+            .map(|data| BytesMut { data })
+            .map_err(|data| Bytes { data, start, end })
+    }
 }
 
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Bytes {
         let end = v.len();
         Bytes {
-            data: Arc::from(v),
+            data: Arc::new(v),
             start: 0,
             end,
         }
@@ -205,7 +209,8 @@ impl BytesMut {
         self.data.extend_from_slice(src);
     }
 
-    /// Convert into an immutable [`Bytes`] without copying.
+    /// Convert into an immutable [`Bytes`] without copying: the `Bytes`
+    /// takes over this buffer's allocation.
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.data)
     }
@@ -254,16 +259,33 @@ mod tests {
     }
 
     #[test]
-    fn from_shared_does_not_copy() {
-        let page: Arc<[u8]> = Arc::from(vec![1u8, 2, 3, 4]);
-        let b = Bytes::from_shared(page.clone());
-        // The Bytes holds the same allocation, not a copy.
-        assert_eq!(Arc::strong_count(&page), 2);
-        let s = b.slice(1..3);
-        assert_eq!(Arc::strong_count(&page), 3);
-        assert_eq!(&s[..], &[2, 3]);
-        drop((b, s));
-        assert_eq!(Arc::strong_count(&page), 1);
+    fn freeze_and_from_vec_keep_the_buffer() {
+        let v = vec![1u8, 2, 3, 4];
+        let ptr = v.as_ptr();
+        assert_eq!(Bytes::from(v).as_ptr(), ptr);
+        let mut m = BytesMut::with_capacity(64);
+        m.extend_from_slice(&[5; 64]);
+        let ptr = m.as_ptr();
+        let b = m.freeze();
+        assert_eq!(b.as_ptr(), ptr);
+        // A slice views the same allocation at its offset.
+        assert_eq!(b.slice(8..).as_ptr(), ptr.wrapping_add(8));
+    }
+
+    #[test]
+    fn try_into_mut_needs_the_only_whole_view() {
+        let b = Bytes::from(vec![1u8, 2, 3, 4]);
+        let ptr = b.as_ptr();
+        // A second handle, or a view of only part of the buffer, is refused.
+        let other = b.clone();
+        let b = b.try_into_mut().unwrap_err();
+        drop(other);
+        let part = b.slice(1..).try_into_mut().unwrap_err();
+        assert_eq!(&part[..], &[2, 3, 4]);
+        drop(part);
+        // The only whole view gets the buffer back without a copy.
+        let m = b.try_into_mut().unwrap();
+        assert_eq!((m.as_ptr(), &m[..]), (ptr, &[1u8, 2, 3, 4][..]));
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! Randomized tests: the disk and RAID layers preserve data under
-//! arbitrary operation mixes, and the RAID stripe map is a bijection.
-//! Cases come from the in-repo [`Rng`].
+//! Randomized tests: the block store, disk and RAID layers preserve data
+//! under arbitrary operation mixes, and the RAID stripe map is a
+//! bijection. Cases come from the in-repo [`Rng`].
 
 use bytes::Bytes;
 
-use paragon_disk::{Disk, DiskParams, RaidArray, SchedPolicy, StripeMap};
+use paragon_disk::{BlockStore, Disk, DiskParams, RaidArray, SchedPolicy, StripeMap, STORE_PAGE};
 use paragon_sim::{Rng, Sim};
 
 #[derive(Debug, Clone)]
@@ -22,6 +22,91 @@ fn ops(rng: &mut Rng) -> Vec<Op> {
             fill: rng.next_u32() as u8,
         })
         .collect()
+}
+
+/// Bytes no two writes are likely to share: `tag` picks the write, `i`
+/// the position in it.
+fn payload(tag: u64, len: usize) -> Vec<u8> {
+    (0..len as u64)
+        .map(|i| ((i + tag).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 56) as u8)
+        .collect()
+}
+
+/// The store against a flat `Vec<u8>` model, under seeded whole-page,
+/// partial, unaligned and multi-page writes and reads. Read views and
+/// write payloads are held across later writes and must never change:
+/// page adoption and the in-place merge keep the copy-on-write promise.
+#[test]
+fn store_matches_a_flat_model_and_never_changes_held_views() {
+    const PAGE: usize = STORE_PAGE as usize;
+    const PAGES: usize = 16;
+    let mut rng = Rng::seed_from_u64(0x5701e);
+    for _ in 0..8 {
+        let mut store = BlockStore::new();
+        let mut model = vec![0u8; PAGES * PAGE];
+        // (view, the bytes it showed when taken)
+        let mut held: Vec<(Bytes, Vec<u8>)> = Vec::new();
+        let mut written = 0u64;
+        for step in 0..160 {
+            let copied = store.bytes_copied();
+            let (offset, len) = match rng.range_usize(0..5) {
+                // Whole pages, page-aligned.
+                0 => (
+                    rng.range_usize(0..PAGES - 3) * PAGE,
+                    rng.range_usize(1..4) * PAGE,
+                ),
+                // Inside one page.
+                1 => {
+                    let at = rng.range_usize(0..PAGES * PAGE - 1);
+                    (at, rng.range_usize(1..PAGE - at % PAGE + 1))
+                }
+                // Unaligned, possibly spanning pages.
+                _ => (
+                    rng.range_usize(0..(PAGES - 3) * PAGE),
+                    rng.range_usize(1..3 * PAGE),
+                ),
+            };
+            if rng.gen_bool(0.6) {
+                // Write a slice of a larger buffer, so adopted pages view
+                // an allocation at a nonzero start.
+                let lead = rng.range_usize(0..3) * 4096;
+                let data = Bytes::from(payload(rng.next_u64(), lead + len)).slice(lead..);
+                store.write(offset as u64, &data);
+                model[offset..offset + len].copy_from_slice(&data);
+                written += len as u64;
+                if offset % PAGE == 0 && len % PAGE == 0 {
+                    assert_eq!(store.bytes_copied(), copied, "whole pages are adopted");
+                }
+                if rng.gen_bool(0.3) {
+                    held.push((data.clone(), data.to_vec()));
+                }
+            } else {
+                let view = store.read(offset as u64, len);
+                assert_eq!(&view[..], &model[offset..offset + len], "step {step}");
+                let gathered = store.bytes_copied() - copied;
+                if offset % PAGE + len <= PAGE {
+                    assert_eq!(gathered, 0, "a one-page read is a view");
+                } else {
+                    assert!(
+                        gathered <= len as u64,
+                        "a gather copies each byte at most once"
+                    );
+                }
+                if rng.gen_bool(0.5) {
+                    held.push((view.clone(), view.to_vec()));
+                }
+            }
+            if held.len() > 24 {
+                held.swap_remove(rng.range_usize(0..held.len()));
+            }
+            for (view, seen) in &held {
+                assert_eq!(&view[..], &seen[..], "a held view changed at step {step}");
+            }
+        }
+        assert_eq!(&store.read(0, model.len())[..], &model[..]);
+        assert_eq!(store.bytes_written(), written);
+        assert!(store.resident_pages() <= PAGES);
+    }
 }
 
 /// Sequential write script then read-back equals a flat model, on a

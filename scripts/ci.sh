@@ -25,6 +25,13 @@ echo "=== cargo test -q --workspace"
 # `cargo test` would run only the root's tests/*.rs.
 cargo test -q --workspace
 
+echo "=== hostbench"
+# hostbench/ is a package of its own, outside the workspace, so no stage
+# above builds it. Its smoke test runs both workloads on a tiny shape
+# with byte verification: an API change that breaks the benchmark fails
+# here, not only when the benchmark is next run.
+cargo test -q --release --offline --manifest-path hostbench/Cargo.toml
+
 echo "=== rebuild-storm smoke"
 # Crash 1 of 16 I/O nodes under RF=2 replication mid-run: the foreground
 # must complete with zero client-visible read errors, the replica
