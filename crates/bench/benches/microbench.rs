@@ -120,8 +120,6 @@ fn end_to_end_cfg() -> paragon_workload::ExperimentConfig {
         faults: FaultSpec::default(),
         redundancy: Redundancy::None,
         metrics_cadence: None,
-        shards: None,
-        workers: 1,
     }
 }
 

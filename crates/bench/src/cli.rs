@@ -6,15 +6,14 @@ use paragon_machine::Calibration;
 use paragon_metrics::{ExperimentRecord, Json};
 use paragon_pfs::{IoMode, Redundancy};
 use paragon_profile::{
-    critical_paths, export_perfetto, kernel_scalars, render_critical_path, render_kernel_profile,
-    PhaseBreakdown, SpanKind,
+    critical_paths, export_perfetto, render_critical_path, PhaseBreakdown, SpanKind,
 };
 use paragon_sim::{
     export_json, hash_events, parse_json, render_track_summary, FaultStats, SimDuration, TraceEvent,
 };
 use paragon_workload::{
-    metrics_check, metrics_report, render_report, run, run_profiled, AccessPattern,
-    ExperimentConfig, FaultSpec, RunResult, StripeLayout, PARALLEL_SPEEDUP_SCALAR,
+    metrics_check, metrics_report, render_report, run, AccessPattern, ExperimentConfig, FaultSpec,
+    RunResult, StripeLayout,
 };
 
 use std::path::Path;
@@ -39,7 +38,6 @@ USAGE:
     paragonctl metrics check [OPTIONS] [--baseline FILE] [--tolerance X] [--bench]
     paragonctl profile critical-path [FILE | OPTIONS] [--top N]
     paragonctl profile export [FILE | OPTIONS] [--format perfetto] [--out FILE]
-    paragonctl profile kernel [OPTIONS]
 
 REPRODUCE:
     regenerate a table, figure or extension study of the paper by id
@@ -52,18 +50,14 @@ PROFILE:
                armed) and charge each nanosecond of end-to-end latency
                to one pipeline component: p50/p95/p99/max blame per
                component plus the --top N slowest requests with their
-               full milestone chains. Deterministic: byte-identical
-               output at any --workers count
+               full milestone chains. Deterministic: the same seed
+               and OPTIONS give byte-identical output
     export     render the trace as Chrome-trace JSON for ui.perfetto.dev
                (one lane per CN/ION/spindle, duration slices, flow
                arrows per request; fresh runs also attach telemetry
                counter tracks)
     --format <perfetto>  output format                    [perfetto]
     --out <FILE|->       destination                      [stdout]
-    kernel     run the OPTIONS experiment with kernel self-profiling
-               (host-side wall clocks, simulation bytes unchanged) and
-               report epochs, per-worker barrier stall, cross-shard
-               frame volume, events/s, calendar rebuild churn
 
 METRICS:
     run        run the OPTIONS-selected experiment with the telemetry
@@ -82,11 +76,8 @@ METRICS:
     --bench    also measure engine throughput on the fixed EXT-SCALING
                bench shape (64x16, 128 MB, 25 ms delay, prefetch,
                reread differencing) and add the host-timed scalar
-               bench.sim_io_bytes_per_host_second to the report; on
-               hosts with >= 4 cores additionally time the sharded
-               512x64 shape at 1 vs 4 workers and add
-               bench.parallel_speedup; in `check` both scalars gate as
-               one-sided floors (see DESIGN.md)
+               bench.sim_io_bytes_per_host_second to the report; in
+               `check` it gates as a one-sided floor (see DESIGN.md)
 
 FAULTS:
     run the OPTIONS-selected experiment once per fault class (none,
@@ -134,12 +125,6 @@ OPTIONS:
     --verify              verify returned bytes against the pattern
     --compare             also run with prefetching toggled, print both
     --trace <N>           record and print up to N trace events
-    --shards <N>          force N shard worlds on the parallel kernel
-                          (0 = auto: 1 below 1024 CN, byte-identical to
-                          the serial kernel; 4 from 1024 CN; 8 from
-                          4096 CN)                              [auto]
-    --workers <N>         host threads driving the shard worlds; never
-                          changes simulation bytes (0 = host cores) [1]
     --json                emit a JSON ExperimentRecord instead of text
 ";
 
@@ -256,11 +241,6 @@ pub(crate) fn build_config(args: &mut Args) -> Result<ExperimentConfig, String> 
         faults: FaultSpec::default(),
         redundancy,
         metrics_cadence: None,
-        shards: match args.parsed("--shards", 0usize)? {
-            0 => None,
-            s => Some(s),
-        },
-        workers: args.parsed("--workers", 1)?,
     };
     if prefetch_on {
         let mut pc = PrefetchConfig::with_depth(depth.max(1));
@@ -549,83 +529,6 @@ fn bench_throughput() -> Result<f64, String> {
     Ok(best)
 }
 
-/// Measure the parallel kernel's host-time speedup on the large
-/// EXT-SCALING shape: 512 CN × 64 ION, one shared 128 MB file, 64 KB
-/// requests, forced onto 4 shard worlds. The *same* sharded simulation
-/// (byte-identical traces by construction) runs once driven by a single
-/// worker thread and once by four, and the scalar is the
-/// reread-differenced host-time ratio serial ÷ parallel — so world
-/// construction and file population, which both variants replicate
-/// identically, cancel out and only the measured phase's epoch-parallel
-/// execution is compared. Best of three trials (host noise only ever
-/// lowers an observed speedup on an otherwise idle machine).
-///
-/// Returns `Ok(None)` — scalar skipped, gate absent-safe — when the
-/// host cannot actually run four workers in parallel; a wall-clock
-/// speedup floor is meaningless without the hardware under it.
-fn bench_parallel_speedup() -> Result<Option<f64>, String> {
-    const WORKERS: usize = 4;
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    if cores < WORKERS {
-        eprintln!(
-            "bench: host exposes {cores} core(s); skipping \
-             {PARALLEL_SPEEDUP_SCALAR} (needs {WORKERS})"
-        );
-        return Ok(None);
-    }
-    const EXTRA_PASSES: u32 = 2;
-    let shape = |passes: u32, workers: usize| {
-        let mut cfg = ExperimentConfig::paper_iobound(64 * 1024, 16);
-        cfg.compute_nodes = 512;
-        cfg.io_nodes = 64;
-        cfg.layout = StripeLayout::Across { factor: 64 };
-        cfg.file_size = 128 << 20;
-        cfg.access = AccessPattern::Reread { passes };
-        cfg.shards = Some(4);
-        cfg.workers = workers;
-        cfg.with_prefetch()
-    };
-    let timed = |passes: u32, workers: usize| {
-        #[expect(
-            clippy::disallowed_types,
-            reason = "the bench harness measures host wall time; the reading never feeds back into the simulation"
-        )]
-        let t0 = std::time::Instant::now();
-        run(&shape(passes, workers));
-        t0.elapsed().as_secs_f64()
-    };
-    let delta = |workers: usize| timed(1 + EXTRA_PASSES, workers) - timed(1, workers);
-    let mut best = 0.0f64;
-    for _ in 0..3 {
-        let serial = delta(1);
-        let parallel = delta(WORKERS);
-        if serial > 0.0 && parallel > 0.0 {
-            best = best.max(serial / parallel);
-        }
-    }
-    if best <= 0.0 {
-        return Err("bench: host-time difference was not positive in any trial".into());
-    }
-    Ok(Some(best))
-}
-
-/// Self-profile the parallel kernel on a small sharded shape and return
-/// its `bench.kernel.*` scalars for the report. The simulation is
-/// deterministic; only the host-clock fields (stall fraction, events/s)
-/// vary run to run, and `metrics check` treats the whole family as
-/// absent-safe with a single absolute ceiling on the stall fraction.
-fn bench_kernel_profile() -> Vec<(&'static str, f64)> {
-    let mut cfg = ExperimentConfig::paper_iobound(64 * 1024, 16);
-    cfg.compute_nodes = 128;
-    cfg.io_nodes = 16;
-    cfg.layout = StripeLayout::Across { factor: 16 };
-    cfg.file_size = 32 << 20;
-    cfg.shards = Some(4);
-    cfg.workers = std::thread::available_parallelism().map_or(1, |n| n.get().min(4));
-    let (_, prof) = run_profiled(&cfg);
-    kernel_scalars(&prof)
-}
-
 /// Insert `name = value` into a report's `"scalars"` object (no-op on a
 /// malformed report).
 fn insert_scalar(report: &mut Json, name: &str, value: f64) {
@@ -668,14 +571,6 @@ fn metrics_cmd(argv: Vec<String>) -> ExitCode {
                 match bench_throughput() {
                     Ok(v) => insert_scalar(&mut report, BENCH_SCALAR, v),
                     Err(e) => return fail(e),
-                }
-                match bench_parallel_speedup() {
-                    Ok(Some(v)) => insert_scalar(&mut report, PARALLEL_SPEEDUP_SCALAR, v),
-                    Ok(None) => {}
-                    Err(e) => return fail(e),
-                }
-                for (name, v) in bench_kernel_profile() {
-                    insert_scalar(&mut report, name, v);
                 }
             }
             let json = report.pretty();
@@ -805,8 +700,8 @@ fn profile_events(
     Ok((std::mem::take(&mut r.trace), r.metrics))
 }
 
-/// `paragonctl profile …`: critical-path blame, Perfetto timeline
-/// export, and the parallel kernel's self-profile.
+/// `paragonctl profile …`: critical-path blame and Perfetto timeline
+/// export.
 fn profile_cmd(argv: Vec<String>) -> ExitCode {
     let fail = |e: String| {
         eprintln!("error: {e}\n\n{USAGE}");
@@ -857,26 +752,7 @@ fn profile_cmd(argv: Vec<String>) -> ExitCode {
             }
             ExitCode::SUCCESS
         }
-        Some("kernel") => {
-            let mut args = Args(argv[1..].to_vec());
-            let cfg = match build_config(&mut args) {
-                Ok(c) => c,
-                Err(e) => return fail(e),
-            };
-            if !args.0.is_empty() {
-                return fail(format!("unrecognized arguments {:?}", args.0));
-            }
-            let (r, prof) = run_profiled(&cfg);
-            print!("{}", render_kernel_profile(&prof));
-            println!(
-                "\nsimulated: {} MB in {} (trace hash {:#018x})",
-                r.total_bytes >> 20,
-                r.elapsed,
-                r.trace_hash
-            );
-            ExitCode::SUCCESS
-        }
-        _ => fail("profile needs a subcommand: critical-path | export | kernel".into()),
+        _ => fail("profile needs a subcommand: critical-path | export".into()),
     }
 }
 

@@ -427,8 +427,8 @@ fn ext_scaling(sweep: &mut Sweep) -> Result<(), HarnessError> {
     // to the paper's runs; from 64 CNs up it drops to 1 MB so the larger
     // points stay inside a laptop's memory and a CI wall-clock budget, and
     // the 4096-CN full machine drops to 256 KB (4 requests per node) for
-    // the same reason — the sharded worlds each replicate the whole file
-    // system, so file bytes cost shard-count × their size in host memory.
+    // the same reason: file population materializes every byte of the
+    // file in host memory, so the file size sets the run's peak RSS.
     let per_cn_bytes = |cn: usize| -> u64 {
         match cn {
             4096.. => 256 << 10,
@@ -443,7 +443,7 @@ fn ext_scaling(sweep: &mut Sweep) -> Result<(), HarnessError> {
             shown("CN x ION"),
             stored("compute_nodes"),
             stored("io_nodes"),
-            stored("per_cn_mb"),
+            stored("per_cn_kb"),
             col("No prefetch (MB/s)", "bw_no_prefetch_mb_s"),
             col("Prefetch (MB/s)", "bw_prefetch_mb_s"),
             col("Gain", "gain").suffix("x"),
@@ -461,12 +461,6 @@ fn ext_scaling(sweep: &mut Sweep) -> Result<(), HarnessError> {
             io_nodes: ion,
             layout: StripeLayout::Across { factor: ion },
             file_size: (cn as u64) * per_cn_bytes(cn),
-            // From 1024 CNs up the config auto-shards onto the parallel
-            // kernel; drive the worlds with one worker per host core. The
-            // recorded values cannot depend on this (workers only map
-            // worlds to threads), it just shortens the sweep on multicore
-            // hosts.
-            workers: 0,
             ..ExperimentConfig::paper_balanced(64 * 1024, SimDuration::from_millis(25))
         };
         let no_pf = run_logged(&format!("{cn}x{ion} no-pf"), &cfg);
@@ -487,7 +481,7 @@ fn ext_scaling(sweep: &mut Sweep) -> Result<(), HarnessError> {
             format!("{cn} x {ion}").into(),
             cn.to_string().into(),
             ion.to_string().into(),
-            (per_cn_bytes(cn) >> 20).to_string().into(),
+            (per_cn_bytes(cn) >> 10).to_string().into(),
             no_pf.bandwidth_mb_s().into(),
             pf.bandwidth_mb_s().into(),
             (pf.bandwidth_mb_s() / no_pf.bandwidth_mb_s()).into(),

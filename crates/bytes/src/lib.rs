@@ -5,26 +5,24 @@
 //! can fan through the mesh, cache, and prefetch list without copies),
 //! and a mutable staging buffer that freezes into one. The crates.io
 //! `bytes` crate does this with atomics and a vtable; here an
-//! `Arc<Vec<u8>>` plus a range is enough — and keeping it in-repo makes
+//! `Rc<Vec<u8>>` plus a range is enough — and keeping it in-repo makes
 //! the build hermetic (tier-1 verify needs no registry access). Backing
-//! `Bytes` with the `Vec` itself, not an `Arc<[u8]>`, is what makes
+//! `Bytes` with the `Vec` itself, not an `Rc<[u8]>`, is what makes
 //! `Bytes::from(Vec)` and [`BytesMut::freeze`] move the buffer instead
-//! of copying it (`Arc::<[u8]>::from(Vec)` reallocates); the price is
-//! one more pointer hop in `Deref` (`Arc` → `Vec` → bytes). The backing
-//! pointer is atomic (`Arc`, not `Rc`) so a payload can cross a shard
-//! boundary in the parallel kernel: each sharded world runs on its own
-//! host thread, and a cross-shard mesh frame carries its `Bytes` with
-//! it. Clones are still cheap (one atomic increment) and immutable
-//! content needs no further synchronization. The API is the subset the
-//! workspace uses, name-compatible with the real crate.
+//! of copying it (`Rc::<[u8]>::from(Vec)` reallocates); the price is
+//! one more pointer hop in `Deref` (`Rc` → `Vec` → bytes). The simulator
+//! is single-threaded, so the reference count is a plain `Rc`: a clone
+//! is one non-atomic increment, and `Bytes` is deliberately `!Send`. The
+//! API is the subset the workspace uses, name-compatible with the real
+//! crate.
 
 use std::ops::{Bound, Deref, DerefMut, RangeBounds};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// A cheaply clonable, immutable slice of bytes.
 #[derive(Clone, Default)]
 pub struct Bytes {
-    data: Arc<Vec<u8>>,
+    data: Rc<Vec<u8>>,
     start: usize,
     end: usize,
 }
@@ -86,7 +84,7 @@ impl Bytes {
         if start != 0 || end != data.len() {
             return Err(Bytes { data, start, end });
         }
-        Arc::try_unwrap(data)
+        Rc::try_unwrap(data)
             .map(|data| BytesMut { data })
             .map_err(|data| Bytes { data, start, end })
     }
@@ -96,7 +94,7 @@ impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Bytes {
         let end = v.len();
         Bytes {
-            data: Arc::new(v),
+            data: Rc::new(v),
             start: 0,
             end,
         }
@@ -286,14 +284,6 @@ mod tests {
         // The only whole view gets the buffer back without a copy.
         let m = b.try_into_mut().unwrap();
         assert_eq!((m.as_ptr(), &m[..]), (ptr, &[1u8, 2, 3, 4][..]));
-    }
-
-    #[test]
-    fn bytes_crosses_threads() {
-        // The parallel kernel ships read replies across shard worlds:
-        // a Bytes (and anything holding one) must be Send + Sync.
-        fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<Bytes>();
     }
 
     #[test]

@@ -14,10 +14,7 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use paragon_sim::sync::{channel, Receiver, Semaphore, Sender};
-use paragon_sim::{
-    ev, EventKind, FaultPlan, MeshVerdict, OutFrame, ReqId, ShardCtx, Sim, SimDuration, SimTime,
-    Track,
-};
+use paragon_sim::{ev, EventKind, FaultPlan, MeshVerdict, ReqId, Sim, SimDuration, Track};
 
 use crate::topology::{NodeId, Topology};
 
@@ -99,19 +96,6 @@ struct MeshInner<M> {
     stats: MeshStats,
 }
 
-/// Wire form of a message crossing between shard worlds: everything the
-/// destination world needs to finish the delivery locally. The sender's
-/// world has already charged NIC occupancy, drawn the fault verdict, and
-/// computed the arrival instant; the destination world performs the
-/// mailbox landing (and its NetRx/drop accounting) at that instant.
-struct MeshFrame<M> {
-    src: NodeId,
-    dst: NodeId,
-    wire_bytes: u64,
-    req: ReqId,
-    payload: M,
-}
-
 /// The interconnect: binds mailboxes and moves typed messages with
 /// Paragon-calibrated latency. Clone freely.
 pub struct Mesh<M> {
@@ -126,10 +110,6 @@ pub struct Mesh<M> {
     inflight_bytes: Rc<Cell<i64>>,
     /// Cumulative NIC-occupancy nanoseconds per source node.
     nic_busy_ns: Rc<Vec<Cell<u64>>>,
-    /// Present only in sharded worlds: the shard context plus this
-    /// mesh's fabric id, used to divert sends whose destination another
-    /// shard owns (and to receive theirs).
-    shard: Option<(Rc<ShardCtx>, u32)>,
 }
 
 impl<M> Clone for Mesh<M> {
@@ -143,21 +123,16 @@ impl<M> Clone for Mesh<M> {
             inner: self.inner.clone(),
             inflight_bytes: self.inflight_bytes.clone(),
             nic_busy_ns: self.nic_busy_ns.clone(),
-            shard: self.shard.clone(),
         }
     }
 }
 
-impl<M: Clone + Send + 'static> Mesh<M> {
+impl<M: Clone + 'static> Mesh<M> {
     /// Build a mesh over `topo` with the given timing parameters.
-    ///
-    /// In a sharded world this also registers the mesh as a fabric with
-    /// the shard context; every world constructs its meshes in the same
-    /// order, so the fabric id names the same mesh in every shard.
     pub fn new(sim: &Sim, topo: Topology, params: MeshParams) -> Self {
         let nic_tx = (0..topo.nodes()).map(|_| Semaphore::new(1)).collect();
         let nic_busy_ns = (0..topo.nodes()).map(|_| Cell::new(0u64)).collect();
-        let mut mesh = Mesh {
+        Mesh {
             sim: sim.clone(),
             topo,
             params,
@@ -169,44 +144,7 @@ impl<M: Clone + Send + 'static> Mesh<M> {
             })),
             inflight_bytes: Rc::new(Cell::new(0)),
             nic_busy_ns: Rc::new(nic_busy_ns),
-            shard: None,
-        };
-        if let Some(ctx) = sim.shard_ctx() {
-            let receiver = mesh.clone();
-            let fabric = ctx.register_fabric(move |frame| receiver.inject_frame(frame));
-            mesh.shard = Some((ctx, fabric));
         }
-        mesh
-    }
-
-    /// Land a frame exported by another shard's world: re-enter transit
-    /// accounting here and finish the delivery at the precomputed arrival
-    /// instant. Called at the epoch barrier, in `(arrival, src, seq)`
-    /// order.
-    fn inject_frame(&self, frame: OutFrame) {
-        let arrival = SimTime::from_nanos(frame.arrival_ns);
-        let Ok(boxed) = frame.payload.downcast::<MeshFrame<M>>() else {
-            // A frame for this fabric that is not this mesh's message
-            // type would be a wiring bug between worlds; surface it as an
-            // observable drop rather than a crash.
-            self.inner.borrow_mut().stats.drops += 1;
-            return;
-        };
-        let MeshFrame {
-            src,
-            dst,
-            wire_bytes,
-            req,
-            payload,
-        } = *boxed;
-        self.inflight_bytes
-            .set(self.inflight_bytes.get() + wire_bytes as i64);
-        let mesh = self.clone();
-        let sim = self.sim.clone();
-        self.sim.spawn_named("mesh-deliver", async move {
-            sim.sleep_until(arrival).await;
-            mesh.finish_delivery(src, dst, wire_bytes, req, payload);
-        });
     }
 
     /// The mesh shape.
@@ -347,33 +285,6 @@ impl<M: Clone + Send + 'static> Mesh<M> {
             payloads.push(payload.clone());
         }
         payloads.push(payload);
-        // Destination owned by another shard's world: the sender-side
-        // costs (NIC occupancy, stats, NetTx, fault verdict) are already
-        // charged here; the landing happens in the owner's world at
-        // `now + propagation`. Propagation of any cross-shard message is
-        // at least one hop plus the receive overhead — exactly the
-        // conservative lookahead — so the arrival is never in the
-        // destination's past.
-        if let Some((ctx, fabric)) = &self.shard {
-            if !ctx.owns(dst.0 as u16) {
-                let arrival = self.sim.now() + propagation;
-                for payload in payloads {
-                    ctx.export(
-                        arrival,
-                        ctx.owner_of(dst.0 as u16),
-                        *fabric,
-                        Box::new(MeshFrame {
-                            src,
-                            dst,
-                            wire_bytes,
-                            req,
-                            payload,
-                        }),
-                    );
-                }
-                return;
-            }
-        }
         for payload in payloads {
             self.inflight_bytes
                 .set(self.inflight_bytes.get() + wire_bytes as i64);
@@ -391,9 +302,7 @@ impl<M: Clone + Send + 'static> Mesh<M> {
     }
 
     /// The receiver half of a delivery: leave transit accounting, record
-    /// the landing, and push into the destination mailbox. Shared by the
-    /// local path and cross-shard injection so both produce the same
-    /// events in the same order.
+    /// the landing, and push into the destination mailbox.
     fn finish_delivery(&self, src: NodeId, dst: NodeId, wire_bytes: u64, req: ReqId, payload: M) {
         self.inflight_bytes
             .set(self.inflight_bytes.get() - wire_bytes as i64);
@@ -607,66 +516,6 @@ mod tests {
         let busy = mesh.nic_busy_ns();
         assert!(busy[0] > 0, "sender NIC accumulated occupancy");
         assert_eq!(busy[1], 0, "receiver NIC sent nothing");
-    }
-
-    #[test]
-    fn cross_shard_send_matches_the_serial_timeline() {
-        use paragon_sim::{run_sharded, ShardPlan};
-        use std::sync::Arc;
-
-        // One sender on node 0, one receiver on node 1.
-        fn model(sim: &Sim) -> paragon_sim::JoinHandle<(u64, SimTime)> {
-            let mesh: Mesh<u64> = two_node_mesh(sim, MeshParams::paragon());
-            let owns = |node: u16| sim.shard_ctx().is_none_or(|ctx| ctx.owns(node));
-            let handle = {
-                let s = sim.clone();
-                let mut rx = if owns(1) {
-                    Some(mesh.bind(NodeId(1)))
-                } else {
-                    None
-                };
-                sim.spawn(async move {
-                    match rx.as_mut() {
-                        Some(rx) => {
-                            let env = rx.recv().await.unwrap();
-                            (env.payload, s.now())
-                        }
-                        None => (0, SimTime::ZERO),
-                    }
-                })
-            };
-            if owns(0) {
-                let m = mesh.clone();
-                sim.spawn(async move {
-                    m.send(NodeId(0), NodeId(1), 1000, 7).await;
-                });
-            }
-            handle
-        }
-
-        let serial = {
-            let sim = Sim::new(5);
-            let h = model(&sim);
-            sim.run();
-            h.try_take().unwrap()
-        };
-        // The paragon propagation floor: one hop plus receive overhead.
-        let lookahead = MeshParams::paragon().hop_latency.as_nanos()
-            + MeshParams::paragon().recv_overhead.as_nanos();
-        let plan = ShardPlan {
-            shards: 2,
-            workers: 2,
-            lookahead_ns: lookahead,
-            owner: Arc::new(vec![0, 1]),
-            seed: 5,
-        };
-        let sharded = run_sharded(&plan, |_, sim| model(sim), |_, _, h| h.try_take());
-        assert_eq!(serial.0, 7);
-        assert_eq!(
-            sharded[1],
-            Some(serial),
-            "cross-shard delivery must land at the serial instant"
-        );
     }
 
     #[test]

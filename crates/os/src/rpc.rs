@@ -155,8 +155,8 @@ impl<Req, Resp> Clone for RpcNet<Req, Resp> {
 
 impl<Req, Resp> RpcNet<Req, Resp>
 where
-    Req: WireSize + Clone + Send + 'static,
-    Resp: WireSize + Clone + Send + 'static,
+    Req: WireSize + Clone + 'static,
+    Resp: WireSize + Clone + 'static,
 {
     /// Build the fabric over `topo`.
     pub fn new(sim: &Sim, topo: Topology, params: MeshParams) -> Self {
@@ -289,8 +289,8 @@ impl<Req, Resp> Clone for RpcClient<Req, Resp> {
 
 impl<Req, Resp> RpcClient<Req, Resp>
 where
-    Req: WireSize + Clone + Send + 'static,
-    Resp: WireSize + Clone + Send + 'static,
+    Req: WireSize + Clone + 'static,
+    Resp: WireSize + Clone + 'static,
 {
     /// The node this endpoint belongs to.
     pub fn node(&self) -> NodeId {

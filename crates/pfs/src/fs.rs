@@ -105,9 +105,6 @@ impl ParallelFs {
                     // gets a matching-kind error reply, not a crash.
                     PfsRequest::Read { .. } => PfsResponse::Data(Err(PfsError::BadRequest)),
                     PfsRequest::Write { .. } => PfsResponse::WriteAck(Err(PfsError::BadRequest)),
-                    PfsRequest::StageReplica { .. } | PfsRequest::CommitReplica { .. } => {
-                        PfsResponse::Staged(Err(PfsError::BadRequest))
-                    }
                 }
             })
         });

@@ -48,30 +48,6 @@ pub enum PfsRequest {
     },
     /// Shared-file-pointer operation (service node).
     Ptr(PtrRequest),
-    /// Recovery: create a staging replica of `slot` on the receiving I/O
-    /// node (re-replication target after `crashed_ion` crashed). The
-    /// reply carries the staging file's inode so the rebuild coordinator
-    /// can mirror the registry entry. Used when the coordinator and the
-    /// target node live in different shard worlds; a local target is
-    /// staged directly.
-    StageReplica {
-        /// Flight-recorder request id minted at the coordinator.
-        req: ReqId,
-        file: PfsFileId,
-        slot: u16,
-        /// The I/O node whose copy was lost.
-        crashed_ion: u16,
-    },
-    /// Recovery: promote the receiving I/O node's staging replica of
-    /// `slot` to ready, retiring `crashed_ion`'s lost copy.
-    CommitReplica {
-        /// Flight-recorder request id minted at the coordinator.
-        req: ReqId,
-        file: PfsFileId,
-        slot: u16,
-        /// The I/O node whose copy is being replaced.
-        crashed_ion: u16,
-    },
 }
 
 /// Shared-pointer operations, one per shared-pointer mode.
@@ -107,9 +83,6 @@ pub enum PfsResponse {
     /// Pointer-operation reply: the relevant file offset, or why the
     /// service node could not produce one.
     Ptr(Result<u64, PfsError>),
-    /// Replica staging/commit acknowledgement: the staging file's inode
-    /// (staging) or `0` (commit), or why the target could not comply.
-    Staged(Result<u64, PfsError>),
 }
 
 /// PFS-level failure.
@@ -195,16 +168,12 @@ impl WireSize for PfsRequest {
             PfsRequest::Read { .. } => 32,
             PfsRequest::Write { data, .. } => 32 + data.len() as u64,
             PfsRequest::Ptr(_) => 24,
-            PfsRequest::StageReplica { .. } | PfsRequest::CommitReplica { .. } => 24,
         }
     }
 
     fn trace_req(&self) -> ReqId {
         match self {
-            PfsRequest::Read { req, .. }
-            | PfsRequest::Write { req, .. }
-            | PfsRequest::StageReplica { req, .. }
-            | PfsRequest::CommitReplica { req, .. } => *req,
+            PfsRequest::Read { req, .. } | PfsRequest::Write { req, .. } => *req,
             PfsRequest::Ptr(_) => 0,
         }
     }
@@ -214,10 +183,7 @@ impl WireSize for PfsResponse {
     fn wire_bytes(&self) -> u64 {
         match self {
             PfsResponse::Data(Ok(data)) => 16 + data.len() as u64,
-            PfsResponse::Data(Err(_))
-            | PfsResponse::WriteAck(_)
-            | PfsResponse::Ptr(_)
-            | PfsResponse::Staged(_) => 16,
+            PfsResponse::Data(Err(_)) | PfsResponse::WriteAck(_) | PfsResponse::Ptr(_) => 16,
         }
     }
 }

@@ -205,40 +205,16 @@ pub async fn rebuild_after_crash(
     let chunk = cfg.chunk_bytes.max(1);
     let mut bucket = TokenBucket::new(sim.clone(), &cfg);
     let mut stats = RebuildStats::default();
-    let shard = sim.shard_ctx();
     for item in work {
         let meta = pfs.registry().borrow().get(item.file)?.clone();
         let src_inode = meta.inode_on(item.slot, item.src_ion)?;
         let slot_len = pfs.machine().ufs(item.src_ion).size(src_inode).unwrap_or(0);
-        let target_node = pfs.machine().io_node(item.target_ion);
-        // A target owned by this shard's world (always, under the serial
-        // kernel) is staged directly on its UFS. A target in another
-        // shard's world is staged through the front door — its server
-        // creates the staging file and registers it in that world's file
-        // table — and the reply's inode is mirrored into ours.
-        let local_target = shard
-            .as_ref()
-            .is_none_or(|ctx| ctx.owns(target_node.0 as u16));
-        let staging = if local_target {
-            pfs.machine()
-                .ufs(item.target_ion)
-                .create(&format!("{}.{}.rb{crashed_ion}", meta.name, item.slot))
-                .await
-                .map_err(PfsError::from)?
-        } else {
-            let stage = PfsRequest::StageReplica {
-                req,
-                file: item.file,
-                slot: item.slot,
-                crashed_ion: crashed_ion as u16,
-            };
-            match rpc.call_policy(target_node, stage, policy).await {
-                Ok(PfsResponse::Staged(Ok(inode))) => paragon_ufs::InodeId(inode),
-                Ok(PfsResponse::Staged(Err(e))) => return Err(e),
-                Ok(_) => return Err(PfsError::BadReply),
-                Err(e) => return Err(e.into()),
-            }
-        };
+        let staging = pfs
+            .machine()
+            .ufs(item.target_ion)
+            .create(&format!("{}.{}.rb{crashed_ion}", meta.name, item.slot))
+            .await
+            .map_err(PfsError::from)?;
         meta.add_staging_replica(item.slot, item.target_ion, staging);
         let mut at = 0u64;
         while at < slot_len {
@@ -282,22 +258,6 @@ pub async fn rebuild_after_crash(
                 Err(e) => return Err(e.into()),
             }
             at += n;
-        }
-        if !local_target {
-            // Promote in the owning world first — its readers select
-            // ready copies from that table — then mirror below.
-            let commit = PfsRequest::CommitReplica {
-                req,
-                file: item.file,
-                slot: item.slot,
-                crashed_ion: crashed_ion as u16,
-            };
-            match rpc.call_policy(target_node, commit, policy).await {
-                Ok(PfsResponse::Staged(Ok(_))) => {}
-                Ok(PfsResponse::Staged(Err(e))) => return Err(e),
-                Ok(_) => return Err(PfsError::BadReply),
-                Err(e) => return Err(e.into()),
-            }
         }
         meta.commit_replica(item.slot, item.target_ion, crashed_ion);
         stats.slots_copied += 1;

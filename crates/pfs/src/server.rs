@@ -193,88 +193,7 @@ impl IonServer {
                 // misrouted one with an error instead of crashing the node.
                 PfsResponse::Ptr(Err(PfsError::BadRequest))
             }
-            PfsRequest::StageReplica {
-                req,
-                file,
-                slot,
-                crashed_ion,
-            } => {
-                self.sim
-                    .emit(|| ev(ion, EventKind::ServeStart, req, slot as u64, 0));
-                let result = self.stage_replica(file, slot, crashed_ion).await;
-                self.sim
-                    .emit(|| ev(ion, EventKind::ServeDone, req, slot as u64, 0));
-                PfsResponse::Staged(result)
-            }
-            PfsRequest::CommitReplica {
-                req,
-                file,
-                slot,
-                crashed_ion,
-            } => {
-                self.sim
-                    .emit(|| ev(ion, EventKind::ServeStart, req, slot as u64, 0));
-                let result = self.promote_replica(file, slot, crashed_ion).await;
-                self.sim
-                    .emit(|| ev(ion, EventKind::ServeDone, req, slot as u64, 0));
-                PfsResponse::Staged(result)
-            }
         }
-    }
-
-    /// Create a staging copy of `slot` on this node's UFS and register it
-    /// in this node's view of the file table. The rebuild coordinator
-    /// sends this when it cannot touch the target node's UFS directly
-    /// (the node lives in another shard's world); the reply carries the
-    /// staging inode so the coordinator can mirror its own table.
-    async fn stage_replica(
-        &self,
-        file: PfsFileId,
-        slot: u16,
-        crashed_ion: u16,
-    ) -> Result<u64, PfsError> {
-        let _thread = self.threads.acquire().await;
-        let held = self.sim.now();
-        self.charge_overheads(0, 0, false).await;
-        // Resolve the staging name without holding the registry borrow
-        // across the UFS create (the server handles requests concurrently).
-        let name = {
-            let registry = self.registry.borrow();
-            let meta = registry.get(file)?;
-            meta.slot(slot)?;
-            format!("{}.{}.rb{crashed_ion}", meta.name, slot)
-        };
-        let inode = self.ufs.create(&name).await?;
-        {
-            let registry = self.registry.borrow();
-            let meta = registry.get(file)?;
-            meta.add_staging_replica(slot, self.ion_index, inode);
-        }
-        self.note_busy(held);
-        Ok(inode.0)
-    }
-
-    /// Promote this node's staging copy of `slot` to ready, retiring the
-    /// crashed node's lost copy — the commit half of a cross-world
-    /// re-replication.
-    async fn promote_replica(
-        &self,
-        file: PfsFileId,
-        slot: u16,
-        crashed_ion: u16,
-    ) -> Result<u64, PfsError> {
-        let _thread = self.threads.acquire().await;
-        let held = self.sim.now();
-        self.charge_overheads(0, 0, false).await;
-        {
-            let registry = self.registry.borrow();
-            let meta = registry.get(file)?;
-            // This node must actually hold a copy to promote.
-            meta.inode_on(slot, self.ion_index)?;
-            meta.commit_replica(slot, self.ion_index, crashed_ion as usize);
-        }
-        self.note_busy(held);
-        Ok(0)
     }
 
     async fn charge_overheads(&self, offset: u64, len: u64, shared: bool) {

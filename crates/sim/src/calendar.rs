@@ -52,10 +52,6 @@ pub struct CalendarQueue<T> {
     /// entry has a smaller virtual bucket number.
     cur_vb: u64,
     cached: Option<Cached>,
-    /// Lifetime count of `rebuild` calls (grow, shrink, or retune). Purely
-    /// content-driven, so equal-seed runs count identically — safe to
-    /// surface in deterministic reports.
-    rebuilds: u64,
 }
 
 impl<T> Default for CalendarQueue<T> {
@@ -72,13 +68,7 @@ impl<T> CalendarQueue<T> {
             len: 0,
             cur_vb: 0,
             cached: None,
-            rebuilds: 0,
         }
-    }
-
-    /// How many times the queue re-bucketed itself (resize churn).
-    pub fn rebuilds(&self) -> u64 {
-        self.rebuilds
     }
 
     pub fn len(&self) -> usize {
@@ -232,7 +222,6 @@ impl<T> CalendarQueue<T> {
     /// Re-bucket every entry into `new_n` buckets, retuning the width to
     /// roughly twice the mean inter-event gap of the current content.
     fn rebuild(&mut self, new_n: usize) {
-        self.rebuilds += 1;
         let new_n = new_n.max(MIN_BUCKETS).next_power_of_two();
         let mut entries: Vec<Entry<T>> = Vec::with_capacity(self.len);
         for b in &mut self.buckets {

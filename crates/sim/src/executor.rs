@@ -19,7 +19,6 @@ use std::task::{Context, Poll, Waker};
 
 use crate::fault::FaultPlan;
 use crate::kernel::Kernel;
-use crate::parallel::ShardCtx;
 use crate::rng::Rng;
 use crate::task::{ReadyQueue, TaskId, TaskTable};
 use crate::time::{SimDuration, SimTime};
@@ -49,10 +48,6 @@ pub struct Sim {
     seed: u64,
     trace: Trace,
     faults: FaultPlan,
-    /// Set only when this world is one shard of a partitioned machine
-    /// (see [`crate::parallel`]). `None` — the default — leaves every
-    /// code path exactly as the serial kernel executes it.
-    shard: Rc<RefCell<Option<Rc<ShardCtx>>>>,
 }
 
 impl Sim {
@@ -66,22 +61,7 @@ impl Sim {
             seed,
             trace: Trace::default(),
             faults: FaultPlan::new(derive_seed(seed, "fault-plan")),
-            shard: Rc::new(RefCell::new(None)),
         }
-    }
-
-    /// Install the cross-shard context. Called once by
-    /// [`crate::parallel::run_sharded`] before any model code is built;
-    /// fabrics (the mesh) consult it to divert sends whose destination
-    /// lives in another shard's world.
-    pub fn set_shard_ctx(&self, ctx: Rc<ShardCtx>) {
-        *self.shard.borrow_mut() = Some(ctx);
-    }
-
-    /// The cross-shard context, when this world is one shard of a
-    /// partitioned machine. `None` on a serial (single-shard) run.
-    pub fn shard_ctx(&self) -> Option<Rc<ShardCtx>> {
-        self.shard.borrow().clone()
     }
 
     /// This world's flight recorder. Arm it with [`Trace::arm`] to make
@@ -231,55 +211,6 @@ impl Sim {
         self.report()
     }
 
-    /// Drive the world, firing only events *strictly before* `end`.
-    ///
-    /// This is the epoch primitive of the parallel kernel: a shard may
-    /// safely execute every event with `t < epoch_end` because any
-    /// cross-shard arrival produced elsewhere during the same epoch lands
-    /// at `t ≥ global_min + lookahead = epoch_end`. The strict bound (vs
-    /// [`Sim::run_until`]'s inclusive one) keeps the boundary instant in
-    /// the *next* epoch, after those arrivals have been injected.
-    pub fn run_until_exclusive(&self, end: SimTime) -> RunReport {
-        loop {
-            self.drain_ready();
-            let next = self.kernel.borrow_mut().next_event_time();
-            match next {
-                Some(t) if t < end => {
-                    let waker = self
-                        .kernel
-                        .borrow_mut()
-                        .fire_next()
-                        .expect("heap entry vanished");
-                    waker.wake();
-                }
-                _ => break,
-            }
-        }
-        self.report()
-    }
-
-    /// Poll every woken task without advancing virtual time. The parallel
-    /// kernel calls this after injecting cross-shard arrivals so that
-    /// their delivery sleeps are registered in the event queue *before*
-    /// the next epoch's minimum is published.
-    pub fn flush_ready(&self) {
-        self.drain_ready();
-    }
-
-    /// Earliest pending timer deadline, after letting every runnable task
-    /// register its wakes. `None` means this world is fully quiescent.
-    pub fn next_event_time(&self) -> Option<SimTime> {
-        self.drain_ready();
-        self.kernel.borrow_mut().next_event_time()
-    }
-
-    /// Calendar-queue resize churn so far: how many times the event
-    /// queue re-bucketed itself. Content-driven and deterministic; the
-    /// kernel self-profiler reports it per shard.
-    pub fn calendar_rebuilds(&self) -> u64 {
-        self.kernel.borrow().calendar_rebuilds()
-    }
-
     /// Snapshot the run counters without driving anything.
     pub fn report(&self) -> RunReport {
         let kernel = self.kernel.borrow();
@@ -299,10 +230,6 @@ impl Sim {
     /// a run finishes. The world must not be `run` again afterwards.
     pub fn shutdown(&self) {
         self.tasks.borrow_mut().clear();
-        // The shard context's fabric injectors capture model handles that
-        // in turn hold `Sim` clones — the same cycle shape as parked
-        // tasks. Dropping the context here breaks it.
-        self.shard.borrow_mut().take();
     }
 
     /// Labels of tasks that have not completed, in spawn order. Useful in

@@ -46,11 +46,6 @@ impl Kernel {
         self.queue.peek().map(|(t, _)| t)
     }
 
-    /// Calendar-queue resize churn (see [`CalendarQueue::rebuilds`]).
-    pub(crate) fn calendar_rebuilds(&self) -> u64 {
-        self.queue.rebuilds()
-    }
-
     /// Pop the earliest entry, advance the clock, and return its waker.
     pub(crate) fn fire_next(&mut self) -> Option<Waker> {
         let (time, seq, waker) = self.queue.pop()?;

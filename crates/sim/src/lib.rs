@@ -33,7 +33,6 @@ pub mod calendar;
 mod executor;
 mod fault;
 mod kernel;
-pub mod parallel;
 mod rng;
 pub mod sync;
 mod task;
@@ -43,14 +42,10 @@ mod trace;
 pub use calendar::CalendarQueue;
 pub use executor::{derive_seed, JoinHandle, RunReport, Sim, Sleep};
 pub use fault::{DiskFault, FaultPlan, FaultStats, MeshVerdict};
-pub use parallel::{
-    merge_reports, run_sharded, run_sharded_profiled, KernelProfile, OutFrame, ShardCtx,
-    ShardKernelProfile, ShardPlan, WorkerKernelProfile,
-};
 pub use rng::Rng;
 pub use task::TaskId;
 pub use time::{SimDuration, SimTime, NANOS_PER_MICRO, NANOS_PER_MILLI, NANOS_PER_SEC};
 pub use trace::{
-    ev, export_json, hash_events, merge_shard_events, parse_json, render_track_summary, EventBody,
-    EventKind, ReqId, Trace, TraceEvent, Track, TrackSummaryScratch,
+    ev, export_json, hash_events, parse_json, render_track_summary, EventBody, EventKind, ReqId,
+    Trace, TraceEvent, Track, TrackSummaryScratch,
 };

@@ -8,9 +8,8 @@
 //! misdelivered (the classic ABA hazard of index reuse).
 //!
 //! Wakers are `Rc`-based with a hand-rolled [`RawWakerVTable`]: a world's
-//! executor, its tasks, and every waker they clone all live on one thread
-//! (worlds are pinned to a single worker for their lifetime, and wakers
-//! never cross the frame channel), so the `Send + Sync` contract of
+//! executor, its tasks, and every waker they clone all live on the one
+//! host thread that runs the simulation, so the `Send + Sync` contract of
 //! `std::task::Waker` is vacuously met and the ready ring needs no lock.
 //! Each slot caches the `Waker` for its current occupant, so polling
 //! allocates nothing.
@@ -86,9 +85,9 @@ struct TaskWaker {
 /// `Waker` requires `Send + Sync`, which `Rc` cannot promise; the vtable
 /// is sound anyway because no waker ever leaves its world's thread: the
 /// executor, the kernel's timer queue, and every sync primitive that
-/// stashes a waker are world-local, worlds are pinned to one worker
-/// thread for their whole run, and cross-world traffic goes through the
-/// frame channel as plain data (never wakers). Every vtable entry is
+/// stashes a waker are world-local, and the simulator is single-threaded
+/// (no `Sim`, task or waker is ever handed to another host thread; `Sim`
+/// is `!Send` through its `Rc`s). Every vtable entry is
 /// only ever called with a pointer produced by `Rc::into_raw` in
 /// [`task_waker`] or [`clone_raw`].
 static VTABLE: RawWakerVTable = RawWakerVTable::new(clone_raw, wake_raw, wake_by_ref_raw, drop_raw);

@@ -279,24 +279,12 @@ pub fn ev(track: Track, kind: EventKind, req: ReqId, a: u64, b: u64) -> EventBod
     }
 }
 
-/// Ownership predicate installed on sharded runs (see `set_track_filter`).
-type TrackFilter = Box<dyn Fn(Track) -> bool>;
-
 #[derive(Default)]
 pub(crate) struct TraceState {
     events: RefCell<Vec<TraceEvent>>,
     cap: Cell<usize>,
     /// Count of ids minted so far (not the last id — see `mint_req`).
     minted: Cell<u64>,
-    /// Sharded id-space partition: world `req_offset` of `req_stride`
-    /// mints `offset+1, offset+1+stride, …`. Both zero by default, which
-    /// `mint_req` treats as offset 0 / stride 1 — the dense serial space.
-    req_offset: Cell<u64>,
-    req_stride: Cell<u64>,
-    /// Ownership predicate for sharded runs: events whose track fails it
-    /// are not stored, so each shard records only the lanes it owns and
-    /// the merged trace has no duplicates from replicated worlds.
-    filter: RefCell<Option<TrackFilter>>,
     /// Reused by every `render_tracks` call on this recorder.
     summary_scratch: RefCell<TrackSummaryScratch>,
 }
@@ -330,11 +318,6 @@ impl Trace {
                 a,
                 b,
             } = body();
-            if let Some(keep) = self.state.filter.borrow().as_deref() {
-                if !keep(track) {
-                    return;
-                }
-            }
             self.state.events.borrow_mut().push(TraceEvent {
                 time: now,
                 track,
@@ -346,29 +329,13 @@ impl Trace {
         }
     }
 
-    /// Restrict recording to tracks `keep` accepts. Used by sharded runs
-    /// so each world's recorder keeps only the timeline lanes its shard
-    /// owns; the concatenation of all shards then covers every lane once.
-    pub fn set_track_filter(&self, keep: impl Fn(Track) -> bool + 'static) {
-        *self.state.filter.borrow_mut() = Some(Box::new(keep));
-    }
-
-    /// Partition the request-id space for a sharded run: world `offset`
-    /// of `stride` mints `offset+1, offset+1+stride, …`, so ids stay
-    /// globally unique without cross-shard coordination. Serial runs keep
-    /// the default (offset 0, stride 1) and mint densely from 1.
-    pub fn shard_req_ids(&self, offset: u64, stride: u64) {
-        self.state.req_offset.set(offset);
-        self.state.req_stride.set(stride);
-    }
-
     /// Mint the next request id (monotone; never 0). Minting is
     /// independent of arming so request ids — and therefore event traces —
     /// are identical whether or not a recorder is attached.
     pub fn mint_req(&self) -> ReqId {
         let n = self.state.minted.get();
         self.state.minted.set(n + 1);
-        self.state.req_offset.get() + 1 + n * self.state.req_stride.get().max(1)
+        1 + n
     }
 
     /// Events recorded so far (time order — recording order is already
@@ -468,18 +435,6 @@ impl TrackSummaryScratch {
 /// event times, one row per track, tracks in [`Track`] order.
 pub fn render_track_summary(events: &[TraceEvent]) -> String {
     TrackSummaryScratch::new().render(events)
-}
-
-/// Merge per-shard event streams into one deterministic timeline.
-///
-/// Each stream is already monotone in time (recorders append in firing
-/// order), so a stable sort of the shard-order concatenation yields
-/// `(time, shard)` order: same-instant events land lowest-shard-first,
-/// independent of how many host threads drove the run.
-pub fn merge_shard_events(streams: Vec<Vec<TraceEvent>>) -> Vec<TraceEvent> {
-    let mut all: Vec<TraceEvent> = streams.into_iter().flatten().collect();
-    all.sort_by_key(|e| e.time);
-    all
 }
 
 /// FNV-1a folded over every field of every event, in order.
@@ -721,60 +676,6 @@ mod tests {
         // Minting works whether or not recording is armed.
         t.arm(8);
         assert_eq!(t.mint_req(), 3);
-    }
-
-    #[test]
-    fn strided_minting_partitions_the_id_space() {
-        // Worlds 0 and 2 of a 4-shard run must mint disjoint, globally
-        // unique ids without talking to each other.
-        let w0 = Trace::default();
-        w0.shard_req_ids(0, 4);
-        let w2 = Trace::default();
-        w2.shard_req_ids(2, 4);
-        assert_eq!((w0.mint_req(), w0.mint_req(), w0.mint_req()), (1, 5, 9));
-        assert_eq!((w2.mint_req(), w2.mint_req(), w2.mint_req()), (3, 7, 11));
-    }
-
-    #[test]
-    fn track_filter_drops_unowned_lanes_without_charging_the_cap() {
-        let t = Trace::default();
-        t.arm(2);
-        t.set_track_filter(|track| matches!(track, Track::Cn(r) if r % 2 == 0));
-        for r in 0..4u16 {
-            t.record(SimTime::from_nanos(r as u64), || {
-                ev(Track::Cn(r), EventKind::Mark, 0, 0, 0)
-            });
-        }
-        let events = t.events();
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0].track, Track::Cn(0));
-        assert_eq!(events[1].track, Track::Cn(2));
-    }
-
-    #[test]
-    fn shard_merge_is_stable_time_then_shard_order() {
-        let s0 = vec![
-            sample(10, Track::Cn(0), EventKind::ReadStart, 1),
-            sample(30, Track::Cn(0), EventKind::ReadDone, 1),
-        ];
-        let s1 = vec![
-            sample(10, Track::Cn(1), EventKind::ReadStart, 2),
-            sample(20, Track::Cn(1), EventKind::ReadDone, 2),
-        ];
-        let merged = merge_shard_events(vec![s0, s1]);
-        let keys: Vec<(u64, Track)> = merged
-            .iter()
-            .map(|e| (e.time.as_nanos(), e.track))
-            .collect();
-        assert_eq!(
-            keys,
-            vec![
-                (10, Track::Cn(0)), // same instant: shard 0 first
-                (10, Track::Cn(1)),
-                (20, Track::Cn(1)),
-                (30, Track::Cn(0)),
-            ]
-        );
     }
 
     #[test]

@@ -128,15 +128,6 @@ pub struct ExperimentConfig {
     /// measured phase; `None` = telemetry off (zero overhead, unchanged
     /// event stream).
     pub metrics_cadence: Option<SimDuration>,
-    /// Shard-world count for the parallel kernel; `None` = pick by
-    /// machine size (1 below 1024 compute nodes, so every historical
-    /// config runs the classic serial kernel). A run's bytes depend on
-    /// the *resolved* shard count, never on `workers`.
-    pub shards: Option<usize>,
-    /// Host worker threads driving the shard worlds: `1` = drive them all
-    /// from the calling thread, `0` = one per host core. Pure host-side
-    /// mapping — cannot affect simulation results.
-    pub workers: usize,
 }
 
 impl ExperimentConfig {
@@ -165,8 +156,6 @@ impl ExperimentConfig {
             faults: FaultSpec::default(),
             redundancy: Redundancy::None,
             metrics_cadence: None,
-            shards: None,
-            workers: 1,
         }
     }
 
@@ -185,34 +174,6 @@ impl ExperimentConfig {
         pc.copy_bw = self.calib.cn_copy_bw;
         self.prefetch = Some(pc);
         self
-    }
-
-    /// Shard-world count this config resolves to: the explicit override,
-    /// else by machine size (full-machine EXT-SCALING shapes shard
-    /// automatically; the paper-scale configs stay serial so their
-    /// golden traces are untouched). Zero-latency fabrics (the instant
-    /// calibration) have no conservative lookahead and force the serial
-    /// kernel regardless.
-    pub fn resolved_shards(&self) -> usize {
-        if self.shard_lookahead().is_zero() {
-            return 1;
-        }
-        let auto = if self.compute_nodes >= 4096 {
-            8
-        } else if self.compute_nodes >= 1024 {
-            4
-        } else {
-            1
-        };
-        self.shards.unwrap_or(auto).clamp(1, self.compute_nodes)
-    }
-
-    /// Conservative lookahead of this config's mesh: the minimum virtual
-    /// latency any cross-shard message pays (one hop plus the receive
-    /// overhead), which bounds how far one shard world may run ahead of
-    /// another without missing an arrival.
-    pub fn shard_lookahead(&self) -> SimDuration {
-        self.calib.mesh.hop_latency + self.calib.mesh.recv_overhead
     }
 
     /// Rounds each node performs under this config.

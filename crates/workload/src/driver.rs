@@ -8,10 +8,8 @@
 //! programs start together; the collective is complete when the slowest
 //! node finishes its last read).
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
-
-use std::cell::Cell;
 
 use paragon_core::{PrefetchGauges, PrefetchStats, PrefetchingFile};
 use paragon_machine::{Machine, MachineConfig};
@@ -19,67 +17,28 @@ use paragon_pfs::{
     pattern_byte, pattern_slice, rebuild_after_crash, IoMode, OpenOptions, ParallelFs, PfsFile,
     PfsFileId, RebuildConfig, RebuildStats, Redundancy,
 };
-use paragon_sim::{
-    ev, run_sharded, run_sharded_profiled, EventKind, KernelProfile, ShardPlan, Sim, SimDuration,
-    SimTime, Track,
-};
+use paragon_sim::{ev, EventKind, Sim, SimDuration, SimTime, Track};
 
 use crate::config::{AccessPattern, ExperimentConfig, FaultSpec};
 use crate::result::{NodeResult, RunResult};
 use crate::telemetry::{names, Telemetry};
 
 /// Where the driver task deposits its measurements for the host caller.
-pub(crate) type DriverOutput = Rc<RefCell<Option<(Vec<NodeResult>, SimDuration)>>>;
+type DriverOutput = Rc<RefCell<Option<(Vec<NodeResult>, SimDuration)>>>;
 
-/// Run one experiment to completion and return its measurements.
-///
-/// Configs that resolve to more than one shard world (full-machine
-/// EXT-SCALING shapes, or an explicit `shards` override) run on the
-/// parallel kernel; everything else runs the classic single-world path
-/// through [`ShardPlan::serial`], byte-for-byte what a bare `Sim::run`
-/// would produce.
+/// Run one experiment to completion and return its measurements: one
+/// world, built, driven to quiescence and harvested. The result is a
+/// pure function of `cfg` (seed included).
 pub fn run(cfg: &ExperimentConfig) -> RunResult {
     cfg.validate();
-    if cfg.resolved_shards() > 1 {
-        return crate::shard::run_sharded_experiment(cfg);
-    }
-    let mut out = run_sharded(
-        &ShardPlan::serial(cfg.seed),
-        |_, sim| build_serial(cfg, sim),
-        |_, sim, w| finish_serial(cfg, sim, w),
-    );
-    out.pop().expect("serial plan yields exactly one world")
+    let sim = Sim::new(cfg.seed);
+    let world = build_world(cfg, &sim);
+    sim.run();
+    finish_world(cfg, &sim, world)
 }
 
-/// [`run`], plus the parallel kernel's self-profile: host-side counters
-/// (epochs, barrier stall, cross-shard frame volume, events per host
-/// second, calendar churn) the kernel collects about itself.
-///
-/// The simulation's bytes are identical to an unprofiled [`run`] —
-/// profiling is write-only from the simulation's point of view — but the
-/// profile's `_ns` fields are wall-clock and vary host to host, which is
-/// why this is a separate entry point rather than an
-/// [`ExperimentConfig`] field: a config describes a deterministic
-/// experiment, and no setting of it may imply host-clock reads.
-pub fn run_profiled(cfg: &ExperimentConfig) -> (RunResult, KernelProfile) {
-    cfg.validate();
-    if cfg.resolved_shards() > 1 {
-        return crate::shard::run_sharded_experiment_profiled(cfg);
-    }
-    let (mut out, prof) = run_sharded_profiled(
-        &ShardPlan::serial(cfg.seed),
-        |_, sim| build_serial(cfg, sim),
-        |_, sim, w| finish_serial(cfg, sim, w),
-    );
-    (
-        out.pop().expect("serial plan yields exactly one world"),
-        prof,
-    )
-}
-
-/// The serial world's live state between build and harvest — the
-/// single-shard analogue of `shard::World`.
-struct SerialWorld {
+/// The world's live state between build and harvest.
+struct World {
     machine: Rc<Machine>,
     telemetry: Option<Rc<Telemetry>>,
     out: DriverOutput,
@@ -90,7 +49,7 @@ struct SerialWorld {
     verify_failures: Rc<Cell<u64>>,
 }
 
-fn build_serial(cfg: &ExperimentConfig, sim: &Sim) -> SerialWorld {
+fn build_world(cfg: &ExperimentConfig, sim: &Sim) -> World {
     if cfg.trace_cap > 0 {
         sim.tracer().arm(cfg.trace_cap);
     }
@@ -196,7 +155,7 @@ fn build_serial(cfg: &ExperimentConfig, sim: &Sim) -> SerialWorld {
         let elapsed = sim2.now().since(t0);
         *out2.borrow_mut() = Some((per_node, elapsed));
     });
-    SerialWorld {
+    World {
         machine,
         telemetry,
         out,
@@ -208,7 +167,7 @@ fn build_serial(cfg: &ExperimentConfig, sim: &Sim) -> SerialWorld {
     }
 }
 
-fn finish_serial(cfg: &ExperimentConfig, sim: &Sim, w: SerialWorld) -> RunResult {
+fn finish_world(cfg: &ExperimentConfig, sim: &Sim, w: World) -> RunResult {
     let report = sim.report();
     let trace = sim.tracer().events();
     // Free the world: parked server loops otherwise keep the whole
@@ -292,7 +251,7 @@ fn finish_serial(cfg: &ExperimentConfig, sim: &Sim, w: SerialWorld) -> RunResult
 /// Configure and arm the simulation's fault plan from `spec`. The service
 /// node is always exempted: shared-pointer operations are not idempotent,
 /// so the client never retries them and a lost one would wedge the run.
-pub(crate) fn arm_faults(sim: &Sim, machine: &Machine, spec: &FaultSpec) {
+fn arm_faults(sim: &Sim, machine: &Machine, spec: &FaultSpec) {
     if spec.is_noop() {
         return;
     }
@@ -352,7 +311,7 @@ pub(crate) fn arm_faults(sim: &Sim, machine: &Machine, spec: &FaultSpec) {
 
 /// Create and populate the run's file(s); returns one id per node for
 /// separate-files runs, else a single shared id.
-pub(crate) async fn setup_files(pfs: &Rc<ParallelFs>, cfg: &ExperimentConfig) -> Vec<PfsFileId> {
+async fn setup_files(pfs: &Rc<ParallelFs>, cfg: &ExperimentConfig) -> Vec<PfsFileId> {
     let attrs = cfg.layout.attrs(cfg.stripe_unit);
     if cfg.separate_files {
         let mut files = Vec::with_capacity(cfg.compute_nodes);
@@ -384,23 +343,19 @@ pub(crate) async fn setup_files(pfs: &Rc<ParallelFs>, cfg: &ExperimentConfig) ->
     }
 }
 
-pub(crate) struct NodeCtx {
-    pub(crate) sim: Sim,
-    pub(crate) pfs: Rc<ParallelFs>,
-    pub(crate) cfg: ExperimentConfig,
-    pub(crate) rank: usize,
-    pub(crate) file: PfsFileId,
-    pub(crate) t0: SimTime,
+struct NodeCtx {
+    sim: Sim,
+    pfs: Rc<ParallelFs>,
+    cfg: ExperimentConfig,
+    rank: usize,
+    file: PfsFileId,
+    t0: SimTime,
     /// Telemetry gauge: nodes currently inside a read call.
-    pub(crate) in_io: Rc<Cell<i64>>,
+    in_io: Rc<Cell<i64>>,
     /// Telemetry gauges shared by every prefetch buffer list.
-    pub(crate) prefetch_gauges: PrefetchGauges,
-    /// Data-verification failures observed by this world's node
-    /// programs. World-local: serial runs own the only world; sharded
-    /// runs harvest each world's counter once in `finish_world`, and
-    /// each failure is observed by exactly one world, so the sum is
-    /// exact either way.
-    pub(crate) verify_failures: Rc<Cell<u64>>,
+    prefetch_gauges: PrefetchGauges,
+    /// Data-verification failures observed by the node programs.
+    verify_failures: Rc<Cell<u64>>,
 }
 
 /// The demand-read side of one node's program: either a plain PFS handle
@@ -438,7 +393,7 @@ impl Reader {
     }
 }
 
-pub(crate) async fn node_program(ctx: NodeCtx) -> NodeResult {
+async fn node_program(ctx: NodeCtx) -> NodeResult {
     let cfg = &ctx.cfg;
     let sz = cfg.request_size;
     let rounds = cfg.rounds_per_node();
@@ -614,8 +569,6 @@ mod tests {
             faults: FaultSpec::default(),
             redundancy: paragon_pfs::Redundancy::None,
             metrics_cadence: None,
-            shards: None,
-            workers: 1,
         }
     }
 

@@ -12,13 +12,9 @@
 mod config;
 mod driver;
 mod result;
-mod shard;
 pub mod telemetry;
 
 pub use config::{AccessPattern, ExperimentConfig, FaultSpec, StripeLayout};
-pub use driver::{run, run_profiled};
+pub use driver::run;
 pub use result::{NodeResult, RunResult};
-pub use telemetry::{
-    metrics_check, metrics_report, render_report, Telemetry, PARALLEL_SPEEDUP_FLOOR,
-    PARALLEL_SPEEDUP_SCALAR,
-};
+pub use telemetry::{metrics_check, metrics_report, render_report, Telemetry};

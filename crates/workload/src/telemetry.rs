@@ -465,22 +465,6 @@ fn span_consistency(demand: &[CriticalPath], disk: f64, mesh: f64) -> bool {
 /// allowed fractional drop defaults to 0.75 (i.e. the floor sits at
 /// 25% of baseline — wide on purpose, because wall-clock throughput
 /// varies across host machines) and `tolerance` overrides it.
-///
-/// [`PARALLEL_SPEEDUP_SCALAR`] is the one bench scalar gated against an
-/// *absolute* floor instead of the baseline: the parallel kernel must
-/// run the 512×64 bench shape at least [`PARALLEL_SPEEDUP_FLOOR`]×
-/// faster on four workers than on one, wherever the report was
-/// produced. It only appears in reports from hosts with enough cores to
-/// run the parallel trial, so it is absent-safe in both directions (a
-/// baseline without it accepts a current report that has it, and vice
-/// versa) and needs no committed baseline value.
-///
-/// The kernel self-profile's `bench.kernel.*` scalars (declared in
-/// `paragon_profile::names`) follow the same absent-safe rule: they are
-/// host-measured and only exported when `--bench` runs the self-profiled
-/// trial. Of them, only the barrier-stall fraction is gated — absolutely,
-/// against the one-sided [`KERNEL_STALL_CEILING`]; the rest are
-/// informational.
 pub fn metrics_check(current: &Json, baseline: &Json, tolerance: Option<f64>) -> Vec<String> {
     let mut violations = Vec::new();
     let empty = std::collections::BTreeMap::new();
@@ -495,37 +479,8 @@ pub fn metrics_check(current: &Json, baseline: &Json, tolerance: Option<f64>) ->
     if base.is_empty() {
         violations.push("baseline has no scalars object".into());
     }
-    if let Some(c) = cur.get(PARALLEL_SPEEDUP_SCALAR).and_then(Json::as_f64) {
-        if c < PARALLEL_SPEEDUP_FLOOR {
-            violations.push(format!(
-                "{PARALLEL_SPEEDUP_SCALAR}: {c} below the absolute floor \
-                 {PARALLEL_SPEEDUP_FLOOR}"
-            ));
-        }
-    }
-    if let Some(c) = cur
-        .get(paragon_profile::names::KERNEL_BARRIER_STALL_FRAC)
-        .and_then(Json::as_f64)
-    {
-        if c > KERNEL_STALL_CEILING {
-            violations.push(format!(
-                "{}: {c} above the absolute ceiling {KERNEL_STALL_CEILING}",
-                paragon_profile::names::KERNEL_BARRIER_STALL_FRAC
-            ));
-        }
-    }
     for (name, bval) in base {
         let Some(b) = bval.as_f64() else { continue };
-        if name == PARALLEL_SPEEDUP_SCALAR {
-            continue; // gated absolutely against the current report above
-        }
-        if name.starts_with(KERNEL_SCALAR_PREFIX) {
-            // Kernel self-profile scalars are host-measured and only
-            // present when `--bench` ran the self-profiled trial; the
-            // stall fraction is gated absolutely above, the rest are
-            // informational. Absent-safe in both directions.
-            continue;
-        }
         if name.starts_with("bench.") {
             if let Some(c) = cur.get(name).and_then(Json::as_f64) {
                 let allowed_drop = tolerance.unwrap_or(0.75).min(1.0);
@@ -559,39 +514,12 @@ pub fn metrics_check(current: &Json, baseline: &Json, tolerance: Option<f64>) ->
         }
     }
     for name in cur.keys() {
-        if !base.contains_key(name)
-            && name != PARALLEL_SPEEDUP_SCALAR
-            && !name.starts_with(KERNEL_SCALAR_PREFIX)
-        {
+        if !base.contains_key(name) {
             violations.push(format!("unexpected scalar {name} not in baseline"));
         }
     }
     violations
 }
-
-/// Name prefix of the kernel self-profile's scalars (declared in
-/// `paragon_profile::names`): absent-safe in both directions in
-/// [`metrics_check`], because they are host-measured and only exported
-/// when `--bench` runs the self-profiled trial.
-const KERNEL_SCALAR_PREFIX: &str = "bench.kernel.";
-
-/// Absolute one-sided ceiling for
-/// [`paragon_profile::names::KERNEL_BARRIER_STALL_FRAC`]: if workers
-/// spend more than this fraction of their summed host time parked at
-/// epoch barriers, the shard cut (or the lookahead) has degenerated to
-/// lockstep serialization and the parallel kernel is doing no useful
-/// overlapping work. Wide on purpose — tiny CI shapes stall much more
-/// than full-machine shapes — so only a pathological regression trips.
-pub const KERNEL_STALL_CEILING: f64 = 0.95;
-
-/// Host-timed scalar `--bench` adds on multicore hosts: how much faster
-/// the sharded bench shape runs on four workers than on one. See
-/// [`metrics_check`] for its gating rules.
-pub const PARALLEL_SPEEDUP_SCALAR: &str = "bench.parallel_speedup";
-
-/// Absolute one-sided floor for [`PARALLEL_SPEEDUP_SCALAR`]: four
-/// workers must at least halve the sharded bench shape's host time.
-pub const PARALLEL_SPEEDUP_FLOOR: f64 = 2.0;
 
 /// Render the report for humans: a utilization table, the bottleneck
 /// line, Little's-law numbers, and queue-depth profiles as ASCII charts.
@@ -752,8 +680,6 @@ mod tests {
             faults: crate::config::FaultSpec::default(),
             redundancy: paragon_pfs::Redundancy::None,
             metrics_cadence: Some(SimDuration::from_millis(20)),
-            shards: None,
-            workers: 1,
         }
     }
 
@@ -910,50 +836,6 @@ mod tests {
         assert!(v[0].contains("below floor"));
         // Tolerance overrides the allowed drop (here: only 10% slack).
         assert_eq!(metrics_check(&slow_ok, &base, Some(0.10)).len(), 1);
-    }
-
-    #[test]
-    fn check_gates_parallel_speedup_against_an_absolute_floor() {
-        let base = report_with(&[("a", 1.0)]);
-        // Absent from the current report (a host too small to run the
-        // parallel trial): passes, and is never "missing".
-        assert!(metrics_check(&report_with(&[("a", 1.0)]), &base, None).is_empty());
-        // Present but absent from the baseline: not an "unexpected
-        // scalar" — the floor is absolute, no committed value needed.
-        let fast = report_with(&[("a", 1.0), (PARALLEL_SPEEDUP_SCALAR, 3.1)]);
-        assert!(metrics_check(&fast, &base, None).is_empty());
-        // Below the floor fails wherever the report came from, even if
-        // a stale baseline recorded a worse value.
-        let slow = report_with(&[("a", 1.0), (PARALLEL_SPEEDUP_SCALAR, 1.4)]);
-        let v = metrics_check(&slow, &base, None);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].contains("absolute floor"));
-        let stale = report_with(&[("a", 1.0), (PARALLEL_SPEEDUP_SCALAR, 0.9)]);
-        assert_eq!(metrics_check(&slow, &stale, None).len(), 1);
-    }
-
-    #[test]
-    fn check_gates_kernel_stall_frac_against_an_absolute_ceiling() {
-        use paragon_profile::names::{KERNEL_BARRIER_STALL_FRAC, KERNEL_EPOCHS};
-        let base = report_with(&[("a", 1.0)]);
-        // Kernel self-profile scalars are host-measured and absent-safe
-        // in both directions: present only in the current report they
-        // are not "unexpected", present only in the baseline they are
-        // not "missing".
-        let cur = report_with(&[
-            ("a", 1.0),
-            (KERNEL_BARRIER_STALL_FRAC, 0.4),
-            (KERNEL_EPOCHS, 12.0),
-        ]);
-        assert!(metrics_check(&cur, &base, None).is_empty());
-        assert!(metrics_check(&report_with(&[("a", 1.0)]), &cur, None).is_empty());
-        // The stall fraction alone has an absolute one-sided ceiling.
-        let stalled = report_with(&[("a", 1.0), (KERNEL_BARRIER_STALL_FRAC, 0.99)]);
-        let v = metrics_check(&stalled, &base, None);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].contains("absolute ceiling"));
-        // And the ceiling holds even against a stale worse baseline.
-        assert_eq!(metrics_check(&stalled, &stalled, None).len(), 1);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Config matrix shared by the determinism and parallel-equivalence
-//! suites: one named config per EXT axis, frozen so both suites pin the
+//! Config matrix shared by the determinism, profiler and vocabulary
+//! suites: one named config per EXT axis, frozen so every suite pins the
 //! same behaviours.
 #![allow(dead_code, reason = "each test binary uses its own subset")]
 
@@ -31,8 +31,6 @@ pub fn cfg(seed: u64, mode: IoMode) -> ExperimentConfig {
         faults: FaultSpec::default(),
         redundancy: Redundancy::None,
         metrics_cadence: None,
-        shards: None,
-        workers: 1,
     }
 }
 

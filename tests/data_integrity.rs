@@ -28,8 +28,6 @@ fn base(mode: IoMode) -> ExperimentConfig {
         faults: FaultSpec::default(),
         redundancy: Redundancy::None,
         metrics_cadence: None,
-        shards: None,
-        workers: 1,
     }
 }
 

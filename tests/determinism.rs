@@ -7,7 +7,7 @@ mod common;
 use common::{cfg, ext_matrix};
 use paragon::pfs::IoMode;
 use paragon::sim::SimDuration;
-use paragon::workload::{run, AccessPattern, FaultSpec};
+use paragon::workload::{run, AccessPattern, FaultSpec, StripeLayout};
 
 /// Trace hashes of the EXT matrix captured from the *seed* scheduler (the
 /// `BinaryHeap` kernel + `BTreeMap` executor at commit 65113e2). The
@@ -125,4 +125,38 @@ fn random_access_pattern_is_seeded() {
     let a = run(&c);
     let b = run(&c);
     assert_eq!(a.trace_hash, b.trace_hash);
+}
+
+/// Frozen trace hash and simulated time of the 1024×128 full-machine
+/// run below, pinned serially when the simulator became a single
+/// serial kernel. A mismatch means the full machine's event order
+/// changed, not that the golden needs regenerating.
+const GOLDEN_1024X128: (u64, u64) = (0x394d774885d5336d, 3_754_046_001);
+
+#[test]
+#[ignore = "full-machine run; release only, from scripts/ci.sh === full machine"]
+fn full_machine_1024x128_pins_the_serial_golden() {
+    let mut c = cfg(42, IoMode::MRecord);
+    c.compute_nodes = 1024;
+    c.io_nodes = 128;
+    c.layout = StripeLayout::Across { factor: 128 };
+    c.file_size = 1024 << 20; // 1 MB per compute node
+    c.delay = SimDuration::from_millis(25);
+    let r = run(&c);
+    assert_eq!(r.total_bytes, 1 << 30, "lost coverage");
+    assert_eq!(r.verify_failures, 0);
+    assert_eq!(r.read_errors, 0);
+    assert_eq!(r.per_node.len(), 1024);
+    let (hash, elapsed_ns) = GOLDEN_1024X128;
+    assert_eq!(
+        r.trace_hash, hash,
+        "trace hash diverged (got {:#018x})",
+        r.trace_hash
+    );
+    assert_eq!(
+        r.elapsed,
+        SimDuration::from_nanos(elapsed_ns),
+        "simulated time diverged (got {} ns)",
+        r.elapsed.as_nanos()
+    );
 }

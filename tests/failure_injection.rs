@@ -241,8 +241,6 @@ fn replicated_cfg(seed: u64) -> ExperimentConfig {
         faults: FaultSpec::default(),
         redundancy: Redundancy::Replicated { rf: 2 },
         metrics_cadence: None,
-        shards: None,
-        workers: 1,
     }
 }
 
