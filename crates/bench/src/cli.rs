@@ -33,9 +33,9 @@ USAGE:
     paragonctl trace capture [OPTIONS] --out FILE
     paragonctl trace summarize FILE [--top N]
     paragonctl trace diff FILE1 FILE2
-    paragonctl metrics run [OPTIONS] [--cadence-ms N] [--out FILE] [--bench]
+    paragonctl metrics run [OPTIONS] [--cadence-ms N] [--out FILE]
     paragonctl metrics report [FILE | OPTIONS]
-    paragonctl metrics check [OPTIONS] [--baseline FILE] [--tolerance X] [--bench]
+    paragonctl metrics check [OPTIONS] [--baseline FILE] [--tolerance X]
     paragonctl profile critical-path [FILE | OPTIONS] [--top N]
     paragonctl profile export [FILE | OPTIONS] [--format perfetto] [--out FILE]
 
@@ -67,17 +67,14 @@ METRICS:
     --out <FILE|->    report destination       [BENCH_metrics.json]
     report     render a report (from FILE, or a fresh run) as tables
                and ASCII queue-depth charts
-    check      re-run and compare the report's scalars against a
-               committed baseline within per-metric tolerance bands;
-               exits nonzero on regression (the CI perf gate)
+    check      re-run and compare the report against a committed
+               baseline: the run config (meta) and the work counters
+               must match exactly, the scalars within per-metric
+               tolerance bands; exits nonzero on regression (the CI
+               perf gate)
     --baseline <FILE> committed baseline       [BENCH_metrics.json]
     --current <FILE>  compare FILE instead of re-running
-    --tolerance <X>   override every band width
-    --bench    also measure engine throughput on the fixed EXT-SCALING
-               bench shape (64x16, 128 MB, 25 ms delay, prefetch,
-               reread differencing) and add the host-timed scalar
-               bench.sim_io_bytes_per_host_second to the report; in
-               `check` it gates as a one-sided floor (see DESIGN.md)
+    --tolerance <X>   override every scalar band width
 
 FAULTS:
     run the OPTIONS-selected experiment once per fault class (none,
@@ -250,6 +247,7 @@ pub(crate) fn build_config(args: &mut Args) -> Result<ExperimentConfig, String> 
         }
         cfg.prefetch = Some(pc);
     }
+    cfg.validate()?;
     Ok(cfg)
 }
 
@@ -472,73 +470,6 @@ fn instrumented_config(args: &mut Args) -> Result<ExperimentConfig, String> {
     Ok(cfg)
 }
 
-/// Name of the host-timed engine-throughput scalar `--bench` adds to the
-/// metrics report. The `bench.` prefix selects the one-sided floor class
-/// in [`metrics_check`]: wall-clock throughput varies with the host
-/// machine, so only a large slowdown (below 25% of baseline by default)
-/// fails the gate, and the scalar is skipped when the current report was
-/// produced without `--bench`.
-pub const BENCH_SCALAR: &str = "bench.sim_io_bytes_per_host_second";
-
-/// Measure how many bytes of simulated application I/O the engine pushes
-/// per *host* second on the canonical EXT-SCALING bench shape: 64 CN x
-/// 16 ION, one shared 128 MB file, 64 KB requests, 25 ms think time,
-/// depth-1 prefetch — the shape the calendar-queue/slab-executor fast
-/// path was tuned on.
-///
-/// Host time is attributed by reread differencing: the same config runs
-/// at 1 and 1+K sequential passes and only the difference counts, so
-/// process startup, file population, and driver verification (all
-/// constant in the pass count) cancel out and the scalar isolates the
-/// measured-phase engine throughput. Simulated byte counts are
-/// deterministic; only the host clock is noisy, so the best of three
-/// trials is kept (a host timer only ever over-counts).
-fn bench_throughput() -> Result<f64, String> {
-    const EXTRA_PASSES: u32 = 4;
-    let shape = |passes: u32| {
-        let mut cfg = ExperimentConfig::paper_balanced(64 * 1024, SimDuration::from_millis(25));
-        cfg.compute_nodes = 64;
-        cfg.io_nodes = 16;
-        cfg.layout = StripeLayout::Across { factor: 16 };
-        cfg.file_size = 128 << 20;
-        cfg.access = AccessPattern::Reread { passes };
-        cfg.with_prefetch()
-    };
-    let timed = |passes: u32| {
-        #[expect(
-            clippy::disallowed_types,
-            reason = "the bench harness measures host wall time; the reading never feeds back into the simulation"
-        )]
-        let t0 = std::time::Instant::now();
-        let r = run(&shape(passes));
-        (t0.elapsed().as_secs_f64(), r.total_bytes)
-    };
-    let mut best = 0.0f64;
-    for _ in 0..3 {
-        let (t_base, bytes_base) = timed(1);
-        let (t_more, bytes_more) = timed(1 + EXTRA_PASSES);
-        let dt = t_more - t_base;
-        let db = bytes_more.saturating_sub(bytes_base);
-        if dt > 0.0 && db > 0 {
-            best = best.max(db as f64 / dt);
-        }
-    }
-    if best <= 0.0 {
-        return Err("bench: host-time difference was not positive in any trial".into());
-    }
-    Ok(best)
-}
-
-/// Insert `name = value` into a report's `"scalars"` object (no-op on a
-/// malformed report).
-fn insert_scalar(report: &mut Json, name: &str, value: f64) {
-    if let Json::Obj(root) = report {
-        if let Some(Json::Obj(scalars)) = root.get_mut("scalars") {
-            scalars.insert(name.into(), Json::Num(value));
-        }
-    }
-}
-
 fn load_report(path: &str) -> Result<Json, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     Json::parse(&text).map_err(|e| format!("parsing {path}: {e}"))
@@ -557,7 +488,6 @@ fn metrics_cmd(argv: Vec<String>) -> ExitCode {
                 Ok(v) => v.unwrap_or_else(|| "BENCH_metrics.json".into()),
                 Err(e) => return fail(e),
             };
-            let bench = args.flag("--bench");
             let cfg = match instrumented_config(&mut args) {
                 Ok(c) => c,
                 Err(e) => return fail(e),
@@ -565,14 +495,7 @@ fn metrics_cmd(argv: Vec<String>) -> ExitCode {
             if !args.0.is_empty() {
                 return fail(format!("unrecognized arguments {:?}", args.0));
             }
-            let r = run(&cfg);
-            let mut report = metrics_report(&cfg, &r);
-            if bench {
-                match bench_throughput() {
-                    Ok(v) => insert_scalar(&mut report, BENCH_SCALAR, v),
-                    Err(e) => return fail(e),
-                }
-            }
+            let report = metrics_report(&cfg, &run(&cfg));
             let json = report.pretty();
             if out_path == "-" {
                 print!("{json}");
@@ -618,7 +541,6 @@ fn metrics_cmd(argv: Vec<String>) -> ExitCode {
                 Ok(v) => v.unwrap_or_else(|| "BENCH_metrics.json".into()),
                 Err(e) => return fail(e),
             };
-            let bench = args.flag("--bench");
             let tolerance = match args.value("--tolerance") {
                 Ok(Some(v)) => match v.parse::<f64>() {
                     Ok(t) if t >= 0.0 => Some(t),
@@ -644,15 +566,7 @@ fn metrics_cmd(argv: Vec<String>) -> ExitCode {
                     if !args.0.is_empty() {
                         return fail(format!("unrecognized arguments {:?}", args.0));
                     }
-                    let r = run(&cfg);
-                    let mut report = metrics_report(&cfg, &r);
-                    if bench {
-                        match bench_throughput() {
-                            Ok(v) => insert_scalar(&mut report, BENCH_SCALAR, v),
-                            Err(e) => return fail(e),
-                        }
-                    }
-                    report
+                    metrics_report(&cfg, &run(&cfg))
                 }
             };
             let baseline = match load_report(&baseline_path) {
@@ -661,11 +575,18 @@ fn metrics_cmd(argv: Vec<String>) -> ExitCode {
             };
             let violations = metrics_check(&current, &baseline, tolerance);
             if violations.is_empty() {
-                let n = baseline
-                    .get("scalars")
-                    .and_then(Json::as_obj)
-                    .map_or(0, |m| m.len());
-                println!("metrics gate passed: {n} scalars within tolerance of {baseline_path}");
+                let n = |key| {
+                    baseline
+                        .get(key)
+                        .and_then(Json::as_obj)
+                        .map_or(0, |m| m.len())
+                };
+                println!(
+                    "metrics gate passed against {baseline_path}: {} counters exact, \
+                     {} scalars within tolerance",
+                    n("counters"),
+                    n("scalars")
+                );
                 ExitCode::SUCCESS
             } else {
                 eprintln!("metrics gate FAILED against {baseline_path}:");
@@ -1120,6 +1041,15 @@ mod tests {
     }
 
     #[test]
+    fn an_invalid_config_is_a_usage_error_not_a_panic() {
+        const RAGGED: &str = "--cn 3 --ion 2 --file-mb 1";
+        let err = build_config(&mut args(RAGGED)).unwrap_err();
+        assert!(err.contains("tile into whole collective rounds"), "{err}");
+        let argv = args(&format!("run {RAGGED}")).0;
+        assert_eq!(main_impl(argv), ExitCode::FAILURE);
+    }
+
+    #[test]
     fn strided_predictor_implies_prefetch() {
         let cfg = build_config(&mut args("--strided-predictor")).unwrap();
         let pc = cfg.prefetch.unwrap();
@@ -1277,51 +1207,23 @@ mod tests {
     }
 
     #[test]
-    fn bench_scalar_plumbs_through_report_and_floor_gate() {
-        let mut base = Json::parse(r#"{"scalars":{"a":1}}"#).unwrap();
-        insert_scalar(&mut base, BENCH_SCALAR, 100.0);
-        assert_eq!(
-            base.get("scalars")
-                .and_then(|s| s.get(BENCH_SCALAR))
-                .and_then(Json::as_f64),
-            Some(100.0)
-        );
-
-        let dir = std::env::temp_dir();
-        let base_p = dir.join("paragonctl-test-bench-base.json");
-        let cur_p = dir.join("paragonctl-test-bench-cur.json");
-        let s = |p: &std::path::Path| p.to_str().unwrap().to_string();
-        std::fs::write(&base_p, base.pretty()).unwrap();
-
-        // A committed baseline carrying the bench scalar still passes a
-        // current report produced *without* --bench (the plain CI gate).
-        std::fs::write(&cur_p, r#"{"scalars":{"a":1}}"#).unwrap();
+    fn metrics_check_fails_a_run_of_another_config() {
+        const SHAPE: &str = "--cn 2 --ion 2 --request-kb 16 --file-mb 2 --su-kb 16";
+        let base = std::env::temp_dir().join("paragonctl-test-metrics-seed42.json");
+        let base = base.to_str().unwrap();
+        let run42 = format!("metrics run {SHAPE} --seed 42 --out {base}");
+        assert_eq!(main_impl(args(&run42).0), ExitCode::SUCCESS);
         let check = |extra: &str| {
-            main_impl(
-                format!(
-                    "metrics check --baseline {} --current {}{extra}",
-                    s(&base_p),
-                    s(&cur_p)
-                )
-                .split_whitespace()
-                .map(String::from)
-                .collect(),
-            )
+            let argv = format!("metrics check {SHAPE} --baseline {base} {extra}");
+            main_impl(args(&argv).0)
         };
-        assert_eq!(check(""), ExitCode::SUCCESS);
-
-        // Above the floor (25% of baseline) passes; below it fails.
-        let mut cur = Json::parse(r#"{"scalars":{"a":1}}"#).unwrap();
-        insert_scalar(&mut cur, BENCH_SCALAR, 30.0);
-        std::fs::write(&cur_p, cur.pretty()).unwrap();
-        assert_eq!(check(""), ExitCode::SUCCESS);
-        insert_scalar(&mut cur, BENCH_SCALAR, 10.0);
-        std::fs::write(&cur_p, cur.pretty()).unwrap();
-        assert_eq!(check(""), ExitCode::FAILURE);
-
-        for p in [&base_p, &cur_p] {
-            let _ = std::fs::remove_file(p);
+        assert_eq!(check("--seed 42"), ExitCode::SUCCESS);
+        for other in ["--seed 43", "--cadence-ms 50"] {
+            assert_eq!(check(other), ExitCode::FAILURE, "{other}");
+            let wide = format!("{other} --tolerance 1.0");
+            assert_eq!(check(&wide), ExitCode::FAILURE, "{wide}");
         }
+        let _ = std::fs::remove_file(base);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! * Buffers are freed at [`PrefetchingFile::close`].
 //!
 //! Knobs beyond the paper's prototype (which fixes depth = 1) are in
-//! [`PrefetchConfig`] and exercised by the ablation benches.
+//! [`PrefetchConfig`] and exercised by the EXT-ABLATION experiment.
 
 use std::cell::RefCell;
 use std::rc::Rc;

@@ -94,6 +94,9 @@ pub struct RaidStats {
     pub reconstructed_bytes: u64,
     /// Parity read-modify-write cycles performed.
     pub parity_rmws: u64,
+    /// Host bytes the logical store copied (its multi-page read gather
+    /// and partial-page write merge); see [`BlockStore::bytes_copied`].
+    pub store_bytes_copied: u64,
 }
 
 /// A logical device striped over member disks.
@@ -453,9 +456,13 @@ impl RaidArray {
         total
     }
 
-    /// Array-level counters (reconstruction and parity maintenance).
+    /// Array-level counters (reconstruction, parity maintenance and
+    /// logical-store copies).
     pub fn raid_stats(&self) -> RaidStats {
-        self.rstats.borrow().clone()
+        RaidStats {
+            store_bytes_copied: self.logical.borrow().bytes_copied(),
+            ..self.rstats.borrow().clone()
+        }
     }
 
     /// Per-spindle counter snapshots, data members first and the parity

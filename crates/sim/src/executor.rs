@@ -31,6 +31,11 @@ pub struct RunReport {
     pub end_time: SimTime,
     /// Number of timer events fired.
     pub events_processed: u64,
+    /// Number of wakes the executor handled: every task poll, plus each
+    /// stale wake it dropped because the task had already completed. A
+    /// spurious or duplicate wake adds here but fires no timer event, so
+    /// this counts executor work the trace hash cannot see.
+    pub polls: u64,
     /// Tasks that were spawned but never completed (deadlocked or still
     /// waiting when the horizon was reached). Zero for a clean run.
     pub unfinished_tasks: usize,
@@ -214,10 +219,12 @@ impl Sim {
     /// Snapshot the run counters without driving anything.
     pub fn report(&self) -> RunReport {
         let kernel = self.kernel.borrow();
+        let tasks = self.tasks.borrow();
         RunReport {
             end_time: kernel.now,
             events_processed: kernel.events_processed,
-            unfinished_tasks: self.tasks.borrow().len(),
+            polls: tasks.polls,
+            unfinished_tasks: tasks.len(),
             trace_hash: kernel.trace_hash,
         }
     }
@@ -226,8 +233,8 @@ impl Sim {
     /// parked waiters included). Parked futures own `Sim` clones while
     /// the task map lives *inside* `Sim`, an `Rc` cycle that would
     /// otherwise keep the whole world alive forever; harnesses that
-    /// build many worlds (Criterion runs thousands) must break it when
-    /// a run finishes. The world must not be `run` again afterwards.
+    /// build many worlds (a sweep runs dozens) must break it when a run
+    /// finishes. The world must not be `run` again afterwards.
     pub fn shutdown(&self) {
         self.tasks.borrow_mut().clear();
     }
@@ -243,9 +250,10 @@ impl Sim {
         while let Some(id) = self.ready.pop() {
             // Take the future out so model code may re-enter `Sim` freely
             // while we poll, and so wakes during the poll are harmless.
-            // The slot's cached waker is cloned (an `Arc` bump), not built.
+            // The slot's cached waker is cloned (an `Rc` bump), not built.
             let (mut fut, waker) = {
                 let mut tasks = self.tasks.borrow_mut();
+                tasks.polls += 1;
                 match tasks.get_live(id) {
                     Some(slot) => match slot.future.take() {
                         Some(f) => {
@@ -531,11 +539,16 @@ mod tests {
         sim.ready.push(old_id);
         sim.run();
         assert_eq!(polls.get(), 1, "stale wake was misdelivered to B");
+        assert_eq!(sim.report().polls, 3, "a dropped stale wake still counts");
 
-        // Sanity: a wake with the *current* id does reach B.
+        // Sanity: a wake with the *current* id does reach B. It is
+        // spurious (B is not ready), so it adds a poll but no event.
+        let events = sim.report().events_processed;
         sim.ready.push(b.id());
         sim.run();
         assert_eq!(polls.get(), 2);
+        assert_eq!(sim.report().polls, 4);
+        assert_eq!(sim.report().events_processed, events);
     }
 
     #[test]

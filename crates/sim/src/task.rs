@@ -162,6 +162,8 @@ pub(crate) struct TaskTable {
     free: Vec<u32>,
     next_spawn: u64,
     live: usize,
+    /// Wakes handled: task polls plus dropped stale wakes.
+    pub(crate) polls: u64,
 }
 
 impl TaskTable {

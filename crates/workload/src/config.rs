@@ -194,36 +194,43 @@ impl ExperimentConfig {
         self.rounds_per_node() * self.request_size as u64 * self.compute_nodes as u64
     }
 
-    /// Sanity checks a run performs before starting.
-    pub fn validate(&self) {
-        assert!(self.compute_nodes > 0 && self.io_nodes > 0);
-        assert!(self.request_size > 0 && self.stripe_unit > 0);
-        assert!(
-            self.rounds_per_node() > 0,
-            "file too small for even one round: {self:?}"
+    /// Sanity checks a run performs before starting: the first problem
+    /// found, as a message naming the offending setting.
+    pub fn validate(&self) -> Result<(), String> {
+        let (cn, ion, sz, file) = (
+            self.compute_nodes,
+            self.io_nodes,
+            self.request_size,
+            self.file_size,
         );
+        if cn == 0 || ion == 0 || sz == 0 || self.stripe_unit == 0 {
+            return Err("node counts, request size and stripe unit must be positive".into());
+        }
+        if self.rounds_per_node() == 0 {
+            return Err(format!(
+                "{file}-byte file too small for one round of {cn} x {sz}-byte requests"
+            ));
+        }
         if let StripeLayout::Across { factor } = self.layout {
-            assert!(
-                factor <= self.io_nodes,
-                "stripe factor {factor} exceeds {} I/O nodes",
-                self.io_nodes
-            );
+            if factor > ion {
+                return Err(format!("stripe factor {factor} exceeds {ion} I/O nodes"));
+            }
         }
-        if self.mode.requires_equal_sizes() {
-            // M_RECORD partitions must tile exactly.
-            assert_eq!(
-                self.file_size % (self.request_size as u64 * self.compute_nodes as u64),
-                0,
-                "M_RECORD needs the file to tile into whole collective rounds"
-            );
+        if self.mode.requires_equal_sizes() && !file.is_multiple_of(cn as u64 * sz as u64) {
+            return Err(format!(
+                "{} needs the file to tile into whole collective rounds: \
+                 {file} bytes is not a multiple of {cn} x {sz}-byte requests",
+                self.mode
+            ));
         }
-        if let Redundancy::Replicated { rf } = self.redundancy {
-            assert!(rf >= 2, "replication factor below 2 is not replication");
-            assert!(
-                rf <= self.io_nodes,
-                "replication factor {rf} exceeds {} I/O nodes",
-                self.io_nodes
-            );
+        match self.redundancy {
+            Redundancy::Replicated { rf } if rf < 2 => {
+                Err("replication factor below 2 is not replication".into())
+            }
+            Redundancy::Replicated { rf } if rf > ion => {
+                Err(format!("replication factor {rf} exceeds {ion} I/O nodes"))
+            }
+            _ => Ok(()),
         }
     }
 }
@@ -241,7 +248,7 @@ mod tests {
         // 64 MB / (8 nodes × 64 KB) = 128 rounds.
         assert_eq!(cfg.rounds_per_node(), 128);
         assert_eq!(cfg.total_bytes(), 64 << 20);
-        cfg.validate();
+        assert_eq!(cfg.validate(), Ok(()));
     }
 
     #[test]
@@ -271,19 +278,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "tile")]
     fn m_record_rejects_ragged_files() {
         let mut cfg = ExperimentConfig::paper_iobound(64 * 1024, 8);
         cfg.file_size += 1;
-        cfg.validate();
+        let err = cfg.validate().unwrap_err();
+        assert!(err.contains("tile"), "{err}");
     }
 
     #[test]
-    #[should_panic(expected = "replication factor")]
     fn replication_factor_must_fit_the_machine() {
         let mut cfg = ExperimentConfig::paper_iobound(64 * 1024, 8);
         cfg.redundancy = Redundancy::Replicated { rf: 9 };
-        cfg.validate();
+        let err = cfg.validate().unwrap_err();
+        assert!(err.contains("replication factor 9 exceeds 8"), "{err}");
     }
 
     #[test]

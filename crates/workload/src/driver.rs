@@ -30,7 +30,9 @@ type DriverOutput = Rc<RefCell<Option<(Vec<NodeResult>, SimDuration)>>>;
 /// world, built, driven to quiescence and harvested. The result is a
 /// pure function of `cfg` (seed included).
 pub fn run(cfg: &ExperimentConfig) -> RunResult {
-    cfg.validate();
+    if let Err(e) = cfg.validate() {
+        panic!("invalid experiment config: {e}");
+    }
     let sim = Sim::new(cfg.seed);
     let world = build_world(cfg, &sim);
     sim.run();
@@ -172,7 +174,7 @@ fn finish_world(cfg: &ExperimentConfig, sim: &Sim, w: World) -> RunResult {
     let trace = sim.tracer().events();
     // Free the world: parked server loops otherwise keep the whole
     // machine (including megabytes of simulated disk contents) alive via
-    // an Rc cycle — fatal when a bench harness runs thousands of worlds.
+    // an Rc cycle — fatal when a sweep runs many worlds in one process.
     sim.shutdown();
     let (per_node, elapsed) = w.out.borrow_mut().take().unwrap_or_else(|| {
         panic!(
@@ -215,6 +217,7 @@ fn finish_world(cfg: &ExperimentConfig, sim: &Sim, w: World) -> RunResult {
         raid.reconstructed_reads += r.reconstructed_reads;
         raid.reconstructed_bytes += r.reconstructed_bytes;
         raid.parity_rmws += r.parity_rmws;
+        raid.store_bytes_copied += r.store_bytes_copied;
     }
     let metrics = w.telemetry.map(|t| {
         // Distributions are recorded post-run from the per-request
@@ -235,6 +238,7 @@ fn finish_world(cfg: &ExperimentConfig, sim: &Sim, w: World) -> RunResult {
         prefetch,
         prefetch_enabled: cfg.prefetch.is_some(),
         trace_hash: report.trace_hash,
+        polls: report.polls,
         verify_failures,
         fault: sim.faults().stats(),
         raid,

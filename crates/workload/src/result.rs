@@ -74,6 +74,10 @@ pub struct RunResult {
     pub prefetch_enabled: bool,
     /// Event-trace hash of the whole simulation (determinism checks).
     pub trace_hash: u64,
+    /// Wakes the executor handled over the whole simulation (see
+    /// `RunReport::polls`): host work the trace hash misses, since a
+    /// spurious wake adds a poll but no event.
+    pub polls: u64,
     /// Number of data-verification mismatches (0 unless `verify_data`
     /// caught corruption — always a bug).
     pub verify_failures: u64,
@@ -184,6 +188,7 @@ mod tests {
             prefetch: PrefetchStats::default(),
             prefetch_enabled: false,
             trace_hash: 0,
+            polls: 0,
             verify_failures: 0,
             read_errors: 0,
             fault: FaultStats::default(),
@@ -210,6 +215,7 @@ mod tests {
             prefetch: PrefetchStats::default(),
             prefetch_enabled: false,
             trace_hash: 0,
+            polls: 0,
             verify_failures: 0,
             read_errors: 0,
             fault: FaultStats::default(),

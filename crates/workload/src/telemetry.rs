@@ -16,7 +16,8 @@
 //! throughput × latency), and — when a trace was recorded — agreement
 //! between the utilization ranking and the trace-derived access-time
 //! decomposition. [`metrics_check`] compares one report against a
-//! committed baseline with per-metric tolerance bands: the CI perf gate.
+//! committed baseline — run config and work counters exactly, scalars
+//! within per-metric tolerance bands: the CI perf gate.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -86,6 +87,14 @@ pub mod names {
         REPLICA_FAILOVERS = "replica.failovers";
         /// Counter: reads served by a non-primary replica.
         REPLICA_READS = "replica.reads";
+        /// Counter: timer events the simulation kernel fired.
+        SIM_EVENTS = "sim.events";
+        /// Counter: wakes the executor handled (task polls, spurious
+        /// ones included, plus dropped stale wakes).
+        SIM_POLLS = "sim.polls";
+        /// Counter: host bytes the I/O nodes' logical stores copied
+        /// (multi-page read gather and partial-page write merge).
+        DISK_STORE_BYTES_COPIED = "disk.store.bytes_copied";
     }
 }
 
@@ -222,6 +231,20 @@ impl Telemetry {
         registry.register_counter(names::REPLICA_FAILOVERS, move || c.get() as f64);
         let c = pfs.replica_reads_cell();
         registry.register_counter(names::REPLICA_READS, move || c.get() as f64);
+        // Host work, counted exactly: what a host-time slowdown is made
+        // of, without the host clock's noise.
+        let s = sim.clone();
+        registry.register_counter(names::SIM_EVENTS, move || {
+            s.report().events_processed as f64
+        });
+        let s = sim.clone();
+        registry.register_counter(names::SIM_POLLS, move || s.report().polls as f64);
+        let m = machine.clone();
+        registry.register_counter(names::DISK_STORE_BYTES_COPIED, move || {
+            (0..ions)
+                .map(|i| m.raid(i).raid_stats().store_bytes_copied as f64)
+                .sum()
+        });
 
         Rc::new(Telemetry {
             sim: sim.clone(),
@@ -267,10 +290,11 @@ fn spindles_per_ion(cfg: &ExperimentConfig) -> usize {
 
 /// Build the bottleneck-attribution report for an instrumented run.
 ///
-/// The report's `"scalars"` object is the perf-gate surface: flat
-/// `name → number`, compared against a committed baseline by
-/// [`metrics_check`]. Everything else (`series`, `counters`,
-/// `histograms`, `meta`) is context for humans and renderers.
+/// [`metrics_check`] gates three sections against a committed baseline:
+/// `meta` (the run config) and `counters` (measured-phase work counts)
+/// exactly, and `"scalars"` (flat `name → number`) within tolerance
+/// bands. The rest (`series`, `histograms`, `bottleneck`) is context for
+/// humans and renderers.
 pub fn metrics_report(cfg: &ExperimentConfig, result: &RunResult) -> Json {
     let snap = result
         .metrics
@@ -447,57 +471,40 @@ fn span_consistency(demand: &[CriticalPath], disk: f64, mesh: f64) -> bool {
     (disk >= mesh) == (time_disk >= time_mesh)
 }
 
-/// Compare a current report's `"scalars"` against a committed baseline.
+/// Compare a current report against a committed baseline: the CI perf
+/// gate. Empty result = gate passes.
 ///
-/// Per-metric tolerance bands: utilizations (names starting `util.`)
-/// and ratios (names ending `.ratio`) are compared absolutely within
-/// 0.05; a zero baseline demands an exact zero; everything else is
-/// relative within 10%. `tolerance` overrides the band width for every
-/// metric (relative, with the same width used absolutely for the
-/// utilization/ratio class and zero baselines). Missing or extra
-/// scalars are violations too. Empty result = gate passes.
-///
-/// Exception: host-measured bench scalars (names starting `bench.`)
-/// are one-sided throughput floors. They only appear in reports
-/// produced with `--bench`, so a current report without them passes,
-/// and running faster than baseline is never a regression; a current
-/// value below `baseline × (1 − allowed_drop)` fails, where the
-/// allowed fractional drop defaults to 0.75 (i.e. the floor sits at
-/// 25% of baseline — wide on purpose, because wall-clock throughput
-/// varies across host machines) and `tolerance` overrides it.
+/// 1. `meta` first: a report of a different run config (seed, shape,
+///    request size, prefetch, cadence, samples) is not comparable, so
+///    each differing key is one violation naming both values, and the
+///    other sections are not compared.
+/// 2. `counters` are exact, host-independent work counts: a missing
+///    key, an extra key or a different value is a violation, and
+///    `tolerance` does not loosen them.
+/// 3. `scalars` get per-metric tolerance bands. Utilizations (names
+///    starting `util.`) and ratios (names ending `.ratio`) are compared
+///    absolutely within 0.05; a zero baseline demands an exact zero;
+///    everything else is relative within 10%. `tolerance` overrides the
+///    band width for every scalar (relative, with the same width used
+///    absolutely for the utilization/ratio class and zero baselines).
+///    Missing or extra scalars are violations too.
 pub fn metrics_check(current: &Json, baseline: &Json, tolerance: Option<f64>) -> Vec<String> {
+    let exact = |_: &str, c: &Json, b: &Json| {
+        let show = |v: &Json| v.pretty().trim_end().to_owned();
+        (c != b).then(|| format!("{} vs baseline {} (must match exactly)", show(c), show(b)))
+    };
     let mut violations = Vec::new();
-    let empty = std::collections::BTreeMap::new();
-    let cur = current
-        .get("scalars")
-        .and_then(Json::as_obj)
-        .unwrap_or(&empty);
-    let base = baseline
-        .get("scalars")
-        .and_then(Json::as_obj)
-        .unwrap_or(&empty);
-    if base.is_empty() {
+    compare_section(current, baseline, "meta", exact, &mut violations);
+    if !violations.is_empty() {
+        return violations;
+    }
+    compare_section(current, baseline, "counters", exact, &mut violations);
+    if section(baseline, "scalars").is_empty() {
         violations.push("baseline has no scalars object".into());
     }
-    for (name, bval) in base {
-        let Some(b) = bval.as_f64() else { continue };
-        if name.starts_with("bench.") {
-            if let Some(c) = cur.get(name).and_then(Json::as_f64) {
-                let allowed_drop = tolerance.unwrap_or(0.75).min(1.0);
-                let floor = b * (1.0 - allowed_drop);
-                if c < floor {
-                    violations.push(format!(
-                        "{name}: {c} below floor {floor:.6} \
-                         (baseline {b}, allowed drop {allowed_drop})"
-                    ));
-                }
-            }
-            continue;
-        }
-        let Some(c) = cur.get(name).and_then(Json::as_f64) else {
-            violations.push(format!("missing scalar {name} (baseline {b})"));
-            continue;
-        };
+    let banded = |name: &str, c: &Json, b: &Json| {
+        // A non-numeric current value is infinitely far off.
+        let (c, b) = (c.as_f64().unwrap_or(f64::INFINITY), b.as_f64()?);
         let absolute_class = name.starts_with("util.") || name.ends_with(".ratio");
         let (limit, style) = if absolute_class {
             (tolerance.unwrap_or(0.05), "absolute")
@@ -507,18 +514,41 @@ pub fn metrics_check(current: &Json, baseline: &Json, tolerance: Option<f64>) ->
             (tolerance.unwrap_or(0.10) * b.abs(), "relative")
         };
         let diff = (c - b).abs();
-        if diff > limit {
-            violations.push(format!(
-                "{name}: {c} vs baseline {b} ({style} diff {diff:.6} > {limit:.6})"
-            ));
-        }
-    }
-    for name in cur.keys() {
-        if !base.contains_key(name) {
-            violations.push(format!("unexpected scalar {name} not in baseline"));
-        }
-    }
+        (diff > limit).then(|| format!("{c} vs baseline {b} ({style} diff {diff:.6} > {limit:.6})"))
+    };
+    compare_section(current, baseline, "scalars", banded, &mut violations);
     violations
+}
+
+/// A report's object-valued section `key` (empty when absent).
+fn section<'a>(report: &'a Json, key: &str) -> &'a std::collections::BTreeMap<String, Json> {
+    static EMPTY: std::collections::BTreeMap<String, Json> = std::collections::BTreeMap::new();
+    report.get(key).and_then(Json::as_obj).unwrap_or(&EMPTY)
+}
+
+/// Compare section `key` of two reports entry by entry: a missing or an
+/// extra entry is a violation, and `differs` judges each shared one.
+fn compare_section(
+    current: &Json,
+    baseline: &Json,
+    key: &str,
+    differs: impl Fn(&str, &Json, &Json) -> Option<String>,
+    violations: &mut Vec<String>,
+) {
+    let (cur, base) = (section(current, key), section(baseline, key));
+    for (name, b) in base {
+        let problem = match cur.get(name) {
+            None => Some(format!("missing (baseline {})", b.pretty().trim_end())),
+            Some(c) => differs(name, c, b),
+        };
+        violations.extend(problem.map(|p| format!("{key}.{name}: {p}")));
+    }
+    for (name, c) in cur.iter().filter(|(name, _)| !base.contains_key(*name)) {
+        violations.push(format!(
+            "{key}.{name}: {} not in baseline",
+            c.pretty().trim_end()
+        ));
+    }
 }
 
 /// Render the report for humans: a utilization table, the bottleneck
@@ -655,7 +685,6 @@ mod tests {
     use crate::config::StripeLayout;
     use paragon_machine::Calibration;
     use paragon_pfs::IoMode;
-    use std::collections::BTreeMap;
 
     /// A small paper-calibrated config: real service times, so queues
     /// form, utilizations are meaningful, and the sampler gets to tick.
@@ -770,14 +799,30 @@ mod tests {
         assert_eq!(*snap.series[names::PREFETCH_BUFFERS].last().unwrap(), 0.0);
     }
 
+    /// A report with the given sections, each a flat `name → number`.
+    fn report(sections: &[(&str, &[(&str, f64)])]) -> Json {
+        let obj = |entries: &[(&str, f64)]| {
+            Json::Obj(
+                entries
+                    .iter()
+                    .map(|(k, v)| ((*k).to_string(), Json::Num(*v)))
+                    .collect(),
+            )
+        };
+        Json::Obj(
+            sections
+                .iter()
+                .map(|(k, e)| ((*k).to_string(), obj(e)))
+                .collect(),
+        )
+    }
+
     fn report_with(scalars: &[(&str, f64)]) -> Json {
-        let mut s = BTreeMap::new();
-        for (k, v) in scalars {
-            s.insert((*k).to_string(), Json::Num(*v));
-        }
-        let mut root = BTreeMap::new();
-        root.insert("scalars".into(), Json::Obj(s));
-        Json::Obj(root)
+        report(&[("scalars", scalars)])
+    }
+
+    fn with_counters(counters: &[(&str, f64)]) -> Json {
+        report(&[("scalars", &[("a", 1.0)]), ("counters", counters)])
     }
 
     #[test]
@@ -814,28 +859,50 @@ mod tests {
         let cur = report_with(&[("a", 1.0), ("c", 3.0)]);
         let v = metrics_check(&cur, &base, None);
         assert_eq!(v.len(), 2, "{v:?}");
-        assert!(v.iter().any(|m| m.contains("missing scalar b")));
-        assert!(v.iter().any(|m| m.contains("unexpected scalar c")));
+        assert!(v.iter().any(|m| m.contains("scalars.b: missing")));
+        assert!(v.iter().any(|m| m.contains("scalars.c: 3 not in baseline")));
     }
 
     #[test]
-    fn check_treats_bench_scalars_as_one_sided_floors() {
-        let base = report_with(&[("a", 1.0), ("bench.sim_io_bytes_per_host_second", 100.0)]);
-        // Absent from the current report (a run without --bench): passes.
-        assert!(metrics_check(&report_with(&[("a", 1.0)]), &base, None).is_empty());
-        // Faster than baseline is never a regression; 30% of baseline
-        // still clears the default 25% floor.
-        let fast = report_with(&[("a", 1.0), ("bench.sim_io_bytes_per_host_second", 900.0)]);
-        assert!(metrics_check(&fast, &base, None).is_empty());
-        let slow_ok = report_with(&[("a", 1.0), ("bench.sim_io_bytes_per_host_second", 30.0)]);
-        assert!(metrics_check(&slow_ok, &base, None).is_empty());
-        // Below the floor: one violation, naming the floor.
-        let slow = report_with(&[("a", 1.0), ("bench.sim_io_bytes_per_host_second", 20.0)]);
-        let v = metrics_check(&slow, &base, None);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].contains("below floor"));
-        // Tolerance overrides the allowed drop (here: only 10% slack).
-        assert_eq!(metrics_check(&slow_ok, &base, Some(0.10)).len(), 1);
+    fn check_compares_counters_exactly_under_any_tolerance() {
+        let base = with_counters(&[("sim.polls", 100.0), ("disk.store.bytes_copied", 0.0)]);
+        assert!(metrics_check(&base, &base, None).is_empty());
+        let off_by_one = with_counters(&[("sim.polls", 101.0), ("disk.store.bytes_copied", 0.0)]);
+        for tolerance in [None, Some(1.0)] {
+            let v = metrics_check(&off_by_one, &base, tolerance);
+            assert_eq!(v.len(), 1, "{v:?}");
+            assert!(
+                v[0].starts_with("counters.sim.polls: 101 vs baseline 100"),
+                "{v:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn check_flags_missing_and_extra_counters() {
+        let base = with_counters(&[("sim.events", 7.0), ("sim.polls", 9.0)]);
+        let missing = with_counters(&[("sim.events", 7.0)]);
+        let v = metrics_check(&missing, &base, Some(1.0));
+        assert_eq!(v, ["counters.sim.polls: missing (baseline 9)"]);
+        let extra = with_counters(&[("sim.events", 7.0), ("sim.polls", 9.0), ("x", 0.0)]);
+        let v = metrics_check(&extra, &base, Some(1.0));
+        assert_eq!(v, ["counters.x: 0 not in baseline"]);
+    }
+
+    #[test]
+    fn check_rejects_a_report_of_a_different_config_before_anything_else() {
+        let cfg = instrumented();
+        let base = metrics_report(&cfg, &crate::run(&cfg));
+        let mut reseeded = cfg.clone();
+        reseeded.seed += 1;
+        let mut recadenced = cfg.clone();
+        recadenced.metrics_cadence = Some(SimDuration::from_millis(50));
+        for (other, key) in [(reseeded, "meta.seed"), (recadenced, "meta.cadence_ns")] {
+            let cur = metrics_report(&other, &crate::run(&other));
+            let v = metrics_check(&cur, &base, Some(1.0));
+            assert!(v.iter().any(|m| m.starts_with(key)), "{key}: {v:?}");
+            assert!(v.iter().all(|m| m.starts_with("meta.")), "{v:?}");
+        }
     }
 
     #[test]

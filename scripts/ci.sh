@@ -48,20 +48,14 @@ cargo test -q --release --test determinism full_machine_1024x128 -- --ignored
 
 echo "=== metrics"
 # Perf-regression gate: re-run the telemetry-instrumented default
-# workload and compare the bottleneck report's scalars (utilizations,
-# bandwidth, Little's-law ratio, ...) against the committed baseline
-# within per-metric tolerance bands. Regenerate the baseline with
-# `paragonctl metrics run --seed 42` after an intentional perf change.
+# workload and compare its report with the committed baseline. The run
+# config and the work counters (events, task polls, store bytes copied,
+# disk/mesh/server totals) must match exactly, on any host; the scalars
+# (utilizations, bandwidth, Little's-law ratio, ...) must stay within
+# per-metric tolerance bands. Host time is not gated here: hostbench/
+# measures it. Regenerate the baseline with
+# `paragonctl metrics run --seed 42` after an intentional change.
 cargo run -q -p paragon-bench --release --bin paragonctl -- metrics check --seed 42
-
-echo "=== bench"
-# Engine-throughput gate: measure simulated-I/O bytes per host second on
-# the EXT-SCALING reread shape (host-timed, reread-differenced so
-# populate/driver constants cancel) and compare against the committed
-# bench.* scalar. One-sided floor at 25% of baseline — only a large
-# engine slowdown fails; host-speed variance is absorbed by the band.
-# Regenerate with `paragonctl metrics run --bench --seed 42`.
-cargo run -q -p paragon-bench --release --bin paragonctl -- metrics check --bench --seed 42
 
 echo "=== profile"
 # Profiler acceptance gate: the critical-path blame report's nine-leg

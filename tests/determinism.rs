@@ -127,11 +127,13 @@ fn random_access_pattern_is_seeded() {
     assert_eq!(a.trace_hash, b.trace_hash);
 }
 
-/// Frozen trace hash and simulated time of the 1024×128 full-machine
-/// run below, pinned serially when the simulator became a single
-/// serial kernel. A mismatch means the full machine's event order
-/// changed, not that the golden needs regenerating.
-const GOLDEN_1024X128: (u64, u64) = (0x394d774885d5336d, 3_754_046_001);
+/// Frozen trace hash, simulated time and `(task polls, store bytes
+/// copied)` of the 1024×128 full-machine run below, pinned serially
+/// when the simulator became a single serial kernel. A mismatch in the
+/// first two means the full machine's event order changed; in the work
+/// pair, that the host does more (or less) work for the same events.
+/// Neither means the golden needs regenerating.
+const GOLDEN_1024X128: (u64, u64, (u64, u64)) = (0x394d774885d5336d, 3_754_046_001, (507_744, 0));
 
 #[test]
 #[ignore = "full-machine run; release only, from scripts/ci.sh === full machine"]
@@ -147,7 +149,7 @@ fn full_machine_1024x128_pins_the_serial_golden() {
     assert_eq!(r.verify_failures, 0);
     assert_eq!(r.read_errors, 0);
     assert_eq!(r.per_node.len(), 1024);
-    let (hash, elapsed_ns) = GOLDEN_1024X128;
+    let (hash, elapsed_ns, work) = GOLDEN_1024X128;
     assert_eq!(
         r.trace_hash, hash,
         "trace hash diverged (got {:#018x})",
@@ -158,5 +160,10 @@ fn full_machine_1024x128_pins_the_serial_golden() {
         SimDuration::from_nanos(elapsed_ns),
         "simulated time diverged (got {} ns)",
         r.elapsed.as_nanos()
+    );
+    assert_eq!(
+        (r.polls, r.raid.store_bytes_copied),
+        work,
+        "(task polls, store bytes copied) diverged"
     );
 }
