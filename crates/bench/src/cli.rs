@@ -1047,6 +1047,9 @@ mod tests {
         assert!(err.contains("tile into whole collective rounds"), "{err}");
         let argv = args(&format!("run {RAGGED}")).0;
         assert_eq!(main_impl(argv), ExitCode::FAILURE);
+        let err = build_config(&mut args("--sgroup 0")).unwrap_err();
+        assert!(err.contains("stripe factor must be positive"), "{err}");
+        assert_eq!(main_impl(args("run --sgroup 0").0), ExitCode::FAILURE);
     }
 
     #[test]
@@ -1334,5 +1337,38 @@ mod tests {
         for p in [pa, pb, pc] {
             let _ = std::fs::remove_file(p);
         }
+    }
+
+    #[test]
+    fn a_trace_file_with_a_stale_hash_is_rejected() {
+        use paragon_sim::{EventKind, SimTime, Track};
+        let event = TraceEvent {
+            time: SimTime::from_nanos(1000),
+            track: Track::Cn(0),
+            kind: EventKind::Mark,
+            req: 1,
+            a: 0,
+            b: 7,
+        };
+        let good = export_json(&[event]);
+        let edited = good.replace("\"b\":7", "\"b\":8");
+        assert_ne!(edited, good, "edit had no effect");
+        let path = std::env::temp_dir().join("paragonctl-test-stale-hash.json");
+        let s = path.to_str().unwrap().to_string();
+        std::fs::write(&path, &good).unwrap();
+        let run = |cmd: &str| main_impl(args(&format!("{cmd} {s}")).0);
+        assert_eq!(run("trace summarize"), ExitCode::SUCCESS);
+        std::fs::write(&path, &edited).unwrap();
+        for cmd in [
+            "trace summarize",
+            "profile critical-path",
+            "profile export --out /dev/null",
+        ] {
+            assert_eq!(run(cmd), ExitCode::FAILURE, "{cmd}");
+        }
+        assert_eq!(run(&format!("trace diff {s}")), ExitCode::FAILURE);
+        let err = load_trace(&s).unwrap_err();
+        assert!(err.contains("trace hash mismatch"), "{err}");
+        let _ = std::fs::remove_file(path);
     }
 }

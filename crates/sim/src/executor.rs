@@ -159,12 +159,6 @@ impl Sim {
         }
     }
 
-    /// Yield to every other task runnable at the current instant, then
-    /// resume. Goes through the event heap, so ordering stays deterministic.
-    pub fn yield_now(&self) -> Sleep {
-        self.sleep(SimDuration::ZERO)
-    }
-
     /// Run `fut` but give up after `d` of virtual time. Returns `None` on
     /// timeout (the inner future is dropped, cancelling whatever it owned).
     pub async fn timeout<F, T>(&self, d: SimDuration, fut: F) -> Option<T>
@@ -200,7 +194,7 @@ impl Sim {
     fn run_inner(&self, horizon: SimTime) -> RunReport {
         loop {
             self.drain_ready();
-            let next = self.kernel.borrow_mut().next_event_time();
+            let next = self.kernel.borrow().next_event_time();
             match next {
                 Some(t) if t <= horizon => {
                     let waker = self
@@ -552,20 +546,35 @@ mod tests {
     }
 
     #[test]
-    fn yield_now_lets_same_time_tasks_run() {
+    fn same_instant_wakes_fire_in_registration_order() {
+        // Tasks 0..6 all sleep until the shared instant `t`, registering in
+        // reverse spawn order (task i first waits 6 - i µs). Task 10 wakes
+        // just before `t`, task 11 just after. At `t`, the wakes must fire in
+        // registration order, and a zero-length sleep taken at `t` must run
+        // after every wake already registered for `t` and before `t + 1`.
         let sim = Sim::new(1);
         let log: Rc<RefCell<Vec<u32>>> = Rc::new(RefCell::new(Vec::new()));
-        let (l1, l2) = (log.clone(), log.clone());
-        let s1 = sim.clone();
-        sim.spawn(async move {
-            l1.borrow_mut().push(1);
-            s1.yield_now().await;
-            l1.borrow_mut().push(3);
-        });
-        sim.spawn(async move {
-            l2.borrow_mut().push(2);
-        });
+        let t = SimTime::from_nanos(1_000_000);
+        for id in 0..6u32 {
+            let (s, l) = (sim.clone(), log.clone());
+            sim.spawn(async move {
+                s.sleep(SimDuration::from_micros(6 - id as u64)).await;
+                s.sleep_until(t).await;
+                l.borrow_mut().push(id);
+                if id == 5 {
+                    s.sleep(SimDuration::ZERO).await;
+                    l.borrow_mut().push(50);
+                }
+            });
+        }
+        for (id, at) in [(11u32, 1_000_001), (10, 999_999)] {
+            let (s, l) = (sim.clone(), log.clone());
+            sim.spawn(async move {
+                s.sleep_until(SimTime::from_nanos(at)).await;
+                l.borrow_mut().push(id);
+            });
+        }
         sim.run();
-        assert_eq!(*log.borrow(), vec![1, 2, 3]);
+        assert_eq!(*log.borrow(), vec![10, 5, 4, 3, 2, 1, 0, 50, 11]);
     }
 }

@@ -127,11 +127,6 @@ impl FaultPlan {
         self.state.borrow_mut().armed = true;
     }
 
-    /// Stop injecting (dead disks stay dead in the table but stop firing).
-    pub fn disarm(&self) {
-        self.state.borrow_mut().armed = false;
-    }
-
     /// True while faults fire.
     pub fn armed(&self) -> bool {
         self.state.borrow().armed
@@ -153,14 +148,9 @@ impl FaultPlan {
             .or_insert(0) += count;
     }
 
-    /// Kill disk track `disk`: every request fails until revived.
+    /// Kill disk track `disk`: every request fails from then on.
     pub fn kill_disk(&self, disk: u16) {
         self.state.borrow_mut().dead_disks.insert(disk);
-    }
-
-    /// Bring a killed disk back.
-    pub fn revive_disk(&self, disk: u16) {
-        self.state.borrow_mut().dead_disks.remove(&disk);
     }
 
     /// Per-mille rates for mesh drop/duplicate/delay, and the extra delay
@@ -339,7 +329,7 @@ mod tests {
     }
 
     #[test]
-    fn dead_disk_fails_reads_and_writes_until_revived() {
+    fn dead_disk_fails_reads_and_writes() {
         let plan = FaultPlan::new(1);
         plan.kill_disk(3);
         plan.arm();
@@ -347,8 +337,6 @@ mod tests {
         assert_eq!(plan.disk_write_fault(3), Some(DiskFault::Dead));
         assert!(plan.disk_is_dead(3));
         assert_eq!(plan.disk_read_fault(2), None);
-        plan.revive_disk(3);
-        assert_eq!(plan.disk_read_fault(3), None);
         assert_eq!(plan.stats().disk_dead_hits, 2);
     }
 

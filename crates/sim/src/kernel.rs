@@ -3,20 +3,54 @@
 //! Every future that needs to wait for virtual time registers a [`Waker`]
 //! at a deadline. The kernel pops entries in `(time, seq)` order — `seq` is
 //! a monotone counter, so simultaneous events fire in registration order and
-//! the whole simulation is deterministic. Storage is a [`CalendarQueue`],
-//! which pops in exactly the order a binary heap keyed on `(time, seq)`
-//! would, without the O(log n) sift per event.
+//! the whole simulation is deterministic. Storage is a [`BinaryHeap`] of
+//! [`Reverse`]d entries ordered on `(time, seq)` alone.
 
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 use std::task::Waker;
 
-use crate::calendar::CalendarQueue;
 use crate::time::SimTime;
+
+/// A scheduled wake. Ordered on `(time, seq)` only: `seq` is unique, so no
+/// two entries compare equal and the waker never takes part in ordering.
+struct Entry {
+    time: SimTime,
+    seq: u64,
+    waker: Waker,
+}
+
+impl Entry {
+    fn key(&self) -> (SimTime, u64) {
+        (self.time, self.seq)
+    }
+}
+
+impl PartialEq for Entry {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl Eq for Entry {}
+
+impl PartialOrd for Entry {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Entry {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.key().cmp(&other.key())
+    }
+}
 
 /// Event queue + virtual clock. Owned by the executor behind a `RefCell`.
 pub(crate) struct Kernel {
     pub(crate) now: SimTime,
     seq: u64,
-    queue: CalendarQueue<Waker>,
+    queue: BinaryHeap<Reverse<Entry>>,
     pub(crate) events_processed: u64,
     /// FNV-1a hash folded over every `(time, seq)` fired; lets tests assert
     /// that two runs with the same seed took the identical event path.
@@ -28,7 +62,7 @@ impl Kernel {
         Kernel {
             now: SimTime::ZERO,
             seq: 0,
-            queue: CalendarQueue::new(),
+            queue: BinaryHeap::new(),
             events_processed: 0,
             trace_hash: 0xcbf2_9ce4_8422_2325,
         }
@@ -39,16 +73,16 @@ impl Kernel {
         let time = deadline.max(self.now);
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(time, seq, waker);
+        self.queue.push(Reverse(Entry { time, seq, waker }));
     }
 
-    pub(crate) fn next_event_time(&mut self) -> Option<SimTime> {
-        self.queue.peek().map(|(t, _)| t)
+    pub(crate) fn next_event_time(&self) -> Option<SimTime> {
+        self.queue.peek().map(|Reverse(e)| e.time)
     }
 
     /// Pop the earliest entry, advance the clock, and return its waker.
     pub(crate) fn fire_next(&mut self) -> Option<Waker> {
-        let (time, seq, waker) = self.queue.pop()?;
+        let Reverse(Entry { time, seq, waker }) = self.queue.pop()?;
         debug_assert!(time >= self.now, "event queue went backwards");
         self.now = time;
         self.events_processed += 1;
@@ -129,7 +163,7 @@ mod tests {
     #[test]
     fn clamped_same_instant_wakes_fire_in_registration_order() {
         // Many wakes land at the already-reached instant `now`: they must
-        // drain FIFO, exactly as the binary-heap scheduler did.
+        // drain FIFO.
         let mut k = Kernel::new();
         let w = waker();
         k.schedule_wake(SimTime::from_nanos(1_000), w.clone());

@@ -1,9 +1,10 @@
 //! # paragon-sim — deterministic discrete-event simulation kernel
 //!
 //! Foundation of the Paragon PFS reproduction: a virtual clock, an event
-//! heap, and a single-threaded async executor. Model code (compute-node
-//! programs, PFS servers, disks) is written as plain `async fn`s; awaiting a
-//! [`Sim::sleep`] or a [`sync`] primitive parks the task until the event
+//! heap (`std`'s `BinaryHeap`), and a single-threaded async executor.
+//! Model code (compute-node programs, PFS servers, disks) is written as
+//! plain `async fn`s; awaiting a [`Sim::sleep`] or a [`sync`] primitive
+//! (whose waiter lists are `VecDeque`s) parks the task until the event
 //! heap reaches the right virtual instant.
 //!
 //! Two properties the rest of the workspace depends on:
@@ -29,7 +30,6 @@
 //! assert_eq!(h.try_take(), Some(3));
 //! ```
 
-pub mod calendar;
 mod executor;
 mod fault;
 mod kernel;
@@ -39,7 +39,6 @@ mod task;
 mod time;
 mod trace;
 
-pub use calendar::CalendarQueue;
 pub use executor::{derive_seed, JoinHandle, RunReport, Sim, Sleep};
 pub use fault::{DiskFault, FaultPlan, FaultStats, MeshVerdict};
 pub use rng::Rng;
@@ -47,5 +46,5 @@ pub use task::TaskId;
 pub use time::{SimDuration, SimTime, NANOS_PER_MICRO, NANOS_PER_MILLI, NANOS_PER_SEC};
 pub use trace::{
     ev, export_json, hash_events, parse_json, render_track_summary, EventBody, EventKind, ReqId,
-    Trace, TraceEvent, Track, TrackSummaryScratch,
+    Trace, TraceEvent, Track,
 };

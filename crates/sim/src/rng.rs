@@ -63,12 +63,6 @@ impl Rng {
     pub fn gen_bool(&mut self, p: f64) -> bool {
         self.next_f64() < p
     }
-
-    /// Split off an independent child stream (for spawning sub-generators
-    /// without sharing state).
-    pub fn fork(&mut self) -> Rng {
-        Rng::seed_from_u64(self.next_u64())
-    }
 }
 
 #[cfg(test)]
@@ -115,15 +109,6 @@ mod tests {
             seen[r.range_usize(0..4)] = true;
         }
         assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn fork_decorrelates() {
-        let mut a = Rng::seed_from_u64(5);
-        let mut b = a.fork();
-        let av: Vec<u64> = (0..8).map(|_| a.next_u64()).collect();
-        let bv: Vec<u64> = (0..8).map(|_| b.next_u64()).collect();
-        assert_ne!(av, bv);
     }
 
     #[test]

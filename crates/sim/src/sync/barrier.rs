@@ -3,18 +3,17 @@
 //! drivers that align phases across compute nodes.
 
 use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
-use crate::sync::small_ring::SmallRing;
-
 struct BarrierState {
     n: usize,
     arrived: usize,
     generation: u64,
-    wakers: SmallRing<Waker, 8>,
+    wakers: VecDeque<Waker>,
 }
 
 /// A cyclic barrier for `n` parties.
@@ -38,7 +37,7 @@ impl Barrier {
                 n: n.max(1),
                 arrived: 0,
                 generation: 0,
-                wakers: SmallRing::new(),
+                wakers: VecDeque::new(),
             })),
         }
     }

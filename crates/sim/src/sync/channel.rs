@@ -5,17 +5,14 @@
 //! channel, which is what the Paragon's ordered point-to-point links need.
 
 use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
-use crate::sync::small_ring::SmallRing;
-
 struct ChanState<T> {
-    /// First 4 messages inline: the per-request reply channels that
-    /// dominate channel traffic never touch the heap.
-    queue: SmallRing<T, 4>,
+    queue: VecDeque<T>,
     recv_waker: Option<Waker>,
     senders: usize,
     receiver_alive: bool,
@@ -38,7 +35,7 @@ pub struct RecvError;
 /// Create an unbounded MPSC channel.
 pub fn channel<T>() -> (Sender<T>, Receiver<T>) {
     let state = Rc::new(RefCell::new(ChanState {
-        queue: SmallRing::new(),
+        queue: VecDeque::new(),
         recv_waker: None,
         senders: 1,
         receiver_alive: true,

@@ -10,7 +10,6 @@ mod channel;
 mod oneshot;
 mod semaphore;
 mod signal;
-mod small_ring;
 
 pub use barrier::{Barrier, BarrierWaitResult};
 pub use channel::{channel, Receiver, RecvError, Sender};

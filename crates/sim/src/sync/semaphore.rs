@@ -6,16 +6,15 @@
 //! processors" observation depends on no node starving another.
 
 use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
-use crate::sync::small_ring::SmallRing;
-
 /// A parked acquirer, identified by its FIFO ticket. Lives *in* the queue
-/// ring (no per-waiter allocation); the `Acquire` future holds only the
-/// ticket number.
+/// (no per-waiter allocation); the `Acquire` future holds only the ticket
+/// number.
 struct Waiter {
     ticket: u64,
     waker: Option<Waker>,
@@ -25,12 +24,18 @@ struct SemState {
     permits: usize,
     /// Monotone ticket counter; queue order == ticket order.
     next_ticket: u64,
-    queue: SmallRing<Waiter, 8>,
+    queue: VecDeque<Waiter>,
     /// Tickets whose permit was handed over by `release` but whose waiter
     /// has not polled (or been cancelled) yet.
-    granted: SmallRing<u64, 4>,
-    /// High-water mark of queue length, for contention diagnostics.
-    max_queue: usize,
+    granted: VecDeque<u64>,
+}
+
+impl SemState {
+    /// Claim the permit `release` handed to `ticket`, if it did.
+    fn take_grant(&mut self, ticket: u64) -> bool {
+        let i = self.granted.iter().position(|&g| g == ticket);
+        i.and_then(|i| self.granted.remove(i)).is_some()
+    }
 }
 
 /// A FIFO counting semaphore. `Semaphore::new(1)` is a fair mutex.
@@ -46,9 +51,8 @@ impl Semaphore {
             state: Rc::new(RefCell::new(SemState {
                 permits,
                 next_ticket: 0,
-                queue: SmallRing::new(),
-                granted: SmallRing::new(),
-                max_queue: 0,
+                queue: VecDeque::new(),
+                granted: VecDeque::new(),
             })),
         }
     }
@@ -82,11 +86,6 @@ impl Semaphore {
         self.state.borrow().queue.len()
     }
 
-    /// High-water mark of the wait queue since creation.
-    pub fn max_queue_len(&self) -> usize {
-        self.state.borrow().max_queue
-    }
-
     fn release(&self) {
         let mut st = self.state.borrow_mut();
         if let Some(mut next) = st.queue.pop_front() {
@@ -111,7 +110,7 @@ impl Future for Acquire {
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<SemaphoreGuard> {
         let mut st = self.sem.state.borrow_mut();
         if let Some(t) = self.ticket {
-            if st.granted.remove_first(|&g| g == t).is_some() {
+            if st.take_grant(t) {
                 // The permit released to us is now owned by the guard.
                 drop(st);
                 self.ticket = None;
@@ -121,7 +120,8 @@ impl Future for Acquire {
             }
             let w = st
                 .queue
-                .find_mut(|q| q.ticket == t)
+                .iter_mut()
+                .find(|q| q.ticket == t)
                 .expect("parked waiter is queued or granted");
             w.waker = Some(cx.waker().clone());
             return Poll::Pending;
@@ -138,8 +138,6 @@ impl Future for Acquire {
             ticket,
             waker: Some(cx.waker().clone()),
         });
-        let qlen = st.queue.len();
-        st.max_queue = st.max_queue.max(qlen);
         drop(st);
         self.ticket = Some(ticket);
         Poll::Pending
@@ -150,14 +148,14 @@ impl Drop for Acquire {
     fn drop(&mut self) {
         if let Some(t) = self.ticket.take() {
             let mut st = self.sem.state.borrow_mut();
-            if st.granted.remove_first(|&g| g == t).is_some() {
+            if st.take_grant(t) {
                 // We were granted a permit but never returned the guard
                 // (e.g. cancelled by a timeout). Pass the permit on.
                 drop(st);
                 self.sem.release();
-            } else {
+            } else if let Some(i) = st.queue.iter().position(|q| q.ticket == t) {
                 // Still queued: remove ourselves so we never get granted.
-                st.queue.remove_first(|q| q.ticket == t);
+                st.queue.remove(i);
             }
         }
     }
@@ -273,18 +271,24 @@ mod tests {
     }
 
     #[test]
-    fn tracks_queue_high_water_mark() {
-        let sim = Sim::new(1);
+    fn granted_waiter_dropped_before_polling_passes_the_permit_on() {
         let sem = Semaphore::new(1);
-        for _ in 0..5 {
-            let sem2 = sem.clone();
-            let s = sim.clone();
-            sim.spawn(async move {
-                let _g = sem2.acquire().await;
-                s.sleep(SimDuration::from_millis(1)).await;
-            });
-        }
-        sim.run();
-        assert_eq!(sem.max_queue_len(), 4);
+        let mut cx = Context::from_waker(Waker::noop());
+        let g = sem.try_acquire().unwrap();
+        let mut first = Box::pin(sem.acquire());
+        let mut second = Box::pin(sem.acquire());
+        assert!(first.as_mut().poll(&mut cx).is_pending());
+        assert!(second.as_mut().poll(&mut cx).is_pending());
+        // The release grants `first`'s ticket, but `first` is dropped (as a
+        // timeout would drop it) before it polls to claim the permit.
+        drop(g);
+        drop(first);
+        let Poll::Ready(guard) = second.as_mut().poll(&mut cx) else {
+            panic!("the dropped waiter's permit did not reach the next waiter");
+        };
+        assert_eq!(sem.queue_len(), 0);
+        assert_eq!(sem.available(), 0);
+        drop(guard);
+        assert_eq!(sem.available(), 1);
     }
 }

@@ -5,16 +5,15 @@
 //! (the user thread in `iowait`, the prefetch hit path) observe it.
 
 use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
-use crate::sync::small_ring::SmallRing;
-
 struct SignalState {
     set: bool,
-    wakers: SmallRing<Waker, 4>,
+    wakers: VecDeque<Waker>,
 }
 
 /// A latch that starts clear and can be set exactly once.
@@ -35,7 +34,7 @@ impl Signal {
         Signal {
             state: Rc::new(RefCell::new(SignalState {
                 set: false,
-                wakers: SmallRing::new(),
+                wakers: VecDeque::new(),
             })),
         }
     }

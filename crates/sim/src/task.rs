@@ -33,11 +33,6 @@ use std::task::{RawWaker, RawWakerVTable, Waker};
 pub struct TaskId(pub(crate) u64);
 
 impl TaskId {
-    /// Raw packed id (`generation << 32 | slot`).
-    pub fn as_u64(self) -> u64 {
-        self.0
-    }
-
     pub(crate) fn new(slot: u32, generation: u32) -> TaskId {
         TaskId(((generation as u64) << 32) | slot as u64)
     }

@@ -10,6 +10,7 @@
 //! cap rather than growing without limit.
 
 use std::cell::{Cell, RefCell};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use crate::time::SimTime;
@@ -285,8 +286,6 @@ pub(crate) struct TraceState {
     cap: Cell<usize>,
     /// Count of ids minted so far (not the last id — see `mint_req`).
     minted: Cell<u64>,
-    /// Reused by every `render_tracks` call on this recorder.
-    summary_scratch: RefCell<TrackSummaryScratch>,
 }
 
 /// Handle to a simulation's flight recorder (cloned out of `Sim`).
@@ -369,14 +368,6 @@ impl Trace {
         out
     }
 
-    /// Per-track summary: event count and first/last event times.
-    pub fn render_tracks(&self) -> String {
-        self.state
-            .summary_scratch
-            .borrow_mut()
-            .render(&self.state.events.borrow())
-    }
-
     /// Export the recording as a self-contained JSON document (see
     /// [`export_json`]).
     pub fn to_json(&self) -> String {
@@ -384,57 +375,29 @@ impl Trace {
     }
 }
 
-/// Reusable accumulator for per-track summaries. The seed implementation
-/// rebuilt a `BTreeMap<Track, …>` (one node allocation per track) on every
-/// summary; this keeps a sorted row `Vec` whose capacity survives across
-/// calls, so repeated summaries of a live recorder allocate nothing but
-/// the output string.
-#[derive(Default)]
-pub struct TrackSummaryScratch {
-    /// Rows sorted by track; count plus first/last event times.
-    rows: Vec<(Track, usize, SimTime, SimTime)>,
-}
-
-impl TrackSummaryScratch {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Summarize `events`, reusing this scratch's row storage.
-    pub fn render(&mut self, events: &[TraceEvent]) -> String {
-        self.rows.clear();
-        for e in events {
-            match self.rows.binary_search_by_key(&e.track, |r| r.0) {
-                Ok(i) => {
-                    let row = &mut self.rows[i];
-                    row.1 += 1;
-                    row.2 = row.2.min(e.time);
-                    row.3 = row.3.max(e.time);
-                }
-                Err(i) => self.rows.insert(i, (e.track, 1, e.time, e.time)),
-            }
-        }
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{:<10} {:>8} {:>14} {:>14}\n",
-            "track", "events", "first", "last"
-        ));
-        for &(track, n, first, last) in &self.rows {
-            out.push_str(&format!(
-                "{:<10} {n:>8} {:>14} {:>14}\n",
-                track.to_string(),
-                format!("{first}"),
-                format!("{last}")
-            ));
-        }
-        out
-    }
-}
-
 /// Per-track summary of a slice of events: event count plus first/last
 /// event times, one row per track, tracks in [`Track`] order.
 pub fn render_track_summary(events: &[TraceEvent]) -> String {
-    TrackSummaryScratch::new().render(events)
+    let mut rows: BTreeMap<Track, (usize, SimTime, SimTime)> = BTreeMap::new();
+    for e in events {
+        let row = rows.entry(e.track).or_insert((0, e.time, e.time));
+        row.0 += 1;
+        row.1 = row.1.min(e.time);
+        row.2 = row.2.max(e.time);
+    }
+    let mut out = format!(
+        "{:<10} {:>8} {:>14} {:>14}\n",
+        "track", "events", "first", "last"
+    );
+    for (track, (n, first, last)) in rows {
+        out.push_str(&format!(
+            "{:<10} {n:>8} {:>14} {:>14}\n",
+            track.to_string(),
+            format!("{first}"),
+            format!("{last}")
+        ));
+    }
+    out
 }
 
 /// FNV-1a folded over every field of every event, in order.
@@ -486,7 +449,8 @@ pub fn export_json(events: &[TraceEvent]) -> String {
 }
 
 /// Parse a trace file produced by [`export_json`] back into events.
-/// Strict: accepts exactly that shape (any whitespace), nothing more.
+/// Strict: accepts exactly that shape (any whitespace), nothing more, and
+/// rejects a file whose header hash is not the hash of its events.
 pub fn parse_json(text: &str) -> Result<Vec<TraceEvent>, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
@@ -494,7 +458,11 @@ pub fn parse_json(text: &str) -> Result<Vec<TraceEvent>, String> {
     };
     p.expect('{')?;
     p.expect_key("hash")?;
-    let _hash = p.string()?;
+    let header = p.string()?;
+    let stored = header
+        .strip_prefix("0x")
+        .and_then(|h| u64::from_str_radix(h, 16).ok())
+        .ok_or_else(|| format!("malformed trace hash {header:?}"))?;
     p.expect(',')?;
     p.expect_key("events")?;
     p.expect('[')?;
@@ -510,6 +478,12 @@ pub fn parse_json(text: &str) -> Result<Vec<TraceEvent>, String> {
         p.expect(']')?;
     }
     p.expect('}')?;
+    let actual = hash_events(&events);
+    if stored != actual {
+        return Err(format!(
+            "trace hash mismatch: header says {stored:#018x}, events hash to {actual:#018x}"
+        ));
+    }
     Ok(events)
 }
 
@@ -679,61 +653,31 @@ mod tests {
     }
 
     #[test]
-    fn renderers_produce_tracks() {
+    fn track_summary_counts_and_bounds_each_track() {
         let t = Trace::default();
         t.arm(16);
         t.record(SimTime::from_nanos(1_000_000), || {
-            ev(Track::Cn(0), EventKind::ReadStart, 1, 0, 64)
+            ev(Track::Ion(1), EventKind::ServeStart, 1, 0, 64)
         });
         t.record(SimTime::from_nanos(2_000_000), || {
-            ev(Track::Ion(1), EventKind::ServeStart, 1, 0, 64)
+            ev(Track::Cn(0), EventKind::ReadStart, 1, 0, 64)
         });
         t.record(SimTime::from_nanos(3_000_000), || {
             ev(Track::Cn(0), EventKind::ReadDone, 1, 0, 64)
         });
         let lines = t.render();
         assert_eq!(lines.lines().count(), 3);
-        assert!(lines.contains("ion1"));
         assert!(lines.contains("serve-start"));
-        let tracks = t.render_tracks();
-        assert!(tracks.contains("cn0"));
-        assert!(tracks.contains("ion1"));
-        let cn0_line = tracks.lines().find(|l| l.starts_with("cn0")).unwrap();
-        assert!(cn0_line.contains(" 2 "), "{cn0_line}");
-    }
-
-    #[test]
-    fn summary_scratch_reuse_matches_fresh_renders() {
-        let t = Trace::default();
-        t.arm(64);
-        for i in 0..8u64 {
-            t.record(SimTime::from_nanos(i * 500), || {
-                ev(Track::Cn((i % 3) as u16), EventKind::ReadStart, i, 0, 64)
-            });
-            t.record(SimTime::from_nanos(i * 500 + 100), || {
-                ev(Track::Disk(0), EventKind::DiskStart, i, 0, 64)
-            });
-        }
-        // Repeated renders through the recorder's scratch must be
-        // identical to each other and to a from-scratch summary.
-        let first = t.render_tracks();
-        let second = t.render_tracks();
-        assert_eq!(first, second);
-        assert_eq!(first, render_track_summary(&t.events()));
-        // Growing the trace between renders must be reflected, not stale.
-        t.record(SimTime::from_nanos(9_000), || {
-            ev(Track::Svc, EventKind::Mark, 0, 0, 0)
-        });
-        let third = t.render_tracks();
-        assert!(third.contains("svc"));
-        assert_eq!(third, render_track_summary(&t.events()));
-        // One shared scratch reused across disjoint event sets: each
-        // render reflects only the events passed to it.
-        let mut scratch = TrackSummaryScratch::new();
-        let all = scratch.render(&t.events());
-        assert_eq!(all, third);
-        let empty = scratch.render(&[]);
-        assert_eq!(empty.lines().count(), 1, "header only: {empty}");
+        // Rows come in `Track` order, not first-seen order.
+        let row = |track: &str, n: &str, first: &str, last: &str| {
+            format!("{track:<10} {n:>8} {first:>14} {last:>14}\n")
+        };
+        let header = row("track", "events", "first", "last");
+        let expected = header.clone()
+            + &row("cn0", "2", "0.002000s", "0.003000s")
+            + &row("ion1", "1", "0.001000s", "0.001000s");
+        assert_eq!(render_track_summary(&t.events()), expected);
+        assert_eq!(render_track_summary(&[]), header);
     }
 
     #[test]
@@ -792,7 +736,18 @@ mod tests {
     fn malformed_json_is_rejected() {
         assert!(parse_json("{").is_err());
         assert!(parse_json("{\"hash\":\"x\",\"events\":[{\"t\":1}]}").is_err());
-        let good = export_json(&[sample(1, Track::Cn(0), EventKind::Mark, 0)]);
+        let events = vec![sample(1, Track::Cn(0), EventKind::Mark, 0)];
+        let good = export_json(&events);
         assert!(parse_json(&good.replace("mark", "not-a-kind")).is_err());
+        assert!(parse_json(&good.replace("\"hash\":\"0x", "\"hash\":\"")).is_err());
+        // An edited event no longer matches the header hash; the error
+        // names both hashes.
+        let mut edited = events.clone();
+        edited[0].b += 1;
+        let err = parse_json(&good.replace("\"b\":128", "\"b\":129")).unwrap_err();
+        for e in [&events, &edited] {
+            let hash = format!("{:#018x}", hash_events(e));
+            assert!(err.contains(&hash), "{err}");
+        }
     }
 }

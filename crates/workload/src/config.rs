@@ -194,6 +194,17 @@ impl ExperimentConfig {
         self.rounds_per_node() * self.request_size as u64 * self.compute_nodes as u64
     }
 
+    /// The calibration the machine is built with: `calib`, except that
+    /// mount-level parity redundancy forces the parity member on (parity
+    /// is a per-I/O-node RAID property).
+    pub fn effective_calib(&self) -> Calibration {
+        let mut calib = self.calib.clone();
+        if self.redundancy == Redundancy::ParityRaid {
+            calib.raid_parity = true;
+        }
+        calib
+    }
+
     /// Sanity checks a run performs before starting: the first problem
     /// found, as a message naming the offending setting.
     pub fn validate(&self) -> Result<(), String> {
@@ -211,10 +222,19 @@ impl ExperimentConfig {
                 "{file}-byte file too small for one round of {cn} x {sz}-byte requests"
             ));
         }
-        if let StripeLayout::Across { factor } = self.layout {
-            if factor > ion {
+        match self.layout {
+            StripeLayout::Across { factor: 0 } | StripeLayout::WaysOnOne { ways: 0, .. } => {
+                return Err("stripe factor must be positive".into());
+            }
+            StripeLayout::Across { factor } if factor > ion => {
                 return Err(format!("stripe factor {factor} exceeds {ion} I/O nodes"));
             }
+            StripeLayout::WaysOnOne { ion: on, .. } if on >= ion => {
+                return Err(format!(
+                    "stripe I/O node {on} out of range for {ion} I/O nodes"
+                ));
+            }
+            _ => {}
         }
         if self.mode.requires_equal_sizes() && !file.is_multiple_of(cn as u64 * sz as u64) {
             return Err(format!(
@@ -291,6 +311,28 @@ mod tests {
         cfg.redundancy = Redundancy::Replicated { rf: 9 };
         let err = cfg.validate().unwrap_err();
         assert!(err.contains("replication factor 9 exceeds 8"), "{err}");
+    }
+
+    #[test]
+    fn degenerate_layouts_are_rejected() {
+        let mut cfg = ExperimentConfig::paper_iobound(64 * 1024, 8);
+        for (layout, msg) in [
+            (StripeLayout::Across { factor: 0 }, "must be positive"),
+            (
+                StripeLayout::WaysOnOne { ways: 0, ion: 0 },
+                "must be positive",
+            ),
+            (
+                StripeLayout::WaysOnOne { ways: 2, ion: 8 },
+                "I/O node 8 out of range",
+            ),
+        ] {
+            cfg.layout = layout;
+            let err = cfg.validate().unwrap_err();
+            assert!(err.contains(msg), "{err}");
+        }
+        cfg.layout = StripeLayout::WaysOnOne { ways: 2, ion: 7 };
+        assert_eq!(cfg.validate(), Ok(()));
     }
 
     #[test]

@@ -55,18 +55,12 @@ fn build_world(cfg: &ExperimentConfig, sim: &Sim) -> World {
     if cfg.trace_cap > 0 {
         sim.tracer().arm(cfg.trace_cap);
     }
-    let mut calib = cfg.calib.clone();
-    if cfg.redundancy == Redundancy::ParityRaid {
-        // Parity redundancy is a per-I/O-node RAID property; selecting it
-        // at the mount level forces the calibration's parity member on.
-        calib.raid_parity = true;
-    }
     let machine = Rc::new(Machine::new(
         sim,
         MachineConfig {
             compute_nodes: cfg.compute_nodes,
             io_nodes: cfg.io_nodes,
-            calib,
+            calib: cfg.effective_calib(),
         },
     ));
     let pfs = ParallelFs::new_with_redundancy(machine.clone(), cfg.redundancy);

@@ -17,6 +17,11 @@ echo "=== cargo clippy -D warnings"
 # DESIGN.md section 8.
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "=== cargo doc"
+# Doc comments are checked like code: a link to an item that was renamed
+# or deleted, or any other rustdoc warning, fails the gate.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --document-private-items
+
 echo "=== cargo build --release"
 cargo build --release
 

@@ -11,7 +11,7 @@ use paragon::workload::{run, AccessPattern, FaultSpec, StripeLayout};
 
 /// Trace hashes of the EXT matrix captured from the *seed* scheduler (the
 /// `BinaryHeap` kernel + `BTreeMap` executor at commit 65113e2). The
-/// calendar-queue/slab engine must pop every event in the identical
+/// current kernel and slab executor must pop every event in the identical
 /// `(time, seq)` order, so these hashes are frozen: a mismatch means the
 /// scheduler reordered something, not that the goldens need regenerating.
 const SEED_SCHEDULER_GOLDENS: &[(&str, u64)] = &[
