@@ -125,7 +125,7 @@ impl Calibration {
             server_threads: 2,
             partial_block_penalty: SimDuration::from_micros(2_000),
             // The pointer server is one OS process: operations serialize,
-            // and each costs about a millisecond of server-side work —
+            // and each costs about 5 ms of server-side work —
             // this is what separates the shared-pointer modes from
             // M_RECORD/M_ASYNC in Figure 2.
             pointer_op: SimDuration::from_micros(5_000),

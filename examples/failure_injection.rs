@@ -4,7 +4,8 @@
 //! time mid-run (a failing drive, a rebuild, a noisy neighbour). Because
 //! every large request declusters over all I/O nodes, a single slow array
 //! gates *every* collective read — and prefetching can hide part of the
-//! degradation whenever there is computation to overlap.
+//! degradation whenever there is computation to overlap. The example
+//! asserts both orderings it prints.
 //!
 //! ```sh
 //! cargo run --release --example failure_injection
@@ -84,7 +85,7 @@ fn main() {
     println!("Balanced M_RECORD workload, 64 KB requests, 40 ms compute per read;");
     println!("hot spot = one RAID member at I/O node 3 running 5x slow.\n");
     println!("{:<22} {:>16} {:>16}", "", "no prefetch", "prefetch");
-    for hotspot in [false, true] {
+    let [(healthy_np, healthy_pf), (hot_np, hot_pf)] = [false, true].map(|hotspot| {
         let (bw_np, _) = run_case(hotspot, false);
         let (bw_pf, hits) = run_case(hotspot, true);
         println!(
@@ -97,9 +98,18 @@ fn main() {
             bw_np,
             bw_pf,
         );
-    }
+        (bw_np, bw_pf)
+    });
     println!(
         "\nThe hot spot gates every declustered read; prefetching still buys\n\
          its overlap on top of whatever the slowest array allows."
+    );
+    assert!(
+        hot_np < healthy_np && hot_pf < healthy_pf,
+        "the hot spot must be slower than healthy, with and without prefetch"
+    );
+    assert!(
+        healthy_pf > healthy_np && hot_pf > hot_np,
+        "prefetch must beat no prefetch on both rows"
     );
 }

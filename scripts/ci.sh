@@ -31,6 +31,15 @@ echo "=== cargo test -q --workspace"
 # `cargo test` would run only the root's tests/*.rs.
 cargo test -q --workspace
 
+echo "=== examples"
+# Each example asserts what it prints (checkpoint_restart restores bit
+# for bit, out_of_core_matvec checks y = A*x over a file populated from a
+# non-pattern closure, failure_injection the hot-spot and prefetch
+# orderings), so a panic here is a wrong answer, not a crash.
+for ex in examples/*.rs; do
+    cargo run -q --release --example "$(basename "$ex" .rs)" > /dev/null
+done
+
 echo "=== hostbench"
 # hostbench/ is a package of its own, outside the workspace, so no stage
 # above builds it. Its smoke test runs both workloads on a tiny shape
