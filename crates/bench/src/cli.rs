@@ -23,7 +23,7 @@ use crate::experiments::{faults_base, redundancy_sweep, Experiment, EXPERIMENTS,
 use crate::{col, results_dir, save_record, shown, stored, HarnessError, Sweep};
 
 /// The help text.
-pub const USAGE: &str = "\
+pub(crate) const USAGE: &str = "\
 paragonctl — drive the simulated Paragon PFS
 
 USAGE:
@@ -1050,6 +1050,22 @@ mod tests {
         let err = build_config(&mut args("--sgroup 0")).unwrap_err();
         assert!(err.contains("stripe factor must be positive"), "{err}");
         assert_eq!(main_impl(args("run --sgroup 0").0), ExitCode::FAILURE);
+        // Prefetching cannot anticipate a shared pointer; the engine
+        // would panic, so the config is refused up front.
+        for mode in ["m_unix", "m_log", "m_sync"] {
+            let cli = format!("--cn 2 --ion 2 --file-mb 1 --mode {mode} --prefetch");
+            let err = build_config(&mut args(&cli)).unwrap_err();
+            assert!(err.contains("shared-pointer mode"), "{err}");
+            assert_eq!(main_impl(args(&format!("run {cli}")).0), ExitCode::FAILURE);
+        }
+        build_config(&mut args("--mode m_unix --strided-predictor")).unwrap();
+        // Zero passes would run nothing and report success.
+        let err = build_config(&mut args("--pattern reread:0")).unwrap_err();
+        assert!(err.contains("at least one pass"), "{err}");
+        assert_eq!(
+            main_impl(args("run --pattern reread:0").0),
+            ExitCode::FAILURE
+        );
     }
 
     #[test]

@@ -40,21 +40,6 @@ impl Bytes {
         Bytes::from(data.to_vec())
     }
 
-    /// Copy from any slice.
-    pub fn copy_from_slice(data: &[u8]) -> Bytes {
-        Bytes::from(data.to_vec())
-    }
-
-    /// Length in bytes.
-    pub fn len(&self) -> usize {
-        self.end - self.start
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.start == self.end
-    }
-
     /// O(1) sub-slice sharing the same allocation. Panics if the range
     /// is out of bounds, like slicing.
     pub fn slice(&self, range: impl RangeBounds<usize>) -> Bytes {
@@ -175,36 +160,9 @@ impl BytesMut {
         BytesMut::default()
     }
 
-    /// Pre-allocate capacity.
-    pub fn with_capacity(cap: usize) -> BytesMut {
-        BytesMut {
-            data: Vec::with_capacity(cap),
-        }
-    }
-
     /// A zero-filled buffer of `len` bytes (scatter-gather target).
     pub fn zeroed(len: usize) -> BytesMut {
         BytesMut { data: vec![0; len] }
-    }
-
-    /// Length in bytes.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Grow or shrink to `len`, filling new bytes with `fill`.
-    pub fn resize(&mut self, len: usize, fill: u8) {
-        self.data.resize(len, fill);
-    }
-
-    /// Append a slice.
-    pub fn extend_from_slice(&mut self, src: &[u8]) {
-        self.data.extend_from_slice(src);
     }
 
     /// Convert into an immutable [`Bytes`] without copying: the `Bytes`
@@ -261,8 +219,8 @@ mod tests {
         let v = vec![1u8, 2, 3, 4];
         let ptr = v.as_ptr();
         assert_eq!(Bytes::from(v).as_ptr(), ptr);
-        let mut m = BytesMut::with_capacity(64);
-        m.extend_from_slice(&[5; 64]);
+        let mut m = BytesMut::zeroed(64);
+        m.fill(5);
         let ptr = m.as_ptr();
         let b = m.freeze();
         assert_eq!(b.as_ptr(), ptr);
@@ -297,15 +255,5 @@ mod tests {
         assert_eq!(b, [0u8, 9, 7, 8][..]);
         assert!(Bytes::new().is_empty());
         assert_eq!(Bytes::from_static(b"xy").len(), 2);
-    }
-
-    #[test]
-    fn bytes_mut_grows() {
-        let mut m = BytesMut::new();
-        m.extend_from_slice(&[1, 2]);
-        m.resize(4, 7);
-        assert_eq!(&m[..], &[1, 2, 7, 7]);
-        m.resize(1, 0);
-        assert_eq!(&m[..], &[1]);
     }
 }

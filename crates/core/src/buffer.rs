@@ -37,7 +37,7 @@ impl PrefetchGauges {
 }
 
 /// One prefetch buffer: the anticipated request and its asynchronous read.
-pub struct PrefetchEntry {
+pub(crate) struct PrefetchEntry {
     /// Anticipated request offset.
     pub offset: u64,
     /// Anticipated request length.
@@ -50,13 +50,13 @@ pub struct PrefetchEntry {
 
 impl PrefetchEntry {
     /// True once the data has arrived.
-    pub fn is_ready(&self) -> bool {
+    pub(crate) fn is_ready(&self) -> bool {
         self.handle.is_done()
     }
 }
 
 /// FIFO-bounded list of prefetch buffers for one open file.
-pub struct PrefetchList {
+pub(crate) struct PrefetchList {
     entries: VecDeque<PrefetchEntry>,
     max_entries: usize,
     /// Byte budget for pinned compute-node memory (the paper's buffers
@@ -70,15 +70,10 @@ pub struct PrefetchList {
 }
 
 impl PrefetchList {
-    /// A list holding at most `max_entries` buffers (compute-node memory
-    /// is finite; the prototype's depth-1 engine needs only one). No
-    /// byte cap.
-    pub fn new(max_entries: usize) -> Self {
-        Self::with_byte_cap(max_entries, u64::MAX)
-    }
-
-    /// A list bounded both by entry count and by pinned bytes.
-    pub fn with_byte_cap(max_entries: usize, max_bytes: u64) -> Self {
+    /// A list holding at most `max_entries` buffers and `max_bytes` of
+    /// pinned memory (compute-node memory is finite; the prototype's
+    /// depth-1 engine needs only one buffer).
+    pub(crate) fn new(max_entries: usize, max_bytes: u64) -> Self {
         assert!(max_entries > 0, "prefetch list needs at least one slot");
         assert!(max_bytes > 0, "prefetch list needs a nonzero byte budget");
         PrefetchList {
@@ -91,7 +86,7 @@ impl PrefetchList {
 
     /// Wire this list to shared occupancy `gauges`; its current
     /// occupancy moves from the old cells onto the new ones.
-    pub fn set_gauges(&mut self, gauges: PrefetchGauges) {
+    pub(crate) fn set_gauges(&mut self, gauges: PrefetchGauges) {
         let (n, b) = (self.len() as i64, self.pinned_bytes() as i64);
         self.gauges.add(-n, -b);
         gauges.add(n, b);
@@ -99,23 +94,18 @@ impl PrefetchList {
     }
 
     /// Live buffers.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    /// True when no buffers are held.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Bytes of compute-node memory the list pins (anticipated sizes; an
     /// in-flight buffer's memory is already allocated).
-    pub fn pinned_bytes(&self) -> u64 {
+    pub(crate) fn pinned_bytes(&self) -> u64 {
         self.entries.iter().map(|e| e.len as u64).sum()
     }
 
     /// True if some buffer already covers a request at `offset`.
-    pub fn covers(&self, offset: u64, len: u32) -> bool {
+    pub(crate) fn covers(&self, offset: u64, len: u32) -> bool {
         self.entries
             .iter()
             .any(|e| e.offset == offset && e.len >= len)
@@ -126,7 +116,7 @@ impl PrefetchList {
     /// them wasted). An entry bigger than the whole byte budget still
     /// occupies the list alone — refusing it would silently disable
     /// prefetching.
-    pub fn insert(&mut self, entry: PrefetchEntry) -> Vec<PrefetchEntry> {
+    pub(crate) fn insert(&mut self, entry: PrefetchEntry) -> Vec<PrefetchEntry> {
         let mut evicted = Vec::new();
         self.gauges.add(1, entry.len as i64);
         self.entries.push_back(entry);
@@ -145,7 +135,7 @@ impl PrefetchList {
 
     /// Remove and return the buffer answering a demand read at `offset`
     /// of `len` bytes, if one exists.
-    pub fn take_match(&mut self, offset: u64, len: u32) -> Option<PrefetchEntry> {
+    pub(crate) fn take_match(&mut self, offset: u64, len: u32) -> Option<PrefetchEntry> {
         let idx = self
             .entries
             .iter()
@@ -156,7 +146,7 @@ impl PrefetchList {
     }
 
     /// Drain every remaining buffer (file close frees the list).
-    pub fn drain(&mut self) -> Vec<PrefetchEntry> {
+    pub(crate) fn drain(&mut self) -> Vec<PrefetchEntry> {
         let drained: Vec<PrefetchEntry> = self.entries.drain(..).collect();
         for e in &drained {
             self.gauges.add(-1, -(e.len as i64));
@@ -196,7 +186,7 @@ mod tests {
     #[test]
     fn exact_match_is_taken_once() {
         let (sim, pool) = fixture();
-        let mut list = PrefetchList::new(4);
+        let mut list = PrefetchList::new(4, u64::MAX);
         list.insert(entry(&sim, &pool, 1000, 64));
         assert!(list.covers(1000, 64));
         assert!(!list.covers(1000, 128)); // longer than buffered
@@ -204,13 +194,13 @@ mod tests {
         let e = list.take_match(1000, 64).unwrap();
         assert_eq!(e.offset, 1000);
         assert!(list.take_match(1000, 64).is_none());
-        assert!(list.is_empty());
+        assert_eq!(list.len(), 0);
     }
 
     #[test]
     fn shorter_demand_reads_match_longer_buffers() {
         let (sim, pool) = fixture();
-        let mut list = PrefetchList::new(4);
+        let mut list = PrefetchList::new(4, u64::MAX);
         list.insert(entry(&sim, &pool, 0, 128));
         assert!(list.take_match(0, 64).is_some());
     }
@@ -218,7 +208,7 @@ mod tests {
     #[test]
     fn full_list_evicts_fifo() {
         let (sim, pool) = fixture();
-        let mut list = PrefetchList::new(2);
+        let mut list = PrefetchList::new(2, u64::MAX);
         assert!(list.insert(entry(&sim, &pool, 0, 10)).is_empty());
         assert!(list.insert(entry(&sim, &pool, 10, 10)).is_empty());
         let evicted = list.insert(entry(&sim, &pool, 20, 10));
@@ -231,7 +221,7 @@ mod tests {
     #[test]
     fn byte_cap_evicts_several_small_for_one_large() {
         let (sim, pool) = fixture();
-        let mut list = PrefetchList::with_byte_cap(16, 100);
+        let mut list = PrefetchList::new(16, 100);
         for i in 0..4u64 {
             assert!(list.insert(entry(&sim, &pool, i * 25, 25)).is_empty());
         }
@@ -245,7 +235,7 @@ mod tests {
     #[test]
     fn oversized_entry_occupies_the_list_alone() {
         let (sim, pool) = fixture();
-        let mut list = PrefetchList::with_byte_cap(16, 100);
+        let mut list = PrefetchList::new(16, 100);
         list.insert(entry(&sim, &pool, 0, 50));
         let evicted = list.insert(entry(&sim, &pool, 100, 500));
         assert_eq!(evicted.len(), 1); // the small one goes
@@ -255,7 +245,7 @@ mod tests {
     #[test]
     fn byte_budget_evictions_come_oldest_first() {
         let (sim, pool) = fixture();
-        let mut list = PrefetchList::with_byte_cap(16, 100);
+        let mut list = PrefetchList::new(16, 100);
         for (i, len) in [40u32, 30, 20].into_iter().enumerate() {
             assert!(list
                 .insert(entry(&sim, &pool, i as u64 * 1000, len))
@@ -277,7 +267,7 @@ mod tests {
     fn entry_cap_and_byte_cap_each_bind_when_tighter() {
         let (sim, pool) = fixture();
         // Byte budget is loose: the 2-entry cap binds.
-        let mut list = PrefetchList::with_byte_cap(2, 1_000_000);
+        let mut list = PrefetchList::new(2, 1_000_000);
         list.insert(entry(&sim, &pool, 0, 10));
         list.insert(entry(&sim, &pool, 10, 10));
         let evicted = list.insert(entry(&sim, &pool, 20, 10));
@@ -285,7 +275,7 @@ mod tests {
         assert_eq!(list.pinned_bytes(), 20);
         // Entry cap is loose: the byte budget binds, and one insert can
         // evict more entries than the count cap alone ever would.
-        let mut list = PrefetchList::with_byte_cap(100, 25);
+        let mut list = PrefetchList::new(100, 25);
         list.insert(entry(&sim, &pool, 0, 10));
         list.insert(entry(&sim, &pool, 10, 10));
         let evicted = list.insert(entry(&sim, &pool, 20, 20));
@@ -297,24 +287,24 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one slot")]
     fn zero_entry_capacity_is_rejected() {
-        PrefetchList::new(0);
+        PrefetchList::new(0, u64::MAX);
     }
 
     #[test]
     #[should_panic(expected = "nonzero byte budget")]
     fn zero_byte_budget_is_rejected() {
-        PrefetchList::with_byte_cap(4, 0);
+        PrefetchList::new(4, 0);
     }
 
     #[test]
     fn drain_empties_the_list() {
         let (sim, pool) = fixture();
-        let mut list = PrefetchList::new(4);
+        let mut list = PrefetchList::new(4, u64::MAX);
         list.insert(entry(&sim, &pool, 0, 10));
         list.insert(entry(&sim, &pool, 10, 10));
         let drained = list.drain();
         assert_eq!(drained.len(), 2);
-        assert!(list.is_empty());
+        assert_eq!(list.len(), 0);
         assert_eq!(list.pinned_bytes(), 0);
     }
 }

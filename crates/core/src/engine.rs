@@ -41,6 +41,10 @@ pub enum PredictorKind {
     Strided,
 }
 
+/// Compute-node memory budget for prefetch buffers, bytes: a slice of the
+/// compute node's 16 MB, as in the paper.
+const MAX_BUFFER_BYTES: u64 = 4 << 20;
+
 /// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct PrefetchConfig {
@@ -48,8 +52,6 @@ pub struct PrefetchConfig {
     pub depth: u32,
     /// Prefetch-buffer list capacity, entries.
     pub max_buffers: usize,
-    /// Compute-node memory budget for prefetch buffers, bytes.
-    pub max_buffer_bytes: u64,
     /// Compute-node memory bandwidth for the buffer → user copy, bytes/s.
     pub copy_bw: f64,
     /// Predictor selection.
@@ -66,8 +68,6 @@ impl PrefetchConfig {
         PrefetchConfig {
             depth: 1,
             max_buffers: 8,
-            // A slice of the compute node's 16 MB, as in the paper.
-            max_buffer_bytes: 4 << 20,
             copy_bw: 45e6,
             predictor: PredictorKind::ModeDefault,
             fault_threshold: 3,
@@ -121,10 +121,7 @@ impl PrefetchingFile {
         PrefetchingFile {
             file,
             sim,
-            list: RefCell::new(PrefetchList::with_byte_cap(
-                cfg.max_buffers,
-                cfg.max_buffer_bytes,
-            )),
+            list: RefCell::new(PrefetchList::new(cfg.max_buffers, MAX_BUFFER_BYTES)),
             cfg,
             predictor: RefCell::new(predictor),
             stats: Rc::new(RefCell::new(PrefetchStats::default())),
@@ -134,11 +131,6 @@ impl PrefetchingFile {
         }
     }
 
-    /// The wrapped file.
-    pub fn inner(&self) -> &PfsFile {
-        &self.file
-    }
-
     /// Wire the buffer list to shared occupancy `gauges` (telemetry);
     /// any current occupancy transfers onto them.
     pub fn set_gauges(&self, gauges: crate::buffer::PrefetchGauges) {
@@ -146,7 +138,7 @@ impl PrefetchingFile {
     }
 
     /// Engine counters.
-    pub fn stats(&self) -> PrefetchStats {
+    pub(crate) fn stats(&self) -> PrefetchStats {
         self.stats.borrow().clone()
     }
 
@@ -314,11 +306,6 @@ impl PrefetchingFile {
             self.sim
                 .emit(|| ev(cn, EventKind::PrefetchResume, 0, good as u64, 0));
         }
-    }
-
-    /// Is speculation currently quarantined by the fault throttle?
-    pub fn is_throttled(&self) -> bool {
-        self.throttled.get()
     }
 
     /// Issue asynchronous reads for the next `depth` anticipated requests
@@ -544,7 +531,7 @@ mod tests {
                     // M_ASYNC reads are sequential, so emulate jumps by
                     // varying the request size (predictor chains on last
                     // request end, which we always skip past).
-                    let inner = pf.inner().clone();
+                    let inner = pf.file.clone();
                     for i in 0..5u64 {
                         // Demand-read directly at scattered offsets.
                         let at = (i * 197) % 900 * KB;
@@ -736,7 +723,7 @@ mod tests {
                 let data = pf.read(32 * 1024).await.unwrap();
                 assert_eq!(&data[..], &pattern_slice(13, i * 32 * KB, 32 * 1024)[..]);
             }
-            assert!(!pf.is_throttled(), "engine must have resumed");
+            assert!(!pf.throttled.get(), "engine must have resumed");
             pf.close().await
         });
         sim.run();

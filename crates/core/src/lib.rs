@@ -51,8 +51,7 @@ mod predictor;
 mod stats;
 mod writeback;
 
-pub use buffer::{PrefetchEntry, PrefetchGauges, PrefetchList};
+pub use buffer::PrefetchGauges;
 pub use engine::{PredictorKind, PrefetchConfig, PrefetchingFile};
-pub use predictor::{for_mode, Predictor, RecordPredictor, SequentialPredictor, StridedPredictor};
 pub use stats::PrefetchStats;
-pub use writeback::{WriteBehindConfig, WriteBehindFile, WriteBehindStats};
+pub use writeback::{WriteBehindConfig, WriteBehindFile};

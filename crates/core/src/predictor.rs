@@ -10,29 +10,26 @@
 use paragon_pfs::IoMode;
 
 /// Predicts future request offsets from the observed request stream.
-pub trait Predictor {
+pub(crate) trait Predictor {
     /// Record an actual demand request.
     fn observe(&mut self, offset: u64, len: u32);
 
     /// Offset of the `k`-th next request (`k ≥ 1`) of size `len`, based on
     /// everything observed so far. `None` = no confident prediction.
     fn predict(&self, k: u32, len: u32) -> Option<u64>;
-
-    /// Human-readable name for reports.
-    fn name(&self) -> &'static str;
 }
 
 /// M_RECORD: node `rank` of `nprocs` reads records `rank`, `rank + N`,
 /// `rank + 2N`, … — the next request is `offset + N·len`.
 #[derive(Debug)]
-pub struct RecordPredictor {
+pub(crate) struct RecordPredictor {
     nprocs: u64,
     last: Option<(u64, u32)>,
 }
 
 impl RecordPredictor {
     /// Predictor for an `nprocs`-process M_RECORD open.
-    pub fn new(nprocs: usize) -> Self {
+    pub(crate) fn new(nprocs: usize) -> Self {
         assert!(nprocs > 0);
         RecordPredictor {
             nprocs: nprocs as u64,
@@ -54,22 +51,18 @@ impl Predictor for RecordPredictor {
         }
         Some(offset + self.nprocs * len as u64 * k as u64)
     }
-
-    fn name(&self) -> &'static str {
-        "record"
-    }
 }
 
 /// Sequential stream: next request is `offset + len` (M_ASYNC and
 /// M_GLOBAL round streams, and any single-node sequential reader).
 #[derive(Debug, Default)]
-pub struct SequentialPredictor {
+pub(crate) struct SequentialPredictor {
     last: Option<(u64, u32)>,
 }
 
 impl SequentialPredictor {
     /// Fresh sequential predictor.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 }
@@ -83,10 +76,6 @@ impl Predictor for SequentialPredictor {
         let (offset, last_len) = self.last?;
         Some(offset + last_len as u64 + (k as u64 - 1) * len as u64)
     }
-
-    fn name(&self) -> &'static str {
-        "sequential"
-    }
 }
 
 /// General stride detector: after two consecutive requests with the same
@@ -94,7 +83,7 @@ impl Predictor for SequentialPredictor {
 /// numerical workloads; goes silent (predicts nothing) on random access,
 /// which is exactly the safe behaviour.
 #[derive(Debug, Default)]
-pub struct StridedPredictor {
+pub(crate) struct StridedPredictor {
     prev: Option<u64>,
     last: Option<u64>,
     confirmed_stride: Option<i64>,
@@ -102,7 +91,7 @@ pub struct StridedPredictor {
 
 impl StridedPredictor {
     /// Fresh stride detector.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 }
@@ -129,10 +118,6 @@ impl Predictor for StridedPredictor {
         let target = last + stride * k as i64;
         u64::try_from(target).ok()
     }
-
-    fn name(&self) -> &'static str {
-        "strided"
-    }
 }
 
 /// The predictor the prototype installs for a given open mode. M_RECORD
@@ -144,7 +129,7 @@ impl Predictor for StridedPredictor {
 /// shared-pointer modes: the next offset depends on other nodes' arrival
 /// order, which the client cannot anticipate — prefetching there is out
 /// of scope, as in the paper.
-pub fn for_mode(mode: IoMode, nprocs: usize) -> Option<Box<dyn Predictor>> {
+pub(crate) fn for_mode(mode: IoMode, nprocs: usize) -> Option<Box<dyn Predictor>> {
     match mode {
         IoMode::MRecord => Some(Box::new(RecordPredictor::new(nprocs))),
         IoMode::MGlobal => Some(Box::new(SequentialPredictor::new())),
@@ -208,9 +193,14 @@ mod tests {
 
     #[test]
     fn for_mode_covers_the_taxonomy() {
-        assert_eq!(for_mode(IoMode::MRecord, 8).unwrap().name(), "record");
-        assert_eq!(for_mode(IoMode::MAsync, 8).unwrap().name(), "strided");
-        assert_eq!(for_mode(IoMode::MGlobal, 8).unwrap().name(), "sequential");
+        let after_one = |mode| {
+            let mut p = for_mode(mode, 8).unwrap();
+            p.observe(0, 1024);
+            p.predict(1, 1024)
+        };
+        assert_eq!(after_one(IoMode::MRecord), Some(8 * 1024), "record stride");
+        assert_eq!(after_one(IoMode::MGlobal), Some(1024), "sequential");
+        assert_eq!(after_one(IoMode::MAsync), None, "stride needs a pair");
         assert!(for_mode(IoMode::MUnix, 8).is_none());
         assert!(for_mode(IoMode::MLog, 8).is_none());
         assert!(for_mode(IoMode::MSync, 8).is_none());

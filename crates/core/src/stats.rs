@@ -79,15 +79,6 @@ impl PrefetchStats {
         }
     }
 
-    /// Fraction of issued prefetches that were never used.
-    pub fn waste_ratio(&self) -> f64 {
-        if self.issued == 0 {
-            0.0
-        } else {
-            self.wasted as f64 / self.issued as f64
-        }
-    }
-
     /// Merge another handle's counters into this one (per-node → per-run
     /// aggregation).
     pub fn merge(&mut self, other: &PrefetchStats) {
@@ -114,17 +105,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn ratios_handle_empty_and_full() {
+    fn hit_ratio_handles_empty_and_full() {
         let mut s = PrefetchStats::default();
         assert_eq!(s.hit_ratio(), 0.0);
-        assert_eq!(s.waste_ratio(), 0.0);
         s.hits_ready = 3;
         s.hits_inflight = 1;
         s.misses = 4;
         assert!((s.hit_ratio() - 0.5).abs() < 1e-12);
-        s.issued = 8;
-        s.wasted = 2;
-        assert!((s.waste_ratio() - 0.25).abs() < 1e-12);
     }
 
     #[test]

@@ -92,18 +92,13 @@ impl WriteBehindFile {
         }
     }
 
-    /// The wrapped file.
-    pub fn inner(&self) -> &PfsFile {
-        &self.file
-    }
-
     /// Counter snapshot.
     pub fn stats(&self) -> WriteBehindStats {
         self.stats.borrow().clone()
     }
 
     /// Writes currently buffered or in flight.
-    pub fn outstanding(&self) -> usize {
+    pub(crate) fn outstanding(&self) -> usize {
         let mut w = self.window.borrow_mut();
         w.retain(|h| !h.is_done());
         w.len()
@@ -190,7 +185,7 @@ impl WriteBehindFile {
     }
 
     /// True when no writes are pending.
-    pub fn is_flushed(&self) -> bool {
+    pub(crate) fn is_flushed(&self) -> bool {
         self.flushed.get() || self.outstanding() == 0
     }
 }
@@ -247,7 +242,7 @@ mod tests {
                         .unwrap();
                 }
                 wb.flush().await.unwrap();
-                let back = wb.inner().transfer_read(0, 256 * 1024).await.unwrap();
+                let back = wb.file.transfer_read(0, 256 * 1024).await.unwrap();
                 back == pattern_slice(5, 0, 256 * 1024)
             })
         });
@@ -297,7 +292,7 @@ mod tests {
     fn overlap_is_accounted() {
         let stats = with_writer(WriteBehindConfig::prototype(), |wb| {
             Box::pin(async move {
-                let sim = wb.inner().sim().clone();
+                let sim = wb.file.sim().clone();
                 for i in 0..4u64 {
                     wb.write(pattern_slice(5, i * 16 * KB, 16 * 1024))
                         .await

@@ -39,7 +39,7 @@ impl std::error::Error for DiskError {}
 
 /// A disk operation.
 #[derive(Debug, Clone)]
-pub enum DiskOp {
+pub(crate) enum DiskOp {
     /// Read `len` bytes at byte offset `offset`.
     Read { offset: u64, len: u32 },
     /// Write the payload at byte offset `offset`.
@@ -149,7 +149,7 @@ impl Disk {
 
     /// Assign the flight-recorder lane this spindle's events appear on
     /// (the machine wires a globally unique `Track::Disk` index).
-    pub fn set_track(&self, track: Track) {
+    pub(crate) fn set_track(&self, track: Track) {
         self.track.set(track);
     }
 
@@ -161,7 +161,12 @@ impl Disk {
     }
 
     /// [`Disk::read`] under flight-recorder request context `req`.
-    pub async fn read_req(&self, offset: u64, len: u32, req: ReqId) -> Result<Bytes, DiskError> {
+    pub(crate) async fn read_req(
+        &self,
+        offset: u64,
+        len: u32,
+        req: ReqId,
+    ) -> Result<Bytes, DiskError> {
         let (otx, orx) = oneshot();
         if self
             .tx
@@ -183,7 +188,12 @@ impl Disk {
     }
 
     /// [`Disk::write`] under flight-recorder request context `req`.
-    pub async fn write_req(&self, offset: u64, data: Bytes, req: ReqId) -> Result<(), DiskError> {
+    pub(crate) async fn write_req(
+        &self,
+        offset: u64,
+        data: Bytes,
+        req: ReqId,
+    ) -> Result<(), DiskError> {
         let (otx, orx) = oneshot();
         if self
             .tx
@@ -201,7 +211,7 @@ impl Disk {
 
     /// Timing-only read: identical queueing, service time, events, fault
     /// behaviour, and counters to [`Disk::read_req`], but no bytes move.
-    pub async fn read_timing_req(
+    pub(crate) async fn read_timing_req(
         &self,
         offset: u64,
         len: u32,
@@ -224,7 +234,7 @@ impl Disk {
 
     /// Timing-only write: identical to [`Disk::write_req`] with a `len`-byte
     /// payload, but no bytes move.
-    pub async fn write_timing_req(
+    pub(crate) async fn write_timing_req(
         &self,
         offset: u64,
         len: u32,
@@ -246,19 +256,19 @@ impl Disk {
     }
 
     /// Snapshot of the disk's counters.
-    pub fn stats(&self) -> DiskStats {
+    pub(crate) fn stats(&self) -> DiskStats {
         self.stats.borrow().clone()
     }
 
     /// The live queue-depth cell this spindle's server loop maintains;
     /// telemetry gauges read it while the simulation runs.
-    pub fn queue_cell(&self) -> Rc<Cell<usize>> {
+    pub(crate) fn queue_cell(&self) -> Rc<Cell<usize>> {
         self.queue.clone()
     }
 
     /// Multiply all future service times by `factor` (1.0 = nominal).
     /// Used by failure-injection experiments to create a hot spot.
-    pub fn set_slowdown(&self, factor: f64) {
+    pub(crate) fn set_slowdown(&self, factor: f64) {
         assert!(factor > 0.0, "slowdown factor must be positive");
         self.slowdown.set(factor);
     }
@@ -316,10 +326,10 @@ async fn server_loop(
         }
         {
             let mut st = stats.borrow_mut();
-            let depth = pending.len() + rx.len();
+            let depth = pending.len() + rx.queued();
             st.max_queue_depth = st.max_queue_depth.max(depth);
         }
-        queue.set(pending.len().saturating_sub(1) + rx.len());
+        queue.set(pending.len().saturating_sub(1) + rx.queued());
 
         let key = match policy {
             SchedPolicy::Fifo => {

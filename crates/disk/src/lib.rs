@@ -29,7 +29,7 @@ mod params;
 mod raid;
 mod store;
 
-pub use disk::{Disk, DiskError, DiskOp, DiskStats};
+pub use disk::{Disk, DiskError, DiskStats};
 pub use params::{DiskParams, SchedPolicy};
 pub use raid::{RaidArray, RaidStats, StripeMap, StripePiece};
 pub use store::{BlockStore, STORE_PAGE};

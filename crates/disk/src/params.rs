@@ -73,7 +73,7 @@ impl DiskParams {
     }
 
     /// Pure media-transfer time for `len` bytes.
-    pub fn transfer_time(&self, len: u64) -> SimDuration {
+    pub(crate) fn transfer_time(&self, len: u64) -> SimDuration {
         if len == 0 {
             SimDuration::ZERO
         } else {

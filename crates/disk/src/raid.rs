@@ -163,16 +163,6 @@ impl RaidArray {
         }
     }
 
-    /// Number of data members.
-    pub fn width(&self) -> usize {
-        self.members.len()
-    }
-
-    /// True when the array carries a parity member.
-    pub fn has_parity(&self) -> bool {
-        self.parity.is_some()
-    }
-
     /// Spindles this array occupies on the flight-recorder lane space:
     /// data members plus the parity member if present.
     pub fn spindles(&self) -> usize {
@@ -342,7 +332,12 @@ impl RaidArray {
     }
 
     /// [`RaidArray::write`] under flight-recorder request context `req`.
-    pub async fn write_req(&self, offset: u64, data: Bytes, req: ReqId) -> Result<(), DiskError> {
+    pub(crate) async fn write_req(
+        &self,
+        offset: u64,
+        data: Bytes,
+        req: ReqId,
+    ) -> Result<(), DiskError> {
         let runs = self.runs(offset, data.len() as u64);
         let Some(parity) = self.parity.clone() else {
             // No parity: plain concurrent member writes (timing only; the

@@ -189,7 +189,7 @@ impl Calibration {
     }
 
     /// UFS parameters implied by this calibration.
-    pub fn ufs_params(&self) -> UfsParams {
+    pub(crate) fn ufs_params(&self) -> UfsParams {
         UfsParams {
             block_size: self.fs_block,
             capacity_blocks: self.ufs_capacity_blocks,
@@ -198,23 +198,23 @@ impl Calibration {
             metadata_op: self.metadata_op,
         }
     }
-
-    /// Sustained logical read bandwidth of one I/O node's array, bytes/s
-    /// (media only; overheads come on top).
-    pub fn raid_media_bw(&self) -> f64 {
-        self.disk.transfer_bw * self.raid_members as f64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Sustained logical read bandwidth of one I/O node's array, bytes/s
+    /// (media only; overheads come on top).
+    fn raid_media_bw(c: &Calibration) -> f64 {
+        c.disk.transfer_bw * c.raid_members as f64
+    }
+
     #[test]
     fn paragon_calibration_is_self_consistent() {
         let c = Calibration::paragon_1995();
         // SCSI-8 class: one I/O node sustains roughly 3–4 MB/s.
-        let bw = c.raid_media_bw();
+        let bw = raid_media_bw(&c);
         assert!((2.0e6..5e6).contains(&bw), "RAID bw {bw} out of era range");
         // The mesh must never be the bottleneck next to the disks.
         assert!(c.mesh.link_bw > 10.0 * bw);
@@ -226,7 +226,7 @@ mod tests {
     fn scsi16_quadruples_the_array_bandwidth() {
         let old = Calibration::paragon_1995();
         let new = Calibration::paragon_scsi16();
-        let ratio = new.raid_media_bw() / old.raid_media_bw();
+        let ratio = raid_media_bw(&new) / raid_media_bw(&old);
         assert!((ratio - 4.0).abs() < 1e-9, "ratio {ratio}");
         // Software costs are unchanged: the upgrade is hardware-only.
         assert_eq!(new.syscall, old.syscall);

@@ -10,4 +10,4 @@ mod calib;
 mod machine;
 
 pub use calib::Calibration;
-pub use machine::{Machine, MachineConfig, NodeRole};
+pub use machine::{Machine, MachineConfig};

@@ -46,17 +46,6 @@ impl MachineConfig {
     }
 }
 
-/// Role of a mesh node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NodeRole {
-    /// Runs application code.
-    Compute(usize),
-    /// Runs a PFS server over its local UFS.
-    Io(usize),
-    /// Runs system services (the pointer server).
-    Service,
-}
-
 /// An assembled machine.
 pub struct Machine {
     sim: Sim,
@@ -118,11 +107,6 @@ impl Machine {
         &self.config.calib
     }
 
-    /// Number of compute nodes.
-    pub fn compute_nodes(&self) -> usize {
-        self.config.compute_nodes
-    }
-
     /// Number of I/O nodes.
     pub fn io_nodes(&self) -> usize {
         self.config.io_nodes
@@ -148,18 +132,6 @@ impl Machine {
         NodeId(self.config.compute_nodes + self.config.io_nodes)
     }
 
-    /// Role of a mesh node, if it has one (padding nodes have none).
-    pub fn role(&self, node: NodeId) -> Option<NodeRole> {
-        let cn = self.config.compute_nodes;
-        let ion = self.config.io_nodes;
-        match node.0 {
-            i if i < cn => Some(NodeRole::Compute(i)),
-            i if i < cn + ion => Some(NodeRole::Io(i - cn)),
-            i if i == cn + ion => Some(NodeRole::Service),
-            _ => None,
-        }
-    }
-
     /// The UFS mounted on I/O node `index`.
     pub fn ufs(&self, index: usize) -> &Ufs {
         &self.ufs[index]
@@ -168,11 +140,6 @@ impl Machine {
     /// The RAID array of I/O node `index`.
     pub fn raid(&self, index: usize) -> &RaidArray {
         &self.raids[index]
-    }
-
-    /// All UFS instances, I/O-node order.
-    pub fn all_ufs(&self) -> &[Ufs] {
-        &self.ufs
     }
 }
 
@@ -184,12 +151,9 @@ mod tests {
     fn paper_testbed_has_expected_shape() {
         let sim = Sim::new(1);
         let m = Machine::new(&sim, MachineConfig::paper_testbed());
-        assert_eq!(m.compute_nodes(), 8);
+        assert_eq!(m.config.compute_nodes, 8);
         assert_eq!(m.io_nodes(), 8);
         assert!(m.topology().nodes() >= 17);
-        assert_eq!(m.role(m.compute_node(0)), Some(NodeRole::Compute(0)));
-        assert_eq!(m.role(m.io_node(7)), Some(NodeRole::Io(7)));
-        assert_eq!(m.role(m.service_node()), Some(NodeRole::Service));
     }
 
     #[test]
@@ -209,7 +173,7 @@ mod tests {
     fn each_io_node_gets_its_own_ufs() {
         let sim = Sim::new(1);
         let m = Machine::new(&sim, MachineConfig::tiny_instant(2, 3));
-        assert_eq!(m.all_ufs().len(), 3);
+        assert_eq!(m.ufs.len(), 3);
         // Creating a file on one UFS must not affect another.
         let a = m.ufs(0).clone();
         let b = m.ufs(1).clone();

@@ -24,5 +24,5 @@
 mod net;
 mod topology;
 
-pub use net::{Envelope, Mesh, MeshParams, MeshStats};
-pub use topology::{Coord, NodeId, Topology};
+pub use net::{Mesh, MeshParams, MeshStats};
+pub use topology::{NodeId, Topology};

@@ -147,11 +147,6 @@ impl<M: Clone + 'static> Mesh<M> {
         }
     }
 
-    /// The mesh shape.
-    pub fn topology(&self) -> Topology {
-        self.topo
-    }
-
     /// Claim the mailbox of `node`. Panics if claimed twice: each simulated
     /// node has exactly one receive loop.
     pub fn bind(&self, node: NodeId) -> Receiver<Envelope<M>> {

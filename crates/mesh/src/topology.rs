@@ -6,7 +6,7 @@ pub struct NodeId(pub usize);
 
 /// Mesh coordinates: `x` is the column, `y` the row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Coord {
+pub(crate) struct Coord {
     pub x: usize,
     pub y: usize,
 }
@@ -41,7 +41,7 @@ impl Topology {
     }
 
     /// Coordinates of `node`. Panics if out of range.
-    pub fn coord(&self, node: NodeId) -> Coord {
+    pub(crate) fn coord(&self, node: NodeId) -> Coord {
         assert!(node.0 < self.nodes(), "node {} out of range", node.0);
         Coord {
             x: node.0 % self.cols,
@@ -50,7 +50,7 @@ impl Topology {
     }
 
     /// Flat id of `coord`.
-    pub fn node_at(&self, c: Coord) -> NodeId {
+    pub(crate) fn node_at(&self, c: Coord) -> NodeId {
         assert!(c.x < self.cols && c.y < self.rows);
         NodeId(c.y * self.cols + c.x)
     }

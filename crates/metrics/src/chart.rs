@@ -26,32 +26,23 @@ pub struct AsciiChart {
     title: String,
     x_label: String,
     y_label: String,
-    width: usize,
-    height: usize,
     series: Vec<Series>,
 }
 
 const GLYPHS: &[u8] = b"*o+x#@%&";
+/// Plot-area size, in characters.
+const WIDTH: usize = 64;
+const HEIGHT: usize = 18;
 
 impl AsciiChart {
-    /// New chart with the given plot-area size (in characters).
+    /// New empty chart.
     pub fn new(title: &str, x_label: &str, y_label: &str) -> Self {
         AsciiChart {
             title: title.to_owned(),
             x_label: x_label.to_owned(),
             y_label: y_label.to_owned(),
-            width: 64,
-            height: 18,
             series: Vec::new(),
         }
-    }
-
-    /// Override the plot-area size.
-    pub fn size(mut self, width: usize, height: usize) -> Self {
-        assert!(width >= 8 && height >= 4, "chart too small");
-        self.width = width;
-        self.height = height;
-        self
     }
 
     /// Add a series.
@@ -84,32 +75,32 @@ impl AsciiChart {
         if (y1 - y0).abs() < f64::EPSILON {
             y1 = y0 + 1.0;
         }
-        let mut grid = vec![vec![b' '; self.width]; self.height];
+        let mut grid = vec![vec![b' '; WIDTH]; HEIGHT];
         for (si, s) in self.series.iter().enumerate() {
             let glyph = GLYPHS[si];
             for &(x, y) in &s.points {
-                let cx = ((x - x0) / (x1 - x0) * (self.width - 1) as f64).round() as usize;
-                let cy = ((y - y0) / (y1 - y0) * (self.height - 1) as f64).round() as usize;
-                let row = self.height - 1 - cy;
+                let cx = ((x - x0) / (x1 - x0) * (WIDTH - 1) as f64).round() as usize;
+                let cy = ((y - y0) / (y1 - y0) * (HEIGHT - 1) as f64).round() as usize;
+                let row = HEIGHT - 1 - cy;
                 grid[row][cx] = glyph;
             }
         }
         let mut out = String::new();
         out.push_str(&format!("{}   [y: {}]\n", self.title, self.y_label));
         for (i, row) in grid.iter().enumerate() {
-            let yv = y1 - (y1 - y0) * i as f64 / (self.height - 1) as f64;
+            let yv = y1 - (y1 - y0) * i as f64 / (HEIGHT - 1) as f64;
             out.push_str(&format!("{yv:>9.2} |"));
             out.push_str(std::str::from_utf8(row).expect("ascii grid"));
             out.push('\n');
         }
-        out.push_str(&format!("{:>9} +{}\n", "", "-".repeat(self.width)));
+        out.push_str(&format!("{:>9} +{}\n", "", "-".repeat(WIDTH)));
         out.push_str(&format!(
             "{:>10}{:<w$.2}{:>8.2}   [x: {}]\n",
             "",
             x0,
             x1,
             self.x_label,
-            w = self.width - 6
+            w = WIDTH - 6
         ));
         for (si, s) in self.series.iter().enumerate() {
             out.push_str(&format!(
@@ -128,7 +119,6 @@ mod tests {
     #[test]
     fn renders_points_within_bounds() {
         let chart = AsciiChart::new("t", "x", "y")
-            .size(20, 6)
             .series(Series::new("a", vec![(0.0, 0.0), (10.0, 5.0)]))
             .series(Series::new("b", vec![(5.0, 2.5)]));
         let s = chart.render();

@@ -55,7 +55,7 @@ impl Histogram {
     }
 
     /// Smallest sample.
-    pub fn min(&mut self) -> Option<f64> {
+    pub(crate) fn min(&mut self) -> Option<f64> {
         self.quantile(0.0).map(|_| {
             self.ensure_sorted();
             self.samples[0]

@@ -3,22 +3,22 @@
 //! Rendering and aggregation for the experiment harness: aligned-text
 //! [`Table`]s (the paper's tables), multi-series [`AsciiChart`]s (the
 //! paper's figures), JSON [`ExperimentRecord`]s for the
-//! paper-vs-measured bookkeeping, the numeric [`summary`] helpers, and
-//! the sim-clock telemetry [`registry`] (typed Counter/Gauge/Histogram
-//! instruments sampled at a fixed simulated-time cadence).
+//! paper-vs-measured bookkeeping, and the sim-clock telemetry
+//! [`MetricsRegistry`] (typed Counter/Gauge/Histogram instruments sampled
+//! at a fixed simulated-time cadence).
 
 mod chart;
 mod hist;
-pub mod json;
+mod json;
 mod record;
-pub mod registry;
+mod registry;
 mod table;
 
 pub use chart::{AsciiChart, Series};
 pub use hist::Histogram;
 pub use json::Json;
-pub use record::{summary, DataPoint, ExperimentRecord};
-pub use registry::{time_mean, HistSummary, MetricsRegistry, MetricsSnapshot, Sampler};
+pub use record::ExperimentRecord;
+pub use registry::{MetricsRegistry, MetricsSnapshot, Sampler};
 pub use table::Table;
 
 /// Declares a module's metric names: one documented `pub const` per

@@ -162,52 +162,8 @@ impl ExperimentRecord {
     }
 }
 
-/// Numeric summary helpers used across the harness.
-pub mod summary {
-    /// Arithmetic mean; zero for an empty slice.
-    pub fn mean(xs: &[f64]) -> f64 {
-        if xs.is_empty() {
-            0.0
-        } else {
-            xs.iter().sum::<f64>() / xs.len() as f64
-        }
-    }
-
-    /// Smallest value; +inf for an empty slice.
-    pub fn min(xs: &[f64]) -> f64 {
-        xs.iter().copied().fold(f64::INFINITY, f64::min)
-    }
-
-    /// Largest value; -inf for an empty slice.
-    pub fn max(xs: &[f64]) -> f64 {
-        xs.iter().copied().fold(f64::NEG_INFINITY, f64::max)
-    }
-
-    /// Population standard deviation; zero for fewer than two samples.
-    pub fn stddev(xs: &[f64]) -> f64 {
-        if xs.len() < 2 {
-            return 0.0;
-        }
-        let m = mean(xs);
-        (xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64).sqrt()
-    }
-
-    /// Relative spread `(max - min) / mean`; zero when degenerate. The
-    /// paper's "benefits should be equally distributed amongst the
-    /// processors" check uses this across per-node bandwidths.
-    pub fn imbalance(xs: &[f64]) -> f64 {
-        let m = mean(xs);
-        if xs.is_empty() || m == 0.0 {
-            0.0
-        } else {
-            (max(xs) - min(xs)) / m
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::summary::*;
     use super::*;
 
     #[test]
@@ -220,22 +176,5 @@ mod tests {
         let back = ExperimentRecord::from_json(&r.to_json()).unwrap();
         assert_eq!(back, r);
         assert_eq!(back.points[0].values["bw_prefetch"], 2.9);
-    }
-
-    #[test]
-    fn summary_statistics() {
-        let xs = [2.0, 4.0, 6.0, 8.0];
-        assert_eq!(mean(&xs), 5.0);
-        assert_eq!(min(&xs), 2.0);
-        assert_eq!(max(&xs), 8.0);
-        assert!((stddev(&xs) - 2.23606797749979).abs() < 1e-12);
-        assert!((imbalance(&xs) - 1.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn summary_edge_cases() {
-        assert_eq!(mean(&[]), 0.0);
-        assert_eq!(stddev(&[1.0]), 0.0);
-        assert_eq!(imbalance(&[]), 0.0);
     }
 }

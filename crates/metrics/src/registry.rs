@@ -101,7 +101,7 @@ impl MetricsRegistry {
     }
 
     /// Poll every gauge into its time series, stamped `now_ns`.
-    pub fn sample(&self, now_ns: u64) {
+    pub(crate) fn sample(&self, now_ns: u64) {
         // Collect sources first so gauge closures run without the
         // registry borrowed (a closure may consult a component that
         // itself holds a registry handle).
@@ -157,13 +157,6 @@ impl MetricsRegistry {
         self.sample(now_ns);
     }
 
-    /// Measured-phase delta of counter `name` (0 when unknown).
-    pub fn counter_delta(&self, name: &str) -> f64 {
-        let inner = self.inner.borrow();
-        inner.finals.get(name).copied().unwrap_or(0.0)
-            - inner.baseline.get(name).copied().unwrap_or(0.0)
-    }
-
     /// Freeze everything into a plain-data snapshot.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut inner = self.inner.borrow_mut();
@@ -208,7 +201,7 @@ pub struct HistSummary {
 
 impl HistSummary {
     /// Summarize `h` (zeros when empty).
-    pub fn of(h: &mut Histogram) -> HistSummary {
+    pub(crate) fn of(h: &mut Histogram) -> HistSummary {
         HistSummary {
             count: h.len(),
             mean: h.mean().unwrap_or(0.0),
@@ -276,7 +269,7 @@ impl MetricsSnapshot {
 }
 
 /// Step-interpolated time-weighted mean of `vals` sampled at `times`.
-pub fn time_mean(times: &[u64], vals: &[f64]) -> Option<f64> {
+pub(crate) fn time_mean(times: &[u64], vals: &[f64]) -> Option<f64> {
     let n = times.len().min(vals.len());
     if n == 0 {
         return None;
@@ -306,7 +299,7 @@ pub struct Sampler {
 }
 
 impl Sampler {
-    /// Spawn the sampling task: one [`MetricsRegistry::sample`] now and
+    /// Spawn the sampling task: one `MetricsRegistry::sample` now and
     /// then every `cadence` of simulated time until stopped.
     pub fn start(sim: &Sim, registry: &MetricsRegistry, cadence: SimDuration) -> Sampler {
         assert!(!cadence.is_zero(), "sampler cadence must be positive");
@@ -374,9 +367,7 @@ mod tests {
         reg.mark_phase_start(0);
         total.set(175);
         reg.finish(1_000);
-        assert_eq!(reg.counter_delta("reqs"), 75.0);
         assert_eq!(reg.snapshot().counters["reqs"], 75.0);
-        assert_eq!(reg.counter_delta("unknown"), 0.0);
     }
 
     #[test]

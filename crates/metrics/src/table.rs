@@ -34,16 +34,6 @@ impl Table {
         self
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True when no rows were added.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Cell accessor (row, column) for assertions in tests.
     pub fn cell(&self, row: usize, col: usize) -> &str {
         &self.rows[row][col]
@@ -80,32 +70,6 @@ impl Table {
         }
         out
     }
-
-    /// Render as CSV (header row + data rows).
-    pub fn to_csv(&self) -> String {
-        let esc = |s: &str| {
-            if s.contains(',') || s.contains('"') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_owned()
-            }
-        };
-        let mut out = String::new();
-        out.push_str(
-            &self
-                .columns
-                .iter()
-                .map(|c| esc(c))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.iter().map(|c| esc(c)).collect::<Vec<_>>().join(","));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -123,14 +87,6 @@ mod tests {
         // All data lines have equal width.
         assert_eq!(lines[3].len(), lines[4].len());
         assert_eq!(t.cell(1, 1), "19.7");
-    }
-
-    #[test]
-    fn csv_escapes_commas() {
-        let mut t = Table::new("x", &["a", "b"]);
-        t.row(&["1,5", "plain"]);
-        let csv = t.to_csv();
-        assert_eq!(csv, "a,b\n\"1,5\",plain\n");
     }
 
     #[test]

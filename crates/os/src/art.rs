@@ -126,7 +126,6 @@ impl ArtPool {
             // FIFO admission: tasks call acquire in spawn order, and the
             // semaphore grants in arrival order.
             let _g = pool.gate.acquire().await;
-            h.started.set(Some(pool.sim.now()));
             pool.sim.emit(|| ev(track, EventKind::ArtStart, req, 0, 0));
             pool.sim.sleep(pool.cfg.dispatch).await;
             let value = op.await;
@@ -139,30 +138,6 @@ impl ArtPool {
         });
         handle
     }
-
-    /// [`ArtPool::submit_tagged`] with a posting deadline: if `op` has not
-    /// completed within `deadline` of the ART starting to post it, the
-    /// request resolves to `fallback` instead (the abandoned operation's
-    /// result is discarded when it eventually finishes). Queue time on the
-    /// active list does not count against the deadline.
-    pub async fn submit_deadline<T, F>(
-        &self,
-        req: ReqId,
-        track: Track,
-        deadline: SimDuration,
-        fallback: T,
-        op: F,
-    ) -> AsyncHandle<T>
-    where
-        T: 'static,
-        F: Future<Output = T> + 'static,
-    {
-        let sim = self.sim.clone();
-        self.submit_tagged(req, track, async move {
-            sim.timeout(deadline, op).await.unwrap_or(fallback)
-        })
-        .await
-    }
 }
 
 /// The user-visible asynchronous request structure. Clone freely; all
@@ -171,7 +146,6 @@ pub struct AsyncHandle<T> {
     done: Signal,
     slot: Rc<RefCell<Option<T>>>,
     submitted_at: SimTime,
-    started: Rc<Cell<Option<SimTime>>>,
     completed: Rc<Cell<Option<SimTime>>>,
 }
 
@@ -181,7 +155,6 @@ impl<T> Clone for AsyncHandle<T> {
             done: self.done.clone(),
             slot: self.slot.clone(),
             submitted_at: self.submitted_at,
-            started: self.started.clone(),
             completed: self.completed.clone(),
         }
     }
@@ -193,7 +166,6 @@ impl<T> AsyncHandle<T> {
             done: Signal::new(),
             slot: Rc::new(RefCell::new(None)),
             submitted_at: now,
-            started: Rc::new(Cell::new(None)),
             completed: Rc::new(Cell::new(None)),
         }
     }
@@ -222,23 +194,9 @@ impl<T> AsyncHandle<T> {
         }
     }
 
-    /// Take the result without waiting, if complete and untaken.
-    pub fn try_take(&self) -> Option<T> {
-        if self.done.is_set() {
-            self.slot.borrow_mut().take()
-        } else {
-            None
-        }
-    }
-
     /// When the request was submitted.
     pub fn submitted_at(&self) -> SimTime {
         self.submitted_at
-    }
-
-    /// When an ART began posting it (None while queued).
-    pub fn started_at(&self) -> Option<SimTime> {
-        self.started.get()
     }
 
     /// When it completed (None while in flight).
@@ -381,42 +339,13 @@ mod tests {
             req.wait().await;
             (
                 req.submitted_at().as_millis_round(),
-                req.started_at().unwrap().as_millis_round(),
                 req.completed_at().unwrap().as_millis_round(),
             )
         });
         sim.run();
-        // Submitted after 1 ms setup; started immediately; completed after
-        // 2 ms dispatch + 10 ms I/O.
-        assert_eq!(h.try_take(), Some((1, 1, 13)));
-    }
-
-    #[test]
-    fn deadline_abandons_a_stuck_request() {
-        let sim = Sim::new(1);
-        let pool = ArtPool::new(&sim, ArtConfig::instant());
-        let s = sim.clone();
-        let h = sim.spawn(async move {
-            let s2 = s.clone();
-            let slow = async move {
-                s2.sleep(SimDuration::from_secs(10)).await;
-                Ok(7u32)
-            };
-            let req = pool
-                .submit_deadline(
-                    0,
-                    Track::Sys,
-                    SimDuration::from_millis(5),
-                    Err("late"),
-                    slow,
-                )
-                .await;
-            let v = req.join().await;
-            (v, s.now().as_millis_round())
-        });
-        sim.run();
-        // Resolves with the fallback at the 5 ms deadline, not at 10 s.
-        assert_eq!(h.try_take(), Some((Err("late"), 5)));
+        // Submitted after 1 ms setup; completed after 2 ms dispatch + 10 ms
+        // I/O.
+        assert_eq!(h.try_take(), Some((1, 13)));
     }
 
     #[test]
@@ -426,9 +355,10 @@ mod tests {
         let h = sim.spawn(async move {
             let req = pool.submit(async { 99u32 }).await;
             let v = req.join().await;
-            (v, req.try_take())
+            let left = req.slot.borrow().is_some();
+            (v, left)
         });
         sim.run();
-        assert_eq!(h.try_take(), Some((99, None)));
+        assert_eq!(h.try_take(), Some((99, false)));
     }
 }

@@ -2,11 +2,11 @@
 //!
 //! Two OSF/1-flavoured facilities the PFS is built on:
 //!
-//! * [`rpc`] — typed request/reply messaging over the mesh, with both legs
+//! * [`RpcNet`] — typed request/reply messaging over the mesh, with both legs
 //!   paying the mesh timing model (per-message software overhead + wire
 //!   time). Compute nodes are [`RpcClient`]s; I/O and service nodes install
 //!   handlers via [`RpcNet::serve`].
-//! * [`art`] — the Asynchronous Request Thread machinery: request setup
+//! * [`ArtPool`] — the Asynchronous Request Thread machinery: request setup
 //!   paid by the user thread, FIFO active list, concurrent posting. The
 //!   paper's prefetching prototype issues its prefetches as ordinary
 //!   asynchronous reads through exactly this path.
@@ -45,8 +45,8 @@
     )
 )]
 
-pub mod art;
-pub mod rpc;
+mod art;
+mod rpc;
 
 pub use art::{ArtConfig, ArtPool, ArtStats, AsyncHandle};
-pub use rpc::{RpcClient, RpcError, RpcNet, RpcPolicy, RpcStats, WireSize, RPC_HEADER_BYTES};
+pub use rpc::{RpcClient, RpcError, RpcNet, RpcPolicy, WireSize};

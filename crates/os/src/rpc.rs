@@ -36,7 +36,7 @@ pub trait WireSize {
 }
 
 /// Fixed per-message header cost (routing, request ids, lengths).
-pub const RPC_HEADER_BYTES: u64 = 64;
+pub(crate) const RPC_HEADER_BYTES: u64 = 64;
 
 #[derive(Clone)]
 enum RpcWire<Req, Resp> {
@@ -104,11 +104,6 @@ impl Default for RpcPolicy {
 }
 
 impl RpcPolicy {
-    /// No deadline, no retries: identical to [`RpcClient::call`].
-    pub fn none() -> Self {
-        Self::default()
-    }
-
     /// `retries` extra attempts with a `timeout` deadline each and
     /// `backoff` linear backoff between them.
     pub fn with_retries(timeout: SimDuration, retries: u32, backoff: SimDuration) -> Self {
@@ -292,11 +287,6 @@ where
     Req: WireSize + Clone + 'static,
     Resp: WireSize + Clone + 'static,
 {
-    /// The node this endpoint belongs to.
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
     /// Send `req` to `dst` and wait for its reply. No deadline: if the
     /// fabric loses the call or the reply, this waits forever (the run
     /// report will show the unfinished task). `Err(Dropped)` means the

@@ -37,18 +37,9 @@ impl Default for OpenOptions {
     }
 }
 
-/// Client-side counters for one open file.
-#[derive(Debug, Default, Clone)]
-pub struct ClientStats {
-    pub reads: u64,
-    pub writes: u64,
-    pub bytes_read: u64,
-    pub bytes_written: u64,
-}
-
 /// Client-side timing knobs (from the machine calibration).
 #[derive(Debug, Clone)]
-pub struct ClientParams {
+pub(crate) struct ClientParams {
     /// Per-call system-call overhead.
     pub syscall: SimDuration,
     /// M_RECORD node-ordered record bookkeeping per call.
@@ -89,7 +80,6 @@ pub struct PfsFile {
     fast_path: bool,
     size_at_open: u64,
     state: Rc<RefCell<FileState>>,
-    stats: Rc<RefCell<ClientStats>>,
     /// I/O nodes a replicated read leg of this handle saw fail. They are
     /// deprioritized (not skipped — a recovered node serves again) so
     /// only the first read through a dead node pays the full timeout.
@@ -134,7 +124,6 @@ impl PfsFile {
                 round: 0,
                 local_offset: 0,
             })),
-            stats: Rc::new(RefCell::new(ClientStats::default())),
             suspects: Rc::new(RefCell::new(BTreeSet::new())),
         }
     }
@@ -157,16 +146,6 @@ impl PfsFile {
     /// File size when the handle was opened.
     pub fn size(&self) -> u64 {
         self.size_at_open
-    }
-
-    /// Stripe attributes of the file.
-    pub fn stripe_attrs(&self) -> &crate::stripe::StripeAttrs {
-        &self.meta.attrs
-    }
-
-    /// Client counters for this handle.
-    pub fn stats(&self) -> ClientStats {
-        self.stats.borrow().clone()
     }
 
     /// The node's ART pool (the prefetch engine issues through it).
@@ -567,10 +546,6 @@ impl PfsFile {
         if let Some(e) = first_err {
             return Err(e);
         }
-        let mut st = self.stats.borrow_mut();
-        st.reads += 1;
-        st.bytes_read += len as u64;
-        drop(st);
         self.sim
             .emit(|| ev(cn, EventKind::Copy, req, offset, len as u64));
         self.sim
@@ -743,10 +718,6 @@ impl PfsFile {
         if let Some(e) = first_err {
             return Err(e);
         }
-        let mut st = self.stats.borrow_mut();
-        st.writes += 1;
-        st.bytes_written += data.len() as u64;
-        drop(st);
         self.sim
             .emit(|| ev(cn, EventKind::WriteDone, req, offset, wlen));
         Ok(())

@@ -18,9 +18,9 @@ use paragon_os::{ArtConfig, ArtPool, ArtStats, RpcClient, RpcNet, RpcPolicy};
 use paragon_sim::Sim;
 
 use crate::client::{ClientParams, OpenOptions, PfsFile};
-use crate::meta::{FileMeta, Registry, Replica};
+use crate::meta::{Registry, Replica};
 use crate::modes::IoMode;
-use crate::pointer::{PointerServer, PointerStats};
+use crate::pointer::PointerServer;
 use crate::proto::{PfsError, PfsFileId, PfsRequest, PfsResponse};
 use crate::redundancy::Redundancy;
 use crate::server::{IonServer, ServerParams, ServerStats};
@@ -35,7 +35,6 @@ pub struct ParallelFs {
     machine: Rc<Machine>,
     rpc: RpcNet<PfsRequest, PfsResponse>,
     registry: Rc<RefCell<Registry>>,
-    pointer: PointerServer,
     servers: Vec<IonServer>,
     io_node_ids: Rc<Vec<NodeId>>,
     /// Lazily-created per-rank client endpoints and ART pools (one mailbox
@@ -94,8 +93,7 @@ impl ParallelFs {
             });
         }
 
-        let pointer = PointerServer::new(&sim, calib.pointer_op);
-        let ptr = pointer.clone();
+        let ptr = PointerServer::new(&sim, calib.pointer_op);
         rpc.serve(machine.service_node(), move |_src, req| {
             let ptr = ptr.clone();
             Box::pin(async move {
@@ -123,7 +121,6 @@ impl ParallelFs {
             machine,
             rpc,
             registry,
-            pointer,
             servers,
             io_node_ids,
             clients: RefCell::new(BTreeMap::new()),
@@ -133,11 +130,6 @@ impl ParallelFs {
             replica_failovers: Rc::new(Cell::new(0)),
             replica_reads: Rc::new(Cell::new(0)),
         })
-    }
-
-    /// The mount's redundancy policy.
-    pub fn redundancy(&self) -> Redundancy {
-        self.redundancy
     }
 
     /// Live count of stripe slots awaiting re-replication (telemetry
@@ -241,18 +233,6 @@ impl ParallelFs {
             .insert_replicated(name, attrs, slots, replicas))
     }
 
-    /// Create with the mount's default layout: striped once across the
-    /// first `factor` I/O nodes in `stripe_unit` units.
-    pub async fn create_default(
-        &self,
-        name: &str,
-        stripe_unit: u64,
-        factor: usize,
-    ) -> Result<PfsFileId, PfsError> {
-        self.create(name, StripeAttrs::across(factor, stripe_unit))
-            .await
-    }
-
     /// Lay `size` bytes of content into `file`, byte `i` = `fill(i)`.
     ///
     /// Experiment setup: the data lands directly on the per-slot UFS
@@ -313,39 +293,8 @@ impl ParallelFs {
         Ok(())
     }
 
-    /// Remove a PFS file: frees every slot's stripe file (flushing any
-    /// dirty cached blocks) and tombstones the id. Open handles must not
-    /// be used afterwards (their requests will fail with `UnknownFile`).
-    pub async fn remove(&self, file: PfsFileId) -> Result<(), PfsError> {
-        let meta = self.registry.borrow_mut().remove(file)?;
-        for slot in 0..meta.slots.len() {
-            for copy in meta.slot_replicas(slot as u16)? {
-                self.machine
-                    .ufs(copy.ion)
-                    .remove(copy.inode)
-                    .await
-                    .map_err(PfsError::from)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Metadata snapshot of `file` (name, stripe attributes, slot map).
-    pub fn stat(&self, file: PfsFileId) -> Result<FileMeta, PfsError> {
-        Ok(self.registry.borrow().get(file)?.clone())
-    }
-
-    /// Names of every live PFS file, creation order.
-    pub fn list(&self) -> Vec<String> {
-        self.registry
-            .borrow()
-            .iter()
-            .map(|m| m.name.clone())
-            .collect()
-    }
-
     /// Logical size of `file` implied by its slot files' current sizes.
-    pub fn logical_size(&self, file: PfsFileId) -> Result<u64, PfsError> {
+    pub(crate) fn logical_size(&self, file: PfsFileId) -> Result<u64, PfsError> {
         let registry = self.registry.borrow();
         let meta = registry.get(file)?;
         let sizes: Vec<u64> = meta
@@ -439,11 +388,6 @@ impl ParallelFs {
             .get(index)
             .map(|s| s.stats())
             .unwrap_or_default()
-    }
-
-    /// Counters of the pointer server.
-    pub fn pointer_stats(&self) -> PointerStats {
-        self.pointer.stats()
     }
 
     /// Aggregate bytes read across all I/O-node servers.
@@ -741,37 +685,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_frees_slot_files_and_tombstones_the_id() {
-        let sim = Sim::new(10);
-        let pfs = mount(&sim, 1, 2);
-        let p2 = pfs.clone();
-        let h = sim.spawn(async move {
-            let attrs = StripeAttrs::across(2, 16 * KB);
-            let a = make_file(&p2, "/pfs/rm", attrs.clone(), 128 * KB, 1).await;
-            assert_eq!(p2.list(), vec!["/pfs/rm".to_owned()]);
-            assert_eq!(p2.stat(a).unwrap().slots.len(), 2);
-            let f = p2
-                .open(0, 1, a, IoMode::MAsync, OpenOptions::default())
-                .unwrap();
-            p2.remove(a).await.unwrap();
-            assert!(p2.list().is_empty());
-            assert!(p2.stat(a).is_err());
-            // A stale handle's requests surface UnknownFile, not corruption.
-            let err = f.transfer_read(0, 1024).await;
-            assert!(err.is_err());
-            // The name (and the space) can be reused.
-            let b = make_file(&p2, "/pfs/rm", attrs, 64 * KB, 2).await;
-            let g = p2
-                .open(0, 1, b, IoMode::MAsync, OpenOptions::default())
-                .unwrap();
-            let data = g.transfer_read(0, 1024).await.unwrap();
-            data == pattern_slice(2, 0, 1024)
-        });
-        sim.run();
-        assert_eq!(h.try_take(), Some(true));
-    }
-
-    #[test]
     fn pattern_helpers_are_consistent() {
         // Every batch/tail split of `fill_from`: offsets across one
         // 16-byte batch, lengths up to three batches.
@@ -838,7 +751,7 @@ mod tests {
                     .await
                     .unwrap();
                 pfs.populate_with(id, size, fill).await.unwrap();
-                let meta = pfs.stat(id).unwrap();
+                let meta = pfs.registry.borrow().get(id).unwrap().clone();
                 let mut copies = Vec::new();
                 for slot in 0..factor {
                     for copy in meta.slot_replicas(slot as u16).unwrap() {

@@ -59,13 +59,10 @@ mod redundancy;
 mod server;
 mod stripe;
 
-pub use client::{ClientParams, ClientStats, OpenOptions, PfsFile};
+pub use client::{OpenOptions, PfsFile};
 pub use fs::{pattern_byte, pattern_slice, ParallelFs};
-pub use meta::{FileMeta, Registry, Replica};
 pub use modes::IoMode;
-pub use pointer::{PointerServer, PointerStats};
-pub use proto::{PfsError, PfsFileId, PfsRequest, PfsResponse, PtrRequest};
-pub use rebuild::{rebuild_after_crash, RebuildConfig, RebuildStats};
+pub use proto::{PfsError, PfsFileId};
+pub use rebuild::{rebuild_after_crash, RebuildStats};
 pub use redundancy::Redundancy;
-pub use server::{IonServer, ServerParams, ServerStats};
-pub use stripe::{SlotRequest, StripeAttrs, StripePiece};
+pub use stripe::{StripeAttrs, StripePiece};

@@ -16,7 +16,7 @@ use crate::stripe::StripeAttrs;
 
 /// One physical copy of a stripe slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Replica {
+pub(crate) struct Replica {
     /// I/O node hosting this copy.
     pub ion: usize,
     /// Inode of the copy's stripe file on that node's UFS.
@@ -31,7 +31,7 @@ pub struct Replica {
 /// [`FileMeta`] (open handles, servers, and the recovery coordinator all
 /// see replacement replicas the moment they commit).
 #[derive(Debug, Clone, Default)]
-pub struct SlotReplicas {
+pub(crate) struct SlotReplicas {
     table: Rc<RefCell<Vec<Vec<Replica>>>>,
 }
 
@@ -49,7 +49,7 @@ impl SlotReplicas {
 
 /// Metadata of one PFS file.
 #[derive(Debug, Clone)]
-pub struct FileMeta {
+pub(crate) struct FileMeta {
     /// Machine-wide id.
     pub id: PfsFileId,
     /// Mount-relative name.
@@ -68,7 +68,7 @@ pub struct FileMeta {
 
 impl FileMeta {
     /// Resolve a slot to its primary I/O node and inode.
-    pub fn slot(&self, slot: u16) -> Result<(usize, InodeId), PfsError> {
+    pub(crate) fn slot(&self, slot: u16) -> Result<(usize, InodeId), PfsError> {
         self.slots
             .get(slot as usize)
             .copied()
@@ -79,7 +79,7 @@ impl FileMeta {
     }
 
     /// Every copy of `slot` (ready and staging), preference order.
-    pub fn slot_replicas(&self, slot: u16) -> Result<Vec<Replica>, PfsError> {
+    pub(crate) fn slot_replicas(&self, slot: u16) -> Result<Vec<Replica>, PfsError> {
         self.replicas.get(slot as usize).ok_or(PfsError::BadSlot {
             slot,
             factor: self.slots.len(),
@@ -87,7 +87,7 @@ impl FileMeta {
     }
 
     /// Readable copies of `slot`, preference order (primary first).
-    pub fn readable_replicas(&self, slot: u16) -> Result<Vec<Replica>, PfsError> {
+    pub(crate) fn readable_replicas(&self, slot: u16) -> Result<Vec<Replica>, PfsError> {
         Ok(self
             .slot_replicas(slot)?
             .into_iter()
@@ -97,7 +97,7 @@ impl FileMeta {
 
     /// The inode of `slot`'s copy hosted on I/O node `ion`, staging
     /// included (servers resolve incoming requests with this).
-    pub fn inode_on(&self, slot: u16, ion: usize) -> Result<InodeId, PfsError> {
+    pub(crate) fn inode_on(&self, slot: u16, ion: usize) -> Result<InodeId, PfsError> {
         self.slot_replicas(slot)?
             .iter()
             .find(|r| r.ion == ion)
@@ -110,7 +110,7 @@ impl FileMeta {
 
     /// Register a staging copy of `slot` on `ion` (rebuild target).
     /// Not readable until [`FileMeta::commit_replica`].
-    pub fn add_staging_replica(&self, slot: u16, ion: usize, inode: InodeId) {
+    pub(crate) fn add_staging_replica(&self, slot: u16, ion: usize, inode: InodeId) {
         let mut table = self.replicas.table.borrow_mut();
         if let Some(list) = table.get_mut(slot as usize) {
             list.push(Replica {
@@ -123,7 +123,7 @@ impl FileMeta {
 
     /// Mark the staging copy of `slot` on `ion` readable and drop the
     /// copy it replaces (`lost_ion`), completing one re-replication.
-    pub fn commit_replica(&self, slot: u16, ion: usize, lost_ion: usize) {
+    pub(crate) fn commit_replica(&self, slot: u16, ion: usize, lost_ion: usize) {
         let mut table = self.replicas.table.borrow_mut();
         if let Some(list) = table.get_mut(slot as usize) {
             for r in list.iter_mut() {
@@ -136,42 +136,21 @@ impl FileMeta {
     }
 }
 
-/// The machine-wide file table. Removed files leave tombstones so ids
-/// stay stable.
+/// The machine-wide file table; a file's id is its index.
 #[derive(Debug, Default)]
-pub struct Registry {
-    files: Vec<Option<FileMeta>>,
+pub(crate) struct Registry {
+    files: Vec<FileMeta>,
 }
 
 impl Registry {
     /// Empty registry.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
-    }
-
-    /// Register a new single-copy file and return its id.
-    pub fn insert(
-        &mut self,
-        name: &str,
-        attrs: StripeAttrs,
-        slots: Vec<(usize, InodeId)>,
-    ) -> PfsFileId {
-        let replicas = slots
-            .iter()
-            .map(|&(ion, inode)| {
-                vec![Replica {
-                    ion,
-                    inode,
-                    ready: true,
-                }]
-            })
-            .collect();
-        self.insert_replicated(name, attrs, slots, replicas)
     }
 
     /// Register a file with explicit per-slot replica lists (entry 0 of
     /// each list is the primary; `slots` must match the primaries).
-    pub fn insert_replicated(
+    pub(crate) fn insert_replicated(
         &mut self,
         name: &str,
         attrs: StripeAttrs,
@@ -189,50 +168,26 @@ impl Registry {
             "replica table does not match stripe factor"
         );
         let id = PfsFileId(self.files.len() as u32);
-        self.files.push(Some(FileMeta {
+        self.files.push(FileMeta {
             id,
             name: name.to_owned(),
             attrs,
             slots,
             replicas: SlotReplicas::new(replicas),
-        }));
+        });
         id
     }
 
     /// Look a file up by id.
-    pub fn get(&self, id: PfsFileId) -> Result<&FileMeta, PfsError> {
+    pub(crate) fn get(&self, id: PfsFileId) -> Result<&FileMeta, PfsError> {
         self.files
             .get(id.0 as usize)
-            .and_then(|f| f.as_ref())
             .ok_or(PfsError::UnknownFile(id))
     }
 
-    /// Look a file up by name.
-    pub fn lookup(&self, name: &str) -> Option<&FileMeta> {
-        self.files.iter().flatten().find(|f| f.name == name)
-    }
-
-    /// Remove a file, returning its metadata (for slot-file cleanup).
-    pub fn remove(&mut self, id: PfsFileId) -> Result<FileMeta, PfsError> {
-        self.files
-            .get_mut(id.0 as usize)
-            .and_then(|f| f.take())
-            .ok_or(PfsError::UnknownFile(id))
-    }
-
-    /// Iterate over live files.
-    pub fn iter(&self) -> impl Iterator<Item = &FileMeta> {
-        self.files.iter().flatten()
-    }
-
-    /// Number of live files.
-    pub fn len(&self) -> usize {
-        self.files.iter().flatten().count()
-    }
-
-    /// True when no live files exist.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// Iterate over every file, creation order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &FileMeta> {
+        self.files.iter()
     }
 }
 
@@ -240,11 +195,36 @@ impl Registry {
 mod tests {
     use super::*;
 
+    /// Register a single-copy file: each slot's primary is its only copy.
+    fn insert(
+        r: &mut Registry,
+        name: &str,
+        attrs: StripeAttrs,
+        slots: Vec<(usize, InodeId)>,
+    ) -> PfsFileId {
+        let replicas = slots
+            .iter()
+            .map(|&(ion, inode)| {
+                vec![Replica {
+                    ion,
+                    inode,
+                    ready: true,
+                }]
+            })
+            .collect();
+        r.insert_replicated(name, attrs, slots, replicas)
+    }
+
     #[test]
     fn insert_and_resolve() {
         let mut r = Registry::new();
         let attrs = StripeAttrs::across(2, 64 * 1024);
-        let id = r.insert("/pfs/a", attrs, vec![(0, InodeId(0)), (1, InodeId(0))]);
+        let id = insert(
+            &mut r,
+            "/pfs/a",
+            attrs,
+            vec![(0, InodeId(0)), (1, InodeId(0))],
+        );
         assert_eq!(id, PfsFileId(0));
         let meta = r.get(id).unwrap();
         assert_eq!(meta.slot(1).unwrap(), (1, InodeId(0)));
@@ -252,24 +232,6 @@ mod tests {
             meta.slot(2),
             Err(PfsError::BadSlot { slot: 2, factor: 2 })
         ));
-        assert!(r.lookup("/pfs/a").is_some());
-        assert!(r.lookup("/pfs/b").is_none());
-    }
-
-    #[test]
-    fn remove_leaves_a_tombstone() {
-        let mut r = Registry::new();
-        let attrs = StripeAttrs::across(1, 1024);
-        let a = r.insert("/a", attrs.clone(), vec![(0, InodeId(0))]);
-        let b = r.insert("/b", attrs, vec![(0, InodeId(1))]);
-        let meta = r.remove(a).unwrap();
-        assert_eq!(meta.name, "/a");
-        assert!(matches!(r.get(a), Err(PfsError::UnknownFile(_))));
-        assert!(r.remove(a).is_err(), "double remove must fail");
-        // Ids stay stable: /b is still where it was.
-        assert_eq!(r.get(b).unwrap().name, "/b");
-        assert_eq!(r.len(), 1);
-        assert_eq!(r.iter().count(), 1);
     }
 
     #[test]

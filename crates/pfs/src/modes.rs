@@ -81,31 +81,9 @@ impl IoMode {
         matches!(self, IoMode::MUnix | IoMode::MLog | IoMode::MSync)
     }
 
-    /// True for modes whose accesses are totally ordered by node rank.
-    pub fn node_ordered(self) -> bool {
-        matches!(self, IoMode::MSync | IoMode::MRecord)
-    }
-
-    /// True when every node of a collective call sees identical data.
-    pub fn same_data(self) -> bool {
-        self == IoMode::MGlobal
-    }
-
     /// True when all nodes must issue equal-sized requests.
     pub fn requires_equal_sizes(self) -> bool {
         self == IoMode::MRecord
-    }
-
-    /// True when an access is atomic with respect to the shared pointer
-    /// (the pointer token is held across the data transfer).
-    pub fn atomic(self) -> bool {
-        self == IoMode::MUnix
-    }
-
-    /// True when a collective call synchronizes all nodes before any
-    /// request is serviced.
-    pub fn synchronizing(self) -> bool {
-        self == IoMode::MSync
     }
 }
 
@@ -141,16 +119,12 @@ mod tests {
             .filter(|m| m.shared_pointer())
             .collect();
         assert_eq!(shared, vec![IoMode::MUnix, IoMode::MLog, IoMode::MSync]);
-        // Exactly one atomic, one synchronizing, one same-data mode.
-        assert_eq!(IoMode::all().iter().filter(|m| m.atomic()).count(), 1);
-        assert_eq!(
-            IoMode::all().iter().filter(|m| m.synchronizing()).count(),
-            1
-        );
-        assert_eq!(IoMode::all().iter().filter(|m| m.same_data()).count(), 1);
-        // M_RECORD is node-ordered but not shared-pointer.
-        assert!(IoMode::MRecord.node_ordered());
-        assert!(!IoMode::MRecord.shared_pointer());
+        // Only M_RECORD requires equal-sized requests.
+        let equal: Vec<IoMode> = IoMode::all()
+            .into_iter()
+            .filter(|m| m.requires_equal_sizes())
+            .collect();
+        assert_eq!(equal, vec![IoMode::MRecord]);
     }
 
     #[test]

@@ -27,46 +27,31 @@ struct FilePtr {
     sync_waiters: Vec<(u16, u64, OneshotSender<u64>)>,
 }
 
-/// Pointer-server counters.
-#[derive(Debug, Default, Clone)]
-pub struct PointerStats {
-    pub ops: u64,
-    /// Deepest M_UNIX token queue observed (contention diagnostic).
-    pub max_token_queue: usize,
-}
-
 /// The pointer state machine. The PFS mounts it on the service node; unit
 /// tests drive it directly.
 #[derive(Clone)]
-pub struct PointerServer {
+pub(crate) struct PointerServer {
     sim: Sim,
     op_cost: SimDuration,
     /// The pointer server is one OS process: operations serialize on it.
     gate: Semaphore,
     files: Rc<RefCell<BTreeMap<PfsFileId, FilePtr>>>,
-    stats: Rc<RefCell<PointerStats>>,
 }
 
 impl PointerServer {
     /// Create a pointer server charging `op_cost` per (serialized)
     /// operation.
-    pub fn new(sim: &Sim, op_cost: SimDuration) -> Self {
+    pub(crate) fn new(sim: &Sim, op_cost: SimDuration) -> Self {
         PointerServer {
             sim: sim.clone(),
             op_cost,
             gate: Semaphore::new(1),
             files: Rc::new(RefCell::new(BTreeMap::new())),
-            stats: Rc::new(RefCell::new(PointerStats::default())),
         }
     }
 
-    /// Counter snapshot.
-    pub fn stats(&self) -> PointerStats {
-        self.stats.borrow().clone()
-    }
-
     /// Current pointer of `file` (0 if never touched).
-    pub fn pointer(&self, file: PfsFileId) -> u64 {
+    pub(crate) fn pointer(&self, file: PfsFileId) -> u64 {
         self.files
             .borrow()
             .get(&file)
@@ -80,10 +65,9 @@ impl PointerServer {
     /// process); waiting on a token or a collective happens *outside*
     /// the serialized section, so a held M_UNIX token never blocks
     /// unrelated operations.
-    pub async fn handle(&self, req: PtrRequest) -> Result<u64, PfsError> {
+    pub(crate) async fn handle(&self, req: PtrRequest) -> Result<u64, PfsError> {
         let gate = self.gate.acquire().await;
         self.sim.sleep(self.op_cost).await;
-        self.stats.borrow_mut().ops += 1;
         drop(gate);
         let res: Result<u64, PfsError> = match req {
             PtrRequest::UnixAcquire { file } => {
@@ -96,9 +80,6 @@ impl PointerServer {
                     } else {
                         let (tx, rx) = oneshot();
                         f.token_queue.push_back(tx);
-                        let depth = f.token_queue.len();
-                        let mut st = self.stats.borrow_mut();
-                        st.max_token_queue = st.max_token_queue.max(depth);
                         Some(rx)
                     }
                 };
@@ -216,7 +197,6 @@ mod tests {
         }
         sim.run();
         assert_eq!(*log.borrow(), vec![(0, 0), (1, 100), (2, 200)]);
-        assert_eq!(ps.stats().max_token_queue, 2);
     }
 
     #[test]

@@ -24,42 +24,19 @@ use paragon_sim::{ev, EventKind, Sim, SimDuration, SimTime, Track};
 use crate::fs::ParallelFs;
 use crate::proto::{PfsError, PfsFileId, PfsRequest, PfsResponse};
 
-/// Shape and throttle of one recovery pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RebuildConfig {
-    /// Token-bucket refill rate for rebuild copy traffic, in bytes per
-    /// simulated second. `0` disables the throttle entirely (rebuild as
-    /// fast as the machine allows — the "rebuild storm").
-    pub rate_bytes_per_s: u64,
-    /// Token-bucket capacity: the largest burst the throttle admits.
-    pub burst_bytes: u64,
-    /// Copy granularity — one read RPC + one write RPC per chunk.
-    pub chunk_bytes: u64,
-}
-
-impl Default for RebuildConfig {
-    fn default() -> Self {
-        RebuildConfig {
-            // Paced to cede priority to demand I/O: a single 1995-era
-            // I/O node sustains only ~a few MB/s of foreground reads, so
-            // a 2 MiB/s background copy stream keeps the foreground at
-            // well over half its healthy bandwidth during recovery.
-            rate_bytes_per_s: 2 * 1024 * 1024,
-            burst_bytes: 256 * 1024,
-            chunk_bytes: 64 * 1024,
-        }
-    }
-}
-
-impl RebuildConfig {
-    /// No throttle: copy as fast as the machine allows.
-    pub fn unthrottled() -> Self {
-        RebuildConfig {
-            rate_bytes_per_s: 0,
-            ..Self::default()
-        }
-    }
-}
+/// Token-bucket refill rate for rebuild copy traffic, in bytes per
+/// simulated second. Paced to cede priority to demand I/O: a single
+/// 1995-era I/O node sustains only ~a few MB/s of foreground reads, so a
+/// 2 MiB/s background copy stream keeps the foreground at well over half
+/// its healthy bandwidth during recovery.
+const RATE_BYTES_PER_S: u64 = 2 * 1024 * 1024;
+/// Token-bucket capacity: the largest burst the throttle admits.
+const BURST_BYTES: u64 = 256 * 1024;
+/// Copy granularity — one read RPC + one write RPC per chunk.
+const CHUNK_BYTES: u64 = 64 * 1024;
+// A bucket smaller than one chunk would deadlock: a full bucket could
+// still never cover one take().
+const _: () = assert!(BURST_BYTES >= CHUNK_BYTES);
 
 /// Counters of one completed recovery pass.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -80,15 +57,15 @@ struct TokenBucket {
 }
 
 impl TokenBucket {
-    fn new(sim: Sim, cfg: &RebuildConfig) -> Self {
+    /// A full bucket of `burst` bytes, refilling at `rate` (> 0) bytes
+    /// per simulated second.
+    fn new(sim: Sim, rate: u64, burst: u64) -> Self {
         let now = sim.now();
         TokenBucket {
             sim,
-            rate: cfg.rate_bytes_per_s,
-            // A bucket smaller than one chunk would deadlock: a full
-            // bucket could still never cover one take().
-            burst: cfg.burst_bytes.max(cfg.chunk_bytes).max(1),
-            tokens: cfg.burst_bytes.max(cfg.chunk_bytes).max(1),
+            rate,
+            burst,
+            tokens: burst,
             refilled_at: now,
         }
     }
@@ -103,9 +80,6 @@ impl TokenBucket {
 
     /// Block until `n` bytes of budget are available, then consume them.
     async fn take(&mut self, n: u64) {
-        if self.rate == 0 {
-            return;
-        }
         self.refill();
         if self.tokens < n {
             let deficit = (n - self.tokens) as u128;
@@ -138,7 +112,6 @@ struct WorkItem {
 pub async fn rebuild_after_crash(
     pfs: &Rc<ParallelFs>,
     crashed_ion: usize,
-    cfg: RebuildConfig,
 ) -> Result<RebuildStats, PfsError> {
     let sim = pfs.sim().clone();
     let machine_ions = pfs.machine().io_nodes();
@@ -202,8 +175,7 @@ pub async fn rebuild_after_crash(
         calib.rpc_retries,
         calib.rpc_backoff,
     );
-    let chunk = cfg.chunk_bytes.max(1);
-    let mut bucket = TokenBucket::new(sim.clone(), &cfg);
+    let mut bucket = TokenBucket::new(sim.clone(), RATE_BYTES_PER_S, BURST_BYTES);
     let mut stats = RebuildStats::default();
     for item in work {
         let meta = pfs.registry().borrow().get(item.file)?.clone();
@@ -218,7 +190,7 @@ pub async fn rebuild_after_crash(
         meta.add_staging_replica(item.slot, item.target_ion, staging);
         let mut at = 0u64;
         while at < slot_len {
-            let n = chunk.min(slot_len - at);
+            let n = CHUNK_BYTES.min(slot_len - at);
             bucket.take(n).await;
             let read = PfsRequest::Read {
                 req,
@@ -286,14 +258,9 @@ mod tests {
     #[test]
     fn token_bucket_paces_a_stream() {
         let sim = Sim::new(1);
-        let cfg = RebuildConfig {
-            rate_bytes_per_s: 1_000_000,
-            burst_bytes: 1_000,
-            chunk_bytes: 1_000,
-        };
         let s2 = sim.clone();
         let h = sim.spawn(async move {
-            let mut bucket = TokenBucket::new(s2.clone(), &cfg);
+            let mut bucket = TokenBucket::new(s2.clone(), 1_000_000, 1_000);
             // Burst covers the first chunk; nine more at 1 MB/s must
             // take 9 ms of simulated time.
             for _ in 0..10 {
@@ -303,20 +270,5 @@ mod tests {
         });
         sim.run();
         assert_eq!(h.try_take(), Some(9_000_000));
-    }
-
-    #[test]
-    fn unthrottled_bucket_never_waits() {
-        let sim = Sim::new(2);
-        let s2 = sim.clone();
-        let h = sim.spawn(async move {
-            let mut bucket = TokenBucket::new(s2.clone(), &RebuildConfig::unthrottled());
-            for _ in 0..100 {
-                bucket.take(u64::MAX / 200).await;
-            }
-            s2.now().as_nanos()
-        });
-        sim.run();
-        assert_eq!(h.try_take(), Some(0));
     }
 }

@@ -35,7 +35,7 @@ pub enum Redundancy {
 
 impl Redundancy {
     /// Copies kept of every stripe slot (1 unless replicated).
-    pub fn replication_factor(&self) -> usize {
+    pub(crate) fn replication_factor(&self) -> usize {
         match *self {
             Redundancy::None | Redundancy::ParityRaid => 1,
             Redundancy::Replicated { rf } => rf.max(1),

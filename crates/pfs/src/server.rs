@@ -21,7 +21,7 @@ use crate::proto::{PfsError, PfsFileId, PfsRequest, PfsResponse};
 
 /// Server timing knobs (from the machine calibration).
 #[derive(Debug, Clone)]
-pub struct ServerParams {
+pub(crate) struct ServerParams {
     /// Per-request processing cost (jittered ±25 % per request: OS
     /// service times vary, which is also what staggers the initially
     /// phase-locked SPMD nodes into a pipeline, as on real machines).
@@ -65,7 +65,7 @@ struct GlobalEntry {
 
 /// One I/O node's PFS server.
 #[derive(Clone)]
-pub struct IonServer {
+pub(crate) struct IonServer {
     sim: Sim,
     ufs: Ufs,
     ion_index: usize,
@@ -85,7 +85,7 @@ pub struct IonServer {
 
 impl IonServer {
     /// Create the server for I/O node `ion_index`.
-    pub fn new(
+    pub(crate) fn new(
         sim: &Sim,
         ufs: Ufs,
         ion_index: usize,
@@ -110,18 +110,18 @@ impl IonServer {
     }
 
     /// Counter snapshot.
-    pub fn stats(&self) -> ServerStats {
+    pub(crate) fn stats(&self) -> ServerStats {
         self.stats.borrow().clone()
     }
 
     /// Live request-queue-depth cell (requests inside `handle`), for
     /// telemetry gauges.
-    pub fn inflight_cell(&self) -> Rc<Cell<usize>> {
+    pub(crate) fn inflight_cell(&self) -> Rc<Cell<usize>> {
         self.inflight.clone()
     }
 
     /// Cumulative nanoseconds server threads were held so far.
-    pub fn busy_ns(&self) -> u64 {
+    pub(crate) fn busy_ns(&self) -> u64 {
         self.busy_ns.get()
     }
 
@@ -131,7 +131,7 @@ impl IonServer {
     }
 
     /// Service one request. Installed as this node's RPC handler.
-    pub async fn handle(&self, request: PfsRequest) -> PfsResponse {
+    pub(crate) async fn handle(&self, request: PfsRequest) -> PfsResponse {
         self.inflight.set(self.inflight.get() + 1);
         let resp = self.handle_inner(request).await;
         self.inflight.set(self.inflight.get() - 1);
@@ -409,6 +409,7 @@ impl IonServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::meta::Replica;
     use crate::stripe::StripeAttrs;
     use paragon_disk::{DiskParams, RaidArray, SchedPolicy};
     use paragon_ufs::UfsParams;
@@ -439,10 +440,16 @@ mod tests {
         let reg2 = registry.clone();
         let h = sim.spawn(async move {
             let inode = ufs2.create("/pfs/f.0").await.unwrap();
-            reg2.borrow_mut().insert(
+            let primary = Replica {
+                ion: 0,
+                inode,
+                ready: true,
+            };
+            reg2.borrow_mut().insert_replicated(
                 "/pfs/f",
                 StripeAttrs::across(1, 64 * 1024),
                 vec![(0, inode)],
+                vec![vec![primary]],
             )
         });
         sim.run();

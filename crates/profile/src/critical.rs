@@ -47,7 +47,7 @@ use paragon_sim::{EventKind, ReqId, SimDuration, SimTime, TraceEvent, Track};
 
 /// Component labels, in pipeline order; index-aligned with
 /// [`CriticalPath::legs`].
-pub const COMPONENTS: [&str; 9] = [
+pub(crate) const COMPONENTS: [&str; 9] = [
     "client",
     "art-queue",
     "mesh-request",
@@ -95,8 +95,10 @@ pub struct CriticalPath {
     pub start: SimTime,
     /// Time the read returned to the caller.
     pub end: SimTime,
-    /// Nanoseconds charged to each component (see [`COMPONENTS`]);
-    /// sums exactly to `end - start`.
+    /// Nanoseconds charged to each component, in pipeline order
+    /// (client, art-queue, mesh-request, server-queue, service, disk,
+    /// server-reply, mesh-reply, client-finish); sums exactly to
+    /// `end - start`.
     pub legs: [u64; 9],
     /// Disk member busy time hidden inside the `disk` envelope by RAID
     /// parallelism. Reported, never added to the sum.

@@ -20,7 +20,7 @@ use std::task::{Context, Poll, Waker};
 use crate::fault::FaultPlan;
 use crate::kernel::Kernel;
 use crate::rng::Rng;
-use crate::task::{ReadyQueue, TaskId, TaskTable};
+use crate::task::{ReadyQueue, TaskTable};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{EventBody, ReqId, Trace};
 
@@ -69,7 +69,7 @@ impl Sim {
         }
     }
 
-    /// This world's flight recorder. Arm it with [`Trace::arm`] to make
+    /// This world's flight recorder. Arm it with `Trace::arm` to make
     /// [`Sim::emit`] calls record; disarmed tracing costs nothing.
     pub fn tracer(&self) -> Trace {
         self.trace.clone()
@@ -100,18 +100,13 @@ impl Sim {
         self.kernel.borrow().now
     }
 
-    /// The base seed this world was created with.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// A deterministic RNG stream named by `label`. The same `(seed, label)`
     /// always yields the same stream, independent of call order.
     pub fn rng(&self, label: &str) -> Rng {
         Rng::seed_from_u64(derive_seed(self.seed, label))
     }
 
-    /// Spawn a task. The returned [`JoinHandle`] can be awaited for the
+    /// Spawn a task. The returned `JoinHandle` can be awaited for the
     /// task's output; dropping it detaches the task (it keeps running).
     pub fn spawn<F, T>(&self, fut: F) -> JoinHandle<T>
     where
@@ -142,7 +137,7 @@ impl Sim {
         });
         let id = self.tasks.borrow_mut().insert(label, wrapped, &self.ready);
         self.ready.push(id);
-        JoinHandle { id, state }
+        JoinHandle { state }
     }
 
     /// A future that completes `d` of virtual time from now.
@@ -151,7 +146,7 @@ impl Sim {
     }
 
     /// A future that completes at virtual instant `deadline`.
-    pub fn sleep_until(&self, deadline: SimTime) -> Sleep {
+    pub(crate) fn sleep_until(&self, deadline: SimTime) -> Sleep {
         Sleep {
             sim: self.clone(),
             deadline,
@@ -283,7 +278,7 @@ impl Sim {
 }
 
 /// Derive a child seed from a base seed and a label (FNV-1a).
-pub fn derive_seed(base: u64, label: &str) -> u64 {
+pub(crate) fn derive_seed(base: u64, label: &str) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64 ^ base.wrapping_mul(0x9e37_79b9_7f4a_7c15);
     for b in label.as_bytes() {
         h ^= *b as u64;
@@ -325,16 +320,10 @@ struct JoinState<T> {
 
 /// Handle to a spawned task; await it for the task's output.
 pub struct JoinHandle<T> {
-    id: TaskId,
     state: Rc<RefCell<JoinState<T>>>,
 }
 
 impl<T> JoinHandle<T> {
-    /// The spawned task's id.
-    pub fn id(&self) -> TaskId {
-        self.id
-    }
-
     /// True once the task has produced its output.
     pub fn is_finished(&self) -> bool {
         self.state.borrow().result.is_some()
@@ -362,6 +351,7 @@ impl<T> Future for JoinHandle<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::task::TaskId;
     use std::cell::Cell;
 
     #[test]
@@ -486,14 +476,26 @@ mod tests {
         assert_eq!(derive_seed(3, "x"), derive_seed(3, "x"));
     }
 
+    /// Spawn `fut` on an idle world; returns its handle and the id the
+    /// executor queued it under.
+    fn spawn_with_id<T: 'static>(
+        sim: &Sim,
+        fut: impl Future<Output = T> + 'static,
+    ) -> (JoinHandle<T>, TaskId) {
+        let h = sim.spawn(fut);
+        let id = sim.ready.pop().expect("spawn queues the task");
+        sim.ready.push(id);
+        (h, id)
+    }
+
     #[test]
     fn stale_wake_to_freed_slot_is_dropped() {
         let sim = Sim::new(1);
-        let h = sim.spawn(async {});
+        let (h, id) = spawn_with_id(&sim, async {});
         sim.run();
         assert!(h.is_finished());
         // The task's slot is free; a wake addressed to it must be ignored.
-        sim.ready.push(h.id());
+        sim.ready.push(id);
         let report = sim.run();
         assert_eq!(report.unfinished_tasks, 0);
     }
@@ -504,24 +506,23 @@ mod tests {
         // reused by task B, then a wake carrying A's old id arrives. The
         // generation mismatch must drop it — B must not be polled.
         let sim = Sim::new(1);
-        let a = sim.spawn(async {});
+        let (_a, old_id) = spawn_with_id(&sim, async {});
         sim.run();
-        let old_id = a.id();
 
         // B: counts its polls and parks forever without registering a waker
         // anywhere, so only a (mis)delivered wake could poll it again.
         let polls = Rc::new(Cell::new(0u32));
         let p = polls.clone();
-        let b = sim.spawn(async move {
+        let (_b, b_id) = spawn_with_id(&sim, async move {
             std::future::poll_fn(move |_| {
                 p.set(p.get() + 1);
                 Poll::<()>::Pending
             })
             .await
         });
-        assert_eq!(b.id().slot(), old_id.slot(), "slot must be reused");
+        assert_eq!(b_id.slot(), old_id.slot(), "slot must be reused");
         assert_ne!(
-            b.id().generation(),
+            b_id.generation(),
             old_id.generation(),
             "generation must be bumped on free"
         );
@@ -538,7 +539,7 @@ mod tests {
         // Sanity: a wake with the *current* id does reach B. It is
         // spurious (B is not ready), so it adds a poll but no event.
         let events = sim.report().events_processed;
-        sim.ready.push(b.id());
+        sim.ready.push(b_id);
         sim.run();
         assert_eq!(polls.get(), 2);
         assert_eq!(sim.report().polls, 4);

@@ -113,7 +113,7 @@ pub struct FaultPlan {
 
 impl FaultPlan {
     /// A plan whose probabilistic draws come from `seed`.
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         let plan = FaultPlan::default();
         plan.state.borrow_mut().rng = Rng::seed_from_u64(seed);
         plan
@@ -125,11 +125,6 @@ impl FaultPlan {
     /// I/O (file population) never draws a fault.
     pub fn arm(&self) {
         self.state.borrow_mut().armed = true;
-    }
-
-    /// True while faults fire.
-    pub fn armed(&self) -> bool {
-        self.state.borrow().armed
     }
 
     /// Every disk read fails transiently with probability `pm`/1000.
@@ -239,30 +234,6 @@ impl FaultPlan {
         None
     }
 
-    /// True while the plan is armed and `disk` is in the dead set. The
-    /// RAID layer uses this to route reads through reconstruction.
-    pub fn disk_is_dead(&self, disk: u16) -> bool {
-        let st = self.state.borrow();
-        st.armed && st.dead_disks.contains(&disk)
-    }
-
-    /// True while the plan is armed and `node` is inside a crash window.
-    pub fn node_down(&self, node: u16, now: SimTime) -> bool {
-        let st = self.state.borrow();
-        if !st.armed || st.protected.contains(&node) {
-            return false;
-        }
-        st.crash_windows
-            .get(&node)
-            .is_some_and(|&(from, until)| from <= now && now < until)
-    }
-
-    /// Crash window registered for `node`, if any (armed or not); the
-    /// harness uses it to emit `FaultNodeDown`/`FaultNodeUp` markers.
-    pub fn crash_window(&self, node: u16) -> Option<(SimTime, SimTime)> {
-        self.state.borrow().crash_windows.get(&node).copied()
-    }
-
     /// Draw the fate of one mesh message from `src` to `dst` at `now`.
     /// Crash windows dominate (no RNG draw); protected endpoints always
     /// deliver; otherwise one draw splits across drop/dup/delay.
@@ -323,7 +294,6 @@ mod tests {
         plan.set_mesh_faults(1000, 0, 0, SimDuration::ZERO);
         assert_eq!(plan.disk_read_fault(0), None);
         assert_eq!(plan.disk_write_fault(0), None);
-        assert!(!plan.disk_is_dead(0));
         assert_eq!(plan.mesh_verdict(0, 1, SimTime::ZERO), MeshVerdict::Deliver);
         assert_eq!(plan.stats(), FaultStats::default());
     }
@@ -335,7 +305,6 @@ mod tests {
         plan.arm();
         assert_eq!(plan.disk_read_fault(3), Some(DiskFault::Dead));
         assert_eq!(plan.disk_write_fault(3), Some(DiskFault::Dead));
-        assert!(plan.disk_is_dead(3));
         assert_eq!(plan.disk_read_fault(2), None);
         assert_eq!(plan.stats().disk_dead_hits, 2);
     }
@@ -415,14 +384,15 @@ mod tests {
         let until = SimTime::ZERO + SimDuration::from_millis(20);
         plan.crash_node(5, from, until);
         plan.arm();
-        assert!(!plan.node_down(5, SimTime::ZERO));
-        assert!(plan.node_down(5, from));
-        assert!(!plan.node_down(5, until), "window is half-open");
+        assert_eq!(plan.mesh_verdict(5, 0, SimTime::ZERO), MeshVerdict::Deliver);
         assert_eq!(plan.mesh_verdict(5, 0, from), MeshVerdict::Drop);
         assert_eq!(plan.mesh_verdict(0, 5, from), MeshVerdict::Drop);
-        assert_eq!(plan.mesh_verdict(0, 5, until), MeshVerdict::Deliver);
+        assert_eq!(
+            plan.mesh_verdict(0, 5, until),
+            MeshVerdict::Deliver,
+            "window is half-open"
+        );
         assert_eq!(plan.stats().node_down_drops, 2);
-        assert_eq!(plan.crash_window(5), Some((from, until)));
     }
 
     #[test]
@@ -433,10 +403,13 @@ mod tests {
         plan.crash_node(5, from, until);
         plan.arm();
         let mid = SimTime::ZERO + SimDuration::from_millis(15);
-        assert!(plan.node_down(5, mid));
+        assert_eq!(plan.mesh_verdict(5, 0, mid), MeshVerdict::Drop);
         assert_eq!(plan.recover_node(5, mid), Some(SimDuration::from_millis(5)));
-        assert!(!plan.node_down(5, mid), "recovered node serves again");
-        assert_eq!(plan.crash_window(5), None);
+        assert_eq!(
+            plan.mesh_verdict(5, 0, mid),
+            MeshVerdict::Deliver,
+            "recovered node serves again"
+        );
         assert_eq!(
             plan.recover_node(5, mid),
             None,

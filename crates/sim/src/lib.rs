@@ -39,12 +39,11 @@ mod task;
 mod time;
 mod trace;
 
-pub use executor::{derive_seed, JoinHandle, RunReport, Sim, Sleep};
+pub use executor::{RunReport, Sim};
 pub use fault::{DiskFault, FaultPlan, FaultStats, MeshVerdict};
 pub use rng::Rng;
-pub use task::TaskId;
-pub use time::{SimDuration, SimTime, NANOS_PER_MICRO, NANOS_PER_MILLI, NANOS_PER_SEC};
+pub use time::{SimDuration, SimTime};
 pub use trace::{
     ev, export_json, hash_events, parse_json, render_track_summary, EventBody, EventKind, ReqId,
-    Trace, TraceEvent, Track,
+    TraceEvent, Track,
 };

@@ -36,7 +36,7 @@ impl Rng {
     }
 
     /// Uniform in `[0, 1)`, 53 bits of precision.
-    pub fn next_f64(&mut self) -> f64 {
+    pub(crate) fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 

@@ -28,10 +28,6 @@ pub struct Receiver<T> {
     state: Rc<RefCell<ChanState<T>>>,
 }
 
-/// Error returned by [`Sender::send`] when the receiver is gone.
-#[derive(Debug, PartialEq, Eq)]
-pub struct RecvError;
-
 /// Create an unbounded MPSC channel.
 pub fn channel<T>() -> (Sender<T>, Receiver<T>) {
     let state = Rc::new(RefCell::new(ChanState {
@@ -60,11 +56,6 @@ impl<T> Sender<T> {
             w.wake();
         }
         Ok(())
-    }
-
-    /// Number of queued, undelivered messages.
-    pub fn queued(&self) -> usize {
-        self.state.borrow().queue.len()
     }
 }
 
@@ -103,13 +94,8 @@ impl<T> Receiver<T> {
     }
 
     /// Number of queued messages.
-    pub fn len(&self) -> usize {
+    pub fn queued(&self) -> usize {
         self.state.borrow().queue.len()
-    }
-
-    /// True if no messages are queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 

@@ -65,22 +65,6 @@ impl Semaphore {
         }
     }
 
-    /// Acquire without waiting, if a permit is free and nobody is queued.
-    pub fn try_acquire(&self) -> Option<SemaphoreGuard> {
-        let mut st = self.state.borrow_mut();
-        if st.queue.is_empty() && st.permits > 0 {
-            st.permits -= 1;
-            Some(SemaphoreGuard { sem: self.clone() })
-        } else {
-            None
-        }
-    }
-
-    /// Currently available permits.
-    pub fn available(&self) -> usize {
-        self.state.borrow().permits
-    }
-
     /// Number of parked waiters.
     pub fn queue_len(&self) -> usize {
         self.state.borrow().queue.len()
@@ -178,6 +162,21 @@ mod tests {
     use crate::executor::Sim;
     use crate::time::SimDuration;
 
+    /// Poll one `acquire` outside any simulation: the guard if a permit is
+    /// free and nobody is queued, else `None` (dropping the future leaves
+    /// the queue as it was).
+    fn try_acquire(sem: &Semaphore) -> Option<SemaphoreGuard> {
+        let mut cx = Context::from_waker(Waker::noop());
+        match Box::pin(sem.acquire()).as_mut().poll(&mut cx) {
+            Poll::Ready(guard) => Some(guard),
+            Poll::Pending => None,
+        }
+    }
+
+    fn available(sem: &Semaphore) -> usize {
+        sem.state.borrow().permits
+    }
+
     #[test]
     fn mutex_serializes_and_is_fifo() {
         let sim = Sim::new(1);
@@ -222,15 +221,15 @@ mod tests {
         }
         sim.run();
         assert_eq!(peak.borrow().1, 2);
-        assert_eq!(sem.available(), 2);
+        assert_eq!(available(&sem), 2);
     }
 
     #[test]
     fn try_acquire_respects_queue() {
         let sim = Sim::new(1);
         let sem = Semaphore::new(1);
-        let g = sem.try_acquire().unwrap();
-        assert!(sem.try_acquire().is_none());
+        let g = try_acquire(&sem).unwrap();
+        assert!(try_acquire(&sem).is_none());
         // Park one waiter.
         let sem2 = sem.clone();
         let h = sim.spawn(async move {
@@ -241,14 +240,14 @@ mod tests {
         drop(g);
         sim.run();
         assert_eq!(h.try_take(), Some(7));
-        assert!(sem.try_acquire().is_some());
+        assert!(try_acquire(&sem).is_some());
     }
 
     #[test]
     fn cancelled_waiter_leaves_queue() {
         let sim = Sim::new(1);
         let sem = Semaphore::new(1);
-        let g = sem.try_acquire().unwrap();
+        let g = try_acquire(&sem).unwrap();
         let sem2 = sem.clone();
         let s = sim.clone();
         let cancelled = sim.spawn(async move {
@@ -267,14 +266,14 @@ mod tests {
         let report = sim.run();
         assert_eq!(report.unfinished_tasks, 0);
         assert_eq!(cancelled.try_take(), Some(true));
-        assert_eq!(sem.available(), 1);
+        assert_eq!(available(&sem), 1);
     }
 
     #[test]
     fn granted_waiter_dropped_before_polling_passes_the_permit_on() {
         let sem = Semaphore::new(1);
         let mut cx = Context::from_waker(Waker::noop());
-        let g = sem.try_acquire().unwrap();
+        let g = try_acquire(&sem).unwrap();
         let mut first = Box::pin(sem.acquire());
         let mut second = Box::pin(sem.acquire());
         assert!(first.as_mut().poll(&mut cx).is_pending());
@@ -287,8 +286,8 @@ mod tests {
             panic!("the dropped waiter's permit did not reach the next waiter");
         };
         assert_eq!(sem.queue_len(), 0);
-        assert_eq!(sem.available(), 0);
+        assert_eq!(available(&sem), 0);
         drop(guard);
-        assert_eq!(sem.available(), 1);
+        assert_eq!(available(&sem), 1);
     }
 }

@@ -30,7 +30,7 @@ use std::task::{RawWaker, RawWakerVTable, Waker};
 /// Packs `(generation << 32) | slot`: the slot indexes the executor's task
 /// slab, the generation detects stale references to a reused slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct TaskId(pub(crate) u64);
+pub(crate) struct TaskId(pub(crate) u64);
 
 impl TaskId {
     pub(crate) fn new(slot: u32, generation: u32) -> TaskId {

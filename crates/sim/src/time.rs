@@ -16,15 +16,15 @@ pub struct SimTime(u64);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
-pub const NANOS_PER_MICRO: u64 = 1_000;
-pub const NANOS_PER_MILLI: u64 = 1_000_000;
-pub const NANOS_PER_SEC: u64 = 1_000_000_000;
+pub(crate) const NANOS_PER_MICRO: u64 = 1_000;
+pub(crate) const NANOS_PER_MILLI: u64 = 1_000_000;
+pub(crate) const NANOS_PER_SEC: u64 = 1_000_000_000;
 
 impl SimTime {
     /// The simulation epoch (t = 0).
     pub const ZERO: SimTime = SimTime(0);
     /// The largest representable instant; used as an "infinitely far" deadline.
-    pub const MAX: SimTime = SimTime(u64::MAX);
+    pub(crate) const MAX: SimTime = SimTime(u64::MAX);
 
     /// Construct from raw nanoseconds.
     pub const fn from_nanos(ns: u64) -> Self {
@@ -37,7 +37,7 @@ impl SimTime {
     }
 
     /// Seconds since simulation start, as a float (for reporting only).
-    pub fn as_secs_f64(self) -> f64 {
+    pub(crate) fn as_secs_f64(self) -> f64 {
         self.0 as f64 / NANOS_PER_SEC as f64
     }
 
@@ -87,26 +87,9 @@ impl SimDuration {
         SimDuration(s * NANOS_PER_SEC)
     }
 
-    /// Construct from fractional seconds, rounding to the nearest nanosecond.
-    ///
-    /// Panics on negative or non-finite input: a model that computes a
-    /// negative service time is a bug we want to see immediately.
-    pub fn from_secs_f64(s: f64) -> Self {
-        assert!(
-            s.is_finite() && s >= 0.0,
-            "SimDuration::from_secs_f64: invalid duration {s}"
-        );
-        SimDuration((s * NANOS_PER_SEC as f64).round() as u64)
-    }
-
     /// Raw nanoseconds.
     pub const fn as_nanos(self) -> u64 {
         self.0
-    }
-
-    /// Whole microseconds (truncated).
-    pub const fn as_micros(self) -> u64 {
-        self.0 / NANOS_PER_MICRO
     }
 
     /// Whole milliseconds (truncated).
@@ -132,26 +115,6 @@ impl SimDuration {
             "SimDuration::for_bytes: non-positive bandwidth"
         );
         SimDuration((bytes as f64 / bytes_per_sec * NANOS_PER_SEC as f64).ceil() as u64)
-    }
-
-    /// Saturating subtraction.
-    pub fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_sub(rhs.0))
-    }
-
-    /// Checked addition.
-    pub fn checked_add(self, rhs: SimDuration) -> Option<SimDuration> {
-        self.0.checked_add(rhs.0).map(SimDuration)
-    }
-
-    /// The larger of two durations.
-    pub fn max(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0.max(rhs.0))
-    }
-
-    /// The smaller of two durations.
-    pub fn min(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0.min(rhs.0))
     }
 }
 
@@ -263,7 +226,6 @@ mod tests {
         assert_eq!(SimDuration::from_secs(2).as_nanos(), 2 * NANOS_PER_SEC);
         assert_eq!(SimDuration::from_millis(2_000), SimDuration::from_secs(2));
         assert_eq!(SimDuration::from_micros(7).as_nanos(), 7_000);
-        assert_eq!(SimDuration::from_secs_f64(0.5).as_millis(), 500);
     }
 
     #[test]
@@ -277,18 +239,10 @@ mod tests {
     }
 
     #[test]
-    fn from_secs_f64_rejects_negative() {
-        assert!(std::panic::catch_unwind(|| SimDuration::from_secs_f64(-1.0)).is_err());
-        assert!(std::panic::catch_unwind(|| SimDuration::from_secs_f64(f64::NAN)).is_err());
-    }
-
-    #[test]
     fn duration_scaling() {
         let d = SimDuration::from_millis(10);
         assert_eq!(d * 3, SimDuration::from_millis(30));
         assert_eq!(d / 2, SimDuration::from_millis(5));
-        assert_eq!(d.max(d * 2), d * 2);
-        assert_eq!(d.min(d * 2), d);
     }
 
     #[test]

@@ -51,7 +51,7 @@ impl std::fmt::Display for Track {
 
 impl Track {
     /// Parse the `Display` form back (for trace-file import).
-    pub fn parse(s: &str) -> Option<Track> {
+    pub(crate) fn parse(s: &str) -> Option<Track> {
         let num = |prefix: &str| s.strip_prefix(prefix).and_then(|n| n.parse::<u16>().ok());
         if let Some(i) = num("cn") {
             return Some(Track::Cn(i));
@@ -111,7 +111,7 @@ macro_rules! event_kinds {
             }
 
             /// Parse a wire name back.
-            pub fn parse(s: &str) -> Option<EventKind> {
+            pub(crate) fn parse(s: &str) -> Option<EventKind> {
                 EventKind::ALL.iter().copied().find(|k| k.as_str() == s)
             }
 
@@ -302,13 +302,13 @@ impl Trace {
     }
 
     /// True when events are being recorded (armed and not yet full).
-    pub fn armed(&self) -> bool {
+    pub(crate) fn armed(&self) -> bool {
         self.state.cap.get() > self.state.events.borrow().len()
     }
 
     /// Record an event; `body` is only evaluated while armed, so a
     /// disarmed recorder costs one capacity check and nothing more.
-    pub fn record(&self, now: SimTime, body: impl FnOnce() -> EventBody) {
+    pub(crate) fn record(&self, now: SimTime, body: impl FnOnce() -> EventBody) {
         if self.armed() {
             let EventBody {
                 track,
@@ -331,7 +331,7 @@ impl Trace {
     /// Mint the next request id (monotone; never 0). Minting is
     /// independent of arming so request ids — and therefore event traces —
     /// are identical whether or not a recorder is attached.
-    pub fn mint_req(&self) -> ReqId {
+    pub(crate) fn mint_req(&self) -> ReqId {
         let n = self.state.minted.get();
         self.state.minted.set(n + 1);
         1 + n
@@ -348,30 +348,10 @@ impl Trace {
         self.state.events.borrow().len()
     }
 
-    /// True when no events are recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// FNV-1a hash over every recorded event's full contents. Two runs
     /// with equal hashes took byte-identical traces.
     pub fn hash(&self) -> u64 {
         hash_events(&self.state.events.borrow())
-    }
-
-    /// Render one line per event: `    12.345ms cn0 read-start req=1 …`.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for e in self.state.events.borrow().iter() {
-            out.push_str(&format!("{:>14}  {e}\n", format!("{}", e.time)));
-        }
-        out
-    }
-
-    /// Export the recording as a self-contained JSON document (see
-    /// [`export_json`]).
-    pub fn to_json(&self) -> String {
-        export_json(&self.state.events.borrow())
     }
 }
 
@@ -614,7 +594,7 @@ mod tests {
             ev(Track::Sys, EventKind::Mark, 0, 0, 0)
         });
         assert!(!evaluated, "body must not be built while disarmed");
-        assert!(t.is_empty());
+        assert_eq!(t.len(), 0);
     }
 
     #[test]
@@ -639,7 +619,7 @@ mod tests {
         t.arm(4);
         t.record(SimTime::ZERO, || ev(Track::Sys, EventKind::Mark, 0, 0, 0));
         t.arm(4);
-        assert!(t.is_empty());
+        assert_eq!(t.len(), 0);
     }
 
     #[test]
@@ -665,9 +645,6 @@ mod tests {
         t.record(SimTime::from_nanos(3_000_000), || {
             ev(Track::Cn(0), EventKind::ReadDone, 1, 0, 64)
         });
-        let lines = t.render();
-        assert_eq!(lines.lines().count(), 3);
-        assert!(lines.contains("serve-start"));
         // Rows come in `Track` order, not first-seen order.
         let row = |track: &str, n: &str, first: &str, last: &str| {
             format!("{track:<10} {n:>8} {first:>14} {last:>14}\n")

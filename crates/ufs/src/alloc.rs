@@ -65,7 +65,7 @@ impl ExtentAllocator {
     }
 
     /// Total block capacity.
-    pub fn capacity(&self) -> u64 {
+    pub(crate) fn capacity(&self) -> u64 {
         self.capacity
     }
 
@@ -75,13 +75,8 @@ impl ExtentAllocator {
     }
 
     /// Largest single free run (what a contiguous allocation can get).
-    pub fn largest_free_run(&self) -> u64 {
+    pub(crate) fn largest_free_run(&self) -> u64 {
         self.free.iter().map(|e| e.len).max().unwrap_or(0)
-    }
-
-    /// Number of free fragments (fragmentation diagnostic).
-    pub fn fragments(&self) -> usize {
-        self.free.len()
     }
 
     /// Allocate `n` blocks as few extents as possible (first-fit; a single
@@ -169,7 +164,7 @@ mod tests {
     fn fresh_allocator_is_one_run() {
         let a = ExtentAllocator::new(100);
         assert_eq!(a.free_blocks(), 100);
-        assert_eq!(a.fragments(), 1);
+        assert_eq!(a.free.len(), 1);
         assert_eq!(a.largest_free_run(), 100);
     }
 
@@ -220,9 +215,9 @@ mod tests {
         let e3 = a.alloc(10).unwrap()[0];
         a.free(e1);
         a.free(e3);
-        assert_eq!(a.fragments(), 2);
+        assert_eq!(a.free.len(), 2);
         a.free(e2);
-        assert_eq!(a.fragments(), 1);
+        assert_eq!(a.free.len(), 1);
         assert_eq!(a.largest_free_run(), 30);
     }
 

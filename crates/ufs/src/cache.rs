@@ -34,34 +34,12 @@ pub struct Evicted {
     pub dirty: bool,
 }
 
-/// Cache hit/miss counters.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct CacheStats {
-    pub hits: u64,
-    pub misses: u64,
-    pub evictions: u64,
-    pub writebacks: u64,
-}
-
-impl CacheStats {
-    /// Hit ratio in [0, 1]; zero when nothing was looked up.
-    pub fn hit_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// Fixed-capacity LRU block cache.
 #[derive(Debug)]
 pub struct BlockCache {
     capacity: usize,
     clock: u64,
     map: BTreeMap<BlockKey, Entry>,
-    stats: CacheStats,
 }
 
 impl BlockCache {
@@ -73,13 +51,7 @@ impl BlockCache {
             capacity,
             clock: 0,
             map: BTreeMap::new(),
-            stats: CacheStats::default(),
         }
-    }
-
-    /// Maximum resident blocks.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Currently resident blocks.
@@ -92,31 +64,17 @@ impl BlockCache {
         self.map.is_empty()
     }
 
-    /// Counter snapshot.
-    pub fn stats(&self) -> CacheStats {
-        self.stats
-    }
-
     /// Look a block up, refreshing its recency on hit.
     pub fn get(&mut self, key: BlockKey) -> Option<Bytes> {
         self.clock += 1;
         let clock = self.clock;
-        match self.map.get_mut(&key) {
-            Some(e) => {
-                e.stamp = clock;
-                self.stats.hits += 1;
-                Some(e.data.clone())
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
-        }
+        let e = self.map.get_mut(&key)?;
+        e.stamp = clock;
+        Some(e.data.clone())
     }
 
-    /// Peek without recency update or counter changes (used by tests and
-    /// the dirty scan).
-    pub fn peek(&self, key: BlockKey) -> Option<&Bytes> {
+    /// Peek without a recency update (used by tests and the dirty scan).
+    pub(crate) fn peek(&self, key: BlockKey) -> Option<&Bytes> {
         self.map.get(&key).map(|e| &e.data)
     }
 
@@ -150,16 +108,10 @@ impl BlockCache {
                 .min_by_key(|(_, e)| e.stamp)
                 .map(|(&k, _)| k);
             vkey.and_then(|k| self.map.remove(&k).map(|e| (k, e)))
-                .map(|(vkey, ventry)| {
-                    self.stats.evictions += 1;
-                    if ventry.dirty {
-                        self.stats.writebacks += 1;
-                    }
-                    Evicted {
-                        key: vkey,
-                        data: ventry.data,
-                        dirty: ventry.dirty,
-                    }
+                .map(|(vkey, ventry)| Evicted {
+                    key: vkey,
+                    data: ventry.data,
+                    dirty: ventry.dirty,
                 })
         } else {
             None
@@ -192,25 +144,8 @@ impl BlockCache {
 
     /// Drop one block if resident (write-through coherence). Dirty data is
     /// intentionally discarded: the caller just overwrote the block on disk.
-    pub fn purge_block(&mut self, key: BlockKey) {
+    pub(crate) fn purge_block(&mut self, key: BlockKey) {
         self.map.remove(&key);
-    }
-
-    /// Drop every block of `inode` (file removal); returns dirty blocks.
-    pub fn purge_inode(&mut self, inode: InodeId) -> Vec<(BlockKey, Bytes)> {
-        let mut dirty = Vec::new();
-        self.map.retain(|k, e| {
-            if k.inode == inode {
-                if e.dirty {
-                    dirty.push((*k, e.data.clone()));
-                }
-                false
-            } else {
-                true
-            }
-        });
-        dirty.sort_by_key(|(k, _)| (k.inode, k.block));
-        dirty
     }
 }
 
@@ -230,14 +165,11 @@ mod tests {
     }
 
     #[test]
-    fn hit_and_miss_counters() {
+    fn get_misses_until_inserted() {
         let mut c = BlockCache::new(4);
         assert!(c.get(key(0)).is_none());
         c.insert_clean(key(0), block(7));
         assert_eq!(c.get(key(0)).unwrap(), block(7));
-        let st = c.stats();
-        assert_eq!((st.hits, st.misses), (1, 1));
-        assert!((st.hit_ratio() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -260,17 +192,17 @@ mod tests {
         let ev = c.insert_clean(key(1), block(1)).unwrap();
         assert!(ev.dirty);
         assert_eq!(ev.data, block(9));
-        assert_eq!(c.stats().writebacks, 1);
     }
 
     #[test]
     fn never_exceeds_capacity() {
         let mut c = BlockCache::new(3);
+        let mut evicted = 0;
         for i in 0..10 {
-            c.insert_clean(key(i), block(i as u8));
+            evicted += usize::from(c.insert_clean(key(i), block(i as u8)).is_some());
             assert!(c.len() <= 3);
         }
-        assert_eq!(c.stats().evictions, 7);
+        assert_eq!(evicted, 7);
     }
 
     #[test]
@@ -279,7 +211,6 @@ mod tests {
         c.insert_clean(key(0), block(1));
         assert!(c.insert_dirty(key(0), block(2)).is_none());
         assert_eq!(c.peek(key(0)).unwrap(), &block(2));
-        assert_eq!(c.stats().evictions, 0);
     }
 
     #[test]
@@ -302,23 +233,5 @@ mod tests {
         assert_eq!(ev.key, key(0));
         assert!(c.get(key(0)).is_none());
         assert!(c.is_empty());
-    }
-
-    #[test]
-    fn purge_inode_returns_its_dirty_blocks() {
-        let mut c = BlockCache::new(8);
-        c.insert_dirty(key(0), block(0));
-        c.insert_clean(key(1), block(1));
-        c.insert_dirty(
-            BlockKey {
-                inode: InodeId(2),
-                block: 0,
-            },
-            block(5),
-        );
-        let dirty = c.purge_inode(InodeId(1));
-        assert_eq!(dirty.len(), 1);
-        assert_eq!(dirty[0].0, key(0));
-        assert_eq!(c.len(), 1);
     }
 }

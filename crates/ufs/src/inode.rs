@@ -15,7 +15,7 @@ pub struct InodeId(pub u64);
 
 /// A contiguous run of *disk* blocks backing a run of *file* blocks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DiskRun {
+pub(crate) struct DiskRun {
     /// First disk block.
     pub disk_block: u64,
     /// First file block this run backs.
@@ -26,9 +26,7 @@ pub struct DiskRun {
 
 /// One file's metadata.
 #[derive(Debug, Clone)]
-pub struct Inode {
-    /// This inode's id.
-    pub id: InodeId,
+pub(crate) struct Inode {
     /// File size in bytes (may end mid-block).
     pub size: u64,
     /// Disk extents, in file order.
@@ -37,13 +35,13 @@ pub struct Inode {
 
 impl Inode {
     /// Blocks currently mapped.
-    pub fn mapped_blocks(&self) -> u64 {
+    pub(crate) fn mapped_blocks(&self) -> u64 {
         self.extents.iter().map(|e| e.len).sum()
     }
 
     /// Append a disk extent to the end of the file's block map, merging
     /// with the previous extent when they are disk-adjacent.
-    pub fn push_extent(&mut self, ext: Extent) {
+    pub(crate) fn push_extent(&mut self, ext: Extent) {
         if let Some(last) = self.extents.last_mut() {
             if last.end() == ext.start {
                 last.len += ext.len;
@@ -54,7 +52,7 @@ impl Inode {
     }
 
     /// Disk block backing `file_block`, or `None` past the mapped range.
-    pub fn map_block(&self, file_block: u64) -> Option<u64> {
+    pub(crate) fn map_block(&self, file_block: u64) -> Option<u64> {
         let mut base = 0u64;
         for e in &self.extents {
             if file_block < base + e.len {
@@ -69,7 +67,7 @@ impl Inode {
     /// whenever consecutive file blocks are consecutive on disk. Returns
     /// `None` if any block is unmapped (callers check size first, so a
     /// `None` means the inode's block map is inconsistent with its size).
-    pub fn map_blocks(&self, first: u64, len: u64) -> Option<Vec<DiskRun>> {
+    pub(crate) fn map_blocks(&self, first: u64, len: u64) -> Option<Vec<DiskRun>> {
         assert!(len > 0);
         let mut runs: Vec<DiskRun> = Vec::new();
         for fb in first..first + len {
@@ -89,7 +87,7 @@ impl Inode {
 
 /// The inode table of one UFS instance, with a flat name directory.
 #[derive(Debug, Default)]
-pub struct InodeTable {
+pub(crate) struct InodeTable {
     next: u64,
     inodes: BTreeMap<InodeId, Inode>,
     names: BTreeMap<String, InodeId>,
@@ -97,12 +95,12 @@ pub struct InodeTable {
 
 impl InodeTable {
     /// Empty table.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Create a file. Fails (returns existing id) if the name exists.
-    pub fn create(&mut self, name: &str) -> Result<InodeId, InodeId> {
+    pub(crate) fn create(&mut self, name: &str) -> Result<InodeId, InodeId> {
         if let Some(&id) = self.names.get(name) {
             return Err(id);
         }
@@ -111,7 +109,6 @@ impl InodeTable {
         self.inodes.insert(
             id,
             Inode {
-                id,
                 size: 0,
                 extents: Vec::new(),
             },
@@ -121,35 +118,18 @@ impl InodeTable {
     }
 
     /// Look a file up by name.
-    pub fn lookup(&self, name: &str) -> Option<InodeId> {
+    pub(crate) fn lookup(&self, name: &str) -> Option<InodeId> {
         self.names.get(name).copied()
     }
 
     /// Borrow an inode.
-    pub fn get(&self, id: InodeId) -> Option<&Inode> {
+    pub(crate) fn get(&self, id: InodeId) -> Option<&Inode> {
         self.inodes.get(&id)
     }
 
     /// Mutably borrow an inode.
-    pub fn get_mut(&mut self, id: InodeId) -> Option<&mut Inode> {
+    pub(crate) fn get_mut(&mut self, id: InodeId) -> Option<&mut Inode> {
         self.inodes.get_mut(&id)
-    }
-
-    /// Remove a file, returning its extents for deallocation.
-    pub fn remove(&mut self, id: InodeId) -> Option<Inode> {
-        let inode = self.inodes.remove(&id)?;
-        self.names.retain(|_, v| *v != id);
-        Some(inode)
-    }
-
-    /// Number of live files.
-    pub fn len(&self) -> usize {
-        self.inodes.len()
-    }
-
-    /// True when no files exist.
-    pub fn is_empty(&self) -> bool {
-        self.inodes.is_empty()
     }
 }
 
@@ -159,7 +139,6 @@ mod tests {
 
     fn inode_with(extents: &[(u64, u64)]) -> Inode {
         let mut ino = Inode {
-            id: InodeId(0),
             size: 0,
             extents: Vec::new(),
         };
@@ -215,16 +194,13 @@ mod tests {
     }
 
     #[test]
-    fn table_create_lookup_remove() {
+    fn table_create_and_lookup() {
         let mut t = InodeTable::new();
         let a = t.create("/pfs/data").unwrap();
         assert_eq!(t.create("/pfs/data"), Err(a));
         assert_eq!(t.lookup("/pfs/data"), Some(a));
         let b = t.create("/pfs/other").unwrap();
         assert_ne!(a, b);
-        assert_eq!(t.len(), 2);
-        t.remove(a).unwrap();
-        assert_eq!(t.lookup("/pfs/data"), None);
-        assert!(!t.is_empty());
+        assert_eq!(t.inodes.len(), 2);
     }
 }

@@ -49,7 +49,7 @@ mod cache;
 mod fs;
 mod inode;
 
-pub use alloc::{Extent, ExtentAllocator, NoSpace};
-pub use cache::{BlockCache, BlockKey, CacheStats, Evicted};
-pub use fs::{Ufs, UfsError, UfsParams, UfsStats};
-pub use inode::{DiskRun, Inode, InodeId, InodeTable};
+pub use alloc::{Extent, ExtentAllocator};
+pub use cache::{BlockCache, BlockKey};
+pub use fs::{Ufs, UfsError, UfsParams};
+pub use inode::InodeId;

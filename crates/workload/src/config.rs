@@ -6,7 +6,7 @@
 //! whether the prototype prefetcher is enabled. Identical configs (same
 //! seed) produce identical results — the determinism tests rely on it.
 
-use paragon_core::PrefetchConfig;
+use paragon_core::{PredictorKind, PrefetchConfig};
 use paragon_machine::Calibration;
 use paragon_pfs::{IoMode, Redundancy, StripeAttrs};
 use paragon_sim::SimDuration;
@@ -75,7 +75,7 @@ pub struct FaultSpec {
 
 impl FaultSpec {
     /// True when this spec injects nothing.
-    pub fn is_noop(&self) -> bool {
+    pub(crate) fn is_noop(&self) -> bool {
         *self == FaultSpec::default()
     }
 }
@@ -189,15 +189,10 @@ impl ExperimentConfig {
         }
     }
 
-    /// Total bytes delivered to applications in one run.
-    pub fn total_bytes(&self) -> u64 {
-        self.rounds_per_node() * self.request_size as u64 * self.compute_nodes as u64
-    }
-
     /// The calibration the machine is built with: `calib`, except that
     /// mount-level parity redundancy forces the parity member on (parity
     /// is a per-I/O-node RAID property).
-    pub fn effective_calib(&self) -> Calibration {
+    pub(crate) fn effective_calib(&self) -> Calibration {
         let mut calib = self.calib.clone();
         if self.redundancy == Redundancy::ParityRaid {
             calib.raid_parity = true;
@@ -243,6 +238,23 @@ impl ExperimentConfig {
                 self.mode
             ));
         }
+        if self.access == (AccessPattern::Reread { passes: 0 }) {
+            return Err("reread needs at least one pass".into());
+        }
+        // The prototype's predictors cover only modes whose next offset
+        // the client can anticipate; a shared pointer moves with other
+        // nodes' arrival order. The stride detector needs no mode.
+        if self.mode.shared_pointer()
+            && self
+                .prefetch
+                .as_ref()
+                .is_some_and(|pc| pc.predictor == PredictorKind::ModeDefault)
+        {
+            return Err(format!(
+                "prefetching under shared-pointer mode {} needs the strided predictor",
+                self.mode
+            ));
+        }
         match self.redundancy {
             Redundancy::Replicated { rf } if rf < 2 => {
                 Err("replication factor below 2 is not replication".into())
@@ -267,17 +279,38 @@ mod tests {
         assert_eq!(cfg.file_size, 64 << 20);
         // 64 MB / (8 nodes × 64 KB) = 128 rounds.
         assert_eq!(cfg.rounds_per_node(), 128);
-        assert_eq!(cfg.total_bytes(), 64 << 20);
         assert_eq!(cfg.validate(), Ok(()));
     }
 
     #[test]
-    fn global_mode_multiplies_delivered_bytes() {
+    fn reread_needs_a_pass() {
+        let mut cfg = ExperimentConfig::paper_iobound(64 * 1024, 8);
+        cfg.access = AccessPattern::Reread { passes: 0 };
+        assert!(cfg.validate().unwrap_err().contains("at least one pass"));
+        cfg.access = AccessPattern::Reread { passes: 1 };
+        assert_eq!(cfg.validate(), Ok(()));
+    }
+
+    #[test]
+    fn shared_pointer_prefetch_needs_the_strided_predictor() {
+        for mode in [IoMode::MUnix, IoMode::MLog, IoMode::MSync] {
+            let mut cfg = ExperimentConfig::paper_iobound(64 * 1024, 8).with_prefetch();
+            cfg.mode = mode;
+            let err = cfg.validate().unwrap_err();
+            assert!(err.contains("strided predictor"), "{mode}: {err}");
+            if let Some(pc) = cfg.prefetch.as_mut() {
+                pc.predictor = PredictorKind::Strided;
+            }
+            assert_eq!(cfg.validate(), Ok(()), "{mode}");
+        }
+    }
+
+    #[test]
+    fn global_mode_reads_the_whole_file_on_every_node() {
         let mut cfg = ExperimentConfig::paper_iobound(64 * 1024, 1);
         cfg.mode = IoMode::MGlobal;
         // Every node reads the whole 8 MB file.
         assert_eq!(cfg.rounds_per_node(), 128);
-        assert_eq!(cfg.total_bytes(), 8 * (8 << 20));
     }
 
     #[test]
@@ -286,7 +319,6 @@ mod tests {
         cfg.separate_files = true;
         cfg.file_size = 8 << 20; // per node now
         assert_eq!(cfg.rounds_per_node(), 128);
-        assert_eq!(cfg.total_bytes(), 64 << 20);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use paragon_core::{PrefetchGauges, PrefetchStats, PrefetchingFile};
 use paragon_machine::{Machine, MachineConfig};
 use paragon_pfs::{
     pattern_byte, pattern_slice, rebuild_after_crash, IoMode, OpenOptions, ParallelFs, PfsFile,
-    PfsFileId, RebuildConfig, RebuildStats, Redundancy,
+    PfsFileId, RebuildStats, Redundancy,
 };
 use paragon_sim::{ev, EventKind, Sim, SimDuration, SimTime, Track};
 
@@ -104,7 +104,7 @@ fn build_world(cfg: &ExperimentConfig, sim: &Sim) -> World {
             let deposit = rebuild_out2.clone();
             sim2.spawn_named("rebuild-coordinator", async move {
                 sim3.sleep(from).await;
-                let stats = rebuild_after_crash(&pfs3, ion, RebuildConfig::default())
+                let stats = rebuild_after_crash(&pfs3, ion)
                     .await
                     .expect("online re-replication failed");
                 *deposit.borrow_mut() = Some(stats);

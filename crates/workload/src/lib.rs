@@ -16,5 +16,5 @@ pub mod telemetry;
 
 pub use config::{AccessPattern, ExperimentConfig, FaultSpec, StripeLayout};
 pub use driver::run;
-pub use result::{NodeResult, RunResult};
-pub use telemetry::{metrics_check, metrics_report, render_report, Telemetry};
+pub use result::RunResult;
+pub use telemetry::{metrics_check, metrics_report, render_report};

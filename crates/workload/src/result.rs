@@ -40,17 +40,8 @@ pub struct NodeResult {
 }
 
 impl NodeResult {
-    /// Mean per-request access time.
-    pub fn read_time_mean(&self) -> SimDuration {
-        if self.reads == 0 {
-            SimDuration::ZERO
-        } else {
-            self.read_time_total / self.reads
-        }
-    }
-
     /// This node's observed bandwidth, bytes/second.
-    pub fn bandwidth(&self) -> f64 {
+    pub(crate) fn bandwidth(&self) -> f64 {
         if self.elapsed.is_zero() {
             0.0
         } else {
@@ -232,10 +223,9 @@ mod tests {
     }
 
     #[test]
-    fn node_mean_handles_zero_reads() {
+    fn node_bandwidth_handles_zero_reads() {
         let mut n = node(0, 0, 0);
         n.reads = 0;
-        assert_eq!(n.read_time_mean(), SimDuration::ZERO);
         assert_eq!(n.bandwidth(), 0.0);
     }
 }

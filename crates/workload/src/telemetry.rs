@@ -32,8 +32,8 @@ use paragon_sim::{Sim, SimDuration};
 use crate::config::ExperimentConfig;
 use crate::result::RunResult;
 
-/// Stable dotted metric names. Per-I/O-node instruments derive their
-/// names from these via [`ion_metric`]; everything else uses the
+/// Stable dotted metric names. Per-I/O-node instruments append an
+/// `.ion<N>` suffix (`disk.queue.ion3`); everything else uses the
 /// constant verbatim. `tests/vocabulary_coverage.rs` checks that each
 /// name in `names::ALL` is registered by an instrumented run.
 pub mod names {
@@ -99,7 +99,7 @@ pub mod names {
 }
 
 /// The per-I/O-node variant of a metric name: `disk.queue.ion3`.
-pub fn ion_metric(base: &str, ion: usize) -> String {
+pub(crate) fn ion_metric(base: &str, ion: usize) -> String {
     format!("{base}.ion{ion}")
 }
 
@@ -122,7 +122,7 @@ impl Telemetry {
     /// events and draws no randomness; counters are polled only at the
     /// measured-phase boundaries, so setup-phase activity (file
     /// population) is excluded from every delta by construction.
-    pub fn new(
+    pub(crate) fn new(
         sim: &Sim,
         machine: &Rc<Machine>,
         pfs: &Rc<ParallelFs>,
@@ -258,14 +258,14 @@ impl Telemetry {
 
     /// Start the measured phase: counters are baselined and the sampler
     /// task begins ticking at the configured cadence.
-    pub fn begin(&self) {
+    pub(crate) fn begin(&self) {
         self.registry.mark_phase_start(self.sim.now().as_nanos());
         *self.sampler.borrow_mut() = Some(Sampler::start(&self.sim, &self.registry, self.cadence));
     }
 
     /// End the measured phase: the sampler is stopped (its pending
     /// wakeup exits without sampling) and counter finals are taken.
-    pub fn end(&self) {
+    pub(crate) fn end(&self) {
         if let Some(s) = self.sampler.borrow_mut().take() {
             s.stop();
         }
@@ -273,12 +273,12 @@ impl Telemetry {
     }
 
     /// Record one histogram sample (post-run, from per-request data).
-    pub fn record(&self, name: &str, v: f64) {
+    pub(crate) fn record(&self, name: &str, v: f64) {
         self.registry.record(name, v);
     }
 
     /// Freeze the run's telemetry.
-    pub fn snapshot(&self) -> MetricsSnapshot {
+    pub(crate) fn snapshot(&self) -> MetricsSnapshot {
         self.registry.snapshot()
     }
 }

@@ -13,9 +13,19 @@ echo "=== cargo clippy -D warnings"
 # I/O-path crates (disk, os, pfs, mesh, ufs) deny
 # unwrap/expect/indexing/panic in non-test code
 # (P1); the workspace denies a lint suppression without a reason (W1),
-# and rustc reports an #[expect] that no longer fires (W2). See
-# DESIGN.md section 8.
+# rustc reports an #[expect] that no longer fires (W2), and it warns on a
+# `pub` item nothing outside its crate can reach (S1). See DESIGN.md
+# section 8.
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "=== pub surface"
+# rustc cannot report a `pub fn` that only its own crate calls, or that
+# nothing calls: `dead_code` is blind to `pub`, and `unreachable_pub`
+# (on in the workspace lints) accepts a method on an exported type. The
+# scan names every `pub fn` whose name appears nowhere outside its
+# crate's src/; make it `pub(crate)` (rustc then reports it if it is
+# dead) or delete it.
+scripts/pub_scan.sh
 
 echo "=== cargo doc"
 # Doc comments are checked like code: a link to an item that was renamed

@@ -10,7 +10,7 @@ use paragon::workload::{AccessPattern, ExperimentConfig, FaultSpec, StripeLayout
 
 /// The suites' small 4×2 shape: 4 MB shared file, 64 KB requests,
 /// 5 ms think time.
-pub fn cfg(seed: u64, mode: IoMode) -> ExperimentConfig {
+pub(crate) fn cfg(seed: u64, mode: IoMode) -> ExperimentConfig {
     ExperimentConfig {
         seed,
         compute_nodes: 4,
@@ -37,7 +37,7 @@ pub fn cfg(seed: u64, mode: IoMode) -> ExperimentConfig {
 /// One named config per EXT axis: every mode, every access pattern,
 /// prefetch on/off, both stripe layouts, the buffered mount, fault
 /// injection, and a larger scaling shape.
-pub fn ext_matrix() -> Vec<(&'static str, ExperimentConfig)> {
+pub(crate) fn ext_matrix() -> Vec<(&'static str, ExperimentConfig)> {
     let mut m = vec![
         ("mrecord", cfg(11, IoMode::MRecord)),
         ("mrecord-pf", cfg(11, IoMode::MRecord).with_prefetch()),
@@ -82,7 +82,7 @@ pub fn ext_matrix() -> Vec<(&'static str, ExperimentConfig)> {
 /// RF=2 replication on 4×4 with I/O node 1 crashed mid-stream:
 /// foreground reads fail over while the recovery coordinator
 /// re-replicates the lost copies.
-pub fn crash_and_rebuild(seed: u64) -> ExperimentConfig {
+pub(crate) fn crash_and_rebuild(seed: u64) -> ExperimentConfig {
     let mut c = cfg(seed, IoMode::MRecord);
     c.calib.rpc_attempt_timeout = SimDuration::from_millis(250);
     c.io_nodes = 4;
