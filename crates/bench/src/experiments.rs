@@ -382,7 +382,7 @@ fn tab4(sweep: &mut Sweep) -> Result<(), HarnessError> {
         let r_wide = run_logged(&format!("{}KB sgroup=8", kb(sz)), &wide(sz));
         // R': 8 stripe files all on I/O node 0.
         let narrow = ExperimentConfig {
-            layout: StripeLayout::WaysOnOne { ways: 8, ion: 0 },
+            layout: StripeLayout::WaysOnOne { ways: 8 },
             ..wide(sz)
         };
         let r_narrow = run_logged(&format!("{}KB sgroup=1", kb(sz)), &narrow);
@@ -467,7 +467,7 @@ fn ext_scaling(sweep: &mut Sweep) -> Result<(), HarnessError> {
         // Arm the telemetry sampler on the prefetch run so the record
         // captures how deep the server request queues sit at each shape.
         let pf_cfg = ExperimentConfig {
-            metrics_cadence: Some(SimDuration::from_millis(100)),
+            metrics_cadence: Some(crate::cli::METRICS_CADENCE),
             ..cfg.clone().with_prefetch()
         };
         let pf = run_logged(&format!("{cn}x{ion} pf"), &pf_cfg);

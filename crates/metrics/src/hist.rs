@@ -25,13 +25,8 @@ impl Histogram {
     }
 
     /// Number of samples.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.samples.len()
-    }
-
-    /// True when nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
     }
 
     fn ensure_sorted(&mut self) {
@@ -43,7 +38,7 @@ impl Histogram {
     }
 
     /// Exact quantile `q ∈ [0, 1]` (nearest-rank). `None` when empty.
-    pub fn quantile(&mut self, q: f64) -> Option<f64> {
+    pub(crate) fn quantile(&mut self, q: f64) -> Option<f64> {
         assert!((0.0..=1.0).contains(&q), "quantile {q} out of range");
         if self.samples.is_empty() {
             return None;
@@ -63,7 +58,7 @@ impl Histogram {
     }
 
     /// Largest sample.
-    pub fn max(&mut self) -> Option<f64> {
+    pub(crate) fn max(&mut self) -> Option<f64> {
         if self.samples.is_empty() {
             return None;
         }
@@ -72,7 +67,7 @@ impl Histogram {
     }
 
     /// Arithmetic mean.
-    pub fn mean(&self) -> Option<f64> {
+    pub(crate) fn mean(&self) -> Option<f64> {
         if self.samples.is_empty() {
             None
         } else {
@@ -112,7 +107,7 @@ mod tests {
     #[test]
     fn empty_histogram_returns_none() {
         let mut h = Histogram::new();
-        assert!(h.is_empty());
+        assert_eq!(h.len(), 0);
         assert_eq!(h.quantile(0.5), None);
         assert_eq!(h.mean(), None);
         assert_eq!(h.percentiles(), None);

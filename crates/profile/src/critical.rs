@@ -30,7 +30,9 @@
 //! * **reply** = server-reply + mesh-reply + client-finish.
 //!
 //! The four phases therefore sum exactly to the end-to-end latency as
-//! well; [`PhaseBreakdown`] aggregates and renders them per [`SpanKind`].
+//! well; [`render_critical_path`] reports them per [`SpanKind`] group
+//! (demand reads, prefetch transfers) next to the nine-leg blame, every
+//! figure through the same integer percentile and format.
 //!
 //! Overlap accounting: the `disk` leg is the wall-clock envelope from
 //! the first member command start to the last completion. Striped and
@@ -42,8 +44,7 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::ops::Range;
 
-use paragon_metrics::{Histogram, Table};
-use paragon_sim::{EventKind, ReqId, SimDuration, SimTime, TraceEvent, Track};
+use paragon_sim::{hash_events, EventKind, ReqId, SimTime, TraceEvent, Track};
 
 /// Component labels, in pipeline order; index-aligned with
 /// [`CriticalPath::legs`].
@@ -253,59 +254,108 @@ fn pct(sorted: &[u64], q: u64) -> u64 {
     sorted[(rank - 1) as usize]
 }
 
+/// Integer nanoseconds as fixed-point milliseconds, truncated to the
+/// microsecond: the report's only number format.
 fn ms(ns: u64) -> String {
     format!("{}.{:03}", ns / 1_000_000, (ns % 1_000_000) / 1_000)
 }
 
-/// Render the blame breakdown: per-component p50/p95/p99/max plus share
-/// of total charged time, then the `top` slowest requests with their
-/// full paths. Deterministic and byte-stable: every figure is integer
-/// nanoseconds formatted as fixed-point milliseconds.
+/// Ascending copy of one column of nanosecond samples.
+fn sorted(samples: impl Iterator<Item = u64>) -> Vec<u64> {
+    let mut v: Vec<u64> = samples.collect();
+    v.sort_unstable();
+    v
+}
+
+/// Per-track activity: event count plus first/last event times, one row
+/// per track, tracks in [`Track`] order.
+fn track_table(events: &[TraceEvent]) -> String {
+    let mut rows: BTreeMap<Track, (usize, SimTime, SimTime)> = BTreeMap::new();
+    for e in events {
+        let row = rows.entry(e.track).or_insert((0, e.time, e.time));
+        row.0 += 1;
+        row.1 = row.1.min(e.time);
+        row.2 = row.2.max(e.time);
+    }
+    let mut out = format!(
+        "{:<10} {:>8} {:>14} {:>14}\n",
+        "track", "events", "first", "last"
+    );
+    for (track, (n, first, last)) in rows {
+        out.push_str(&format!(
+            "{:<10} {n:>8} {:>14} {:>14}\n",
+            track.to_string(),
+            format!("{first}"),
+            format!("{last}")
+        ));
+    }
+    out
+}
+
+/// The paper's Table-2 access-time decomposition of `paths`: mean, p50
+/// and max of each phase and of the end-to-end latency.
+fn phase_table(paths: &[&CriticalPath]) -> String {
+    let mut out = format!(
+        "{:<14} {:>10} {:>10} {:>10}\n",
+        "phase", "mean ms", "p50 ms", "max ms"
+    );
+    let columns = (0..PHASES.len())
+        .map(|i| (PHASES[i].0, sorted(paths.iter().map(|p| p.phases()[i]))))
+        .chain([("end-to-end", sorted(paths.iter().map(|p| p.total_ns())))]);
+    for (name, v) in columns {
+        let mean = v.iter().sum::<u64>() / v.len().max(1) as u64;
+        out.push_str(&format!(
+            "{:<14} {:>10} {:>10} {:>10}\n",
+            name,
+            ms(mean),
+            ms(pct(&v, 50)),
+            ms(*v.last().unwrap_or(&0)),
+        ));
+    }
+    out
+}
+
+/// Render the span report of a recording: its event count and hash, the
+/// per-track table, the blame breakdown (per-component p50/p95/p99/max
+/// plus share of total charged time), the Table-2 decomposition of
+/// demand reads and of prefetch transfers, then the `top` slowest
+/// requests with their kinds and full paths. Deterministic and
+/// byte-stable: every figure is integer nanoseconds formatted as
+/// fixed-point milliseconds.
 pub fn render_critical_path(events: &[TraceEvent], top: usize) -> String {
     let paths = critical_paths(events);
-    let mut out = String::new();
+    let mut out = format!(
+        "{} events, hash {:#018x}\n\n",
+        events.len(),
+        hash_events(events)
+    );
+    out.push_str(&track_table(events));
     out.push_str(&format!(
-        "critical-path blame over {} completed reads\n\n",
+        "\ncritical-path blame over {} completed reads\n\n",
         paths.len()
     ));
     if paths.is_empty() {
         return out;
     }
 
-    let mut grand_total = 0u64;
-    let mut per_comp: Vec<Vec<u64>> = vec![Vec::with_capacity(paths.len()); COMPONENTS.len()];
-    let mut comp_sum = [0u64; 9];
-    let mut hidden: Vec<u64> = Vec::with_capacity(paths.len());
-    let mut totals: Vec<u64> = Vec::with_capacity(paths.len());
-    for p in &paths {
-        grand_total += p.total_ns();
-        for (i, &ns) in p.legs.iter().enumerate() {
-            per_comp[i].push(ns);
-            comp_sum[i] += ns;
-        }
-        hidden.push(p.overlap_hidden_ns);
-        totals.push(p.total_ns());
-    }
-    for v in per_comp.iter_mut() {
-        v.sort_unstable();
-    }
-    hidden.sort_unstable();
-    totals.sort_unstable();
-
+    let totals = sorted(paths.iter().map(CriticalPath::total_ns));
+    let grand_total: u64 = totals.iter().sum();
     out.push_str(&format!(
         "{:<14} {:>10} {:>10} {:>10} {:>10} {:>8}\n",
         "component", "p50 ms", "p95 ms", "p99 ms", "max ms", "share %"
     ));
     for (i, name) in COMPONENTS.iter().enumerate() {
-        let v = &per_comp[i];
+        let v = sorted(paths.iter().map(|p| p.legs[i]));
         // Tenths of a percent in integer arithmetic: byte-stable.
-        let share = (comp_sum[i] * 1000).checked_div(grand_total).unwrap_or(0);
+        let share = (v.iter().sum::<u64>() * 1000)
+            .checked_div(grand_total)
+            .unwrap_or(0);
         out.push_str(&format!(
             "{:<14} {:>10} {:>10} {:>10} {:>10} {:>7}.{}\n",
             name,
-            ms(pct(v, 50)),
-            ms(pct(v, 95)),
-            ms(pct(v, 99)),
+            ms(pct(&v, 50)),
+            ms(pct(&v, 95)),
+            ms(pct(&v, 99)),
             ms(*v.last().unwrap_or(&0)),
             share / 10,
             share % 10,
@@ -320,12 +370,25 @@ pub fn render_critical_path(events: &[TraceEvent], top: usize) -> String {
         ms(*totals.last().unwrap_or(&0)),
         "100.0",
     ));
+    let hidden = sorted(paths.iter().map(|p| p.overlap_hidden_ns));
     out.push_str(&format!(
         "\noverlap-hidden disk time (bought by RAID parallelism, not in the sum): p50 {} ms  max {} ms\n",
         ms(pct(&hidden, 50)),
         ms(*hidden.last().unwrap_or(&0)),
     ));
 
+    let (prefetch, demand): (Vec<&CriticalPath>, Vec<&CriticalPath>) =
+        paths.iter().partition(|p| p.kind == SpanKind::Prefetch);
+    for (label, group) in [("demand reads", demand), ("prefetch transfers", prefetch)] {
+        if !group.is_empty() {
+            out.push_str(&format!("\n{label} ({} spans)\n", group.len()));
+            out.push_str(&phase_table(&group));
+        }
+    }
+
+    if top == 0 {
+        return out;
+    }
     // Top-K exemplars: slowest first, request id breaking ties so the
     // listing is a total order.
     let mut slowest: Vec<&CriticalPath> = paths.iter().collect();
@@ -336,9 +399,10 @@ pub fn render_critical_path(events: &[TraceEvent], top: usize) -> String {
     ));
     for p in slowest.iter().take(top) {
         out.push_str(&format!(
-            "req {:<6} total {} ms  offset={} len={} faults={} hidden={} ms\n",
+            "req {:<6} total {} ms  kind={:?} offset={} len={} faults={} hidden={} ms\n",
             p.req,
             ms(p.total_ns()),
+            p.kind,
             p.offset,
             p.len,
             p.faults,
@@ -352,45 +416,6 @@ pub fn render_critical_path(events: &[TraceEvent], top: usize) -> String {
         out.push_str(&format!("  {}\n", path.join(" | ")));
     }
     out
-}
-
-/// Per-phase aggregate over a set of critical paths: one [`Histogram`]
-/// of seconds per Table-2 phase plus one for the end-to-end latency.
-#[derive(Debug, Default)]
-pub struct PhaseBreakdown {
-    pub phases: [Histogram; 4],
-    pub total: Histogram,
-}
-
-impl PhaseBreakdown {
-    /// Aggregate `paths` (typically pre-filtered by [`SpanKind`]).
-    pub fn of<'a>(paths: impl IntoIterator<Item = &'a CriticalPath>) -> PhaseBreakdown {
-        let secs = |ns: u64| SimDuration::from_nanos(ns).as_secs_f64();
-        let mut b = PhaseBreakdown::default();
-        for p in paths {
-            for (h, ns) in b.phases.iter_mut().zip(p.phases()) {
-                h.record(secs(ns));
-            }
-            b.total.record(secs(p.total_ns()));
-        }
-        b
-    }
-
-    /// Render the Table-2-style access-time decomposition: one row per
-    /// phase with mean/p50/max in milliseconds, plus the end-to-end row.
-    pub fn render(&mut self) -> String {
-        let mut t = Table::new(
-            "access-time decomposition",
-            &["phase", "mean ms", "p50 ms", "max ms"],
-        );
-        let ms = |v: Option<f64>| format!("{:.3}", v.unwrap_or(0.0) * 1e3);
-        let rows = PHASES.iter().map(|(name, _)| *name).chain(["end-to-end"]);
-        for (name, h) in rows.zip(self.phases.iter_mut().chain([&mut self.total])) {
-            let (mean, p50, max) = (ms(h.mean()), ms(h.quantile(0.5)), ms(h.max()));
-            t.row(&[name, &mean, &p50, &max]);
-        }
-        t.render()
-    }
 }
 
 #[cfg(test)]
@@ -545,16 +570,76 @@ mod tests {
     }
 
     #[test]
-    fn breakdown_aggregates_and_renders() {
+    fn report_splits_the_table_2_decomposition_by_kind() {
         let mut evs = demand_read(1, 0);
         evs.extend(demand_read(2, 1000));
-        let paths = critical_paths(&evs);
-        let mut b = PhaseBreakdown::of(&paths);
-        assert_eq!(b.total.len(), 2);
-        assert_eq!(b.total.mean(), Some(62e-6));
-        let table = b.render();
-        assert!(table.contains("end-to-end"));
-        assert!(table.contains("disk"));
+        evs.push(mk(
+            2000,
+            ev(Track::Cn(0), EventKind::PrefetchIssue, 3, 0, 0),
+        ));
+        evs.extend(demand_read(3, 2000));
+        let text = render_critical_path(&evs, 1);
+        let table: String = [
+            ["phase", "mean ms", "p50 ms", "max ms"],
+            ["request", "0.010", "0.010", "0.010"],
+            ["service", "0.005", "0.005", "0.005"],
+            ["disk", "0.030", "0.030", "0.030"],
+            ["reply", "0.017", "0.017", "0.017"],
+            ["end-to-end", "0.062", "0.062", "0.062"],
+        ]
+        .map(|[a, b, c, d]| format!("{a:<14} {b:>10} {c:>10} {d:>10}\n"))
+        .concat();
+        assert!(
+            text.contains(&format!("\ndemand reads (2 spans)\n{table}")),
+            "{text}"
+        );
+        assert!(
+            text.contains(&format!("\nprefetch transfers (1 spans)\n{table}")),
+            "{text}"
+        );
+        assert!(
+            text.contains("total 0.062 ms  kind=Demand offset=0"),
+            "{text}"
+        );
+    }
+
+    #[test]
+    fn every_figure_truncates_integer_nanoseconds() {
+        // Spans of 1.2345 and 1.2355 ms: rounding would print 1.235 and
+        // 1.236; every figure truncates them to 1.234 and 1.235.
+        let at = |ns, kind, req| TraceEvent {
+            time: SimTime::from_nanos(ns),
+            ..mk(0, ev(Track::Cn(0), kind, req, 0, 64))
+        };
+        let evs = [
+            at(0, EventKind::ReadStart, 1),
+            at(1_234_500, EventKind::ReadDone, 1),
+            at(9_000_000, EventKind::ReadStart, 2),
+            at(10_235_500, EventKind::ReadDone, 2),
+        ];
+        let text = render_critical_path(&evs, 1);
+        assert!(text.contains("\ntotal               1.234      1.235      1.235      1.235"));
+        assert!(text.contains("\nend-to-end          1.235      1.234      1.235\n"));
+        assert!(text.contains("\nreq 2      total 1.235 ms"), "{text}");
+    }
+
+    #[test]
+    fn track_table_counts_and_bounds_each_track() {
+        let evs = vec![
+            mk(1000, ev(Track::Ion(1), EventKind::ServeStart, 1, 0, 64)),
+            mk(2000, ev(Track::Cn(0), EventKind::ReadStart, 1, 0, 64)),
+            mk(3000, ev(Track::Cn(0), EventKind::ReadDone, 1, 0, 64)),
+        ];
+        // Rows come in `Track` order, not first-seen order.
+        let row = |track: &str, n: &str, first: &str, last: &str| {
+            format!("{track:<10} {n:>8} {first:>14} {last:>14}\n")
+        };
+        let header = row("track", "events", "first", "last");
+        let expected = header.clone()
+            + &row("cn0", "2", "0.002000s", "0.003000s")
+            + &row("ion1", "1", "0.001000s", "0.001000s");
+        assert_eq!(track_table(&evs), expected);
+        assert_eq!(track_table(&[]), header);
     }
 
     #[test]
@@ -622,8 +707,14 @@ mod tests {
         let a = render_critical_path(&evs, 2);
         let b = render_critical_path(&evs, 2);
         assert_eq!(a, b);
+        assert!(a.starts_with(&format!(
+            "42 events, hash {:#018x}\n\ntrack ",
+            hash_events(&evs)
+        )));
         assert!(a.contains("critical-path blame over 3 completed reads"));
         assert!(a.contains("top 2 slowest requests:"));
+        // --top 0 drops the listing.
+        assert!(!render_critical_path(&evs, 0).contains("slowest"));
     }
 
     #[test]

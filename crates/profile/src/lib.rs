@@ -8,7 +8,7 @@
 //!   exactly one pipeline component — integer-exact blame, so the
 //!   per-component sums reproduce the total with no float drift. The
 //!   paper's Table-2 phases (request/service/disk/reply) are fixed sums
-//!   of those legs.
+//!   of those legs. [`render_critical_path`] is the one report over them.
 //! * [`export_perfetto`] renders a recording (plus optional telemetry counter
 //!   series) as Chrome-trace JSON: one thread lane per CN/ION/spindle,
 //!   duration slices for paired start/done events, flow arrows stitching
@@ -21,5 +21,5 @@
 mod critical;
 mod perfetto;
 
-pub use critical::{critical_paths, render_critical_path, CriticalPath, PhaseBreakdown, SpanKind};
+pub use critical::{critical_paths, render_critical_path, CriticalPath, SpanKind};
 pub use perfetto::export_perfetto;

@@ -44,6 +44,5 @@ pub use fault::{DiskFault, FaultPlan, FaultStats, MeshVerdict};
 pub use rng::Rng;
 pub use time::{SimDuration, SimTime};
 pub use trace::{
-    ev, export_json, hash_events, parse_json, render_track_summary, EventBody, EventKind, ReqId,
-    TraceEvent, Track,
+    ev, export_json, hash_events, parse_json, EventBody, EventKind, ReqId, TraceEvent, Track,
 };

@@ -10,7 +10,6 @@
 //! cap rather than growing without limit.
 
 use std::cell::{Cell, RefCell};
-use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use crate::time::SimTime;
@@ -355,31 +354,6 @@ impl Trace {
     }
 }
 
-/// Per-track summary of a slice of events: event count plus first/last
-/// event times, one row per track, tracks in [`Track`] order.
-pub fn render_track_summary(events: &[TraceEvent]) -> String {
-    let mut rows: BTreeMap<Track, (usize, SimTime, SimTime)> = BTreeMap::new();
-    for e in events {
-        let row = rows.entry(e.track).or_insert((0, e.time, e.time));
-        row.0 += 1;
-        row.1 = row.1.min(e.time);
-        row.2 = row.2.max(e.time);
-    }
-    let mut out = format!(
-        "{:<10} {:>8} {:>14} {:>14}\n",
-        "track", "events", "first", "last"
-    );
-    for (track, (n, first, last)) in rows {
-        out.push_str(&format!(
-            "{:<10} {n:>8} {:>14} {:>14}\n",
-            track.to_string(),
-            format!("{first}"),
-            format!("{last}")
-        ));
-    }
-    out
-}
-
 /// FNV-1a folded over every field of every event, in order.
 pub fn hash_events(events: &[TraceEvent]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -630,31 +604,6 @@ mod tests {
         // Minting works whether or not recording is armed.
         t.arm(8);
         assert_eq!(t.mint_req(), 3);
-    }
-
-    #[test]
-    fn track_summary_counts_and_bounds_each_track() {
-        let t = Trace::default();
-        t.arm(16);
-        t.record(SimTime::from_nanos(1_000_000), || {
-            ev(Track::Ion(1), EventKind::ServeStart, 1, 0, 64)
-        });
-        t.record(SimTime::from_nanos(2_000_000), || {
-            ev(Track::Cn(0), EventKind::ReadStart, 1, 0, 64)
-        });
-        t.record(SimTime::from_nanos(3_000_000), || {
-            ev(Track::Cn(0), EventKind::ReadDone, 1, 0, 64)
-        });
-        // Rows come in `Track` order, not first-seen order.
-        let row = |track: &str, n: &str, first: &str, last: &str| {
-            format!("{track:<10} {n:>8} {first:>14} {last:>14}\n")
-        };
-        let header = row("track", "events", "first", "last");
-        let expected = header.clone()
-            + &row("cn0", "2", "0.002000s", "0.003000s")
-            + &row("ion1", "1", "0.001000s", "0.001000s");
-        assert_eq!(render_track_summary(&t.events()), expected);
-        assert_eq!(render_track_summary(&[]), header);
     }
 
     #[test]

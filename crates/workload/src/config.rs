@@ -16,8 +16,8 @@ use paragon_sim::SimDuration;
 pub enum StripeLayout {
     /// One slot on each of the first `factor` I/O nodes.
     Across { factor: usize },
-    /// `ways` slots, all on I/O node `ion` (Table 4's second config).
-    WaysOnOne { ways: usize, ion: usize },
+    /// `ways` slots, all on I/O node 0 (Table 4's second config).
+    WaysOnOne { ways: usize },
 }
 
 impl StripeLayout {
@@ -25,9 +25,7 @@ impl StripeLayout {
     pub fn attrs(&self, stripe_unit: u64) -> StripeAttrs {
         match *self {
             StripeLayout::Across { factor } => StripeAttrs::across(factor, stripe_unit),
-            StripeLayout::WaysOnOne { ways, ion } => {
-                StripeAttrs::ways_on_one(ways, ion, stripe_unit)
-            }
+            StripeLayout::WaysOnOne { ways } => StripeAttrs::ways_on_one(ways, 0, stripe_unit),
         }
     }
 }
@@ -218,16 +216,11 @@ impl ExperimentConfig {
             ));
         }
         match self.layout {
-            StripeLayout::Across { factor: 0 } | StripeLayout::WaysOnOne { ways: 0, .. } => {
+            StripeLayout::Across { factor: 0 } | StripeLayout::WaysOnOne { ways: 0 } => {
                 return Err("stripe factor must be positive".into());
             }
             StripeLayout::Across { factor } if factor > ion => {
                 return Err(format!("stripe factor {factor} exceeds {ion} I/O nodes"));
-            }
-            StripeLayout::WaysOnOne { ion: on, .. } if on >= ion => {
-                return Err(format!(
-                    "stripe I/O node {on} out of range for {ion} I/O nodes"
-                ));
             }
             _ => {}
         }
@@ -350,20 +343,13 @@ mod tests {
         let mut cfg = ExperimentConfig::paper_iobound(64 * 1024, 8);
         for (layout, msg) in [
             (StripeLayout::Across { factor: 0 }, "must be positive"),
-            (
-                StripeLayout::WaysOnOne { ways: 0, ion: 0 },
-                "must be positive",
-            ),
-            (
-                StripeLayout::WaysOnOne { ways: 2, ion: 8 },
-                "I/O node 8 out of range",
-            ),
+            (StripeLayout::WaysOnOne { ways: 0 }, "must be positive"),
         ] {
             cfg.layout = layout;
             let err = cfg.validate().unwrap_err();
             assert!(err.contains(msg), "{err}");
         }
-        cfg.layout = StripeLayout::WaysOnOne { ways: 2, ion: 7 };
+        cfg.layout = StripeLayout::WaysOnOne { ways: 2 };
         assert_eq!(cfg.validate(), Ok(()));
     }
 
@@ -371,7 +357,7 @@ mod tests {
     fn layouts_materialize() {
         let a = StripeLayout::Across { factor: 4 }.attrs(1024);
         assert_eq!(a.group, vec![0, 1, 2, 3]);
-        let w = StripeLayout::WaysOnOne { ways: 3, ion: 7 }.attrs(1024);
-        assert_eq!(w.group, vec![7, 7, 7]);
+        let w = StripeLayout::WaysOnOne { ways: 3 }.attrs(1024);
+        assert_eq!(w.group, vec![0, 0, 0]);
     }
 }

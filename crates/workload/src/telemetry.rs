@@ -26,7 +26,7 @@ use paragon_core::PrefetchGauges;
 use paragon_machine::Machine;
 use paragon_metrics::{Json, MetricsRegistry, MetricsSnapshot, Sampler};
 use paragon_pfs::ParallelFs;
-use paragon_profile::{critical_paths, CriticalPath, PhaseBreakdown, SpanKind};
+use paragon_profile::{critical_paths, CriticalPath, SpanKind};
 use paragon_sim::{Sim, SimDuration};
 
 use crate::config::ExperimentConfig;
@@ -463,11 +463,14 @@ fn span_consistency(demand: &[CriticalPath], disk: f64, mesh: f64) -> bool {
     if demand.is_empty() {
         return true;
     }
-    let [request, _, disk_phase, reply] = PhaseBreakdown::of(demand).phases;
-    let phase = |h: &paragon_metrics::Histogram| h.mean().unwrap_or(0.0) * h.len() as f64;
-    let time_disk = phase(&disk_phase);
-    let time_mesh = phase(&request) + phase(&reply);
-    (disk >= mesh) == (time_disk >= time_mesh)
+    let mut sums = [0u64; 4];
+    for p in demand {
+        for (sum, ns) in sums.iter_mut().zip(p.phases()) {
+            *sum += ns;
+        }
+    }
+    let [request, _, time_disk, reply] = sums;
+    (disk >= mesh) == (time_disk >= request + reply)
 }
 
 /// Compare a current report against a committed baseline: the CI perf
@@ -478,16 +481,13 @@ fn span_consistency(demand: &[CriticalPath], disk: f64, mesh: f64) -> bool {
 ///    each differing key is one violation naming both values, and the
 ///    other sections are not compared.
 /// 2. `counters` are exact, host-independent work counts: a missing
-///    key, an extra key or a different value is a violation, and
-///    `tolerance` does not loosen them.
+///    key, an extra key or a different value is a violation.
 /// 3. `scalars` get per-metric tolerance bands. Utilizations (names
 ///    starting `util.`) and ratios (names ending `.ratio`) are compared
 ///    absolutely within 0.05; a zero baseline demands an exact zero;
-///    everything else is relative within 10%. `tolerance` overrides the
-///    band width for every scalar (relative, with the same width used
-///    absolutely for the utilization/ratio class and zero baselines).
-///    Missing or extra scalars are violations too.
-pub fn metrics_check(current: &Json, baseline: &Json, tolerance: Option<f64>) -> Vec<String> {
+///    everything else is relative within 10%. Missing or extra scalars
+///    are violations too.
+pub fn metrics_check(current: &Json, baseline: &Json) -> Vec<String> {
     let exact = |_: &str, c: &Json, b: &Json| {
         let show = |v: &Json| v.pretty().trim_end().to_owned();
         (c != b).then(|| format!("{} vs baseline {} (must match exactly)", show(c), show(b)))
@@ -506,11 +506,11 @@ pub fn metrics_check(current: &Json, baseline: &Json, tolerance: Option<f64>) ->
         let (c, b) = (c.as_f64().unwrap_or(f64::INFINITY), b.as_f64()?);
         let absolute_class = name.starts_with("util.") || name.ends_with(".ratio");
         let (limit, style) = if absolute_class {
-            (tolerance.unwrap_or(0.05), "absolute")
+            (0.05, "absolute")
         } else if b == 0.0 {
-            (tolerance.unwrap_or(0.0), "absolute")
+            (0.0, "absolute")
         } else {
-            (tolerance.unwrap_or(0.10) * b.abs(), "relative")
+            (0.10 * b.abs(), "relative")
         };
         let diff = (c - b).abs();
         (diff > limit).then(|| format!("{c} vs baseline {b} ({style} diff {diff:.6} > {limit:.6})"))
@@ -752,7 +752,7 @@ mod tests {
         );
         assert_eq!(scalar("bottleneck.consistent"), 1.0);
         // A report always passes its own gate.
-        assert!(metrics_check(&report, &report, None).is_empty());
+        assert!(metrics_check(&report, &report).is_empty());
         let text = render_report(&report);
         assert!(text.contains("bottleneck:"));
         assert!(text.contains("queue depths over time"));
@@ -848,16 +848,16 @@ mod tests {
     #[test]
     fn check_passes_identical_reports() {
         let r = report_with(&[("util.disk", 0.8), ("bandwidth_mb_s", 3.2)]);
-        assert!(metrics_check(&r, &r, None).is_empty());
+        assert!(metrics_check(&r, &r).is_empty());
     }
 
     #[test]
     fn check_applies_absolute_band_to_utilizations_and_ratios() {
         let base = report_with(&[("util.disk", 0.80), ("littles_law.ratio", 1.00)]);
         let ok = report_with(&[("util.disk", 0.84), ("littles_law.ratio", 0.96)]);
-        assert!(metrics_check(&ok, &base, None).is_empty());
+        assert!(metrics_check(&ok, &base).is_empty());
         let bad = report_with(&[("util.disk", 0.86), ("littles_law.ratio", 1.00)]);
-        let v = metrics_check(&bad, &base, None);
+        let v = metrics_check(&bad, &base);
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].contains("util.disk"));
     }
@@ -866,46 +866,44 @@ mod tests {
     fn check_applies_relative_band_elsewhere_and_exact_zero() {
         let base = report_with(&[("bandwidth_mb_s", 10.0), ("read_errors", 0.0)]);
         let ok = report_with(&[("bandwidth_mb_s", 10.9), ("read_errors", 0.0)]);
-        assert!(metrics_check(&ok, &base, None).is_empty());
+        assert!(metrics_check(&ok, &base).is_empty());
         let drift = report_with(&[("bandwidth_mb_s", 8.5), ("read_errors", 0.0)]);
-        assert_eq!(metrics_check(&drift, &base, None).len(), 1);
+        assert_eq!(metrics_check(&drift, &base).len(), 1);
         let nonzero = report_with(&[("bandwidth_mb_s", 10.0), ("read_errors", 1.0)]);
-        assert_eq!(metrics_check(&nonzero, &base, None).len(), 1);
+        assert_eq!(metrics_check(&nonzero, &base).len(), 1);
     }
 
     #[test]
     fn check_flags_missing_and_extra_scalars() {
         let base = report_with(&[("a", 1.0), ("b", 2.0)]);
         let cur = report_with(&[("a", 1.0), ("c", 3.0)]);
-        let v = metrics_check(&cur, &base, None);
+        let v = metrics_check(&cur, &base);
         assert_eq!(v.len(), 2, "{v:?}");
         assert!(v.iter().any(|m| m.contains("scalars.b: missing")));
         assert!(v.iter().any(|m| m.contains("scalars.c: 3 not in baseline")));
     }
 
     #[test]
-    fn check_compares_counters_exactly_under_any_tolerance() {
+    fn check_compares_counters_exactly() {
         let base = with_counters(&[("sim.polls", 100.0), ("disk.store.bytes_copied", 0.0)]);
-        assert!(metrics_check(&base, &base, None).is_empty());
+        assert!(metrics_check(&base, &base).is_empty());
         let off_by_one = with_counters(&[("sim.polls", 101.0), ("disk.store.bytes_copied", 0.0)]);
-        for tolerance in [None, Some(1.0)] {
-            let v = metrics_check(&off_by_one, &base, tolerance);
-            assert_eq!(v.len(), 1, "{v:?}");
-            assert!(
-                v[0].starts_with("counters.sim.polls: 101 vs baseline 100"),
-                "{v:?}"
-            );
-        }
+        let v = metrics_check(&off_by_one, &base);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(
+            v[0].starts_with("counters.sim.polls: 101 vs baseline 100"),
+            "{v:?}"
+        );
     }
 
     #[test]
     fn check_flags_missing_and_extra_counters() {
         let base = with_counters(&[("sim.events", 7.0), ("sim.polls", 9.0)]);
         let missing = with_counters(&[("sim.events", 7.0)]);
-        let v = metrics_check(&missing, &base, Some(1.0));
+        let v = metrics_check(&missing, &base);
         assert_eq!(v, ["counters.sim.polls: missing (baseline 9)"]);
         let extra = with_counters(&[("sim.events", 7.0), ("sim.polls", 9.0), ("x", 0.0)]);
-        let v = metrics_check(&extra, &base, Some(1.0));
+        let v = metrics_check(&extra, &base);
         assert_eq!(v, ["counters.x: 0 not in baseline"]);
     }
 
@@ -919,18 +917,10 @@ mod tests {
         recadenced.metrics_cadence = Some(SimDuration::from_millis(50));
         for (other, key) in [(reseeded, "meta.seed"), (recadenced, "meta.cadence_ns")] {
             let cur = metrics_report(&other, &crate::run(&other));
-            let v = metrics_check(&cur, &base, Some(1.0));
+            let v = metrics_check(&cur, &base);
             assert!(v.iter().any(|m| m.starts_with(key)), "{key}: {v:?}");
             assert!(v.iter().all(|m| m.starts_with("meta.")), "{v:?}");
         }
-    }
-
-    #[test]
-    fn tolerance_override_widens_every_band() {
-        let base = report_with(&[("util.disk", 0.5), ("bandwidth_mb_s", 10.0)]);
-        let cur = report_with(&[("util.disk", 0.7), ("bandwidth_mb_s", 13.0)]);
-        assert!(!metrics_check(&cur, &base, None).is_empty());
-        assert!(metrics_check(&cur, &base, Some(0.35)).is_empty());
     }
 
     #[test]

@@ -58,7 +58,7 @@ pub(crate) fn ext_matrix() -> Vec<(&'static str, ExperimentConfig)> {
     c.fast_path = false;
     m.push(("reread-buffered-pf", c));
     let mut c = cfg(20, IoMode::MRecord).with_prefetch();
-    c.layout = StripeLayout::WaysOnOne { ways: 2, ion: 0 };
+    c.layout = StripeLayout::WaysOnOne { ways: 2 };
     m.push(("ways-on-one-pf", c));
     let mut c = cfg(21, IoMode::MRecord).with_prefetch();
     c.faults = FaultSpec {

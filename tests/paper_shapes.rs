@@ -101,7 +101,7 @@ fn striping_across_eight_beats_eight_ways_on_one() {
     // Table 4.
     let wide = run(&testbed(256 * 1024).with_prefetch());
     let mut narrow_cfg = testbed(256 * 1024).with_prefetch();
-    narrow_cfg.layout = StripeLayout::WaysOnOne { ways: 8, ion: 0 };
+    narrow_cfg.layout = StripeLayout::WaysOnOne { ways: 8 };
     let narrow = run(&narrow_cfg);
     let speedup = wide.bandwidth_mb_s() / narrow.bandwidth_mb_s();
     assert!(

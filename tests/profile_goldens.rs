@@ -1,6 +1,6 @@
-//! Profiler acceptance suite: the critical-path blame report's integer
+//! Profiler acceptance suite: the critical-path blame's integer
 //! accounting must be exact on every EXT-matrix config, a failover run's
-//! blame report and the Perfetto export are pinned byte-for-byte against
+//! span report and the Perfetto export are pinned byte-for-byte against
 //! committed goldens.
 //!
 //! Regenerate the goldens after an intentional trace-schema change with
