@@ -1,20 +1,19 @@
 //! One simulated spindle: a server task draining a request queue with FIFO
-//! or C-SCAN elevator order, charging the timing model per request, and
-//! reading/writing real bytes in a sparse store.
+//! or C-SCAN elevator order and charging the timing model per request.
+//! A member disk is a service-time model only: the RAID layer keeps the
+//! array's bytes in one logical store.
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use bytes::Bytes;
 use paragon_sim::sync::{channel, oneshot, OneshotSender, Receiver, Sender};
-use paragon_sim::{ev, DiskFault, EventKind, FaultPlan, ReqId, Rng, Sim, SimDuration, Track};
+use paragon_sim::{ev, DiskFault, EventKind, ReqId, Rng, Sim, SimDuration, Track};
 
 use crate::params::{DiskParams, SchedPolicy};
-use crate::store::BlockStore;
 
 /// Why a disk request failed. Injected by the simulation's
-/// [`FaultPlan`]; never produced on a healthy run.
+/// [`FaultPlan`](paragon_sim::FaultPlan); never produced on a healthy run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DiskError {
     /// One-shot media error; a retry of the same request may succeed.
@@ -37,46 +36,19 @@ impl std::fmt::Display for DiskError {
 
 impl std::error::Error for DiskError {}
 
-/// A disk operation.
-#[derive(Debug, Clone)]
+/// The direction of one disk command.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum DiskOp {
-    /// Read `len` bytes at byte offset `offset`.
-    Read { offset: u64, len: u32 },
-    /// Write the payload at byte offset `offset`.
-    Write { offset: u64, data: Bytes },
-    /// Timing-only read: charged and scheduled exactly like
-    /// [`DiskOp::Read`], but no payload is produced. Used by the RAID
-    /// layer, which keeps the array's bytes in one logical store and uses
-    /// member disks purely as service-time models.
-    ReadTiming { offset: u64, len: u32 },
-    /// Timing-only write: charged like [`DiskOp::Write`] with `len`
-    /// payload bytes, but nothing is stored.
-    WriteTiming { offset: u64, len: u32 },
-}
-
-impl DiskOp {
-    fn offset(&self) -> u64 {
-        match self {
-            DiskOp::Read { offset, .. }
-            | DiskOp::Write { offset, .. }
-            | DiskOp::ReadTiming { offset, .. }
-            | DiskOp::WriteTiming { offset, .. } => *offset,
-        }
-    }
-
-    fn len(&self) -> u64 {
-        match self {
-            DiskOp::Read { len, .. } | DiskOp::ReadTiming { len, .. } => *len as u64,
-            DiskOp::Write { data, .. } => data.len() as u64,
-            DiskOp::WriteTiming { len, .. } => *len as u64,
-        }
-    }
+    Read,
+    Write,
 }
 
 struct DiskRequest {
     op: DiskOp,
+    offset: u64,
+    len: u64,
     req: ReqId,
-    reply: OneshotSender<Result<Bytes, DiskError>>,
+    reply: OneshotSender<Result<(), DiskError>>,
 }
 
 /// Cumulative per-disk counters, readable while the simulation runs.
@@ -102,19 +74,39 @@ pub struct DiskStats {
     pub faulted: u64,
 }
 
-/// Handle to a simulated disk. Clone freely; all clones enqueue to the same
-/// server task.
-#[derive(Clone)]
-pub struct Disk {
-    tx: Sender<DiskRequest>,
-    stats: Rc<RefCell<DiskStats>>,
+impl DiskStats {
+    /// Add `other`'s counters into these (sums; max for queue depth).
+    pub fn merge(&mut self, other: &DiskStats) {
+        self.requests += other.requests;
+        self.bytes_read += other.bytes_read;
+        self.bytes_written += other.bytes_written;
+        self.busy += other.busy;
+        self.sequential_hits += other.sequential_hits;
+        self.near_seeks += other.near_seeks;
+        self.far_seeks += other.far_seeks;
+        self.max_queue_depth = self.max_queue_depth.max(other.max_queue_depth);
+        self.faulted += other.faulted;
+    }
+}
+
+/// What a [`Disk`] handle shares with its server task.
+struct Shared {
+    stats: RefCell<DiskStats>,
     /// Service-time multiplier (failure injection: hot spots, degraded mode).
-    slowdown: Rc<Cell<f64>>,
+    slowdown: Cell<f64>,
     /// Flight-recorder lane for this spindle's DiskStart/DiskDone events.
-    track: Rc<Cell<Track>>,
+    track: Cell<Track>,
     /// Live queue depth (requests waiting, not counting the one in
     /// service), maintained by the server loop for telemetry gauges.
     queue: Rc<Cell<usize>>,
+}
+
+/// Handle to a simulated disk. Clone freely; all clones enqueue to the same
+/// server task.
+#[derive(Clone)]
+pub(crate) struct Disk {
+    tx: Sender<DiskRequest>,
+    shared: Rc<Shared>,
 }
 
 impl Disk {
@@ -122,175 +114,87 @@ impl Disk {
     ///
     /// `label` names the RNG stream for seek jitter, so two disks with the
     /// same parameters still jitter independently but deterministically.
-    pub fn new(sim: &Sim, params: DiskParams, policy: SchedPolicy, label: &str) -> Disk {
+    pub(crate) fn new(sim: &Sim, params: DiskParams, policy: SchedPolicy, label: &str) -> Disk {
         let (tx, rx) = channel::<DiskRequest>();
-        let stats = Rc::new(RefCell::new(DiskStats::default()));
-        let slowdown = Rc::new(Cell::new(1.0));
-        let track = Rc::new(Cell::new(Track::Sys));
-        let queue = Rc::new(Cell::new(0usize));
-        let disk = Disk {
-            tx,
-            stats: stats.clone(),
-            slowdown: slowdown.clone(),
-            track: track.clone(),
-            queue: queue.clone(),
-        };
+        let shared = Rc::new(Shared {
+            stats: RefCell::new(DiskStats::default()),
+            slowdown: Cell::new(1.0),
+            track: Cell::new(Track::Sys),
+            queue: Rc::new(Cell::new(0)),
+        });
         let rng = sim.rng(&format!("disk.{label}"));
-        let sim2 = sim.clone();
-        let faults = sim.faults();
         sim.spawn_named(
             "disk-server",
-            server_loop(
-                sim2, rx, params, policy, stats, slowdown, rng, track, faults, queue,
-            ),
+            server_loop(sim.clone(), rx, params, policy, shared.clone(), rng),
         );
-        disk
+        Disk { tx, shared }
     }
 
     /// Assign the flight-recorder lane this spindle's events appear on
     /// (the machine wires a globally unique `Track::Disk` index).
     pub(crate) fn set_track(&self, track: Track) {
-        self.track.set(track);
+        self.shared.track.set(track);
     }
 
-    /// Read `len` bytes at `offset`; resolves when the media transfer ends.
-    /// Fails only under fault injection (a crashed server task or an
-    /// injected media error).
-    pub async fn read(&self, offset: u64, len: u32) -> Result<Bytes, DiskError> {
-        self.read_req(offset, len, 0).await
-    }
-
-    /// [`Disk::read`] under flight-recorder request context `req`.
-    pub(crate) async fn read_req(
+    /// Serve one `op` of `len` bytes at `offset` under flight-recorder
+    /// request context `req`; resolves when the media transfer ends. Fails
+    /// only under fault injection (a crashed server task or an injected
+    /// media error).
+    pub(crate) async fn access(
         &self,
-        offset: u64,
-        len: u32,
-        req: ReqId,
-    ) -> Result<Bytes, DiskError> {
-        let (otx, orx) = oneshot();
-        if self
-            .tx
-            .send(DiskRequest {
-                op: DiskOp::Read { offset, len },
-                req,
-                reply: otx,
-            })
-            .is_err()
-        {
-            return Err(DiskError::Down);
-        }
-        orx.await.unwrap_or(Err(DiskError::Down))
-    }
-
-    /// Write `data` at `offset`; resolves when the media transfer ends.
-    pub async fn write(&self, offset: u64, data: Bytes) -> Result<(), DiskError> {
-        self.write_req(offset, data, 0).await
-    }
-
-    /// [`Disk::write`] under flight-recorder request context `req`.
-    pub(crate) async fn write_req(
-        &self,
-        offset: u64,
-        data: Bytes,
-        req: ReqId,
-    ) -> Result<(), DiskError> {
-        let (otx, orx) = oneshot();
-        if self
-            .tx
-            .send(DiskRequest {
-                op: DiskOp::Write { offset, data },
-                req,
-                reply: otx,
-            })
-            .is_err()
-        {
-            return Err(DiskError::Down);
-        }
-        orx.await.unwrap_or(Err(DiskError::Down)).map(|_| ())
-    }
-
-    /// Timing-only read: identical queueing, service time, events, fault
-    /// behaviour, and counters to [`Disk::read_req`], but no bytes move.
-    pub(crate) async fn read_timing_req(
-        &self,
+        op: DiskOp,
         offset: u64,
         len: u32,
         req: ReqId,
     ) -> Result<(), DiskError> {
-        let (otx, orx) = oneshot();
-        if self
-            .tx
-            .send(DiskRequest {
-                op: DiskOp::ReadTiming { offset, len },
-                req,
-                reply: otx,
-            })
-            .is_err()
-        {
+        let (reply, done) = oneshot();
+        let request = DiskRequest {
+            op,
+            offset,
+            len: len as u64,
+            req,
+            reply,
+        };
+        if self.tx.send(request).is_err() {
             return Err(DiskError::Down);
         }
-        orx.await.unwrap_or(Err(DiskError::Down)).map(|_| ())
-    }
-
-    /// Timing-only write: identical to [`Disk::write_req`] with a `len`-byte
-    /// payload, but no bytes move.
-    pub(crate) async fn write_timing_req(
-        &self,
-        offset: u64,
-        len: u32,
-        req: ReqId,
-    ) -> Result<(), DiskError> {
-        let (otx, orx) = oneshot();
-        if self
-            .tx
-            .send(DiskRequest {
-                op: DiskOp::WriteTiming { offset, len },
-                req,
-                reply: otx,
-            })
-            .is_err()
-        {
-            return Err(DiskError::Down);
-        }
-        orx.await.unwrap_or(Err(DiskError::Down)).map(|_| ())
+        done.await.unwrap_or(Err(DiskError::Down))
     }
 
     /// Snapshot of the disk's counters.
     pub(crate) fn stats(&self) -> DiskStats {
-        self.stats.borrow().clone()
+        self.shared.stats.borrow().clone()
     }
 
     /// The live queue-depth cell this spindle's server loop maintains;
     /// telemetry gauges read it while the simulation runs.
     pub(crate) fn queue_cell(&self) -> Rc<Cell<usize>> {
-        self.queue.clone()
+        self.shared.queue.clone()
     }
 
     /// Multiply all future service times by `factor` (1.0 = nominal).
     /// Used by failure-injection experiments to create a hot spot.
     pub(crate) fn set_slowdown(&self, factor: f64) {
         assert!(factor > 0.0, "slowdown factor must be positive");
-        self.slowdown.set(factor);
+        self.shared.slowdown.set(factor);
     }
 }
 
-#[expect(
-    clippy::too_many_arguments,
-    reason = "the disk task owns one handle per shared Disk field"
-)]
 async fn server_loop(
     sim: Sim,
     mut rx: Receiver<DiskRequest>,
     params: DiskParams,
     policy: SchedPolicy,
-    stats: Rc<RefCell<DiskStats>>,
-    slowdown: Rc<Cell<f64>>,
+    shared: Rc<Shared>,
     mut rng: Rng,
-    track: Rc<Cell<Track>>,
-    faults: FaultPlan,
-    queue: Rc<Cell<usize>>,
 ) {
-    let mut store = BlockStore::new();
+    let faults = sim.faults();
+    let Shared {
+        stats,
+        slowdown,
+        track,
+        queue,
+    } = &*shared;
     // Head position: byte offset just past the last serviced request.
     let mut head: u64 = 0;
     // Tracks the dead/alive edge so FaultDiskDown is emitted once per death,
@@ -310,14 +214,14 @@ async fn server_loop(
     loop {
         // Refill the pending set without blocking.
         while let Some(req) = rx.try_recv() {
-            pending.insert((req.op.offset(), arrival_seq), req);
+            pending.insert((req.offset, arrival_seq), req);
             arrival_seq += 1;
         }
         if pending.is_empty() {
             queue.set(0);
             match rx.recv().await {
                 Some(req) => {
-                    pending.insert((req.op.offset(), arrival_seq), req);
+                    pending.insert((req.offset, arrival_seq), req);
                     arrival_seq += 1;
                 }
                 None => return, // all handles dropped
@@ -358,72 +262,55 @@ async fn server_loop(
         let Some(req) = pending.remove(&key) else {
             continue;
         };
-
-        let offset = req.op.offset();
-        let len = req.op.len();
+        let DiskRequest {
+            op,
+            offset,
+            len,
+            req,
+            reply,
+        } = req;
 
         // Consult the fault plan. A dead member fails fast (the controller
         // knows the device is gone); a transient media error is discovered
         // only after the service attempt, so it still charges full time.
-        let fault = match (track.get(), &req.op) {
-            (Track::Disk(i), DiskOp::Read { .. } | DiskOp::ReadTiming { .. }) => {
-                faults.disk_read_fault(i)
-            }
-            (Track::Disk(i), DiskOp::Write { .. } | DiskOp::WriteTiming { .. }) => {
-                faults.disk_write_fault(i)
-            }
+        let fault = match (track.get(), op) {
+            (Track::Disk(i), DiskOp::Read) => faults.disk_read_fault(i),
+            (Track::Disk(i), DiskOp::Write) => faults.disk_write_fault(i),
             _ => None,
         };
         if fault == Some(DiskFault::Dead) {
             if !was_dead {
                 was_dead = true;
-                sim.emit(|| ev(track.get(), EventKind::FaultDiskDown, req.req, 0, 0));
+                sim.emit(|| ev(track.get(), EventKind::FaultDiskDown, req, 0, 0));
             }
-            sim.emit(|| ev(track.get(), EventKind::FaultDiskError, req.req, offset, len));
+            sim.emit(|| ev(track.get(), EventKind::FaultDiskError, req, offset, len));
             stats.borrow_mut().faulted += 1;
-            req.reply.send(Err(DiskError::Dead));
+            reply.send(Err(DiskError::Dead));
             continue;
         }
         was_dead = false;
 
-        let service = service_time(&params, &mut segments, head, offset, len, &mut rng, &stats);
+        let service = service_time(&params, &mut segments, head, offset, len, &mut rng, stats);
         let service = scale(service, slowdown.get());
-        sim.emit(|| ev(track.get(), EventKind::DiskStart, req.req, offset, len));
+        sim.emit(|| ev(track.get(), EventKind::DiskStart, req, offset, len));
         sim.sleep(service).await;
-        sim.emit(|| ev(track.get(), EventKind::DiskDone, req.req, offset, len));
+        sim.emit(|| ev(track.get(), EventKind::DiskDone, req, offset, len));
         head = offset + len;
 
-        {
-            let mut st = stats.borrow_mut();
-            st.requests += 1;
-            st.busy += service;
-        }
+        let mut st = stats.borrow_mut();
+        st.requests += 1;
+        st.busy += service;
         if fault == Some(DiskFault::Transient) {
-            sim.emit(|| ev(track.get(), EventKind::FaultDiskError, req.req, offset, len));
-            stats.borrow_mut().faulted += 1;
-            req.reply.send(Err(DiskError::Transient));
+            sim.emit(|| ev(track.get(), EventKind::FaultDiskError, req, offset, len));
+            st.faulted += 1;
+            reply.send(Err(DiskError::Transient));
             continue;
         }
-        match req.op {
-            DiskOp::Read { offset, len } => {
-                stats.borrow_mut().bytes_read += len as u64;
-                let data = store.read(offset, len as usize);
-                req.reply.send(Ok(data));
-            }
-            DiskOp::Write { offset, data } => {
-                stats.borrow_mut().bytes_written += data.len() as u64;
-                store.write(offset, &data);
-                req.reply.send(Ok(Bytes::new()));
-            }
-            DiskOp::ReadTiming { len, .. } => {
-                stats.borrow_mut().bytes_read += len as u64;
-                req.reply.send(Ok(Bytes::new()));
-            }
-            DiskOp::WriteTiming { len, .. } => {
-                stats.borrow_mut().bytes_written += len as u64;
-                req.reply.send(Ok(Bytes::new()));
-            }
+        match op {
+            DiskOp::Read => st.bytes_read += len,
+            DiskOp::Write => st.bytes_written += len,
         }
+        reply.send(Ok(()));
     }
 }
 
@@ -481,7 +368,7 @@ fn service_time(
     offset: u64,
     len: u64,
     rng: &mut Rng,
-    stats: &Rc<RefCell<DiskStats>>,
+    stats: &RefCell<DiskStats>,
 ) -> SimDuration {
     // A request adjacent (either direction) to any tracked stream is
     // served from / primed by the segment cache: free positioning.
@@ -532,19 +419,10 @@ mod tests {
         Disk::new(sim, DiskParams::ideal(bw), SchedPolicy::Fifo, "t0")
     }
 
-    #[test]
-    fn write_then_read_roundtrips_data() {
-        let sim = Sim::new(1);
-        let disk = fixed_disk(&sim, 1e6);
-        let d2 = disk.clone();
-        let h = sim.spawn(async move {
-            let payload = Bytes::from(vec![0xabu8; 4096]);
-            d2.write(1000, payload.clone()).await.unwrap();
-            let back = d2.read(1000, 4096).await.unwrap();
-            back == payload
-        });
-        sim.run();
-        assert_eq!(h.try_take(), Some(true));
+    impl Disk {
+        async fn read(&self, offset: u64, len: u32) -> Result<(), DiskError> {
+            self.access(DiskOp::Read, offset, len, 0).await
+        }
     }
 
     #[test]
@@ -708,7 +586,7 @@ mod tests {
         sim.faults().arm();
         let d = disk.clone();
         let h = sim.spawn(async move {
-            d.write(0, Bytes::from(vec![7u8; 64])).await.unwrap();
+            d.access(DiskOp::Write, 0, 64, 0).await.unwrap();
             let first = d.read(0, 64).await;
             let second = d.read(0, 64).await;
             (first, second)
@@ -716,7 +594,7 @@ mod tests {
         sim.run();
         let (first, second) = h.try_take().unwrap();
         assert_eq!(first, Err(DiskError::Transient));
-        assert_eq!(second.unwrap(), Bytes::from(vec![7u8; 64]));
+        assert_eq!(second, Ok(()));
         assert_eq!(disk.stats().faulted, 1);
     }
 

@@ -6,9 +6,10 @@
 //! request scheduling, and a RAID-3-style array striping a logical device
 //! over synchronized members.
 //!
-//! Every device carries *real bytes* in a sparse in-memory store, so the
-//! layers above (UFS, PFS, the prefetcher) can be tested for data integrity
-//! as well as timing.
+//! Each array keeps its *real bytes* in one logical, sparse in-memory
+//! store, so the layers above (UFS, PFS, the prefetcher) can be tested for
+//! data integrity as well as timing; its member disks model service time
+//! only.
 
 // Robustness: an injected fault must surface as an `Err`, never a panic.
 #![cfg_attr(
@@ -29,7 +30,7 @@ mod params;
 mod raid;
 mod store;
 
-pub use disk::{Disk, DiskError, DiskStats};
+pub use disk::{DiskError, DiskStats};
 pub use params::{DiskParams, SchedPolicy};
 pub use raid::{RaidArray, RaidStats, StripeMap, StripePiece};
 pub use store::{BlockStore, STORE_PAGE};

@@ -20,7 +20,7 @@ use bytes::Bytes;
 use paragon_sim::sync::Semaphore;
 use paragon_sim::{ev, EventKind, ReqId, Sim, Track};
 
-use crate::disk::{Disk, DiskError, DiskStats};
+use crate::disk::{Disk, DiskError, DiskOp, DiskStats};
 use crate::params::{DiskParams, SchedPolicy};
 use crate::store::BlockStore;
 
@@ -263,7 +263,11 @@ impl RaidArray {
         rlen: u32,
         req: ReqId,
     ) -> Result<(), DiskError> {
-        match self.member(member)?.read_timing_req(start, rlen, req).await {
+        match self
+            .member(member)?
+            .access(DiskOp::Read, start, rlen, req)
+            .await
+        {
             Ok(()) => Ok(()),
             Err(DiskError::Dead) => self.reconstruct(member, start, rlen, req).await,
             Err(e) => Err(e),
@@ -292,12 +296,12 @@ impl RaidArray {
             }
             let d = disk.clone();
             handles.push(self.sim.spawn_named("raid-reconstruct-leg", async move {
-                d.read_timing_req(start, rlen, req).await
+                d.access(DiskOp::Read, start, rlen, req).await
             }));
         }
         let p = parity.clone();
         handles.push(self.sim.spawn_named("raid-reconstruct-leg", async move {
-            p.read_timing_req(start, rlen, req).await
+            p.access(DiskOp::Read, start, rlen, req).await
         }));
         let mut first_err = None;
         for h in handles {
@@ -326,18 +330,10 @@ impl RaidArray {
     }
 
     /// Write a logical extent; completes when every member run (and, with
-    /// parity, every parity read-modify-write) completes.
+    /// parity, every parity read-modify-write) completes. Writes carry no
+    /// flight-recorder request context: their disk events use request 0.
     pub async fn write(&self, offset: u64, data: Bytes) -> Result<(), DiskError> {
-        self.write_req(offset, data, 0).await
-    }
-
-    /// [`RaidArray::write`] under flight-recorder request context `req`.
-    pub(crate) async fn write_req(
-        &self,
-        offset: u64,
-        data: Bytes,
-        req: ReqId,
-    ) -> Result<(), DiskError> {
+        let req = 0;
         let runs = self.runs(offset, data.len() as u64);
         let Some(parity) = self.parity.clone() else {
             // No parity: plain concurrent member writes (timing only; the
@@ -347,7 +343,7 @@ impl RaidArray {
                 let disk = self.member(member)?.clone();
                 let rlen: u64 = pieces.iter().map(|p| p.len).sum();
                 handles.push(self.sim.spawn_named("raid-write-run", async move {
-                    disk.write_timing_req(start, rlen as u32, req).await
+                    disk.access(DiskOp::Write, start, rlen as u32, req).await
                 }));
             }
             let mut first_err = None;
@@ -392,16 +388,16 @@ impl RaidArray {
         req: ReqId,
     ) -> Result<(), DiskError> {
         let disk = self.member(member)?;
-        let old_parity_alive = match parity.read_timing_req(start, rlen, req).await {
+        let old_parity_alive = match parity.access(DiskOp::Read, start, rlen, req).await {
             Ok(()) => true,
             Err(DiskError::Dead) => false,
             Err(e) => return Err(e),
         };
         if !old_parity_alive {
             // Parity member is dead: no redundancy to maintain.
-            return disk.write_timing_req(start, rlen, req).await;
+            return disk.access(DiskOp::Write, start, rlen, req).await;
         }
-        let member_alive = match disk.read_timing_req(start, rlen, req).await {
+        let member_alive = match disk.access(DiskOp::Read, start, rlen, req).await {
             Ok(()) => true,
             Err(DiskError::Dead) => {
                 self.reconstruct(member, start, rlen, req).await?;
@@ -412,12 +408,12 @@ impl RaidArray {
         self.rstats.borrow_mut().parity_rmws += 1;
         let p = parity.clone();
         let parity_write = self.sim.spawn_named("raid-parity-write", async move {
-            p.write_timing_req(start, rlen, req).await
+            p.access(DiskOp::Write, start, rlen, req).await
         });
         let data_write = member_alive.then(|| {
             let d = disk.clone();
             self.sim.spawn_named("raid-write-run", async move {
-                d.write_timing_req(start, rlen, req).await
+                d.access(DiskOp::Write, start, rlen, req).await
             })
         });
         let mut first_err = parity_write.await.err();
@@ -437,16 +433,7 @@ impl RaidArray {
     pub fn stats(&self) -> DiskStats {
         let mut total = DiskStats::default();
         for m in self.members.iter().chain(self.parity.iter()) {
-            let s = m.stats();
-            total.requests += s.requests;
-            total.bytes_read += s.bytes_read;
-            total.bytes_written += s.bytes_written;
-            total.busy += s.busy;
-            total.sequential_hits += s.sequential_hits;
-            total.near_seeks += s.near_seeks;
-            total.far_seeks += s.far_seeks;
-            total.max_queue_depth = total.max_queue_depth.max(s.max_queue_depth);
-            total.faulted += s.faulted;
+            total.merge(&m.stats());
         }
         total
     }

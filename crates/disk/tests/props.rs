@@ -1,10 +1,10 @@
-//! Randomized tests: the block store, disk and RAID layers preserve data
+//! Randomized tests: the block store and RAID layers preserve data
 //! under arbitrary operation mixes, and the RAID stripe map is a
 //! bijection. Cases come from the in-repo [`Rng`].
 
 use bytes::Bytes;
 
-use paragon_disk::{BlockStore, Disk, DiskParams, RaidArray, SchedPolicy, StripeMap, STORE_PAGE};
+use paragon_disk::{BlockStore, DiskParams, RaidArray, SchedPolicy, StripeMap, STORE_PAGE};
 use paragon_sim::{Rng, Sim};
 
 #[derive(Debug, Clone)]
@@ -109,44 +109,9 @@ fn store_matches_a_flat_model_and_never_changes_held_views() {
     }
 }
 
-/// Sequential write script then read-back equals a flat model, on a
-/// raw disk under both scheduling policies.
-#[test]
-fn disk_preserves_data() {
-    let mut rng = Rng::seed_from_u64(0xd15c);
-    for _ in 0..48 {
-        let script = ops(&mut rng);
-        let elevator = rng.gen_bool(0.5);
-        let sim = Sim::new(5);
-        let policy = if elevator {
-            SchedPolicy::Elevator
-        } else {
-            SchedPolicy::Fifo
-        };
-        let disk = Disk::new(&sim, DiskParams::scsi_1995(), policy, "prop");
-        let d = disk.clone();
-        let h = sim.spawn(async move {
-            let mut model: Vec<u8> = Vec::new();
-            for op in &script {
-                let end = op.offset as usize + op.len;
-                if model.len() < end {
-                    model.resize(end, 0);
-                }
-                model[op.offset as usize..end].fill(op.fill);
-                d.write(op.offset, Bytes::from(vec![op.fill; op.len]))
-                    .await
-                    .unwrap();
-            }
-            let back = d.read(0, model.len() as u32).await.unwrap();
-            back[..] == model[..]
-        });
-        sim.run();
-        assert_eq!(h.try_take(), Some(true));
-    }
-}
-
-/// Same, through a RAID array (which splits every request over
-/// members and reassembles).
+/// A sequential write script, then a read-back, equals a flat model
+/// through a RAID array (which splits every request over members and
+/// reassembles) under both scheduling policies.
 #[test]
 fn raid_preserves_data() {
     let mut rng = Rng::seed_from_u64(0x4a1d);
@@ -155,11 +120,16 @@ fn raid_preserves_data() {
         let width = rng.range_usize(1..6);
         let interleave = rng.range_u64(1..40_000);
         let parity = rng.gen_bool(0.5);
+        let policy = if rng.gen_bool(0.5) {
+            SchedPolicy::Elevator
+        } else {
+            SchedPolicy::Fifo
+        };
         let sim = Sim::new(6);
         let raid = RaidArray::new_with_parity(
             &sim,
             DiskParams::ideal(1e9),
-            SchedPolicy::Fifo,
+            policy,
             width,
             interleave,
             parity,

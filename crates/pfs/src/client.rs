@@ -11,6 +11,7 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeSet;
+use std::future::Future;
 use std::rc::Rc;
 
 use bytes::{Bytes, BytesMut};
@@ -20,7 +21,7 @@ use paragon_sim::{ev, EventKind, ReqId, Sim, SimDuration, Track};
 
 use crate::meta::FileMeta;
 use crate::modes::IoMode;
-use crate::proto::{PfsError, PfsRequest, PfsResponse, PtrRequest};
+use crate::proto::{PfsError, PfsRequest, PfsResponse, PtrRequest, SlotRead, SlotWrite};
 
 /// Open-time options.
 #[derive(Debug, Clone, Copy)]
@@ -181,33 +182,21 @@ impl PfsFile {
     /// access covers. Panics for shared-pointer modes — their pointer
     /// motion is inseparable from the access (the paper's prototype
     /// likewise targets the individual-pointer modes).
-    #[expect(
-        clippy::panic,
-        reason = "documented caller contract: the prefetch engine drives individual-pointer modes only"
-    )]
     pub async fn advance_pointer(&self, len: u32) -> u64 {
-        match self.mode {
-            IoMode::MRecord => {
-                self.sim.sleep(self.params.record_bookkeeping).await;
-                let mut st = self.state.borrow_mut();
-                let round = st.round;
-                st.round += 1;
-                (round * self.nprocs as u64 + self.rank as u64) * len as u64
-            }
-            IoMode::MGlobal => {
-                let mut st = self.state.borrow_mut();
-                let round = st.round;
-                st.round += 1;
-                round * len as u64
-            }
-            IoMode::MAsync => {
-                let mut st = self.state.borrow_mut();
-                let at = st.local_offset;
-                st.local_offset += len as u64;
-                at
-            }
-            m => panic!("advance_pointer on shared-pointer mode {m}"),
+        assert!(
+            !self.mode.shared_pointer(),
+            "advance_pointer on shared-pointer mode {}",
+            self.mode
+        );
+        if self.mode == IoMode::MRecord {
+            self.sim.sleep(self.params.record_bookkeeping).await;
         }
+        let at = self.peek_pointer(len);
+        // Each mode's formula reads only its own field; bump both.
+        let mut st = self.state.borrow_mut();
+        st.round += 1;
+        st.local_offset += len as u64;
+        at
     }
 
     /// Offset the *next* `len`-byte access of this node would cover, for
@@ -227,6 +216,54 @@ impl PfsFile {
         }
     }
 
+    /// Run `transfer` at the offset the open mode assigns this node's next
+    /// `len`-byte access: the one place the six modes' pointer steps
+    /// differ. M_UNIX holds the pointer token across the transfer
+    /// (atomicity) and releases it before returning the transfer's
+    /// result; M_LOG reserves its range with a fetch-and-add and M_SYNC
+    /// waits for every rank's arrival, both before the transfer; the
+    /// individual-pointer modes advance their local pointer.
+    async fn at_next_offset<T, F>(
+        &self,
+        len: u32,
+        transfer: impl FnOnce(u64) -> F,
+    ) -> Result<T, PfsError>
+    where
+        F: Future<Output = Result<T, PfsError>>,
+    {
+        let file = self.meta.id;
+        let at = match self.mode {
+            IoMode::MUnix => {
+                let at = self.ptr(PtrRequest::UnixAcquire { file }).await?;
+                let result = transfer(at).await;
+                self.ptr(PtrRequest::UnixRelease {
+                    file,
+                    advance: len as u64,
+                })
+                .await?;
+                return result;
+            }
+            IoMode::MLog => {
+                self.ptr(PtrRequest::LogFetchAdd {
+                    file,
+                    len: len as u64,
+                })
+                .await?
+            }
+            IoMode::MSync => {
+                self.ptr(PtrRequest::SyncArrive {
+                    file,
+                    rank: self.rank,
+                    nprocs: self.nprocs,
+                    len: len as u64,
+                })
+                .await?
+            }
+            IoMode::MRecord | IoMode::MGlobal | IoMode::MAsync => self.advance_pointer(len).await,
+        };
+        transfer(at).await
+    }
+
     /// Reposition this node's individual pointer (M_ASYNC only — the
     /// M_RECORD and M_GLOBAL pointers are round-structured, and shared
     /// pointers belong to the pointer server).
@@ -242,119 +279,39 @@ impl PfsFile {
     /// Blocking read of the next `len` bytes under the open mode.
     pub async fn read(&self, len: u32) -> Result<Bytes, PfsError> {
         self.syscall().await;
-        match self.mode {
-            IoMode::MUnix => {
-                let at = self
-                    .ptr(PtrRequest::UnixAcquire { file: self.meta.id })
-                    .await?;
-                // Atomicity: the token is held across the transfer.
-                let result = self.transfer_read(at, len).await;
-                self.ptr(PtrRequest::UnixRelease {
-                    file: self.meta.id,
-                    advance: len as u64,
-                })
-                .await?;
-                result
-            }
-            IoMode::MLog => {
-                let at = self
-                    .ptr(PtrRequest::LogFetchAdd {
-                        file: self.meta.id,
-                        len: len as u64,
-                    })
-                    .await?;
-                self.transfer_read(at, len).await
-            }
-            IoMode::MSync => {
-                let at = self
-                    .ptr(PtrRequest::SyncArrive {
-                        file: self.meta.id,
-                        rank: self.rank,
-                        nprocs: self.nprocs,
-                        len: len as u64,
-                    })
-                    .await?;
-                self.transfer_read(at, len).await
-            }
-            IoMode::MRecord | IoMode::MAsync => {
-                let at = self.advance_pointer(len).await;
-                self.transfer_read(at, len).await
-            }
-            IoMode::MGlobal => {
-                let at = self.advance_pointer(len).await;
-                self.transfer_read_global(at, len, self.nprocs).await
-            }
-        }
+        self.at_next_offset(len, |at| self.mode_read(at, len)).await
     }
 
     /// Asynchronous read: the pointer step happens now (setup), the
-    /// transfer runs on an ART. `iowait` = [`AsyncHandle::join`].
+    /// transfer runs on an ART. `iowait` = [`AsyncHandle::join`]. A
+    /// shared pointer is coordinated inside the ART, as part of the
+    /// asynchronous operation.
     pub async fn aread(&self, len: u32) -> AsyncHandle<Result<Bytes, PfsError>> {
         self.syscall().await;
-        match self.mode {
-            IoMode::MRecord | IoMode::MAsync => {
-                let at = self.advance_pointer(len).await;
-                let this = self.clone();
-                self.arts
-                    .submit(async move { this.transfer_read(at, len).await })
-                    .await
-            }
-            IoMode::MGlobal => {
-                let at = self.advance_pointer(len).await;
-                let this = self.clone();
-                let parties = self.nprocs;
-                self.arts
-                    .submit(async move { this.transfer_read_global(at, len, parties).await })
-                    .await
-            }
-            IoMode::MUnix => {
-                let this = self.clone();
-                self.arts
-                    .submit(async move {
-                        let at = this
-                            .ptr(PtrRequest::UnixAcquire { file: this.meta.id })
-                            .await?;
-                        let result = this.transfer_read(at, len).await;
-                        this.ptr(PtrRequest::UnixRelease {
-                            file: this.meta.id,
-                            advance: len as u64,
-                        })
-                        .await?;
-                        result
-                    })
-                    .await
-            }
-            IoMode::MLog => {
-                let this = self.clone();
-                self.arts
-                    .submit(async move {
-                        let at = this
-                            .ptr(PtrRequest::LogFetchAdd {
-                                file: this.meta.id,
-                                len: len as u64,
-                            })
-                            .await?;
-                        this.transfer_read(at, len).await
-                    })
-                    .await
-            }
-            IoMode::MSync => {
-                let this = self.clone();
-                self.arts
-                    .submit(async move {
-                        let at = this
-                            .ptr(PtrRequest::SyncArrive {
-                                file: this.meta.id,
-                                rank: this.rank,
-                                nprocs: this.nprocs,
-                                len: len as u64,
-                            })
-                            .await?;
-                        this.transfer_read(at, len).await
-                    })
-                    .await
-            }
+        let this = self.clone();
+        if self.mode.shared_pointer() {
+            return self
+                .arts
+                .submit(async move { this.at_next_offset(len, |at| this.mode_read(at, len)).await })
+                .await;
         }
+        let at = self.advance_pointer(len).await;
+        self.arts
+            .submit(async move { this.mode_read(at, len).await })
+            .await
+    }
+
+    /// The transfer of a mode read at `at`. Under M_GLOBAL every node of
+    /// the collective call reads the same range, and the I/O nodes serve
+    /// all `nprocs` parties with one physical read.
+    async fn mode_read(&self, at: u64, len: u32) -> Result<Bytes, PfsError> {
+        let parties = if self.mode == IoMode::MGlobal {
+            self.nprocs
+        } else {
+            0
+        };
+        let req = self.sim.mint_req();
+        self.transfer_read_inner(at, len, parties, req).await
     }
 
     /// Positioned read with no pointer interaction and no syscall charge:
@@ -377,17 +334,6 @@ impl PfsFile {
         self.transfer_read_inner(offset, len, 0, req).await
     }
 
-    async fn transfer_read_global(
-        &self,
-        offset: u64,
-        len: u32,
-        global_parties: u16,
-    ) -> Result<Bytes, PfsError> {
-        let req = self.sim.mint_req();
-        self.transfer_read_inner(offset, len, global_parties, req)
-            .await
-    }
-
     async fn transfer_read_inner(
         &self,
         offset: u64,
@@ -407,7 +353,7 @@ impl PfsFile {
             let (primary, _) = self.meta.slot(sreq.slot as u16)?;
             let copies = self.meta.readable_replicas(sreq.slot as u16)?;
             let rpc = self.rpc.clone();
-            let msg = PfsRequest::Read {
+            let msg = PfsRequest::Read(SlotRead {
                 req,
                 file: self.meta.id,
                 slot: sreq.slot as u16,
@@ -416,7 +362,7 @@ impl PfsFile {
                 fast_path: self.fast_path,
                 shared,
                 global_parties,
-            };
+            });
             if copies.len() <= 1 {
                 let dst = *self.io_node_ids.get(primary).ok_or(PfsError::BadSlot {
                     slot: sreq.slot as u16,
@@ -561,55 +507,15 @@ impl PfsFile {
     /// the transfer (atomic appends); M_LOG reserves its range with a
     /// fetch-and-add and transfers concurrently (the mode's eponymous
     /// log-append use); M_SYNC assigns node-ordered ranges once every
-    /// rank arrives; M_RECORD/M_ASYNC use their local pointers. Returns
+    /// rank arrives; M_RECORD/M_ASYNC use their local pointers, and
+    /// M_GLOBAL nodes all write the same data to the same place. Returns
     /// the offset the data landed at.
     pub async fn write(&self, data: Bytes) -> Result<u64, PfsError> {
         self.syscall().await;
-        let len = data.len() as u64;
-        match self.mode {
-            IoMode::MUnix => {
-                let at = self
-                    .ptr(PtrRequest::UnixAcquire { file: self.meta.id })
-                    .await?;
-                let result = self.transfer_write(at, data).await;
-                self.ptr(PtrRequest::UnixRelease {
-                    file: self.meta.id,
-                    advance: len,
-                })
-                .await?;
-                result.map(|()| at)
-            }
-            IoMode::MLog => {
-                let at = self
-                    .ptr(PtrRequest::LogFetchAdd {
-                        file: self.meta.id,
-                        len,
-                    })
-                    .await?;
-                self.transfer_write(at, data).await.map(|()| at)
-            }
-            IoMode::MSync => {
-                let at = self
-                    .ptr(PtrRequest::SyncArrive {
-                        file: self.meta.id,
-                        rank: self.rank,
-                        nprocs: self.nprocs,
-                        len,
-                    })
-                    .await?;
-                self.transfer_write(at, data).await.map(|()| at)
-            }
-            IoMode::MRecord | IoMode::MAsync => {
-                let at = self.advance_pointer(data.len() as u32).await;
-                self.transfer_write(at, data).await.map(|()| at)
-            }
-            IoMode::MGlobal => {
-                // Every node writes the same data to the same place; the
-                // round advances once. Last writer wins (they are equal).
-                let at = self.advance_pointer(data.len() as u32).await;
-                self.transfer_write(at, data).await.map(|()| at)
-            }
-        }
+        self.at_next_offset(data.len() as u32, |at| async move {
+            self.transfer_write(at, data).await.map(|()| at)
+        })
+        .await
     }
 
     /// Positioned write (used to lay files out and by write workloads).
@@ -667,7 +573,7 @@ impl PfsFile {
                     factor: self.io_node_ids.len(),
                 })?;
                 let rpc = self.rpc.clone();
-                let msg = PfsRequest::Write {
+                let msg = PfsRequest::Write(SlotWrite {
                     req,
                     file: self.meta.id,
                     slot: sreq.slot as u16,
@@ -675,7 +581,7 @@ impl PfsFile {
                     data: payload.clone(),
                     fast_path: self.fast_path,
                     shared,
-                };
+                });
                 legs.push(self.sim.spawn_named("pfs-write-leg", async move {
                     rpc.call_policy(dst, msg, policy).await
                 }));

@@ -101,8 +101,8 @@ impl ParallelFs {
                     PfsRequest::Ptr(p) => PfsResponse::Ptr(ptr.handle(p).await),
                     // Data requests belong on an I/O node; a misrouted one
                     // gets a matching-kind error reply, not a crash.
-                    PfsRequest::Read { .. } => PfsResponse::Data(Err(PfsError::BadRequest)),
-                    PfsRequest::Write { .. } => PfsResponse::WriteAck(Err(PfsError::BadRequest)),
+                    PfsRequest::Read(_) => PfsResponse::Data(Err(PfsError::BadRequest)),
+                    PfsRequest::Write(_) => PfsResponse::WriteAck(Err(PfsError::BadRequest)),
                 }
             })
         });

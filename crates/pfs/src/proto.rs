@@ -17,37 +17,45 @@ pub struct PfsFileId(pub u32);
 #[derive(Debug, Clone)]
 pub enum PfsRequest {
     /// Read a contiguous run of one stripe file.
-    Read {
-        /// Flight-recorder request id minted at the client (`0` = none).
-        req: ReqId,
-        file: PfsFileId,
-        /// Group slot whose stripe file is addressed.
-        slot: u16,
-        /// Byte offset within the stripe file.
-        offset: u64,
-        /// Bytes to read.
-        len: u32,
-        /// Fast Path (bypass the server's buffer cache)?
-        fast_path: bool,
-        /// Is the file opened shared (pays the consistency check)?
-        shared: bool,
-        /// M_GLOBAL: if nonzero, this many nodes will issue the identical
-        /// read and one physical I/O should serve them all.
-        global_parties: u16,
-    },
+    Read(SlotRead),
     /// Write a contiguous run of one stripe file.
-    Write {
-        /// Flight-recorder request id minted at the client (`0` = none).
-        req: ReqId,
-        file: PfsFileId,
-        slot: u16,
-        offset: u64,
-        data: Bytes,
-        fast_path: bool,
-        shared: bool,
-    },
+    Write(SlotWrite),
     /// Shared-file-pointer operation (service node).
     Ptr(PtrRequest),
+}
+
+/// A read of one contiguous run of a stripe file.
+#[derive(Debug, Clone)]
+pub struct SlotRead {
+    /// Flight-recorder request id minted at the client (`0` = none).
+    pub req: ReqId,
+    pub file: PfsFileId,
+    /// Group slot whose stripe file is addressed.
+    pub slot: u16,
+    /// Byte offset within the stripe file.
+    pub offset: u64,
+    /// Bytes to read.
+    pub len: u32,
+    /// Fast Path (bypass the server's buffer cache)?
+    pub fast_path: bool,
+    /// Is the file opened shared (pays the consistency check)?
+    pub shared: bool,
+    /// M_GLOBAL: if nonzero, this many nodes will issue the identical
+    /// read and one physical I/O should serve them all.
+    pub global_parties: u16,
+}
+
+/// A write of one contiguous run of a stripe file.
+#[derive(Debug, Clone)]
+pub struct SlotWrite {
+    /// Flight-recorder request id minted at the client (`0` = none).
+    pub req: ReqId,
+    pub file: PfsFileId,
+    pub slot: u16,
+    pub offset: u64,
+    pub data: Bytes,
+    pub fast_path: bool,
+    pub shared: bool,
 }
 
 /// Shared-pointer operations, one per shared-pointer mode.
@@ -165,15 +173,17 @@ impl From<RpcError> for PfsError {
 impl WireSize for PfsRequest {
     fn wire_bytes(&self) -> u64 {
         match self {
-            PfsRequest::Read { .. } => 32,
-            PfsRequest::Write { data, .. } => 32 + data.len() as u64,
+            PfsRequest::Read(_) => 32,
+            PfsRequest::Write(w) => 32 + w.data.len() as u64,
             PfsRequest::Ptr(_) => 24,
         }
     }
 
     fn trace_req(&self) -> ReqId {
         match self {
-            PfsRequest::Read { req, .. } | PfsRequest::Write { req, .. } => *req,
+            PfsRequest::Read(SlotRead { req, .. }) | PfsRequest::Write(SlotWrite { req, .. }) => {
+                *req
+            }
             PfsRequest::Ptr(_) => 0,
         }
     }
@@ -194,7 +204,7 @@ mod tests {
 
     #[test]
     fn read_requests_are_small_on_the_wire() {
-        let req = PfsRequest::Read {
+        let req = PfsRequest::Read(SlotRead {
             req: 0,
             file: PfsFileId(0),
             slot: 0,
@@ -203,7 +213,7 @@ mod tests {
             fast_path: true,
             shared: true,
             global_parties: 0,
-        };
+        });
         assert!(req.wire_bytes() < 64);
     }
 
@@ -294,7 +304,7 @@ mod tests {
 
     #[test]
     fn write_requests_carry_their_payload() {
-        let req = PfsRequest::Write {
+        let req = PfsRequest::Write(SlotWrite {
             req: 0,
             file: PfsFileId(1),
             slot: 2,
@@ -302,7 +312,7 @@ mod tests {
             data: Bytes::from(vec![1u8; 1000]),
             fast_path: true,
             shared: false,
-        };
+        });
         assert_eq!(req.wire_bytes(), 1032);
     }
 }

@@ -22,7 +22,7 @@ use std::rc::Rc;
 use paragon_sim::{ev, EventKind, Sim, SimDuration, SimTime, Track};
 
 use crate::fs::ParallelFs;
-use crate::proto::{PfsError, PfsFileId, PfsRequest, PfsResponse};
+use crate::proto::{PfsError, PfsFileId, PfsRequest, PfsResponse, SlotRead, SlotWrite};
 
 /// Token-bucket refill rate for rebuild copy traffic, in bytes per
 /// simulated second. Paced to cede priority to demand I/O: a single
@@ -192,7 +192,7 @@ pub async fn rebuild_after_crash(
         while at < slot_len {
             let n = CHUNK_BYTES.min(slot_len - at);
             bucket.take(n).await;
-            let read = PfsRequest::Read {
+            let read = PfsRequest::Read(SlotRead {
                 req,
                 file: item.file,
                 slot: item.slot,
@@ -201,7 +201,7 @@ pub async fn rebuild_after_crash(
                 fast_path: true,
                 shared: false,
                 global_parties: 0,
-            };
+            });
             let data = match rpc
                 .call_policy(pfs.machine().io_node(item.src_ion), read, policy)
                 .await
@@ -211,7 +211,7 @@ pub async fn rebuild_after_crash(
                 Ok(_) => return Err(PfsError::BadReply),
                 Err(e) => return Err(e.into()),
             };
-            let write = PfsRequest::Write {
+            let write = PfsRequest::Write(SlotWrite {
                 req,
                 file: item.file,
                 slot: item.slot,
@@ -219,7 +219,7 @@ pub async fn rebuild_after_crash(
                 data,
                 fast_path: true,
                 shared: false,
-            };
+            });
             match rpc
                 .call_policy(pfs.machine().io_node(item.target_ion), write, policy)
                 .await

@@ -13,11 +13,11 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 use paragon_sim::sync::{Semaphore, Signal};
-use paragon_sim::{ev, EventKind, ReqId, Rng, Sim, SimDuration, SimTime, Track};
+use paragon_sim::{ev, EventKind, Rng, Sim, SimDuration, SimTime, Track};
 use paragon_ufs::Ufs;
 
 use crate::meta::Registry;
-use crate::proto::{PfsError, PfsFileId, PfsRequest, PfsResponse};
+use crate::proto::{PfsError, PfsFileId, PfsRequest, PfsResponse, SlotRead, SlotWrite};
 
 /// Server timing knobs (from the machine calibration).
 #[derive(Debug, Clone)]
@@ -141,49 +141,20 @@ impl IonServer {
     async fn handle_inner(&self, request: PfsRequest) -> PfsResponse {
         let ion = Track::Ion(self.ion_index as u16);
         match request {
-            PfsRequest::Read {
-                req,
-                file,
-                slot,
-                offset,
-                len,
-                fast_path,
-                shared,
-                global_parties,
-            } => {
-                self.sim
-                    .emit(|| ev(ion, EventKind::ServeStart, req, offset, len as u64));
-                let result = self
-                    .read(
-                        file,
-                        slot,
-                        offset,
-                        len,
-                        fast_path,
-                        shared,
-                        global_parties,
-                        req,
-                    )
-                    .await;
-                self.sim
-                    .emit(|| ev(ion, EventKind::ServeDone, req, offset, len as u64));
-                PfsResponse::Data(result)
-            }
-            PfsRequest::Write {
-                req,
-                file,
-                slot,
-                offset,
-                data,
-                fast_path,
-                shared,
-            } => {
-                let len = data.len() as u64;
+            PfsRequest::Read(r) => {
+                let (req, offset, len) = (r.req, r.offset, r.len as u64);
                 self.sim
                     .emit(|| ev(ion, EventKind::ServeStart, req, offset, len));
-                let result = self
-                    .write(file, slot, offset, data, fast_path, shared, req)
-                    .await;
+                let result = self.read(&r).await;
+                self.sim
+                    .emit(|| ev(ion, EventKind::ServeDone, req, offset, len));
+                PfsResponse::Data(result)
+            }
+            PfsRequest::Write(w) => {
+                let (req, offset, len) = (w.req, w.offset, w.data.len() as u64);
+                self.sim
+                    .emit(|| ev(ion, EventKind::ServeStart, req, offset, len));
+                let result = self.write(w).await;
                 self.sim
                     .emit(|| ev(ion, EventKind::ServeDone, req, offset, len));
                 PfsResponse::WriteAck(result)
@@ -224,76 +195,37 @@ impl IonServer {
         meta.inode_on(slot, self.ion_index)
     }
 
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "the decoded fields of PfsRequest::Read"
-    )]
-    async fn read(
-        &self,
-        file: PfsFileId,
-        slot: u16,
-        offset: u64,
-        len: u32,
-        fast_path: bool,
-        shared: bool,
-        global_parties: u16,
-        req: ReqId,
-    ) -> Result<Bytes, PfsError> {
+    async fn read(&self, r: &SlotRead) -> Result<Bytes, PfsError> {
         self.stats.borrow_mut().reads += 1;
-        if global_parties > 1 {
-            return self
-                .global_read(
-                    file,
-                    slot,
-                    offset,
-                    len,
-                    fast_path,
-                    shared,
-                    global_parties,
-                    req,
-                )
-                .await;
+        if r.global_parties > 1 {
+            return self.global_read(r).await;
         }
         // Occupy a server thread for the request's processing + transfer.
         let _thread = self.threads.acquire().await;
         let held = self.sim.now();
-        self.charge_overheads(offset, len as u64, shared).await;
-        let result = self
-            .physical_read(file, slot, offset, len, fast_path, req)
+        self.charge_overheads(r.offset, r.len as u64, r.shared)
             .await;
+        let result = self.physical_read(r).await;
         self.note_busy(held);
         let data = result?;
-        self.stats.borrow_mut().bytes_read += len as u64;
+        self.stats.borrow_mut().bytes_read += r.len as u64;
         Ok(data)
     }
 
     /// M_GLOBAL: the first arrival does the physical I/O; the other
-    /// `parties - 1` arrivals wait on it and share the result.
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "the decoded fields of PfsRequest::Read"
-    )]
-    async fn global_read(
-        &self,
-        file: PfsFileId,
-        slot: u16,
-        offset: u64,
-        len: u32,
-        fast_path: bool,
-        shared: bool,
-        parties: u16,
-        req: ReqId,
-    ) -> Result<Bytes, PfsError> {
+    /// `global_parties - 1` arrivals wait on it and share the result.
+    async fn global_read(&self, r: &SlotRead) -> Result<Bytes, PfsError> {
         // Every arrival pays its processing on a thread, but *waiting*
         // for another node's physical read must not hold one (a full
         // pool of waiters would deadlock the initiator).
         {
             let _thread = self.threads.acquire().await;
             let held = self.sim.now();
-            self.charge_overheads(offset, len as u64, shared).await;
+            self.charge_overheads(r.offset, r.len as u64, r.shared)
+                .await;
             self.note_busy(held);
         }
-        let key = (file, slot, offset, len);
+        let key = (r.file, r.slot, r.offset, r.len);
         let existing = {
             let map = self.global.borrow();
             map.get(&key)
@@ -308,7 +240,7 @@ impl IonServer {
                 self.consume_global(key, &remaining);
                 self.stats.borrow_mut().global_shares += 1;
                 if result.is_ok() {
-                    self.stats.borrow_mut().bytes_read += len as u64;
+                    self.stats.borrow_mut().bytes_read += r.len as u64;
                 }
                 result
             }
@@ -316,7 +248,7 @@ impl IonServer {
                 let entry = GlobalEntry {
                     done: Signal::new(),
                     data: Rc::new(RefCell::new(None)),
-                    remaining: Rc::new(std::cell::Cell::new(parties)),
+                    remaining: Rc::new(std::cell::Cell::new(r.global_parties)),
                 };
                 let done = entry.done.clone();
                 let data = entry.data.clone();
@@ -324,15 +256,13 @@ impl IonServer {
                 self.global.borrow_mut().insert(key, entry);
                 let _thread = self.threads.acquire().await;
                 let held = self.sim.now();
-                let result = self
-                    .physical_read(file, slot, offset, len, fast_path, req)
-                    .await;
+                let result = self.physical_read(r).await;
                 self.note_busy(held);
                 *data.borrow_mut() = Some(result.clone());
                 done.set();
                 self.consume_global(key, &remaining);
                 if result.is_ok() {
-                    self.stats.borrow_mut().bytes_read += len as u64;
+                    self.stats.borrow_mut().bytes_read += r.len as u64;
                 }
                 result
             }
@@ -349,51 +279,34 @@ impl IonServer {
         }
     }
 
-    async fn physical_read(
-        &self,
-        file: PfsFileId,
-        slot: u16,
-        offset: u64,
-        len: u32,
-        fast_path: bool,
-        req: ReqId,
-    ) -> Result<Bytes, PfsError> {
-        let inode = self.resolve(file, slot)?;
-        let data = if fast_path {
-            self.ufs.read_direct_req(inode, offset, len, req).await?
+    async fn physical_read(&self, r: &SlotRead) -> Result<Bytes, PfsError> {
+        let inode = self.resolve(r.file, r.slot)?;
+        let data = if r.fast_path {
+            self.ufs
+                .read_direct_req(inode, r.offset, r.len, r.req)
+                .await?
         } else {
-            self.ufs.read_cached_req(inode, offset, len, req).await?
+            self.ufs
+                .read_cached_req(inode, r.offset, r.len, r.req)
+                .await?
         };
         Ok(data)
     }
 
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "the decoded fields of PfsRequest::Write"
-    )]
-    async fn write(
-        &self,
-        file: PfsFileId,
-        slot: u16,
-        offset: u64,
-        data: Bytes,
-        fast_path: bool,
-        shared: bool,
-        _req: ReqId,
-    ) -> Result<u32, PfsError> {
+    async fn write(&self, w: SlotWrite) -> Result<u32, PfsError> {
         let _thread = self.threads.acquire().await;
         let held = self.sim.now();
-        self.charge_overheads(offset, data.len() as u64, shared)
+        self.charge_overheads(w.offset, w.data.len() as u64, w.shared)
             .await;
-        let len = data.len() as u32;
-        let result: Result<(), PfsError> = match self.resolve(file, slot) {
+        let len = w.data.len() as u32;
+        let result: Result<(), PfsError> = match self.resolve(w.file, w.slot) {
             Ok(inode) => {
-                let w = if fast_path {
-                    self.ufs.write(inode, offset, data).await
+                let written = if w.fast_path {
+                    self.ufs.write(inode, w.offset, w.data).await
                 } else {
-                    self.ufs.write_cached(inode, offset, data).await
+                    self.ufs.write_cached(inode, w.offset, w.data).await
                 };
-                w.map(|_| ()).map_err(PfsError::from)
+                written.map(|_| ()).map_err(PfsError::from)
             }
             Err(e) => Err(e),
         };
@@ -463,7 +376,7 @@ mod tests {
         let s2 = server.clone();
         let h = sim.spawn(async move {
             let payload = Bytes::from(vec![0x5au8; 128 * 1024]);
-            let req = PfsRequest::Write {
+            let req = PfsRequest::Write(SlotWrite {
                 req: 0,
                 file,
                 slot: 0,
@@ -471,11 +384,11 @@ mod tests {
                 data: payload.clone(),
                 fast_path: true,
                 shared: false,
-            };
+            });
             let PfsResponse::WriteAck(Ok(n)) = s2.handle(req).await else {
                 panic!("write failed")
             };
-            let req = PfsRequest::Read {
+            let req = PfsRequest::Read(SlotRead {
                 req: 0,
                 file,
                 slot: 0,
@@ -484,7 +397,7 @@ mod tests {
                 fast_path: true,
                 shared: false,
                 global_parties: 0,
-            };
+            });
             let PfsResponse::Data(Ok(data)) = s2.handle(req).await else {
                 panic!("read failed")
             };
@@ -503,7 +416,7 @@ mod tests {
         let s2 = server.clone();
         sim.spawn(async move {
             let data = Bytes::from(vec![1u8; 128 * 1024]);
-            s2.handle(PfsRequest::Write {
+            s2.handle(PfsRequest::Write(SlotWrite {
                 req: 0,
                 file,
                 slot: 0,
@@ -511,10 +424,10 @@ mod tests {
                 data,
                 fast_path: true,
                 shared: false,
-            })
+            }))
             .await;
             // 1000-byte read at offset 13: doubly unaligned.
-            s2.handle(PfsRequest::Read {
+            s2.handle(PfsRequest::Read(SlotRead {
                 req: 0,
                 file,
                 slot: 0,
@@ -523,7 +436,7 @@ mod tests {
                 fast_path: true,
                 shared: false,
                 global_parties: 0,
-            })
+            }))
             .await;
         });
         sim.run();
@@ -537,7 +450,7 @@ mod tests {
         let writer = server.clone();
         sim.spawn(async move {
             writer
-                .handle(PfsRequest::Write {
+                .handle(PfsRequest::Write(SlotWrite {
                     req: 0,
                     file,
                     slot: 0,
@@ -545,7 +458,7 @@ mod tests {
                     data: Bytes::from(vec![9u8; 64 * 1024]),
                     fast_path: true,
                     shared: false,
-                })
+                }))
                 .await;
         });
         sim.run();
@@ -556,7 +469,7 @@ mod tests {
             let s2 = server.clone();
             handles.push(sim.spawn(async move {
                 let PfsResponse::Data(Ok(data)) = s2
-                    .handle(PfsRequest::Read {
+                    .handle(PfsRequest::Read(SlotRead {
                         req: 0,
                         file,
                         slot: 0,
@@ -565,7 +478,7 @@ mod tests {
                         fast_path: true,
                         shared: true,
                         global_parties: 4,
-                    })
+                    }))
                     .await
                 else {
                     panic!("global read failed")
@@ -590,7 +503,7 @@ mod tests {
         let s2 = server.clone();
         let h = sim.spawn(async move {
             let PfsResponse::Data(result) = s2
-                .handle(PfsRequest::Read {
+                .handle(PfsRequest::Read(SlotRead {
                     req: 0,
                     file,
                     slot: 0,
@@ -599,7 +512,7 @@ mod tests {
                     fast_path: true,
                     shared: false,
                     global_parties: 0,
-                })
+                }))
                 .await
             else {
                 panic!("wrong response kind")

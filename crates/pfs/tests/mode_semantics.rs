@@ -1,14 +1,16 @@
 //! Executable semantics of the client pointer machinery: M_RECORD
 //! partitioning as a property, asynchronous reads in every mode, seek
-//! and rewind behaviour.
+//! and rewind behaviour, and the pinned event order of `aread` and the
+//! mode-semantic `write` in every mode.
 
 use std::rc::Rc;
 
-use paragon_machine::{Machine, MachineConfig};
+use bytes::Bytes;
+use paragon_machine::{Calibration, Machine, MachineConfig};
 use paragon_pfs::{
     pattern_byte, pattern_slice, IoMode, OpenOptions, ParallelFs, PfsFileId, StripeAttrs,
 };
-use paragon_sim::{Rng, Sim};
+use paragon_sim::{Rng, Sim, SimDuration};
 
 fn mount(sim: &Sim, cn: usize, ion: usize) -> Rc<ParallelFs> {
     let machine = Rc::new(Machine::new(sim, MachineConfig::tiny_instant(cn, ion)));
@@ -177,4 +179,97 @@ fn advance_pointer_rejects_shared_modes() {
     });
     sim.run();
     drop(h);
+}
+
+/// One access path of the pinned event-order runs.
+#[derive(Clone, Copy, Debug)]
+enum Access {
+    Aread,
+    Write,
+}
+
+/// Four nodes share one file on a 4×2 paper-calibrated mount; each does
+/// three rounds of an asynchronous read (or a mode-semantic write), a
+/// staggered compute delay and, for reads, the join. Returns the run's
+/// trace hash.
+fn access_trace_hash(mode: IoMode, access: Access) -> u64 {
+    const NODES: usize = 4;
+    const LEN: u32 = 16 * 1024;
+    let sim = Sim::new(24);
+    let machine = Machine::new(
+        &sim,
+        MachineConfig {
+            compute_nodes: NODES,
+            io_nodes: 2,
+            calib: Calibration::paragon_1995(),
+        },
+    );
+    let pfs = ParallelFs::new(Rc::new(machine));
+    let s = sim.clone();
+    let h = sim.spawn(async move {
+        let id = pfs
+            .create("/pfs/order", StripeAttrs::across(2, 16 * 1024))
+            .await
+            .unwrap();
+        pfs.populate_with(id, 256 * 1024, |i| pattern_byte(11, i))
+            .await
+            .unwrap();
+        let mut tasks = Vec::new();
+        for rank in 0..NODES {
+            let f = pfs
+                .open(rank, NODES, id, mode, OpenOptions::default())
+                .unwrap();
+            let sim = s.clone();
+            tasks.push(s.spawn(async move {
+                for _ in 0..3 {
+                    match access {
+                        Access::Aread => {
+                            let pending = f.aread(LEN).await;
+                            sim.sleep(SimDuration::from_micros(500 * rank as u64 + 100))
+                                .await;
+                            pending.join().await.unwrap();
+                        }
+                        Access::Write => {
+                            f.write(Bytes::from(vec![rank as u8; LEN as usize]))
+                                .await
+                                .unwrap();
+                            sim.sleep(SimDuration::from_micros(500 * rank as u64 + 100))
+                                .await;
+                        }
+                    }
+                }
+            }));
+        }
+        for t in tasks {
+            t.await;
+        }
+    });
+    let report = sim.run();
+    assert_eq!(h.try_take(), Some(()), "{mode} {access:?} did not finish");
+    report.trace_hash
+}
+
+/// No determinism golden drives `aread` or the mode-semantic `write`:
+/// pin their event order (pointer step, transfer, token release) in all
+/// six modes, so a refactor of the pointer step cannot reorder them.
+#[test]
+fn aread_and_write_event_order_is_pinned_in_every_mode() {
+    let pins: [(IoMode, u64, u64); 6] = [
+        (IoMode::MUnix, 0x32d8fb5b8d2193ca, 0xa6c3cba0bd0251bd),
+        (IoMode::MLog, 0xd7d357507d6e1720, 0x4374469d9760631f),
+        (IoMode::MSync, 0x280059050cdd42d7, 0xf7f9e8ed416d9469),
+        (IoMode::MRecord, 0x09049ba7f8a24e05, 0x36d3cfa7ec8e995f),
+        // Every rank's local M_ASYNC pointer starts at 0, so its writes
+        // land where M_GLOBAL's do, at the same times.
+        (IoMode::MGlobal, 0x72a0c3d367ed6a15, 0x137d04e50be70350),
+        (IoMode::MAsync, 0x295309db79b3063f, 0x137d04e50be70350),
+    ];
+    let got = pins.map(|(mode, _, _)| {
+        (
+            mode,
+            access_trace_hash(mode, Access::Aread),
+            access_trace_hash(mode, Access::Write),
+        )
+    });
+    assert_eq!(got, pins, "(mode, aread hash, write hash)");
 }

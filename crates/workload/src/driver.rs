@@ -198,15 +198,7 @@ fn finish_world(cfg: &ExperimentConfig, sim: &Sim, w: World) -> RunResult {
     let mut disk = paragon_disk::DiskStats::default();
     let mut raid = paragon_disk::RaidStats::default();
     for i in 0..cfg.io_nodes {
-        let s = w.machine.raid(i).stats();
-        disk.requests += s.requests;
-        disk.bytes_read += s.bytes_read;
-        disk.bytes_written += s.bytes_written;
-        disk.busy += s.busy;
-        disk.sequential_hits += s.sequential_hits;
-        disk.near_seeks += s.near_seeks;
-        disk.far_seeks += s.far_seeks;
-        disk.max_queue_depth = disk.max_queue_depth.max(s.max_queue_depth);
+        disk.merge(&w.machine.raid(i).stats());
         let r = w.machine.raid(i).raid_stats();
         raid.reconstructed_reads += r.reconstructed_reads;
         raid.reconstructed_bytes += r.reconstructed_bytes;
@@ -670,6 +662,11 @@ mod tests {
             r.raid
         );
         assert!(r.fault.disk_dead_hits > 0);
+        assert_eq!(
+            r.disk.faulted,
+            r.fault.disk_transients + r.fault.disk_dead_hits,
+            "every injected disk fault fails one disk request"
+        );
         assert!(r.fault.mesh_dropped > 0, "1% of many messages must drop");
         assert!(
             r.trace.iter().any(|e| matches!(
