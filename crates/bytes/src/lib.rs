@@ -33,13 +33,6 @@ impl Bytes {
         Bytes::default()
     }
 
-    /// Wrap a static slice. (Copies once; the simulator only uses this
-    /// for tiny test payloads, so sharing the allocation is not worth a
-    /// second representation.)
-    pub fn from_static(data: &'static [u8]) -> Bytes {
-        Bytes::from(data.to_vec())
-    }
-
     /// O(1) sub-slice sharing the same allocation. Panics if the range
     /// is out of bounds, like slicing.
     pub fn slice(&self, range: impl RangeBounds<usize>) -> Bytes {
@@ -254,6 +247,5 @@ mod tests {
         assert_eq!(vec![0u8, 9, 7, 8], b);
         assert_eq!(b, [0u8, 9, 7, 8][..]);
         assert!(Bytes::new().is_empty());
-        assert_eq!(Bytes::from_static(b"xy").len(), 2);
     }
 }

@@ -159,13 +159,13 @@ impl PrefetchList {
 mod tests {
     use super::*;
     use paragon_os::{ArtConfig, ArtPool};
-    use paragon_sim::Sim;
+    use paragon_sim::{Sim, Track};
 
     fn entry(sim: &Sim, pool: &ArtPool, offset: u64, len: u32) -> PrefetchEntry {
         let pool = pool.clone();
         let sim2 = sim.clone();
         let h = sim.spawn(async move {
-            pool.submit(async move { Ok(Bytes::from(vec![0u8; 4])) })
+            pool.submit(0, Track::Sys, async move { Ok(Bytes::from(vec![0u8; 4])) })
                 .await
         });
         sim2.run();

@@ -181,7 +181,7 @@ impl PrefetchingFile {
                 self.sim
                     .emit(|| ev(cn, EventKind::PrefetchMiss, req, offset, len as u64));
                 self.stats.borrow_mut().misses += 1;
-                let data = self.file.transfer_read_tagged(offset, len, req).await?;
+                let data = self.file.transfer_read(offset, len, req).await?;
                 self.note_good_read();
                 data
             }
@@ -247,7 +247,11 @@ impl PrefetchingFile {
                 // replicated mount, replica failover.
                 self.stats.borrow_mut().wasted += 1;
                 self.note_prefetch_fault(entry.req, offset, len);
-                match self.file.transfer_read(offset, len).await {
+                match self
+                    .file
+                    .transfer_read(offset, len, self.sim.mint_req())
+                    .await
+                {
                     Ok(data) => {
                         // Retried and served: the speculation covered
                         // the access after all, so this is a recovered
@@ -339,8 +343,8 @@ impl PrefetchingFile {
             let handle = self
                 .file
                 .art_pool()
-                .submit_tagged(req, cn, async move {
-                    file.transfer_read_tagged(target, len, req).await
+                .submit(req, cn, async move {
+                    file.transfer_read(target, len, req).await
                 })
                 .await;
             let mut st = self.stats.borrow_mut();
@@ -535,7 +539,10 @@ mod tests {
                     for i in 0..5u64 {
                         // Demand-read directly at scattered offsets.
                         let at = (i * 197) % 900 * KB;
-                        let data = inner.transfer_read(at, 16 * 1024).await.unwrap();
+                        let data = inner
+                            .transfer_read(at, 16 * 1024, inner.sim().mint_req())
+                            .await
+                            .unwrap();
                         assert_eq!(&data[..], &pattern_slice(13, at, 16 * 1024)[..]);
                     }
                     // Now do normal engine reads to exercise the miss path.

@@ -22,7 +22,7 @@ use std::rc::Rc;
 use bytes::Bytes;
 use paragon_os::AsyncHandle;
 use paragon_pfs::{PfsError, PfsFile};
-use paragon_sim::{Sim, SimDuration};
+use paragon_sim::{Sim, SimDuration, Track};
 
 /// Write-behind configuration.
 #[derive(Debug, Clone)]
@@ -147,7 +147,7 @@ impl WriteBehindFile {
         let handle = self
             .file
             .art_pool()
-            .submit(async move {
+            .submit(0, Track::Sys, async move {
                 file.transfer_write(offset, data).await?;
                 Ok(len)
             })
@@ -242,7 +242,11 @@ mod tests {
                         .unwrap();
                 }
                 wb.flush().await.unwrap();
-                let back = wb.file.transfer_read(0, 256 * 1024).await.unwrap();
+                let back = wb
+                    .file
+                    .transfer_read(0, 256 * 1024, wb.file.sim().mint_req())
+                    .await
+                    .unwrap();
                 back == pattern_slice(5, 0, 256 * 1024)
             })
         });

@@ -220,15 +220,11 @@ impl RaidArray {
         runs
     }
 
-    /// Read a logical extent; completes when every member run completes.
-    /// Fails only under fault injection; a dead member is transparently
-    /// reconstructed when the array has parity.
-    pub async fn read(&self, offset: u64, len: u32) -> Result<Bytes, DiskError> {
-        self.read_req(offset, len, 0).await
-    }
-
-    /// [`RaidArray::read`] under flight-recorder request context `req`.
-    pub async fn read_req(&self, offset: u64, len: u32, req: ReqId) -> Result<Bytes, DiskError> {
+    /// Read a logical extent under flight-recorder request context `req`
+    /// (`0` = none); completes when every member run completes. Fails only
+    /// under fault injection; a dead member is transparently reconstructed
+    /// when the array has parity.
+    pub async fn read(&self, offset: u64, len: u32, req: ReqId) -> Result<Bytes, DiskError> {
         let runs = self.runs(offset, len as u64);
         let mut handles = Vec::with_capacity(runs.len());
         for (member, start, pieces) in runs {
@@ -538,7 +534,7 @@ mod tests {
         );
         let r = raid.clone();
         sim.spawn(async move {
-            r.read(0, 400 * 1024).await.unwrap();
+            r.read(0, 400 * 1024, 0).await.unwrap();
         });
         let report = sim.run();
         assert_eq!(
@@ -563,7 +559,7 @@ mod tests {
             let payload: Vec<u8> = (0..100_000u32).map(|i| (i * 7 % 256) as u8).collect();
             let payload = Bytes::from(payload);
             r.write(5_000, payload.clone()).await.unwrap();
-            let back = r.read(5_000, 100_000).await.unwrap();
+            let back = r.read(5_000, 100_000, 0).await.unwrap();
             back == payload
         });
         sim.run();
@@ -584,7 +580,7 @@ mod tests {
         raid.set_member_slowdown(2, 5.0);
         let r = raid.clone();
         sim.spawn(async move {
-            r.read(0, 400 * 1024).await.unwrap();
+            r.read(0, 400 * 1024, 0).await.unwrap();
         });
         let report = sim.run();
         // The slow member gates completion: 100 KB at 1 MB/s × 5.
@@ -625,7 +621,7 @@ mod tests {
             // Kill data member 1 after the data is down, then read back.
             faults.kill_disk(1);
             faults.arm();
-            let back = r.read(3_000, 100_000).await.unwrap();
+            let back = r.read(3_000, 100_000, 0).await.unwrap();
             back == d2
         });
         sim.run();
@@ -651,7 +647,7 @@ mod tests {
             // Overwrite while member 0 is dead: its share lands only in
             // parity, and reads must still return the new contents.
             r.write(0, a2.clone()).await.unwrap();
-            let back = r.read(0, 60_000).await.unwrap();
+            let back = r.read(0, 60_000, 0).await.unwrap();
             back == a2
         });
         sim.run();
@@ -668,14 +664,14 @@ mod tests {
             r.write(0, payload(400 * 1024)).await.unwrap();
             let healthy = r.stats().requests;
             let healthy_reads = r.stats().bytes_read;
-            r.read(0, 400 * 1024).await.unwrap();
+            r.read(0, 400 * 1024, 0).await.unwrap();
             let healthy_cost = r.stats().requests - healthy;
             let healthy_bytes = r.stats().bytes_read - healthy_reads;
             faults.kill_disk(2);
             faults.arm();
             let base = r.stats().requests;
             let base_bytes = r.stats().bytes_read;
-            r.read(0, 400 * 1024).await.unwrap();
+            r.read(0, 400 * 1024, 0).await.unwrap();
             let degraded_cost = r.stats().requests - base;
             let degraded_bytes = r.stats().bytes_read - base_bytes;
             assert!(
@@ -705,7 +701,7 @@ mod tests {
             r.write(0, payload(50_000)).await.unwrap();
             faults.kill_disk(1);
             faults.arm();
-            r.read(0, 50_000).await
+            r.read(0, 50_000, 0).await
         });
         sim.run();
         assert_eq!(h.try_take(), Some(Err(DiskError::Dead)));
@@ -731,8 +727,8 @@ mod tests {
         faults.arm();
         let r = raid.clone();
         let h = sim.spawn(async move {
-            let x = r.read(0, 32 * 1024).await.unwrap();
-            let y = r.read(32 * 1024, 32 * 1024).await.unwrap();
+            let x = r.read(0, 32 * 1024, 0).await.unwrap();
+            let y = r.read(32 * 1024, 32 * 1024, 0).await.unwrap();
             (x, y)
         });
         sim.run();

@@ -148,7 +148,7 @@ fn raid_preserves_data() {
                     .await
                     .unwrap();
             }
-            let back = r.read(0, model.len() as u32).await.unwrap();
+            let back = r.read(0, model.len() as u32, 0).await.unwrap();
             back[..] == model[..]
         });
         sim.run();

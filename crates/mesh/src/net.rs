@@ -160,22 +160,12 @@ impl<M: Clone + 'static> Mesh<M> {
     /// `dst`. Resolves when the sender's NIC is free again — i.e. after the
     /// send overhead and wire time — *not* when the message is delivered;
     /// delivery completes asynchronously after the propagation delay.
-    pub async fn send(&self, src: NodeId, dst: NodeId, wire_bytes: u64, payload: M) {
-        self.send_tagged(src, dst, wire_bytes, payload, 0).await
-    }
-
-    /// [`Mesh::send`] with a trace context: `req` stamps the `NetTx`
-    /// (source NIC occupied) and `NetRx` (delivered) flight-recorder
-    /// events, so one request's mesh crossings can be picked out of the
-    /// stream. `0` records untagged events.
-    pub async fn send_tagged(
-        &self,
-        src: NodeId,
-        dst: NodeId,
-        wire_bytes: u64,
-        payload: M,
-        req: ReqId,
-    ) {
+    ///
+    /// `req` is the trace context: it stamps the `NetTx` (source NIC
+    /// occupied) and `NetRx` (delivered) flight-recorder events, so one
+    /// request's mesh crossings can be picked out of the stream. `0`
+    /// records untagged events.
+    pub async fn send(&self, src: NodeId, dst: NodeId, wire_bytes: u64, payload: M, req: ReqId) {
         let occupancy = if src == dst {
             self.params.local_overhead
         } else {
@@ -383,7 +373,7 @@ mod tests {
         });
         sim.spawn(async move {
             // 1000 bytes at 1 MB/s = 1 ms wire time.
-            m2.send(NodeId(0), NodeId(1), 1000, 7).await;
+            m2.send(NodeId(0), NodeId(1), 1000, 7, 0).await;
         });
         sim.run();
         let (src, payload, at) = h.try_take().unwrap();
@@ -420,7 +410,7 @@ mod tests {
         for i in 0..3u64 {
             let m = mesh.clone();
             sim.spawn(async move {
-                m.send(NodeId(0), NodeId(1), 1000, i).await;
+                m.send(NodeId(0), NodeId(1), 1000, i, 0).await;
             });
         }
         sim.run();
@@ -445,7 +435,7 @@ mod tests {
         let m = mesh.clone();
         sim.spawn(async move {
             for i in 0..10u64 {
-                m.send(NodeId(0), NodeId(1), 64 + i, i).await;
+                m.send(NodeId(0), NodeId(1), 64 + i, i, 0).await;
             }
         });
         sim.run();
@@ -464,7 +454,7 @@ mod tests {
         });
         let m = mesh.clone();
         sim.spawn(async move {
-            m.send(NodeId(0), NodeId(0), 1 << 20, 42).await;
+            m.send(NodeId(0), NodeId(0), 1 << 20, 42, 0).await;
         });
         sim.run();
         let (p, at) = h.try_take().unwrap();
@@ -479,8 +469,8 @@ mod tests {
         let _rx = mesh.bind(NodeId(1));
         let m = mesh.clone();
         sim.spawn(async move {
-            m.send(NodeId(0), NodeId(1), 100, 1).await;
-            m.send(NodeId(0), NodeId(1), 200, 2).await;
+            m.send(NodeId(0), NodeId(1), 100, 1, 0).await;
+            m.send(NodeId(0), NodeId(1), 200, 2, 0).await;
         });
         sim.run();
         let st = mesh.stats();
@@ -500,8 +490,8 @@ mod tests {
         });
         let m = mesh.clone();
         sim.spawn(async move {
-            m.send(NodeId(0), NodeId(1), 4096, 1u64).await;
-            m.send(NodeId(0), NodeId(1), 4096, 2u64).await;
+            m.send(NodeId(0), NodeId(1), 4096, 1u64, 0).await;
+            m.send(NodeId(0), NodeId(1), 4096, 2u64, 0).await;
         });
         sim.run();
         // Every frame that entered transit also left it.
@@ -531,7 +521,7 @@ mod tests {
         sim.tracer().arm(16);
         let m = mesh.clone();
         sim.spawn(async move {
-            m.send(NodeId(0), NodeId(1), 64, 1).await;
+            m.send(NodeId(0), NodeId(1), 64, 1, 0).await;
         });
         sim.run();
         assert_eq!(mesh.stats().drops, 1);
@@ -552,7 +542,7 @@ mod tests {
         let h = sim.spawn(async move { rx.recv().await });
         let m = mesh.clone();
         sim.spawn(async move {
-            m.send(NodeId(0), NodeId(1), 64, 9u64).await;
+            m.send(NodeId(0), NodeId(1), 64, 9u64, 0).await;
         });
         sim.run();
         assert!(!h.is_finished(), "dropped message must never arrive");
@@ -574,7 +564,7 @@ mod tests {
         });
         let m = mesh.clone();
         sim.spawn(async move {
-            m.send(NodeId(0), NodeId(1), 64, 7u64).await;
+            m.send(NodeId(0), NodeId(1), 64, 7u64, 0).await;
         });
         sim.run();
         assert_eq!(h.try_take(), Some((7, 7)));
@@ -596,7 +586,7 @@ mod tests {
         });
         let m = mesh.clone();
         sim.spawn(async move {
-            m.send(NodeId(0), NodeId(1), 64, 1u64).await;
+            m.send(NodeId(0), NodeId(1), 64, 1u64, 0).await;
         });
         sim.run();
         assert_eq!(

@@ -53,7 +53,7 @@ fn per_pair_fifo() {
         let m = mesh.clone();
         sim.spawn(async move {
             for (i, bytes) in sizes.into_iter().enumerate() {
-                m.send(NodeId(0), NodeId(5), bytes, i as u64).await;
+                m.send(NodeId(0), NodeId(5), bytes, i as u64, 0).await;
             }
         });
         sim.run();

@@ -91,18 +91,12 @@ impl ArtPool {
     /// setup cost inline; the operation itself runs on an ART, FIFO behind
     /// earlier submissions when all ARTs are busy. Returns immediately
     /// after setup with the request handle.
-    pub async fn submit<T, F>(&self, op: F) -> AsyncHandle<T>
-    where
-        T: 'static,
-        F: Future<Output = T> + 'static,
-    {
-        self.submit_tagged(0, Track::Sys, op).await
-    }
-
-    /// [`ArtPool::submit`] with a trace context: `req` and `track` stamp
-    /// the ArtSubmit (queued on the active list), ArtStart (an ART began
-    /// posting it) and ArtDone flight-recorder events.
-    pub async fn submit_tagged<T, F>(&self, req: ReqId, track: Track, op: F) -> AsyncHandle<T>
+    ///
+    /// `req` and `track` are the trace context: they stamp the ArtSubmit
+    /// (queued on the active list), ArtStart (an ART began posting it) and
+    /// ArtDone flight-recorder events. Untagged work passes `0` and
+    /// [`Track::Sys`].
+    pub async fn submit<T, F>(&self, req: ReqId, track: Track, op: F) -> AsyncHandle<T>
     where
         T: 'static,
         F: Future<Output = T> + 'static,
@@ -216,7 +210,7 @@ mod tests {
         let s = sim.clone();
         let h = sim.spawn(async move {
             let io = s.sleep(SimDuration::from_millis(50));
-            let req = pool.submit(io).await;
+            let req = pool.submit(0, Track::Sys, io).await;
             // User thread "computes" 50 ms while the I/O proceeds.
             s.sleep(SimDuration::from_millis(50)).await;
             req.wait().await;
@@ -238,7 +232,7 @@ mod tests {
         let pool = ArtPool::new(&sim, cfg);
         let s = sim.clone();
         let h = sim.spawn(async move {
-            let _req = pool.submit(async {}).await;
+            let _req = pool.submit(0, Track::Sys, async {}).await;
             s.now().as_millis_round()
         });
         sim.run();
@@ -263,7 +257,7 @@ mod tests {
                 let s2 = s.clone();
                 let o2 = o.clone();
                 reqs.push(
-                    pool.submit(async move {
+                    pool.submit(0, Track::Sys, async move {
                         s2.sleep(SimDuration::from_millis(10)).await;
                         o2.borrow_mut().push(i);
                     })
@@ -296,7 +290,7 @@ mod tests {
                 let s2 = s.clone();
                 let fl = in_flight.clone();
                 reqs.push(
-                    p2.submit(async move {
+                    p2.submit(0, Track::Sys, async move {
                         {
                             let mut f = fl.borrow_mut();
                             f.0 += 1;
@@ -334,7 +328,9 @@ mod tests {
         let h = sim.spawn(async move {
             let s2 = s.clone();
             let req = pool
-                .submit(async move { s2.sleep(SimDuration::from_millis(10)).await })
+                .submit(0, Track::Sys, async move {
+                    s2.sleep(SimDuration::from_millis(10)).await
+                })
                 .await;
             req.wait().await;
             (
@@ -353,7 +349,7 @@ mod tests {
         let sim = Sim::new(1);
         let pool = ArtPool::new(&sim, ArtConfig::instant());
         let h = sim.spawn(async move {
-            let req = pool.submit(async { 99u32 }).await;
+            let req = pool.submit(0, Track::Sys, async { 99u32 }).await;
             let v = req.join().await;
             let left = req.slot.borrow().is_some();
             (v, left)

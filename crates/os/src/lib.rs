@@ -13,7 +13,7 @@
 
 //! ```
 //! use paragon_os::{ArtConfig, ArtPool};
-//! use paragon_sim::{Sim, SimDuration};
+//! use paragon_sim::{Sim, SimDuration, Track};
 //!
 //! // An asynchronous request overlaps the user thread, like the ARTs
 //! // the prefetch prototype is built on.
@@ -22,9 +22,9 @@
 //! let s = sim.clone();
 //! let h = sim.spawn(async move {
 //!     let io = s.sleep(SimDuration::from_millis(40));
-//!     let req = pool.submit(io).await;          // returns immediately
-//!     s.sleep(SimDuration::from_millis(40)).await; // compute meanwhile
-//!     req.wait().await;                         // iowait
+//!     let req = pool.submit(0, Track::Sys, io).await; // returns immediately
+//!     s.sleep(SimDuration::from_millis(40)).await;    // compute meanwhile
+//!     req.wait().await;                               // iowait
 //!     s.now().as_millis_round()
 //! });
 //! sim.run();

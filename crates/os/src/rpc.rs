@@ -240,13 +240,7 @@ where
                             net2.stats.borrow_mut().replies += 1;
                             let bytes = resp.wire_bytes() + RPC_HEADER_BYTES;
                             net2.mesh
-                                .send_tagged(
-                                    node,
-                                    reply_to,
-                                    bytes,
-                                    RpcWire::Reply { id, resp },
-                                    tag,
-                                )
+                                .send(node, reply_to, bytes, RpcWire::Reply { id, resp }, tag)
                                 .await;
                         });
                     }
@@ -301,7 +295,7 @@ where
         let tag = req.trace_req();
         self.net
             .mesh
-            .send_tagged(
+            .send(
                 self.node,
                 dst,
                 bytes,

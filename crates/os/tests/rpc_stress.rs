@@ -3,7 +3,7 @@
 
 use paragon_mesh::{MeshParams, NodeId, Topology};
 use paragon_os::{ArtConfig, ArtPool, RpcNet, WireSize};
-use paragon_sim::{Sim, SimDuration, SimTime};
+use paragon_sim::{Sim, SimDuration, SimTime, Track};
 
 #[derive(Debug, Clone)]
 struct Req(u64);
@@ -116,7 +116,9 @@ fn art_submitted_rpcs_overlap_with_user_work() {
     let h = sim.spawn(async move {
         let c = client.clone();
         let req = pool
-            .submit(async move { c.call(NodeId(1), Req(41)).await.unwrap().0 })
+            .submit(0, Track::Sys, async move {
+                c.call(NodeId(1), Req(41)).await.unwrap().0
+            })
             .await;
         sim3.sleep(SimDuration::from_millis(40)).await; // compute
         let v = req.join().await;

@@ -26,9 +26,10 @@ use crate::proto::{PfsError, PfsRequest, PfsResponse, PtrRequest, SlotRead, Slot
 /// Open-time options.
 #[derive(Debug, Clone, Copy)]
 pub struct OpenOptions {
-    /// Use Fast Path I/O (bypass the I/O nodes' buffer caches). This is
-    /// the PFS default for large transfers; disable to model buffered
-    /// mounts.
+    /// Read with Fast Path I/O (bypass the I/O nodes' buffer caches).
+    /// This is the PFS default for large transfers; disable to model
+    /// buffered reads. It governs reads only: every write goes to the I/O
+    /// node's disk and purges the cached blocks it overwrote.
     pub fast_path: bool,
 }
 
@@ -292,12 +293,14 @@ impl PfsFile {
         if self.mode.shared_pointer() {
             return self
                 .arts
-                .submit(async move { this.at_next_offset(len, |at| this.mode_read(at, len)).await })
+                .submit(0, Track::Sys, async move {
+                    this.at_next_offset(len, |at| this.mode_read(at, len)).await
+                })
                 .await;
         }
         let at = self.advance_pointer(len).await;
         self.arts
-            .submit(async move { this.mode_read(at, len).await })
+            .submit(0, Track::Sys, async move { this.mode_read(at, len).await })
             .await
     }
 
@@ -316,16 +319,11 @@ impl PfsFile {
 
     /// Positioned read with no pointer interaction and no syscall charge:
     /// the raw striped transfer. This is what a prefetch issues ("the file
-    /// pointer is not changed in the process of prefetching").
-    pub async fn transfer_read(&self, offset: u64, len: u32) -> Result<Bytes, PfsError> {
-        let req = self.sim.mint_req();
-        self.transfer_read_inner(offset, len, 0, req).await
-    }
-
-    /// [`PfsFile::transfer_read`] under a caller-minted flight-recorder
-    /// request id (the prefetch engine mints one id per issue so the
-    /// prefetch's whole lifetime shares one correlation key).
-    pub async fn transfer_read_tagged(
+    /// pointer is not changed in the process of prefetching"). `req` is
+    /// the caller-minted flight-recorder request id (the prefetch engine
+    /// mints one id per issue so the prefetch's whole lifetime shares one
+    /// correlation key; other callers mint one just before the call).
+    pub async fn transfer_read(
         &self,
         offset: u64,
         len: u32,
@@ -579,7 +577,6 @@ impl PfsFile {
                     slot: sreq.slot as u16,
                     offset: sreq.slot_offset,
                     data: payload.clone(),
-                    fast_path: self.fast_path,
                     shared,
                 });
                 legs.push(self.sim.spawn_named("pfs-write-leg", async move {

@@ -516,7 +516,10 @@ mod tests {
                 .open(0, 1, id, IoMode::MAsync, OpenOptions::default())
                 .unwrap();
             // An unaligned range spanning several stripe units.
-            let data = f.transfer_read(10_000, 100_000).await.unwrap();
+            let data = f
+                .transfer_read(10_000, 100_000, f.sim().mint_req())
+                .await
+                .unwrap();
             data == pattern_slice(7, 10_000, 100_000)
         });
         sim.run();
@@ -658,7 +661,10 @@ mod tests {
                 .unwrap();
             let payload = pattern_slice(11, 0, 100_000);
             f.write_at(0, payload.clone()).await.unwrap();
-            let back = f.transfer_read(0, 100_000).await.unwrap();
+            let back = f
+                .transfer_read(0, 100_000, f.sim().mint_req())
+                .await
+                .unwrap();
             back == payload
         });
         sim.run();
@@ -757,7 +763,7 @@ mod tests {
                     for copy in meta.slot_replicas(slot as u16).unwrap() {
                         let ufs = machine.ufs(copy.ion);
                         let len = ufs.size(copy.inode).unwrap();
-                        let data = ufs.read_direct(copy.inode, 0, len as u32).await.unwrap();
+                        let data = ufs.read_direct(copy.inode, 0, len as u32, 0).await.unwrap();
                         copies.push((slot as u64, data));
                     }
                 }

@@ -54,7 +54,6 @@ pub struct SlotWrite {
     pub slot: u16,
     pub offset: u64,
     pub data: Bytes,
-    pub fast_path: bool,
     pub shared: bool,
 }
 
@@ -310,7 +309,6 @@ mod tests {
             slot: 2,
             offset: 0,
             data: Bytes::from(vec![1u8; 1000]),
-            fast_path: true,
             shared: false,
         });
         assert_eq!(req.wire_bytes(), 1032);

@@ -217,7 +217,6 @@ pub async fn rebuild_after_crash(
                 slot: item.slot,
                 offset: at,
                 data,
-                fast_path: true,
                 shared: false,
             });
             match rpc

@@ -282,13 +282,9 @@ impl IonServer {
     async fn physical_read(&self, r: &SlotRead) -> Result<Bytes, PfsError> {
         let inode = self.resolve(r.file, r.slot)?;
         let data = if r.fast_path {
-            self.ufs
-                .read_direct_req(inode, r.offset, r.len, r.req)
-                .await?
+            self.ufs.read_direct(inode, r.offset, r.len, r.req).await?
         } else {
-            self.ufs
-                .read_cached_req(inode, r.offset, r.len, r.req)
-                .await?
+            self.ufs.read_cached(inode, r.offset, r.len, r.req).await?
         };
         Ok(data)
     }
@@ -299,15 +295,12 @@ impl IonServer {
         self.charge_overheads(w.offset, w.data.len() as u64, w.shared)
             .await;
         let len = w.data.len() as u32;
-        let result: Result<(), PfsError> = match self.resolve(w.file, w.slot) {
-            Ok(inode) => {
-                let written = if w.fast_path {
-                    self.ufs.write(inode, w.offset, w.data).await
-                } else {
-                    self.ufs.write_cached(inode, w.offset, w.data).await
-                };
-                written.map(|_| ()).map_err(PfsError::from)
-            }
+        let result = match self.resolve(w.file, w.slot) {
+            Ok(inode) => self
+                .ufs
+                .write(inode, w.offset, w.data)
+                .await
+                .map_err(PfsError::from),
             Err(e) => Err(e),
         };
         self.note_busy(held);
@@ -382,7 +375,6 @@ mod tests {
                 slot: 0,
                 offset: 0,
                 data: payload.clone(),
-                fast_path: true,
                 shared: false,
             });
             let PfsResponse::WriteAck(Ok(n)) = s2.handle(req).await else {
@@ -422,7 +414,6 @@ mod tests {
                 slot: 0,
                 offset: 0,
                 data,
-                fast_path: true,
                 shared: false,
             }))
             .await;
@@ -456,7 +447,6 @@ mod tests {
                     slot: 0,
                     offset: 0,
                     data: Bytes::from(vec![9u8; 64 * 1024]),
-                    fast_path: true,
                     shared: false,
                 }))
                 .await;

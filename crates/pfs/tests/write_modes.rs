@@ -56,7 +56,7 @@ async fn stamped_write_run(
     let mut stamps = Vec::new();
     for k in 0..total {
         let data = reader
-            .transfer_read(k * REC as u64, REC as u32)
+            .transfer_read(k * REC as u64, REC as u32, reader.sim().mint_req())
             .await
             .unwrap();
         // A record must be entirely one writer's bytes (no tearing).
@@ -139,4 +139,53 @@ fn write_returns_the_landing_offset() {
     });
     sim.run();
     assert_eq!(h.try_take(), Some((0, 1000)));
+}
+
+/// Write `len` bytes at `offset` through a buffered (`fast_path: false`)
+/// handle, read the range back through a Fast Path handle and through the
+/// buffered one, and check both reads and every I/O node's UFS.
+fn assert_buffered_write_reads_back(offset: u64, len: usize) {
+    let sim = Sim::new(19);
+    let pfs = mount(&sim, 1, 2);
+    let pfs2 = pfs.clone();
+    let data = Bytes::from((0..len).map(|i| (i % 251) as u8 + 1).collect::<Vec<u8>>());
+    let written = data.clone();
+    let h = sim.spawn(async move {
+        let id = pfs2
+            .create("/pfs/buffered", StripeAttrs::across(2, 64 * 1024))
+            .await
+            .unwrap();
+        let buffered = OpenOptions { fast_path: false };
+        let writer = pfs2.open(0, 1, id, IoMode::MAsync, buffered).unwrap();
+        writer.write_at(offset, written).await.unwrap();
+        let fast = pfs2
+            .open(0, 1, id, IoMode::MAsync, OpenOptions::default())
+            .unwrap();
+        let via_fast = fast
+            .transfer_read(offset, len as u32, fast.sim().mint_req())
+            .await
+            .unwrap();
+        let via_cache = writer
+            .transfer_read(offset, len as u32, writer.sim().mint_req())
+            .await
+            .unwrap();
+        (via_fast, via_cache)
+    });
+    sim.run();
+    let (via_fast, via_cache) = h.try_take().expect("finished");
+    assert_eq!(via_fast, data, "Fast Path read of {len} B at {offset}");
+    assert_eq!(via_cache, data, "buffered read of {len} B at {offset}");
+    for ion in 0..2 {
+        assert_eq!(pfs.machine().ufs(ion).check(), Vec::<String>::new());
+    }
+}
+
+#[test]
+fn buffered_unaligned_write_reads_back_on_both_paths() {
+    assert_buffered_write_reads_back(5000, 1000);
+}
+
+#[test]
+fn buffered_whole_block_write_reads_back_on_both_paths() {
+    assert_buffered_write_reads_back(64 * 1024, 64 * 1024);
 }

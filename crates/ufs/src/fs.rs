@@ -11,8 +11,9 @@
 //!   filled from disk (with the same run coalescing), plus a charged
 //!   memory-copy from cache to the caller's buffer.
 //!
-//! Writes are write-through (the pre-population path of every experiment);
-//! `write_cached` exercises dirty-block bookkeeping for the cache tests.
+//! There is one write path, [`Ufs::write`]: the data goes to disk and the
+//! cached copies of the blocks it overwrote are purged, so the cache only
+//! ever holds clean blocks.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -109,8 +110,6 @@ pub struct UfsStats {
     pub bytes_read: u64,
     /// Bytes written through.
     pub bytes_written: u64,
-    /// Dirty blocks written back on eviction or sync.
-    pub writebacks: u64,
 }
 
 struct Inner {
@@ -201,7 +200,9 @@ impl Ufs {
         Ok(())
     }
 
-    /// Write-through write at `offset`, growing the file as needed.
+    /// Write at `offset`, growing the file as needed. The data goes to disk
+    /// whatever the read path; cached copies of the overwritten blocks are
+    /// purged.
     pub async fn write(&self, id: InodeId, offset: u64, data: Bytes) -> Result<(), UfsError> {
         if data.is_empty() {
             return Ok(());
@@ -239,19 +240,10 @@ impl Ufs {
         for h in handles {
             h.await.map_err(UfsError::Disk)?;
         }
-        // Keep the cache coherent: refresh any resident blocks we overwrote.
-        {
-            let mut inner = self.inner.borrow_mut();
-            for b in first_block..=last_block {
-                let key = BlockKey {
-                    inode: id,
-                    block: b,
-                };
-                if inner.cache.peek(key).is_some() {
-                    // Simplest coherent action: drop the stale block.
-                    inner.cache.purge_block(key);
-                }
-            }
+        // Keep the cache coherent: drop the blocks we overwrote.
+        let mut inner = self.inner.borrow_mut();
+        for block in first_block..=last_block {
+            inner.cache.purge_block(BlockKey { inode: id, block });
         }
         Ok(())
     }
@@ -271,13 +263,9 @@ impl Ufs {
     }
 
     /// Fast-path read: no cache, disk runs coalesced, zero extra copies.
-    pub async fn read_direct(&self, id: InodeId, offset: u64, len: u32) -> Result<Bytes, UfsError> {
-        self.read_direct_req(id, offset, len, 0).await
-    }
-
-    /// [`Ufs::read_direct`] under flight-recorder request context `req`
-    /// (threaded down to the per-spindle DiskStart/DiskDone events).
-    pub async fn read_direct_req(
+    /// `req` is the flight-recorder request context (`0` = none), threaded
+    /// down to the per-spindle DiskStart/DiskDone events.
+    pub async fn read_direct(
         &self,
         id: InodeId,
         offset: u64,
@@ -307,7 +295,7 @@ impl Ufs {
             handles.push((
                 (lo - offset) as usize,
                 self.sim.spawn_named("ufs-read-run", async move {
-                    raid.read_req(disk_off, plen, req).await
+                    raid.read(disk_off, plen, req).await
                 }),
             ));
         }
@@ -334,13 +322,9 @@ impl Ufs {
         Ok(out.freeze())
     }
 
-    /// Buffered read through the LRU cache; charges a cache→buffer copy.
-    pub async fn read_cached(&self, id: InodeId, offset: u64, len: u32) -> Result<Bytes, UfsError> {
-        self.read_cached_req(id, offset, len, 0).await
-    }
-
-    /// [`Ufs::read_cached`] under flight-recorder request context `req`.
-    pub async fn read_cached_req(
+    /// Buffered read through the LRU cache under flight-recorder request
+    /// context `req` (`0` = none); charges a cache→buffer copy.
+    pub async fn read_cached(
         &self,
         id: InodeId,
         offset: u64,
@@ -353,78 +337,18 @@ impl Ufs {
         let first_block = offset / bs;
         let last_block = (end - 1) / bs;
         self.inner.borrow_mut().stats.cached_reads += 1;
+        let key = |block| BlockKey { inode: id, block };
 
-        // Single-block fast path — the dominant buffered shape, since the
-        // PFS transfer unit equals the UFS block size: serve hit or miss
-        // with a zero-copy slice of the cached block instead of gathering
-        // through a fresh buffer. Device reads, cache accounting, and the
-        // copy charge all happen exactly as on the general path below.
-        if first_block == last_block {
-            let key = BlockKey {
-                inode: id,
-                block: first_block,
-            };
-            let at = (offset - first_block * bs) as usize;
-            let cached = self.inner.borrow_mut().cache.get(key);
-            let block_data = match cached {
-                Some(data) => data,
-                None => {
-                    let runs = {
-                        let inner = self.inner.borrow();
-                        let inode = inner.inodes.get(id).ok_or(UfsError::NotFound)?;
-                        inode
-                            .map_blocks(first_block, 1)
-                            .ok_or(UfsError::Unmapped { block: first_block })?
-                    };
-                    {
-                        let mut inner = self.inner.borrow_mut();
-                        inner.stats.disk_requests += runs.len() as u64;
-                        inner.stats.blocks_coalesced += 1 - runs.len() as u64;
-                    }
-                    let mut fetched = None;
-                    for run in runs {
-                        let data = self
-                            .raid
-                            .read_req(run.disk_block * bs, (run.len * bs) as u32, req)
-                            .await
-                            .map_err(UfsError::Disk)?;
-                        let victim = self
-                            .inner
-                            .borrow_mut()
-                            .cache
-                            .insert_clean(key, data.clone());
-                        fetched = Some(data);
-                        if let Some(v) = victim {
-                            if v.dirty {
-                                self.write_back(v.key, v.data).await?;
-                            }
-                        }
-                    }
-                    fetched.ok_or(UfsError::Unmapped { block: first_block })?
-                }
-            };
-            self.sim
-                .sleep(SimDuration::for_bytes(len as u64, self.params.copy_bw))
-                .await;
-            self.inner.borrow_mut().stats.bytes_read += len as u64;
-            return Ok(block_data.slice(at..at + len as usize));
-        }
-
-        let mut out = BytesMut::zeroed(len as usize);
-        // Identify misses first (batch them into runs), then fill.
-        let mut missing: Vec<u64> = Vec::new();
-        for b in first_block..=last_block {
-            let key = BlockKey {
-                inode: id,
-                block: b,
-            };
-            let cached = self.inner.borrow_mut().cache.get(key);
-            match cached {
-                Some(data) => self.place_block(&mut out, b, &data, offset, end),
-                None => missing.push(b),
-            }
-        }
-        // Coalesce missing blocks into device runs and fill the cache.
+        // Look every block up first, then fill the misses in coalesced
+        // device runs.
+        let mut blocks: Vec<Option<Bytes>> = (first_block..=last_block)
+            .map(|b| self.inner.borrow_mut().cache.get(key(b)))
+            .collect();
+        let missing: Vec<u64> = (first_block..)
+            .zip(&blocks)
+            .filter(|(_, data)| data.is_none())
+            .map(|(b, _)| b)
+            .collect();
         for missing_run in missing.chunk_by(|a, b| *b == a + 1) {
             let Some(&run_first) = missing_run.first() else {
                 continue;
@@ -445,103 +369,44 @@ impl Ufs {
             for run in runs {
                 let data = self
                     .raid
-                    .read_req(run.disk_block * bs, (run.len * bs) as u32, req)
+                    .read(run.disk_block * bs, (run.len * bs) as u32, req)
                     .await
                     .map_err(UfsError::Disk)?;
                 for k in 0..run.len {
                     let b = run.file_block + k;
                     let block_data = data.slice((k * bs) as usize..((k + 1) * bs) as usize);
-                    self.place_block(&mut out, b, &block_data, offset, end);
-                    let victim = self.inner.borrow_mut().cache.insert_clean(
-                        BlockKey {
-                            inode: id,
-                            block: b,
-                        },
-                        block_data,
-                    );
-                    if let Some(v) = victim {
-                        if v.dirty {
-                            self.write_back(v.key, v.data).await?;
-                        }
+                    self.inner
+                        .borrow_mut()
+                        .cache
+                        .insert(key(b), block_data.clone());
+                    if let Some(slot) = blocks.get_mut((b - first_block) as usize) {
+                        *slot = Some(block_data);
                     }
                 }
             }
         }
+        let blocks = (first_block..)
+            .zip(blocks)
+            .map(|(block, data)| data.ok_or(UfsError::Unmapped { block }))
+            .collect::<Result<Vec<Bytes>, UfsError>>()?;
+
         // The buffered path pays a memory copy cache → caller.
         self.sim
             .sleep(SimDuration::for_bytes(len as u64, self.params.copy_bw))
             .await;
         self.inner.borrow_mut().stats.bytes_read += len as u64;
+        // A range inside one block — the dominant shape, since the PFS
+        // transfer unit equals the block size — is a view of that block;
+        // only a range across blocks is gathered into a fresh buffer.
+        if let [one] = blocks.as_slice() {
+            let at = (offset - first_block * bs) as usize;
+            return Ok(one.slice(at..at + len as usize));
+        }
+        let mut out = BytesMut::zeroed(len as usize);
+        for (b, data) in (first_block..).zip(&blocks) {
+            self.place_block(&mut out, b, data, offset, end);
+        }
         Ok(out.freeze())
-    }
-
-    /// Buffered write: dirty the cache only; data reaches disk when the
-    /// block is evicted. Whole-block writes only (the PFS write path always
-    /// writes block multiples when buffering is enabled).
-    pub async fn write_cached(
-        &self,
-        id: InodeId,
-        offset: u64,
-        data: Bytes,
-    ) -> Result<(), UfsError> {
-        let bs = self.bs();
-        assert!(
-            offset.is_multiple_of(bs) && (data.len() as u64).is_multiple_of(bs),
-            "write_cached requires block-aligned extents"
-        );
-        let end = offset + data.len() as u64;
-        self.ensure_mapped(id, end)?;
-        {
-            let mut inner = self.inner.borrow_mut();
-            let inode = inner.inodes.get_mut(id).ok_or(UfsError::NotFound)?;
-            inode.size = inode.size.max(end);
-            inner.stats.bytes_written += data.len() as u64;
-        }
-        let nblocks = data.len() as u64 / bs;
-        for k in 0..nblocks {
-            let b = offset / bs + k;
-            let block_data = data.slice((k * bs) as usize..((k + 1) * bs) as usize);
-            let victim = self.inner.borrow_mut().cache.insert_dirty(
-                BlockKey {
-                    inode: id,
-                    block: b,
-                },
-                block_data,
-            );
-            if let Some(v) = victim {
-                if v.dirty {
-                    self.write_back(v.key, v.data).await?;
-                }
-            }
-        }
-        // Cache write costs one memcpy.
-        self.sim
-            .sleep(SimDuration::for_bytes(
-                data.len() as u64,
-                self.params.copy_bw,
-            ))
-            .await;
-        Ok(())
-    }
-
-    async fn write_back(&self, key: BlockKey, data: Bytes) -> Result<(), UfsError> {
-        let bs = self.bs();
-        let disk_block = {
-            let mut inner = self.inner.borrow_mut();
-            inner.stats.writebacks += 1;
-            inner
-                .inodes
-                .get(key.inode)
-                .and_then(|i| i.map_block(key.block))
-        };
-        if let Some(db) = disk_block {
-            self.raid
-                .write(db * bs, data)
-                .await
-                .map_err(UfsError::Disk)?;
-        }
-        // A block with no disk mapping has nowhere to go; drop the data.
-        Ok(())
     }
 
     fn check_bounds(&self, id: InodeId, offset: u64, len: u32) -> Result<(), UfsError> {
@@ -679,7 +544,7 @@ mod tests {
             let id = f2.create("f").await.unwrap();
             let data = pattern(20_000, 3);
             f2.write(id, 0, data.clone()).await.unwrap();
-            let back = f2.read_direct(id, 0, 20_000).await.unwrap();
+            let back = f2.read_direct(id, 0, 20_000, 0).await.unwrap();
             back == data
         });
         sim.run();
@@ -695,7 +560,7 @@ mod tests {
             let id = f2.create("f").await.unwrap();
             let data = pattern(30_000, 9);
             f2.write(id, 0, data.clone()).await.unwrap();
-            let back = f2.read_direct(id, 5_000, 9_000).await.unwrap();
+            let back = f2.read_direct(id, 5_000, 9_000, 0).await.unwrap();
             back[..] == data[5_000..14_000]
         });
         sim.run();
@@ -712,18 +577,22 @@ mod tests {
             let data = pattern(8192, 1);
             f2.write(id, 0, data.clone()).await.unwrap();
             let before = f2.stats().disk_requests;
-            let a = f2.read_cached(id, 0, 8192).await.unwrap();
+            let a = f2.read_cached(id, 0, 8192, 0).await.unwrap();
             let after_miss = f2.stats().disk_requests;
-            let b = f2.read_cached(id, 0, 8192).await.unwrap();
-            // The first read goes to disk; the re-read hits the cache.
+            let b = f2.read_cached(id, 0, 8192, 0).await.unwrap();
+            // Two reads of one block are views of the one cached copy.
+            let x = f2.read_cached(id, 4096, 4096, 0).await.unwrap();
+            let y = f2.read_cached(id, 4096, 4096, 0).await.unwrap();
+            // The first read goes to disk; the re-reads hit the cache.
             (
-                a == data && b == data,
+                a == data && b == data && x[..] == data[4096..],
                 after_miss > before,
                 f2.stats().disk_requests == after_miss,
+                x.as_ptr() == y.as_ptr(),
             )
         });
         sim.run();
-        assert_eq!(h.try_take(), Some((true, true, true)));
+        assert_eq!(h.try_take(), Some((true, true, true, true)));
     }
 
     #[test]
@@ -734,7 +603,7 @@ mod tests {
         let h = sim.spawn(async move {
             let id = f2.create("f").await.unwrap();
             f2.write(id, 0, pattern(100, 0)).await.unwrap();
-            f2.read_direct(id, 50, 100).await
+            f2.read_direct(id, 50, 100, 0).await
         });
         sim.run();
         assert_eq!(
@@ -756,34 +625,12 @@ mod tests {
             f2.write(id, 0, pattern(64 * 1024, 2)).await.unwrap();
             // 16 file blocks in one extent: a full-file direct read must be
             // a single device request.
-            f2.read_direct(id, 0, 64 * 1024).await.unwrap();
+            f2.read_direct(id, 0, 64 * 1024, 0).await.unwrap();
         });
         sim.run();
         let st = fs.stats();
         assert_eq!(st.direct_reads, 1);
         assert_eq!(st.blocks_coalesced, 15);
-    }
-
-    #[test]
-    fn cached_write_reaches_disk_on_writeback() {
-        let sim = Sim::new(1);
-        let fs = test_fs(&sim);
-        let f2 = fs.clone();
-        let h = sim.spawn(async move {
-            let id = f2.create("f").await.unwrap();
-            let data = pattern(8192, 7);
-            f2.write_cached(id, 0, data.clone()).await.unwrap();
-            let dirty = f2.inner.borrow_mut().cache.take_dirty();
-            for (key, data) in dirty {
-                f2.write_back(key, data).await.unwrap();
-            }
-            // Fast path bypasses the cache, so this proves disk content.
-            let back = f2.read_direct(id, 0, 8192).await.unwrap();
-            back == data
-        });
-        sim.run();
-        assert_eq!(h.try_take(), Some(true));
-        assert!(fs.stats().writebacks >= 2);
     }
 
     #[test]
@@ -794,10 +641,10 @@ mod tests {
         let h = sim.spawn(async move {
             let id = f2.create("f").await.unwrap();
             f2.write(id, 0, pattern(4096, 1)).await.unwrap();
-            let _warm = f2.read_cached(id, 0, 4096).await.unwrap();
+            let _warm = f2.read_cached(id, 0, 4096, 0).await.unwrap();
             let fresh = pattern(4096, 99);
             f2.write(id, 0, fresh.clone()).await.unwrap();
-            let back = f2.read_cached(id, 0, 4096).await.unwrap();
+            let back = f2.read_cached(id, 0, 4096, 0).await.unwrap();
             back == fresh
         });
         sim.run();
@@ -830,7 +677,7 @@ mod tests {
             let id = f2.create("f").await.unwrap();
             // Write at 16 KB, leaving a 16 KB hole at the front.
             f2.write(id, 16 * 1024, pattern(4096, 5)).await.unwrap();
-            let hole = f2.read_direct(id, 0, 4096).await.unwrap();
+            let hole = f2.read_direct(id, 0, 4096, 0).await.unwrap();
             hole.iter().all(|&b| b == 0)
         });
         sim.run();

@@ -3,11 +3,12 @@
 //! Each Paragon I/O node ran a regular Unix File System on its RAID array;
 //! the PFS stripes one parallel file over many of these. This crate is that
 //! building block: an extent allocator, an inode table with a coalescing
-//! block map, an LRU buffer cache, and the two read paths the PFS server
+//! block map, an LRU read cache, and the two read paths the PFS server
 //! selects between — the **Fast Path** ([`Ufs::read_direct`], cache
 //! bypassed, data moved disk → caller directly, contiguous blocks merged
 //! into single device requests) and the buffered path
-//! ([`Ufs::read_cached`]).
+//! ([`Ufs::read_cached`]). There is one write path, [`Ufs::write`]: data
+//! goes to disk and purges the cached copies of the blocks it overwrote.
 //!
 //! ```
 //! use paragon_sim::Sim;
@@ -23,7 +24,7 @@
 //! let h = sim.spawn(async move {
 //!     let id = fs2.create("/pfs/stripe.0").await.unwrap();
 //!     fs2.write(id, 0, Bytes::from(vec![42u8; 128 * 1024])).await.unwrap();
-//!     fs2.read_direct(id, 0, 64 * 1024).await.unwrap().len()
+//!     fs2.read_direct(id, 0, 64 * 1024, 0).await.unwrap().len()
 //! });
 //! sim.run();
 //! assert_eq!(h.try_take(), Some(64 * 1024));

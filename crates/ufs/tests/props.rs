@@ -1,7 +1,7 @@
 //! Randomized tests for the UFS building blocks: the extent allocator
-//! never double-allocates, the cache never exceeds capacity or loses
-//! dirty data, and the file system round-trips arbitrary write/read
-//! scripts byte-for-byte. Cases come from the in-repo [`Rng`].
+//! never double-allocates, the cache is a bounded LRU, and the file
+//! system round-trips arbitrary write/read scripts byte-for-byte. Cases
+//! come from the in-repo [`Rng`].
 
 use bytes::Bytes;
 
@@ -69,74 +69,65 @@ fn allocator_never_overlaps_and_conserves() {
 #[derive(Debug, Clone)]
 enum CacheOp {
     Get(u64),
-    InsertClean(u64),
-    InsertDirty(u64),
-    TakeDirty,
+    Insert(u64),
 }
 
 fn cache_ops(rng: &mut Rng) -> Vec<CacheOp> {
     (0..rng.range_usize(1..120))
-        .map(|_| match rng.range_u64(0..4) {
-            0 => CacheOp::Get(rng.range_u64(0..32)),
-            1 => CacheOp::InsertClean(rng.range_u64(0..32)),
-            2 => CacheOp::InsertDirty(rng.range_u64(0..32)),
-            _ => CacheOp::TakeDirty,
+        .map(|_| {
+            let block = rng.range_u64(0..32);
+            if rng.gen_bool(0.5) {
+                CacheOp::Get(block)
+            } else {
+                CacheOp::Insert(block)
+            }
         })
         .collect()
 }
 
-/// The cache never exceeds capacity, and every dirty block inserted
-/// is eventually surfaced (via eviction or take_dirty) exactly once.
+/// The cache never exceeds capacity, and it holds exactly the blocks an
+/// LRU list of that capacity holds (most recent last).
 #[test]
-fn cache_bounds_and_dirty_conservation() {
+fn cache_is_a_bounded_lru() {
     let mut rng = Rng::seed_from_u64(0xcac4e);
     for _ in 0..256 {
         let ops = cache_ops(&mut rng);
         let cap = rng.range_usize(1..8);
         let mut c = BlockCache::new(cap);
-        let mut dirty_in = 0u64;
-        let mut dirty_out = 0u64;
+        let mut lru: Vec<u64> = Vec::new();
         let key = |b: u64| BlockKey {
             inode: InodeId(0),
             block: b,
         };
-        let mut dirty_now: std::collections::BTreeSet<u64> = Default::default();
         for op in ops {
             match op {
                 CacheOp::Get(b) => {
-                    c.get(key(b));
+                    let hit = c.get(key(b));
+                    let resident = lru.iter().position(|&k| k == b);
+                    assert_eq!(hit.is_some(), resident.is_some(), "residency of {b}");
+                    if let Some(i) = resident {
+                        assert_eq!(hit, Some(Bytes::from(vec![b as u8])));
+                        lru.remove(i);
+                        lru.push(b);
+                    }
                 }
-                CacheOp::InsertClean(b) => {
-                    if let Some(ev) = c.insert_clean(key(b), Bytes::from_static(b"x")) {
-                        if ev.dirty {
-                            dirty_out += 1;
-                            dirty_now.remove(&ev.key.block);
+                CacheOp::Insert(b) => {
+                    c.insert(key(b), Bytes::from(vec![b as u8]));
+                    match lru.iter().position(|&k| k == b) {
+                        Some(i) => {
+                            lru.remove(i);
                         }
-                    }
-                }
-                CacheOp::InsertDirty(b) => {
-                    if dirty_now.insert(b) {
-                        dirty_in += 1;
-                    }
-                    if let Some(ev) = c.insert_dirty(key(b), Bytes::from_static(b"y")) {
-                        if ev.dirty {
-                            dirty_out += 1;
-                            dirty_now.remove(&ev.key.block);
+                        None if lru.len() == cap => {
+                            lru.remove(0);
                         }
+                        None => {}
                     }
-                }
-                CacheOp::TakeDirty => {
-                    let taken = c.take_dirty();
-                    dirty_out += taken.len() as u64;
-                    for (k, _) in taken {
-                        dirty_now.remove(&k.block);
-                    }
+                    lru.push(b);
                 }
             }
             assert!(c.len() <= cap);
+            assert_eq!(c.len(), lru.len());
         }
-        dirty_out += c.take_dirty().len() as u64;
-        assert_eq!(dirty_in, dirty_out, "dirty data lost or duplicated");
     }
 }
 
@@ -147,6 +138,9 @@ struct WriteOp {
     offset: u64,
     len: usize,
     fill: u8,
+    /// Reads issued after this write, as raw draws; each is clamped into
+    /// the file at run time (offset modulo the size, length at least 1).
+    reads: Vec<(u64, u64)>,
 }
 
 fn write_script(rng: &mut Rng) -> Vec<WriteOp> {
@@ -155,12 +149,17 @@ fn write_script(rng: &mut Rng) -> Vec<WriteOp> {
             offset: rng.range_u64(0..200_000),
             len: rng.range_usize(1..40_000),
             fill: rng.next_u32() as u8,
+            reads: (0..rng.range_usize(0..4))
+                .map(|_| (rng.next_u64(), rng.range_u64(0..40_000)))
+                .collect(),
         })
         .collect()
 }
 
-/// Arbitrary overlapping writes followed by reads reproduce exactly
-/// what a flat in-memory model says, on both read paths.
+/// Arbitrary overlapping writes, each followed by reads at random offsets
+/// and lengths, reproduce exactly what a flat in-memory model says, on
+/// both read paths. The reads between writes leave the cache warm and
+/// partly purged when the next write lands, and cross block boundaries.
 #[test]
 fn fs_matches_flat_model() {
     let mut rng = Rng::seed_from_u64(0xf5f5);
@@ -192,9 +191,18 @@ fn fs_matches_flat_model() {
                 fs2.write(id, w.offset, Bytes::from(vec![w.fill; w.len]))
                     .await
                     .unwrap();
+                for &(at, len) in &w.reads {
+                    let at = at % model.len() as u64;
+                    let len = 1 + len % (model.len() as u64 - at);
+                    let want = &model[at as usize..(at + len) as usize];
+                    let direct = fs2.read_direct(id, at, len as u32, 0).await.unwrap();
+                    assert_eq!(&direct[..], want, "fast path diverged at {at}+{len}");
+                    let cached = fs2.read_cached(id, at, len as u32, 0).await.unwrap();
+                    assert_eq!(&cached[..], want, "buffered path diverged at {at}+{len}");
+                }
             }
-            let direct = fs2.read_direct(id, 0, model.len() as u32).await.unwrap();
-            let cached = fs2.read_cached(id, 0, model.len() as u32).await.unwrap();
+            let direct = fs2.read_direct(id, 0, model.len() as u32, 0).await.unwrap();
+            let cached = fs2.read_cached(id, 0, model.len() as u32, 0).await.unwrap();
             (model, direct, cached)
         });
         sim.run();

@@ -91,7 +91,8 @@ pub struct ExperimentConfig {
     pub calib: Calibration,
     /// I/O mode the shared file is opened in.
     pub mode: IoMode,
-    /// Fast Path (buffer-cache bypass) on the servers.
+    /// Fast Path reads (buffer-cache bypass) on the servers; writes go
+    /// to disk either way.
     pub fast_path: bool,
     /// Stripe unit size, bytes.
     pub stripe_unit: u64,

@@ -369,7 +369,7 @@ impl Reader {
         match self {
             Reader::Plain(f) => {
                 f.syscall().await;
-                f.transfer_read(offset, len).await
+                f.transfer_read(offset, len, f.sim().mint_req()).await
             }
             Reader::Prefetching(pf) => pf.read_at(offset, len).await,
         }

@@ -7,15 +7,21 @@
 #
 #   scripts/line_delta.sh [BASE]    # BASE defaults to HEAD~1
 #
-# Compares BASE with the working tree, so run it after the commit, or
-# before it once new files are tracked (`git add`): untracked files are
-# not counted.
+# Compares BASE with the working tree. A new file counts whether or not
+# it is tracked yet: untracked files that .gitignore does not exclude
+# count as all added lines.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 base="${1:-HEAD~1}"
+roots=('crates/*.rs' 'src/*.rs' 'tests/*.rs' 'examples/*.rs')
 
-git diff --numstat --no-renames "$base" -- \
-    'crates/*.rs' 'src/*.rs' 'tests/*.rs' 'examples/*.rs' |
+{
+    git diff --numstat --no-renames "$base" -- "${roots[@]}"
+    git ls-files --others --exclude-standard -z -- "${roots[@]}" |
+        while IFS= read -r -d '' file; do
+            printf '%d\t0\t%s\n' "$(wc -l < "$file")" "$file"
+        done
+} |
     awk -v base="$base" '
         {
             split($3, part, "/")
