@@ -8,8 +8,8 @@ use paragon_pfs::{IoMode, Redundancy};
 use paragon_profile::{export_perfetto, render_critical_path};
 use paragon_sim::{export_json, hash_events, parse_json, FaultStats, SimDuration, TraceEvent};
 use paragon_workload::{
-    metrics_check, metrics_report, render_report, run, AccessPattern, ExperimentConfig, FaultSpec,
-    RunResult, StripeLayout,
+    metrics_report, render_report, run, AccessPattern, ExperimentConfig, FaultSpec, RunResult,
+    StripeLayout,
 };
 
 use std::path::Path;
@@ -30,7 +30,6 @@ USAGE:
     paragonctl trace diff FILE1 FILE2
     paragonctl metrics run [OPTIONS] [--out FILE]
     paragonctl metrics report [FILE | OPTIONS]
-    paragonctl metrics check [OPTIONS] [--baseline FILE]
     paragonctl profile critical-path [FILE | OPTIONS] [--top N]
     paragonctl profile export [FILE | OPTIONS] [--out FILE]
 
@@ -60,16 +59,11 @@ METRICS:
     run        run the OPTIONS-selected experiment with the telemetry
                sampler armed (every 100 simulated ms) and write the
                bottleneck-attribution report as deterministic JSON (same
-               seed → identical bytes)
+               seed → identical bytes; CI byte-diffs `--seed 42` against
+               the committed BENCH_metrics.json)
     --out <FILE|->    report destination       [BENCH_metrics.json]
     report     render a report (from FILE, or a fresh run) as tables
                and ASCII queue-depth charts
-    check      re-run and compare the report against a committed
-               baseline: the run config (meta) and the work counters
-               must match exactly, the scalars within per-metric
-               tolerance bands; exits nonzero on regression (the CI
-               perf gate)
-    --baseline <FILE> committed baseline       [BENCH_metrics.json]
 
 FAULTS:
     run the OPTIONS-selected experiment once per fault class (none,
@@ -446,37 +440,6 @@ fn metrics_render(argv: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// `metrics check`: the perf gate, a fresh run against the baseline.
-fn metrics_gate(argv: &[String]) -> Result<ExitCode, String> {
-    let mut args = Args(argv.to_vec());
-    let baseline_path = args
-        .value("--baseline")?
-        .unwrap_or_else(|| "BENCH_metrics.json".into());
-    let baseline = load_report(&baseline_path)?;
-    let (cfg, r) = instrumented_run(args)?;
-    let violations = metrics_check(&metrics_report(&cfg, &r), &baseline);
-    if !violations.is_empty() {
-        eprintln!("metrics gate FAILED against {baseline_path}:");
-        for v in &violations {
-            eprintln!("  {v}");
-        }
-        return Ok(ExitCode::FAILURE);
-    }
-    let n = |key| {
-        baseline
-            .get(key)
-            .and_then(Json::as_obj)
-            .map_or(0, |m| m.len())
-    };
-    println!(
-        "metrics gate passed against {baseline_path}: {} counters exact, \
-         {} scalars within tolerance",
-        n("counters"),
-        n("scalars")
-    );
-    Ok(ExitCode::SUCCESS)
-}
-
 /// Events (and, for a fresh run, the telemetry snapshot) for the
 /// profile subcommands: a lone non-flag argument is a trace file to
 /// analyze; otherwise the OPTIONS-selected experiment runs fresh,
@@ -723,7 +686,7 @@ type Handler = fn(&[String]) -> Result<ExitCode, String>;
 
 /// Every command `paragonctl` accepts, as (verb, subcommand, handler).
 /// The dispatcher knows no other, so the docs can be checked against it.
-const COMMANDS: [(&str, Option<&str>, Handler); 10] = [
+const COMMANDS: [(&str, Option<&str>, Handler); 9] = [
     ("reproduce", None, |argv| {
         Ok(reproduce(argv, &results_dir()))
     }),
@@ -733,7 +696,6 @@ const COMMANDS: [(&str, Option<&str>, Handler); 10] = [
     ("trace", Some("diff"), trace_diff),
     ("metrics", Some("run"), metrics_run),
     ("metrics", Some("report"), metrics_render),
-    ("metrics", Some("check"), metrics_gate),
     ("profile", Some("critical-path"), profile_critical_path),
     ("profile", Some("export"), profile_export),
 ];
@@ -1054,7 +1016,7 @@ mod tests {
     }
 
     #[test]
-    fn metrics_run_is_deterministic_and_check_gates() {
+    fn metrics_run_is_byte_deterministic_and_report_renders() {
         let dir = std::env::temp_dir();
         let p1 = dir.join("paragonctl-test-metrics-1.json");
         let p2 = dir.join("paragonctl-test-metrics-2.json");
@@ -1069,25 +1031,14 @@ mod tests {
         let t2 = std::fs::read_to_string(&p2).unwrap();
         assert_eq!(t1, t2, "same-seed metrics reports differ");
 
-        // The report is well-formed JSON with the gate's scalars, sampled
-        // at the one cadence.
+        // The report is well-formed JSON with the expected scalars,
+        // sampled at the one cadence.
         let report = Json::parse(&t1).unwrap();
         let scalars = report.get("scalars").and_then(Json::as_obj).unwrap();
         assert!(scalars.contains_key("util.disk"));
         assert!(scalars.contains_key("littles_law.ratio"));
         let cadence = report.get("meta").and_then(|m| m.get("cadence_ns"));
         assert_eq!(cadence, Some(&Json::Num(1e8)));
-
-        // Gate: a re-run against its own output passes…
-        let argv = metrics_argv("check", &format!("--baseline {}", s(&p1)));
-        assert_eq!(main_impl(argv), ExitCode::SUCCESS);
-
-        // …and a tampered baseline fails.
-        let tampered = t1.replace("\"bandwidth_mb_s\"", "\"bandwidth_mb_s_renamed\"");
-        assert_ne!(tampered, t1, "tamper had no effect");
-        std::fs::write(&p2, &tampered).unwrap();
-        let argv = metrics_argv("check", &format!("--baseline {}", s(&p2)));
-        assert_eq!(main_impl(argv), ExitCode::FAILURE);
 
         // `report FILE` renders without re-running.
         assert_eq!(
@@ -1101,28 +1052,14 @@ mod tests {
     }
 
     #[test]
-    fn metrics_check_fails_a_run_of_another_config() {
-        let base = std::env::temp_dir().join("paragonctl-test-metrics-seed42.json");
-        let base = base.to_str().unwrap();
-        let run42 = metrics_argv("run", &format!("--seed 42 --out {base}"));
-        assert_eq!(main_impl(run42), ExitCode::SUCCESS);
-        let check =
-            |extra: &str| main_impl(metrics_argv("check", &format!("--baseline {base} {extra}")));
-        assert_eq!(check("--seed 42"), ExitCode::SUCCESS);
-        for other in ["--seed 43", "--prefetch"] {
-            assert_eq!(check(other), ExitCode::FAILURE, "{other}");
-        }
-        let _ = std::fs::remove_file(base);
-    }
-
-    #[test]
     fn bad_commands_and_flags_are_usage_errors() {
         for argv in [
             "metrics",
             "trace summarize t.json",
             "metrics run --bogus-flag 1 --out -",
-            "metrics check --baseline /nonexistent.json",
-            // Deleted flags.
+            // Deleted commands and flags.
+            "metrics check",
+            "metrics check --baseline x.json",
             "metrics run --cadence-ms 20 --out -",
             "metrics check --tolerance 0.5",
             "metrics check --current BENCH_metrics.json",

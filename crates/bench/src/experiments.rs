@@ -790,6 +790,9 @@ where
     });
     sim.run();
     let (elapsed, total) = run.try_take().expect("finished");
+    // Parked server loops own `Sim` clones: without this the world is
+    // an `Rc` cycle that stays resident until the process exits.
+    sim.shutdown();
     let mb = FILE as f64 / (1 << 20) as f64;
     (mb / elapsed.as_secs_f64(), total)
 }
@@ -1161,4 +1164,30 @@ pub(crate) fn redundancy_sweep(
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn testbed_worlds_do_not_outlive_their_run() {
+        // A rank task that never finishes and holds a clone of the
+        // sentinel: the shape of a parked server loop.
+        let sentinel = Rc::new(());
+        let held = Rc::clone(&sentinel);
+        testbed_mb_s(1, None, move |rank, _, sim| {
+            if rank == 0 {
+                let held = Rc::clone(&held);
+                sim.spawn(async move {
+                    let _held = held;
+                    std::future::pending::<()>().await;
+                });
+            }
+            async { 0 }
+        });
+        let weak = Rc::downgrade(&sentinel);
+        drop(sentinel);
+        assert!(weak.upgrade().is_none(), "the world outlived its run");
+    }
 }

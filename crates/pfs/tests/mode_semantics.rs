@@ -1,5 +1,5 @@
 //! Executable semantics of the client pointer machinery: M_RECORD
-//! partitioning as a property, asynchronous reads in every mode, seek
+//! partitioning as a property, asynchronous and zero-length I/O, seek
 //! and rewind behaviour, and the pinned event order of `aread` and the
 //! mode-semantic `write` in every mode.
 
@@ -79,6 +79,12 @@ fn aread_works_in_every_mode() {
         let h = sim.spawn(async move {
             let id = make_file(&pfs, 256 * 1024, 4).await;
             let f = pfs.open(0, 1, id, mode, OpenOptions::default()).unwrap();
+            // Zero-length I/O is POSIX `read(fd, buf, 0)`: empty, and the
+            // pointer stays where it was for the read below.
+            if matches!(mode, IoMode::MUnix | IoMode::MAsync) {
+                assert!(f.read(0).await.unwrap().is_empty());
+            }
+            f.write_at(1000, Bytes::new()).await.unwrap();
             let req = f.aread(32 * 1024).await;
             let data = req.join().await.unwrap();
             data == pattern_slice(4, 0, 32 * 1024)

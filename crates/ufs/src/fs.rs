@@ -264,7 +264,9 @@ impl Ufs {
 
     /// Fast-path read: no cache, disk runs coalesced, zero extra copies.
     /// `req` is the flight-recorder request context (`0` = none), threaded
-    /// down to the per-spindle DiskStart/DiskDone events.
+    /// down to the per-spindle DiskStart/DiskDone events. Like POSIX
+    /// `read(fd, buf, 0)`, a zero-length read returns empty and does
+    /// nothing; so does one through [`Ufs::read_cached`].
     pub async fn read_direct(
         &self,
         id: InodeId,
@@ -272,6 +274,9 @@ impl Ufs {
         len: u32,
         req: ReqId,
     ) -> Result<Bytes, UfsError> {
+        if len == 0 {
+            return Ok(Bytes::new());
+        }
         let runs = self.plan_read(id, offset, len)?;
         {
             let mut inner = self.inner.borrow_mut();
@@ -331,6 +336,9 @@ impl Ufs {
         len: u32,
         req: ReqId,
     ) -> Result<Bytes, UfsError> {
+        if len == 0 {
+            return Ok(Bytes::new());
+        }
         let bs = self.bs();
         let end = offset + len as u64;
         self.check_bounds(id, offset, len)?;
@@ -422,7 +430,6 @@ impl Ufs {
     }
 
     fn plan_read(&self, id: InodeId, offset: u64, len: u32) -> Result<Vec<DiskRun>, UfsError> {
-        assert!(len > 0, "zero-length read");
         self.check_bounds(id, offset, len)?;
         let bs = self.bs();
         let end = offset + len as u64;

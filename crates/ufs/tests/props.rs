@@ -139,7 +139,8 @@ struct WriteOp {
     len: usize,
     fill: u8,
     /// Reads issued after this write, as raw draws; each is clamped into
-    /// the file at run time (offset modulo the size, length at least 1).
+    /// the file at run time (offset modulo the size, length at most the
+    /// rest of the file). One draw in eight is zero-length.
     reads: Vec<(u64, u64)>,
 }
 
@@ -150,7 +151,15 @@ fn write_script(rng: &mut Rng) -> Vec<WriteOp> {
             len: rng.range_usize(1..40_000),
             fill: rng.next_u32() as u8,
             reads: (0..rng.range_usize(0..4))
-                .map(|_| (rng.next_u64(), rng.range_u64(0..40_000)))
+                .map(|_| {
+                    let at = rng.next_u64();
+                    let len = if rng.gen_bool(0.125) {
+                        0
+                    } else {
+                        rng.range_u64(1..40_000)
+                    };
+                    (at, len)
+                })
                 .collect(),
         })
         .collect()
@@ -193,7 +202,7 @@ fn fs_matches_flat_model() {
                     .unwrap();
                 for &(at, len) in &w.reads {
                     let at = at % model.len() as u64;
-                    let len = 1 + len % (model.len() as u64 - at);
+                    let len = len % (model.len() as u64 - at + 1);
                     let want = &model[at as usize..(at + len) as usize];
                     let direct = fs2.read_direct(id, at, len as u32, 0).await.unwrap();
                     assert_eq!(&direct[..], want, "fast path diverged at {at}+{len}");

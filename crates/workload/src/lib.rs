@@ -17,4 +17,4 @@ pub mod telemetry;
 pub use config::{AccessPattern, ExperimentConfig, FaultSpec, StripeLayout};
 pub use driver::run;
 pub use result::RunResult;
-pub use telemetry::{metrics_check, metrics_report, render_report};
+pub use telemetry::{metrics_report, render_report};

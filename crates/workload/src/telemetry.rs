@@ -15,9 +15,9 @@
 //! Little's-law consistency cross-check (time-mean concurrency vs
 //! throughput × latency), and — when a trace was recorded — agreement
 //! between the utilization ranking and the trace-derived access-time
-//! decomposition. [`metrics_check`] compares one report against a
-//! committed baseline — run config and work counters exactly, scalars
-//! within per-metric tolerance bands: the CI perf gate.
+//! decomposition. The report's pretty JSON is a pure function of the
+//! seed and config, so CI gates it like an experiment record: a fresh
+//! report must equal the committed `BENCH_metrics.json` byte for byte.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -285,11 +285,11 @@ impl Telemetry {
 
 /// Build the bottleneck-attribution report for an instrumented run.
 ///
-/// [`metrics_check`] gates three sections against a committed baseline:
-/// `meta` (the run config) and `counters` (measured-phase work counts)
-/// exactly, and `"scalars"` (flat `name → number`) within tolerance
-/// bands. The rest (`series`, `histograms`, `bottleneck`) is context for
-/// humans and renderers.
+/// Sections: `meta` (the run config), `counters` (measured-phase work
+/// counts) and `scalars` (flat `name → number`), then `series`,
+/// `histograms` and `bottleneck` for humans and renderers. The pretty
+/// JSON puts one key per line, so a diff against the committed baseline
+/// names each counter or scalar that moved.
 pub fn metrics_report(cfg: &ExperimentConfig, result: &RunResult) -> Json {
     let snap = result
         .metrics
@@ -471,83 +471,6 @@ fn span_consistency(demand: &[CriticalPath], disk: f64, mesh: f64) -> bool {
     }
     let [request, _, time_disk, reply] = sums;
     (disk >= mesh) == (time_disk >= request + reply)
-}
-
-/// Compare a current report against a committed baseline: the CI perf
-/// gate. Empty result = gate passes.
-///
-/// 1. `meta` first: a report of a different run config (seed, shape,
-///    request size, prefetch, cadence, samples) is not comparable, so
-///    each differing key is one violation naming both values, and the
-///    other sections are not compared.
-/// 2. `counters` are exact, host-independent work counts: a missing
-///    key, an extra key or a different value is a violation.
-/// 3. `scalars` get per-metric tolerance bands. Utilizations (names
-///    starting `util.`) and ratios (names ending `.ratio`) are compared
-///    absolutely within 0.05; a zero baseline demands an exact zero;
-///    everything else is relative within 10%. Missing or extra scalars
-///    are violations too.
-pub fn metrics_check(current: &Json, baseline: &Json) -> Vec<String> {
-    let exact = |_: &str, c: &Json, b: &Json| {
-        let show = |v: &Json| v.pretty().trim_end().to_owned();
-        (c != b).then(|| format!("{} vs baseline {} (must match exactly)", show(c), show(b)))
-    };
-    let mut violations = Vec::new();
-    compare_section(current, baseline, "meta", exact, &mut violations);
-    if !violations.is_empty() {
-        return violations;
-    }
-    compare_section(current, baseline, "counters", exact, &mut violations);
-    if section(baseline, "scalars").is_empty() {
-        violations.push("baseline has no scalars object".into());
-    }
-    let banded = |name: &str, c: &Json, b: &Json| {
-        // A non-numeric current value is infinitely far off.
-        let (c, b) = (c.as_f64().unwrap_or(f64::INFINITY), b.as_f64()?);
-        let absolute_class = name.starts_with("util.") || name.ends_with(".ratio");
-        let (limit, style) = if absolute_class {
-            (0.05, "absolute")
-        } else if b == 0.0 {
-            (0.0, "absolute")
-        } else {
-            (0.10 * b.abs(), "relative")
-        };
-        let diff = (c - b).abs();
-        (diff > limit).then(|| format!("{c} vs baseline {b} ({style} diff {diff:.6} > {limit:.6})"))
-    };
-    compare_section(current, baseline, "scalars", banded, &mut violations);
-    violations
-}
-
-/// A report's object-valued section `key` (empty when absent).
-fn section<'a>(report: &'a Json, key: &str) -> &'a std::collections::BTreeMap<String, Json> {
-    static EMPTY: std::collections::BTreeMap<String, Json> = std::collections::BTreeMap::new();
-    report.get(key).and_then(Json::as_obj).unwrap_or(&EMPTY)
-}
-
-/// Compare section `key` of two reports entry by entry: a missing or an
-/// extra entry is a violation, and `differs` judges each shared one.
-fn compare_section(
-    current: &Json,
-    baseline: &Json,
-    key: &str,
-    differs: impl Fn(&str, &Json, &Json) -> Option<String>,
-    violations: &mut Vec<String>,
-) {
-    let (cur, base) = (section(current, key), section(baseline, key));
-    for (name, b) in base {
-        let problem = match cur.get(name) {
-            None => Some(format!("missing (baseline {})", b.pretty().trim_end())),
-            Some(c) => differs(name, c, b),
-        };
-        violations.extend(problem.map(|p| format!("{key}.{name}: {p}")));
-    }
-    for (name, c) in cur.iter().filter(|(name, _)| !base.contains_key(*name)) {
-        violations.push(format!(
-            "{key}.{name}: {} not in baseline",
-            c.pretty().trim_end()
-        ));
-    }
 }
 
 /// Render the report for humans: a utilization table, the bottleneck
@@ -751,8 +674,6 @@ mod tests {
             "Little's-law cross-check failed: {ratio}"
         );
         assert_eq!(scalar("bottleneck.consistent"), 1.0);
-        // A report always passes its own gate.
-        assert!(metrics_check(&report, &report).is_empty());
         let text = render_report(&report);
         assert!(text.contains("bottleneck:"));
         assert!(text.contains("queue depths over time"));
@@ -817,110 +738,6 @@ mod tests {
             "close leaked prefetch buffer bytes"
         );
         assert_eq!(*snap.series[names::PREFETCH_BUFFERS].last().unwrap(), 0.0);
-    }
-
-    /// A report with the given sections, each a flat `name → number`.
-    fn report(sections: &[(&str, &[(&str, f64)])]) -> Json {
-        let obj = |entries: &[(&str, f64)]| {
-            Json::Obj(
-                entries
-                    .iter()
-                    .map(|(k, v)| ((*k).to_string(), Json::Num(*v)))
-                    .collect(),
-            )
-        };
-        Json::Obj(
-            sections
-                .iter()
-                .map(|(k, e)| ((*k).to_string(), obj(e)))
-                .collect(),
-        )
-    }
-
-    fn report_with(scalars: &[(&str, f64)]) -> Json {
-        report(&[("scalars", scalars)])
-    }
-
-    fn with_counters(counters: &[(&str, f64)]) -> Json {
-        report(&[("scalars", &[("a", 1.0)]), ("counters", counters)])
-    }
-
-    #[test]
-    fn check_passes_identical_reports() {
-        let r = report_with(&[("util.disk", 0.8), ("bandwidth_mb_s", 3.2)]);
-        assert!(metrics_check(&r, &r).is_empty());
-    }
-
-    #[test]
-    fn check_applies_absolute_band_to_utilizations_and_ratios() {
-        let base = report_with(&[("util.disk", 0.80), ("littles_law.ratio", 1.00)]);
-        let ok = report_with(&[("util.disk", 0.84), ("littles_law.ratio", 0.96)]);
-        assert!(metrics_check(&ok, &base).is_empty());
-        let bad = report_with(&[("util.disk", 0.86), ("littles_law.ratio", 1.00)]);
-        let v = metrics_check(&bad, &base);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].contains("util.disk"));
-    }
-
-    #[test]
-    fn check_applies_relative_band_elsewhere_and_exact_zero() {
-        let base = report_with(&[("bandwidth_mb_s", 10.0), ("read_errors", 0.0)]);
-        let ok = report_with(&[("bandwidth_mb_s", 10.9), ("read_errors", 0.0)]);
-        assert!(metrics_check(&ok, &base).is_empty());
-        let drift = report_with(&[("bandwidth_mb_s", 8.5), ("read_errors", 0.0)]);
-        assert_eq!(metrics_check(&drift, &base).len(), 1);
-        let nonzero = report_with(&[("bandwidth_mb_s", 10.0), ("read_errors", 1.0)]);
-        assert_eq!(metrics_check(&nonzero, &base).len(), 1);
-    }
-
-    #[test]
-    fn check_flags_missing_and_extra_scalars() {
-        let base = report_with(&[("a", 1.0), ("b", 2.0)]);
-        let cur = report_with(&[("a", 1.0), ("c", 3.0)]);
-        let v = metrics_check(&cur, &base);
-        assert_eq!(v.len(), 2, "{v:?}");
-        assert!(v.iter().any(|m| m.contains("scalars.b: missing")));
-        assert!(v.iter().any(|m| m.contains("scalars.c: 3 not in baseline")));
-    }
-
-    #[test]
-    fn check_compares_counters_exactly() {
-        let base = with_counters(&[("sim.polls", 100.0), ("disk.store.bytes_copied", 0.0)]);
-        assert!(metrics_check(&base, &base).is_empty());
-        let off_by_one = with_counters(&[("sim.polls", 101.0), ("disk.store.bytes_copied", 0.0)]);
-        let v = metrics_check(&off_by_one, &base);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert!(
-            v[0].starts_with("counters.sim.polls: 101 vs baseline 100"),
-            "{v:?}"
-        );
-    }
-
-    #[test]
-    fn check_flags_missing_and_extra_counters() {
-        let base = with_counters(&[("sim.events", 7.0), ("sim.polls", 9.0)]);
-        let missing = with_counters(&[("sim.events", 7.0)]);
-        let v = metrics_check(&missing, &base);
-        assert_eq!(v, ["counters.sim.polls: missing (baseline 9)"]);
-        let extra = with_counters(&[("sim.events", 7.0), ("sim.polls", 9.0), ("x", 0.0)]);
-        let v = metrics_check(&extra, &base);
-        assert_eq!(v, ["counters.x: 0 not in baseline"]);
-    }
-
-    #[test]
-    fn check_rejects_a_report_of_a_different_config_before_anything_else() {
-        let cfg = instrumented();
-        let base = metrics_report(&cfg, &crate::run(&cfg));
-        let mut reseeded = cfg.clone();
-        reseeded.seed += 1;
-        let mut recadenced = cfg.clone();
-        recadenced.metrics_cadence = Some(SimDuration::from_millis(50));
-        for (other, key) in [(reseeded, "meta.seed"), (recadenced, "meta.cadence_ns")] {
-            let cur = metrics_report(&other, &crate::run(&other));
-            let v = metrics_check(&cur, &base);
-            assert!(v.iter().any(|m| m.starts_with(key)), "{key}: {v:?}");
-            assert!(v.iter().all(|m| m.starts_with("meta.")), "{v:?}");
-        }
     }
 
     #[test]

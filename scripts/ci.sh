@@ -70,17 +70,6 @@ echo "=== full machine"
 # Release only: the debug build takes minutes on this shape.
 cargo test -q --release --test determinism full_machine_1024x128 -- --ignored
 
-echo "=== metrics"
-# Perf-regression gate: re-run the telemetry-instrumented default
-# workload and compare its report with the committed baseline. The run
-# config and the work counters (events, task polls, store bytes copied,
-# disk/mesh/server totals) must match exactly, on any host; the scalars
-# (utilizations, bandwidth, Little's-law ratio, ...) must stay within
-# per-metric tolerance bands. Host time is not gated here: hostbench/
-# measures it. Regenerate the baseline with
-# `paragonctl metrics run --seed 42` after an intentional change.
-cargo run -q -p paragon-bench --release --bin paragonctl -- metrics check --seed 42
-
 echo "=== profile"
 # Profiler acceptance gate: the critical-path blame report's nine-leg
 # integer accounting must be exact on every EXT-matrix config (including
@@ -92,15 +81,23 @@ echo "=== profile"
 cargo test -q --release --test profile_goldens
 
 echo "=== reproduce"
-# Every committed record in results/ must be what the tree produces
-# today: regenerate all of them into a scratch directory and diff. After
-# an intentional change, regenerate them with scripts/reproduce.sh (which
-# runs this gate afterwards) and update EXPERIMENTS.md.
+# Every deterministic output the tree commits must be what it produces
+# today, byte for byte: the records in results/ (regenerated into a
+# scratch directory and diffed) and the telemetry baseline
+# BENCH_metrics.json (a fresh `metrics run --seed 42`, written next to
+# that directory so `diff -r` sees only records). The report's pretty
+# JSON puts one key per line, so a diff line names the counter or scalar
+# that moved. Host time is not gated here: hostbench/ measures it. After
+# an intentional change, regenerate both with scripts/reproduce.sh
+# (which runs this gate afterwards) and update EXPERIMENTS.md.
 fresh=$(mktemp -d)
-trap 'rm -rf "$fresh" "$fresh.log"' EXIT
-PARAGON_RESULTS_DIR="$fresh" cargo run -q -p paragon-bench --release --bin paragonctl -- \
-    reproduce all > /dev/null 2> "$fresh.log" || { cat "$fresh.log"; exit 1; }
+trap 'rm -rf "$fresh" "$fresh.log" "$fresh.metrics.json"' EXIT
+paragonctl() { cargo run -q -p paragon-bench --release --bin paragonctl -- "$@"; }
+PARAGON_RESULTS_DIR="$fresh" paragonctl reproduce all > /dev/null 2> "$fresh.log" ||
+    { cat "$fresh.log"; exit 1; }
 diff -r --exclude=logs results "$fresh"
+paragonctl metrics run --seed 42 --out "$fresh.metrics.json" > /dev/null
+diff -u BENCH_metrics.json "$fresh.metrics.json"
 
 echo "=== cargo fmt --check"
 cargo fmt --check

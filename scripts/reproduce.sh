@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Regenerate every table and figure of the paper plus the extension
-# studies. Outputs land in results/ (JSON records) and results/logs/
-# (rendered tables and ASCII figures, one <id>.txt per experiment, and
-# the progress notes in reproduce.err). Takes a few minutes in release.
+# studies, and the telemetry baseline. Outputs land in results/ (JSON
+# records), results/logs/ (rendered tables and ASCII figures, one
+# <id>.txt per experiment, and the progress notes in reproduce.err) and
+# BENCH_metrics.json. Takes a few minutes in release.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -17,6 +18,10 @@ cargo run --release -q -p paragon-bench --bin paragonctl -- reproduce all \
              printf "%s", buf > ("results/logs/" id ".txt"); close("results/logs/" id ".txt")
              print "    -> results/logs/" id ".txt"; buf = ""
          }'
+
+# The telemetry baseline is gated like a record, so it is rewritten with
+# them.
+cargo run --release -q -p paragon-bench --bin paragonctl -- metrics run --seed 42 > /dev/null
 
 # Then the gate (clippy with the clippy.toml invariants, build, tests,
 # fmt): numbers from a nondeterministic or panicky tree are not
