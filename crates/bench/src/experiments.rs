@@ -4,19 +4,19 @@
 //! or figure and fills the record. EXPERIMENTS.md states, per id, the
 //! paper's claim and the measured shape.
 
-use std::future::Future;
+use std::cell::Cell;
 use std::rc::Rc;
 
 use paragon_core::{
     PredictorKind, PrefetchConfig, PrefetchingFile, WriteBehindConfig, WriteBehindFile,
 };
-use paragon_machine::{Calibration, Machine, MachineConfig};
+use paragon_machine::Calibration;
 use paragon_metrics::AsciiChart;
-use paragon_pfs::{
-    pattern_byte, pattern_slice, IoMode, OpenOptions, ParallelFs, PfsFile, Redundancy, StripeAttrs,
+use paragon_pfs::{pattern_slice, IoMode, Redundancy};
+use paragon_sim::SimDuration;
+use paragon_workload::{
+    run_with, AccessPattern, ExperimentConfig, FaultSpec, NodeResult, StripeLayout,
 };
-use paragon_sim::{Sim, SimDuration};
-use paragon_workload::{AccessPattern, ExperimentConfig, FaultSpec, StripeLayout};
 
 use crate::{
     col, kb, run_logged, shown, stored, HarnessError, Sweep, Val, DELAYS_MS, REQUEST_SIZES,
@@ -744,57 +744,14 @@ fn ext_ablation(sweep: &mut Sweep) -> Result<(), HarnessError> {
     Ok(())
 }
 
-/// Compute nodes (and I/O nodes) of the testbed the write-behind and
-/// double-buffering studies drive directly.
-const NODES: usize = 8;
-/// File size of those studies.
-const FILE: u64 = 32 << 20;
-
-/// Drive the 8×8 paper testbed directly: create one file striped across
-/// all eight I/O nodes (filled with pattern `fill` first, when given),
-/// open it M_RECORD on every compute node, run `rank_body(rank, file,
-/// sim)` as one task per rank, and return the file's MB over the ranks'
-/// elapsed time plus the sum of the ranks' results.
-fn testbed_mb_s<F, Fut>(seed: u64, fill: Option<u64>, rank_body: F) -> (f64, u64)
-where
-    F: Fn(usize, PfsFile, Sim) -> Fut + 'static,
-    Fut: Future<Output = u64> + 'static,
-{
-    let sim = Sim::new(seed);
-    let machine = Rc::new(Machine::new(&sim, MachineConfig::paper_testbed()));
-    let pfs = ParallelFs::new(machine);
-    let sim2 = sim.clone();
-    let run = sim.spawn(async move {
-        let file = pfs
-            .create("/pfs/testbed", StripeAttrs::across(NODES, 64 * 1024))
-            .await
-            .expect("create on a healthy testbed");
-        if let Some(pattern) = fill {
-            pfs.populate_with(file, FILE, |i| pattern_byte(pattern, i))
-                .await
-                .expect("populate on a healthy testbed");
-        }
-        let t0 = sim2.now();
-        let mut tasks = Vec::new();
-        for rank in 0..NODES {
-            let f = pfs
-                .open(rank, NODES, file, IoMode::MRecord, OpenOptions::default())
-                .expect("open a file just created");
-            tasks.push(sim2.spawn(rank_body(rank, f, sim2.clone())));
-        }
-        let mut total = 0;
-        for t in tasks {
-            total += t.await;
-        }
-        (sim2.now().since(t0), total)
-    });
-    sim.run();
-    let (elapsed, total) = run.try_take().expect("finished");
-    // Parked server loops own `Sim` clones: without this the world is
-    // an `Rc` cycle that stays resident until the process exits.
-    sim.shutdown();
-    let mb = FILE as f64 / (1 << 20) as f64;
-    (mb / elapsed.as_secs_f64(), total)
+/// The 8×8 paper testbed of the write-behind and double-buffering
+/// studies: one 32 MB M_RECORD file, populated with `seed`'s pattern,
+/// striped in 64 KB units across all eight I/O nodes, and `request`-byte
+/// calls.
+fn testbed(seed: u64, request: u32) -> ExperimentConfig {
+    let mut cfg = ExperimentConfig::paper_iobound(request, 4);
+    cfg.seed = seed;
+    cfg
 }
 
 /// EXT-WRITES: the write-side dual of the prototype, synchronous writes
@@ -802,33 +759,48 @@ where
 fn ext_writes(sweep: &mut Sweep) -> Result<(), HarnessError> {
     // MB/s and write-behind stalls of one write workload.
     let run_case = |request: u32, delay_ms: u64, write_behind: bool| {
-        testbed_mb_s(64, None, move |rank, f, sim| async move {
-            let rounds = FILE / (request as u64 * NODES as u64);
-            let delay = SimDuration::from_millis(delay_ms);
-            if !write_behind {
-                for _ in 0..rounds {
-                    let at = f.advance_pointer(request).await;
-                    f.write_at(at, pattern_slice(8, at, request as usize))
-                        .await
-                        .expect("write on a healthy testbed");
-                    sim.sleep(delay).await;
+        let cfg = testbed(64, request);
+        let (rounds, nprocs) = (cfg.rounds_per_node(), cfg.compute_nodes as u64);
+        let delay = SimDuration::from_millis(delay_ms);
+        let stalls = Rc::new(Cell::new(0));
+        let stalls2 = Rc::clone(&stalls);
+        let r = run_with(&cfg, move |ctx| {
+            let stalls = Rc::clone(&stalls2);
+            async move {
+                if write_behind {
+                    let wb = WriteBehindFile::new(ctx.file, WriteBehindConfig::prototype());
+                    for k in 0..rounds {
+                        let at = (k * nprocs + ctx.rank as u64) * request as u64;
+                        wb.write(pattern_slice(8, at, request as usize))
+                            .await
+                            .expect("write on a healthy testbed");
+                        ctx.sim.sleep(delay).await;
+                    }
+                    wb.flush().await.expect("flush on a healthy testbed");
+                    stalls.set(stalls.get() + wb.stats().stalls);
+                } else {
+                    for _ in 0..rounds {
+                        let at = ctx.file.advance_pointer(request).await;
+                        ctx.file
+                            .write_at(at, pattern_slice(8, at, request as usize))
+                            .await
+                            .expect("write on a healthy testbed");
+                        ctx.sim.sleep(delay).await;
+                    }
                 }
-                return 0;
+                NodeResult {
+                    rank: ctx.rank,
+                    bytes: rounds * request as u64,
+                    elapsed: ctx.sim.now().since(ctx.t0),
+                    ..NodeResult::default()
+                }
             }
-            let wb = WriteBehindFile::new(f, WriteBehindConfig::prototype());
-            for k in 0..rounds {
-                let at = (k * NODES as u64 + rank as u64) * request as u64;
-                wb.write(pattern_slice(8, at, request as usize))
-                    .await
-                    .expect("write on a healthy testbed");
-                sim.sleep(delay).await;
-            }
-            wb.flush().await.expect("flush on a healthy testbed");
-            wb.stats().stalls
-        })
+        });
+        (r.bandwidth_mb_s(), stalls.get())
     };
-    sweep.record.config("compute_nodes", NODES);
-    sweep.record.config("file_mb", FILE >> 20);
+    let cfg = testbed(64, 64 * 1024);
+    sweep.record.config("compute_nodes", cfg.compute_nodes);
+    sweep.record.config("file_mb", cfg.file_size >> 20);
 
     for request in [64 * 1024u32, 512 * 1024] {
         sweep.table(
@@ -885,44 +857,55 @@ fn ext_doublebuf(sweep: &mut Sweep) -> Result<(), HarnessError> {
         DoubleBuffered,
     }
     let run_variant = |variant: Variant, delay_ms: u64| {
-        testbed_mb_s(55, Some(12), move |_, f, sim| async move {
-            let rounds = FILE / (REQUEST as u64 * NODES as u64);
-            let delay = SimDuration::from_millis(delay_ms);
+        let cfg = testbed(55, REQUEST);
+        let rounds = cfg.rounds_per_node();
+        let delay = SimDuration::from_millis(delay_ms);
+        run_with(&cfg, move |ctx| async move {
             match variant {
                 Variant::Blocking => {
                     for _ in 0..rounds {
-                        f.read(REQUEST).await.expect("read on a healthy testbed");
-                        sim.sleep(delay).await;
+                        ctx.file
+                            .read(REQUEST)
+                            .await
+                            .expect("read on a healthy testbed");
+                        ctx.sim.sleep(delay).await;
                     }
                 }
                 Variant::SystemPrefetch => {
-                    let pf = PrefetchingFile::new(f, PrefetchConfig::paper_prototype());
+                    let pf = PrefetchingFile::new(ctx.file, PrefetchConfig::paper_prototype());
                     for _ in 0..rounds {
                         pf.read(REQUEST).await.expect("read on a healthy testbed");
-                        sim.sleep(delay).await;
+                        ctx.sim.sleep(delay).await;
                     }
                     pf.close().await;
                 }
                 Variant::DoubleBuffered => {
                     // The expert application: one read in flight ahead
                     // of the block being computed on, no extra copy.
-                    let mut next = f.aread(REQUEST).await;
+                    let mut next = ctx.file.aread(REQUEST).await;
                     for k in 0..rounds {
                         let current = next.join().await.expect("read on a healthy testbed");
                         if k + 1 < rounds {
-                            next = f.aread(REQUEST).await;
+                            next = ctx.file.aread(REQUEST).await;
                         }
                         let _ = current; // compute on it:
-                        sim.sleep(delay).await;
+                        ctx.sim.sleep(delay).await;
                     }
                 }
             }
-            0
+            NodeResult {
+                rank: ctx.rank,
+                bytes: rounds * REQUEST as u64,
+                elapsed: ctx.sim.now().since(ctx.t0),
+                ..NodeResult::default()
+            }
         })
-        .0
+        .bandwidth_mb_s()
     };
     sweep.record.config("request_kb", 64);
-    sweep.record.config("file_mb", FILE >> 20);
+    sweep
+        .record
+        .config("file_mb", testbed(55, REQUEST).file_size >> 20);
     sweep.table(
         "System prefetching vs application double buffering (M_RECORD, 64 KB requests)",
         vec![
@@ -1164,30 +1147,4 @@ pub(crate) fn redundancy_sweep(
         }
     }
     Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn testbed_worlds_do_not_outlive_their_run() {
-        // A rank task that never finishes and holds a clone of the
-        // sentinel: the shape of a parked server loop.
-        let sentinel = Rc::new(());
-        let held = Rc::clone(&sentinel);
-        testbed_mb_s(1, None, move |rank, _, sim| {
-            if rank == 0 {
-                let held = Rc::clone(&held);
-                sim.spawn(async move {
-                    let _held = held;
-                    std::future::pending::<()>().await;
-                });
-            }
-            async { 0 }
-        });
-        let weak = Rc::downgrade(&sentinel);
-        drop(sentinel);
-        assert!(weak.upgrade().is_none(), "the world outlived its run");
-    }
 }

@@ -180,7 +180,8 @@ impl PfsFile {
 
     /// Advance this node's pointer by `len` under the open mode's
     /// *individual-pointer* semantics and return the byte offset the next
-    /// access covers. Panics for shared-pointer modes — their pointer
+    /// access covers. A zero-length access moves nothing and costs no
+    /// bookkeeping. Panics for shared-pointer modes — their pointer
     /// motion is inseparable from the access (the paper's prototype
     /// likewise targets the individual-pointer modes).
     pub async fn advance_pointer(&self, len: u32) -> u64 {
@@ -189,6 +190,9 @@ impl PfsFile {
             "advance_pointer on shared-pointer mode {}",
             self.mode
         );
+        if len == 0 {
+            return self.peek_pointer(0);
+        }
         if self.mode == IoMode::MRecord {
             self.sim.sleep(self.params.record_bookkeeping).await;
         }
@@ -196,7 +200,9 @@ impl PfsFile {
         // Each mode's formula reads only its own field; bump both.
         let mut st = self.state.borrow_mut();
         st.round += 1;
-        st.local_offset += len as u64;
+        // Saturates after a seek near the end of the offset space; the
+        // transfer at `at` then fails with a typed overflow error.
+        st.local_offset = st.local_offset.saturating_add(len as u64);
         at
     }
 
@@ -343,6 +349,7 @@ impl PfsFile {
         if len == 0 {
             return Ok(Bytes::new());
         }
+        check_extent(offset, len as u64)?;
         let cn = Track::Cn(self.rank);
         self.sim
             .emit(|| ev(cn, EventKind::ReadStart, req, offset, len as u64));
@@ -530,6 +537,7 @@ impl PfsFile {
         if data.is_empty() {
             return Ok(());
         }
+        check_extent(offset, data.len() as u64)?;
         let req = self.sim.mint_req();
         let cn = Track::Cn(self.rank);
         let wlen = data.len() as u64;
@@ -645,6 +653,13 @@ impl PfsFile {
         }
         Ok(())
     }
+}
+
+/// The end of an extent, which must lie inside the 64-bit offset space.
+fn check_extent(offset: u64, len: u64) -> Result<u64, PfsError> {
+    offset
+        .checked_add(len)
+        .ok_or(PfsError::OffsetOverflow { offset, len })
 }
 
 /// Should a failed replicated read leg try the next copy? Transport

@@ -121,6 +121,8 @@ pub enum PfsError {
     /// The service node abandoned the operation mid-call (its process
     /// went away while the caller was queued on it).
     ServiceLost,
+    /// The extent's end lies past the largest 64-bit offset.
+    OffsetOverflow { offset: u64, len: u64 },
 }
 
 impl std::fmt::Display for PfsError {
@@ -142,6 +144,9 @@ impl std::fmt::Display for PfsError {
                 write!(f, "request routed to a node that cannot serve it")
             }
             PfsError::ServiceLost => write!(f, "service node abandoned the operation"),
+            PfsError::OffsetOverflow { offset, len } => {
+                write!(f, "extent {offset}+{len} overflows u64")
+            }
         }
     }
 }

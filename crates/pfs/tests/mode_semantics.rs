@@ -8,7 +8,7 @@ use std::rc::Rc;
 use bytes::Bytes;
 use paragon_machine::{Calibration, Machine, MachineConfig};
 use paragon_pfs::{
-    pattern_byte, pattern_slice, IoMode, OpenOptions, ParallelFs, PfsFileId, StripeAttrs,
+    pattern_byte, pattern_slice, IoMode, OpenOptions, ParallelFs, PfsError, PfsFileId, StripeAttrs,
 };
 use paragon_sim::{Rng, Sim, SimDuration};
 
@@ -81,9 +81,7 @@ fn aread_works_in_every_mode() {
             let f = pfs.open(0, 1, id, mode, OpenOptions::default()).unwrap();
             // Zero-length I/O is POSIX `read(fd, buf, 0)`: empty, and the
             // pointer stays where it was for the read below.
-            if matches!(mode, IoMode::MUnix | IoMode::MAsync) {
-                assert!(f.read(0).await.unwrap().is_empty());
-            }
+            assert!(f.read(0).await.unwrap().is_empty());
             f.write_at(1000, Bytes::new()).await.unwrap();
             let req = f.aread(32 * 1024).await;
             let data = req.join().await.unwrap();
@@ -92,6 +90,40 @@ fn aread_works_in_every_mode() {
         sim.run();
         assert_eq!(h.try_take(), Some(true), "aread failed under {mode}");
     }
+}
+
+#[test]
+fn extents_past_the_offset_space_are_typed_errors() {
+    let sim = Sim::new(3);
+    let pfs = mount(&sim, 1, 2);
+    let h = sim.spawn(async move {
+        let id = make_file(&pfs, 256 * 1024, 5).await;
+        let f = pfs
+            .open(0, 1, id, IoMode::MAsync, OpenOptions::default())
+            .unwrap();
+        let (at, len) = (u64::MAX - 10, 32 * 1024);
+        let overflow = |offset| PfsError::OffsetOverflow {
+            offset,
+            len: 32 * 1024,
+        };
+        let req = f.sim().mint_req();
+        assert_eq!(
+            f.transfer_read(at, len, req).await.unwrap_err(),
+            overflow(at)
+        );
+        let data = pattern_slice(5, 0, len as usize);
+        assert_eq!(
+            f.write_at(at, data.clone()).await.unwrap_err(),
+            overflow(at)
+        );
+        // Through the pointer: the read fails at `at`, and the pointer
+        // it advanced saturates instead of wrapping to offset 0.
+        f.seek(at);
+        assert_eq!(f.read(len).await.unwrap_err(), overflow(at));
+        assert_eq!(f.write(data).await.unwrap_err(), overflow(u64::MAX));
+    });
+    sim.run();
+    h.try_take().expect("completed");
 }
 
 #[test]

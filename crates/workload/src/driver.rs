@@ -1,21 +1,21 @@
 //! The experiment driver: build a machine, lay the file(s) out, run one
-//! synthetic SPMD program per compute node, and measure what the paper
-//! measures.
+//! SPMD program per compute node, and measure what the paper measures.
 //!
 //! Timeline of a run: **setup** (create + populate files — simulated disk
 //! time passes but is not measured, exactly like preparing a testbed
 //! before starting the clock), then the **measured phase** (all node
 //! programs start together; the collective is complete when the slowest
-//! node finishes its last read).
+//! node finishes its last call).
 
 use std::cell::{Cell, RefCell};
+use std::future::Future;
 use std::rc::Rc;
 
 use paragon_core::{PrefetchGauges, PrefetchStats, PrefetchingFile};
 use paragon_machine::{Machine, MachineConfig};
 use paragon_pfs::{
     pattern_byte, pattern_slice, rebuild_after_crash, IoMode, OpenOptions, ParallelFs, PfsFile,
-    PfsFileId, RebuildStats, Redundancy,
+    PfsFileId, Redundancy,
 };
 use paragon_sim::{ev, EventKind, Sim, SimDuration, SimTime, Track};
 
@@ -23,40 +23,49 @@ use crate::config::{AccessPattern, ExperimentConfig, FaultSpec};
 use crate::result::{NodeResult, RunResult};
 use crate::telemetry::{names, Telemetry};
 
-/// Where the driver task deposits its measurements for the host caller.
-type DriverOutput = Rc<RefCell<Option<(Vec<NodeResult>, SimDuration)>>>;
-
-/// Run one experiment to completion and return its measurements: one
-/// world, built, driven to quiescence and harvested. The result is a
-/// pure function of `cfg` (seed included).
+/// Run `cfg`'s access pattern to completion and return its measurements:
+/// [`run_with`] with the synthetic read program the paper's workloads
+/// use. The result is a pure function of `cfg` (seed included).
 pub fn run(cfg: &ExperimentConfig) -> RunResult {
+    run_with(cfg, node_program)
+}
+
+/// What the driver hands one rank's program.
+pub struct NodeCtx {
+    /// Compute-node rank.
+    pub rank: usize,
+    /// The rank's handle on the run's file, opened in `cfg.mode`.
+    pub file: PfsFile,
+    /// The simulation world.
+    pub sim: Sim,
+    /// Start of the measured phase.
+    pub t0: SimTime,
+    /// The run's config, for the synthetic read program.
+    cfg: ExperimentConfig,
+    /// Telemetry gauge: nodes currently inside a read call.
+    in_io: Rc<Cell<i64>>,
+    /// Telemetry gauges shared by every prefetch buffer list.
+    prefetch_gauges: PrefetchGauges,
+}
+
+/// Build the world `cfg` describes, create and populate its file(s), run
+/// `program` once per compute node, and harvest the measurements: one
+/// world, driven to quiescence and freed. The collective is timed from
+/// the measured phase's start until the last rank's program returns.
+pub fn run_with<F, Fut>(cfg: &ExperimentConfig, program: F) -> RunResult
+where
+    F: Fn(NodeCtx) -> Fut + 'static,
+    Fut: Future<Output = NodeResult> + 'static,
+{
     if let Err(e) = cfg.validate() {
         panic!("invalid experiment config: {e}");
     }
     let sim = Sim::new(cfg.seed);
-    let world = build_world(cfg, &sim);
-    sim.run();
-    finish_world(cfg, &sim, world)
-}
-
-/// The world's live state between build and harvest.
-struct World {
-    machine: Rc<Machine>,
-    telemetry: Option<Rc<Telemetry>>,
-    out: DriverOutput,
-    rebuild_out: Rc<RefCell<Option<RebuildStats>>>,
-    rebuild_pending: Rc<Cell<u64>>,
-    replica_failovers: Rc<Cell<u64>>,
-    replica_reads: Rc<Cell<u64>>,
-    verify_failures: Rc<Cell<u64>>,
-}
-
-fn build_world(cfg: &ExperimentConfig, sim: &Sim) -> World {
     if cfg.trace_cap > 0 {
         sim.tracer().arm(cfg.trace_cap);
     }
     let machine = Rc::new(Machine::new(
-        sim,
+        &sim,
         MachineConfig {
             compute_nodes: cfg.compute_nodes,
             io_nodes: cfg.io_nodes,
@@ -66,27 +75,24 @@ fn build_world(cfg: &ExperimentConfig, sim: &Sim) -> World {
     let pfs = ParallelFs::new_with_redundancy(machine.clone(), cfg.redundancy);
     let telemetry = cfg
         .metrics_cadence
-        .map(|cadence| Telemetry::new(sim, &machine, &pfs, cadence));
+        .map(|cadence| Telemetry::new(&sim, &machine, &pfs, cadence));
     // Node programs always get cells to poke; without telemetry they are
     // private dummies and the pokes are inert (no events, no RNG).
     let (in_io, prefetch_gauges) = match &telemetry {
         Some(t) => (t.in_io.clone(), t.prefetch.clone()),
         None => (Rc::new(Cell::new(0)), PrefetchGauges::default()),
     };
-    let verify_cell: Rc<Cell<u64>> = Rc::new(Cell::new(0));
-    let verify_cell2 = verify_cell.clone();
-
-    let out: DriverOutput = Rc::new(RefCell::new(None));
-    let out2 = out.clone();
-    let rebuild_out: Rc<RefCell<Option<RebuildStats>>> = Rc::new(RefCell::new(None));
-    let rebuild_out2 = rebuild_out.clone();
-    let cfg2 = cfg.clone();
-    let sim2 = sim.clone();
-    let machine2 = machine.clone();
-    let telemetry2 = telemetry.clone();
+    // Where the driver task deposits its measurements for the harvest.
+    let out = Rc::new(RefCell::new(None));
+    let rebuild_out = Rc::new(RefCell::new(None));
     let replica_failovers = pfs.replica_failovers_cell();
     let replica_reads = pfs.replica_reads_cell();
     let rebuild_pending = pfs.rebuild_pending_cell();
+
+    let program = Rc::new(program);
+    let (cfg2, sim2, machine2, telemetry2) =
+        (cfg.clone(), sim.clone(), machine.clone(), telemetry.clone());
+    let (out2, rebuild_out2) = (out.clone(), rebuild_out.clone());
     sim.spawn_named("experiment-driver", async move {
         let files = setup_files(&pfs, &cfg2).await;
         // Setup never draws a fault: the plan is configured and armed
@@ -101,13 +107,12 @@ fn build_world(cfg: &ExperimentConfig, sim: &Sim) -> World {
             // foreground programs keep reading.
             let sim3 = sim2.clone();
             let pfs3 = pfs.clone();
-            let deposit = rebuild_out2.clone();
             sim2.spawn_named("rebuild-coordinator", async move {
                 sim3.sleep(from).await;
                 let stats = rebuild_after_crash(&pfs3, ion)
                     .await
                     .expect("online re-replication failed");
-                *deposit.borrow_mut() = Some(stats);
+                *rebuild_out2.borrow_mut() = Some(stats);
             });
         }
         let t0 = sim2.now();
@@ -125,21 +130,36 @@ fn build_world(cfg: &ExperimentConfig, sim: &Sim) -> World {
         if let Some(t) = &telemetry2 {
             t.begin();
         }
+        // Separate-files runs open each private file as rank 0 of 1.
+        let nprocs = if cfg2.separate_files {
+            1
+        } else {
+            cfg2.compute_nodes
+        };
+        let opts = OpenOptions {
+            fast_path: cfg2.fast_path,
+        };
         let mut handles = Vec::with_capacity(cfg2.compute_nodes);
         for rank in 0..cfg2.compute_nodes {
             let file = files[rank.min(files.len() - 1)];
-            let ctx = NodeCtx {
-                sim: sim2.clone(),
-                pfs: pfs.clone(),
-                cfg: cfg2.clone(),
-                rank,
-                file,
-                t0,
-                in_io: in_io.clone(),
-                prefetch_gauges: prefetch_gauges.clone(),
-                verify_failures: verify_cell2.clone(),
-            };
-            handles.push(sim2.spawn_named("node-program", node_program(ctx)));
+            let (pfs, program, sim, cfg) =
+                (pfs.clone(), program.clone(), sim2.clone(), cfg2.clone());
+            let (in_io, prefetch_gauges) = (in_io.clone(), prefetch_gauges.clone());
+            handles.push(sim2.spawn_named("node-program", async move {
+                let file = pfs
+                    .open_on(rank, rank % nprocs, nprocs, file, cfg.mode, opts)
+                    .expect("open failed");
+                program(NodeCtx {
+                    rank,
+                    file,
+                    sim,
+                    t0,
+                    cfg,
+                    in_io,
+                    prefetch_gauges,
+                })
+                .await
+            }));
         }
         let mut per_node = Vec::with_capacity(handles.len());
         for h in handles {
@@ -151,26 +171,15 @@ fn build_world(cfg: &ExperimentConfig, sim: &Sim) -> World {
         let elapsed = sim2.now().since(t0);
         *out2.borrow_mut() = Some((per_node, elapsed));
     });
-    World {
-        machine,
-        telemetry,
-        out,
-        rebuild_out,
-        rebuild_pending,
-        replica_failovers,
-        replica_reads,
-        verify_failures: verify_cell,
-    }
-}
+    sim.run();
 
-fn finish_world(cfg: &ExperimentConfig, sim: &Sim, w: World) -> RunResult {
     let report = sim.report();
     let trace = sim.tracer().events();
     // Free the world: parked server loops otherwise keep the whole
     // machine (including megabytes of simulated disk contents) alive via
     // an Rc cycle — fatal when a sweep runs many worlds in one process.
     sim.shutdown();
-    let (per_node, elapsed) = w.out.borrow_mut().take().unwrap_or_else(|| {
+    let (per_node, elapsed) = out.borrow_mut().take().unwrap_or_else(|| {
         panic!(
             "experiment deadlocked; pending: {:?}",
             sim.pending_task_labels()
@@ -184,11 +193,11 @@ fn finish_world(cfg: &ExperimentConfig, sim: &Sim, w: World) -> RunResult {
             prefetch.merge(p);
         }
     }
-    let mut verify_failures = w.verify_failures.get();
+    let mut verify_failures = per_node.iter().map(|n| n.verify_failures).sum();
     if cfg.verify_data {
         // Also fsck every I/O node's file system after the run.
         for i in 0..cfg.io_nodes {
-            let problems = w.machine.ufs(i).check();
+            let problems = machine.ufs(i).check();
             if !problems.is_empty() {
                 eprintln!("fsck failures on I/O node {i}: {problems:?}");
                 verify_failures += problems.len() as u64;
@@ -198,14 +207,14 @@ fn finish_world(cfg: &ExperimentConfig, sim: &Sim, w: World) -> RunResult {
     let mut disk = paragon_disk::DiskStats::default();
     let mut raid = paragon_disk::RaidStats::default();
     for i in 0..cfg.io_nodes {
-        disk.merge(&w.machine.raid(i).stats());
-        let r = w.machine.raid(i).raid_stats();
+        disk.merge(&machine.raid(i).stats());
+        let r = machine.raid(i).raid_stats();
         raid.reconstructed_reads += r.reconstructed_reads;
         raid.reconstructed_bytes += r.reconstructed_bytes;
         raid.parity_rmws += r.parity_rmws;
         raid.store_bytes_copied += r.store_bytes_copied;
     }
-    let metrics = w.telemetry.map(|t| {
+    let metrics = telemetry.map(|t| {
         // Distributions are recorded post-run from the per-request
         // timers the node programs already keep.
         for n in &per_node {
@@ -215,7 +224,7 @@ fn finish_world(cfg: &ExperimentConfig, sim: &Sim, w: World) -> RunResult {
         }
         t.snapshot()
     });
-    let rebuild = w.rebuild_out.borrow_mut().take();
+    let rebuild = rebuild_out.borrow_mut().take();
     RunResult {
         read_errors: per_node.iter().map(|n| n.read_errors).sum(),
         per_node,
@@ -230,9 +239,9 @@ fn finish_world(cfg: &ExperimentConfig, sim: &Sim, w: World) -> RunResult {
         raid,
         disk,
         rebuild,
-        rebuild_pending: w.rebuild_pending.get(),
-        replica_failovers: w.replica_failovers.get(),
-        replica_reads: w.replica_reads.get(),
+        rebuild_pending: rebuild_pending.get(),
+        replica_failovers: replica_failovers.get(),
+        replica_reads: replica_reads.get(),
         trace,
         metrics,
     }
@@ -333,21 +342,6 @@ async fn setup_files(pfs: &Rc<ParallelFs>, cfg: &ExperimentConfig) -> Vec<PfsFil
     }
 }
 
-struct NodeCtx {
-    sim: Sim,
-    pfs: Rc<ParallelFs>,
-    cfg: ExperimentConfig,
-    rank: usize,
-    file: PfsFileId,
-    t0: SimTime,
-    /// Telemetry gauge: nodes currently inside a read call.
-    in_io: Rc<Cell<i64>>,
-    /// Telemetry gauges shared by every prefetch buffer list.
-    prefetch_gauges: PrefetchGauges,
-    /// Data-verification failures observed by the node programs.
-    verify_failures: Rc<Cell<u64>>,
-}
-
 /// The demand-read side of one node's program: either a plain PFS handle
 /// or the prefetching prototype wrapped around it.
 // Both variants boxed: the handles carry whole stripe maps, so inline
@@ -387,24 +381,7 @@ async fn node_program(ctx: NodeCtx) -> NodeResult {
     let cfg = &ctx.cfg;
     let sz = cfg.request_size;
     let rounds = cfg.rounds_per_node();
-    let (mode_rank, nprocs) = if cfg.separate_files {
-        (0, 1)
-    } else {
-        (ctx.rank, cfg.compute_nodes)
-    };
-    let file = ctx
-        .pfs
-        .open_on(
-            ctx.rank,
-            mode_rank,
-            nprocs,
-            ctx.file,
-            cfg.mode,
-            OpenOptions {
-                fast_path: cfg.fast_path,
-            },
-        )
-        .expect("open failed");
+    let (mode_rank, nprocs) = (ctx.file.rank() as usize, ctx.file.nprocs() as usize);
 
     // Explicit-pattern reads partition the file by rank.
     let partition = cfg.file_size / nprocs as u64;
@@ -417,16 +394,17 @@ async fn node_program(ctx: NodeCtx) -> NodeResult {
 
     let reader = match &cfg.prefetch {
         Some(pc) => {
-            let pf = PrefetchingFile::new(file, pc.clone());
+            let pf = PrefetchingFile::new(ctx.file, pc.clone());
             pf.set_gauges(ctx.prefetch_gauges.clone());
             Reader::Prefetching(Box::new(pf))
         }
-        None => Reader::Plain(Box::new(file)),
+        None => Reader::Plain(Box::new(ctx.file)),
     };
 
     let mut rng = ctx.sim.rng(&format!("workload.rank{}", ctx.rank));
     let mut reads = 0u64;
     let mut read_errors = 0u64;
+    let mut verify_failures = 0u64;
     let mut bytes = 0u64;
     let mut total = SimDuration::ZERO;
     let mut tmax = SimDuration::ZERO;
@@ -506,7 +484,7 @@ async fn node_program(ctx: NodeCtx) -> NodeResult {
             };
             if let Some(off) = expect {
                 if data[..] != pattern_slice(pattern_seed, off, sz as usize)[..] {
-                    ctx.verify_failures.set(ctx.verify_failures.get() + 1);
+                    verify_failures += 1;
                 }
             }
         }
@@ -521,6 +499,7 @@ async fn node_program(ctx: NodeCtx) -> NodeResult {
         rank: ctx.rank,
         reads,
         read_errors,
+        verify_failures,
         bytes,
         elapsed: ctx.sim.now().since(ctx.t0),
         read_time_total: total,
@@ -756,6 +735,25 @@ mod tests {
                 .any(|e| e.kind == paragon_sim::EventKind::RpcRetry),
             "missing rpc-retry event"
         );
+    }
+
+    #[test]
+    fn worlds_do_not_outlive_their_run() {
+        // A task that never finishes and holds a clone of the sentinel:
+        // the shape of a parked server loop.
+        let sentinel = Rc::new(());
+        let weak = Rc::downgrade(&sentinel);
+        run_with(&tiny(IoMode::MRecord), move |ctx| {
+            if ctx.rank == 0 {
+                let held = Rc::clone(&sentinel);
+                ctx.sim.spawn(async move {
+                    let _held = held;
+                    std::future::pending::<()>().await;
+                });
+            }
+            async { NodeResult::default() }
+        });
+        assert!(weak.upgrade().is_none(), "the world outlived its run");
     }
 
     #[test]

@@ -4,10 +4,12 @@
 //! parallel reads of large shared files, with configurable compute delays
 //! between I/O calls ("balanced" workloads), under various request sizes,
 //! stripe units, and stripe groups. [`ExperimentConfig`] captures one
-//! such setup, [`run`] executes it on a freshly-built simulated Paragon,
-//! and [`RunResult`] reports the paper's metrics (collective read
-//! bandwidth, per-request access times, per-node fairness, prefetch
-//! hit/waste accounting).
+//! such setup and [`run_with`] executes a per-rank program on a
+//! freshly-built simulated Paragon; [`run`] is `run_with` of the
+//! synthetic read program, and the extension studies hand it their own
+//! (write-behind writers, `aread` double buffering). [`RunResult`]
+//! reports the paper's metrics (collective bandwidth, per-request access
+//! times, per-node fairness, prefetch hit/waste accounting).
 
 mod config;
 mod driver;
@@ -15,6 +17,6 @@ mod result;
 pub mod telemetry;
 
 pub use config::{AccessPattern, ExperimentConfig, FaultSpec, StripeLayout};
-pub use driver::run;
-pub use result::RunResult;
+pub use driver::{run, run_with, NodeCtx};
+pub use result::{NodeResult, RunResult};
 pub use telemetry::{metrics_report, render_report};

@@ -13,7 +13,7 @@ use paragon_metrics::MetricsSnapshot;
 use paragon_sim::{FaultStats, SimDuration, TraceEvent};
 
 /// What one compute node measured.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct NodeResult {
     /// Node rank.
     pub rank: usize,
@@ -22,7 +22,10 @@ pub struct NodeResult {
     /// Reads that failed even after the client's retry policy (possible
     /// only under injected faults; a fault-free run never errors).
     pub read_errors: u64,
-    /// Bytes delivered to the application.
+    /// Reads whose bytes differed from the populated pattern (checked
+    /// only under `verify_data`).
+    pub verify_failures: u64,
+    /// Bytes delivered to the application (a writer: bytes written).
     pub bytes: u64,
     /// Wall time from the measured phase's start to this node's last
     /// completion.
@@ -51,13 +54,13 @@ impl NodeResult {
 }
 
 /// What one experiment run measured.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RunResult {
     /// Per-node measurements, rank order.
     pub per_node: Vec<NodeResult>,
     /// Collective elapsed time (start of measured phase → last node done).
     pub elapsed: SimDuration,
-    /// Bytes delivered across all nodes.
+    /// Bytes moved across all nodes.
     pub total_bytes: u64,
     /// Aggregated prefetch counters (zeroed when disabled).
     pub prefetch: PrefetchStats,
@@ -99,8 +102,8 @@ pub struct RunResult {
 }
 
 impl RunResult {
-    /// The paper's headline metric: aggregate application read bandwidth
-    /// in MB/s (1 MB = 2^20 bytes).
+    /// The paper's headline metric: aggregate application bandwidth in
+    /// MB/s (1 MB = 2^20 bytes) over the bytes the nodes moved.
     pub fn bandwidth_mb_s(&self) -> f64 {
         if self.elapsed.is_zero() {
             return 0.0;
@@ -159,14 +162,12 @@ mod tests {
         NodeResult {
             rank,
             reads: 4,
-            read_errors: 0,
             bytes,
             elapsed: SimDuration::from_millis(ms),
             read_time_total: SimDuration::from_millis(ms),
             read_time_max: SimDuration::from_millis(ms / 2),
             read_time_min: SimDuration::from_millis(1),
-            read_times: Vec::new(),
-            prefetch: None,
+            ..NodeResult::default()
         }
     }
 
@@ -176,21 +177,7 @@ mod tests {
             per_node: vec![node(0, 1 << 20, 500), node(1, 1 << 20, 1000)],
             elapsed: SimDuration::from_millis(1000),
             total_bytes: 2 << 20,
-            prefetch: PrefetchStats::default(),
-            prefetch_enabled: false,
-            trace_hash: 0,
-            polls: 0,
-            verify_failures: 0,
-            read_errors: 0,
-            fault: FaultStats::default(),
-            raid: RaidStats::default(),
-            disk: DiskStats::default(),
-            rebuild: None,
-            rebuild_pending: 0,
-            replica_failovers: 0,
-            replica_reads: 0,
-            trace: Vec::new(),
-            metrics: None,
+            ..RunResult::default()
         };
         assert!((r.bandwidth_mb_s() - 2.0).abs() < 1e-9);
         // Mean access time over 8 reads = (500+1000)/8 ms.
@@ -203,21 +190,7 @@ mod tests {
             per_node: vec![node(0, 100, 10), node(1, 100, 10)],
             elapsed: SimDuration::from_millis(10),
             total_bytes: 200,
-            prefetch: PrefetchStats::default(),
-            prefetch_enabled: false,
-            trace_hash: 0,
-            polls: 0,
-            verify_failures: 0,
-            read_errors: 0,
-            fault: FaultStats::default(),
-            raid: RaidStats::default(),
-            disk: DiskStats::default(),
-            rebuild: None,
-            rebuild_pending: 0,
-            replica_failovers: 0,
-            replica_reads: 0,
-            trace: Vec::new(),
-            metrics: None,
+            ..RunResult::default()
         };
         assert_eq!(r.node_imbalance(), 0.0);
     }
