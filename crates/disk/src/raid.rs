@@ -76,6 +76,29 @@ impl StripeMap {
         pieces
     }
 
+    /// The member-contiguous runs of logical `(offset, len)`: one
+    /// `(member, start, len)` per member the extent touches, in member
+    /// order. The array issues one device command per run, like a real
+    /// controller (otherwise a request spanning several rows would pay
+    /// per-unit command overhead). A member's pieces of one extent always
+    /// abut (every piece but the first starts at a unit boundary, every
+    /// piece but the last ends at one), so a member gets at most one run.
+    pub(crate) fn runs(&self, offset: u64, len: u64) -> impl Iterator<Item = (usize, u64, u64)> {
+        let map = *self;
+        (0..self.width).filter_map(move |member| {
+            let start = map.member_bytes_below(member, offset);
+            let end = map.member_bytes_below(member, offset + len);
+            (end > start).then_some((member, start, end - start))
+        })
+    }
+
+    /// Bytes of logical `[0, x)` that land on `member`.
+    fn member_bytes_below(&self, member: usize, x: u64) -> u64 {
+        let row = self.interleave * self.width as u64;
+        let into_row = (x % row).saturating_sub(member as u64 * self.interleave);
+        x / row * self.interleave + into_row.min(self.interleave)
+    }
+
     /// Inverse of [`StripeMap::split`] for a single byte: logical offset of
     /// byte `member_offset` on `member`.
     pub fn to_logical(&self, member: usize, member_offset: u64) -> u64 {
@@ -99,9 +122,14 @@ pub struct RaidStats {
     pub store_bytes_copied: u64,
 }
 
-/// A logical device striped over member disks.
+/// A logical device striped over member disks. Clone freely: a clone is
+/// one `Rc` count bump.
 #[derive(Clone)]
 pub struct RaidArray {
+    inner: Rc<Inner>,
+}
+
+struct Inner {
     sim: Sim,
     members: Vec<Disk>,
     /// Optional dedicated parity member (byte-wise XOR of the data
@@ -115,10 +143,10 @@ pub struct RaidArray {
     /// pure service-time models (they carry no payload); keeping the data
     /// in one logical store lets an aligned read hand back a zero-copy
     /// page view instead of gathering interleaved member pieces.
-    logical: Rc<RefCell<BlockStore>>,
+    logical: RefCell<BlockStore>,
     /// Flight-recorder lane base set by [`RaidArray::set_tracks`].
-    track_base: Rc<Cell<Option<u16>>>,
-    rstats: Rc<RefCell<RaidStats>>,
+    track_base: Cell<Option<u16>>,
+    rstats: RefCell<RaidStats>,
 }
 
 impl RaidArray {
@@ -152,21 +180,23 @@ impl RaidArray {
             .collect();
         let parity = parity.then(|| Disk::new(sim, params.clone(), policy, &format!("{label}.p")));
         RaidArray {
-            sim: sim.clone(),
-            members,
-            parity,
-            parity_lock: Semaphore::new(1),
-            map: StripeMap::new(interleave, width),
-            logical: Rc::new(RefCell::new(BlockStore::new())),
-            track_base: Rc::new(Cell::new(None)),
-            rstats: Rc::new(RefCell::new(RaidStats::default())),
+            inner: Rc::new(Inner {
+                sim: sim.clone(),
+                members,
+                parity,
+                parity_lock: Semaphore::new(1),
+                map: StripeMap::new(interleave, width),
+                logical: RefCell::new(BlockStore::new()),
+                track_base: Cell::new(None),
+                rstats: RefCell::new(RaidStats::default()),
+            }),
         }
     }
 
     /// Spindles this array occupies on the flight-recorder lane space:
     /// data members plus the parity member if present.
     pub fn spindles(&self) -> usize {
-        self.members.len() + self.parity.iter().count()
+        self.inner.members.len() + self.inner.parity.iter().count()
     }
 
     /// Put member `m` on flight-recorder lane `Track::Disk(base + m)` —
@@ -174,19 +204,19 @@ impl RaidArray {
     /// gets a unique lane. The parity member, when present, takes lane
     /// `base + width`.
     pub fn set_tracks(&self, base: u16) {
-        self.track_base.set(Some(base));
-        for (m, disk) in self.members.iter().enumerate() {
+        self.inner.track_base.set(Some(base));
+        for (m, disk) in self.inner.members.iter().enumerate() {
             disk.set_track(Track::Disk(base + m as u16));
         }
-        if let Some(p) = &self.parity {
-            p.set_track(Track::Disk(base + self.members.len() as u16));
+        if let Some(p) = &self.inner.parity {
+            p.set_track(Track::Disk(base + self.inner.members.len() as u16));
         }
     }
 
     /// Global `Track::Disk` index of data member `m`, once tracks are set.
     /// This is the index the fault plan's `kill_disk` takes.
     pub fn member_track_index(&self, m: usize) -> Option<u16> {
-        self.track_base.get().map(|base| base + m as u16)
+        self.inner.track_base.get().map(|base| base + m as u16)
     }
 
     /// Flight-recorder lane of data member `m`.
@@ -197,40 +227,15 @@ impl RaidArray {
         }
     }
 
-    /// Group split pieces into member-contiguous runs — the controller
-    /// issues one device command per run, like a real array (otherwise a
-    /// request spanning several rows would pay per-unit command overhead).
-    fn runs(&self, offset: u64, len: u64) -> Vec<(usize, u64, Vec<StripePiece>)> {
-        let mut pieces = self.map.split(offset, len);
-        pieces.sort_by_key(|p| (p.member, p.offset));
-        let mut runs: Vec<(usize, u64, Vec<StripePiece>)> = Vec::new();
-        for p in pieces {
-            match runs.last_mut() {
-                Some((member, _, run))
-                    if *member == p.member
-                        && run
-                            .last()
-                            .is_some_and(|last| last.offset + last.len == p.offset) =>
-                {
-                    run.push(p)
-                }
-                _ => runs.push((p.member, p.offset, vec![p])),
-            }
-        }
-        runs
-    }
-
     /// Read a logical extent under flight-recorder request context `req`
     /// (`0` = none); completes when every member run completes. Fails only
     /// under fault injection; a dead member is transparently reconstructed
     /// when the array has parity.
     pub async fn read(&self, offset: u64, len: u32, req: ReqId) -> Result<Bytes, DiskError> {
-        let runs = self.runs(offset, len as u64);
-        let mut handles = Vec::with_capacity(runs.len());
-        for (member, start, pieces) in runs {
+        let mut handles = Vec::with_capacity(self.inner.map.width);
+        for (member, start, rlen) in self.inner.map.runs(offset, len as u64) {
             let this = self.clone();
-            let rlen: u64 = pieces.iter().map(|p| p.len).sum();
-            handles.push(self.sim.spawn_named("raid-read-run", async move {
+            handles.push(self.inner.sim.spawn_named("raid-read-run", async move {
                 this.read_run(member, start, rlen as u32, req).await
             }));
         }
@@ -246,7 +251,7 @@ impl RaidArray {
             Some(e) => Err(e),
             // Every member run has been charged; the bytes come out of the
             // logical store in one (page-aligned: zero-copy) view.
-            None => Ok(self.logical.borrow().read(offset, len as usize)),
+            None => Ok(self.inner.logical.borrow().read(offset, len as usize)),
         }
     }
 
@@ -281,22 +286,23 @@ impl RaidArray {
         rlen: u32,
         req: ReqId,
     ) -> Result<(), DiskError> {
-        let Some(parity) = &self.parity else {
+        let Some(parity) = &self.inner.parity else {
             // No redundancy: the member's death is unrecoverable.
             return Err(DiskError::Dead);
         };
-        let mut handles = Vec::with_capacity(self.members.len());
-        for (m, disk) in self.members.iter().enumerate() {
+        let sim = &self.inner.sim;
+        let mut handles = Vec::with_capacity(self.inner.members.len());
+        for (m, disk) in self.inner.members.iter().enumerate() {
             if m == dead {
                 continue;
             }
             let d = disk.clone();
-            handles.push(self.sim.spawn_named("raid-reconstruct-leg", async move {
+            handles.push(sim.spawn_named("raid-reconstruct-leg", async move {
                 d.access(DiskOp::Read, start, rlen, req).await
             }));
         }
         let p = parity.clone();
-        handles.push(self.sim.spawn_named("raid-reconstruct-leg", async move {
+        handles.push(sim.spawn_named("raid-reconstruct-leg", async move {
             p.access(DiskOp::Read, start, rlen, req).await
         }));
         let mut first_err = None;
@@ -310,7 +316,7 @@ impl RaidArray {
             // single-parity reconstruction; surface it for retry.
             return Err(e);
         }
-        self.sim.emit(|| {
+        self.inner.sim.emit(|| {
             ev(
                 self.member_lane(dead),
                 EventKind::RaidReconstruct,
@@ -319,7 +325,7 @@ impl RaidArray {
                 rlen as u64,
             )
         });
-        let mut st = self.rstats.borrow_mut();
+        let mut st = self.inner.rstats.borrow_mut();
         st.reconstructed_reads += 1;
         st.reconstructed_bytes += rlen as u64;
         Ok(())
@@ -330,15 +336,14 @@ impl RaidArray {
     /// flight-recorder request context: their disk events use request 0.
     pub async fn write(&self, offset: u64, data: Bytes) -> Result<(), DiskError> {
         let req = 0;
-        let runs = self.runs(offset, data.len() as u64);
-        let Some(parity) = self.parity.clone() else {
+        let runs = self.inner.map.runs(offset, data.len() as u64);
+        let Some(parity) = self.inner.parity.clone() else {
             // No parity: plain concurrent member writes (timing only; the
             // payload lands in the logical store once the members finish).
-            let mut handles = Vec::with_capacity(runs.len());
-            for (member, start, pieces) in runs {
+            let mut handles = Vec::with_capacity(self.inner.map.width);
+            for (member, start, rlen) in runs {
                 let disk = self.member(member)?.clone();
-                let rlen: u64 = pieces.iter().map(|p| p.len).sum();
-                handles.push(self.sim.spawn_named("raid-write-run", async move {
+                handles.push(self.inner.sim.spawn_named("raid-write-run", async move {
                     disk.access(DiskOp::Write, start, rlen as u32, req).await
                 }));
             }
@@ -351,7 +356,7 @@ impl RaidArray {
             return match first_err {
                 Some(e) => Err(e),
                 None => {
-                    self.logical.borrow_mut().write(offset, &data);
+                    self.inner.logical.borrow_mut().write(offset, &data);
                     Ok(())
                 }
             };
@@ -360,13 +365,12 @@ impl RaidArray {
         // write may share parity ranges (one stripe row spans every
         // member at the same member offset), so they apply sequentially
         // under the lock.
-        let _guard = self.parity_lock.acquire().await;
-        for (member, start, pieces) in runs {
-            let rlen: u64 = pieces.iter().map(|p| p.len).sum();
+        let _guard = self.inner.parity_lock.acquire().await;
+        for (member, start, rlen) in runs {
             self.write_run_with_parity(&parity, member, start, rlen as u32, req)
                 .await?;
         }
-        self.logical.borrow_mut().write(offset, &data);
+        self.inner.logical.borrow_mut().write(offset, &data);
         Ok(())
     }
 
@@ -401,14 +405,14 @@ impl RaidArray {
             }
             Err(e) => return Err(e),
         };
-        self.rstats.borrow_mut().parity_rmws += 1;
+        self.inner.rstats.borrow_mut().parity_rmws += 1;
         let p = parity.clone();
-        let parity_write = self.sim.spawn_named("raid-parity-write", async move {
+        let parity_write = self.inner.sim.spawn_named("raid-parity-write", async move {
             p.access(DiskOp::Write, start, rlen, req).await
         });
         let data_write = member_alive.then(|| {
             let d = disk.clone();
-            self.sim.spawn_named("raid-write-run", async move {
+            self.inner.sim.spawn_named("raid-write-run", async move {
                 d.access(DiskOp::Write, start, rlen, req).await
             })
         });
@@ -428,7 +432,7 @@ impl RaidArray {
     /// included when present.
     pub fn stats(&self) -> DiskStats {
         let mut total = DiskStats::default();
-        for m in self.members.iter().chain(self.parity.iter()) {
+        for m in self.inner.members.iter().chain(self.inner.parity.iter()) {
             total.merge(&m.stats());
         }
         total
@@ -438,8 +442,8 @@ impl RaidArray {
     /// logical-store copies).
     pub fn raid_stats(&self) -> RaidStats {
         RaidStats {
-            store_bytes_copied: self.logical.borrow().bytes_copied(),
-            ..self.rstats.borrow().clone()
+            store_bytes_copied: self.inner.logical.borrow().bytes_copied(),
+            ..self.inner.rstats.borrow().clone()
         }
     }
 
@@ -447,9 +451,10 @@ impl RaidArray {
     /// member (when present) last — the per-RAID-member busy-time view
     /// the telemetry layer reports.
     pub fn member_stats(&self) -> Vec<DiskStats> {
-        self.members
+        self.inner
+            .members
             .iter()
-            .chain(self.parity.iter())
+            .chain(self.inner.parity.iter())
             .map(|d| d.stats())
             .collect()
     }
@@ -457,9 +462,10 @@ impl RaidArray {
     /// Live queue-depth cells, one per spindle in [`RaidArray::member_stats`]
     /// order; telemetry gauges sum or sample them while the simulation runs.
     pub fn member_queue_cells(&self) -> Vec<Rc<Cell<usize>>> {
-        self.members
+        self.inner
+            .members
             .iter()
-            .chain(self.parity.iter())
+            .chain(self.inner.parity.iter())
             .map(|d| d.queue_cell())
             .collect()
     }
@@ -467,7 +473,7 @@ impl RaidArray {
     /// Slow down one member (failure injection); out-of-range members are
     /// ignored (the plan may target a wider array than this one).
     pub fn set_member_slowdown(&self, member: usize, factor: f64) {
-        if let Some(m) = self.members.get(member) {
+        if let Some(m) = self.inner.members.get(member) {
             m.set_slowdown(factor);
         }
     }
@@ -476,7 +482,7 @@ impl RaidArray {
     /// members of this array, so the error is unreachable in practice; a
     /// member past the array has no server task, hence `Down`.
     fn member(&self, m: usize) -> Result<&Disk, DiskError> {
-        self.members.get(m).ok_or(DiskError::Down)
+        self.inner.members.get(m).ok_or(DiskError::Down)
     }
 }
 
@@ -497,6 +503,45 @@ mod tests {
             pos += p.len;
         }
         assert_eq!(pos, 100_000);
+
+        // Runs: an unaligned extent inside one row, an unaligned one over
+        // several rows, an aligned one-row read and an aligned multi-row one.
+        for (off, len) in [
+            (10_000u64, 20_000u64),
+            (10_000, 100_000),
+            (0, 64 * 1024),
+            (16 * 1024, 5 * 64 * 1024),
+        ] {
+            let runs: Vec<(usize, u64, u64)> = map.runs(off, len).collect();
+            assert_eq!(runs.iter().map(|r| r.2).sum::<u64>(), len, "{off}+{len}");
+            for m in 0..map.width {
+                let mut mine: Vec<StripePiece> = map
+                    .split(off, len)
+                    .into_iter()
+                    .filter(|p| p.member == m)
+                    .collect();
+                mine.sort_by_key(|p| p.offset);
+                let member_runs: Vec<&(usize, u64, u64)> =
+                    runs.iter().filter(|r| r.0 == m).collect();
+                let Some(first) = mine.first() else {
+                    assert!(
+                        member_runs.is_empty(),
+                        "{off}+{len}: run on idle member {m}"
+                    );
+                    continue;
+                };
+                // Disjoint and maximal: a member's abutting pieces are one
+                // run, so it has exactly one, starting at its first piece
+                // and covering every piece.
+                assert_eq!(member_runs.len(), 1, "{off}+{len}: member {m}");
+                let &(_, start, rlen) = member_runs[0];
+                assert_eq!(start, first.offset, "{off}+{len}: member {m}");
+                assert_eq!(rlen, mine.iter().map(|p| p.len).sum::<u64>());
+                for w in mine.windows(2) {
+                    assert_eq!(w[0].offset + w[0].len, w[1].offset);
+                }
+            }
+        }
     }
 
     #[test]

@@ -97,32 +97,31 @@ struct MeshInner<M> {
 }
 
 /// The interconnect: binds mailboxes and moves typed messages with
-/// Paragon-calibrated latency. Clone freely.
+/// Paragon-calibrated latency. Clone freely: a clone is one `Rc` count
+/// bump.
 pub struct Mesh<M> {
+    shared: Rc<Shared<M>>,
+}
+
+/// What every clone of a [`Mesh`] shares.
+struct Shared<M> {
     sim: Sim,
     topo: Topology,
     params: MeshParams,
-    nic_tx: Rc<Vec<Semaphore>>,
+    nic_tx: Vec<Semaphore>,
     faults: FaultPlan,
-    inner: Rc<RefCell<MeshInner<M>>>,
+    inner: RefCell<MeshInner<M>>,
     /// Payload+header bytes accepted by the fault plan but not yet landed
     /// in a mailbox; polled live by telemetry gauges.
     inflight_bytes: Rc<Cell<i64>>,
     /// Cumulative NIC-occupancy nanoseconds per source node.
-    nic_busy_ns: Rc<Vec<Cell<u64>>>,
+    nic_busy_ns: Vec<Cell<u64>>,
 }
 
 impl<M> Clone for Mesh<M> {
     fn clone(&self) -> Self {
         Mesh {
-            sim: self.sim.clone(),
-            topo: self.topo,
-            params: self.params.clone(),
-            nic_tx: self.nic_tx.clone(),
-            faults: self.faults.clone(),
-            inner: self.inner.clone(),
-            inflight_bytes: self.inflight_bytes.clone(),
-            nic_busy_ns: self.nic_busy_ns.clone(),
+            shared: self.shared.clone(),
         }
     }
 }
@@ -133,17 +132,19 @@ impl<M: Clone + 'static> Mesh<M> {
         let nic_tx = (0..topo.nodes()).map(|_| Semaphore::new(1)).collect();
         let nic_busy_ns = (0..topo.nodes()).map(|_| Cell::new(0u64)).collect();
         Mesh {
-            sim: sim.clone(),
-            topo,
-            params,
-            nic_tx: Rc::new(nic_tx),
-            faults: sim.faults(),
-            inner: Rc::new(RefCell::new(MeshInner {
-                mailboxes: BTreeMap::new(),
-                stats: MeshStats::default(),
-            })),
-            inflight_bytes: Rc::new(Cell::new(0)),
-            nic_busy_ns: Rc::new(nic_busy_ns),
+            shared: Rc::new(Shared {
+                sim: sim.clone(),
+                topo,
+                params,
+                nic_tx,
+                faults: sim.faults(),
+                inner: RefCell::new(MeshInner {
+                    mailboxes: BTreeMap::new(),
+                    stats: MeshStats::default(),
+                }),
+                inflight_bytes: Rc::new(Cell::new(0)),
+                nic_busy_ns,
+            }),
         }
     }
 
@@ -151,7 +152,7 @@ impl<M: Clone + 'static> Mesh<M> {
     /// node has exactly one receive loop.
     pub fn bind(&self, node: NodeId) -> Receiver<Envelope<M>> {
         let (tx, rx) = channel();
-        let prev = self.inner.borrow_mut().mailboxes.insert(node, tx);
+        let prev = self.shared.inner.borrow_mut().mailboxes.insert(node, tx);
         assert!(prev.is_none(), "mailbox for node {} bound twice", node.0);
         rx
     }
@@ -167,15 +168,15 @@ impl<M: Clone + 'static> Mesh<M> {
     /// records untagged events.
     pub async fn send(&self, src: NodeId, dst: NodeId, wire_bytes: u64, payload: M, req: ReqId) {
         let occupancy = if src == dst {
-            self.params.local_overhead
+            self.shared.params.local_overhead
         } else {
-            self.params.send_overhead + self.params.wire_time(wire_bytes)
+            self.shared.params.send_overhead + self.shared.params.wire_time(wire_bytes)
         };
         {
-            let Some(sem) = self.nic_tx.get(src.0) else {
+            let Some(sem) = self.shared.nic_tx.get(src.0) else {
                 // A source outside the topology has no NIC; the frame is
                 // lost observably, like a send from a decommissioned node.
-                self.sim.emit(|| {
+                self.shared.sim.emit(|| {
                     ev(
                         Track::Node(src.0 as u16),
                         EventKind::MeshDrop,
@@ -184,18 +185,18 @@ impl<M: Clone + 'static> Mesh<M> {
                         dst.0 as u64,
                     )
                 });
-                self.inner.borrow_mut().stats.drops += 1;
+                self.shared.inner.borrow_mut().stats.drops += 1;
                 return;
             };
             let guard = sem.acquire().await;
             {
-                let mut inner = self.inner.borrow_mut();
+                let mut inner = self.shared.inner.borrow_mut();
                 inner.stats.messages += 1;
                 inner.stats.bytes += wire_bytes;
-                inner.stats.hops += self.topo.hops(src, dst) as u64;
+                inner.stats.hops += self.shared.topo.hops(src, dst) as u64;
                 inner.stats.max_nic_queue = inner.stats.max_nic_queue.max(sem.queue_len());
             }
-            self.sim.emit(|| {
+            self.shared.sim.emit(|| {
                 ev(
                     Track::Node(src.0 as u16),
                     EventKind::NetTx,
@@ -204,8 +205,8 @@ impl<M: Clone + 'static> Mesh<M> {
                     dst.0 as u64,
                 )
             });
-            self.sim.sleep(occupancy).await;
-            if let Some(busy) = self.nic_busy_ns.get(src.0) {
+            self.shared.sim.sleep(occupancy).await;
+            if let Some(busy) = self.shared.nic_busy_ns.get(src.0) {
                 busy.set(busy.get() + occupancy.as_nanos());
             }
             drop(guard);
@@ -214,14 +215,15 @@ impl<M: Clone + 'static> Mesh<M> {
         // fate in transit. Verdicts are drawn in NIC-release order, which
         // the executor makes deterministic.
         let mut extra_delay = SimDuration::ZERO;
-        let mut copies = 1usize;
+        let mut duplicate = false;
         match self
+            .shared
             .faults
-            .mesh_verdict(src.0 as u16, dst.0 as u16, self.sim.now())
+            .mesh_verdict(src.0 as u16, dst.0 as u16, self.shared.sim.now())
         {
             MeshVerdict::Deliver => {}
             MeshVerdict::Drop => {
-                self.sim.emit(|| {
+                self.shared.sim.emit(|| {
                     ev(
                         Track::Node(src.0 as u16),
                         EventKind::MeshDrop,
@@ -230,11 +232,11 @@ impl<M: Clone + 'static> Mesh<M> {
                         dst.0 as u64,
                     )
                 });
-                self.inner.borrow_mut().stats.drops += 1;
+                self.shared.inner.borrow_mut().stats.drops += 1;
                 return;
             }
             MeshVerdict::Duplicate => {
-                self.sim.emit(|| {
+                self.shared.sim.emit(|| {
                     ev(
                         Track::Node(src.0 as u16),
                         EventKind::MeshDup,
@@ -243,11 +245,11 @@ impl<M: Clone + 'static> Mesh<M> {
                         dst.0 as u64,
                     )
                 });
-                self.inner.borrow_mut().stats.dups += 1;
-                copies = 2;
+                self.shared.inner.borrow_mut().stats.dups += 1;
+                duplicate = true;
             }
             MeshVerdict::Delay(d) => {
-                self.sim.emit(|| {
+                self.shared.sim.emit(|| {
                     ev(
                         Track::Node(src.0 as u16),
                         EventKind::MeshDelay,
@@ -256,30 +258,27 @@ impl<M: Clone + 'static> Mesh<M> {
                         dst.0 as u64,
                     )
                 });
-                self.inner.borrow_mut().stats.delays += 1;
+                self.shared.inner.borrow_mut().stats.delays += 1;
                 extra_delay = d;
             }
         }
         let propagation = if src == dst {
             SimDuration::ZERO
         } else {
-            self.params.hop_latency * self.topo.hops(src, dst) as u64 + self.params.recv_overhead
+            self.shared.params.hop_latency * self.shared.topo.hops(src, dst) as u64
+                + self.shared.params.recv_overhead
         } + extra_delay;
-        let mut payloads = Vec::with_capacity(copies);
-        for _ in 1..copies {
-            payloads.push(payload.clone());
-        }
-        payloads.push(payload);
-        for payload in payloads {
-            self.inflight_bytes
-                .set(self.inflight_bytes.get() + wire_bytes as i64);
+        let copy = duplicate.then(|| payload.clone());
+        for payload in copy.into_iter().chain([payload]) {
+            self.shared
+                .inflight_bytes
+                .set(self.shared.inflight_bytes.get() + wire_bytes as i64);
             if propagation.is_zero() {
                 self.finish_delivery(src, dst, wire_bytes, req, payload);
             } else {
                 let mesh = self.clone();
-                let sim = self.sim.clone();
-                self.sim.spawn_named("mesh-deliver", async move {
-                    sim.sleep(propagation).await;
+                self.shared.sim.spawn_named("mesh-deliver", async move {
+                    mesh.shared.sim.sleep(propagation).await;
                     mesh.finish_delivery(src, dst, wire_bytes, req, payload);
                 });
             }
@@ -289,9 +288,10 @@ impl<M: Clone + 'static> Mesh<M> {
     /// The receiver half of a delivery: leave transit accounting, record
     /// the landing, and push into the destination mailbox.
     fn finish_delivery(&self, src: NodeId, dst: NodeId, wire_bytes: u64, req: ReqId, payload: M) {
-        self.inflight_bytes
-            .set(self.inflight_bytes.get() - wire_bytes as i64);
-        self.sim.emit(|| {
+        self.shared
+            .inflight_bytes
+            .set(self.shared.inflight_bytes.get() - wire_bytes as i64);
+        self.shared.sim.emit(|| {
             ev(
                 Track::Node(dst.0 as u16),
                 EventKind::NetRx,
@@ -300,7 +300,7 @@ impl<M: Clone + 'static> Mesh<M> {
                 src.0 as u64,
             )
         });
-        let mailbox = self.inner.borrow().mailboxes.get(&dst).cloned();
+        let mailbox = self.shared.inner.borrow().mailboxes.get(&dst).cloned();
         // An unbound destination or a dropped receiver means the node
         // never existed or shut down; either way the frame is lost like
         // on a real NIC — but observably so.
@@ -314,7 +314,7 @@ impl<M: Clone + 'static> Mesh<M> {
             })
             .is_none_or(|r| r.is_err())
         {
-            self.sim.emit(|| {
+            self.shared.sim.emit(|| {
                 ev(
                     Track::Node(dst.0 as u16),
                     EventKind::MeshDrop,
@@ -323,24 +323,24 @@ impl<M: Clone + 'static> Mesh<M> {
                     dst.0 as u64,
                 )
             });
-            self.inner.borrow_mut().stats.drops += 1;
+            self.shared.inner.borrow_mut().stats.drops += 1;
         }
     }
 
     /// Traffic counters so far.
     pub fn stats(&self) -> MeshStats {
-        self.inner.borrow().stats.clone()
+        self.shared.inner.borrow().stats.clone()
     }
 
     /// Live bytes-in-transit cell (incremented when a frame leaves the
     /// fault plan, decremented when it lands in — or misses — a mailbox).
     pub fn inflight_bytes_cell(&self) -> Rc<Cell<i64>> {
-        self.inflight_bytes.clone()
+        self.shared.inflight_bytes.clone()
     }
 
     /// Cumulative NIC-occupancy nanoseconds, indexed by source node.
     pub fn nic_busy_ns(&self) -> Vec<u64> {
-        self.nic_busy_ns.iter().map(Cell::get).collect()
+        self.shared.nic_busy_ns.iter().map(Cell::get).collect()
     }
 }
 

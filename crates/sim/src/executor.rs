@@ -20,7 +20,7 @@ use std::task::{Context, Poll, Waker};
 use crate::fault::FaultPlan;
 use crate::kernel::Kernel;
 use crate::rng::Rng;
-use crate::task::{ReadyQueue, TaskTable};
+use crate::task::{new_task, JoinHandle, ReadyQueue, TaskTable};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{EventBody, ReqId, Trace};
 
@@ -44,11 +44,17 @@ pub struct RunReport {
     pub trace_hash: u64,
 }
 
-/// Handle to a simulation world. Clone freely; all clones share state.
+/// Handle to a simulation world. Clone freely; all clones share state,
+/// and a clone is one `Rc` count bump.
 #[derive(Clone)]
 pub struct Sim {
-    kernel: Rc<RefCell<Kernel>>,
-    tasks: Rc<RefCell<TaskTable>>,
+    world: Rc<World>,
+}
+
+/// What every clone of a [`Sim`] shares.
+struct World {
+    kernel: RefCell<Kernel>,
+    tasks: RefCell<TaskTable>,
     ready: ReadyQueue,
     seed: u64,
     trace: Trace,
@@ -60,50 +66,52 @@ impl Sim {
     /// [`Sim::rng`]; two worlds with the same seed and model are identical.
     pub fn new(seed: u64) -> Self {
         Sim {
-            kernel: Rc::new(RefCell::new(Kernel::new())),
-            tasks: Rc::new(RefCell::new(TaskTable::default())),
-            ready: ReadyQueue::default(),
-            seed,
-            trace: Trace::default(),
-            faults: FaultPlan::new(derive_seed(seed, "fault-plan")),
+            world: Rc::new(World {
+                kernel: RefCell::new(Kernel::new()),
+                tasks: RefCell::new(TaskTable::default()),
+                ready: ReadyQueue::default(),
+                seed,
+                trace: Trace::default(),
+                faults: FaultPlan::new(derive_seed(seed, "fault-plan")),
+            }),
         }
     }
 
     /// This world's flight recorder. Arm it with `Trace::arm` to make
     /// [`Sim::emit`] calls record; disarmed tracing costs nothing.
     pub fn tracer(&self) -> Trace {
-        self.trace.clone()
+        self.world.trace.clone()
     }
 
     /// This world's fault-injection plan. Disarmed by default: configure
     /// it, then [`FaultPlan::arm`] after setup I/O completes. Its draws
     /// come from the `"fault-plan"` RNG stream of this world's seed.
     pub fn faults(&self) -> FaultPlan {
-        self.faults.clone()
+        self.world.faults.clone()
     }
 
     /// Record a trace event at the current virtual time; `body` is only
     /// evaluated when the recorder is armed, so a disarmed simulation
     /// performs no per-event work or allocation.
     pub fn emit(&self, body: impl FnOnce() -> EventBody) {
-        self.trace.record(self.now(), body);
+        self.world.trace.record(self.now(), body);
     }
 
     /// Mint a fresh request id for threading one logical operation through
     /// the trace (client → ART → mesh → server → disk). Monotone from 1.
     pub fn mint_req(&self) -> ReqId {
-        self.trace.mint_req()
+        self.world.trace.mint_req()
     }
 
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        self.kernel.borrow().now
+        self.world.kernel.borrow().now
     }
 
     /// A deterministic RNG stream named by `label`. The same `(seed, label)`
     /// always yields the same stream, independent of call order.
     pub fn rng(&self, label: &str) -> Rng {
-        Rng::seed_from_u64(derive_seed(self.seed, label))
+        Rng::seed_from_u64(derive_seed(self.world.seed, label))
     }
 
     /// Spawn a task. The returned `JoinHandle` can be awaited for the
@@ -122,22 +130,11 @@ impl Sim {
         F: Future<Output = T> + 'static,
         T: 'static,
     {
-        let state: Rc<RefCell<JoinState<T>>> = Rc::new(RefCell::new(JoinState {
-            result: None,
-            waker: None,
-        }));
-        let state2 = state.clone();
-        let wrapped: Pin<Box<dyn Future<Output = ()>>> = Box::pin(async move {
-            let value = fut.await;
-            let mut st = state2.borrow_mut();
-            st.result = Some(value);
-            if let Some(w) = st.waker.take() {
-                w.wake();
-            }
-        });
-        let id = self.tasks.borrow_mut().insert(label, wrapped, &self.ready);
-        self.ready.push(id);
-        JoinHandle { state }
+        let (task, handle) = new_task(fut);
+        let world = &*self.world;
+        let id = world.tasks.borrow_mut().insert(label, task, &world.ready);
+        world.ready.push(id);
+        handle
     }
 
     /// A future that completes `d` of virtual time from now.
@@ -189,10 +186,11 @@ impl Sim {
     fn run_inner(&self, horizon: SimTime) -> RunReport {
         loop {
             self.drain_ready();
-            let next = self.kernel.borrow().next_event_time();
+            let next = self.world.kernel.borrow().next_event_time();
             match next {
                 Some(t) if t <= horizon => {
                     let waker = self
+                        .world
                         .kernel
                         .borrow_mut()
                         .fire_next()
@@ -207,8 +205,8 @@ impl Sim {
 
     /// Snapshot the run counters without driving anything.
     pub fn report(&self) -> RunReport {
-        let kernel = self.kernel.borrow();
-        let tasks = self.tasks.borrow();
+        let kernel = self.world.kernel.borrow();
+        let tasks = self.world.tasks.borrow();
         RunReport {
             end_time: kernel.now,
             events_processed: kernel.events_processed,
@@ -225,29 +223,30 @@ impl Sim {
     /// build many worlds (a sweep runs dozens) must break it when a run
     /// finishes. The world must not be `run` again afterwards.
     pub fn shutdown(&self) {
-        self.tasks.borrow_mut().clear();
+        self.world.tasks.borrow_mut().clear();
     }
 
     /// Labels of tasks that have not completed, in spawn order. Useful in
     /// deadlock triage.
     pub fn pending_task_labels(&self) -> Vec<&'static str> {
-        self.tasks.borrow().live_labels()
+        self.world.tasks.borrow().live_labels()
     }
 
     /// Poll woken tasks until the ready ring is empty.
     fn drain_ready(&self) {
-        while let Some(id) = self.ready.pop() {
-            // Take the future out so model code may re-enter `Sim` freely
+        let world = &*self.world;
+        while let Some(id) = world.ready.pop() {
+            // Take the task out so model code may re-enter `Sim` freely
             // while we poll, and so wakes during the poll are harmless.
-            // The slot's cached waker is cloned (an `Rc` bump), not built.
-            let (mut fut, waker) = {
-                let mut tasks = self.tasks.borrow_mut();
+            // The slot's waker is cloned (an `Rc` bump), not built.
+            let (task, waker) = {
+                let mut tasks = world.tasks.borrow_mut();
                 tasks.polls += 1;
                 match tasks.get_live(id) {
-                    Some(slot) => match slot.future.take() {
-                        Some(f) => {
+                    Some(slot) => match slot.task.take() {
+                        Some(t) => {
                             let w = slot.waker();
-                            (f, w)
+                            (t, w)
                         }
                         // Already being polled higher up the stack or woken
                         // twice; the in-progress poll will see the wake.
@@ -259,13 +258,13 @@ impl Sim {
                 }
             };
             let mut cx = Context::from_waker(&waker);
-            match fut.as_mut().poll(&mut cx) {
+            match task.poll_task(&mut cx) {
                 Poll::Ready(()) => {
-                    self.tasks.borrow_mut().remove(id);
+                    world.tasks.borrow_mut().remove(id);
                 }
                 Poll::Pending => {
-                    if let Some(slot) = self.tasks.borrow_mut().get_live(id) {
-                        slot.future = Some(fut);
+                    if let Some(slot) = world.tasks.borrow_mut().get_live(id) {
+                        slot.task = Some(task);
                     }
                 }
             }
@@ -273,7 +272,10 @@ impl Sim {
     }
 
     pub(crate) fn schedule_wake(&self, deadline: SimTime, waker: Waker) {
-        self.kernel.borrow_mut().schedule_wake(deadline, waker);
+        self.world
+            .kernel
+            .borrow_mut()
+            .schedule_wake(deadline, waker);
     }
 }
 
@@ -308,41 +310,6 @@ impl Future for Sleep {
         if self.sim.now() >= self.deadline {
             Poll::Ready(())
         } else {
-            Poll::Pending
-        }
-    }
-}
-
-struct JoinState<T> {
-    result: Option<T>,
-    waker: Option<Waker>,
-}
-
-/// Handle to a spawned task; await it for the task's output.
-pub struct JoinHandle<T> {
-    state: Rc<RefCell<JoinState<T>>>,
-}
-
-impl<T> JoinHandle<T> {
-    /// True once the task has produced its output.
-    pub fn is_finished(&self) -> bool {
-        self.state.borrow().result.is_some()
-    }
-
-    /// Take the output if the task already finished (without awaiting).
-    pub fn try_take(&self) -> Option<T> {
-        self.state.borrow_mut().result.take()
-    }
-}
-
-impl<T> Future for JoinHandle<T> {
-    type Output = T;
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<T> {
-        let mut st = self.state.borrow_mut();
-        if let Some(v) = st.result.take() {
-            Poll::Ready(v)
-        } else {
-            st.waker = Some(cx.waker().clone());
             Poll::Pending
         }
     }
@@ -483,8 +450,8 @@ mod tests {
         fut: impl Future<Output = T> + 'static,
     ) -> (JoinHandle<T>, TaskId) {
         let h = sim.spawn(fut);
-        let id = sim.ready.pop().expect("spawn queues the task");
-        sim.ready.push(id);
+        let id = sim.world.ready.pop().expect("spawn queues the task");
+        sim.world.ready.push(id);
         (h, id)
     }
 
@@ -495,31 +462,44 @@ mod tests {
         sim.run();
         assert!(h.is_finished());
         // The task's slot is free; a wake addressed to it must be ignored.
-        sim.ready.push(id);
+        sim.world.ready.push(id);
         let report = sim.run();
         assert_eq!(report.unfinished_tasks, 0);
     }
 
     #[test]
     fn stale_wake_to_reused_slot_is_not_misdelivered() {
-        // The generational-index ABA case: task A completes, its slot is
-        // reused by task B, then a wake carrying A's old id arrives. The
-        // generation mismatch must drop it — B must not be polled.
+        // The generational-index ABA case: task A stashes a clone of its
+        // waker and completes, its slot is reused by task B, then the stale
+        // waker fires. The generation mismatch must drop the wake — B must
+        // not be polled — and the stale waker must not have been recycled
+        // into B's.
         let sim = Sim::new(1);
-        let (_a, old_id) = spawn_with_id(&sim, async {});
+        let stash: Rc<RefCell<Option<Waker>>> = Rc::new(RefCell::new(None));
+        let a_stash = stash.clone();
+        let (_a, old_id) = spawn_with_id(
+            &sim,
+            std::future::poll_fn(move |cx| {
+                *a_stash.borrow_mut() = Some(cx.waker().clone());
+                Poll::Ready(())
+            }),
+        );
         sim.run();
+        let stale = stash.borrow_mut().take().expect("A stashed its waker");
 
-        // B: counts its polls and parks forever without registering a waker
-        // anywhere, so only a (mis)delivered wake could poll it again.
+        // B: counts its polls and parks forever, keeping its waker where
+        // nothing wakes it, so only a (mis)delivered wake could poll it.
         let polls = Rc::new(Cell::new(0u32));
         let p = polls.clone();
-        let (_b, b_id) = spawn_with_id(&sim, async move {
-            std::future::poll_fn(move |_| {
+        let b_stash = stash.clone();
+        let (_b, b_id) = spawn_with_id(
+            &sim,
+            std::future::poll_fn(move |cx| {
                 p.set(p.get() + 1);
+                *b_stash.borrow_mut() = Some(cx.waker().clone());
                 Poll::<()>::Pending
-            })
-            .await
-        });
+            }),
+        );
         assert_eq!(b_id.slot(), old_id.slot(), "slot must be reused");
         assert_ne!(
             b_id.generation(),
@@ -528,22 +508,53 @@ mod tests {
         );
         sim.run();
         assert_eq!(polls.get(), 1, "initial spawn polls B once");
+        let b_waker = stash.borrow_mut().take().expect("B stashed its waker");
+        assert!(
+            !stale.will_wake(&b_waker),
+            "A's waker was recycled while a clone of it was outstanding"
+        );
 
-        // Deliver the stale wake: addressed to the right slot, wrong
-        // generation. B must not run.
-        sim.ready.push(old_id);
+        // Fire the stale waker: right slot, wrong generation. B must not run.
+        stale.wake();
         sim.run();
         assert_eq!(polls.get(), 1, "stale wake was misdelivered to B");
         assert_eq!(sim.report().polls, 3, "a dropped stale wake still counts");
 
-        // Sanity: a wake with the *current* id does reach B. It is
-        // spurious (B is not ready), so it adds a poll but no event.
+        // Sanity: B's own waker does reach B. The wake is spurious (B is
+        // not ready), so it adds a poll but no event.
         let events = sim.report().events_processed;
-        sim.ready.push(b_id);
+        b_waker.wake_by_ref();
         sim.run();
         assert_eq!(polls.get(), 2);
         assert_eq!(sim.report().polls, 4);
         assert_eq!(sim.report().events_processed, events);
+    }
+
+    #[test]
+    fn a_task_is_stored_at_the_size_of_its_future() {
+        // A spawn's one allocation holds the future itself; a wrapper
+        // future capturing it would store it twice.
+        let sim = Sim::new(1);
+        let s = sim.clone();
+        let future = async move {
+            let pad = [7u8; 1024];
+            s.sleep(SimDuration::from_micros(1)).await;
+            std::hint::black_box(pad);
+        };
+        let future_size = std::mem::size_of_val(&future);
+        assert!(future_size >= 1024, "{future_size} B");
+        let (_h, id) = spawn_with_id(&sim, future);
+        let mut tasks = sim.world.tasks.borrow_mut();
+        let task = tasks
+            .get_live(id)
+            .and_then(|slot| slot.task.as_ref())
+            .expect("a spawned task waits in its slot");
+        // The `Rc` allocation: strong and weak counts, then the cell.
+        let stored = 2 * std::mem::size_of::<usize>() + std::mem::size_of_val(&**task);
+        assert!(
+            stored <= future_size + 64,
+            "{stored} B stored for a {future_size} B future"
+        );
     }
 
     #[test]

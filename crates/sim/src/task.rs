@@ -7,23 +7,29 @@
 //! reused — fails the generation check and is dropped instead of being
 //! misdelivered (the classic ABA hazard of index reuse).
 //!
+//! A spawned task is one heap allocation, a [`TaskCell`]: the future at its
+//! own size, its output once ready (in the future's place), and the waker
+//! of the task awaiting its [`JoinHandle`]. The slab polls the cell as an
+//! `Rc<dyn Runnable>`; the handle reads it as an `Rc<dyn JoinSlot<T>>`.
+//!
 //! Wakers are `Rc`-based with a hand-rolled [`RawWakerVTable`]: a world's
 //! executor, its tasks, and every waker they clone all live on the one
 //! host thread that runs the simulation, so the `Send + Sync` contract of
 //! `std::task::Waker` is vacuously met and the ready ring needs no lock.
-//! Each slot caches the `Waker` for its current occupant, so polling
-//! allocates nothing.
+//! Each slot keeps the waker payload of its current occupant, so polling
+//! allocates nothing, and hands it on to its next occupant when no clone of
+//! it is outstanding, so spawning usually allocates only the cell.
 #![expect(
     unsafe_code,
-    reason = "the Rc waker vtable; its safety argument is on VTABLE"
+    reason = "the Rc waker vtable and the task cell's pin projection; their safety arguments are on VTABLE and TaskCell"
 )]
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
-use std::task::{RawWaker, RawWakerVTable, Waker};
+use std::task::{Context, Poll, RawWaker, RawWakerVTable, Waker};
 
 /// Identifies a spawned task for the lifetime of a simulation.
 ///
@@ -82,55 +88,191 @@ struct TaskWaker {
 /// executor, the kernel's timer queue, and every sync primitive that
 /// stashes a waker are world-local, and the simulator is single-threaded
 /// (no `Sim`, task or waker is ever handed to another host thread; `Sim`
-/// is `!Send` through its `Rc`s). Every vtable entry is
-/// only ever called with a pointer produced by `Rc::into_raw` in
-/// [`task_waker`] or [`clone_raw`].
+/// is `!Send` through its `Rc`). Every vtable entry is only ever called
+/// with a pointer produced by `Rc::into_raw` in [`waker_of`] or
+/// [`clone_raw`], whose strong count the calling waker owns.
 static VTABLE: RawWakerVTable = RawWakerVTable::new(clone_raw, wake_raw, wake_by_ref_raw, drop_raw);
 
 unsafe fn clone_raw(ptr: *const ()) -> RawWaker {
-    Rc::increment_strong_count(ptr as *const TaskWaker);
+    // SAFETY: `ptr` is a live `Rc<TaskWaker>` (VTABLE's contract); the
+    // count added here is owned by the returned waker.
+    unsafe { Rc::increment_strong_count(ptr as *const TaskWaker) };
     RawWaker::new(ptr, &VTABLE)
 }
 
 unsafe fn wake_raw(ptr: *const ()) {
-    let w = Rc::from_raw(ptr as *const TaskWaker);
+    // SAFETY: `ptr` is a live `Rc<TaskWaker>` whose count this waker owns
+    // and gives up by being consumed (VTABLE's contract).
+    let w = unsafe { Rc::from_raw(ptr as *const TaskWaker) };
     w.ready.push(w.id);
 }
 
 unsafe fn wake_by_ref_raw(ptr: *const ()) {
-    let w = &*(ptr as *const TaskWaker);
+    // SAFETY: `ptr` is a live `Rc<TaskWaker>` that the borrowed waker keeps
+    // alive for this call (VTABLE's contract).
+    let w = unsafe { &*(ptr as *const TaskWaker) };
     w.ready.push(w.id);
 }
 
 unsafe fn drop_raw(ptr: *const ()) {
-    drop(Rc::from_raw(ptr as *const TaskWaker));
+    // SAFETY: `ptr` is a live `Rc<TaskWaker>` whose count the dropped waker
+    // owns (VTABLE's contract).
+    drop(unsafe { Rc::from_raw(ptr as *const TaskWaker) });
 }
 
-/// Build the waker for `id`; cloning it is an `Rc` count bump.
-fn task_waker(id: TaskId, ready: &ReadyQueue) -> Waker {
-    let w = Rc::new(TaskWaker {
-        id,
-        ready: ready.clone(),
-    });
+/// A waker that owns one count of `w`; cloning it is an `Rc` count bump.
+fn waker_of(w: Rc<TaskWaker>) -> Waker {
+    // SAFETY: the pointer comes from `Rc::into_raw` and its count moves
+    // into the waker, which is what VTABLE's entries assume.
     unsafe { Waker::from_raw(RawWaker::new(Rc::into_raw(w) as *const (), &VTABLE)) }
 }
 
-/// The future owned by a task slot.
-pub(crate) type BoxedTask = Pin<Box<dyn Future<Output = ()>>>;
+/// The executor's view of a task.
+pub(crate) trait Runnable {
+    /// Poll the future once. On `Ready` its output is in the join slot and
+    /// the task awaiting the handle, if any, has been woken.
+    fn poll_task(&self, cx: &mut Context<'_>) -> Poll<()>;
 
-/// One slab slot. `future` is `None` while the executor has temporarily
-/// taken the future out to poll it (so re-entrant wakes during the poll are
-/// harmless) and after the slot is freed.
+    /// Drop the future in place (world shutdown).
+    fn cancel(&self);
+}
+
+/// A [`JoinHandle`]'s view of a task.
+trait JoinSlot<T> {
+    fn is_finished(&self) -> bool;
+    fn take_output(&self) -> Option<T>;
+    fn set_joiner(&self, waker: Waker);
+}
+
+enum Stage<F: Future> {
+    Running(F),
+    Finished(F::Output),
+    /// Output taken, or future dropped at shutdown.
+    Done,
+}
+
+/// One spawned task: its future and its join slot in one allocation.
+///
+/// # Pin projection
+///
+/// [`Runnable::poll_task`] pins the future where it lies with
+/// `Pin::new_unchecked`. That is sound because the future never moves and
+/// is dropped in place: the cell is created inside its `Rc` by
+/// `spawn_named` and nothing moves it out (no `Rc::try_unwrap`, no
+/// `get_mut` on a cell); `Stage::Running` is only ever left by assigning
+/// a new stage over it, which drops the future where it lies; and
+/// `take_output` moves a value out of `Stage::Finished` only, never out of
+/// `Stage::Running`.
+struct TaskCell<F: Future> {
+    stage: RefCell<Stage<F>>,
+    /// Waker of the task awaiting this one's [`JoinHandle`].
+    joiner: Cell<Option<Waker>>,
+}
+
+/// Move `future` into a fresh task cell: the one allocation of a spawn.
+/// Returns the slab's view of it and the handle's.
+pub(crate) fn new_task<F>(future: F) -> (Rc<dyn Runnable>, JoinHandle<F::Output>)
+where
+    F: Future + 'static,
+{
+    let cell = Rc::new(TaskCell {
+        stage: RefCell::new(Stage::Running(future)),
+        joiner: Cell::new(None),
+    });
+    (cell.clone(), JoinHandle { task: cell })
+}
+
+impl<F: Future> Runnable for TaskCell<F> {
+    fn poll_task(&self, cx: &mut Context<'_>) -> Poll<()> {
+        let mut stage = self.stage.borrow_mut();
+        let Stage::Running(future) = &mut *stage else {
+            // Finished tasks leave the slab, so only a cancelled one is here.
+            return Poll::Ready(());
+        };
+        // SAFETY: the future never moves and is dropped in place; see
+        // "Pin projection" on `TaskCell`.
+        let future = unsafe { Pin::new_unchecked(future) };
+        let Poll::Ready(output) = future.poll(cx) else {
+            return Poll::Pending;
+        };
+        *stage = Stage::Finished(output);
+        drop(stage);
+        if let Some(joiner) = self.joiner.take() {
+            joiner.wake();
+        }
+        Poll::Ready(())
+    }
+
+    fn cancel(&self) {
+        *self.stage.borrow_mut() = Stage::Done;
+    }
+}
+
+impl<F: Future> JoinSlot<F::Output> for TaskCell<F> {
+    fn is_finished(&self) -> bool {
+        matches!(*self.stage.borrow(), Stage::Finished(_))
+    }
+
+    fn take_output(&self) -> Option<F::Output> {
+        let mut stage = self.stage.borrow_mut();
+        if !matches!(*stage, Stage::Finished(_)) {
+            return None;
+        }
+        match std::mem::replace(&mut *stage, Stage::Done) {
+            Stage::Finished(output) => Some(output),
+            Stage::Running(_) | Stage::Done => unreachable!("stage checked above"),
+        }
+    }
+
+    fn set_joiner(&self, waker: Waker) {
+        self.joiner.set(Some(waker));
+    }
+}
+
+/// Handle to a spawned task; await it for the task's output.
+pub struct JoinHandle<T> {
+    task: Rc<dyn JoinSlot<T>>,
+}
+
+impl<T> JoinHandle<T> {
+    /// True once the task has produced its output.
+    pub fn is_finished(&self) -> bool {
+        self.task.is_finished()
+    }
+
+    /// Take the output if the task already finished (without awaiting).
+    pub fn try_take(&self) -> Option<T> {
+        self.task.take_output()
+    }
+}
+
+impl<T> Future for JoinHandle<T> {
+    type Output = T;
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<T> {
+        match self.task.take_output() {
+            Some(output) => Poll::Ready(output),
+            None => {
+                self.task.set_joiner(cx.waker().clone());
+                Poll::Pending
+            }
+        }
+    }
+}
+
+/// One slab slot.
 pub(crate) struct TaskSlot {
     pub(crate) generation: u32,
     live: bool,
     /// Monotone spawn counter, used to report pending tasks in spawn order.
     spawn_seq: u64,
     pub(crate) label: &'static str,
-    pub(crate) future: Option<BoxedTask>,
-    /// Cached waker for the current occupant; cloned per poll (an `Rc`
-    /// bump) instead of allocating a fresh `TaskWaker` every poll.
-    waker: Option<Waker>,
+    /// `None` while the executor has taken the task out to poll it (so
+    /// re-entrant wakes during the poll are harmless) and after the slot
+    /// is freed.
+    pub(crate) task: Option<Rc<dyn Runnable>>,
+    /// Waker payload of the current occupant, kept when it completes so
+    /// the slot's next occupant can reuse the allocation.
+    waker: Option<Rc<TaskWaker>>,
 }
 
 impl TaskSlot {
@@ -140,13 +282,14 @@ impl TaskSlot {
             live: false,
             spawn_seq: 0,
             label: "",
-            future: None,
+            task: None,
             waker: None,
         }
     }
 
+    /// The occupant's waker: an `Rc` count bump, no allocation.
     pub(crate) fn waker(&self) -> Waker {
-        self.waker.clone().expect("live task slot has a waker")
+        waker_of(self.waker.clone().expect("live task slot has a waker"))
     }
 }
 
@@ -167,11 +310,11 @@ impl TaskTable {
         self.live
     }
 
-    /// Claim a slot for a new task and cache its waker.
+    /// Claim a slot for a new task and point the slot's waker at it.
     pub(crate) fn insert(
         &mut self,
         label: &'static str,
-        future: BoxedTask,
+        task: Rc<dyn Runnable>,
         ready: &ReadyQueue,
     ) -> TaskId {
         let idx = match self.free.pop() {
@@ -186,8 +329,19 @@ impl TaskTable {
         slot.live = true;
         slot.spawn_seq = self.next_spawn;
         slot.label = label;
-        slot.future = Some(future);
-        slot.waker = Some(task_waker(id, ready));
+        slot.task = Some(task);
+        // Retarget the previous occupant's payload only if no clone of its
+        // waker is left (in the timer heap, a waiter list, a join slot):
+        // such a clone would deliver its stale wake to this task.
+        match slot.waker.as_mut().and_then(Rc::get_mut) {
+            Some(w) => w.id = id,
+            None => {
+                slot.waker = Some(Rc::new(TaskWaker {
+                    id,
+                    ready: ready.clone(),
+                }))
+            }
+        }
         self.next_spawn += 1;
         self.live += 1;
         id
@@ -210,8 +364,7 @@ impl TaskTable {
         if let Some(slot) = self.slots.get_mut(idx as usize) {
             if slot.live && slot.generation == id.generation() {
                 slot.live = false;
-                slot.future = None;
-                slot.waker = None;
+                slot.task = None;
                 slot.generation = slot.generation.wrapping_add(1);
                 self.live -= 1;
                 self.free.push(idx);
@@ -219,13 +372,17 @@ impl TaskTable {
         }
     }
 
-    /// Drop every live task (futures, wakers and all), freeing the slots.
+    /// Drop every live task's future, freeing the slots.
     pub(crate) fn clear(&mut self) {
         for (idx, slot) in self.slots.iter_mut().enumerate() {
             if slot.live {
                 slot.live = false;
-                slot.future = None;
-                slot.waker = None;
+                // Drop the future now even if a `JoinHandle` keeps the
+                // cell alive: the future owns the `Sim` clones that would
+                // otherwise keep the world alive.
+                if let Some(task) = slot.task.take() {
+                    task.cancel();
+                }
                 slot.generation = slot.generation.wrapping_add(1);
                 self.free.push(idx as u32);
             }
