@@ -248,10 +248,10 @@ async fn server_loop(
                 // order, re-snapshot when drained.
                 sweep.retain(|k| pending.contains_key(k));
                 if sweep.is_empty() {
-                    sweep = pending.keys().copied().collect();
                     // BTreeMap keys are already (offset, seq)-sorted;
-                    // serve descending from the back for O(1) pops.
-                    sweep.reverse();
+                    // serve descending from the back for O(1) pops. The
+                    // drained `Vec` is refilled, never reallocated.
+                    sweep.extend(pending.keys().rev().copied());
                 }
                 match sweep.pop() {
                     Some(k) => k,

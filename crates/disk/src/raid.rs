@@ -18,7 +18,7 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 use paragon_sim::sync::Semaphore;
-use paragon_sim::{ev, EventKind, ReqId, Sim, Track};
+use paragon_sim::{ev, EventKind, JoinHandle, ReqId, Sim, Track, VecPool};
 
 use crate::disk::{Disk, DiskError, DiskOp, DiskStats};
 use crate::params::{DiskParams, SchedPolicy};
@@ -147,6 +147,8 @@ struct Inner {
     /// Flight-recorder lane base set by [`RaidArray::set_tracks`].
     track_base: Cell<Option<u16>>,
     rstats: RefCell<RaidStats>,
+    /// Join-handle lists of the member runs in flight.
+    legs: VecPool<JoinHandle<Result<(), DiskError>>>,
 }
 
 impl RaidArray {
@@ -189,6 +191,7 @@ impl RaidArray {
                 logical: RefCell::new(BlockStore::new()),
                 track_base: Cell::new(None),
                 rstats: RefCell::new(RaidStats::default()),
+                legs: VecPool::default(),
             }),
         }
     }
@@ -232,27 +235,34 @@ impl RaidArray {
     /// under fault injection; a dead member is transparently reconstructed
     /// when the array has parity.
     pub async fn read(&self, offset: u64, len: u32, req: ReqId) -> Result<Bytes, DiskError> {
-        let mut handles = Vec::with_capacity(self.inner.map.width);
+        let mut legs = self.inner.legs.take();
         for (member, start, rlen) in self.inner.map.runs(offset, len as u64) {
             let this = self.clone();
-            handles.push(self.inner.sim.spawn_named("raid-read-run", async move {
+            legs.push(self.inner.sim.spawn_named("raid-read-run", async move {
                 this.read_run(member, start, rlen as u32, req).await
             }));
         }
-        let mut first_err = None;
-        for h in handles {
-            // Always join every leg (so concurrent member service finishes
-            // deterministically) before reporting the first failure.
-            if let Err(e) = h.await {
-                first_err = first_err.or(Some(e));
-            }
-        }
-        match first_err {
+        // Always join every leg (so concurrent member service finishes
+        // deterministically) before reporting the first failure.
+        match self.join(legs).await {
             Some(e) => Err(e),
             // Every member run has been charged; the bytes come out of the
             // logical store in one (page-aligned: zero-copy) view.
             None => Ok(self.inner.logical.borrow().read(offset, len as usize)),
         }
+    }
+
+    /// Join `legs` in spawn order, give the list back to the pool, and
+    /// return the first failure.
+    async fn join(&self, mut legs: Vec<JoinHandle<Result<(), DiskError>>>) -> Option<DiskError> {
+        let mut first_err = None;
+        for h in legs.drain(..) {
+            if let Err(e) = h.await {
+                first_err = first_err.or(Some(e));
+            }
+        }
+        self.inner.legs.give(legs);
+        first_err
     }
 
     /// One member run: direct service, or parity reconstruction when the
@@ -291,27 +301,21 @@ impl RaidArray {
             return Err(DiskError::Dead);
         };
         let sim = &self.inner.sim;
-        let mut handles = Vec::with_capacity(self.inner.members.len());
+        let mut legs = self.inner.legs.take();
         for (m, disk) in self.inner.members.iter().enumerate() {
             if m == dead {
                 continue;
             }
             let d = disk.clone();
-            handles.push(sim.spawn_named("raid-reconstruct-leg", async move {
+            legs.push(sim.spawn_named("raid-reconstruct-leg", async move {
                 d.access(DiskOp::Read, start, rlen, req).await
             }));
         }
         let p = parity.clone();
-        handles.push(sim.spawn_named("raid-reconstruct-leg", async move {
+        legs.push(sim.spawn_named("raid-reconstruct-leg", async move {
             p.access(DiskOp::Read, start, rlen, req).await
         }));
-        let mut first_err = None;
-        for h in handles {
-            if let Err(e) = h.await {
-                first_err = first_err.or(Some(e));
-            }
-        }
-        if let Some(e) = first_err {
+        if let Some(e) = self.join(legs).await {
             // A second failure (or a transient on a survivor) defeats
             // single-parity reconstruction; surface it for retry.
             return Err(e);
@@ -340,20 +344,14 @@ impl RaidArray {
         let Some(parity) = self.inner.parity.clone() else {
             // No parity: plain concurrent member writes (timing only; the
             // payload lands in the logical store once the members finish).
-            let mut handles = Vec::with_capacity(self.inner.map.width);
+            let mut legs = self.inner.legs.take();
             for (member, start, rlen) in runs {
                 let disk = self.member(member)?.clone();
-                handles.push(self.inner.sim.spawn_named("raid-write-run", async move {
+                legs.push(self.inner.sim.spawn_named("raid-write-run", async move {
                     disk.access(DiskOp::Write, start, rlen as u32, req).await
                 }));
             }
-            let mut first_err = None;
-            for h in handles {
-                if let Err(e) = h.await {
-                    first_err = first_err.or(Some(e));
-                }
-            }
-            return match first_err {
+            return match self.join(legs).await {
                 Some(e) => Err(e),
                 None => {
                     self.inner.logical.borrow_mut().write(offset, &data);

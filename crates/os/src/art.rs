@@ -15,7 +15,7 @@ use std::cell::{Cell, RefCell};
 use std::future::Future;
 use std::rc::Rc;
 
-use paragon_sim::sync::{Semaphore, Signal};
+use paragon_sim::sync::{Latch, Semaphore};
 use paragon_sim::{ev, EventKind, ReqId, Sim, SimDuration, SimTime, Track};
 
 /// ART timing and concurrency configuration.
@@ -123,33 +123,36 @@ impl ArtPool {
             pool.sim.emit(|| ev(track, EventKind::ArtStart, req, 0, 0));
             pool.sim.sleep(pool.cfg.dispatch).await;
             let value = op.await;
-            *h.slot.borrow_mut() = Some(value);
-            h.completed.set(Some(pool.sim.now()));
+            let request = &h.request;
+            *request.slot.borrow_mut() = Some(value);
+            request.completed.set(Some(pool.sim.now()));
             pool.active.set(pool.active.get() - 1);
             pool.stats.borrow_mut().completed += 1;
             pool.sim.emit(|| ev(track, EventKind::ArtDone, req, 0, 0));
-            h.done.set();
+            request.done.set();
         });
         handle
     }
 }
 
 /// The user-visible asynchronous request structure. Clone freely; all
-/// clones observe the same request.
+/// clones observe the same request, and a clone is one `Rc` count bump.
 pub struct AsyncHandle<T> {
-    done: Signal,
-    slot: Rc<RefCell<Option<T>>>,
+    request: Rc<Request<T>>,
+}
+
+/// What every clone of an [`AsyncHandle`] shares.
+struct Request<T> {
+    done: Latch,
+    slot: RefCell<Option<T>>,
     submitted_at: SimTime,
-    completed: Rc<Cell<Option<SimTime>>>,
+    completed: Cell<Option<SimTime>>,
 }
 
 impl<T> Clone for AsyncHandle<T> {
     fn clone(&self) -> Self {
         AsyncHandle {
-            done: self.done.clone(),
-            slot: self.slot.clone(),
-            submitted_at: self.submitted_at,
-            completed: self.completed.clone(),
+            request: self.request.clone(),
         }
     }
 }
@@ -157,21 +160,23 @@ impl<T> Clone for AsyncHandle<T> {
 impl<T> AsyncHandle<T> {
     fn new(now: SimTime) -> Self {
         AsyncHandle {
-            done: Signal::new(),
-            slot: Rc::new(RefCell::new(None)),
-            submitted_at: now,
-            completed: Rc::new(Cell::new(None)),
+            request: Rc::new(Request {
+                done: Latch::new(),
+                slot: RefCell::new(None),
+                submitted_at: now,
+                completed: Cell::new(None),
+            }),
         }
     }
 
     /// True once the operation finished (`iodone` in Paragon terms).
     pub fn is_done(&self) -> bool {
-        self.done.is_set()
+        self.request.done.is_set()
     }
 
     /// Wait for completion (`iowait`).
     pub async fn wait(&self) {
-        self.done.wait().await;
+        self.request.done.wait().await;
     }
 
     /// Wait for completion and take the result. Panics if another clone
@@ -181,8 +186,8 @@ impl<T> AsyncHandle<T> {
         reason = "a double take breaks the documented one-consumer contract; no fault can cause it"
     )]
     pub async fn join(&self) -> T {
-        self.done.wait().await;
-        match self.slot.borrow_mut().take() {
+        self.request.done.wait().await;
+        match self.request.slot.borrow_mut().take() {
             Some(v) => v,
             None => panic!("async request result taken twice"),
         }
@@ -190,12 +195,12 @@ impl<T> AsyncHandle<T> {
 
     /// When the request was submitted.
     pub fn submitted_at(&self) -> SimTime {
-        self.submitted_at
+        self.request.submitted_at
     }
 
     /// When it completed (None while in flight).
     pub fn completed_at(&self) -> Option<SimTime> {
-        self.completed.get()
+        self.request.completed.get()
     }
 }
 
@@ -351,7 +356,7 @@ mod tests {
         let h = sim.spawn(async move {
             let req = pool.submit(0, Track::Sys, async { 99u32 }).await;
             let v = req.join().await;
-            let left = req.slot.borrow().is_some();
+            let left = req.request.slot.borrow().is_some();
             (v, left)
         });
         sim.run();

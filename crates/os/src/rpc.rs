@@ -16,9 +16,10 @@ use std::collections::BTreeMap;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
+use std::task::{Context, Poll};
 
 use paragon_mesh::{Mesh, MeshParams, MeshStats, NodeId, Topology};
-use paragon_sim::sync::{oneshot, OneshotSender};
+use paragon_sim::sync::{oneshot, OneshotReceiver, OneshotSender};
 use paragon_sim::{ev, EventKind, ReqId, Sim, SimDuration, Track};
 
 /// Types that know their size on the wire. Headers are added by the RPC
@@ -219,12 +220,14 @@ where
     /// Install `handler` as `node`'s server. Each incoming call runs as its
     /// own task (the Paragon OS server was multithreaded), so one slow disk
     /// request does not head-of-line-block the rest.
-    pub fn serve<H>(&self, node: NodeId, handler: H)
+    pub fn serve<H, F>(&self, node: NodeId, handler: H)
     where
-        H: Fn(NodeId, Req) -> Pin<Box<dyn Future<Output = Resp>>> + 'static,
+        H: Fn(NodeId, Req) -> F + 'static,
+        F: Future<Output = Resp> + 'static,
     {
         let mut rx = self.mesh.bind(node);
         let net = self.clone();
+        let handler = Rc::new(handler);
         self.sim.spawn_named("rpc-server", async move {
             while let Some(env) = rx.recv().await {
                 match env.payload {
@@ -233,10 +236,14 @@ where
                         // capture it before the request moves into the
                         // handler.
                         let tag = req.trace_req();
-                        let fut = handler(env.src, req);
+                        let src = env.src;
+                        let handler = handler.clone();
                         let net2 = net.clone();
                         net.sim.spawn_named("rpc-handler", async move {
-                            let resp = fut.await;
+                            // Built here, not in the server loop, so the
+                            // handler's future and the reply's send share
+                            // the task's storage instead of adding up.
+                            let resp = handler(src, req).await;
                             net2.stats.borrow_mut().replies += 1;
                             let bytes = resp.wire_bytes() + RPC_HEADER_BYTES;
                             net2.mesh
@@ -256,6 +263,33 @@ where
 }
 
 type Pending<Resp> = Rc<RefCell<BTreeMap<u64, OneshotSender<Resp>>>>;
+
+/// The reply slot of one call: its receiver, and its entry in the
+/// client's pending map. Dropping it before the reply arrives (the
+/// attempt timed out, or the fabric lost the call or the reply) removes
+/// the entry, so a late reply finds none and is discarded, waking nobody.
+struct ReplySlot<'a, Resp> {
+    pending: &'a RefCell<BTreeMap<u64, OneshotSender<Resp>>>,
+    id: u64,
+    rx: OneshotReceiver<Resp>,
+}
+
+impl<Resp> Future for ReplySlot<'_, Resp> {
+    type Output = Result<Resp, RpcError>;
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
+        Pin::new(&mut self.get_mut().rx)
+            .poll(cx)
+            .map(|r| r.map_err(|_| RpcError::Dropped))
+    }
+}
+
+impl<Resp> Drop for ReplySlot<'_, Resp> {
+    fn drop(&mut self) {
+        // Close first: dropping the sender must not wake this caller.
+        self.rx.close();
+        self.pending.borrow_mut().remove(&self.id);
+    }
+}
 
 /// A node's client endpoint; issue calls with [`RpcClient::call`].
 pub struct RpcClient<Req, Resp> {
@@ -290,6 +324,11 @@ where
         self.next_id.set(id + 1);
         let (tx, rx) = oneshot();
         self.pending.borrow_mut().insert(id, tx);
+        let reply = ReplySlot {
+            pending: &self.pending,
+            id,
+            rx,
+        };
         self.net.stats.borrow_mut().calls += 1;
         let bytes = req.wire_bytes() + RPC_HEADER_BYTES;
         let tag = req.trace_req();
@@ -307,7 +346,7 @@ where
                 tag,
             )
             .await;
-        rx.await.map_err(|_| RpcError::Dropped)
+        reply.await
     }
 
     /// [`RpcClient::call`] under a deadline/retry `policy`. Each failed
@@ -403,8 +442,8 @@ mod tests {
     fn call_reply_roundtrip() {
         let sim = Sim::new(1);
         let net = net(&sim, MeshParams::instant());
-        net.serve(NodeId(1), |_src, Ping(x)| {
-            Box::pin(async move { Pong(x * 2, vec![0; 16]) })
+        net.serve(NodeId(1), |_src, Ping(x)| async move {
+            Pong(x * 2, vec![0; 16])
         });
         let client = net.client(NodeId(0));
         let h = sim.spawn(async move { client.call(NodeId(1), Ping(21)).await.unwrap().0 });
@@ -425,8 +464,8 @@ mod tests {
             local_overhead: SimDuration::ZERO,
         };
         let net = net(&sim, params);
-        net.serve(NodeId(1), |_src, Ping(x)| {
-            Box::pin(async move { Pong(x, vec![7; 1_000_000]) })
+        net.serve(NodeId(1), |_src, Ping(x)| async move {
+            Pong(x, vec![7; 1_000_000])
         });
         let client = net.client(NodeId(0));
         let s = sim.clone();
@@ -448,10 +487,10 @@ mod tests {
         // pending-map routing.
         net.serve(NodeId(1), move |_src, Ping(x)| {
             let s = s.clone();
-            Box::pin(async move {
+            async move {
                 s.sleep(SimDuration::from_millis(100 - x * 10)).await;
                 Pong(x + 100, Vec::new())
-            })
+            }
         });
         let client = net.client(NodeId(0));
         let mut handles = Vec::new();
@@ -468,12 +507,14 @@ mod tests {
     fn two_servers_one_client() {
         let sim = Sim::new(1);
         let net = net(&sim, MeshParams::instant());
-        net.serve(NodeId(1), |_s, Ping(x)| {
-            Box::pin(async move { Pong(x + 1, Vec::new()) })
-        });
-        net.serve(NodeId(2), |_s, Ping(x)| {
-            Box::pin(async move { Pong(x + 2, Vec::new()) })
-        });
+        net.serve(
+            NodeId(1),
+            |_s, Ping(x)| async move { Pong(x + 1, Vec::new()) },
+        );
+        net.serve(
+            NodeId(2),
+            |_s, Ping(x)| async move { Pong(x + 2, Vec::new()) },
+        );
         let client = net.client(NodeId(0));
         let h = sim.spawn(async move {
             let a = client.call(NodeId(1), Ping(0)).await.unwrap().0;
@@ -494,9 +535,10 @@ mod tests {
         faults.crash_node(1, t0, t0 + SimDuration::from_millis(60));
         faults.arm();
         let net = net(&sim, MeshParams::instant());
-        net.serve(NodeId(1), |_src, Ping(x)| {
-            Box::pin(async move { Pong(x * 2, Vec::new()) })
-        });
+        net.serve(
+            NodeId(1),
+            |_src, Ping(x)| async move { Pong(x * 2, Vec::new()) },
+        );
         let client = net.client(NodeId(0));
         let policy = RpcPolicy::with_retries(
             SimDuration::from_millis(20),
@@ -525,19 +567,23 @@ mod tests {
         faults.crash_node(1, t0, t0 + SimDuration::from_secs(100));
         faults.arm();
         let net = net(&sim, MeshParams::instant());
-        net.serve(NodeId(1), |_src, Ping(x)| {
-            Box::pin(async move { Pong(x, Vec::new()) })
-        });
+        net.serve(
+            NodeId(1),
+            |_src, Ping(x)| async move { Pong(x, Vec::new()) },
+        );
         let client = net.client(NodeId(0));
         let policy =
             RpcPolicy::with_retries(SimDuration::from_millis(5), 2, SimDuration::from_millis(1));
-        let h = sim.spawn(async move { client.call_policy(NodeId(1), Ping(0), policy).await });
+        let caller = client.clone();
+        let h = sim.spawn(async move { caller.call_policy(NodeId(1), Ping(0), policy).await });
         sim.run_until(t0 + SimDuration::from_secs(1));
         assert_eq!(
             h.try_take(),
             Some(Err(RpcError::TooManyRetries { attempts: 3 }))
         );
         assert_eq!(net.stats().give_ups, 1);
+        // Every abandoned attempt gave its reply slot back.
+        assert_eq!(client.pending.borrow().len(), 0);
     }
 
     #[test]
@@ -548,9 +594,10 @@ mod tests {
         faults.crash_node(1, t0, t0 + SimDuration::from_secs(100));
         faults.arm();
         let net = net(&sim, MeshParams::instant());
-        net.serve(NodeId(1), |_src, Ping(x)| {
-            Box::pin(async move { Pong(x, Vec::new()) })
-        });
+        net.serve(
+            NodeId(1),
+            |_src, Ping(x)| async move { Pong(x, Vec::new()) },
+        );
         let client = net.client(NodeId(0));
         let policy = RpcPolicy {
             attempt_timeout: Some(SimDuration::from_millis(5)),

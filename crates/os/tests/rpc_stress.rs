@@ -31,11 +31,11 @@ fn all_pairs_heavy_traffic() {
         let sim2 = sim.clone();
         net.serve(NodeId(s), move |src, Req(x)| {
             let sim2 = sim2.clone();
-            Box::pin(async move {
+            async move {
                 // Delay keyed on content so replies interleave heavily.
                 sim2.sleep(SimDuration::from_micros(997 - (x % 997))).await;
                 Resp(x * 1000 + src.0 as u64)
-            })
+            }
         });
     }
     let mut handles = Vec::new();
@@ -72,10 +72,10 @@ fn timed_out_call_discards_late_reply() {
     let sim2 = sim.clone();
     net.serve(NodeId(1), move |_src, Req(x)| {
         let sim2 = sim2.clone();
-        Box::pin(async move {
+        async move {
             sim2.sleep(SimDuration::from_secs(10)).await; // too slow
             Resp(x)
-        })
+        }
     });
     let client = net.client(NodeId(0));
     let sim3 = sim.clone();
@@ -105,10 +105,10 @@ fn art_submitted_rpcs_overlap_with_user_work() {
     let sim2 = sim.clone();
     net.serve(NodeId(1), move |_src, Req(x)| {
         let sim2 = sim2.clone();
-        Box::pin(async move {
+        async move {
             sim2.sleep(SimDuration::from_millis(40)).await; // "the disk"
             Resp(x + 1)
-        })
+        }
     });
     let client = net.client(NodeId(0));
     let pool = ArtPool::new(&sim, ArtConfig::instant());

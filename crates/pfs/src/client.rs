@@ -17,11 +17,12 @@ use std::rc::Rc;
 use bytes::{Bytes, BytesMut};
 use paragon_mesh::NodeId;
 use paragon_os::{ArtPool, AsyncHandle, RpcClient, RpcError, RpcPolicy};
-use paragon_sim::{ev, EventKind, ReqId, Sim, SimDuration, Track};
+use paragon_sim::{ev, EventKind, JoinHandle, ReqId, Sim, SimDuration, Track, VecPool};
 
 use crate::meta::FileMeta;
 use crate::modes::IoMode;
 use crate::proto::{PfsError, PfsRequest, PfsResponse, PtrRequest, SlotRead, SlotWrite};
+use crate::stripe::SlotRequest;
 
 /// Open-time options.
 #[derive(Debug, Clone, Copy)]
@@ -55,6 +56,8 @@ pub(crate) struct ClientParams {
     pub replica_failovers: Rc<Cell<u64>>,
     /// Mount-wide count of read legs served by a non-primary replica.
     pub replica_reads: Rc<Cell<u64>>,
+    /// Mount-wide pools of the transfers' join-handle lists.
+    pub legs: Rc<LegPools>,
 }
 
 struct FileState {
@@ -128,6 +131,14 @@ impl PfsFile {
             })),
             suspects: Rc::new(RefCell::new(BTreeSet::new())),
         }
+    }
+
+    /// Mesh id of I/O node `ion`, which serves a copy of `slot`.
+    fn io_node(&self, ion: usize, slot: u16) -> Result<NodeId, PfsError> {
+        self.io_node_ids.get(ion).copied().ok_or(PfsError::BadSlot {
+            slot,
+            factor: self.io_node_ids.len(),
+        })
     }
 
     /// The mode this handle was opened with.
@@ -353,32 +364,31 @@ impl PfsFile {
         let cn = Track::Cn(self.rank);
         self.sim
             .emit(|| ev(cn, EventKind::ReadStart, req, offset, len as u64));
-        let plan = self.meta.attrs.plan(offset, len as u64);
         let shared = self.nprocs > 1;
         let policy = self.params.data_policy;
-        let mut handles = Vec::with_capacity(plan.len());
-        for sreq in plan {
-            let (primary, _) = self.meta.slot(sreq.slot as u16)?;
-            let copies = self.meta.readable_replicas(sreq.slot as u16)?;
+        let mut legs = self.params.legs.reads.take();
+        for sreq in self.meta.attrs.requests(offset, len as u64) {
+            let slot = sreq.slot as u16;
+            let (primary, _) = self.meta.slot(slot)?;
+            let copies = self
+                .meta
+                .with_replicas(slot, |copies| copies.iter().filter(|c| c.ready).count())?;
             let rpc = self.rpc.clone();
             let msg = PfsRequest::Read(SlotRead {
                 req,
                 file: self.meta.id,
-                slot: sreq.slot as u16,
+                slot,
                 offset: sreq.slot_offset,
                 len: sreq.len as u32,
                 fast_path: self.fast_path,
                 shared,
                 global_parties,
             });
-            if copies.len() <= 1 {
-                let dst = *self.io_node_ids.get(primary).ok_or(PfsError::BadSlot {
-                    slot: sreq.slot as u16,
-                    factor: self.io_node_ids.len(),
-                })?;
+            if copies <= 1 {
+                let dst = self.io_node(primary, slot)?;
                 // Positioned reads are idempotent: re-sending one under the
                 // retry policy is safe.
-                handles.push((
+                legs.push((
                     sreq,
                     self.sim.spawn_named("pfs-read-leg", async move {
                         rpc.call_policy(dst, msg, policy).await
@@ -392,24 +402,24 @@ impl PfsFile {
             // not skipped — a recovered node serves again). Non-final
             // candidates get a single attempt so a dead node costs one
             // timeout; the final candidate keeps the full retry budget.
-            let mut order: Vec<(usize, NodeId)> = Vec::with_capacity(copies.len());
-            {
+            let order = self.meta.with_replicas(slot, |copies| {
                 let suspects = self.suspects.borrow();
+                let mut order: Vec<(usize, NodeId)> = Vec::with_capacity(copies.len());
                 for pass in [false, true] {
-                    for c in copies.iter().filter(|c| suspects.contains(&c.ion) == pass) {
-                        let dst = *self.io_node_ids.get(c.ion).ok_or(PfsError::BadSlot {
-                            slot: sreq.slot as u16,
-                            factor: self.io_node_ids.len(),
-                        })?;
-                        order.push((c.ion, dst));
+                    for c in copies
+                        .iter()
+                        .filter(|c| c.ready && suspects.contains(&c.ion) == pass)
+                    {
+                        order.push((c.ion, self.io_node(c.ion, slot)?));
                     }
                 }
-            }
+                Ok::<_, PfsError>(order)
+            })??;
             let sim = self.sim.clone();
             let suspects = self.suspects.clone();
             let params = self.params.clone();
             let slot = sreq.slot as u64;
-            handles.push((
+            legs.push((
                 sreq,
                 self.sim.spawn_named("pfs-read-leg", async move {
                     let single = RpcPolicy {
@@ -446,17 +456,12 @@ impl PfsFile {
                 }),
             ));
         }
-        // Zero-copy fast path: one slot leg whose pieces land at identical
-        // offsets (src == dst) is the whole extent — the reply buffer is
-        // the result, no reassembly needed. The leg still runs in its own
-        // spawned task so event interleaving matches the general path.
-        let direct = match handles.as_slice() {
-            [(sreq, _)] => sreq
-                .pieces
-                .iter()
-                .all(|p| p.slot_offset - sreq.slot_offset == p.logical_offset),
-            _ => false,
-        };
+        // Zero-copy fast path: an extent on one slot only is a single run
+        // whose pieces sit in the reply exactly where they sit in the
+        // extent, so the reply buffer is the result, no reassembly needed.
+        // The leg still runs in its own spawned task so event interleaving
+        // matches the general path.
+        let direct = legs.len() == 1;
         let mut out = if direct {
             BytesMut::new()
         } else {
@@ -464,7 +469,7 @@ impl PfsFile {
         };
         let mut direct_data = None;
         let mut first_err = None;
-        for (sreq, h) in handles {
+        for (sreq, h) in legs.drain(..) {
             // Join every leg before reporting an error (deterministic
             // completion; no legs left writing into a dropped buffer).
             match h.await {
@@ -474,7 +479,7 @@ impl PfsFile {
                         direct_data = Some(data);
                         continue;
                     }
-                    for p in &sreq.pieces {
+                    for p in self.meta.attrs.pieces(sreq) {
                         let src = (p.slot_offset - sreq.slot_offset) as usize;
                         let dst = p.logical_offset as usize;
                         #[expect(
@@ -497,6 +502,7 @@ impl PfsFile {
                 }
             }
         }
+        self.params.legs.reads.give(legs);
         if let Some(e) = first_err {
             return Err(e);
         }
@@ -543,24 +549,20 @@ impl PfsFile {
         let wlen = data.len() as u64;
         self.sim
             .emit(|| ev(cn, EventKind::WriteStart, req, offset, wlen));
-        let plan = self.meta.attrs.plan(offset, data.len() as u64);
         let shared = self.nprocs > 1;
         let policy = self.params.data_policy;
-        let mut handles = Vec::with_capacity(plan.len());
-        for sreq in plan {
-            let copies = self.meta.readable_replicas(sreq.slot as u16)?;
+        let mut legs = self.params.legs.writes.take();
+        for sreq in self.meta.attrs.requests(offset, wlen) {
+            let slot = sreq.slot as u16;
             // Gather the logical pieces into one contiguous slot buffer.
             // A single piece is already contiguous — share the slice.
-            let single = if sreq.pieces.len() == 1 {
-                sreq.pieces.first()
-            } else {
-                None
-            };
-            let payload = if let Some(p) = single {
-                data.slice(p.logical_offset as usize..(p.logical_offset + p.len) as usize)
+            let su = self.meta.attrs.stripe_unit;
+            let payload = if sreq.slot_offset % su + sreq.len <= su {
+                let at = sreq.logical_offset as usize;
+                data.slice(at..at + sreq.len as usize)
             } else {
                 let mut buf = BytesMut::zeroed(sreq.len as usize);
-                for p in &sreq.pieces {
+                for p in self.meta.attrs.pieces(sreq) {
                     let dst_at = (p.slot_offset - sreq.slot_offset) as usize;
                     let src_at = p.logical_offset as usize;
                     #[expect(
@@ -577,60 +579,65 @@ impl PfsFile {
             // old path). Positioned writes are idempotent (same bytes,
             // same offset), so re-sending one under the retry policy is
             // safe — and so is fanning the same payload to every copy.
-            let mut legs = Vec::with_capacity(copies.len());
-            for copy in &copies {
-                let dst = *self.io_node_ids.get(copy.ion).ok_or(PfsError::BadSlot {
-                    slot: sreq.slot as u16,
-                    factor: self.io_node_ids.len(),
-                })?;
-                let rpc = self.rpc.clone();
-                let msg = PfsRequest::Write(SlotWrite {
-                    req,
-                    file: self.meta.id,
-                    slot: sreq.slot as u16,
-                    offset: sreq.slot_offset,
-                    data: payload.clone(),
-                    shared,
-                });
-                legs.push(self.sim.spawn_named("pfs-write-leg", async move {
-                    rpc.call_policy(dst, msg, policy).await
-                }));
-            }
-            handles.push(legs);
+            // The replica table always keeps a readable copy; a slot
+            // without one fails the write.
+            self.meta.with_replicas(slot, |copies| {
+                let copies = copies.iter().filter(|c| c.ready);
+                let n = copies.clone().count();
+                if n == 0 {
+                    return Err(PfsError::BadReply);
+                }
+                for (k, copy) in copies.enumerate() {
+                    let dst = self.io_node(copy.ion, slot)?;
+                    let rpc = self.rpc.clone();
+                    let msg = PfsRequest::Write(SlotWrite {
+                        req,
+                        file: self.meta.id,
+                        slot,
+                        offset: sreq.slot_offset,
+                        data: payload.clone(),
+                        shared,
+                    });
+                    let leg = self.sim.spawn_named("pfs-write-leg", async move {
+                        rpc.call_policy(dst, msg, policy).await
+                    });
+                    legs.push((k, n, leg));
+                }
+                Ok::<_, PfsError>(())
+            })??;
         }
         let mut first_err = None;
-        for legs in handles {
+        let (mut acked, mut primary_acked, mut leg_err) = (0usize, false, None);
+        for (k, n, h) in legs.drain(..) {
             // A replicated slot write succeeds when its primary copy acks
             // or a majority of copies ack; every leg is still joined so no
             // task is left writing after an early error. A single-copy
             // slot needs its one leg — exactly the old semantics.
-            let quorum = legs.len() / 2 + 1;
-            let mut acked = 0usize;
-            let mut primary_acked = false;
-            let mut leg_err = None;
-            for (k, h) in legs.into_iter().enumerate() {
-                match h.await {
-                    Ok(PfsResponse::WriteAck(Ok(_))) => {
-                        acked += 1;
-                        if k == 0 {
-                            primary_acked = true;
-                        }
-                    }
-                    Ok(PfsResponse::WriteAck(Err(e))) => {
-                        leg_err.get_or_insert(e);
-                    }
-                    Ok(_) => {
-                        leg_err.get_or_insert(PfsError::BadReply);
-                    }
-                    Err(e) => {
-                        leg_err.get_or_insert(e.into());
+            if k == 0 {
+                (acked, primary_acked, leg_err) = (0, false, None);
+            }
+            match h.await {
+                Ok(PfsResponse::WriteAck(Ok(_))) => {
+                    acked += 1;
+                    if k == 0 {
+                        primary_acked = true;
                     }
                 }
+                Ok(PfsResponse::WriteAck(Err(e))) => {
+                    leg_err.get_or_insert(e);
+                }
+                Ok(_) => {
+                    leg_err.get_or_insert(PfsError::BadReply);
+                }
+                Err(e) => {
+                    leg_err.get_or_insert(e.into());
+                }
             }
-            if acked < quorum && !primary_acked {
-                first_err.get_or_insert(leg_err.unwrap_or(PfsError::BadReply));
+            if k + 1 == n && acked < n / 2 + 1 && !primary_acked {
+                first_err.get_or_insert(leg_err.take().unwrap_or(PfsError::BadReply));
             }
         }
+        self.params.legs.writes.give(legs);
         if let Some(e) = first_err {
             return Err(e);
         }
@@ -653,6 +660,21 @@ impl PfsFile {
         }
         Ok(())
     }
+}
+
+/// The result of one read or write leg's RPC.
+type LegResult = Result<PfsResponse, RpcError>;
+
+/// Join-handle lists of the transfers in flight, shared by a mount's
+/// handles: a transfer takes one, fills it with its legs, joins them in
+/// order and gives it back, so a transfer allocates no list.
+#[derive(Debug, Default)]
+pub(crate) struct LegPools {
+    /// A read's legs: the slot request each serves, and its task.
+    reads: VecPool<(SlotRequest, JoinHandle<LegResult>)>,
+    /// A write's legs, slot by slot: the leg's index among its slot's
+    /// copies, the slot's number of copies, and the leg's task.
+    writes: VecPool<(usize, usize, JoinHandle<LegResult>)>,
 }
 
 /// The end of an extent, which must lie inside the 64-bit offset space.

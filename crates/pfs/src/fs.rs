@@ -17,7 +17,7 @@ use paragon_mesh::NodeId;
 use paragon_os::{ArtConfig, ArtPool, ArtStats, RpcClient, RpcNet, RpcPolicy};
 use paragon_sim::Sim;
 
-use crate::client::{ClientParams, OpenOptions, PfsFile};
+use crate::client::{ClientParams, LegPools, OpenOptions, PfsFile};
 use crate::meta::{Registry, Replica};
 use crate::modes::IoMode;
 use crate::pointer::PointerServer;
@@ -50,6 +50,8 @@ pub struct ParallelFs {
     replica_failovers: Rc<Cell<u64>>,
     /// Cumulative reads served by a non-primary replica.
     replica_reads: Rc<Cell<u64>>,
+    /// Join-handle lists the handles' transfers reuse.
+    legs: Rc<LegPools>,
 }
 
 impl ParallelFs {
@@ -89,14 +91,14 @@ impl ParallelFs {
             servers.push(server.clone());
             rpc.serve(machine.io_node(i), move |_src, req| {
                 let server = server.clone();
-                Box::pin(async move { server.handle(req).await })
+                async move { server.handle(req).await }
             });
         }
 
         let ptr = PointerServer::new(&sim, calib.pointer_op);
         rpc.serve(machine.service_node(), move |_src, req| {
             let ptr = ptr.clone();
-            Box::pin(async move {
+            async move {
                 match req {
                     PfsRequest::Ptr(p) => PfsResponse::Ptr(ptr.handle(p).await),
                     // Data requests belong on an I/O node; a misrouted one
@@ -104,7 +106,7 @@ impl ParallelFs {
                     PfsRequest::Read(_) => PfsResponse::Data(Err(PfsError::BadRequest)),
                     PfsRequest::Write(_) => PfsResponse::WriteAck(Err(PfsError::BadRequest)),
                 }
-            })
+            }
         });
 
         let io_node_ids = Rc::new(
@@ -129,6 +131,7 @@ impl ParallelFs {
             rebuild_bytes: Rc::new(Cell::new(0)),
             replica_failovers: Rc::new(Cell::new(0)),
             replica_reads: Rc::new(Cell::new(0)),
+            legs: Rc::default(),
         })
     }
 
@@ -347,6 +350,7 @@ impl ParallelFs {
                 ),
                 replica_failovers: self.replica_failovers.clone(),
                 replica_reads: self.replica_reads.clone(),
+                legs: self.legs.clone(),
             },
             meta,
             self.io_node_ids.clone(),

@@ -41,10 +41,6 @@ impl SlotReplicas {
             table: Rc::new(RefCell::new(table)),
         }
     }
-
-    fn get(&self, slot: usize) -> Option<Vec<Replica>> {
-        self.table.borrow().get(slot).cloned()
-    }
 }
 
 /// Metadata of one PFS file.
@@ -78,34 +74,38 @@ impl FileMeta {
             })
     }
 
-    /// Every copy of `slot` (ready and staging), preference order.
-    pub(crate) fn slot_replicas(&self, slot: u16) -> Result<Vec<Replica>, PfsError> {
-        self.replicas.get(slot as usize).ok_or(PfsError::BadSlot {
-            slot,
-            factor: self.slots.len(),
-        })
+    /// Run `f` on every copy of `slot` (ready and staging, preference
+    /// order) under the replica table's borrow, copying nothing. `f` must
+    /// not reach the table itself.
+    pub(crate) fn with_replicas<R>(
+        &self,
+        slot: u16,
+        f: impl FnOnce(&[Replica]) -> R,
+    ) -> Result<R, PfsError> {
+        match self.replicas.table.borrow().get(slot as usize) {
+            Some(copies) => Ok(f(copies)),
+            None => Err(PfsError::BadSlot {
+                slot,
+                factor: self.slots.len(),
+            }),
+        }
     }
 
-    /// Readable copies of `slot`, preference order (primary first).
-    pub(crate) fn readable_replicas(&self, slot: u16) -> Result<Vec<Replica>, PfsError> {
-        Ok(self
-            .slot_replicas(slot)?
-            .into_iter()
-            .filter(|r| r.ready)
-            .collect())
+    /// Every copy of `slot` (ready and staging), preference order.
+    pub(crate) fn slot_replicas(&self, slot: u16) -> Result<Vec<Replica>, PfsError> {
+        self.with_replicas(slot, <[Replica]>::to_vec)
     }
 
     /// The inode of `slot`'s copy hosted on I/O node `ion`, staging
     /// included (servers resolve incoming requests with this).
     pub(crate) fn inode_on(&self, slot: u16, ion: usize) -> Result<InodeId, PfsError> {
-        self.slot_replicas(slot)?
-            .iter()
-            .find(|r| r.ion == ion)
-            .map(|r| r.inode)
-            .ok_or(PfsError::BadSlot {
-                slot,
-                factor: self.slots.len(),
-            })
+        self.with_replicas(slot, |copies| {
+            copies.iter().find(|r| r.ion == ion).map(|r| r.inode)
+        })?
+        .ok_or(PfsError::BadSlot {
+            slot,
+            factor: self.slots.len(),
+        })
     }
 
     /// Register a staging copy of `slot` on `ion` (rebuild target).
@@ -250,24 +250,30 @@ mod tests {
             vec![vec![rep(0, 0), rep(2, 7)], vec![rep(1, 1), rep(3, 8)]],
         );
         let meta = r.get(id).unwrap().clone();
-        assert_eq!(meta.readable_replicas(0).unwrap().len(), 2);
+        let readable = |meta: &FileMeta| {
+            meta.with_replicas(0, |copies| {
+                copies
+                    .iter()
+                    .filter(|c| c.ready)
+                    .copied()
+                    .collect::<Vec<_>>()
+            })
+            .unwrap()
+        };
+        assert_eq!(readable(&meta).len(), 2);
         assert_eq!(meta.inode_on(0, 2).unwrap(), InodeId(7));
         assert!(meta.inode_on(0, 1).is_err());
         assert!(meta.slot_replicas(5).is_err());
         // Stage a replacement for the copy on ion 2, then commit it.
         meta.add_staging_replica(0, 3, InodeId(9));
-        assert_eq!(
-            meta.readable_replicas(0).unwrap().len(),
-            2,
-            "staging copy must be unreadable"
-        );
+        assert_eq!(readable(&meta).len(), 2, "staging copy must be unreadable");
         assert_eq!(
             meta.inode_on(0, 3).unwrap(),
             InodeId(9),
             "staging copy must resolve on its server"
         );
         meta.commit_replica(0, 3, 2);
-        let now = meta.readable_replicas(0).unwrap();
+        let now = readable(&meta);
         assert_eq!(now.len(), 2);
         assert!(now.iter().any(|c| c.ion == 3 && c.ready));
         assert!(meta.inode_on(0, 2).is_err(), "lost copy must be dropped");

@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use bytes::Bytes;
-use paragon_sim::sync::{Semaphore, Signal};
+use paragon_sim::sync::{Latch, Semaphore};
 use paragon_sim::{ev, EventKind, Rng, Sim, SimDuration, SimTime, Track};
 use paragon_ufs::Ufs;
 
@@ -58,7 +58,7 @@ type GlobalResult = Rc<RefCell<Option<Result<Bytes, PfsError>>>>;
 type GlobalKey = (PfsFileId, u16, u64, u32);
 
 struct GlobalEntry {
-    done: Signal,
+    done: Rc<Latch>,
     data: GlobalResult,
     remaining: Rc<std::cell::Cell<u16>>,
 }
@@ -246,7 +246,7 @@ impl IonServer {
             }
             None => {
                 let entry = GlobalEntry {
-                    done: Signal::new(),
+                    done: Rc::default(),
                     data: Rc::new(RefCell::new(None)),
                     remaining: Rc::new(std::cell::Cell::new(r.global_parties)),
                 };

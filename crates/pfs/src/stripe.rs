@@ -43,9 +43,88 @@ impl StripeAttrs {
         self.group.len()
     }
 
-    /// Map a logical extent onto per-slot pieces, in logical order.
+    /// The server requests of logical extent `(offset, len)`: one
+    /// contiguous run per group slot the extent touches, in slot order
+    /// (the client half of PFS block coalescing). Computed in closed form:
+    /// a slot's pieces of one extent always abut, since every piece but
+    /// the first starts at a unit boundary and every piece but the last
+    /// ends at one, so a slot gets exactly one run. A zero-length extent
+    /// has none. [`StripeAttrs::coalesce`] of [`StripeAttrs::decluster`]
+    /// is the piece-by-piece reference it must equal.
+    pub fn plan(&self, offset: u64, len: u64) -> Vec<SlotRequest> {
+        self.requests(offset, len).collect()
+    }
+
+    /// [`StripeAttrs::plan`] as an iterator: the client spawns its legs
+    /// straight from it.
+    pub(crate) fn requests(&self, offset: u64, len: u64) -> impl Iterator<Item = SlotRequest> {
+        let su = self.stripe_unit;
+        let g = self.factor() as u64;
+        // Units `first..=last` hold the extent; the first `n` of them
+        // each open a different slot's run.
+        let (first, last, n) = match len.checked_sub(1) {
+            Some(l) => {
+                let (first, last) = (offset / su, (offset + l) / su);
+                (first, last, (last - first + 1).min(g))
+            }
+            None => (0, 0, 0),
+        };
+        // Run k opens at unit first + k on slot (first + k) % g. Slot
+        // order visits the wrapped-around slots (k ≥ g - first % g) first.
+        let turn = g - first % g;
+        (turn..n).chain(0..n.min(turn)).map(move |k| {
+            let unit = first + k;
+            // The run's last unit: this slot's last unit inside the extent.
+            let tail = unit + (last - unit) / g * g;
+            let start = if k == 0 { offset } else { unit * su };
+            let end = if tail == last {
+                offset + len
+            } else {
+                (tail + 1) * su
+            };
+            let slot_offset = unit / g * su + (start - unit * su);
+            let slot_end = tail / g * su + (end - tail * su);
+            SlotRequest {
+                slot: (unit % g) as usize,
+                slot_offset,
+                len: slot_end - slot_offset,
+                logical_offset: start - offset,
+            }
+        })
+    }
+
+    /// The pieces of a planned request, in slot (and logical) order: where
+    /// each stripe-unit piece of the run lands in the logical extent.
+    /// Consecutive pieces of one slot are `factor - 1` units apart in the
+    /// extent.
+    pub fn pieces(&self, req: SlotRequest) -> impl Iterator<Item = StripePiece> {
+        let su = self.stripe_unit;
+        let gap = (self.factor() as u64 - 1) * su;
+        let end = req.slot_offset + req.len;
+        let mut at = req.slot_offset;
+        let mut logical = req.logical_offset;
+        std::iter::from_fn(move || {
+            if at >= end {
+                return None;
+            }
+            let len = (su - at % su).min(end - at);
+            let piece = StripePiece {
+                slot: req.slot,
+                slot_offset: at,
+                len,
+                logical_offset: logical,
+            };
+            at += len;
+            if at < end {
+                logical += len + gap;
+            }
+            Some(piece)
+        })
+    }
+
+    /// Reference model of [`StripeAttrs::plan`], piece by piece: map a
+    /// logical extent onto per-slot pieces, in logical order.
     pub fn decluster(&self, offset: u64, len: u64) -> Vec<StripePiece> {
-        assert!(len > 0, "zero-length extent");
         let su = self.stripe_unit;
         let g = self.factor() as u64;
         let mut pieces = Vec::new();
@@ -68,33 +147,33 @@ impl StripeAttrs {
         pieces
     }
 
-    /// Group pieces per slot and merge slot-contiguous runs into single
-    /// server requests — the client half of PFS block coalescing. Requests
-    /// come out ordered by slot.
-    pub fn coalesce(&self, pieces: &[StripePiece]) -> Vec<SlotRequest> {
+    /// Reference model of [`StripeAttrs::plan`]'s coalescing: group
+    /// pieces per slot and merge slot-contiguous runs, each with the
+    /// pieces it is built from. Requests come out ordered by slot.
+    pub fn coalesce(&self, pieces: &[StripePiece]) -> Vec<(SlotRequest, Vec<StripePiece>)> {
         let mut sorted = pieces.to_vec();
         sorted.sort_by_key(|p| (p.slot, p.slot_offset));
-        let mut out: Vec<SlotRequest> = Vec::new();
+        let mut out: Vec<(SlotRequest, Vec<StripePiece>)> = Vec::new();
         for p in sorted {
             match out.last_mut() {
-                Some(run) if run.slot == p.slot && run.slot_offset + run.len == p.slot_offset => {
+                Some((run, run_pieces))
+                    if run.slot == p.slot && run.slot_offset + run.len == p.slot_offset =>
+                {
                     run.len += p.len;
-                    run.pieces.push(p);
+                    run_pieces.push(p);
                 }
-                _ => out.push(SlotRequest {
-                    slot: p.slot,
-                    slot_offset: p.slot_offset,
-                    len: p.len,
-                    pieces: vec![p],
-                }),
+                _ => out.push((
+                    SlotRequest {
+                        slot: p.slot,
+                        slot_offset: p.slot_offset,
+                        len: p.len,
+                        logical_offset: p.logical_offset,
+                    },
+                    vec![p],
+                )),
             }
         }
         out
-    }
-
-    /// Convenience: decluster + coalesce in one call.
-    pub fn plan(&self, offset: u64, len: u64) -> Vec<SlotRequest> {
-        self.coalesce(&self.decluster(offset, len))
     }
 
     /// Logical file size implied by per-slot sizes (for bounds checks):
@@ -132,8 +211,9 @@ pub struct StripePiece {
 }
 
 /// One coalesced server request: a contiguous byte run in one slot's
-/// stripe file, with the pieces that reassemble it into the user buffer.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// stripe file. [`StripeAttrs::pieces`] lists the pieces that reassemble
+/// it into the user buffer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SlotRequest {
     /// Group slot index.
     pub slot: usize,
@@ -141,8 +221,8 @@ pub struct SlotRequest {
     pub slot_offset: u64,
     /// Total contiguous length.
     pub len: u64,
-    /// Member pieces, ascending `slot_offset`.
-    pub pieces: Vec<StripePiece>,
+    /// Offset of the run's first byte within the logical extent.
+    pub logical_offset: u64,
 }
 
 #[cfg(test)]
@@ -205,7 +285,7 @@ mod tests {
         for (i, r) in reqs.iter().enumerate() {
             assert_eq!(r.slot, i);
             assert_eq!(r.len, 128 * KB);
-            assert_eq!(r.pieces.len(), 2);
+            assert_eq!(attrs.pieces(*r).count(), 2);
             assert_eq!(r.slot_offset, 0);
         }
     }
@@ -220,8 +300,8 @@ mod tests {
         pieces.extend(attrs.decluster(4 * 64 * KB, 64 * KB));
         let reqs = attrs.coalesce(&pieces);
         assert_eq!(reqs.len(), 2);
-        assert_eq!(reqs[0].slot_offset, 0);
-        assert_eq!(reqs[1].slot_offset, 2 * 64 * KB);
+        assert_eq!(reqs[0].0.slot_offset, 0);
+        assert_eq!(reqs[1].0.slot_offset, 2 * 64 * KB);
     }
 
     #[test]

@@ -61,12 +61,12 @@ fn coalesce_preserves_pieces() {
         let len = rng.range_u64(1..4 << 20);
         let pieces = attrs.decluster(offset, len);
         let reqs = attrs.coalesce(&pieces);
-        let total: u64 = reqs.iter().map(|r| r.len).sum();
+        let total: u64 = reqs.iter().map(|(r, _)| r.len).sum();
         assert_eq!(total, len);
-        for r in &reqs {
+        for (r, run) in &reqs {
             // Pieces tile the run contiguously.
             let mut at = r.slot_offset;
-            for p in &r.pieces {
+            for p in run {
                 assert_eq!(p.slot, r.slot);
                 assert_eq!(p.slot_offset, at);
                 at += p.len;
@@ -75,8 +75,8 @@ fn coalesce_preserves_pieces() {
         }
         // At most one run per (slot, disjoint region): runs on the same
         // slot must not touch (else they should have been merged).
-        for (i, a) in reqs.iter().enumerate() {
-            for b in reqs.iter().skip(i + 1) {
+        for (i, (a, _)) in reqs.iter().enumerate() {
+            for (b, _) in reqs.iter().skip(i + 1) {
                 if a.slot == b.slot {
                     let disjoint = a.slot_offset + a.len < b.slot_offset
                         || b.slot_offset + b.len < a.slot_offset;
@@ -100,5 +100,43 @@ fn logical_end_matches_decluster() {
             sizes[p.slot] = sizes[p.slot].max(p.slot_offset + p.len);
         }
         assert_eq!(attrs.logical_end(&sizes), size);
+    }
+}
+
+/// The closed-form `plan` equals the piece-by-piece reference
+/// (`coalesce` of `decluster`) request for request and piece for piece,
+/// on random extents (single-unit, unaligned and many-row ones among
+/// them) and on zero-length ones, which plan to nothing.
+#[test]
+fn plan_matches_the_reference_model() {
+    let mut rng = Rng::seed_from_u64(0x91a4);
+    for case in 0..2048 {
+        let attrs = rand_attrs(&mut rng);
+        let su = attrs.stripe_unit;
+        let offset = rng.range_u64(0..1 << 30);
+        // Lengths from zero up to several full rows of the group.
+        let len = match case % 4 {
+            0 => 0,
+            1 => rng.range_u64(1..su + 1),
+            2 => rng.range_u64(1..4 * su * attrs.factor() as u64 + 1),
+            _ => rng.range_u64(1..4 << 20),
+        };
+        let plan = attrs.plan(offset, len);
+        let reference = attrs.coalesce(&attrs.decluster(offset, len));
+        assert_eq!(
+            plan.len(),
+            reference.len(),
+            "case {case}: {attrs:?} {offset}+{len}"
+        );
+        for (got, (want, pieces)) in plan.iter().zip(&reference) {
+            assert_eq!(got, want, "case {case}: {attrs:?} {offset}+{len}");
+            assert!(
+                attrs.pieces(*got).eq(pieces.iter().copied()),
+                "case {case}: pieces of {got:?}"
+            );
+        }
+        if len == 0 {
+            assert!(plan.is_empty());
+        }
     }
 }

@@ -3,11 +3,21 @@
 //! Every future that needs to wait for virtual time registers a [`Waker`]
 //! at a deadline. The kernel pops entries in `(time, seq)` order — `seq` is
 //! a monotone counter, so simultaneous events fire in registration order and
-//! the whole simulation is deterministic. Storage is a [`BinaryHeap`] of
-//! [`Reverse`]d entries ordered on `(time, seq)` alone.
+//! the whole simulation is deterministic.
+//!
+//! Storage is a [`BinaryHeap`] of [`Reverse`]d entries ordered on
+//! `(time, seq)` alone, beside a FIFO lane. A wake whose deadline is no
+//! earlier than the lane's last one is appended to the lane; any other
+//! goes to the heap. `seq` grows with every registration, so an appended
+//! entry's `(time, seq)` is greater than every lane entry's and the lane
+//! stays sorted; popping the smaller of heap top and lane front therefore
+//! fires exactly the order a single heap would, with the same count and
+//! hash. Most far deadlines (every RPC attempt timeout is `now + 10 s`)
+//! arrive in deadline order, so they queue in the lane at O(1) and never
+//! sift through the heap.
 
 use std::cmp::{Ordering, Reverse};
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::task::Waker;
 
 use crate::time::SimTime;
@@ -50,7 +60,9 @@ impl Ord for Entry {
 pub(crate) struct Kernel {
     pub(crate) now: SimTime,
     seq: u64,
-    queue: BinaryHeap<Reverse<Entry>>,
+    heap: BinaryHeap<Reverse<Entry>>,
+    /// Sorted on `(time, seq)`: see the module docs.
+    lane: VecDeque<Entry>,
     pub(crate) events_processed: u64,
     /// FNV-1a hash folded over every `(time, seq)` fired; lets tests assert
     /// that two runs with the same seed took the identical event path.
@@ -62,7 +74,8 @@ impl Kernel {
         Kernel {
             now: SimTime::ZERO,
             seq: 0,
-            queue: BinaryHeap::new(),
+            heap: BinaryHeap::new(),
+            lane: VecDeque::new(),
             events_processed: 0,
             trace_hash: 0xcbf2_9ce4_8422_2325,
         }
@@ -73,16 +86,36 @@ impl Kernel {
         let time = deadline.max(self.now);
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(Reverse(Entry { time, seq, waker }));
+        let entry = Entry { time, seq, waker };
+        match self.lane.back() {
+            Some(last) if time < last.time => self.heap.push(Reverse(entry)),
+            _ => self.lane.push_back(entry),
+        }
+    }
+
+    /// The earliest pending entry, and whether it is the lane's front.
+    fn peek(&self) -> Option<(&Entry, bool)> {
+        match (self.heap.peek(), self.lane.front()) {
+            (Some(Reverse(h)), Some(l)) if h < l => Some((h, false)),
+            (_, Some(l)) => Some((l, true)),
+            (Some(Reverse(h)), None) => Some((h, false)),
+            (None, None) => None,
+        }
     }
 
     pub(crate) fn next_event_time(&self) -> Option<SimTime> {
-        self.queue.peek().map(|Reverse(e)| e.time)
+        self.peek().map(|(e, _)| e.time)
     }
 
     /// Pop the earliest entry, advance the clock, and return its waker.
     pub(crate) fn fire_next(&mut self) -> Option<Waker> {
-        let Reverse(Entry { time, seq, waker }) = self.queue.pop()?;
+        let (_, from_lane) = self.peek()?;
+        let entry = if from_lane {
+            self.lane.pop_front()
+        } else {
+            self.heap.pop().map(|Reverse(e)| e)
+        };
+        let Entry { time, seq, waker } = entry?;
         debug_assert!(time >= self.now, "event queue went backwards");
         self.now = time;
         self.events_processed += 1;
@@ -181,5 +214,79 @@ mod tests {
         // the seq fold order being reproducible.
         hashes.dedup();
         assert_eq!(hashes.len(), 50);
+    }
+
+    /// The heap-plus-lane queue fires exactly what one sorted queue would.
+    /// Random interleavings of registrations and fires mix the shapes the
+    /// lane must get right: far deadlines in rising order (RPC attempt
+    /// timeouts), near deadlines registered behind them, ties at one
+    /// instant and deadlines already in the past. Every fire is checked
+    /// against a reference that sorts on `(time, seq)`: the clock, the
+    /// running trace hash (which folds each fired `(time, seq)`) and the
+    /// event count.
+    #[test]
+    fn lane_and_heap_fire_in_exact_time_seq_order() {
+        let w = waker();
+        let mut rng = crate::rng::Rng::seed_from_u64(0x1a2e);
+        for case in 0..200 {
+            let mut k = Kernel::new();
+            let mut reference = Kernel::new();
+            // Pending (time, seq), unsorted; the reference pops its minimum.
+            let mut pending: Vec<(SimTime, u64)> = Vec::new();
+            let mut seq = 0u64;
+            let mut far = 0u64;
+            for _ in 0..rng.range_u64(1..400) {
+                if rng.range_u64(0..3) == 0 {
+                    let fired = k.fire_next().is_some();
+                    let min = pending.iter().enumerate().min_by_key(|(_, e)| **e);
+                    let Some((i, &(time, s))) = min else {
+                        assert!(!fired, "case {case}: fired from an empty queue");
+                        continue;
+                    };
+                    pending.swap_remove(i);
+                    assert!(fired, "case {case}: lost an entry");
+                    reference.now = time;
+                    reference.events_processed += 1;
+                    reference.fold_trace(time.as_nanos());
+                    reference.fold_trace(s);
+                    assert_eq!(k.now, reference.now, "case {case}");
+                    assert_eq!(k.trace_hash, reference.trace_hash, "case {case}");
+                    continue;
+                }
+                let now = k.now.as_nanos();
+                let deadline = match rng.range_u64(0..4) {
+                    // Far and monotone, like `now + 10 s` timeouts.
+                    0 => {
+                        far = far.max(now) + rng.range_u64(0..3);
+                        far + 10_000
+                    }
+                    // Near: often earlier than a far deadline already queued.
+                    1 => now + rng.range_u64(0..50),
+                    // A tie with some pending entry.
+                    2 => pending
+                        .get(rng.range_usize(0..pending.len().max(1)))
+                        .map_or(now, |e| e.0.as_nanos()),
+                    // In the past: clamped to now.
+                    _ => now.saturating_sub(rng.range_u64(1..20)),
+                };
+                let deadline = SimTime::from_nanos(deadline);
+                k.schedule_wake(deadline, w.clone());
+                pending.push((deadline.max(k.now), seq));
+                seq += 1;
+            }
+            while k.fire_next().is_some() {
+                let min = pending.iter().enumerate().min_by_key(|(_, e)| **e);
+                let (i, &(time, s)) = min.expect("the kernel fired an entry the model lacks");
+                pending.swap_remove(i);
+                reference.events_processed += 1;
+                reference.fold_trace(time.as_nanos());
+                reference.fold_trace(s);
+                assert_eq!(k.now, time, "case {case}");
+                assert_eq!(k.trace_hash, reference.trace_hash, "case {case}");
+            }
+            assert!(pending.is_empty(), "case {case}: entries never fired");
+            assert_eq!(k.events_processed, reference.events_processed);
+            assert_eq!(k.next_event_time(), None);
+        }
     }
 }

@@ -1,7 +1,8 @@
 //! # paragon-sim — deterministic discrete-event simulation kernel
 //!
 //! Foundation of the Paragon PFS reproduction: a virtual clock, an event
-//! heap (`std`'s `BinaryHeap`), and a single-threaded async executor.
+//! queue (`std`'s `BinaryHeap` beside a FIFO lane), and a single-threaded
+//! async executor.
 //! Model code (compute-node programs, PFS servers, disks) is written as
 //! plain `async fn`s; awaiting a [`Sim::sleep`] or a [`sync`] primitive
 //! (whose waiter lists are `VecDeque`s) parks the task until the event
@@ -33,6 +34,7 @@
 mod executor;
 mod fault;
 mod kernel;
+mod pool;
 mod rng;
 pub mod sync;
 mod task;
@@ -41,7 +43,9 @@ mod trace;
 
 pub use executor::{RunReport, Sim};
 pub use fault::{DiskFault, FaultPlan, FaultStats, MeshVerdict};
+pub use pool::VecPool;
 pub use rng::Rng;
+pub use task::JoinHandle;
 pub use time::{SimDuration, SimTime};
 pub use trace::{
     ev, export_json, hash_events, parse_json, EventBody, EventKind, ReqId, TraceEvent, Track,

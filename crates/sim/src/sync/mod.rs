@@ -6,11 +6,11 @@
 //! clock, never the host clock.
 
 mod channel;
+mod latch;
 mod oneshot;
 mod semaphore;
-mod signal;
 
 pub use channel::{channel, Receiver, Sender};
-pub use oneshot::{oneshot, OneshotSender};
+pub use latch::Latch;
+pub use oneshot::{oneshot, OneshotReceiver, OneshotSender};
 pub use semaphore::Semaphore;
-pub use signal::Signal;

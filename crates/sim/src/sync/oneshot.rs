@@ -64,6 +64,14 @@ impl<T> Drop for OneshotSender<T> {
     }
 }
 
+impl<T> OneshotReceiver<T> {
+    /// Stop waiting: a later send, or the sender's drop, wakes no task.
+    /// For a receiver its owner abandons before the value arrives.
+    pub fn close(&mut self) {
+        self.state.borrow_mut().waker = None;
+    }
+}
+
 impl<T> Future for OneshotReceiver<T> {
     type Output = Result<T, RecvCancelled>;
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {

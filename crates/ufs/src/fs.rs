@@ -20,7 +20,7 @@ use std::rc::Rc;
 
 use bytes::{Bytes, BytesMut};
 use paragon_disk::{DiskError, RaidArray};
-use paragon_sim::{ReqId, Sim, SimDuration};
+use paragon_sim::{JoinHandle, ReqId, Sim, SimDuration, VecPool};
 
 use crate::alloc::{ExtentAllocator, NoSpace};
 use crate::cache::{BlockCache, BlockKey};
@@ -117,6 +117,11 @@ struct Inner {
     alloc: ExtentAllocator,
     cache: BlockCache,
     stats: UfsStats,
+    /// Join-handle lists of the fast-path reads in flight: each run's
+    /// offset in the caller's range, and its task.
+    read_legs: VecPool<(usize, JoinHandle<Result<Bytes, DiskError>>)>,
+    /// Join-handle lists of the writes in flight.
+    write_legs: VecPool<JoinHandle<Result<(), DiskError>>>,
 }
 
 /// One I/O node's file system. Clone freely; clones share state.
@@ -140,6 +145,8 @@ impl Ufs {
                 alloc: ExtentAllocator::new(params.capacity_blocks),
                 cache: BlockCache::new(params.cache_blocks),
                 stats: UfsStats::default(),
+                read_legs: VecPool::default(),
+                write_legs: VecPool::default(),
             })),
             params: Rc::new(params),
         }
@@ -212,34 +219,32 @@ impl Ufs {
         let bs = self.bs();
         let first_block = offset / bs;
         let last_block = (end - 1) / bs;
-        let runs = {
+        // Issue per-run device writes concurrently. Partial first/last
+        // blocks are handled by writing at the exact byte offset; the
+        // sparse store underneath merges correctly.
+        let mut legs = self.inner.borrow().write_legs.take();
+        {
             let mut inner = self.inner.borrow_mut();
             let inner = &mut *inner;
             let inode = inner.inodes.get_mut(id).ok_or(UfsError::NotFound)?;
             inode.size = inode.size.max(end);
             inner.stats.bytes_written += data.len() as u64;
-            inode
+            let runs = inode
                 .map_blocks(first_block, last_block - first_block + 1)
-                .ok_or(UfsError::Unmapped { block: first_block })?
-        };
-        // Issue per-run device writes concurrently. Partial first/last
-        // blocks are handled by writing at the exact byte offset; the
-        // sparse store underneath merges correctly.
-        let mut handles = Vec::with_capacity(runs.len());
-        for run in &runs {
-            let (piece, disk_off) = self.slice_for_run(run, offset, &data);
-            let raid = self.raid.clone();
-            handles.push(self.sim.spawn_named("ufs-write-run", async move {
-                raid.write(disk_off, piece).await
-            }));
+                .ok_or(UfsError::Unmapped { block: first_block })?;
+            for run in runs {
+                let (piece, disk_off) = self.slice_for_run(&run, offset, &data);
+                let raid = self.raid.clone();
+                legs.push(self.sim.spawn_named("ufs-write-run", async move {
+                    raid.write(disk_off, piece).await
+                }));
+            }
+            inner.stats.disk_requests += legs.len() as u64;
         }
-        {
-            let mut inner = self.inner.borrow_mut();
-            inner.stats.disk_requests += runs.len() as u64;
-        }
-        for h in handles {
+        for h in legs.drain(..) {
             h.await.map_err(UfsError::Disk)?;
         }
+        self.inner.borrow().write_legs.give(legs);
         // Keep the cache coherent: drop the blocks we overwrote.
         let mut inner = self.inner.borrow_mut();
         for block in first_block..=last_block {
@@ -277,46 +282,54 @@ impl Ufs {
         if len == 0 {
             return Ok(Bytes::new());
         }
-        let runs = self.plan_read(id, offset, len)?;
-        {
-            let mut inner = self.inner.borrow_mut();
-            inner.stats.direct_reads += 1;
-            inner.stats.bytes_read += len as u64;
-            inner.stats.disk_requests += runs.len() as u64;
-            let total_blocks: u64 = runs.iter().map(|r| r.len).sum();
-            inner.stats.blocks_coalesced += total_blocks - runs.len() as u64;
-        }
+        self.check_bounds(id, offset, len)?;
         let bs = self.bs();
         let end = offset + len as u64;
-        let mut handles = Vec::with_capacity(runs.len());
-        for run in &runs {
-            let run_start_byte = run.file_block * bs;
-            let run_end_byte = (run.file_block + run.len) * bs;
-            let lo = run_start_byte.max(offset);
-            let hi = run_end_byte.min(end);
-            let disk_off = run.disk_block * bs + (lo - run_start_byte);
-            let raid = self.raid.clone();
-            let plen = (hi - lo) as u32;
-            handles.push((
-                (lo - offset) as usize,
-                self.sim.spawn_named("ufs-read-run", async move {
-                    raid.read(disk_off, plen, req).await
-                }),
-            ));
+        let first_block = offset / bs;
+        let last_block = (end - 1) / bs;
+        let mut legs = self.inner.borrow().read_legs.take();
+        {
+            let mut inner = self.inner.borrow_mut();
+            let inner = &mut *inner;
+            let inode = inner.inodes.get(id).ok_or(UfsError::NotFound)?;
+            let runs = inode
+                .map_blocks(first_block, last_block - first_block + 1)
+                .ok_or(UfsError::Unmapped { block: first_block })?;
+            for run in runs {
+                let run_start_byte = run.file_block * bs;
+                let run_end_byte = (run.file_block + run.len) * bs;
+                let lo = run_start_byte.max(offset);
+                let hi = run_end_byte.min(end);
+                let disk_off = run.disk_block * bs + (lo - run_start_byte);
+                let raid = self.raid.clone();
+                let plen = (hi - lo) as u32;
+                legs.push((
+                    (lo - offset) as usize,
+                    self.sim.spawn_named("ufs-read-run", async move {
+                        raid.read(disk_off, plen, req).await
+                    }),
+                ));
+            }
+            let stats = &mut inner.stats;
+            stats.direct_reads += 1;
+            stats.bytes_read += len as u64;
+            stats.disk_requests += legs.len() as u64;
+            stats.blocks_coalesced += last_block - first_block + 1 - legs.len() as u64;
         }
         // Zero-copy fast path: a single device run covers the whole byte
         // range, so its reply *is* the result — no gather buffer. The run
         // still goes through the same spawned task as the general path so
         // event interleaving (and the trace hash) is unchanged.
-        if matches!(handles.as_slice(), [(0, _)]) {
-            if let Some((_, h)) = handles.pop() {
+        if matches!(legs.as_slice(), [(0, _)]) {
+            if let Some((_, h)) = legs.pop() {
                 let data = h.await.map_err(UfsError::Disk)?;
                 debug_assert_eq!(data.len(), len as usize);
+                self.inner.borrow().read_legs.give(legs);
                 return Ok(data);
             }
         }
         let mut out = BytesMut::zeroed(len as usize);
-        for (at, h) in handles {
+        for (at, h) in legs.drain(..) {
             let data = h.await.map_err(UfsError::Disk)?;
             #[expect(
                 clippy::indexing_slicing,
@@ -324,6 +337,7 @@ impl Ufs {
             )]
             out[at..at + data.len()].copy_from_slice(&data);
         }
+        self.inner.borrow().read_legs.give(legs);
         Ok(out.freeze())
     }
 
@@ -362,12 +376,13 @@ impl Ufs {
                 continue;
             };
             let run_len = missing_run.len() as u64;
-            let runs = {
+            let runs: Vec<DiskRun> = {
                 let inner = self.inner.borrow();
                 let inode = inner.inodes.get(id).ok_or(UfsError::NotFound)?;
-                inode
+                let runs = inode
                     .map_blocks(run_first, run_len)
-                    .ok_or(UfsError::Unmapped { block: run_first })?
+                    .ok_or(UfsError::Unmapped { block: run_first })?;
+                runs.collect()
             };
             {
                 let mut inner = self.inner.borrow_mut();
@@ -427,19 +442,6 @@ impl Ufs {
             });
         }
         Ok(())
-    }
-
-    fn plan_read(&self, id: InodeId, offset: u64, len: u32) -> Result<Vec<DiskRun>, UfsError> {
-        self.check_bounds(id, offset, len)?;
-        let bs = self.bs();
-        let end = offset + len as u64;
-        let first_block = offset / bs;
-        let last_block = (end - 1) / bs;
-        let inner = self.inner.borrow();
-        let inode = inner.inodes.get(id).ok_or(UfsError::NotFound)?;
-        inode
-            .map_blocks(first_block, last_block - first_block + 1)
-            .ok_or(UfsError::Unmapped { block: first_block })
     }
 
     #[expect(

@@ -51,37 +51,50 @@ impl Inode {
         self.extents.push(ext);
     }
 
-    /// Disk block backing `file_block`, or `None` past the mapped range.
-    pub(crate) fn map_block(&self, file_block: u64) -> Option<u64> {
+    /// Map file blocks `[first, first+len)` to disk runs, in file order:
+    /// one run per stretch of the range that is contiguous on disk (each
+    /// extent's part of it, merged with its neighbour's when the two
+    /// abut on disk). Returns `None` if any block is unmapped (callers
+    /// check size first, so a `None` means the inode's block map is
+    /// inconsistent with its size). A zero-length range maps to no runs.
+    pub(crate) fn map_blocks(
+        &self,
+        first: u64,
+        len: u64,
+    ) -> Option<impl Iterator<Item = DiskRun> + '_> {
+        let end = first.checked_add(len)?;
+        if len > 0 && end > self.mapped_blocks() {
+            return None;
+        }
+        let mut extents = self.extents.iter();
+        // File block at which the next extent starts.
         let mut base = 0u64;
-        for e in &self.extents {
-            if file_block < base + e.len {
-                return Some(e.start + (file_block - base));
+        let mut open: Option<DiskRun> = None;
+        Some(std::iter::from_fn(move || {
+            while base < end {
+                let Some(e) = extents.next() else { break };
+                let (lo, hi) = (base.max(first), (base + e.len).min(end));
+                let at = base;
+                base += e.len;
+                if lo >= hi {
+                    continue;
+                }
+                let run = DiskRun {
+                    disk_block: e.start + (lo - at),
+                    file_block: lo,
+                    len: hi - lo,
+                };
+                match &mut open {
+                    Some(o) if o.disk_block + o.len == run.disk_block => o.len += run.len,
+                    _ => {
+                        if let Some(done) = open.replace(run) {
+                            return Some(done);
+                        }
+                    }
+                }
             }
-            base += e.len;
-        }
-        None
-    }
-
-    /// Map file blocks `[first, first+len)` to disk runs, coalescing
-    /// whenever consecutive file blocks are consecutive on disk. Returns
-    /// `None` if any block is unmapped (callers check size first, so a
-    /// `None` means the inode's block map is inconsistent with its size).
-    pub(crate) fn map_blocks(&self, first: u64, len: u64) -> Option<Vec<DiskRun>> {
-        assert!(len > 0);
-        let mut runs: Vec<DiskRun> = Vec::new();
-        for fb in first..first + len {
-            let db = self.map_block(fb)?;
-            match runs.last_mut() {
-                Some(run) if run.disk_block + run.len == db => run.len += 1,
-                _ => runs.push(DiskRun {
-                    disk_block: db,
-                    file_block: fb,
-                    len: 1,
-                }),
-            }
-        }
-        Some(runs)
+            open.take()
+        }))
     }
 }
 
@@ -159,18 +172,21 @@ mod tests {
     #[test]
     fn map_block_walks_extents() {
         let ino = inode_with(&[(100, 3), (50, 2)]);
-        assert_eq!(ino.map_block(0), Some(100));
-        assert_eq!(ino.map_block(2), Some(102));
-        assert_eq!(ino.map_block(3), Some(50));
-        assert_eq!(ino.map_block(4), Some(51));
-        assert_eq!(ino.map_block(5), None);
+        let block = |b| Some(ino.map_blocks(b, 1)?.next()?.disk_block);
+        assert_eq!(block(0), Some(100));
+        assert_eq!(block(2), Some(102));
+        assert_eq!(block(3), Some(50));
+        assert_eq!(block(4), Some(51));
+        assert_eq!(block(5), None);
+        // A zero-length range maps to nothing, anywhere in the file.
+        assert_eq!(ino.map_blocks(2, 0).map(Iterator::count), Some(0));
     }
 
     #[test]
     fn map_blocks_coalesces_contiguous_disk_runs() {
         // File blocks 0..5 on disk 100..105 even though built as two extents.
         let ino = inode_with(&[(100, 3), (103, 2)]);
-        let runs = ino.map_blocks(0, 5).unwrap();
+        let runs: Vec<_> = ino.map_blocks(0, 5).unwrap().collect();
         assert_eq!(
             runs,
             vec![DiskRun {
@@ -184,13 +200,57 @@ mod tests {
     #[test]
     fn map_blocks_splits_at_discontinuity() {
         let ino = inode_with(&[(100, 2), (500, 2)]);
-        let runs = ino.map_blocks(1, 3).unwrap();
+        let runs: Vec<_> = ino.map_blocks(1, 3).unwrap().collect();
         assert_eq!(runs.len(), 2);
         assert_eq!(runs[0].disk_block, 101);
         assert_eq!(runs[0].len, 1);
         assert_eq!(runs[1].disk_block, 500);
         assert_eq!(runs[1].file_block, 2);
         assert_eq!(runs[1].len, 2);
+    }
+
+    /// The extent walk equals a block-by-block reference: look every
+    /// block up, and extend the last run while the next block follows it
+    /// on disk.
+    #[test]
+    fn map_blocks_matches_a_per_block_model() {
+        let mut rng = paragon_sim::Rng::seed_from_u64(0x3a9);
+        for _ in 0..500 {
+            let extents: Vec<Extent> = (0..rng.range_u64(1..6))
+                .map(|_| Extent {
+                    start: rng.range_u64(0..40),
+                    len: rng.range_u64(1..5),
+                })
+                .collect();
+            // Built directly, so disk-adjacent extents stay separate.
+            let ino = Inode { size: 0, extents };
+            let blocks: Vec<u64> = ino
+                .extents
+                .iter()
+                .flat_map(|e| e.start..e.start + e.len)
+                .collect();
+            let first = rng.range_u64(0..blocks.len() as u64 + 2);
+            let len = rng.range_u64(0..blocks.len() as u64 + 2);
+            let want = (first..first + len)
+                .map(|fb| blocks.get(fb as usize).map(|&db| (fb, db)))
+                .collect::<Option<Vec<_>>>()
+                .map(|pairs| {
+                    let mut runs: Vec<DiskRun> = Vec::new();
+                    for (fb, db) in pairs {
+                        match runs.last_mut() {
+                            Some(r) if r.disk_block + r.len == db => r.len += 1,
+                            _ => runs.push(DiskRun {
+                                disk_block: db,
+                                file_block: fb,
+                                len: 1,
+                            }),
+                        }
+                    }
+                    runs
+                });
+            let got = ino.map_blocks(first, len).map(Iterator::collect::<Vec<_>>);
+            assert_eq!(got, want, "{:?} [{first}, +{len})", ino.extents);
+        }
     }
 
     #[test]

@@ -1,0 +1,100 @@
+#!/usr/bin/env bash
+# Paired comparison of two hostbench binaries on every workload that
+# BENCHMARK.json declares, at its run_seconds. Pair k runs both binaries
+# with seed k, back to back, and alternates which one runs first, so a
+# drift of the host between runs is split evenly between the two sides.
+# For each end-to-end metric it prints both sides' median and quartiles
+# and the number of pairs in which the change did better, and it prints
+# each side's failed checks, summed over its runs.
+#
+#   scripts/bench_pairs.sh PARENT_BIN CHANGE_BIN [PAIRS]   # PAIRS defaults to 10
+#
+# Build each binary from its own checkout with
+#   cargo build --release --offline --manifest-path hostbench/Cargo.toml
+# (it lands in hostbench/target/release/hostbench). BENCH_SECONDS, when
+# set, replaces run_seconds for a quick trial; a claim cites the
+# benchmark's own run_seconds. The raw `name value unit` output of every
+# run is kept in BENCH_PAIRS_DIR (default: a fresh temporary directory).
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+if [[ $# -lt 2 || $# -gt 3 ]]; then
+    echo "usage: $0 PARENT_BIN CHANGE_BIN [PAIRS]" >&2
+    exit 2
+fi
+parent=$1
+change=$2
+pairs=${3:-10}
+for bin in "$parent" "$change"; do
+    [[ -x $bin ]] || { echo "$0: not an executable: $bin" >&2; exit 2; }
+done
+
+# BENCHMARK.json holds one key per line, so awk can read it directly.
+seconds=${BENCH_SECONDS:-$(awk -F'[:,]' '/"run_seconds"/ { gsub(/ /, "", $2); print $2 }' BENCHMARK.json)}
+workloads=$(awk -F'"' '/"workloads"/ { on = 1 } on && /"name"/ { print $4 } on && /^  \]/ { on = 0 }' BENCHMARK.json)
+# name:better for each end-to-end metric.
+metrics=$(awk -F'"' '/"end_to_end"/ { on = 1 } on && /"name"/ { print $4 ":" $12 } on && /^  \]/ { on = 0 }' BENCHMARK.json)
+
+out=${BENCH_PAIRS_DIR:-$(mktemp -d)}
+mkdir -p "$out"
+echo "pairs $pairs, $seconds s per run, raw output in $out"
+
+for w in $workloads; do
+    for ((k = 1; k <= pairs; k++)); do
+        if ((k % 2)); then order="parent change"; else order="change parent"; fi
+        for side in $order; do
+            bin=$parent
+            [[ $side == change ]] && bin=$change
+            "$bin" --workload "$w" --seed "$k" --seconds "$seconds" --trace 0 \
+                > "$out/$w.$side.$k.txt"
+        done
+    done
+    echo
+    echo "== $w"
+    printf '%-18s %34s %34s %6s\n' metric "parent median [q1, q3]" "change median [q1, q3]" wins
+    for m in $metrics; do
+        name=${m%%:*}
+        better=${m##*:}
+        for ((k = 1; k <= pairs; k++)); do
+            for side in parent change; do
+                awk -v n="$name" -v s="$side" -v k="$k" '$1 == n { print s, k, $2 }' \
+                    "$out/$w.$side.$k.txt"
+            done
+        done | awk -v name="$name" -v better="$better" '
+            # Median and hinges (medians of the lower and upper halves)
+            # of the n sorted values in v[1..n].
+            function sort_values(v, n,    i, j, t) {
+                for (i = 2; i <= n; i++) {
+                    t = v[i]
+                    for (j = i - 1; j > 0 && v[j] > t; j--) v[j + 1] = v[j]
+                    v[j + 1] = t
+                }
+            }
+            function mid(v, lo, hi,    n) {
+                n = hi - lo + 1
+                return n % 2 ? v[lo + (n - 1) / 2] : (v[lo + n / 2 - 1] + v[lo + n / 2]) / 2
+            }
+            function summary(v, n,    h) {
+                sort_values(v, n)
+                h = int(n / 2)
+                return sprintf("%.5g [%.5g, %.5g]", mid(v, 1, n), mid(v, 1, h), mid(v, n - h + 1, n))
+            }
+            { value[$1, $2] = $3; if ($1 == "parent") np++; else nc++ }
+            END {
+                for (k = 1; k <= np; k++) p[k] = value["parent", k]
+                for (k = 1; k <= nc; k++) c[k] = value["change", k]
+                wins = 0
+                for (k = 1; k <= np; k++) {
+                    if (better == "higher" && value["change", k] > value["parent", k]) wins++
+                    if (better == "lower" && value["change", k] < value["parent", k]) wins++
+                }
+                ps = summary(p, np)
+                cs = summary(c, nc)
+                printf "%-18s %34s %34s %3d/%d\n", name, ps, cs, wins, np
+            }'
+    done
+    for side in parent change; do
+        failed=$(cat "$out/$w.$side".*.txt | awk -F'"failed":' 'NF > 1 { split($2, f, /[,}]/); s += f[1] } END { print s + 0 }')
+        echo "$side failed checks: $failed"
+    done
+done
