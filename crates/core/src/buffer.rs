@@ -165,8 +165,12 @@ mod tests {
         let pool = pool.clone();
         let sim2 = sim.clone();
         let h = sim.spawn(async move {
-            pool.submit(0, Track::Sys, async move { Ok(Bytes::from(vec![0u8; 4])) })
-                .await
+            pool.submit(
+                0,
+                Track::Sys,
+                || async move { Ok(Bytes::from(vec![0u8; 4])) },
+            )
+            .await
         });
         sim2.run();
         PrefetchEntry {

@@ -343,7 +343,7 @@ impl PrefetchingFile {
             let handle = self
                 .file
                 .art_pool()
-                .submit(req, cn, async move {
+                .submit(req, cn, move || async move {
                     file.transfer_read(target, len, req).await
                 })
                 .await;

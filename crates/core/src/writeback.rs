@@ -147,7 +147,7 @@ impl WriteBehindFile {
         let handle = self
             .file
             .art_pool()
-            .submit(0, Track::Sys, async move {
+            .submit(0, Track::Sys, move || async move {
                 file.transfer_write(offset, data).await?;
                 Ok(len)
             })

@@ -14,6 +14,7 @@
 //! measurable extra cost of `width` additional member reads.
 
 use std::cell::{Cell, RefCell};
+use std::future::Future;
 use std::rc::Rc;
 
 use bytes::Bytes;
@@ -233,22 +234,29 @@ impl RaidArray {
     /// Read a logical extent under flight-recorder request context `req`
     /// (`0` = none); completes when every member run completes. Fails only
     /// under fault injection; a dead member is transparently reconstructed
-    /// when the array has parity.
-    pub async fn read(&self, offset: u64, len: u32, req: ReqId) -> Result<Bytes, DiskError> {
-        let mut legs = self.inner.legs.take();
-        for (member, start, rlen) in self.inner.map.runs(offset, len as u64) {
-            let this = self.clone();
-            legs.push(self.inner.sim.spawn_named("raid-read-run", async move {
-                this.read_run(member, start, rlen as u32, req).await
-            }));
-        }
-        // Always join every leg (so concurrent member service finishes
-        // deterministically) before reporting the first failure.
-        match self.join(legs).await {
-            Some(e) => Err(e),
-            // Every member run has been charged; the bytes come out of the
-            // logical store in one (page-aligned: zero-copy) view.
-            None => Ok(self.inner.logical.borrow().read(offset, len as usize)),
+    /// when the array has parity. The future owns a clone of this handle,
+    /// so it can be spawned as is.
+    pub fn read(
+        &self,
+        offset: u64,
+        len: u32,
+        req: ReqId,
+    ) -> impl Future<Output = Result<Bytes, DiskError>> + 'static {
+        let this = self.clone();
+        async move {
+            let mut legs = this.inner.legs.take();
+            for (member, start, rlen) in this.inner.map.runs(offset, len as u64) {
+                let run = this.read_run(member, start, rlen as u32, req);
+                legs.push(this.inner.sim.spawn_named("raid-read-run", run));
+            }
+            // Always join every leg (so concurrent member service finishes
+            // deterministically) before reporting the first failure.
+            match this.join(legs).await {
+                Some(e) => Err(e),
+                // Every member run has been charged; the bytes come out of
+                // the logical store in one (page-aligned: zero-copy) view.
+                None => Ok(this.inner.logical.borrow().read(offset, len as usize)),
+            }
         }
     }
 
@@ -267,21 +275,26 @@ impl RaidArray {
 
     /// One member run: direct service, or parity reconstruction when the
     /// member is dead. Timing only — payload comes from the logical store.
-    async fn read_run(
+    /// The reconstruction is boxed, so a healthy run's future holds only
+    /// the member access.
+    fn read_run(
         &self,
         member: usize,
         start: u64,
         rlen: u32,
         req: ReqId,
-    ) -> Result<(), DiskError> {
-        match self
-            .member(member)?
-            .access(DiskOp::Read, start, rlen, req)
-            .await
-        {
-            Ok(()) => Ok(()),
-            Err(DiskError::Dead) => self.reconstruct(member, start, rlen, req).await,
-            Err(e) => Err(e),
+    ) -> impl Future<Output = Result<(), DiskError>> + 'static {
+        let this = self.clone();
+        async move {
+            match this
+                .member(member)?
+                .access(DiskOp::Read, start, rlen, req)
+                .await
+            {
+                Ok(()) => Ok(()),
+                Err(DiskError::Dead) => Box::pin(this.reconstruct(member, start, rlen, req)).await,
+                Err(e) => Err(e),
+            }
         }
     }
 
@@ -338,37 +351,58 @@ impl RaidArray {
     /// Write a logical extent; completes when every member run (and, with
     /// parity, every parity read-modify-write) completes. Writes carry no
     /// flight-recorder request context: their disk events use request 0.
-    pub async fn write(&self, offset: u64, data: Bytes) -> Result<(), DiskError> {
-        let req = 0;
-        let runs = self.inner.map.runs(offset, data.len() as u64);
-        let Some(parity) = self.inner.parity.clone() else {
-            // No parity: plain concurrent member writes (timing only; the
-            // payload lands in the logical store once the members finish).
-            let mut legs = self.inner.legs.take();
-            for (member, start, rlen) in runs {
-                let disk = self.member(member)?.clone();
-                legs.push(self.inner.sim.spawn_named("raid-write-run", async move {
-                    disk.access(DiskOp::Write, start, rlen as u32, req).await
-                }));
-            }
-            return match self.join(legs).await {
-                Some(e) => Err(e),
-                None => {
-                    self.inner.logical.borrow_mut().write(offset, &data);
-                    Ok(())
+    ///
+    /// The future owns a clone of this handle, so it can be spawned as is.
+    /// The parity read-modify-write is boxed, so without parity the
+    /// future holds only the member joins.
+    pub fn write(
+        &self,
+        offset: u64,
+        data: Bytes,
+    ) -> impl Future<Output = Result<(), DiskError>> + 'static {
+        let this = self.clone();
+        async move {
+            let req = 0;
+            let Some(parity) = this.inner.parity.clone() else {
+                // No parity: plain concurrent member writes (timing only;
+                // the payload lands in the logical store once the members
+                // finish).
+                let mut legs = this.inner.legs.take();
+                for (member, start, rlen) in this.inner.map.runs(offset, data.len() as u64) {
+                    let disk = this.member(member)?.clone();
+                    legs.push(this.inner.sim.spawn_named("raid-write-run", async move {
+                        disk.access(DiskOp::Write, start, rlen as u32, req).await
+                    }));
                 }
+                return match this.join(legs).await {
+                    Some(e) => Err(e),
+                    None => {
+                        this.inner.logical.borrow_mut().write(offset, &data);
+                        Ok(())
+                    }
+                };
             };
-        };
-        // Parity path: serialize whole-write RMWs. Runs of one logical
-        // write may share parity ranges (one stripe row spans every
-        // member at the same member offset), so they apply sequentially
-        // under the lock.
+            Box::pin(this.write_with_parity(&parity, offset, &data, req)).await
+        }
+    }
+
+    /// The parity path of [`RaidArray::write`]: whole-write RMWs are
+    /// serialized. Runs of one logical write may share parity ranges (one
+    /// stripe row spans every member at the same member offset), so they
+    /// apply sequentially under the lock.
+    async fn write_with_parity(
+        &self,
+        parity: &Disk,
+        offset: u64,
+        data: &Bytes,
+        req: ReqId,
+    ) -> Result<(), DiskError> {
         let _guard = self.inner.parity_lock.acquire().await;
-        for (member, start, rlen) in runs {
-            self.write_run_with_parity(&parity, member, start, rlen as u32, req)
+        for (member, start, rlen) in self.inner.map.runs(offset, data.len() as u64) {
+            self.write_run_with_parity(parity, member, start, rlen as u32, req)
                 .await?;
         }
-        self.inner.logical.borrow_mut().write(offset, &data);
+        self.inner.logical.borrow_mut().write(offset, data);
         Ok(())
     }
 

@@ -11,6 +11,7 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
+use std::future::Future;
 use std::rc::Rc;
 
 use paragon_sim::sync::{channel, Receiver, Semaphore, Sender};
@@ -166,121 +167,133 @@ impl<M: Clone + 'static> Mesh<M> {
     /// occupied) and `NetRx` (delivered) flight-recorder events, so one
     /// request's mesh crossings can be picked out of the stream. `0`
     /// records untagged events.
-    pub async fn send(&self, src: NodeId, dst: NodeId, wire_bytes: u64, payload: M, req: ReqId) {
+    ///
+    /// Not an `async fn`: that would store `payload` twice, once as the
+    /// argument and once as the body's local.
+    pub fn send(
+        &self,
+        src: NodeId,
+        dst: NodeId,
+        wire_bytes: u64,
+        payload: M,
+        req: ReqId,
+    ) -> impl Future<Output = ()> + '_ {
         let occupancy = if src == dst {
             self.shared.params.local_overhead
         } else {
             self.shared.params.send_overhead + self.shared.params.wire_time(wire_bytes)
         };
-        {
-            let Some(sem) = self.shared.nic_tx.get(src.0) else {
-                // A source outside the topology has no NIC; the frame is
-                // lost observably, like a send from a decommissioned node.
-                self.shared.sim.emit(|| {
-                    ev(
-                        Track::Node(src.0 as u16),
-                        EventKind::MeshDrop,
-                        req,
-                        wire_bytes,
-                        dst.0 as u64,
-                    )
-                });
-                self.shared.inner.borrow_mut().stats.drops += 1;
-                return;
-            };
-            let guard = sem.acquire().await;
+        async move {
             {
-                let mut inner = self.shared.inner.borrow_mut();
-                inner.stats.messages += 1;
-                inner.stats.bytes += wire_bytes;
-                inner.stats.hops += self.shared.topo.hops(src, dst) as u64;
-                inner.stats.max_nic_queue = inner.stats.max_nic_queue.max(sem.queue_len());
-            }
-            self.shared.sim.emit(|| {
-                ev(
-                    Track::Node(src.0 as u16),
-                    EventKind::NetTx,
-                    req,
-                    wire_bytes,
-                    dst.0 as u64,
-                )
-            });
-            self.shared.sim.sleep(occupancy).await;
-            if let Some(busy) = self.shared.nic_busy_ns.get(src.0) {
-                busy.set(busy.get() + occupancy.as_nanos());
-            }
-            drop(guard);
-        }
-        // The message has left the NIC; the fault plan now decides its
-        // fate in transit. Verdicts are drawn in NIC-release order, which
-        // the executor makes deterministic.
-        let mut extra_delay = SimDuration::ZERO;
-        let mut duplicate = false;
-        match self
-            .shared
-            .faults
-            .mesh_verdict(src.0 as u16, dst.0 as u16, self.shared.sim.now())
-        {
-            MeshVerdict::Deliver => {}
-            MeshVerdict::Drop => {
+                let Some(sem) = self.shared.nic_tx.get(src.0) else {
+                    // A source outside the topology has no NIC; the frame is
+                    // lost observably, like a send from a decommissioned node.
+                    self.shared.sim.emit(|| {
+                        ev(
+                            Track::Node(src.0 as u16),
+                            EventKind::MeshDrop,
+                            req,
+                            wire_bytes,
+                            dst.0 as u64,
+                        )
+                    });
+                    self.shared.inner.borrow_mut().stats.drops += 1;
+                    return;
+                };
+                let guard = sem.acquire().await;
+                {
+                    let mut inner = self.shared.inner.borrow_mut();
+                    inner.stats.messages += 1;
+                    inner.stats.bytes += wire_bytes;
+                    inner.stats.hops += self.shared.topo.hops(src, dst) as u64;
+                    inner.stats.max_nic_queue = inner.stats.max_nic_queue.max(sem.queue_len());
+                }
                 self.shared.sim.emit(|| {
                     ev(
                         Track::Node(src.0 as u16),
-                        EventKind::MeshDrop,
+                        EventKind::NetTx,
                         req,
                         wire_bytes,
                         dst.0 as u64,
                     )
                 });
-                self.shared.inner.borrow_mut().stats.drops += 1;
-                return;
+                self.shared.sim.sleep(occupancy).await;
+                if let Some(busy) = self.shared.nic_busy_ns.get(src.0) {
+                    busy.set(busy.get() + occupancy.as_nanos());
+                }
+                drop(guard);
             }
-            MeshVerdict::Duplicate => {
-                self.shared.sim.emit(|| {
-                    ev(
-                        Track::Node(src.0 as u16),
-                        EventKind::MeshDup,
-                        req,
-                        wire_bytes,
-                        dst.0 as u64,
-                    )
-                });
-                self.shared.inner.borrow_mut().stats.dups += 1;
-                duplicate = true;
+            // The message has left the NIC; the fault plan now decides its
+            // fate in transit. Verdicts are drawn in NIC-release order, which
+            // the executor makes deterministic.
+            let mut extra_delay = SimDuration::ZERO;
+            let mut duplicate = false;
+            match self
+                .shared
+                .faults
+                .mesh_verdict(src.0 as u16, dst.0 as u16, self.shared.sim.now())
+            {
+                MeshVerdict::Deliver => {}
+                MeshVerdict::Drop => {
+                    self.shared.sim.emit(|| {
+                        ev(
+                            Track::Node(src.0 as u16),
+                            EventKind::MeshDrop,
+                            req,
+                            wire_bytes,
+                            dst.0 as u64,
+                        )
+                    });
+                    self.shared.inner.borrow_mut().stats.drops += 1;
+                    return;
+                }
+                MeshVerdict::Duplicate => {
+                    self.shared.sim.emit(|| {
+                        ev(
+                            Track::Node(src.0 as u16),
+                            EventKind::MeshDup,
+                            req,
+                            wire_bytes,
+                            dst.0 as u64,
+                        )
+                    });
+                    self.shared.inner.borrow_mut().stats.dups += 1;
+                    duplicate = true;
+                }
+                MeshVerdict::Delay(d) => {
+                    self.shared.sim.emit(|| {
+                        ev(
+                            Track::Node(src.0 as u16),
+                            EventKind::MeshDelay,
+                            req,
+                            d.as_nanos(),
+                            dst.0 as u64,
+                        )
+                    });
+                    self.shared.inner.borrow_mut().stats.delays += 1;
+                    extra_delay = d;
+                }
             }
-            MeshVerdict::Delay(d) => {
-                self.shared.sim.emit(|| {
-                    ev(
-                        Track::Node(src.0 as u16),
-                        EventKind::MeshDelay,
-                        req,
-                        d.as_nanos(),
-                        dst.0 as u64,
-                    )
-                });
-                self.shared.inner.borrow_mut().stats.delays += 1;
-                extra_delay = d;
-            }
-        }
-        let propagation = if src == dst {
-            SimDuration::ZERO
-        } else {
-            self.shared.params.hop_latency * self.shared.topo.hops(src, dst) as u64
-                + self.shared.params.recv_overhead
-        } + extra_delay;
-        let copy = duplicate.then(|| payload.clone());
-        for payload in copy.into_iter().chain([payload]) {
-            self.shared
-                .inflight_bytes
-                .set(self.shared.inflight_bytes.get() + wire_bytes as i64);
-            if propagation.is_zero() {
-                self.finish_delivery(src, dst, wire_bytes, req, payload);
+            let propagation = if src == dst {
+                SimDuration::ZERO
             } else {
-                let mesh = self.clone();
-                self.shared.sim.spawn_named("mesh-deliver", async move {
-                    mesh.shared.sim.sleep(propagation).await;
-                    mesh.finish_delivery(src, dst, wire_bytes, req, payload);
-                });
+                self.shared.params.hop_latency * self.shared.topo.hops(src, dst) as u64
+                    + self.shared.params.recv_overhead
+            } + extra_delay;
+            let copy = duplicate.then(|| payload.clone());
+            for payload in copy.into_iter().chain([payload]) {
+                self.shared
+                    .inflight_bytes
+                    .set(self.shared.inflight_bytes.get() + wire_bytes as i64);
+                if propagation.is_zero() {
+                    self.finish_delivery(src, dst, wire_bytes, req, payload);
+                } else {
+                    let mesh = self.clone();
+                    self.shared.sim.spawn_named("mesh-deliver", async move {
+                        mesh.shared.sim.sleep(propagation).await;
+                        mesh.finish_delivery(src, dst, wire_bytes, req, payload);
+                    });
+                }
             }
         }
     }

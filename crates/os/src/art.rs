@@ -52,16 +52,22 @@ pub struct ArtStats {
     pub max_active: usize,
 }
 
-/// One compute node's asynchronous-request machinery.
+/// One compute node's asynchronous-request machinery. Clone freely: a
+/// clone is one `Rc` count bump.
 #[derive(Clone)]
 pub struct ArtPool {
+    pool: Rc<Pool>,
+}
+
+/// What every clone of an [`ArtPool`] shares.
+struct Pool {
     sim: Sim,
-    cfg: Rc<ArtConfig>,
+    cfg: ArtConfig,
     /// FIFO gate: permits = max concurrently-posting ARTs; waiters are the
     /// active list, granted strictly in submission order.
     gate: Semaphore,
-    active: Rc<Cell<usize>>,
-    stats: Rc<RefCell<ArtStats>>,
+    active: Cell<usize>,
+    stats: RefCell<ArtStats>,
 }
 
 impl ArtPool {
@@ -69,22 +75,24 @@ impl ArtPool {
     pub fn new(sim: &Sim, cfg: ArtConfig) -> Self {
         assert!(cfg.max_arts > 0, "need at least one ART");
         ArtPool {
-            sim: sim.clone(),
-            gate: Semaphore::new(cfg.max_arts),
-            cfg: Rc::new(cfg),
-            active: Rc::new(Cell::new(0)),
-            stats: Rc::new(RefCell::new(ArtStats::default())),
+            pool: Rc::new(Pool {
+                sim: sim.clone(),
+                gate: Semaphore::new(cfg.max_arts),
+                cfg,
+                active: Cell::new(0),
+                stats: RefCell::new(ArtStats::default()),
+            }),
         }
     }
 
     /// Counter snapshot.
     pub fn stats(&self) -> ArtStats {
-        self.stats.borrow().clone()
+        self.pool.stats.borrow().clone()
     }
 
     /// Requests currently on the active list (queued or posting).
     pub fn active(&self) -> usize {
-        self.active.get()
+        self.pool.active.get()
     }
 
     /// Submit an asynchronous request. The caller (user thread) pays the
@@ -92,37 +100,44 @@ impl ArtPool {
     /// earlier submissions when all ARTs are busy. Returns immediately
     /// after setup with the request handle.
     ///
+    /// `op` builds the operation's future when an ART begins posting it.
+    /// Taking the builder rather than the future keeps the ART's task at
+    /// the size of that future plus the builder's captures: a task that
+    /// captured a future and awaited it would store it twice.
+    ///
     /// `req` and `track` are the trace context: they stamp the ArtSubmit
     /// (queued on the active list), ArtStart (an ART began posting it) and
     /// ArtDone flight-recorder events. Untagged work passes `0` and
     /// [`Track::Sys`].
-    pub async fn submit<T, F>(&self, req: ReqId, track: Track, op: F) -> AsyncHandle<T>
+    pub async fn submit<T, F, Op>(&self, req: ReqId, track: Track, op: Op) -> AsyncHandle<T>
     where
         T: 'static,
-        F: Future<Output = T> + 'static,
+        F: Future<Output = T>,
+        Op: FnOnce() -> F + 'static,
     {
-        self.sim.sleep(self.cfg.setup).await;
-        let handle = AsyncHandle::new(self.sim.now());
+        self.pool.sim.sleep(self.pool.cfg.setup).await;
+        let handle = AsyncHandle::new(self.pool.sim.now());
         let queue_pos;
         {
-            let mut st = self.stats.borrow_mut();
+            let mut st = self.pool.stats.borrow_mut();
             st.submitted += 1;
-            let now_active = self.active.get() + 1;
+            let now_active = self.pool.active.get() + 1;
             queue_pos = now_active;
-            self.active.set(now_active);
+            self.pool.active.set(now_active);
             st.max_active = st.max_active.max(now_active);
         }
-        self.sim
+        self.pool
+            .sim
             .emit(|| ev(track, EventKind::ArtSubmit, req, queue_pos as u64, 0));
-        let pool = self.clone();
+        let pool = self.pool.clone();
         let h = handle.clone();
-        self.sim.spawn_named("art", async move {
+        self.pool.sim.spawn_named("art", async move {
             // FIFO admission: tasks call acquire in spawn order, and the
             // semaphore grants in arrival order.
             let _g = pool.gate.acquire().await;
             pool.sim.emit(|| ev(track, EventKind::ArtStart, req, 0, 0));
             pool.sim.sleep(pool.cfg.dispatch).await;
-            let value = op.await;
+            let value = op().await;
             let request = &h.request;
             *request.slot.borrow_mut() = Some(value);
             request.completed.set(Some(pool.sim.now()));
@@ -215,7 +230,7 @@ mod tests {
         let s = sim.clone();
         let h = sim.spawn(async move {
             let io = s.sleep(SimDuration::from_millis(50));
-            let req = pool.submit(0, Track::Sys, io).await;
+            let req = pool.submit(0, Track::Sys, move || io).await;
             // User thread "computes" 50 ms while the I/O proceeds.
             s.sleep(SimDuration::from_millis(50)).await;
             req.wait().await;
@@ -237,7 +252,7 @@ mod tests {
         let pool = ArtPool::new(&sim, cfg);
         let s = sim.clone();
         let h = sim.spawn(async move {
-            let _req = pool.submit(0, Track::Sys, async {}).await;
+            let _req = pool.submit(0, Track::Sys, || async {}).await;
             s.now().as_millis_round()
         });
         sim.run();
@@ -262,7 +277,7 @@ mod tests {
                 let s2 = s.clone();
                 let o2 = o.clone();
                 reqs.push(
-                    pool.submit(0, Track::Sys, async move {
+                    pool.submit(0, Track::Sys, move || async move {
                         s2.sleep(SimDuration::from_millis(10)).await;
                         o2.borrow_mut().push(i);
                     })
@@ -295,7 +310,7 @@ mod tests {
                 let s2 = s.clone();
                 let fl = in_flight.clone();
                 reqs.push(
-                    p2.submit(0, Track::Sys, async move {
+                    p2.submit(0, Track::Sys, move || async move {
                         {
                             let mut f = fl.borrow_mut();
                             f.0 += 1;
@@ -333,7 +348,7 @@ mod tests {
         let h = sim.spawn(async move {
             let s2 = s.clone();
             let req = pool
-                .submit(0, Track::Sys, async move {
+                .submit(0, Track::Sys, move || async move {
                     s2.sleep(SimDuration::from_millis(10)).await
                 })
                 .await;
@@ -354,7 +369,7 @@ mod tests {
         let sim = Sim::new(1);
         let pool = ArtPool::new(&sim, ArtConfig::instant());
         let h = sim.spawn(async move {
-            let req = pool.submit(0, Track::Sys, async { 99u32 }).await;
+            let req = pool.submit(0, Track::Sys, || async { 99u32 }).await;
             let v = req.join().await;
             let left = req.request.slot.borrow().is_some();
             (v, left)

@@ -22,7 +22,7 @@
 //! let s = sim.clone();
 //! let h = sim.spawn(async move {
 //!     let io = s.sleep(SimDuration::from_millis(40));
-//!     let req = pool.submit(0, Track::Sys, io).await; // returns immediately
+//!     let req = pool.submit(0, Track::Sys, move || io).await; // returns at once
 //!     s.sleep(SimDuration::from_millis(40)).await;    // compute meanwhile
 //!     req.wait().await;                               // iowait
 //!     s.now().as_millis_round()

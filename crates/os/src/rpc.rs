@@ -210,10 +210,12 @@ where
             }
         });
         RpcClient {
-            net: self.clone(),
-            node,
-            pending,
-            next_id: Rc::new(Cell::new(0)),
+            endpoint: Rc::new(Endpoint {
+                net: self.clone(),
+                node,
+                pending,
+                next_id: Cell::new(0),
+            }),
         }
     }
 
@@ -292,20 +294,23 @@ impl<Resp> Drop for ReplySlot<'_, Resp> {
 }
 
 /// A node's client endpoint; issue calls with [`RpcClient::call`].
+/// Clone freely: a clone is one `Rc` count bump.
 pub struct RpcClient<Req, Resp> {
+    endpoint: Rc<Endpoint<Req, Resp>>,
+}
+
+/// What every clone of an [`RpcClient`] shares.
+struct Endpoint<Req, Resp> {
     net: RpcNet<Req, Resp>,
     node: NodeId,
     pending: Pending<Resp>,
-    next_id: Rc<Cell<u64>>,
+    next_id: Cell<u64>,
 }
 
 impl<Req, Resp> Clone for RpcClient<Req, Resp> {
     fn clone(&self) -> Self {
         RpcClient {
-            net: self.net.clone(),
-            node: self.node,
-            pending: self.pending.clone(),
-            next_id: self.next_id.clone(),
+            endpoint: self.endpoint.clone(),
         }
     }
 }
@@ -319,82 +324,108 @@ where
     /// fabric loses the call or the reply, this waits forever (the run
     /// report will show the unfinished task). `Err(Dropped)` means the
     /// reply path was torn down, e.g. the client endpoint shut down.
-    pub async fn call(&self, dst: NodeId, req: Req) -> Result<Resp, RpcError> {
-        let id = self.next_id.get();
-        self.next_id.set(id + 1);
-        let (tx, rx) = oneshot();
-        self.pending.borrow_mut().insert(id, tx);
-        let reply = ReplySlot {
-            pending: &self.pending,
-            id,
-            rx,
-        };
-        self.net.stats.borrow_mut().calls += 1;
-        let bytes = req.wire_bytes() + RPC_HEADER_BYTES;
-        let tag = req.trace_req();
-        self.net
-            .mesh
-            .send(
-                self.node,
-                dst,
-                bytes,
-                RpcWire::Call {
-                    id,
-                    reply_to: self.node,
-                    req,
-                },
-                tag,
-            )
-            .await;
-        reply.await
+    ///
+    /// Not an `async fn`: that would store `req` twice, once as the
+    /// argument and once as the body's local.
+    pub fn call(&self, dst: NodeId, req: Req) -> impl Future<Output = Result<Resp, RpcError>> + '_ {
+        let node = self.endpoint.node;
+        async move {
+            let id = self.endpoint.next_id.get();
+            self.endpoint.next_id.set(id + 1);
+            let (tx, rx) = oneshot();
+            self.endpoint.pending.borrow_mut().insert(id, tx);
+            let reply = ReplySlot {
+                pending: &self.endpoint.pending,
+                id,
+                rx,
+            };
+            self.endpoint.net.stats.borrow_mut().calls += 1;
+            let bytes = req.wire_bytes() + RPC_HEADER_BYTES;
+            let tag = req.trace_req();
+            let call = RpcWire::Call {
+                id,
+                reply_to: node,
+                req,
+            };
+            self.endpoint
+                .net
+                .mesh
+                .send(node, dst, bytes, call, tag)
+                .await;
+            reply.await
+        }
     }
 
     /// [`RpcClient::call`] under a deadline/retry `policy`. Each failed
     /// attempt emits an [`EventKind::RpcRetry`] flight-recorder event;
     /// exhausting the policy emits [`EventKind::RpcGiveUp`]. Only use
     /// with idempotent requests — see [`RpcPolicy`].
-    pub async fn call_policy(
+    ///
+    /// The future owns a clone of this endpoint, so it can be spawned as
+    /// is. It holds the request and one attempt; everything a failed
+    /// attempt needs (counting, backoff, the give-up) is in a boxed
+    /// future built only when an attempt fails.
+    pub fn call_policy(
         &self,
         dst: NodeId,
         req: Req,
         policy: RpcPolicy,
-    ) -> Result<Resp, RpcError> {
-        let sim = self.net.sim.clone();
-        let tag = req.trace_req();
-        let track = Track::Node(self.node.0 as u16);
-        let max_attempts = policy.retries + 1;
-        let mut last = RpcError::Timeout;
-        for attempt in 1..=max_attempts {
-            let one = self.call(dst, req.clone());
-            let outcome = match policy.attempt_timeout {
-                Some(d) => sim.timeout(d, one).await.unwrap_or(Err(RpcError::Timeout)),
-                None => one.await,
-            };
-            match outcome {
-                Ok(resp) => return Ok(resp),
-                Err(e) => {
-                    if e == RpcError::Timeout {
-                        self.net.stats.borrow_mut().timeouts += 1;
+    ) -> impl Future<Output = Result<Resp, RpcError>> + 'static {
+        let this = self.clone();
+        async move {
+            let mut attempt = 1;
+            loop {
+                let outcome = match policy.attempt_timeout {
+                    Some(d) => {
+                        let one = this.call(dst, req.clone());
+                        let sim = &this.endpoint.net.sim;
+                        sim.timeout(d, one).await.unwrap_or(Err(RpcError::Timeout))
                     }
-                    last = e;
+                    None => this.call(dst, req.clone()).await,
+                };
+                match outcome {
+                    Ok(resp) => return Ok(resp),
+                    Err(e) => Box::pin(this.after_failure(dst, &req, policy, attempt, e)).await?,
                 }
-            }
-            if attempt < max_attempts {
-                self.net.stats.borrow_mut().retries += 1;
-                sim.emit(|| {
-                    ev(
-                        track,
-                        EventKind::RpcRetry,
-                        tag,
-                        attempt as u64,
-                        dst.0 as u64,
-                    )
-                });
-                sim.sleep(policy.backoff * attempt as u64).await;
+                attempt += 1;
             }
         }
-        self.net.stats.borrow_mut().give_ups += 1;
-        self.net.sim.emit(|| {
+    }
+
+    /// Attempt number `attempt` of a [`RpcClient::call_policy`] call
+    /// failed with `err`: count it, then wait out the backoff before the
+    /// next attempt (`Ok`), or give up with the call's error (`Err`).
+    async fn after_failure(
+        &self,
+        dst: NodeId,
+        req: &Req,
+        policy: RpcPolicy,
+        attempt: u32,
+        err: RpcError,
+    ) -> Result<(), RpcError> {
+        let sim = &self.endpoint.net.sim;
+        let tag = req.trace_req();
+        let track = Track::Node(self.endpoint.node.0 as u16);
+        let max_attempts = policy.retries + 1;
+        if err == RpcError::Timeout {
+            self.endpoint.net.stats.borrow_mut().timeouts += 1;
+        }
+        if attempt < max_attempts {
+            self.endpoint.net.stats.borrow_mut().retries += 1;
+            sim.emit(|| {
+                ev(
+                    track,
+                    EventKind::RpcRetry,
+                    tag,
+                    attempt as u64,
+                    dst.0 as u64,
+                )
+            });
+            sim.sleep(policy.backoff * attempt as u64).await;
+            return Ok(());
+        }
+        self.endpoint.net.stats.borrow_mut().give_ups += 1;
+        sim.emit(|| {
             ev(
                 track,
                 EventKind::RpcGiveUp,
@@ -408,7 +439,7 @@ where
                 attempts: max_attempts,
             })
         } else {
-            Err(last)
+            Err(err)
         }
     }
 }
@@ -583,7 +614,7 @@ mod tests {
         );
         assert_eq!(net.stats().give_ups, 1);
         // Every abandoned attempt gave its reply slot back.
-        assert_eq!(client.pending.borrow().len(), 0);
+        assert_eq!(client.endpoint.pending.borrow().len(), 0);
     }
 
     #[test]

@@ -116,7 +116,7 @@ fn art_submitted_rpcs_overlap_with_user_work() {
     let h = sim.spawn(async move {
         let c = client.clone();
         let req = pool
-            .submit(0, Track::Sys, async move {
+            .submit(0, Track::Sys, move || async move {
                 c.call(NodeId(1), Req(41)).await.unwrap().0
             })
             .await;

@@ -68,9 +68,15 @@ struct FileState {
 }
 
 /// One node's handle on an open PFS file. Clone freely; clones share the
-/// file pointer state (they are the same open).
+/// file pointer state (they are the same open), and a clone is one `Rc`
+/// count bump.
 #[derive(Clone)]
 pub struct PfsFile {
+    open: Rc<Open>,
+}
+
+/// What every clone of a [`PfsFile`] shares.
+struct Open {
     sim: Sim,
     rpc: RpcClient<PfsRequest, PfsResponse>,
     arts: ArtPool,
@@ -112,7 +118,7 @@ impl PfsFile {
         size_at_open: u64,
     ) -> Self {
         assert!(rank < nprocs, "rank {rank} out of range for {nprocs} procs");
-        PfsFile {
+        let open = Open {
             sim,
             rpc,
             arts,
@@ -130,51 +136,58 @@ impl PfsFile {
                 local_offset: 0,
             })),
             suspects: Rc::new(RefCell::new(BTreeSet::new())),
+        };
+        PfsFile {
+            open: Rc::new(open),
         }
     }
 
     /// Mesh id of I/O node `ion`, which serves a copy of `slot`.
     fn io_node(&self, ion: usize, slot: u16) -> Result<NodeId, PfsError> {
-        self.io_node_ids.get(ion).copied().ok_or(PfsError::BadSlot {
-            slot,
-            factor: self.io_node_ids.len(),
-        })
+        self.open
+            .io_node_ids
+            .get(ion)
+            .copied()
+            .ok_or(PfsError::BadSlot {
+                slot,
+                factor: self.open.io_node_ids.len(),
+            })
     }
 
     /// The mode this handle was opened with.
     pub fn mode(&self) -> IoMode {
-        self.mode
+        self.open.mode
     }
 
     /// This node's rank in the application.
     pub fn rank(&self) -> u16 {
-        self.rank
+        self.open.rank
     }
 
     /// Number of application processes sharing the file.
     pub fn nprocs(&self) -> u16 {
-        self.nprocs
+        self.open.nprocs
     }
 
     /// File size when the handle was opened.
     pub fn size(&self) -> u64 {
-        self.size_at_open
+        self.open.size_at_open
     }
 
     /// The node's ART pool (the prefetch engine issues through it).
     pub fn art_pool(&self) -> &ArtPool {
-        &self.arts
+        &self.open.arts
     }
 
     /// The simulation world (for timing instrumentation in layers above).
     pub fn sim(&self) -> &Sim {
-        &self.sim
+        &self.open.sim
     }
 
     /// Charge one client system call (the prefetch engine wraps `read`
     /// and pays this itself).
     pub async fn syscall(&self) {
-        self.sim.sleep(self.params.syscall).await;
+        self.open.sim.sleep(self.open.params.syscall).await;
     }
 
     /// One shared-pointer operation. Deliberately NO deadline and NO
@@ -182,7 +195,12 @@ impl PfsFile {
     /// could double-advance the pointer. The machinery instead protects
     /// the service node from injected faults.
     async fn ptr(&self, req: PtrRequest) -> Result<u64, PfsError> {
-        match self.rpc.call(self.service_node, PfsRequest::Ptr(req)).await {
+        match self
+            .open
+            .rpc
+            .call(self.open.service_node, PfsRequest::Ptr(req))
+            .await
+        {
             Ok(PfsResponse::Ptr(res)) => res,
             Ok(_) => Err(PfsError::BadReply),
             Err(e) => Err(e.into()),
@@ -197,19 +215,22 @@ impl PfsFile {
     /// likewise targets the individual-pointer modes).
     pub async fn advance_pointer(&self, len: u32) -> u64 {
         assert!(
-            !self.mode.shared_pointer(),
+            !self.open.mode.shared_pointer(),
             "advance_pointer on shared-pointer mode {}",
-            self.mode
+            self.open.mode
         );
         if len == 0 {
             return self.peek_pointer(0);
         }
-        if self.mode == IoMode::MRecord {
-            self.sim.sleep(self.params.record_bookkeeping).await;
+        if self.open.mode == IoMode::MRecord {
+            self.open
+                .sim
+                .sleep(self.open.params.record_bookkeeping)
+                .await;
         }
         let at = self.peek_pointer(len);
         // Each mode's formula reads only its own field; bump both.
-        let mut st = self.state.borrow_mut();
+        let mut st = self.open.state.borrow_mut();
         st.round += 1;
         // Saturates after a seek near the end of the offset space; the
         // transfer at `at` then fails with a typed overflow error.
@@ -225,9 +246,11 @@ impl PfsFile {
         reason = "documented caller contract: the predictors drive individual-pointer modes only"
     )]
     pub fn peek_pointer(&self, len: u32) -> u64 {
-        let st = self.state.borrow();
-        match self.mode {
-            IoMode::MRecord => (st.round * self.nprocs as u64 + self.rank as u64) * len as u64,
+        let st = self.open.state.borrow();
+        match self.open.mode {
+            IoMode::MRecord => {
+                (st.round * self.open.nprocs as u64 + self.open.rank as u64) * len as u64
+            }
             IoMode::MGlobal => st.round * len as u64,
             IoMode::MAsync => st.local_offset,
             m => panic!("peek_pointer on shared-pointer mode {m}"),
@@ -249,8 +272,8 @@ impl PfsFile {
     where
         F: Future<Output = Result<T, PfsError>>,
     {
-        let file = self.meta.id;
-        let at = match self.mode {
+        let file = self.open.meta.id;
+        let at = match self.open.mode {
             IoMode::MUnix => {
                 let at = self.ptr(PtrRequest::UnixAcquire { file }).await?;
                 let result = transfer(at).await;
@@ -271,8 +294,8 @@ impl PfsFile {
             IoMode::MSync => {
                 self.ptr(PtrRequest::SyncArrive {
                     file,
-                    rank: self.rank,
-                    nprocs: self.nprocs,
+                    rank: self.open.rank,
+                    nprocs: self.open.nprocs,
                     len: len as u64,
                 })
                 .await?
@@ -287,11 +310,11 @@ impl PfsFile {
     /// pointers belong to the pointer server).
     pub fn seek(&self, offset: u64) {
         assert_eq!(
-            self.mode,
+            self.open.mode,
             IoMode::MAsync,
             "seek is only meaningful for M_ASYNC handles"
         );
-        self.state.borrow_mut().local_offset = offset;
+        self.open.state.borrow_mut().local_offset = offset;
     }
 
     /// Blocking read of the next `len` bytes under the open mode.
@@ -307,17 +330,21 @@ impl PfsFile {
     pub async fn aread(&self, len: u32) -> AsyncHandle<Result<Bytes, PfsError>> {
         self.syscall().await;
         let this = self.clone();
-        if self.mode.shared_pointer() {
+        if self.open.mode.shared_pointer() {
             return self
+                .open
                 .arts
-                .submit(0, Track::Sys, async move {
+                .submit(0, Track::Sys, move || async move {
                     this.at_next_offset(len, |at| this.mode_read(at, len)).await
                 })
                 .await;
         }
         let at = self.advance_pointer(len).await;
-        self.arts
-            .submit(0, Track::Sys, async move { this.mode_read(at, len).await })
+        self.open
+            .arts
+            .submit(0, Track::Sys, move || async move {
+                this.mode_read(at, len).await
+            })
             .await
     }
 
@@ -325,12 +352,12 @@ impl PfsFile {
     /// the collective call reads the same range, and the I/O nodes serve
     /// all `nprocs` parties with one physical read.
     async fn mode_read(&self, at: u64, len: u32) -> Result<Bytes, PfsError> {
-        let parties = if self.mode == IoMode::MGlobal {
-            self.nprocs
+        let parties = if self.open.mode == IoMode::MGlobal {
+            self.open.nprocs
         } else {
             0
         };
-        let req = self.sim.mint_req();
+        let req = self.open.sim.mint_req();
         self.transfer_read_inner(at, len, parties, req).await
     }
 
@@ -361,26 +388,27 @@ impl PfsFile {
             return Ok(Bytes::new());
         }
         check_extent(offset, len as u64)?;
-        let cn = Track::Cn(self.rank);
-        self.sim
+        let cn = Track::Cn(self.open.rank);
+        self.open
+            .sim
             .emit(|| ev(cn, EventKind::ReadStart, req, offset, len as u64));
-        let shared = self.nprocs > 1;
-        let policy = self.params.data_policy;
-        let mut legs = self.params.legs.reads.take();
-        for sreq in self.meta.attrs.requests(offset, len as u64) {
+        let shared = self.open.nprocs > 1;
+        let policy = self.open.params.data_policy;
+        let mut legs = self.open.params.legs.reads.take();
+        for sreq in self.open.meta.attrs.requests(offset, len as u64) {
             let slot = sreq.slot as u16;
-            let (primary, _) = self.meta.slot(slot)?;
+            let (primary, _) = self.open.meta.slot(slot)?;
             let copies = self
+                .open
                 .meta
                 .with_replicas(slot, |copies| copies.iter().filter(|c| c.ready).count())?;
-            let rpc = self.rpc.clone();
             let msg = PfsRequest::Read(SlotRead {
                 req,
-                file: self.meta.id,
+                file: self.open.meta.id,
                 slot,
                 offset: sreq.slot_offset,
                 len: sreq.len as u32,
-                fast_path: self.fast_path,
+                fast_path: self.open.fast_path,
                 shared,
                 global_parties,
             });
@@ -388,12 +416,8 @@ impl PfsFile {
                 let dst = self.io_node(primary, slot)?;
                 // Positioned reads are idempotent: re-sending one under the
                 // retry policy is safe.
-                legs.push((
-                    sreq,
-                    self.sim.spawn_named("pfs-read-leg", async move {
-                        rpc.call_policy(dst, msg, policy).await
-                    }),
-                ));
+                let leg = self.open.rpc.call_policy(dst, msg, policy);
+                legs.push((sreq, self.open.sim.spawn_named("pfs-read-leg", leg)));
                 continue;
             }
             // Replicated: deterministic read-from-any. Candidate order is
@@ -402,8 +426,8 @@ impl PfsFile {
             // not skipped — a recovered node serves again). Non-final
             // candidates get a single attempt so a dead node costs one
             // timeout; the final candidate keeps the full retry budget.
-            let order = self.meta.with_replicas(slot, |copies| {
-                let suspects = self.suspects.borrow();
+            let order = self.open.meta.with_replicas(slot, |copies| {
+                let suspects = self.open.suspects.borrow();
                 let mut order: Vec<(usize, NodeId)> = Vec::with_capacity(copies.len());
                 for pass in [false, true] {
                     for c in copies
@@ -415,13 +439,14 @@ impl PfsFile {
                 }
                 Ok::<_, PfsError>(order)
             })??;
-            let sim = self.sim.clone();
-            let suspects = self.suspects.clone();
-            let params = self.params.clone();
+            let rpc = self.open.rpc.clone();
+            let sim = self.open.sim.clone();
+            let suspects = self.open.suspects.clone();
+            let params = self.open.params.clone();
             let slot = sreq.slot as u64;
             legs.push((
                 sreq,
-                self.sim.spawn_named("pfs-read-leg", async move {
+                self.open.sim.spawn_named("pfs-read-leg", async move {
                     let single = RpcPolicy {
                         retries: 0,
                         ..policy
@@ -479,7 +504,7 @@ impl PfsFile {
                         direct_data = Some(data);
                         continue;
                     }
-                    for p in self.meta.attrs.pieces(sreq) {
+                    for p in self.open.meta.attrs.pieces(sreq) {
                         let src = (p.slot_offset - sreq.slot_offset) as usize;
                         let dst = p.logical_offset as usize;
                         #[expect(
@@ -502,13 +527,15 @@ impl PfsFile {
                 }
             }
         }
-        self.params.legs.reads.give(legs);
+        self.open.params.legs.reads.give(legs);
         if let Some(e) = first_err {
             return Err(e);
         }
-        self.sim
+        self.open
+            .sim
             .emit(|| ev(cn, EventKind::Copy, req, offset, len as u64));
-        self.sim
+        self.open
+            .sim
             .emit(|| ev(cn, EventKind::ReadDone, req, offset, len as u64));
         Ok(match direct_data {
             Some(data) => data,
@@ -544,25 +571,26 @@ impl PfsFile {
             return Ok(());
         }
         check_extent(offset, data.len() as u64)?;
-        let req = self.sim.mint_req();
-        let cn = Track::Cn(self.rank);
+        let req = self.open.sim.mint_req();
+        let cn = Track::Cn(self.open.rank);
         let wlen = data.len() as u64;
-        self.sim
+        self.open
+            .sim
             .emit(|| ev(cn, EventKind::WriteStart, req, offset, wlen));
-        let shared = self.nprocs > 1;
-        let policy = self.params.data_policy;
-        let mut legs = self.params.legs.writes.take();
-        for sreq in self.meta.attrs.requests(offset, wlen) {
+        let shared = self.open.nprocs > 1;
+        let policy = self.open.params.data_policy;
+        let mut legs = self.open.params.legs.writes.take();
+        for sreq in self.open.meta.attrs.requests(offset, wlen) {
             let slot = sreq.slot as u16;
             // Gather the logical pieces into one contiguous slot buffer.
             // A single piece is already contiguous — share the slice.
-            let su = self.meta.attrs.stripe_unit;
+            let su = self.open.meta.attrs.stripe_unit;
             let payload = if sreq.slot_offset % su + sreq.len <= su {
                 let at = sreq.logical_offset as usize;
                 data.slice(at..at + sreq.len as usize)
             } else {
                 let mut buf = BytesMut::zeroed(sreq.len as usize);
-                for p in self.meta.attrs.pieces(sreq) {
+                for p in self.open.meta.attrs.pieces(sreq) {
                     let dst_at = (p.slot_offset - sreq.slot_offset) as usize;
                     let src_at = p.logical_offset as usize;
                     #[expect(
@@ -581,7 +609,7 @@ impl PfsFile {
             // safe — and so is fanning the same payload to every copy.
             // The replica table always keeps a readable copy; a slot
             // without one fails the write.
-            self.meta.with_replicas(slot, |copies| {
+            self.open.meta.with_replicas(slot, |copies| {
                 let copies = copies.iter().filter(|c| c.ready);
                 let n = copies.clone().count();
                 if n == 0 {
@@ -589,19 +617,16 @@ impl PfsFile {
                 }
                 for (k, copy) in copies.enumerate() {
                     let dst = self.io_node(copy.ion, slot)?;
-                    let rpc = self.rpc.clone();
                     let msg = PfsRequest::Write(SlotWrite {
                         req,
-                        file: self.meta.id,
+                        file: self.open.meta.id,
                         slot,
                         offset: sreq.slot_offset,
                         data: payload.clone(),
                         shared,
                     });
-                    let leg = self.sim.spawn_named("pfs-write-leg", async move {
-                        rpc.call_policy(dst, msg, policy).await
-                    });
-                    legs.push((k, n, leg));
+                    let leg = self.open.rpc.call_policy(dst, msg, policy);
+                    legs.push((k, n, self.open.sim.spawn_named("pfs-write-leg", leg)));
                 }
                 Ok::<_, PfsError>(())
             })??;
@@ -637,11 +662,12 @@ impl PfsFile {
                 first_err.get_or_insert(leg_err.take().unwrap_or(PfsError::BadReply));
             }
         }
-        self.params.legs.writes.give(legs);
+        self.open.params.legs.writes.give(legs);
         if let Some(e) = first_err {
             return Err(e);
         }
-        self.sim
+        self.open
+            .sim
             .emit(|| ev(cn, EventKind::WriteDone, req, offset, wlen));
         Ok(())
     }
@@ -651,12 +677,15 @@ impl PfsFile {
     /// a shared open rewinds).
     pub async fn rewind(&self) -> Result<(), PfsError> {
         {
-            let mut st = self.state.borrow_mut();
+            let mut st = self.open.state.borrow_mut();
             st.round = 0;
             st.local_offset = 0;
         }
-        if self.mode.shared_pointer() {
-            self.ptr(PtrRequest::Rewind { file: self.meta.id }).await?;
+        if self.open.mode.shared_pointer() {
+            self.ptr(PtrRequest::Rewind {
+                file: self.open.meta.id,
+            })
+            .await?;
         }
         Ok(())
     }

@@ -89,10 +89,7 @@ impl ParallelFs {
                 registry.clone(),
             );
             servers.push(server.clone());
-            rpc.serve(machine.io_node(i), move |_src, req| {
-                let server = server.clone();
-                async move { server.handle(req).await }
-            });
+            rpc.serve(machine.io_node(i), move |_src, req| server.handle(req));
         }
 
         let ptr = PointerServer::new(&sim, calib.pointer_op);

@@ -9,6 +9,8 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
+use std::future::Future;
+use std::ops::Deref;
 use std::rc::Rc;
 
 use bytes::Bytes;
@@ -63,9 +65,13 @@ struct GlobalEntry {
     remaining: Rc<std::cell::Cell<u16>>,
 }
 
-/// One I/O node's PFS server.
+/// One I/O node's PFS server. Clone freely: a clone is one `Rc` count
+/// bump.
 #[derive(Clone)]
-pub(crate) struct IonServer {
+pub(crate) struct IonServer(Rc<Server>);
+
+/// What every clone of an [`IonServer`] shares.
+pub(crate) struct Server {
     sim: Sim,
     ufs: Ufs,
     ion_index: usize,
@@ -83,6 +89,13 @@ pub(crate) struct IonServer {
     busy_ns: Rc<Cell<u64>>,
 }
 
+impl Deref for IonServer {
+    type Target = Server;
+    fn deref(&self) -> &Server {
+        &self.0
+    }
+}
+
 impl IonServer {
     /// Create the server for I/O node `ion_index`.
     pub(crate) fn new(
@@ -94,7 +107,7 @@ impl IonServer {
     ) -> Self {
         let rng = sim.rng(&format!("pfs-server.{ion_index}"));
         let threads = Semaphore::new(params.threads.max(1));
-        IonServer {
+        IonServer(Rc::new(Server {
             sim: sim.clone(),
             ufs,
             ion_index,
@@ -106,7 +119,7 @@ impl IonServer {
             threads,
             inflight: Rc::new(Cell::new(0)),
             busy_ns: Rc::new(Cell::new(0)),
-        }
+        }))
     }
 
     /// Counter snapshot.
@@ -131,21 +144,26 @@ impl IonServer {
     }
 
     /// Service one request. Installed as this node's RPC handler.
-    pub(crate) async fn handle(&self, request: PfsRequest) -> PfsResponse {
-        self.inflight.set(self.inflight.get() + 1);
-        let resp = self.handle_inner(request).await;
-        self.inflight.set(self.inflight.get() - 1);
-        resp
+    /// The future owns a clone of this handle and the request, each
+    /// stored once, so it is spawned as is.
+    pub(crate) fn handle(&self, request: PfsRequest) -> impl Future<Output = PfsResponse> {
+        let this = self.clone();
+        async move {
+            this.inflight.set(this.inflight.get() + 1);
+            let resp = this.handle_inner(&request).await;
+            this.inflight.set(this.inflight.get() - 1);
+            resp
+        }
     }
 
-    async fn handle_inner(&self, request: PfsRequest) -> PfsResponse {
+    async fn handle_inner(&self, request: &PfsRequest) -> PfsResponse {
         let ion = Track::Ion(self.ion_index as u16);
         match request {
             PfsRequest::Read(r) => {
                 let (req, offset, len) = (r.req, r.offset, r.len as u64);
                 self.sim
                     .emit(|| ev(ion, EventKind::ServeStart, req, offset, len));
-                let result = self.read(&r).await;
+                let result = self.read(r).await;
                 self.sim
                     .emit(|| ev(ion, EventKind::ServeDone, req, offset, len));
                 PfsResponse::Data(result)
@@ -167,7 +185,9 @@ impl IonServer {
         }
     }
 
-    async fn charge_overheads(&self, offset: u64, len: u64, shared: bool) {
+    /// The request's processing time, drawn now, as a sleep to await at
+    /// once.
+    fn charge_overheads(&self, offset: u64, len: u64, shared: bool) -> impl Future<Output = ()> {
         let mut cost = self.params.request_overhead;
         if shared {
             cost += self.params.shared_file_check;
@@ -182,7 +202,7 @@ impl IonServer {
             let f = 1.0 + self.rng.borrow_mut().range_f64(-0.25..0.25);
             cost = SimDuration::from_nanos((cost.as_nanos() as f64 * f).round() as u64);
         }
-        self.sim.sleep(cost).await;
+        self.sim.sleep(cost)
     }
 
     fn resolve(&self, file: PfsFileId, slot: u16) -> Result<paragon_ufs::InodeId, PfsError> {
@@ -198,7 +218,8 @@ impl IonServer {
     async fn read(&self, r: &SlotRead) -> Result<Bytes, PfsError> {
         self.stats.borrow_mut().reads += 1;
         if r.global_parties > 1 {
-            return self.global_read(r).await;
+            // Boxed: the other modes' reads do not carry its dedup state.
+            return Box::pin(self.global_read(r)).await;
         }
         // Occupy a server thread for the request's processing + transfer.
         let _thread = self.threads.acquire().await;
@@ -284,12 +305,14 @@ impl IonServer {
         let data = if r.fast_path {
             self.ufs.read_direct(inode, r.offset, r.len, r.req).await?
         } else {
-            self.ufs.read_cached(inode, r.offset, r.len, r.req).await?
+            // Boxed: a Fast Path read's future does not carry the buffer
+            // cache's lookups and fills.
+            Box::pin(self.ufs.read_cached(inode, r.offset, r.len, r.req)).await?
         };
         Ok(data)
     }
 
-    async fn write(&self, w: SlotWrite) -> Result<u32, PfsError> {
+    async fn write(&self, w: &SlotWrite) -> Result<u32, PfsError> {
         let _thread = self.threads.acquire().await;
         let held = self.sim.now();
         self.charge_overheads(w.offset, w.data.len() as u64, w.shared)
@@ -298,7 +321,7 @@ impl IonServer {
         let result = match self.resolve(w.file, w.slot) {
             Ok(inode) => self
                 .ufs
-                .write(inode, w.offset, w.data)
+                .write(inode, w.offset, w.data.clone())
                 .await
                 .map_err(PfsError::from),
             Err(e) => Err(e),

@@ -18,7 +18,7 @@ use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
 use crate::fault::FaultPlan;
-use crate::kernel::Kernel;
+use crate::kernel::{Kernel, TimerKey};
 use crate::rng::Rng;
 use crate::task::{new_task, JoinHandle, ReadyQueue, TaskTable};
 use crate::time::{SimDuration, SimTime};
@@ -29,13 +29,19 @@ use crate::trace::{EventBody, ReqId, Trace};
 pub struct RunReport {
     /// Virtual time when the run stopped.
     pub end_time: SimTime,
-    /// Number of timer events fired.
+    /// Number of timer events fired. A timer whose [`Sim::sleep`] future
+    /// was dropped before its deadline is cancelled and never counted.
     pub events_processed: u64,
     /// Number of wakes the executor handled: every task poll, plus each
     /// stale wake it dropped because the task had already completed. A
     /// spurious or duplicate wake adds here but fires no timer event, so
-    /// this counts executor work the trace hash cannot see.
+    /// this counts executor work the trace hash cannot see. A cancelled
+    /// timer wakes nothing, so it adds no poll either.
     pub polls: u64,
+    /// Task wakers allocated. A spawn reuses its slot's waker unless a
+    /// clone of the previous occupant's is still held somewhere (a timer,
+    /// a waiter list, a join slot), so in a steady state this stays flat.
+    pub wakers_built: u64,
     /// Tasks that were spawned but never completed (deadlocked or still
     /// waiting when the horizon was reached). Zero for a clean run.
     pub unfinished_tasks: usize,
@@ -146,30 +152,28 @@ impl Sim {
     pub(crate) fn sleep_until(&self, deadline: SimTime) -> Sleep {
         Sleep {
             sim: self.clone(),
-            deadline,
-            scheduled: false,
+            timer: Timer::Unregistered(deadline),
         }
     }
 
-    /// Run `fut` but give up after `d` of virtual time. Returns `None` on
-    /// timeout (the inner future is dropped, cancelling whatever it owned).
-    pub async fn timeout<F, T>(&self, d: SimDuration, fut: F) -> Option<T>
-    where
-        F: Future<Output = T>,
-    {
-        let sleep = self.sleep(d);
-        let mut sleep = std::pin::pin!(sleep);
-        let mut fut = std::pin::pin!(fut);
-        std::future::poll_fn(move |cx| {
-            if let Poll::Ready(v) = fut.as_mut().poll(cx) {
-                return Poll::Ready(Some(v));
-            }
-            if sleep.as_mut().poll(cx).is_ready() {
-                return Poll::Ready(None);
-            }
-            Poll::Pending
-        })
-        .await
+    /// Run `fut` but give up `d` of virtual time from now. Resolves to
+    /// `None` on timeout (the inner future is dropped, cancelling whatever
+    /// it owned) and to `Some` of `fut`'s output if it finishes first;
+    /// then, or whenever the timeout is dropped early, its timer is
+    /// cancelled, so a timeout that did not fire leaves no event behind.
+    /// Each poll polls `fut` first. The returned future stores `fut` once,
+    /// beside one [`Sim::sleep`] future.
+    pub fn timeout<F: Future>(&self, d: SimDuration, fut: F) -> Timeout<F> {
+        Timeout {
+            fut,
+            sleep: self.sleep(d),
+        }
+    }
+
+    /// The instant of the earliest timer that will still fire, or `None`
+    /// when none is queued. Cancelled timers do not count.
+    pub fn next_event_time(&self) -> Option<SimTime> {
+        self.world.kernel.borrow_mut().next_event_time()
     }
 
     /// Drive the world until no task can make progress (clean completion or
@@ -186,18 +190,10 @@ impl Sim {
     fn run_inner(&self, horizon: SimTime) -> RunReport {
         loop {
             self.drain_ready();
-            let next = self.world.kernel.borrow().next_event_time();
-            match next {
-                Some(t) if t <= horizon => {
-                    let waker = self
-                        .world
-                        .kernel
-                        .borrow_mut()
-                        .fire_next()
-                        .expect("heap entry vanished");
-                    waker.wake();
-                }
-                _ => break,
+            let waker = self.world.kernel.borrow_mut().fire_next(horizon);
+            match waker {
+                Some(waker) => waker.wake(),
+                None => break,
             }
         }
         self.report()
@@ -211,6 +207,7 @@ impl Sim {
             end_time: kernel.now,
             events_processed: kernel.events_processed,
             polls: tasks.polls,
+            wakers_built: tasks.wakers_built,
             unfinished_tasks: tasks.len(),
             trace_hash: kernel.trace_hash,
         }
@@ -230,6 +227,12 @@ impl Sim {
     /// deadlock triage.
     pub fn pending_task_labels(&self) -> Vec<&'static str> {
         self.world.tasks.borrow().live_labels()
+    }
+
+    /// Label and size in bytes of the future of each task that has not
+    /// completed, in spawn order: what its spawn moved into its cell.
+    pub fn pending_task_sizes(&self) -> Vec<(&'static str, usize)> {
+        self.world.tasks.borrow().live_future_sizes()
     }
 
     /// Poll woken tasks until the ready ring is empty.
@@ -271,11 +274,11 @@ impl Sim {
         }
     }
 
-    pub(crate) fn schedule_wake(&self, deadline: SimTime, waker: Waker) {
+    pub(crate) fn schedule_wake(&self, deadline: SimTime, waker: Waker) -> TimerKey {
         self.world
             .kernel
             .borrow_mut()
-            .schedule_wake(deadline, waker);
+            .schedule_wake(deadline, waker)
     }
 }
 
@@ -290,28 +293,76 @@ pub(crate) fn derive_seed(base: u64, label: &str) -> u64 {
 }
 
 /// Timer future returned by [`Sim::sleep`].
+///
+/// The first poll registers a kernel timer at the deadline. Dropping the
+/// `Sleep` cancels that timer if it has not fired: it is not counted,
+/// hashed or woken, and its waker clone is dropped at once.
 pub struct Sleep {
     sim: Sim,
-    deadline: SimTime,
-    scheduled: bool,
+    timer: Timer,
+}
+
+/// A [`Sleep`]'s deadline, then its kernel registration.
+enum Timer {
+    Unregistered(SimTime),
+    /// Its `time` is the deadline, clamped to the registration instant:
+    /// the clock passes one exactly when it passes the other.
+    Registered(TimerKey),
 }
 
 impl Future for Sleep {
     type Output = ();
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        // Always take at least one trip through the event heap, so that a
-        // zero-length sleep still yields to other runnable tasks.
-        if !self.scheduled {
-            self.scheduled = true;
-            let deadline = self.deadline;
-            self.sim.schedule_wake(deadline, cx.waker().clone());
-            return Poll::Pending;
+        match self.timer {
+            // Always take at least one trip through the event heap, so
+            // that a zero-length sleep still yields to other runnable
+            // tasks.
+            Timer::Unregistered(deadline) => {
+                let key = self.sim.schedule_wake(deadline, cx.waker().clone());
+                self.timer = Timer::Registered(key);
+                Poll::Pending
+            }
+            Timer::Registered(key) if self.sim.now() >= key.time => Poll::Ready(()),
+            Timer::Registered(_) => Poll::Pending,
         }
-        if self.sim.now() >= self.deadline {
-            Poll::Ready(())
-        } else {
-            Poll::Pending
+    }
+}
+
+impl Drop for Sleep {
+    fn drop(&mut self) {
+        if let Timer::Registered(key) = self.timer {
+            self.sim.world.kernel.borrow_mut().cancel(key);
         }
+    }
+}
+
+/// Future returned by [`Sim::timeout`]: `fut` raced against a [`Sleep`].
+pub struct Timeout<F> {
+    fut: F,
+    sleep: Sleep,
+}
+
+#[expect(
+    unsafe_code,
+    reason = "pin projection to the raced future, which is stored inline instead of boxed"
+)]
+impl<F: Future> Future for Timeout<F> {
+    type Output = Option<F::Output>;
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
+        // SAFETY: `fut` is structurally pinned: it is never moved out of a
+        // `Timeout` or handed out unpinned, `Timeout` has no `Drop` impl,
+        // and `Timeout<F>` is `Unpin` only when `F` is. `sleep` is `Unpin`
+        // and is not pinned.
+        let this = unsafe { self.get_unchecked_mut() };
+        // SAFETY: as above; `this` came from a pinned `Timeout`.
+        let fut = unsafe { Pin::new_unchecked(&mut this.fut) };
+        if let Poll::Ready(v) = fut.poll(cx) {
+            return Poll::Ready(Some(v));
+        }
+        if Pin::new(&mut this.sleep).poll(cx).is_ready() {
+            return Poll::Ready(None);
+        }
+        Poll::Pending
     }
 }
 
@@ -401,10 +452,70 @@ mod tests {
         });
         let report = sim.run();
         assert_eq!(h.try_take(), Some(None));
-        // The world must not have run to the 10 s deadline: the slow sleep
-        // was dropped, but its heap entry still fires (harmlessly) at 10 s.
-        // What matters is the timeout resolved at 1 s.
-        assert!(report.end_time >= SimTime::ZERO + SimDuration::from_secs(1));
+        // The timeout fired at 1 s and dropped the slow sleep, which
+        // cancelled its 10 s timer: the world stops at 1 s, one event in.
+        assert_eq!(report.end_time, SimTime::ZERO + SimDuration::from_secs(1));
+        assert_eq!(report.events_processed, 1);
+    }
+
+    #[test]
+    fn a_dropped_sleep_never_fires() {
+        let sim = Sim::new(1);
+        let s = sim.clone();
+        sim.spawn(async move {
+            let mut early = Box::pin(s.sleep(SimDuration::from_secs(5)));
+            // Register its timer, then drop it well before its deadline.
+            std::future::poll_fn(|cx| {
+                assert!(early.as_mut().poll(cx).is_pending());
+                Poll::Ready(())
+            })
+            .await;
+            assert_eq!(
+                s.next_event_time(),
+                Some(SimTime::ZERO + SimDuration::from_secs(5))
+            );
+            drop(early);
+            assert_eq!(s.next_event_time(), None);
+            s.sleep(SimDuration::from_secs(1)).await;
+        });
+        let report = sim.run();
+        assert_eq!(report.end_time, SimTime::ZERO + SimDuration::from_secs(1));
+        assert_eq!(report.events_processed, 1);
+        // The spawn's poll and the 1 s wake: the cancelled timer woke no one.
+        assert_eq!(report.polls, 2);
+        assert_eq!(report.unfinished_tasks, 0);
+    }
+
+    #[test]
+    fn a_timeout_whose_future_wins_leaves_no_timer() {
+        let sim = Sim::new(1);
+        let s = sim.clone();
+        let h = sim.spawn(async move {
+            let fast = s.sleep(SimDuration::from_millis(3));
+            s.timeout(SimDuration::from_secs(10), fast).await
+        });
+        let report = sim.run_until(SimTime::ZERO + SimDuration::from_secs(1));
+        assert_eq!(h.try_take(), Some(Some(())));
+        assert_eq!(sim.next_event_time(), None);
+        assert_eq!(report.end_time, SimTime::ZERO + SimDuration::from_millis(3));
+        assert_eq!(report.events_processed, 1);
+    }
+
+    #[test]
+    fn a_timeout_tied_with_its_future_yields_the_value_and_one_event() {
+        // The future's timer registers first (it is polled first), so at
+        // the shared deadline it fires first; the timeout's own timer, due
+        // at that same instant, is cancelled unfired.
+        let sim = Sim::new(1);
+        let s = sim.clone();
+        let h = sim.spawn(async move {
+            let d = SimDuration::from_millis(2);
+            s.timeout(d, s.sleep(d)).await
+        });
+        let report = sim.run();
+        assert_eq!(h.try_take(), Some(Some(())));
+        assert_eq!(report.end_time, SimTime::ZERO + SimDuration::from_millis(2));
+        assert_eq!(report.events_processed, 1);
     }
 
     #[test]

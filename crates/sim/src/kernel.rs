@@ -15,6 +15,21 @@
 //! hash. Most far deadlines (every RPC attempt timeout is `now + 10 s`)
 //! arrive in deadline order, so they queue in the lane at O(1) and never
 //! sift through the heap.
+//!
+//! A registration can be cancelled: [`Kernel::schedule_wake`] returns a
+//! [`TimerKey`], and [`Kernel::cancel`] drops the registered waker at once.
+//! Entries leave in `(time, seq)` order, so one comparison with the last
+//! fired key tells whether the entry is still queued. The lane is sorted
+//! on `seq` too, so a cancel there is a binary search that leaves the
+//! entry as a tombstone; a heap entry (rarely cancelled: near deadlines
+//! mostly fire) is removed outright. [`Kernel::fire_next`]
+//! and [`Kernel::next_event_time`] pop tombstones without counting or
+//! hashing them, advancing the clock or waking anything, and every
+//! surviving entry keeps the `(time, seq)` it was registered with: the
+//! event stream is exactly the one without the cancelled registrations.
+//! A [`Sleep`](crate::executor::Sleep) cancels its entry when it is
+//! dropped, so a timeout whose future wins (every healthy RPC attempt)
+//! leaves no event behind.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, VecDeque};
@@ -22,12 +37,13 @@ use std::task::Waker;
 
 use crate::time::SimTime;
 
-/// A scheduled wake. Ordered on `(time, seq)` only: `seq` is unique, so no
-/// two entries compare equal and the waker never takes part in ordering.
+/// A scheduled wake, or a tombstone once cancelled (`waker` is `None`; only
+/// the lane holds those). Ordered on `(time, seq)` only: `seq` is unique, so
+/// no two entries compare equal and the waker never takes part in ordering.
 struct Entry {
     time: SimTime,
     seq: u64,
-    waker: Waker,
+    waker: Option<Waker>,
 }
 
 impl Entry {
@@ -56,13 +72,26 @@ impl Ord for Entry {
     }
 }
 
+/// Names one registration for [`Kernel::cancel`]: its `(time, seq)` (the
+/// deadline clamped to the registration instant), and whether it went to
+/// the lane.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct TimerKey {
+    pub(crate) time: SimTime,
+    seq: u64,
+    in_lane: bool,
+}
+
 /// Event queue + virtual clock. Owned by the executor behind a `RefCell`.
 pub(crate) struct Kernel {
     pub(crate) now: SimTime,
     seq: u64,
     heap: BinaryHeap<Reverse<Entry>>,
-    /// Sorted on `(time, seq)`: see the module docs.
+    /// Sorted on `(time, seq)`, and so on `seq`: see the module docs.
     lane: VecDeque<Entry>,
+    /// `(time, seq)` of the last entry fired: every entry at or below it
+    /// has left the queue.
+    last_fired: Option<(SimTime, u64)>,
     pub(crate) events_processed: u64,
     /// FNV-1a hash folded over every `(time, seq)` fired; lets tests assert
     /// that two runs with the same seed took the identical event path.
@@ -76,25 +105,57 @@ impl Kernel {
             seq: 0,
             heap: BinaryHeap::new(),
             lane: VecDeque::new(),
+            last_fired: None,
             events_processed: 0,
             trace_hash: 0xcbf2_9ce4_8422_2325,
         }
     }
 
     /// Register `waker` to fire at `deadline` (clamped to not be in the past).
-    pub(crate) fn schedule_wake(&mut self, deadline: SimTime, waker: Waker) {
+    pub(crate) fn schedule_wake(&mut self, deadline: SimTime, waker: Waker) -> TimerKey {
         let time = deadline.max(self.now);
         let seq = self.seq;
         self.seq += 1;
-        let entry = Entry { time, seq, waker };
-        match self.lane.back() {
-            Some(last) if time < last.time => self.heap.push(Reverse(entry)),
-            _ => self.lane.push_back(entry),
+        let entry = Entry {
+            time,
+            seq,
+            waker: Some(waker),
+        };
+        let in_lane = self.lane.back().is_none_or(|last| time >= last.time);
+        if in_lane {
+            self.lane.push_back(entry);
+        } else {
+            self.heap.push(Reverse(entry));
+        }
+        TimerKey { time, seq, in_lane }
+    }
+
+    /// Cancel the registration `key` and drop its waker now. A no-op when
+    /// the entry already fired or was cancelled.
+    pub(crate) fn cancel(&mut self, key: TimerKey) {
+        if self
+            .last_fired
+            .is_some_and(|last| (key.time, key.seq) <= last)
+        {
+            return;
+        }
+        if key.in_lane {
+            if let Ok(at) = self.lane.binary_search_by_key(&key.seq, |e| e.seq) {
+                if let Some(entry) = self.lane.get_mut(at) {
+                    entry.waker = None;
+                }
+            }
+        } else {
+            self.heap.retain(|Reverse(e)| e.seq != key.seq);
         }
     }
 
-    /// The earliest pending entry, and whether it is the lane's front.
-    fn peek(&self) -> Option<(&Entry, bool)> {
+    /// Drop the tombstones at the lane's front, then return the earliest
+    /// entry and whether it is the lane's front.
+    fn peek_live(&mut self) -> Option<(&Entry, bool)> {
+        while self.lane.front().is_some_and(|e| e.waker.is_none()) {
+            self.lane.pop_front();
+        }
         match (self.heap.peek(), self.lane.front()) {
             (Some(Reverse(h)), Some(l)) if h < l => Some((h, false)),
             (_, Some(l)) => Some((l, true)),
@@ -103,13 +164,18 @@ impl Kernel {
         }
     }
 
-    pub(crate) fn next_event_time(&self) -> Option<SimTime> {
-        self.peek().map(|(e, _)| e.time)
+    /// The instant of the earliest live entry.
+    pub(crate) fn next_event_time(&mut self) -> Option<SimTime> {
+        self.peek_live().map(|(e, _)| e.time)
     }
 
-    /// Pop the earliest entry, advance the clock, and return its waker.
-    pub(crate) fn fire_next(&mut self) -> Option<Waker> {
-        let (_, from_lane) = self.peek()?;
+    /// Pop the earliest live entry if it is due by `horizon`, advance the
+    /// clock, and return its waker.
+    pub(crate) fn fire_next(&mut self, horizon: SimTime) -> Option<Waker> {
+        let (entry, from_lane) = self.peek_live()?;
+        if entry.time > horizon {
+            return None;
+        }
         let entry = if from_lane {
             self.lane.pop_front()
         } else {
@@ -118,10 +184,11 @@ impl Kernel {
         let Entry { time, seq, waker } = entry?;
         debug_assert!(time >= self.now, "event queue went backwards");
         self.now = time;
+        self.last_fired = Some((time, seq));
         self.events_processed += 1;
         self.fold_trace(time.as_nanos());
         self.fold_trace(seq);
-        Some(waker)
+        waker
     }
 
     fn fold_trace(&mut self, v: u64) {
@@ -152,13 +219,13 @@ mod tests {
         k.schedule_wake(SimTime::from_nanos(10), w.clone());
         k.schedule_wake(SimTime::from_nanos(10), w);
         // First fire: earliest time.
-        k.fire_next().unwrap();
+        k.fire_next(SimTime::MAX).unwrap();
         assert_eq!(k.now, SimTime::from_nanos(10));
-        k.fire_next().unwrap();
+        k.fire_next(SimTime::MAX).unwrap();
         assert_eq!(k.now, SimTime::from_nanos(10));
-        k.fire_next().unwrap();
+        k.fire_next(SimTime::MAX).unwrap();
         assert_eq!(k.now, SimTime::from_nanos(20));
-        assert!(k.fire_next().is_none());
+        assert!(k.fire_next(SimTime::MAX).is_none());
         assert_eq!(k.events_processed, 3);
     }
 
@@ -167,11 +234,11 @@ mod tests {
         let mut k = Kernel::new();
         let w = waker();
         k.schedule_wake(SimTime::from_nanos(100), w.clone());
-        k.fire_next().unwrap();
+        k.fire_next(SimTime::MAX).unwrap();
         assert_eq!(k.now, SimTime::from_nanos(100));
         // Deadline in the past must not move the clock backwards.
         k.schedule_wake(SimTime::from_nanos(5), w);
-        k.fire_next().unwrap();
+        k.fire_next(SimTime::MAX).unwrap();
         assert_eq!(k.now, SimTime::from_nanos(100));
     }
 
@@ -181,12 +248,12 @@ mod tests {
         let mut a = Kernel::new();
         a.schedule_wake(SimTime::from_nanos(1), w.clone());
         a.schedule_wake(SimTime::from_nanos(2), w.clone());
-        while a.fire_next().is_some() {}
+        while a.fire_next(SimTime::MAX).is_some() {}
 
         let mut b = Kernel::new();
         b.schedule_wake(SimTime::from_nanos(2), w.clone());
         b.schedule_wake(SimTime::from_nanos(1), w);
-        while b.fire_next().is_some() {}
+        while b.fire_next(SimTime::MAX).is_some() {}
 
         // Same events, different registration order: seq numbers differ, so
         // the traces differ. (Determinism tests compare equal-seed runs.)
@@ -200,12 +267,12 @@ mod tests {
         let mut k = Kernel::new();
         let w = waker();
         k.schedule_wake(SimTime::from_nanos(1_000), w.clone());
-        k.fire_next().unwrap();
+        k.fire_next(SimTime::MAX).unwrap();
         let mut hashes = Vec::new();
         for _ in 0..50 {
             k.schedule_wake(SimTime::ZERO, w.clone());
         }
-        while k.fire_next().is_some() {
+        while k.fire_next(SimTime::MAX).is_some() {
             hashes.push(k.trace_hash);
             assert_eq!(k.now, SimTime::from_nanos(1_000));
         }
@@ -237,7 +304,7 @@ mod tests {
             let mut far = 0u64;
             for _ in 0..rng.range_u64(1..400) {
                 if rng.range_u64(0..3) == 0 {
-                    let fired = k.fire_next().is_some();
+                    let fired = k.fire_next(SimTime::MAX).is_some();
                     let min = pending.iter().enumerate().min_by_key(|(_, e)| **e);
                     let Some((i, &(time, s))) = min else {
                         assert!(!fired, "case {case}: fired from an empty queue");
@@ -274,7 +341,7 @@ mod tests {
                 pending.push((deadline.max(k.now), seq));
                 seq += 1;
             }
-            while k.fire_next().is_some() {
+            while k.fire_next(SimTime::MAX).is_some() {
                 let min = pending.iter().enumerate().min_by_key(|(_, e)| **e);
                 let (i, &(time, s)) = min.expect("the kernel fired an entry the model lacks");
                 pending.swap_remove(i);

@@ -135,6 +135,9 @@ pub(crate) trait Runnable {
 
     /// Drop the future in place (world shutdown).
     fn cancel(&self);
+
+    /// Bytes the spawned future occupies in the cell.
+    fn future_size(&self) -> usize;
 }
 
 /// A [`JoinHandle`]'s view of a task.
@@ -205,6 +208,10 @@ impl<F: Future> Runnable for TaskCell<F> {
 
     fn cancel(&self) {
         *self.stage.borrow_mut() = Stage::Done;
+    }
+
+    fn future_size(&self) -> usize {
+        std::mem::size_of::<F>()
     }
 }
 
@@ -302,6 +309,8 @@ pub(crate) struct TaskTable {
     live: usize,
     /// Wakes handled: task polls plus dropped stale wakes.
     pub(crate) polls: u64,
+    /// `TaskWaker`s allocated by [`TaskTable::insert`].
+    pub(crate) wakers_built: u64,
 }
 
 impl TaskTable {
@@ -339,7 +348,8 @@ impl TaskTable {
                 slot.waker = Some(Rc::new(TaskWaker {
                     id,
                     ready: ready.clone(),
-                }))
+                }));
+                self.wakers_built += 1;
             }
         }
         self.next_spawn += 1;
@@ -392,13 +402,24 @@ impl TaskTable {
 
     /// Labels of live tasks, in spawn order.
     pub(crate) fn live_labels(&self) -> Vec<&'static str> {
-        let mut live: Vec<(u64, &'static str)> = self
-            .slots
-            .iter()
-            .filter(|s| s.live)
-            .map(|s| (s.spawn_seq, s.label))
-            .collect();
-        live.sort_unstable();
-        live.into_iter().map(|(_, label)| label).collect()
+        self.live_in_spawn_order()
+            .into_iter()
+            .map(|s| s.label)
+            .collect()
+    }
+
+    /// Label and future size of each live task that is not being polled,
+    /// in spawn order.
+    pub(crate) fn live_future_sizes(&self) -> Vec<(&'static str, usize)> {
+        self.live_in_spawn_order()
+            .into_iter()
+            .filter_map(|s| Some((s.label, s.task.as_ref()?.future_size())))
+            .collect()
+    }
+
+    fn live_in_spawn_order(&self) -> Vec<&TaskSlot> {
+        let mut live: Vec<&TaskSlot> = self.slots.iter().filter(|s| s.live).collect();
+        live.sort_unstable_by_key(|s| s.spawn_seq);
+        live
     }
 }

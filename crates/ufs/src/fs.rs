@@ -16,6 +16,7 @@
 //! ever holds clean blocks.
 
 use std::cell::RefCell;
+use std::future::Future;
 use std::rc::Rc;
 
 use bytes::{Bytes, BytesMut};
@@ -210,47 +211,56 @@ impl Ufs {
     /// Write at `offset`, growing the file as needed. The data goes to disk
     /// whatever the read path; cached copies of the overwritten blocks are
     /// purged.
-    pub async fn write(&self, id: InodeId, offset: u64, data: Bytes) -> Result<(), UfsError> {
-        if data.is_empty() {
-            return Ok(());
-        }
-        let end = offset + data.len() as u64;
-        self.ensure_mapped(id, end)?;
-        let bs = self.bs();
-        let first_block = offset / bs;
-        let last_block = (end - 1) / bs;
-        // Issue per-run device writes concurrently. Partial first/last
-        // blocks are handled by writing at the exact byte offset; the
-        // sparse store underneath merges correctly.
-        let mut legs = self.inner.borrow().write_legs.take();
-        {
-            let mut inner = self.inner.borrow_mut();
-            let inner = &mut *inner;
-            let inode = inner.inodes.get_mut(id).ok_or(UfsError::NotFound)?;
-            inode.size = inode.size.max(end);
-            inner.stats.bytes_written += data.len() as u64;
-            let runs = inode
-                .map_blocks(first_block, last_block - first_block + 1)
-                .ok_or(UfsError::Unmapped { block: first_block })?;
-            for run in runs {
-                let (piece, disk_off) = self.slice_for_run(&run, offset, &data);
-                let raid = self.raid.clone();
-                legs.push(self.sim.spawn_named("ufs-write-run", async move {
-                    raid.write(disk_off, piece).await
-                }));
+    #[expect(
+        clippy::manual_async_fn,
+        reason = "an async fn stores each argument twice; the block owns them once"
+    )]
+    pub fn write(
+        &self,
+        id: InodeId,
+        offset: u64,
+        data: Bytes,
+    ) -> impl Future<Output = Result<(), UfsError>> + '_ {
+        async move {
+            if data.is_empty() {
+                return Ok(());
             }
-            inner.stats.disk_requests += legs.len() as u64;
+            let end = offset + data.len() as u64;
+            self.ensure_mapped(id, end)?;
+            let bs = self.bs();
+            let first_block = offset / bs;
+            let last_block = (end - 1) / bs;
+            // Issue per-run device writes concurrently. Partial first/last
+            // blocks are handled by writing at the exact byte offset; the
+            // sparse store underneath merges correctly.
+            let mut legs = self.inner.borrow().write_legs.take();
+            {
+                let mut inner = self.inner.borrow_mut();
+                let inner = &mut *inner;
+                let inode = inner.inodes.get_mut(id).ok_or(UfsError::NotFound)?;
+                inode.size = inode.size.max(end);
+                inner.stats.bytes_written += data.len() as u64;
+                let runs = inode
+                    .map_blocks(first_block, last_block - first_block + 1)
+                    .ok_or(UfsError::Unmapped { block: first_block })?;
+                for run in runs {
+                    let (piece, disk_off) = self.slice_for_run(&run, offset, &data);
+                    let run = self.raid.write(disk_off, piece);
+                    legs.push(self.sim.spawn_named("ufs-write-run", run));
+                }
+                inner.stats.disk_requests += legs.len() as u64;
+            }
+            for h in legs.drain(..) {
+                h.await.map_err(UfsError::Disk)?;
+            }
+            self.inner.borrow().write_legs.give(legs);
+            // Keep the cache coherent: drop the blocks we overwrote.
+            let mut inner = self.inner.borrow_mut();
+            for block in first_block..=last_block {
+                inner.cache.purge_block(BlockKey { inode: id, block });
+            }
+            Ok(())
         }
-        for h in legs.drain(..) {
-            h.await.map_err(UfsError::Disk)?;
-        }
-        self.inner.borrow().write_legs.give(legs);
-        // Keep the cache coherent: drop the blocks we overwrote.
-        let mut inner = self.inner.borrow_mut();
-        for block in first_block..=last_block {
-            inner.cache.purge_block(BlockKey { inode: id, block });
-        }
-        Ok(())
     }
 
     /// Byte slice of `data` covered by `run`, plus the device byte offset
@@ -272,73 +282,76 @@ impl Ufs {
     /// down to the per-spindle DiskStart/DiskDone events. Like POSIX
     /// `read(fd, buf, 0)`, a zero-length read returns empty and does
     /// nothing; so does one through [`Ufs::read_cached`].
-    pub async fn read_direct(
+    #[expect(
+        clippy::manual_async_fn,
+        reason = "an async fn stores each argument twice; the block owns them once"
+    )]
+    pub fn read_direct(
         &self,
         id: InodeId,
         offset: u64,
         len: u32,
         req: ReqId,
-    ) -> Result<Bytes, UfsError> {
-        if len == 0 {
-            return Ok(Bytes::new());
-        }
-        self.check_bounds(id, offset, len)?;
-        let bs = self.bs();
-        let end = offset + len as u64;
-        let first_block = offset / bs;
-        let last_block = (end - 1) / bs;
-        let mut legs = self.inner.borrow().read_legs.take();
-        {
-            let mut inner = self.inner.borrow_mut();
-            let inner = &mut *inner;
-            let inode = inner.inodes.get(id).ok_or(UfsError::NotFound)?;
-            let runs = inode
-                .map_blocks(first_block, last_block - first_block + 1)
-                .ok_or(UfsError::Unmapped { block: first_block })?;
-            for run in runs {
-                let run_start_byte = run.file_block * bs;
-                let run_end_byte = (run.file_block + run.len) * bs;
-                let lo = run_start_byte.max(offset);
-                let hi = run_end_byte.min(end);
-                let disk_off = run.disk_block * bs + (lo - run_start_byte);
-                let raid = self.raid.clone();
-                let plen = (hi - lo) as u32;
-                legs.push((
-                    (lo - offset) as usize,
-                    self.sim.spawn_named("ufs-read-run", async move {
-                        raid.read(disk_off, plen, req).await
-                    }),
-                ));
+    ) -> impl Future<Output = Result<Bytes, UfsError>> + '_ {
+        async move {
+            if len == 0 {
+                return Ok(Bytes::new());
             }
-            let stats = &mut inner.stats;
-            stats.direct_reads += 1;
-            stats.bytes_read += len as u64;
-            stats.disk_requests += legs.len() as u64;
-            stats.blocks_coalesced += last_block - first_block + 1 - legs.len() as u64;
-        }
-        // Zero-copy fast path: a single device run covers the whole byte
-        // range, so its reply *is* the result — no gather buffer. The run
-        // still goes through the same spawned task as the general path so
-        // event interleaving (and the trace hash) is unchanged.
-        if matches!(legs.as_slice(), [(0, _)]) {
-            if let Some((_, h)) = legs.pop() {
+            self.check_bounds(id, offset, len)?;
+            let bs = self.bs();
+            let end = offset + len as u64;
+            let first_block = offset / bs;
+            let last_block = (end - 1) / bs;
+            let mut legs = self.inner.borrow().read_legs.take();
+            {
+                let mut inner = self.inner.borrow_mut();
+                let inner = &mut *inner;
+                let inode = inner.inodes.get(id).ok_or(UfsError::NotFound)?;
+                let runs = inode
+                    .map_blocks(first_block, last_block - first_block + 1)
+                    .ok_or(UfsError::Unmapped { block: first_block })?;
+                for run in runs {
+                    let run_start_byte = run.file_block * bs;
+                    let run_end_byte = (run.file_block + run.len) * bs;
+                    let lo = run_start_byte.max(offset);
+                    let hi = run_end_byte.min(end);
+                    let disk_off = run.disk_block * bs + (lo - run_start_byte);
+                    let run = self.raid.read(disk_off, (hi - lo) as u32, req);
+                    legs.push((
+                        (lo - offset) as usize,
+                        self.sim.spawn_named("ufs-read-run", run),
+                    ));
+                }
+                let stats = &mut inner.stats;
+                stats.direct_reads += 1;
+                stats.bytes_read += len as u64;
+                stats.disk_requests += legs.len() as u64;
+                stats.blocks_coalesced += last_block - first_block + 1 - legs.len() as u64;
+            }
+            // Zero-copy fast path: a single device run covers the whole byte
+            // range, so its reply *is* the result — no gather buffer. The run
+            // still goes through the same spawned task as the general path so
+            // event interleaving (and the trace hash) is unchanged.
+            if matches!(legs.as_slice(), [(0, _)]) {
+                if let Some((_, h)) = legs.pop() {
+                    let data = h.await.map_err(UfsError::Disk)?;
+                    debug_assert_eq!(data.len(), len as usize);
+                    self.inner.borrow().read_legs.give(legs);
+                    return Ok(data);
+                }
+            }
+            let mut out = BytesMut::zeroed(len as usize);
+            for (at, h) in legs.drain(..) {
                 let data = h.await.map_err(UfsError::Disk)?;
-                debug_assert_eq!(data.len(), len as usize);
-                self.inner.borrow().read_legs.give(legs);
-                return Ok(data);
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "each run covers its own part of [offset, end), so at + data.len() <= len"
+                )]
+                out[at..at + data.len()].copy_from_slice(&data);
             }
+            self.inner.borrow().read_legs.give(legs);
+            Ok(out.freeze())
         }
-        let mut out = BytesMut::zeroed(len as usize);
-        for (at, h) in legs.drain(..) {
-            let data = h.await.map_err(UfsError::Disk)?;
-            #[expect(
-                clippy::indexing_slicing,
-                reason = "each run covers its own part of [offset, end), so at + data.len() <= len"
-            )]
-            out[at..at + data.len()].copy_from_slice(&data);
-        }
-        self.inner.borrow().read_legs.give(legs);
-        Ok(out.freeze())
     }
 
     /// Buffered read through the LRU cache under flight-recorder request

@@ -3,9 +3,10 @@
 # BENCHMARK.json declares, at its run_seconds. Pair k runs both binaries
 # with seed k, back to back, and alternates which one runs first, so a
 # drift of the host between runs is split evenly between the two sides.
-# For each end-to-end metric it prints both sides' median and quartiles
-# and the number of pairs in which the change did better, and it prints
-# each side's failed checks, summed over its runs.
+# For each end-to-end metric it prints both sides' median and quartiles,
+# the ratio of the change's median to the parent's, and the number of
+# pairs in which the change did better, and it prints each side's failed
+# checks, summed over its runs.
 #
 #   scripts/bench_pairs.sh PARENT_BIN CHANGE_BIN [PAIRS]   # PAIRS defaults to 10
 #
@@ -13,8 +14,11 @@
 #   cargo build --release --offline --manifest-path hostbench/Cargo.toml
 # (it lands in hostbench/target/release/hostbench). BENCH_SECONDS, when
 # set, replaces run_seconds for a quick trial; a claim cites the
-# benchmark's own run_seconds. The raw `name value unit` output of every
-# run is kept in BENCH_PAIRS_DIR (default: a fresh temporary directory).
+# benchmark's own run_seconds. BENCH_WORKLOADS, when set, is a
+# space-separated subset of BENCHMARK.json's workload names to pair
+# (default: all of them, in file order). The raw `name value unit`
+# output of every run is kept in BENCH_PAIRS_DIR (default: a fresh
+# temporary directory).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -32,6 +36,15 @@ done
 # BENCHMARK.json holds one key per line, so awk can read it directly.
 seconds=${BENCH_SECONDS:-$(awk -F'[:,]' '/"run_seconds"/ { gsub(/ /, "", $2); print $2 }' BENCHMARK.json)}
 workloads=$(awk -F'"' '/"workloads"/ { on = 1 } on && /"name"/ { print $4 } on && /^  \]/ { on = 0 }' BENCHMARK.json)
+if [[ -n ${BENCH_WORKLOADS:-} ]]; then
+    for w in $BENCH_WORKLOADS; do
+        grep -qxF -- "$w" <<<"$workloads" || {
+            echo "$0: BENCH_WORKLOADS names no workload of BENCHMARK.json: $w" >&2
+            exit 2
+        }
+    done
+    workloads=$BENCH_WORKLOADS
+fi
 # name:better for each end-to-end metric.
 metrics=$(awk -F'"' '/"end_to_end"/ { on = 1 } on && /"name"/ { print $4 ":" $12 } on && /^  \]/ { on = 0 }' BENCHMARK.json)
 
@@ -51,7 +64,7 @@ for w in $workloads; do
     done
     echo
     echo "== $w"
-    printf '%-18s %34s %34s %6s\n' metric "parent median [q1, q3]" "change median [q1, q3]" wins
+    printf '%-18s %34s %34s %7s %6s\n' metric "parent median [q1, q3]" "change median [q1, q3]" ratio wins
     for m in $metrics; do
         name=${m%%:*}
         better=${m##*:}
@@ -77,7 +90,8 @@ for w in $workloads; do
             function summary(v, n,    h) {
                 sort_values(v, n)
                 h = int(n / 2)
-                return sprintf("%.5g [%.5g, %.5g]", mid(v, 1, n), mid(v, 1, h), mid(v, n - h + 1, n))
+                median = mid(v, 1, n)
+                return sprintf("%.5g [%.5g, %.5g]", median, mid(v, 1, h), mid(v, n - h + 1, n))
             }
             { value[$1, $2] = $3; if ($1 == "parent") np++; else nc++ }
             END {
@@ -89,8 +103,10 @@ for w in $workloads; do
                     if (better == "lower" && value["change", k] < value["parent", k]) wins++
                 }
                 ps = summary(p, np)
+                pm = median
                 cs = summary(c, nc)
-                printf "%-18s %34s %34s %3d/%d\n", name, ps, cs, wins, np
+                ratio = pm == 0 ? "-" : sprintf("%.4f", median / pm)
+                printf "%-18s %34s %34s %7s %3d/%d\n", name, ps, cs, ratio, wins, np
             }'
     done
     for side in parent change; do

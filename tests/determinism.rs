@@ -9,25 +9,30 @@ use paragon::pfs::IoMode;
 use paragon::sim::SimDuration;
 use paragon::workload::{run, AccessPattern, FaultSpec, StripeLayout};
 
-/// Trace hashes of the EXT matrix captured from the *seed* scheduler (the
-/// `BinaryHeap` kernel + `BTreeMap` executor at commit 65113e2). The
-/// current kernel and slab executor must pop every event in the identical
-/// `(time, seq)` order, so these hashes are frozen: a mismatch means the
-/// scheduler reordered something, not that the goldens need regenerating.
+/// Trace hashes of the EXT matrix: each folds the `(time, seq)` of every
+/// timer event the run fired, in firing order. Captured from the *seed*
+/// scheduler (the `BinaryHeap` kernel + `BTreeMap` executor at commit
+/// 65113e2), and re-pinned once, when a `Sleep` dropped before its
+/// deadline began to cancel its timer: the stale 10 s RPC attempt
+/// timeouts left the stream, while every other event kept its
+/// `(time, seq)` and every record stayed byte-identical. The kernel and
+/// executor must fire exactly this order, so a mismatch means the
+/// scheduler reordered, added or dropped an event, not that the goldens
+/// need regenerating.
 const SEED_SCHEDULER_GOLDENS: &[(&str, u64)] = &[
-    ("mrecord", 0x01792f033b8531d4),
-    ("mrecord-pf", 0xeb377a239bebea41),
-    ("munix", 0x847fc12c4cc463f0),
-    ("msync", 0x97f34e90e4c61ae7),
-    ("mlog", 0xd0c1a0260d94ef9a),
-    ("masync-pf", 0x1e5a60d27dd6f77d),
-    ("mglobal-pf", 0x4f8f3ca8bfedaa6a),
-    ("random-pf", 0x33d25d187a5bf712),
-    ("strided-pf", 0x400071833569d341),
-    ("reread-buffered-pf", 0xe0d9f9d147f50dd2),
-    ("ways-on-one-pf", 0x4152b98bb7d5a3a3),
-    ("faulted-verified-pf", 0xf237b18eccd5117a),
-    ("scaling-8x4-pf", 0x73e8fcc3e4a9a1bd),
+    ("mrecord", 0x4b555900ff2f077e),
+    ("mrecord-pf", 0x034f82393e68b0f6),
+    ("munix", 0x0e0a1fa54086cb9c),
+    ("msync", 0x26dc736da6972932),
+    ("mlog", 0xd3641ddd941513ba),
+    ("masync-pf", 0x7c19f9e8e85f51e7),
+    ("mglobal-pf", 0xb1f8002b6a6620c6),
+    ("random-pf", 0x84d0205ac7faf328),
+    ("strided-pf", 0x11106dd4c5b50bdf),
+    ("reread-buffered-pf", 0xf0b095d74a3e5bd3),
+    ("ways-on-one-pf", 0xdbd0e805da326c1a),
+    ("faulted-verified-pf", 0xc84af53153e1f444),
+    ("scaling-8x4-pf", 0xe5f08c7428f242cf),
 ];
 
 #[test]
@@ -129,11 +134,14 @@ fn random_access_pattern_is_seeded() {
 
 /// Frozen trace hash, simulated time and `(task polls, store bytes
 /// copied)` of the 1024×128 full-machine run below, pinned serially
-/// when the simulator became a single serial kernel. A mismatch in the
-/// first two means the full machine's event order changed; in the work
-/// pair, that the host does more (or less) work for the same events.
-/// Neither means the golden needs regenerating.
-const GOLDEN_1024X128: (u64, u64, (u64, u64)) = (0x394d774885d5336d, 3_754_046_001, (507_744, 0));
+/// when the simulator became a single serial kernel, and re-pinned once
+/// when dropped sleeps began to cancel their timers: 16,384 stale
+/// attempt timeouts (one per data leg) and their 16,384 stale wakes left,
+/// the simulated time did not move. A mismatch in the first two means
+/// the full machine's event order changed; in the work pair, that the
+/// host does more (or less) work for the same events. Neither means the
+/// golden needs regenerating.
+const GOLDEN_1024X128: (u64, u64, (u64, u64)) = (0xf691ccf515cc194f, 3_754_046_001, (491_360, 0));
 
 #[test]
 #[ignore = "full-machine run; release only, from scripts/ci.sh === full machine"]
