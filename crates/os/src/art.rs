@@ -13,6 +13,7 @@
 
 use std::cell::{Cell, RefCell};
 use std::future::Future;
+use std::ops::Deref;
 use std::rc::Rc;
 
 use paragon_sim::sync::{Latch, Semaphore};
@@ -55,12 +56,11 @@ pub struct ArtStats {
 /// One compute node's asynchronous-request machinery. Clone freely: a
 /// clone is one `Rc` count bump.
 #[derive(Clone)]
-pub struct ArtPool {
-    pool: Rc<Pool>,
-}
+pub struct ArtPool(Rc<Pool>);
 
-/// What every clone of an [`ArtPool`] shares.
-struct Pool {
+/// What every clone of an [`ArtPool`] shares, reached through its
+/// `Deref`; the fields stay private to this module.
+pub struct Pool {
     sim: Sim,
     cfg: ArtConfig,
     /// FIFO gate: permits = max concurrently-posting ARTs; waiters are the
@@ -70,29 +70,34 @@ struct Pool {
     stats: RefCell<ArtStats>,
 }
 
+impl Deref for ArtPool {
+    type Target = Pool;
+    fn deref(&self) -> &Pool {
+        &self.0
+    }
+}
+
 impl ArtPool {
     /// Create a pool on `sim`.
     pub fn new(sim: &Sim, cfg: ArtConfig) -> Self {
         assert!(cfg.max_arts > 0, "need at least one ART");
-        ArtPool {
-            pool: Rc::new(Pool {
-                sim: sim.clone(),
-                gate: Semaphore::new(cfg.max_arts),
-                cfg,
-                active: Cell::new(0),
-                stats: RefCell::new(ArtStats::default()),
-            }),
-        }
+        ArtPool(Rc::new(Pool {
+            sim: sim.clone(),
+            gate: Semaphore::new(cfg.max_arts),
+            cfg,
+            active: Cell::new(0),
+            stats: RefCell::new(ArtStats::default()),
+        }))
     }
 
     /// Counter snapshot.
     pub fn stats(&self) -> ArtStats {
-        self.pool.stats.borrow().clone()
+        self.stats.borrow().clone()
     }
 
     /// Requests currently on the active list (queued or posting).
     pub fn active(&self) -> usize {
-        self.pool.active.get()
+        self.active.get()
     }
 
     /// Submit an asynchronous request. The caller (user thread) pays the
@@ -115,23 +120,22 @@ impl ArtPool {
         F: Future<Output = T>,
         Op: FnOnce() -> F + 'static,
     {
-        self.pool.sim.sleep(self.pool.cfg.setup).await;
-        let handle = AsyncHandle::new(self.pool.sim.now());
+        self.sim.sleep(self.cfg.setup).await;
+        let handle = AsyncHandle::new(self.sim.now());
         let queue_pos;
         {
-            let mut st = self.pool.stats.borrow_mut();
+            let mut st = self.stats.borrow_mut();
             st.submitted += 1;
-            let now_active = self.pool.active.get() + 1;
+            let now_active = self.active.get() + 1;
             queue_pos = now_active;
-            self.pool.active.set(now_active);
+            self.active.set(now_active);
             st.max_active = st.max_active.max(now_active);
         }
-        self.pool
-            .sim
+        self.sim
             .emit(|| ev(track, EventKind::ArtSubmit, req, queue_pos as u64, 0));
-        let pool = self.pool.clone();
+        let pool = self.clone();
         let h = handle.clone();
-        self.pool.sim.spawn_named("art", async move {
+        self.sim.spawn_named("art", async move {
             // FIFO admission: tasks call acquire in spawn order, and the
             // semaphore grants in arrival order.
             let _g = pool.gate.acquire().await;

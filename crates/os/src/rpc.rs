@@ -14,6 +14,7 @@
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::future::Future;
+use std::ops::Deref;
 use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll};
@@ -209,14 +210,12 @@ where
                 }
             }
         });
-        RpcClient {
-            endpoint: Rc::new(Endpoint {
-                net: self.clone(),
-                node,
-                pending,
-                next_id: Cell::new(0),
-            }),
-        }
+        RpcClient(Rc::new(Endpoint {
+            net: self.clone(),
+            node,
+            pending,
+            next_id: Cell::new(0),
+        }))
     }
 
     /// Install `handler` as `node`'s server. Each incoming call runs as its
@@ -295,23 +294,27 @@ impl<Resp> Drop for ReplySlot<'_, Resp> {
 
 /// A node's client endpoint; issue calls with [`RpcClient::call`].
 /// Clone freely: a clone is one `Rc` count bump.
-pub struct RpcClient<Req, Resp> {
-    endpoint: Rc<Endpoint<Req, Resp>>,
-}
+pub struct RpcClient<Req, Resp>(Rc<Endpoint<Req, Resp>>);
 
-/// What every clone of an [`RpcClient`] shares.
-struct Endpoint<Req, Resp> {
+/// What every clone of an [`RpcClient`] shares, reached through its
+/// `Deref`; the fields stay private to this module.
+pub struct Endpoint<Req, Resp> {
     net: RpcNet<Req, Resp>,
     node: NodeId,
     pending: Pending<Resp>,
     next_id: Cell<u64>,
 }
 
+impl<Req, Resp> Deref for RpcClient<Req, Resp> {
+    type Target = Endpoint<Req, Resp>;
+    fn deref(&self) -> &Endpoint<Req, Resp> {
+        &self.0
+    }
+}
+
 impl<Req, Resp> Clone for RpcClient<Req, Resp> {
     fn clone(&self) -> Self {
-        RpcClient {
-            endpoint: self.endpoint.clone(),
-        }
+        RpcClient(self.0.clone())
     }
 }
 
@@ -328,18 +331,18 @@ where
     /// Not an `async fn`: that would store `req` twice, once as the
     /// argument and once as the body's local.
     pub fn call(&self, dst: NodeId, req: Req) -> impl Future<Output = Result<Resp, RpcError>> + '_ {
-        let node = self.endpoint.node;
+        let node = self.node;
         async move {
-            let id = self.endpoint.next_id.get();
-            self.endpoint.next_id.set(id + 1);
+            let id = self.next_id.get();
+            self.next_id.set(id + 1);
             let (tx, rx) = oneshot();
-            self.endpoint.pending.borrow_mut().insert(id, tx);
+            self.pending.borrow_mut().insert(id, tx);
             let reply = ReplySlot {
-                pending: &self.endpoint.pending,
+                pending: &self.pending,
                 id,
                 rx,
             };
-            self.endpoint.net.stats.borrow_mut().calls += 1;
+            self.net.stats.borrow_mut().calls += 1;
             let bytes = req.wire_bytes() + RPC_HEADER_BYTES;
             let tag = req.trace_req();
             let call = RpcWire::Call {
@@ -347,11 +350,7 @@ where
                 reply_to: node,
                 req,
             };
-            self.endpoint
-                .net
-                .mesh
-                .send(node, dst, bytes, call, tag)
-                .await;
+            self.net.mesh.send(node, dst, bytes, call, tag).await;
             reply.await
         }
     }
@@ -378,7 +377,7 @@ where
                 let outcome = match policy.attempt_timeout {
                     Some(d) => {
                         let one = this.call(dst, req.clone());
-                        let sim = &this.endpoint.net.sim;
+                        let sim = &this.net.sim;
                         sim.timeout(d, one).await.unwrap_or(Err(RpcError::Timeout))
                     }
                     None => this.call(dst, req.clone()).await,
@@ -403,15 +402,15 @@ where
         attempt: u32,
         err: RpcError,
     ) -> Result<(), RpcError> {
-        let sim = &self.endpoint.net.sim;
+        let sim = &self.net.sim;
         let tag = req.trace_req();
-        let track = Track::Node(self.endpoint.node.0 as u16);
+        let track = Track::Node(self.node.0 as u16);
         let max_attempts = policy.retries + 1;
         if err == RpcError::Timeout {
-            self.endpoint.net.stats.borrow_mut().timeouts += 1;
+            self.net.stats.borrow_mut().timeouts += 1;
         }
         if attempt < max_attempts {
-            self.endpoint.net.stats.borrow_mut().retries += 1;
+            self.net.stats.borrow_mut().retries += 1;
             sim.emit(|| {
                 ev(
                     track,
@@ -424,7 +423,7 @@ where
             sim.sleep(policy.backoff * attempt as u64).await;
             return Ok(());
         }
-        self.endpoint.net.stats.borrow_mut().give_ups += 1;
+        self.net.stats.borrow_mut().give_ups += 1;
         sim.emit(|| {
             ev(
                 track,
@@ -614,7 +613,7 @@ mod tests {
         );
         assert_eq!(net.stats().give_ups, 1);
         // Every abandoned attempt gave its reply slot back.
-        assert_eq!(client.endpoint.pending.borrow().len(), 0);
+        assert_eq!(client.pending.borrow().len(), 0);
     }
 
     #[test]

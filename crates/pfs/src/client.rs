@@ -12,6 +12,7 @@
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeSet;
 use std::future::Future;
+use std::ops::Deref;
 use std::rc::Rc;
 
 use bytes::{Bytes, BytesMut};
@@ -71,12 +72,11 @@ struct FileState {
 /// file pointer state (they are the same open), and a clone is one `Rc`
 /// count bump.
 #[derive(Clone)]
-pub struct PfsFile {
-    open: Rc<Open>,
-}
+pub struct PfsFile(Rc<Open>);
 
-/// What every clone of a [`PfsFile`] shares.
-struct Open {
+/// What every clone of a [`PfsFile`] shares, reached through its
+/// `Deref`; the fields stay private to this module.
+pub struct Open {
     sim: Sim,
     rpc: RpcClient<PfsRequest, PfsResponse>,
     arts: ArtPool,
@@ -95,6 +95,13 @@ struct Open {
     /// deprioritized (not skipped — a recovered node serves again) so
     /// only the first read through a dead node pays the full timeout.
     suspects: Rc<RefCell<BTreeSet<usize>>>,
+}
+
+impl Deref for PfsFile {
+    type Target = Open;
+    fn deref(&self) -> &Open {
+        &self.0
+    }
 }
 
 impl PfsFile {
@@ -118,7 +125,7 @@ impl PfsFile {
         size_at_open: u64,
     ) -> Self {
         assert!(rank < nprocs, "rank {rank} out of range for {nprocs} procs");
-        let open = Open {
+        PfsFile(Rc::new(Open {
             sim,
             rpc,
             arts,
@@ -136,58 +143,51 @@ impl PfsFile {
                 local_offset: 0,
             })),
             suspects: Rc::new(RefCell::new(BTreeSet::new())),
-        };
-        PfsFile {
-            open: Rc::new(open),
-        }
+        }))
     }
 
     /// Mesh id of I/O node `ion`, which serves a copy of `slot`.
     fn io_node(&self, ion: usize, slot: u16) -> Result<NodeId, PfsError> {
-        self.open
-            .io_node_ids
-            .get(ion)
-            .copied()
-            .ok_or(PfsError::BadSlot {
-                slot,
-                factor: self.open.io_node_ids.len(),
-            })
+        self.io_node_ids.get(ion).copied().ok_or(PfsError::BadSlot {
+            slot,
+            factor: self.io_node_ids.len(),
+        })
     }
 
     /// The mode this handle was opened with.
     pub fn mode(&self) -> IoMode {
-        self.open.mode
+        self.mode
     }
 
     /// This node's rank in the application.
     pub fn rank(&self) -> u16 {
-        self.open.rank
+        self.rank
     }
 
     /// Number of application processes sharing the file.
     pub fn nprocs(&self) -> u16 {
-        self.open.nprocs
+        self.nprocs
     }
 
     /// File size when the handle was opened.
     pub fn size(&self) -> u64 {
-        self.open.size_at_open
+        self.size_at_open
     }
 
     /// The node's ART pool (the prefetch engine issues through it).
     pub fn art_pool(&self) -> &ArtPool {
-        &self.open.arts
+        &self.arts
     }
 
     /// The simulation world (for timing instrumentation in layers above).
     pub fn sim(&self) -> &Sim {
-        &self.open.sim
+        &self.sim
     }
 
     /// Charge one client system call (the prefetch engine wraps `read`
     /// and pays this itself).
     pub async fn syscall(&self) {
-        self.open.sim.sleep(self.open.params.syscall).await;
+        self.sim.sleep(self.params.syscall).await;
     }
 
     /// One shared-pointer operation. Deliberately NO deadline and NO
@@ -195,12 +195,7 @@ impl PfsFile {
     /// could double-advance the pointer. The machinery instead protects
     /// the service node from injected faults.
     async fn ptr(&self, req: PtrRequest) -> Result<u64, PfsError> {
-        match self
-            .open
-            .rpc
-            .call(self.open.service_node, PfsRequest::Ptr(req))
-            .await
-        {
+        match self.rpc.call(self.service_node, PfsRequest::Ptr(req)).await {
             Ok(PfsResponse::Ptr(res)) => res,
             Ok(_) => Err(PfsError::BadReply),
             Err(e) => Err(e.into()),
@@ -215,22 +210,19 @@ impl PfsFile {
     /// likewise targets the individual-pointer modes).
     pub async fn advance_pointer(&self, len: u32) -> u64 {
         assert!(
-            !self.open.mode.shared_pointer(),
+            !self.mode.shared_pointer(),
             "advance_pointer on shared-pointer mode {}",
-            self.open.mode
+            self.mode
         );
         if len == 0 {
             return self.peek_pointer(0);
         }
-        if self.open.mode == IoMode::MRecord {
-            self.open
-                .sim
-                .sleep(self.open.params.record_bookkeeping)
-                .await;
+        if self.mode == IoMode::MRecord {
+            self.sim.sleep(self.params.record_bookkeeping).await;
         }
         let at = self.peek_pointer(len);
         // Each mode's formula reads only its own field; bump both.
-        let mut st = self.open.state.borrow_mut();
+        let mut st = self.state.borrow_mut();
         st.round += 1;
         // Saturates after a seek near the end of the offset space; the
         // transfer at `at` then fails with a typed overflow error.
@@ -246,11 +238,9 @@ impl PfsFile {
         reason = "documented caller contract: the predictors drive individual-pointer modes only"
     )]
     pub fn peek_pointer(&self, len: u32) -> u64 {
-        let st = self.open.state.borrow();
-        match self.open.mode {
-            IoMode::MRecord => {
-                (st.round * self.open.nprocs as u64 + self.open.rank as u64) * len as u64
-            }
+        let st = self.state.borrow();
+        match self.mode {
+            IoMode::MRecord => (st.round * self.nprocs as u64 + self.rank as u64) * len as u64,
             IoMode::MGlobal => st.round * len as u64,
             IoMode::MAsync => st.local_offset,
             m => panic!("peek_pointer on shared-pointer mode {m}"),
@@ -272,8 +262,8 @@ impl PfsFile {
     where
         F: Future<Output = Result<T, PfsError>>,
     {
-        let file = self.open.meta.id;
-        let at = match self.open.mode {
+        let file = self.meta.id;
+        let at = match self.mode {
             IoMode::MUnix => {
                 let at = self.ptr(PtrRequest::UnixAcquire { file }).await?;
                 let result = transfer(at).await;
@@ -294,8 +284,8 @@ impl PfsFile {
             IoMode::MSync => {
                 self.ptr(PtrRequest::SyncArrive {
                     file,
-                    rank: self.open.rank,
-                    nprocs: self.open.nprocs,
+                    rank: self.rank,
+                    nprocs: self.nprocs,
                     len: len as u64,
                 })
                 .await?
@@ -310,11 +300,11 @@ impl PfsFile {
     /// pointers belong to the pointer server).
     pub fn seek(&self, offset: u64) {
         assert_eq!(
-            self.open.mode,
+            self.mode,
             IoMode::MAsync,
             "seek is only meaningful for M_ASYNC handles"
         );
-        self.open.state.borrow_mut().local_offset = offset;
+        self.state.borrow_mut().local_offset = offset;
     }
 
     /// Blocking read of the next `len` bytes under the open mode.
@@ -330,9 +320,8 @@ impl PfsFile {
     pub async fn aread(&self, len: u32) -> AsyncHandle<Result<Bytes, PfsError>> {
         self.syscall().await;
         let this = self.clone();
-        if self.open.mode.shared_pointer() {
+        if self.mode.shared_pointer() {
             return self
-                .open
                 .arts
                 .submit(0, Track::Sys, move || async move {
                     this.at_next_offset(len, |at| this.mode_read(at, len)).await
@@ -340,8 +329,7 @@ impl PfsFile {
                 .await;
         }
         let at = self.advance_pointer(len).await;
-        self.open
-            .arts
+        self.arts
             .submit(0, Track::Sys, move || async move {
                 this.mode_read(at, len).await
             })
@@ -352,12 +340,12 @@ impl PfsFile {
     /// the collective call reads the same range, and the I/O nodes serve
     /// all `nprocs` parties with one physical read.
     async fn mode_read(&self, at: u64, len: u32) -> Result<Bytes, PfsError> {
-        let parties = if self.open.mode == IoMode::MGlobal {
-            self.open.nprocs
+        let parties = if self.mode == IoMode::MGlobal {
+            self.nprocs
         } else {
             0
         };
-        let req = self.open.sim.mint_req();
+        let req = self.sim.mint_req();
         self.transfer_read_inner(at, len, parties, req).await
     }
 
@@ -388,27 +376,25 @@ impl PfsFile {
             return Ok(Bytes::new());
         }
         check_extent(offset, len as u64)?;
-        let cn = Track::Cn(self.open.rank);
-        self.open
-            .sim
+        let cn = Track::Cn(self.rank);
+        self.sim
             .emit(|| ev(cn, EventKind::ReadStart, req, offset, len as u64));
-        let shared = self.open.nprocs > 1;
-        let policy = self.open.params.data_policy;
-        let mut legs = self.open.params.legs.reads.take();
-        for sreq in self.open.meta.attrs.requests(offset, len as u64) {
+        let shared = self.nprocs > 1;
+        let policy = self.params.data_policy;
+        let mut legs = self.params.legs.reads.take();
+        for sreq in self.meta.attrs.requests(offset, len as u64) {
             let slot = sreq.slot as u16;
-            let (primary, _) = self.open.meta.slot(slot)?;
+            let (primary, _) = self.meta.slot(slot)?;
             let copies = self
-                .open
                 .meta
                 .with_replicas(slot, |copies| copies.iter().filter(|c| c.ready).count())?;
             let msg = PfsRequest::Read(SlotRead {
                 req,
-                file: self.open.meta.id,
+                file: self.meta.id,
                 slot,
                 offset: sreq.slot_offset,
                 len: sreq.len as u32,
-                fast_path: self.open.fast_path,
+                fast_path: self.fast_path,
                 shared,
                 global_parties,
             });
@@ -416,8 +402,8 @@ impl PfsFile {
                 let dst = self.io_node(primary, slot)?;
                 // Positioned reads are idempotent: re-sending one under the
                 // retry policy is safe.
-                let leg = self.open.rpc.call_policy(dst, msg, policy);
-                legs.push((sreq, self.open.sim.spawn_named("pfs-read-leg", leg)));
+                let leg = self.rpc.call_policy(dst, msg, policy);
+                legs.push((sreq, self.sim.spawn_named("pfs-read-leg", leg)));
                 continue;
             }
             // Replicated: deterministic read-from-any. Candidate order is
@@ -426,8 +412,8 @@ impl PfsFile {
             // not skipped — a recovered node serves again). Non-final
             // candidates get a single attempt so a dead node costs one
             // timeout; the final candidate keeps the full retry budget.
-            let order = self.open.meta.with_replicas(slot, |copies| {
-                let suspects = self.open.suspects.borrow();
+            let order = self.meta.with_replicas(slot, |copies| {
+                let suspects = self.suspects.borrow();
                 let mut order: Vec<(usize, NodeId)> = Vec::with_capacity(copies.len());
                 for pass in [false, true] {
                     for c in copies
@@ -439,14 +425,14 @@ impl PfsFile {
                 }
                 Ok::<_, PfsError>(order)
             })??;
-            let rpc = self.open.rpc.clone();
-            let sim = self.open.sim.clone();
-            let suspects = self.open.suspects.clone();
-            let params = self.open.params.clone();
+            let rpc = self.rpc.clone();
+            let sim = self.sim.clone();
+            let suspects = self.suspects.clone();
+            let params = self.params.clone();
             let slot = sreq.slot as u64;
             legs.push((
                 sreq,
-                self.open.sim.spawn_named("pfs-read-leg", async move {
+                self.sim.spawn_named("pfs-read-leg", async move {
                     let single = RpcPolicy {
                         retries: 0,
                         ..policy
@@ -504,7 +490,7 @@ impl PfsFile {
                         direct_data = Some(data);
                         continue;
                     }
-                    for p in self.open.meta.attrs.pieces(sreq) {
+                    for p in self.meta.attrs.pieces(sreq) {
                         let src = (p.slot_offset - sreq.slot_offset) as usize;
                         let dst = p.logical_offset as usize;
                         #[expect(
@@ -527,15 +513,13 @@ impl PfsFile {
                 }
             }
         }
-        self.open.params.legs.reads.give(legs);
+        self.params.legs.reads.give(legs);
         if let Some(e) = first_err {
             return Err(e);
         }
-        self.open
-            .sim
+        self.sim
             .emit(|| ev(cn, EventKind::Copy, req, offset, len as u64));
-        self.open
-            .sim
+        self.sim
             .emit(|| ev(cn, EventKind::ReadDone, req, offset, len as u64));
         Ok(match direct_data {
             Some(data) => data,
@@ -571,26 +555,25 @@ impl PfsFile {
             return Ok(());
         }
         check_extent(offset, data.len() as u64)?;
-        let req = self.open.sim.mint_req();
-        let cn = Track::Cn(self.open.rank);
+        let req = self.sim.mint_req();
+        let cn = Track::Cn(self.rank);
         let wlen = data.len() as u64;
-        self.open
-            .sim
+        self.sim
             .emit(|| ev(cn, EventKind::WriteStart, req, offset, wlen));
-        let shared = self.open.nprocs > 1;
-        let policy = self.open.params.data_policy;
-        let mut legs = self.open.params.legs.writes.take();
-        for sreq in self.open.meta.attrs.requests(offset, wlen) {
+        let shared = self.nprocs > 1;
+        let policy = self.params.data_policy;
+        let mut legs = self.params.legs.writes.take();
+        for sreq in self.meta.attrs.requests(offset, wlen) {
             let slot = sreq.slot as u16;
             // Gather the logical pieces into one contiguous slot buffer.
             // A single piece is already contiguous — share the slice.
-            let su = self.open.meta.attrs.stripe_unit;
+            let su = self.meta.attrs.stripe_unit;
             let payload = if sreq.slot_offset % su + sreq.len <= su {
                 let at = sreq.logical_offset as usize;
                 data.slice(at..at + sreq.len as usize)
             } else {
                 let mut buf = BytesMut::zeroed(sreq.len as usize);
-                for p in self.open.meta.attrs.pieces(sreq) {
+                for p in self.meta.attrs.pieces(sreq) {
                     let dst_at = (p.slot_offset - sreq.slot_offset) as usize;
                     let src_at = p.logical_offset as usize;
                     #[expect(
@@ -609,7 +592,7 @@ impl PfsFile {
             // safe — and so is fanning the same payload to every copy.
             // The replica table always keeps a readable copy; a slot
             // without one fails the write.
-            self.open.meta.with_replicas(slot, |copies| {
+            self.meta.with_replicas(slot, |copies| {
                 let copies = copies.iter().filter(|c| c.ready);
                 let n = copies.clone().count();
                 if n == 0 {
@@ -619,14 +602,14 @@ impl PfsFile {
                     let dst = self.io_node(copy.ion, slot)?;
                     let msg = PfsRequest::Write(SlotWrite {
                         req,
-                        file: self.open.meta.id,
+                        file: self.meta.id,
                         slot,
                         offset: sreq.slot_offset,
                         data: payload.clone(),
                         shared,
                     });
-                    let leg = self.open.rpc.call_policy(dst, msg, policy);
-                    legs.push((k, n, self.open.sim.spawn_named("pfs-write-leg", leg)));
+                    let leg = self.rpc.call_policy(dst, msg, policy);
+                    legs.push((k, n, self.sim.spawn_named("pfs-write-leg", leg)));
                 }
                 Ok::<_, PfsError>(())
             })??;
@@ -662,12 +645,11 @@ impl PfsFile {
                 first_err.get_or_insert(leg_err.take().unwrap_or(PfsError::BadReply));
             }
         }
-        self.open.params.legs.writes.give(legs);
+        self.params.legs.writes.give(legs);
         if let Some(e) = first_err {
             return Err(e);
         }
-        self.open
-            .sim
+        self.sim
             .emit(|| ev(cn, EventKind::WriteDone, req, offset, wlen));
         Ok(())
     }
@@ -677,15 +659,12 @@ impl PfsFile {
     /// a shared open rewinds).
     pub async fn rewind(&self) -> Result<(), PfsError> {
         {
-            let mut st = self.open.state.borrow_mut();
+            let mut st = self.state.borrow_mut();
             st.round = 0;
             st.local_offset = 0;
         }
-        if self.open.mode.shared_pointer() {
-            self.ptr(PtrRequest::Rewind {
-                file: self.open.meta.id,
-            })
-            .await?;
+        if self.mode.shared_pointer() {
+            self.ptr(PtrRequest::Rewind { file: self.meta.id }).await?;
         }
         Ok(())
     }

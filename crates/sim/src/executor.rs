@@ -313,11 +313,11 @@ enum Timer {
 impl Future for Sleep {
     type Output = ();
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        match self.timer {
+        match &self.timer {
             // Always take at least one trip through the event heap, so
             // that a zero-length sleep still yields to other runnable
             // tasks.
-            Timer::Unregistered(deadline) => {
+            &Timer::Unregistered(deadline) => {
                 let key = self.sim.schedule_wake(deadline, cx.waker().clone());
                 self.timer = Timer::Registered(key);
                 Poll::Pending
@@ -330,7 +330,9 @@ impl Future for Sleep {
 
 impl Drop for Sleep {
     fn drop(&mut self) {
-        if let Timer::Registered(key) = self.timer {
+        // Move the key out: `cancel` consumes it, so it runs at most once.
+        let timer = std::mem::replace(&mut self.timer, Timer::Unregistered(SimTime::ZERO));
+        if let Timer::Registered(key) = timer {
             self.sim.world.kernel.borrow_mut().cancel(key);
         }
     }

@@ -5,8 +5,8 @@
 //! a monotone counter, so simultaneous events fire in registration order and
 //! the whole simulation is deterministic.
 //!
-//! Storage is a [`BinaryHeap`] of [`Reverse`]d entries ordered on
-//! `(time, seq)` alone, beside a FIFO lane. A wake whose deadline is no
+//! Storage is a [`BinaryHeap`] of [`Reverse`]d `(time, seq, slot)` keys
+//! beside a FIFO lane. A wake whose deadline is no
 //! earlier than the lane's last one is appended to the lane; any other
 //! goes to the heap. `seq` grows with every registration, so an appended
 //! entry's `(time, seq)` is greater than every lane entry's and the lane
@@ -21,72 +21,58 @@
 //! Entries leave in `(time, seq)` order, so one comparison with the last
 //! fired key tells whether the entry is still queued. The lane is sorted
 //! on `seq` too, so a cancel there is a binary search that leaves the
-//! entry as a tombstone; a heap entry (rarely cancelled: near deadlines
-//! mostly fire) is removed outright. [`Kernel::fire_next`]
-//! and [`Kernel::next_event_time`] pop tombstones without counting or
-//! hashing them, advancing the clock or waking anything, and every
-//! surviving entry keeps the `(time, seq)` it was registered with: the
-//! event stream is exactly the one without the cancelled registrations.
+//! entry as a tombstone. A heap entry's waker waits in a slab slot that
+//! the entry's key names, so a cancel there empties the slot and leaves
+//! the key as a tombstone; the slot is reused once the key leaves the
+//! heap. Neither cancel scans a queue. Heap cancels are not rare: a far
+//! deadline at the lane's back (EXT-FAULTS' 7,200 s fault-window marker)
+//! sends every later attempt timeout to the heap, and 3,328 of that
+//! record's 6,400 cancels of queued entries hit the heap.
+//! [`Kernel::fire_next`] and [`Kernel::next_event_time`] pop tombstones
+//! without counting or hashing them, advancing the clock or waking
+//! anything, and every surviving entry keeps the `(time, seq)` it was
+//! registered with: the event stream is exactly the one without the
+//! cancelled registrations.
 //! A [`Sleep`](crate::executor::Sleep) cancels its entry when it is
 //! dropped, so a timeout whose future wins (every healthy RPC attempt)
 //! leaves no event behind.
 
-use std::cmp::{Ordering, Reverse};
+use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::task::Waker;
 
 use crate::time::SimTime;
 
-/// A scheduled wake, or a tombstone once cancelled (`waker` is `None`; only
-/// the lane holds those). Ordered on `(time, seq)` only: `seq` is unique, so
-/// no two entries compare equal and the waker never takes part in ordering.
+/// A lane entry: a scheduled wake, or a tombstone once cancelled (`waker`
+/// is `None`).
 struct Entry {
     time: SimTime,
     seq: u64,
     waker: Option<Waker>,
 }
 
-impl Entry {
-    fn key(&self) -> (SimTime, u64) {
-        (self.time, self.seq)
-    }
-}
-
-impl PartialEq for Entry {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-
-impl Eq for Entry {}
-
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Entry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.key().cmp(&other.key())
-    }
-}
-
 /// Names one registration for [`Kernel::cancel`]: its `(time, seq)` (the
-/// deadline clamped to the registration instant), and whether it went to
-/// the lane.
-#[derive(Clone, Copy, Debug)]
+/// deadline clamped to the registration instant), and its waker's slot if
+/// it went to the heap. Not `Clone`: a key is cancelled at most once, so a
+/// slot reused after its tombstone left cannot be emptied by a stale key.
+#[derive(Debug)]
 pub(crate) struct TimerKey {
     pub(crate) time: SimTime,
     seq: u64,
-    in_lane: bool,
+    heap_slot: Option<u32>,
 }
 
 /// Event queue + virtual clock. Owned by the executor behind a `RefCell`.
 pub(crate) struct Kernel {
     pub(crate) now: SimTime,
     seq: u64,
-    heap: BinaryHeap<Reverse<Entry>>,
+    /// `(time, seq, slot)`: `seq` is unique, so the slot never takes part
+    /// in the order. A key whose slot is empty is a tombstone.
+    heap: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
+    /// The heap entries' wakers, by slot.
+    slots: Vec<Option<Waker>>,
+    /// Slots whose key has left the heap.
+    free_slots: Vec<u32>,
     /// Sorted on `(time, seq)`, and so on `seq`: see the module docs.
     lane: VecDeque<Entry>,
     /// `(time, seq)` of the last entry fired: every entry at or below it
@@ -104,6 +90,8 @@ impl Kernel {
             now: SimTime::ZERO,
             seq: 0,
             heap: BinaryHeap::new(),
+            slots: Vec::new(),
+            free_slots: Vec::new(),
             lane: VecDeque::new(),
             last_fired: None,
             events_processed: 0,
@@ -116,22 +104,36 @@ impl Kernel {
         let time = deadline.max(self.now);
         let seq = self.seq;
         self.seq += 1;
-        let entry = Entry {
+        let heap_slot = if self.lane.back().is_none_or(|last| time >= last.time) {
+            self.lane.push_back(Entry {
+                time,
+                seq,
+                waker: Some(waker),
+            });
+            None
+        } else {
+            let slot = match self.free_slots.pop() {
+                Some(slot) => {
+                    self.slots[slot as usize] = Some(waker);
+                    slot
+                }
+                None => {
+                    self.slots.push(Some(waker));
+                    (self.slots.len() - 1) as u32
+                }
+            };
+            self.heap.push(Reverse((time, seq, slot)));
+            Some(slot)
+        };
+        TimerKey {
             time,
             seq,
-            waker: Some(waker),
-        };
-        let in_lane = self.lane.back().is_none_or(|last| time >= last.time);
-        if in_lane {
-            self.lane.push_back(entry);
-        } else {
-            self.heap.push(Reverse(entry));
+            heap_slot,
         }
-        TimerKey { time, seq, in_lane }
     }
 
     /// Cancel the registration `key` and drop its waker now. A no-op when
-    /// the entry already fired or was cancelled.
+    /// the entry already fired.
     pub(crate) fn cancel(&mut self, key: TimerKey) {
         if self
             .last_fired
@@ -139,49 +141,59 @@ impl Kernel {
         {
             return;
         }
-        if key.in_lane {
-            if let Ok(at) = self.lane.binary_search_by_key(&key.seq, |e| e.seq) {
-                if let Some(entry) = self.lane.get_mut(at) {
-                    entry.waker = None;
+        match key.heap_slot {
+            None => {
+                if let Ok(at) = self.lane.binary_search_by_key(&key.seq, |e| e.seq) {
+                    self.lane[at].waker = None;
                 }
             }
-        } else {
-            self.heap.retain(|Reverse(e)| e.seq != key.seq);
+            Some(slot) => self.slots[slot as usize] = None,
         }
     }
 
-    /// Drop the tombstones at the lane's front, then return the earliest
-    /// entry and whether it is the lane's front.
-    fn peek_live(&mut self) -> Option<(&Entry, bool)> {
+    /// Drop the tombstones at the lane's front and the heap's top, then
+    /// return the earliest entry's `(time, seq)` and whether it is the
+    /// lane's front.
+    fn peek_live(&mut self) -> Option<((SimTime, u64), bool)> {
         while self.lane.front().is_some_and(|e| e.waker.is_none()) {
             self.lane.pop_front();
         }
-        match (self.heap.peek(), self.lane.front()) {
-            (Some(Reverse(h)), Some(l)) if h < l => Some((h, false)),
+        while let Some(&Reverse((_, _, slot))) = self.heap.peek() {
+            if self.slots[slot as usize].is_some() {
+                break;
+            }
+            self.heap.pop();
+            self.free_slots.push(slot);
+        }
+        let heap = self.heap.peek().map(|&Reverse((time, seq, _))| (time, seq));
+        let lane = self.lane.front().map(|e| (e.time, e.seq));
+        match (heap, lane) {
+            (Some(h), Some(l)) if h < l => Some((h, false)),
             (_, Some(l)) => Some((l, true)),
-            (Some(Reverse(h)), None) => Some((h, false)),
+            (Some(h), None) => Some((h, false)),
             (None, None) => None,
         }
     }
 
     /// The instant of the earliest live entry.
     pub(crate) fn next_event_time(&mut self) -> Option<SimTime> {
-        self.peek_live().map(|(e, _)| e.time)
+        self.peek_live().map(|((time, _), _)| time)
     }
 
     /// Pop the earliest live entry if it is due by `horizon`, advance the
     /// clock, and return its waker.
     pub(crate) fn fire_next(&mut self, horizon: SimTime) -> Option<Waker> {
-        let (entry, from_lane) = self.peek_live()?;
-        if entry.time > horizon {
+        let ((time, seq), from_lane) = self.peek_live()?;
+        if time > horizon {
             return None;
         }
-        let entry = if from_lane {
-            self.lane.pop_front()
+        let waker = if from_lane {
+            self.lane.pop_front()?.waker
         } else {
-            self.heap.pop().map(|Reverse(e)| e)
+            let Reverse((_, _, slot)) = self.heap.pop()?;
+            self.free_slots.push(slot);
+            self.slots[slot as usize].take()
         };
-        let Entry { time, seq, waker } = entry?;
         debug_assert!(time >= self.now, "event queue went backwards");
         self.now = time;
         self.last_fired = Some((time, seq));
