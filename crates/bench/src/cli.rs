@@ -6,10 +6,10 @@ use paragon_machine::Calibration;
 use paragon_metrics::{ExperimentRecord, Json};
 use paragon_pfs::{IoMode, Redundancy};
 use paragon_profile::{export_perfetto, render_critical_path};
-use paragon_sim::{export_json, hash_events, parse_json, FaultStats, SimDuration, TraceEvent};
+use paragon_sim::{export_json, hash_events, parse_json, SimDuration, TraceEvent};
 use paragon_workload::{
     metrics_report, render_report, run, AccessPattern, ExperimentConfig, FaultSpec, RunResult,
-    StripeLayout,
+    StripeLayout, Work,
 };
 
 use std::path::Path;
@@ -256,7 +256,10 @@ fn report_text(label: &str, r: &RunResult) {
     println!("  node imbalance  {:>10.3}", r.node_imbalance());
     println!(
         "  disk            {:>10} requests ({} seq, {} near, {} far)",
-        r.disk.requests, r.disk.sequential_hits, r.disk.near_seeks, r.disk.far_seeks
+        r.work.get("disk.requests"),
+        r.work.get("disk.sequential_hits"),
+        r.work.get("disk.near_seeks"),
+        r.work.get("disk.far_seeks")
     );
     if r.prefetch_enabled {
         let p = &r.prefetch;
@@ -525,16 +528,17 @@ fn fault_classes(error_pm: u32, drop_pm: u32) -> Vec<(&'static str, FaultSpec)> 
 }
 
 /// Compact "what the plan actually injected" summary for one run.
-fn injected_summary(f: &FaultStats) -> String {
+fn injected_summary(work: &Work) -> String {
     let mut parts = Vec::new();
-    for (n, label) in [
-        (f.disk_transients, "disk-err"),
-        (f.disk_dead_hits, "dead-hit"),
-        (f.mesh_dropped, "drop"),
-        (f.mesh_duplicated, "dup"),
-        (f.mesh_delayed, "delay"),
-        (f.node_down_drops, "node-down"),
+    for (name, label) in [
+        ("fault.disk_transients", "disk-err"),
+        ("fault.disk_dead_hits", "dead-hit"),
+        ("fault.mesh_dropped", "drop"),
+        ("fault.mesh_duplicated", "dup"),
+        ("fault.mesh_delayed", "delay"),
+        ("fault.node_down_drops", "node-down"),
     ] {
+        let n = work.get(name);
         if n > 0 {
             parts.push(format!("{label} {n}"));
         }
@@ -636,10 +640,10 @@ fn fault_class_sweep(
             (r.prefetch.hit_ratio() * 100.0).into(),
             r.prefetch.hit_ratio().into(),
             r.read_errors.into(),
-            r.raid.reconstructed_reads.into(),
+            r.work.get("raid.reconstructed_reads").into(),
             r.prefetch.faults.into(),
             r.verify_failures.into(),
-            injected_summary(&r.fault).into(),
+            injected_summary(&r.work).into(),
         ]);
     }
     match results.iter().find(|(_, r)| r.verify_failures > 0) {
@@ -1000,13 +1004,11 @@ mod tests {
 
     #[test]
     fn injected_summary_formats() {
-        assert_eq!(injected_summary(&FaultStats::default()), "-");
-        let f = FaultStats {
-            mesh_dropped: 3,
-            disk_transients: 1,
-            ..FaultStats::default()
-        };
-        assert_eq!(injected_summary(&f), "disk-err 1, drop 3");
+        assert_eq!(injected_summary(&Work::default()), "-");
+        let w = [("fault.mesh_dropped", 3), ("fault.disk_transients", 1)]
+            .into_iter()
+            .collect();
+        assert_eq!(injected_summary(&w), "disk-err 1, drop 3");
     }
 
     const TINY: &str = "--cn 2 --ion 2 --request-kb 16 --file-mb 2 --su-kb 16";

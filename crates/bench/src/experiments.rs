@@ -1122,9 +1122,9 @@ pub(crate) fn redundancy_sweep(
             crashed.into(),
             keep.into(),
             c.read_errors.into(),
-            c.raid.reconstructed_reads.into(),
-            c.replica_failovers.into(),
-            c.replica_reads.into(),
+            c.work.get("raid.reconstructed_reads").into(),
+            c.work.get("replica.failovers").into(),
+            c.work.get("replica.reads").into(),
             (rebuilt >> 10).into(),
             rebuilt.into(),
             c.rebuild_pending.into(),

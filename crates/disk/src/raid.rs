@@ -479,20 +479,9 @@ impl RaidArray {
         }
     }
 
-    /// Per-spindle counter snapshots, data members first and the parity
-    /// member (when present) last — the per-RAID-member busy-time view
-    /// the telemetry layer reports.
-    pub fn member_stats(&self) -> Vec<DiskStats> {
-        self.inner
-            .members
-            .iter()
-            .chain(self.inner.parity.iter())
-            .map(|d| d.stats())
-            .collect()
-    }
-
-    /// Live queue-depth cells, one per spindle in [`RaidArray::member_stats`]
-    /// order; telemetry gauges sum or sample them while the simulation runs.
+    /// Live queue-depth cells, one per spindle, data members first and
+    /// the parity member (when present) last; telemetry gauges sum or
+    /// sample them while the simulation runs.
     pub fn member_queue_cells(&self) -> Vec<Rc<Cell<usize>>> {
         self.inner
             .members

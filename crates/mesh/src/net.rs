@@ -80,7 +80,6 @@ pub struct Envelope<M> {
 pub struct MeshStats {
     pub messages: u64,
     pub bytes: u64,
-    pub max_nic_queue: usize,
     /// Messages lost: injected drops, crash-window drops, and sends to a
     /// receiver that has shut down.
     pub drops: u64,
@@ -206,7 +205,6 @@ impl<M: Clone + 'static> Mesh<M> {
                     inner.stats.messages += 1;
                     inner.stats.bytes += wire_bytes;
                     inner.stats.hops += self.shared.topo.hops(src, dst) as u64;
-                    inner.stats.max_nic_queue = inner.stats.max_nic_queue.max(sem.queue_len());
                 }
                 self.shared.sim.emit(|| {
                     ev(

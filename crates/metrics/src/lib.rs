@@ -4,8 +4,8 @@
 //! [`Table`]s (the paper's tables), multi-series [`AsciiChart`]s (the
 //! paper's figures), JSON [`ExperimentRecord`]s for the
 //! paper-vs-measured bookkeeping, and the sim-clock telemetry
-//! [`MetricsRegistry`] (typed Counter/Gauge/Histogram instruments sampled
-//! at a fixed simulated-time cadence).
+//! [`MetricsRegistry`] (gauges sampled at a fixed simulated-time cadence,
+//! and histograms).
 
 mod chart;
 mod hist;

@@ -15,9 +15,8 @@
 //!   buffers held). Registered as a closure, polled by the sampler into
 //!   a time series; the report derives time-weighted means from it.
 //! * **Counter** — a monotone total (requests served, busy nanoseconds).
-//!   Also a closure, but polled only twice: at the measured-phase start
-//!   and at the end, so setup-phase activity (file population) is
-//!   excluded by construction. The report sees the delta.
+//!   Not kept here: the experiment driver snapshots every layer's
+//!   counters at once (`paragon_workload::Work`) and subtracts.
 //! * **Histogram** — a distribution recorded after the run from
 //!   per-request samples (access times, span phases); summarized as
 //!   count/mean/min/max and exact p50/p90/p99.
@@ -31,18 +30,13 @@ use paragon_sim::{Sim, SimDuration};
 use crate::hist::Histogram;
 use crate::json::Json;
 
-/// A polled instrument: reads the current value of a gauge or counter.
+/// A polled instrument: reads the current value of a gauge.
 type Source = Rc<dyn Fn() -> f64>;
 
 #[derive(Default)]
 struct Inner {
     gauges: BTreeMap<String, Source>,
-    counters: BTreeMap<String, Source>,
     hists: BTreeMap<String, Histogram>,
-    /// Counter values at the measured-phase start.
-    baseline: BTreeMap<String, f64>,
-    /// Counter values at the measured-phase end.
-    finals: BTreeMap<String, f64>,
     /// Sample timestamps, nanoseconds of simulated time.
     times: Vec<u64>,
     /// One time series per gauge, index-aligned with `times`.
@@ -82,14 +76,6 @@ impl MetricsRegistry {
         cell
     }
 
-    /// Register a counter under `name`. The closure is polled at the
-    /// measured-phase boundaries; the report sees `end − start`.
-    pub fn register_counter(&self, name: &str, f: impl Fn() -> f64 + 'static) {
-        let mut inner = self.inner.borrow_mut();
-        let prev = inner.counters.insert(name.to_string(), Rc::new(f));
-        assert!(prev.is_none(), "duplicate counter {name}");
-    }
-
     /// Record one histogram sample under `name` (created on first use).
     pub fn record(&self, name: &str, v: f64) {
         self.inner
@@ -121,53 +107,21 @@ impl MetricsRegistry {
         }
     }
 
-    fn poll_counters(&self) -> Vec<(String, f64)> {
-        let sources: Vec<(String, Source)> = {
-            let inner = self.inner.borrow();
-            inner
-                .counters
-                .iter()
-                .map(|(k, v)| (k.clone(), v.clone()))
-                .collect()
-        };
-        sources.into_iter().map(|(k, f)| (k, f())).collect()
-    }
-
-    /// Mark the measured-phase start: counters are snapshotted as the
-    /// baseline and one gauge sample is taken.
+    /// Mark the measured-phase start and take one gauge sample.
     pub fn mark_phase_start(&self, now_ns: u64) {
-        let polled = self.poll_counters();
-        {
-            let mut inner = self.inner.borrow_mut();
-            inner.phase_start_ns = now_ns;
-            inner.baseline = polled.into_iter().collect();
-        }
+        self.inner.borrow_mut().phase_start_ns = now_ns;
         self.sample(now_ns);
     }
 
-    /// Mark the measured-phase end: counters are snapshotted as finals
-    /// and one last gauge sample is taken.
+    /// Mark the measured-phase end and take one last gauge sample.
     pub fn finish(&self, now_ns: u64) {
-        let polled = self.poll_counters();
-        {
-            let mut inner = self.inner.borrow_mut();
-            inner.phase_end_ns = now_ns;
-            inner.finals = polled.into_iter().collect();
-        }
+        self.inner.borrow_mut().phase_end_ns = now_ns;
         self.sample(now_ns);
     }
 
     /// Freeze everything into a plain-data snapshot.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut inner = self.inner.borrow_mut();
-        let counters = inner
-            .finals
-            .iter()
-            .map(|(k, v)| {
-                let base = inner.baseline.get(k).copied().unwrap_or(0.0);
-                (k.clone(), v - base)
-            })
-            .collect();
         let hists = {
             // Summarizing sorts in place, hence the mutable walk.
             let mut out = BTreeMap::new();
@@ -181,7 +135,6 @@ impl MetricsRegistry {
             phase_end_ns: inner.phase_end_ns,
             times_ns: inner.times.clone(),
             series: inner.series.clone(),
-            counters,
             hists,
         }
     }
@@ -238,8 +191,6 @@ pub struct MetricsSnapshot {
     pub times_ns: Vec<u64>,
     /// One series per gauge, index-aligned with `times_ns`.
     pub series: BTreeMap<String, Vec<f64>>,
-    /// Measured-phase counter deltas.
-    pub counters: BTreeMap<String, f64>,
     /// Histogram summaries.
     pub hists: BTreeMap<String, HistSummary>,
 }
@@ -356,18 +307,6 @@ mod tests {
         assert_eq!(snap.series_max("q.depth"), Some(4.0));
         let mean = snap.series_time_mean("q.depth").unwrap();
         assert!(mean > 0.0 && mean < 4.0, "time mean {mean}");
-    }
-
-    #[test]
-    fn counters_are_phase_deltas() {
-        let reg = MetricsRegistry::new();
-        let total = Rc::new(Cell::new(100u64));
-        let t = total.clone();
-        reg.register_counter("reqs", move || t.get() as f64);
-        reg.mark_phase_start(0);
-        total.set(175);
-        reg.finish(1_000);
-        assert_eq!(reg.snapshot().counters["reqs"], 75.0);
     }
 
     #[test]

@@ -49,8 +49,6 @@ pub struct ArtStats {
     pub submitted: u64,
     /// Requests fully completed.
     pub completed: u64,
-    /// Longest active list observed.
-    pub max_active: usize,
 }
 
 /// One compute node's asynchronous-request machinery. Clone freely: a
@@ -122,15 +120,9 @@ impl ArtPool {
     {
         self.sim.sleep(self.cfg.setup).await;
         let handle = AsyncHandle::new(self.sim.now());
-        let queue_pos;
-        {
-            let mut st = self.stats.borrow_mut();
-            st.submitted += 1;
-            let now_active = self.active.get() + 1;
-            queue_pos = now_active;
-            self.active.set(now_active);
-            st.max_active = st.max_active.max(now_active);
-        }
+        self.stats.borrow_mut().submitted += 1;
+        let queue_pos = self.active.get() + 1;
+        self.active.set(queue_pos);
         self.sim
             .emit(|| ev(track, EventKind::ArtSubmit, req, queue_pos as u64, 0));
         let pool = self.clone();

@@ -29,6 +29,17 @@ use crate::stripe::StripeAttrs;
 /// One compute node's RPC endpoint and ART pool.
 pub(crate) type NodeEndpoint = (RpcClient<PfsRequest, PfsResponse>, ArtPool);
 
+/// Cumulative counters of a replicated mount.
+#[derive(Debug, Default, Clone)]
+pub struct ReplicaStats {
+    /// Reads that failed over to a non-primary replica.
+    pub failovers: u64,
+    /// Reads a non-primary replica served.
+    pub reads: u64,
+    /// Bytes recovery coordinators copied.
+    pub rebuild_bytes: u64,
+}
+
 /// A mounted PFS. One per machine.
 pub struct ParallelFs {
     sim: Sim,
@@ -45,7 +56,7 @@ pub struct ParallelFs {
     /// Stripe slots awaiting re-replication; polled live by telemetry.
     rebuild_pending: Rc<Cell<u64>>,
     /// Cumulative bytes copied by recovery coordinators.
-    rebuild_bytes: Rc<Cell<u64>>,
+    pub(crate) rebuild_bytes: Cell<u64>,
     /// Cumulative reads that failed over to a non-primary replica.
     replica_failovers: Rc<Cell<u64>>,
     /// Cumulative reads served by a non-primary replica.
@@ -125,7 +136,7 @@ impl ParallelFs {
             clients: RefCell::new(BTreeMap::new()),
             redundancy,
             rebuild_pending: Rc::new(Cell::new(0)),
-            rebuild_bytes: Rc::new(Cell::new(0)),
+            rebuild_bytes: Cell::new(0),
             replica_failovers: Rc::new(Cell::new(0)),
             replica_reads: Rc::new(Cell::new(0)),
             legs: Rc::default(),
@@ -138,19 +149,15 @@ impl ParallelFs {
         self.rebuild_pending.clone()
     }
 
-    /// Cumulative bytes copied by recovery coordinators.
-    pub fn rebuild_bytes_cell(&self) -> Rc<Cell<u64>> {
-        self.rebuild_bytes.clone()
-    }
-
-    /// Cumulative reads that failed over to a non-primary replica.
-    pub fn replica_failovers_cell(&self) -> Rc<Cell<u64>> {
-        self.replica_failovers.clone()
-    }
-
-    /// Cumulative reads served by a non-primary replica.
-    pub fn replica_reads_cell(&self) -> Rc<Cell<u64>> {
-        self.replica_reads.clone()
+    /// Cumulative replication counters: reads that failed over to a
+    /// non-primary replica, reads a non-primary replica served, and
+    /// bytes recovery coordinators copied.
+    pub fn replica_stats(&self) -> ReplicaStats {
+        ReplicaStats {
+            failovers: self.replica_failovers.get(),
+            reads: self.replica_reads.get(),
+            rebuild_bytes: self.rebuild_bytes.get(),
+        }
     }
 
     pub(crate) fn sim(&self) -> &Sim {
@@ -391,20 +398,10 @@ impl ParallelFs {
             .unwrap_or_default()
     }
 
-    /// Aggregate bytes read across all I/O-node servers.
-    pub fn total_bytes_served(&self) -> u64 {
-        self.servers.iter().map(|s| s.stats().bytes_read).sum()
-    }
-
     /// Live request-queue-depth cells of every I/O-node server, in
     /// I/O-node order, for telemetry gauges.
     pub fn server_inflight_cells(&self) -> Vec<Rc<Cell<usize>>> {
         self.servers.iter().map(|s| s.inflight_cell()).collect()
-    }
-
-    /// Cumulative server-thread-held nanoseconds per I/O node.
-    pub fn server_busy_ns(&self) -> Vec<u64> {
-        self.servers.iter().map(|s| s.busy_ns()).collect()
     }
 
     /// Requests currently on any compute node's ART active list (the
@@ -419,15 +416,13 @@ impl ParallelFs {
             .sum()
     }
 
-    /// ART counters aggregated over all compute-node pools: summed
-    /// submissions/completions, per-node max of the active-list peak.
+    /// ART counters summed over all compute-node pools.
     pub fn art_stats(&self) -> ArtStats {
         let mut total = ArtStats::default();
         for (_, arts) in self.clients.borrow().values() {
             let st = arts.stats();
             total.submitted += st.submitted;
             total.completed += st.completed;
-            total.max_active = total.max_active.max(st.max_active);
         }
         total
     }

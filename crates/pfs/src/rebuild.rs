@@ -152,7 +152,6 @@ pub async fn rebuild_after_crash(
     }
 
     let pending = pfs.rebuild_pending_cell();
-    let bytes_cell = pfs.rebuild_bytes_cell();
     pending.set(pending.get() + work.len() as u64);
     sim.emit(|| {
         ev(
@@ -234,7 +233,7 @@ pub async fn rebuild_after_crash(
         stats.slots_copied += 1;
         stats.bytes_copied += slot_len;
         pending.set(pending.get().saturating_sub(1));
-        bytes_cell.set(bytes_cell.get() + slot_len);
+        pfs.rebuild_bytes.set(pfs.rebuild_bytes.get() + slot_len);
         let slot = item.slot as u64;
         sim.emit(|| ev(Track::Sys, EventKind::RebuildCopy, req, slot, slot_len));
     }

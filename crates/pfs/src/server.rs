@@ -51,6 +51,8 @@ pub struct ServerStats {
     pub partial_block_requests: u64,
     /// M_GLOBAL reads satisfied from another node's physical I/O.
     pub global_shares: u64,
+    /// Nanoseconds any server thread was held.
+    pub busy_ns: u64,
 }
 
 /// Shared result slot of one in-progress M_GLOBAL read.
@@ -85,8 +87,6 @@ pub(crate) struct Server {
     /// Requests currently inside [`IonServer::handle`] (queued for a
     /// thread or being serviced); polled live by telemetry gauges.
     inflight: Rc<Cell<usize>>,
-    /// Cumulative nanoseconds any server thread was held.
-    busy_ns: Rc<Cell<u64>>,
 }
 
 impl Deref for IonServer {
@@ -118,7 +118,6 @@ impl IonServer {
             rng: Rc::new(RefCell::new(rng)),
             threads,
             inflight: Rc::new(Cell::new(0)),
-            busy_ns: Rc::new(Cell::new(0)),
         }))
     }
 
@@ -133,14 +132,8 @@ impl IonServer {
         self.inflight.clone()
     }
 
-    /// Cumulative nanoseconds server threads were held so far.
-    pub(crate) fn busy_ns(&self) -> u64 {
-        self.busy_ns.get()
-    }
-
     fn note_busy(&self, since: SimTime) {
-        self.busy_ns
-            .set(self.busy_ns.get() + (self.sim.now() - since).as_nanos());
+        self.stats.borrow_mut().busy_ns += (self.sim.now() - since).as_nanos();
     }
 
     /// Service one request. Installed as this node's RPC handler.

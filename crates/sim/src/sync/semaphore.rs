@@ -65,11 +65,6 @@ impl Semaphore {
         }
     }
 
-    /// Number of parked waiters.
-    pub fn queue_len(&self) -> usize {
-        self.state.borrow().queue.len()
-    }
-
     fn release(&self) {
         let mut st = self.state.borrow_mut();
         if let Some(mut next) = st.queue.pop_front() {
@@ -285,7 +280,7 @@ mod tests {
         let Poll::Ready(guard) = second.as_mut().poll(&mut cx) else {
             panic!("the dropped waiter's permit did not reach the next waiter");
         };
-        assert_eq!(sem.queue_len(), 0);
+        assert!(sem.state.borrow().queue.is_empty());
         assert_eq!(available(&sem), 0);
         drop(guard);
         assert_eq!(available(&sem), 1);

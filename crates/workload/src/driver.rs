@@ -22,6 +22,7 @@ use paragon_sim::{ev, EventKind, Sim, SimDuration, SimTime, Track};
 use crate::config::{AccessPattern, ExperimentConfig, FaultSpec};
 use crate::result::{NodeResult, RunResult};
 use crate::telemetry::{names, Telemetry};
+use crate::work::Work;
 
 /// Run `cfg`'s access pattern to completion and return its measurements:
 /// [`run_with`] with the synthetic read program the paper's workloads
@@ -75,7 +76,7 @@ where
     let pfs = ParallelFs::new_with_redundancy(machine.clone(), cfg.redundancy);
     let telemetry = cfg
         .metrics_cadence
-        .map(|cadence| Telemetry::new(&sim, &machine, &pfs, cadence));
+        .map(|cadence| Telemetry::new(&sim, &pfs, cadence));
     // Node programs always get cells to poke; without telemetry they are
     // private dummies and the pokes are inert (no events, no RNG).
     let (in_io, prefetch_gauges) = match &telemetry {
@@ -85,9 +86,9 @@ where
     // Where the driver task deposits its measurements for the harvest.
     let out = Rc::new(RefCell::new(None));
     let rebuild_out = Rc::new(RefCell::new(None));
-    let replica_failovers = pfs.replica_failovers_cell();
-    let replica_reads = pfs.replica_reads_cell();
     let rebuild_pending = pfs.rebuild_pending_cell();
+    // The harvest reads every layer's counters through the mount.
+    let mount = pfs.clone();
 
     let program = Rc::new(program);
     let (cfg2, sim2, machine2, telemetry2) =
@@ -171,9 +172,8 @@ where
         let elapsed = sim2.now().since(t0);
         *out2.borrow_mut() = Some((per_node, elapsed));
     });
-    sim.run();
-
-    let report = sim.report();
+    let report = sim.run();
+    let work = Work::of(&sim, &mount);
     let trace = sim.tracer().events();
     // Free the world: parked server loops otherwise keep the whole
     // machine (including megabytes of simulated disk contents) alive via
@@ -204,26 +204,18 @@ where
             }
         }
     }
-    let mut disk = paragon_disk::DiskStats::default();
-    let mut raid = paragon_disk::RaidStats::default();
-    for i in 0..cfg.io_nodes {
-        disk.merge(&machine.raid(i).stats());
-        let r = machine.raid(i).raid_stats();
-        raid.reconstructed_reads += r.reconstructed_reads;
-        raid.reconstructed_bytes += r.reconstructed_bytes;
-        raid.parity_rmws += r.parity_rmws;
-        raid.store_bytes_copied += r.store_bytes_copied;
-    }
-    let metrics = telemetry.map(|t| {
-        // Distributions are recorded post-run from the per-request
-        // timers the node programs already keep.
-        for n in &per_node {
-            for &dt in &n.read_times {
-                t.record(names::READ_TIME_S, dt.as_secs_f64());
+    let (metrics, phase_work) = telemetry
+        .map(|t| {
+            // Distributions are recorded post-run from the per-request
+            // timers the node programs already keep.
+            for n in &per_node {
+                for &dt in &n.read_times {
+                    t.record(names::READ_TIME_S, dt.as_secs_f64());
+                }
             }
-        }
-        t.snapshot()
-    });
+            t.snapshot()
+        })
+        .unzip();
     let rebuild = rebuild_out.borrow_mut().take();
     RunResult {
         read_errors: per_node.iter().map(|n| n.read_errors).sum(),
@@ -233,17 +225,13 @@ where
         prefetch,
         prefetch_enabled: cfg.prefetch.is_some(),
         trace_hash: report.trace_hash,
-        polls: report.polls,
+        work,
         verify_failures,
-        fault: sim.faults().stats(),
-        raid,
-        disk,
         rebuild,
         rebuild_pending: rebuild_pending.get(),
-        replica_failovers: replica_failovers.get(),
-        replica_reads: replica_reads.get(),
         trace,
         metrics,
+        phase_work,
     }
 }
 
@@ -635,18 +623,19 @@ mod tests {
         assert_eq!(r.verify_failures, 0, "corrupt data under faults");
         assert_eq!(r.read_errors, 0, "parity + retries must cover these faults");
         assert_eq!(r.total_bytes, 1 << 20);
+        let w = |name| r.work.get(name);
         assert!(
-            r.raid.reconstructed_reads > 0,
+            w("raid.reconstructed_reads") > 0,
             "the dead member was never reconstructed: {:?}",
-            r.raid
+            r.work
         );
-        assert!(r.fault.disk_dead_hits > 0);
+        assert!(w("fault.disk_dead_hits") > 0);
         assert_eq!(
-            r.disk.faulted,
-            r.fault.disk_transients + r.fault.disk_dead_hits,
+            w("disk.faulted"),
+            w("fault.disk_transients") + w("fault.disk_dead_hits"),
             "every injected disk fault fails one disk request"
         );
-        assert!(r.fault.mesh_dropped > 0, "1% of many messages must drop");
+        assert!(w("fault.mesh_dropped") > 0, "1% of many messages must drop");
         assert!(
             r.trace.iter().any(|e| matches!(
                 e.kind,
@@ -671,8 +660,7 @@ mod tests {
             "fault runs must be deterministic"
         );
         assert_eq!(a.elapsed, b.elapsed);
-        assert_eq!(a.fault.mesh_dropped, b.fault.mesh_dropped);
-        assert_eq!(a.fault.disk_transients, b.fault.disk_transients);
+        assert_eq!(a.work, b.work);
     }
 
     #[test]
@@ -720,7 +708,7 @@ mod tests {
         assert_eq!(r.read_errors, 0, "retries must ride out the window");
         assert_eq!(r.total_bytes, 1 << 20);
         assert!(
-            r.fault.node_down_drops > 0,
+            r.work.get("fault.node_down_drops") > 0,
             "the window never dropped anything"
         );
         assert!(

@@ -9,14 +9,17 @@
 //! synthetic read program, and the extension studies hand it their own
 //! (write-behind writers, `aread` double buffering). [`RunResult`]
 //! reports the paper's metrics (collective bandwidth, per-request access
-//! times, per-node fairness, prefetch hit/waste accounting).
+//! times, per-node fairness, prefetch hit/waste accounting) and, as one
+//! [`Work`] snapshot, every layer's work counters.
 
 mod config;
 mod driver;
 mod result;
 pub mod telemetry;
+mod work;
 
 pub use config::{AccessPattern, ExperimentConfig, FaultSpec, StripeLayout};
 pub use driver::{run, run_with, NodeCtx};
 pub use result::{NodeResult, RunResult};
 pub use telemetry::{metrics_report, render_report};
+pub use work::Work;

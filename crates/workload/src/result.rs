@@ -8,9 +8,10 @@
 //! distributed" check) are tracked alongside.
 
 use paragon_core::PrefetchStats;
-use paragon_disk::{DiskStats, RaidStats};
 use paragon_metrics::MetricsSnapshot;
-use paragon_sim::{FaultStats, SimDuration, TraceEvent};
+use paragon_sim::{SimDuration, TraceEvent};
+
+use crate::work::Work;
 
 /// What one compute node measured.
 #[derive(Debug, Clone, Default)]
@@ -68,37 +69,28 @@ pub struct RunResult {
     pub prefetch_enabled: bool,
     /// Event-trace hash of the whole simulation (determinism checks).
     pub trace_hash: u64,
-    /// Wakes the executor handled over the whole simulation (see
-    /// `RunReport::polls`): host work the trace hash misses, since a
-    /// spurious wake adds a poll but no event.
-    pub polls: u64,
+    /// Every layer's work over the whole simulation, setup included,
+    /// taken when the run drained. `sim.polls` is host work the trace
+    /// hash misses, since a spurious wake adds a poll but no event.
+    pub work: Work,
     /// Number of data-verification mismatches (0 unless `verify_data`
     /// caught corruption — always a bug).
     pub verify_failures: u64,
     /// Reads that failed across all nodes (under injected faults only).
     pub read_errors: u64,
-    /// Fault-plan counters: what the plan actually injected.
-    pub fault: FaultStats,
-    /// Aggregate RAID counters across every I/O node's array; nonzero
-    /// `reconstructed_reads` means degraded-mode reads happened.
-    pub raid: RaidStats,
-    /// Aggregate disk counters across every I/O node's array (includes
-    /// the setup phase's populate writes).
-    pub disk: DiskStats,
     /// Recovery-coordinator counters (`None` unless a replicated run's
     /// I/O-node crash triggered online re-replication).
     pub rebuild: Option<paragon_pfs::RebuildStats>,
     /// Stripe slots still awaiting re-replication when the simulation
     /// drained — must be 0 whenever a rebuild ran to completion.
     pub rebuild_pending: u64,
-    /// Reads that failed over from one replica to another.
-    pub replica_failovers: u64,
-    /// Reads served by a non-primary replica.
-    pub replica_reads: u64,
     /// Trace events (empty unless `trace_cap` was set in the config).
     pub trace: Vec<TraceEvent>,
     /// Telemetry snapshot (`None` unless `metrics_cadence` was set).
     pub metrics: Option<MetricsSnapshot>,
+    /// The [`Work`] at the measured phase's start and end (`None`
+    /// unless `metrics_cadence` was set).
+    pub phase_work: Option<[Work; 2]>,
 }
 
 impl RunResult {

@@ -8,7 +8,9 @@
 //! buffer-list occupancy, and the number of compute nodes currently
 //! inside a read call. A [`Sampler`] task on the simulation kernel
 //! snapshots every gauge at a fixed simulated-time cadence, so the
-//! series are a pure function of the seed.
+//! series are a pure function of the seed. Work counters are not
+//! registered: the measured phase's boundaries each take a [`Work`]
+//! snapshot, and the report shows their difference.
 //!
 //! On top of the raw snapshot, [`metrics_report`] derives the
 //! bottleneck-attribution report: per-component utilizations, a
@@ -23,7 +25,6 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use paragon_core::PrefetchGauges;
-use paragon_machine::Machine;
 use paragon_metrics::{Json, MetricsRegistry, MetricsSnapshot, Sampler};
 use paragon_pfs::ParallelFs;
 use paragon_profile::{critical_paths, CriticalPath, SpanKind};
@@ -31,11 +32,13 @@ use paragon_sim::{Sim, SimDuration};
 
 use crate::config::ExperimentConfig;
 use crate::result::RunResult;
+use crate::work::Work;
 
-/// Stable dotted metric names. Per-I/O-node instruments append an
-/// `.ion<N>` suffix (`disk.queue.ion3`); everything else uses the
-/// constant verbatim. `tests/vocabulary_coverage.rs` checks that each
-/// name in `names::ALL` is registered by an instrumented run.
+/// Stable dotted names of the gauges and histograms. Per-I/O-node
+/// gauges append an `.ion<N>` suffix (`disk.queue.ion3`); everything
+/// else uses the constant verbatim. `tests/vocabulary_coverage.rs`
+/// checks that each name in `names::ALL` is registered by an
+/// instrumented run. Counter names are [`Work`]'s.
 pub mod names {
     paragon_metrics::metric_names! {
         /// Gauge: outstanding commands across every disk of one/all arrays.
@@ -52,49 +55,11 @@ pub mod names {
         PREFETCH_BYTES = "prefetch.bytes";
         /// Gauge: compute nodes currently inside a read call.
         NODES_IN_IO = "cn.nodes_in_io";
-        /// Counter: disk busy nanoseconds, summed over spindles.
-        DISK_BUSY_NS = "disk.busy_ns";
-        /// Counter: disk commands issued.
-        DISK_REQUESTS = "disk.requests";
-        /// Counter: server thread-held nanoseconds. A thread stays held
-        /// across its disk await, so this covers the service *and* disk
-        /// span phases, not server CPU alone.
-        SERVER_BUSY_NS = "server.busy_ns";
-        /// Counter: bytes the servers read off their file systems.
-        SERVER_BYTES_READ = "server.bytes_read";
-        /// Counter: mesh payload bytes sent.
-        MESH_BYTES = "mesh.bytes";
-        /// Counter: mesh messages sent.
-        MESH_MESSAGES = "mesh.messages";
-        /// Counter: router hops traversed, summed over messages.
-        MESH_HOPS = "mesh.hops";
-        /// Counter: busiest single NIC's occupancy nanoseconds.
-        NIC_BUSY_NS_MAX = "mesh.nic_busy_ns.max";
-        /// Counter: NIC occupancy nanoseconds summed over all nodes.
-        NIC_BUSY_NS_TOTAL = "mesh.nic_busy_ns.total";
-        /// Counter: asynchronous request threads submitted.
-        ART_SUBMITTED = "art.submitted";
-        /// Counter: asynchronous request threads completed.
-        ART_COMPLETED = "art.completed";
         /// Histogram: per-request end-to-end read time, seconds.
         READ_TIME_S = "read.time_s";
         /// Gauge: stripe slots still awaiting re-replication (drains to
         /// exactly zero once a rebuild completes).
         REBUILD_QUEUE = "rebuild.queue";
-        /// Counter: bytes the recovery coordinator has re-replicated.
-        REBUILD_BYTES = "rebuild.bytes";
-        /// Counter: reads that failed over from one replica to another.
-        REPLICA_FAILOVERS = "replica.failovers";
-        /// Counter: reads served by a non-primary replica.
-        REPLICA_READS = "replica.reads";
-        /// Counter: timer events the simulation kernel fired.
-        SIM_EVENTS = "sim.events";
-        /// Counter: wakes the executor handled (task polls, spurious
-        /// ones included, plus dropped stale wakes).
-        SIM_POLLS = "sim.polls";
-        /// Counter: host bytes the I/O nodes' logical stores copied
-        /// (multi-page read gather and partial-page write merge).
-        DISK_STORE_BYTES_COPIED = "disk.store.bytes_copied";
     }
 }
 
@@ -103,13 +68,16 @@ pub(crate) fn ion_metric(base: &str, ion: usize) -> String {
     format!("{base}.ion{ion}")
 }
 
-/// One run's telemetry: the registry with every component instrument
-/// registered, plus the sampler driving it over the measured phase.
+/// One run's telemetry: the registry with every gauge registered, the
+/// sampler driving it over the measured phase, and the [`Work`] at the
+/// phase's start and end.
 pub struct Telemetry {
     sim: Sim,
+    pfs: Rc<ParallelFs>,
     registry: MetricsRegistry,
     cadence: SimDuration,
     sampler: RefCell<Option<Sampler>>,
+    phase: RefCell<[Work; 2]>,
     /// Wire to node programs: ±1 around every read call.
     pub in_io: Rc<Cell<i64>>,
     /// Wire to every prefetching file via `set_gauges`.
@@ -117,18 +85,12 @@ pub struct Telemetry {
 }
 
 impl Telemetry {
-    /// Build a registry wired to `machine` and `pfs` and covering the
+    /// Build a registry wired to `pfs` and its machine and covering the
     /// whole I/O path. Gauges read live `Cell`s, so sampling emits no
-    /// events and draws no randomness; counters are polled only at the
-    /// measured-phase boundaries, so setup-phase activity (file
-    /// population) is excluded from every delta by construction.
-    pub(crate) fn new(
-        sim: &Sim,
-        machine: &Rc<Machine>,
-        pfs: &Rc<ParallelFs>,
-        cadence: SimDuration,
-    ) -> Rc<Telemetry> {
+    /// events and draws no randomness.
+    pub(crate) fn new(sim: &Sim, pfs: &Rc<ParallelFs>, cadence: SimDuration) -> Rc<Telemetry> {
         let registry = MetricsRegistry::new();
+        let machine = pfs.machine();
         let ions = machine.io_nodes();
 
         // -- Gauges: instantaneous levels, polled every sampler tick. --
@@ -167,108 +129,33 @@ impl Telemetry {
         let p = pfs.clone();
         registry.register_gauge(names::ART_ACTIVE, move || p.art_active() as f64);
 
-        // -- Counters: monotone totals, polled at phase boundaries. --
-        for i in 0..ions {
-            let m = machine.clone();
-            registry.register_counter(&ion_metric(names::DISK_BUSY_NS, i), move || {
-                m.raid(i)
-                    .member_stats()
-                    .iter()
-                    .map(|s| s.busy.as_nanos() as f64)
-                    .sum()
-            });
-            let p = pfs.clone();
-            registry.register_counter(&ion_metric(names::SERVER_BUSY_NS, i), move || {
-                p.server_busy_ns()[i] as f64
-            });
-        }
-        let m = machine.clone();
-        registry.register_counter(names::DISK_BUSY_NS, move || {
-            (0..ions)
-                .flat_map(|i| m.raid(i).member_stats())
-                .map(|s| s.busy.as_nanos() as f64)
-                .sum()
-        });
-        let m = machine.clone();
-        registry.register_counter(names::DISK_REQUESTS, move || {
-            (0..ions).map(|i| m.raid(i).stats().requests as f64).sum()
-        });
-        let p = pfs.clone();
-        registry.register_counter(names::SERVER_BUSY_NS, move || {
-            p.server_busy_ns().iter().map(|&n| n as f64).sum()
-        });
-        let p = pfs.clone();
-        registry.register_counter(names::SERVER_BYTES_READ, move || {
-            p.total_bytes_served() as f64
-        });
-        let p = pfs.clone();
-        registry.register_counter(names::MESH_BYTES, move || {
-            p.rpc_net().mesh_stats().bytes as f64
-        });
-        let p = pfs.clone();
-        registry.register_counter(names::MESH_MESSAGES, move || {
-            p.rpc_net().mesh_stats().messages as f64
-        });
-        let p = pfs.clone();
-        registry.register_counter(names::MESH_HOPS, move || {
-            p.rpc_net().mesh_stats().hops as f64
-        });
-        let p = pfs.clone();
-        registry.register_counter(names::NIC_BUSY_NS_MAX, move || {
-            p.rpc_net().nic_busy_ns().into_iter().max().unwrap_or(0) as f64
-        });
-        let p = pfs.clone();
-        registry.register_counter(names::NIC_BUSY_NS_TOTAL, move || {
-            p.rpc_net().nic_busy_ns().iter().map(|&n| n as f64).sum()
-        });
-        let p = pfs.clone();
-        registry.register_counter(names::ART_SUBMITTED, move || p.art_stats().submitted as f64);
-        let p = pfs.clone();
-        registry.register_counter(names::ART_COMPLETED, move || p.art_stats().completed as f64);
-        let c = pfs.rebuild_bytes_cell();
-        registry.register_counter(names::REBUILD_BYTES, move || c.get() as f64);
-        let c = pfs.replica_failovers_cell();
-        registry.register_counter(names::REPLICA_FAILOVERS, move || c.get() as f64);
-        let c = pfs.replica_reads_cell();
-        registry.register_counter(names::REPLICA_READS, move || c.get() as f64);
-        // Host work, counted exactly: what a host-time slowdown is made
-        // of, without the host clock's noise.
-        let s = sim.clone();
-        registry.register_counter(names::SIM_EVENTS, move || {
-            s.report().events_processed as f64
-        });
-        let s = sim.clone();
-        registry.register_counter(names::SIM_POLLS, move || s.report().polls as f64);
-        let m = machine.clone();
-        registry.register_counter(names::DISK_STORE_BYTES_COPIED, move || {
-            (0..ions)
-                .map(|i| m.raid(i).raid_stats().store_bytes_copied as f64)
-                .sum()
-        });
-
         Rc::new(Telemetry {
             sim: sim.clone(),
+            pfs: pfs.clone(),
             registry,
             cadence,
             sampler: RefCell::new(None),
+            phase: RefCell::default(),
             in_io,
             prefetch,
         })
     }
 
-    /// Start the measured phase: counters are baselined and the sampler
-    /// task begins ticking at the configured cadence.
+    /// Start the measured phase: the start's [`Work`] is taken and the
+    /// sampler task begins ticking at the configured cadence.
     pub(crate) fn begin(&self) {
+        self.phase.borrow_mut()[0] = Work::of(&self.sim, &self.pfs);
         self.registry.mark_phase_start(self.sim.now().as_nanos());
         *self.sampler.borrow_mut() = Some(Sampler::start(&self.sim, &self.registry, self.cadence));
     }
 
     /// End the measured phase: the sampler is stopped (its pending
-    /// wakeup exits without sampling) and counter finals are taken.
+    /// wakeup exits without sampling) and the end's [`Work`] is taken.
     pub(crate) fn end(&self) {
         if let Some(s) = self.sampler.borrow_mut().take() {
             s.stop();
         }
+        self.phase.borrow_mut()[1] = Work::of(&self.sim, &self.pfs);
         self.registry.finish(self.sim.now().as_nanos());
     }
 
@@ -277,16 +164,17 @@ impl Telemetry {
         self.registry.record(name, v);
     }
 
-    /// Freeze the run's telemetry.
-    pub(crate) fn snapshot(&self) -> MetricsSnapshot {
-        self.registry.snapshot()
+    /// Freeze the run's telemetry: the gauge and histogram snapshot,
+    /// and the [`Work`] at the measured phase's start and end.
+    pub(crate) fn snapshot(&self) -> (MetricsSnapshot, [Work; 2]) {
+        (self.registry.snapshot(), self.phase.take())
     }
 }
 
 /// Build the bottleneck-attribution report for an instrumented run.
 ///
-/// Sections: `meta` (the run config), `counters` (measured-phase work
-/// counts) and `scalars` (flat `name → number`), then `series`,
+/// Sections: `meta` (the run config), `counters` (the measured phase's
+/// [`Work`]: end minus start) and `scalars` (flat `name → number`), then `series`,
 /// `histograms` and `bottleneck` for humans and renderers. The pretty
 /// JSON puts one key per line, so a diff against the committed baseline
 /// names each counter or scalar that moved.
@@ -299,7 +187,12 @@ pub fn metrics_report(cfg: &ExperimentConfig, result: &RunResult) -> Json {
     let elapsed_s = snap.elapsed_s().max(1e-12);
     let cn = cfg.compute_nodes as f64;
     let ions = cfg.io_nodes as f64;
-    let delta = |name: &str| snap.counters.get(name).copied().unwrap_or(0.0);
+    let [start, end] = result
+        .phase_work
+        .as_ref()
+        .expect("metrics_report needs a run with metrics_cadence set");
+    let work = end.since(start);
+    let delta = |name: &str| work.get(name) as f64;
 
     // Component utilizations: busy time over capacity × elapsed.
     // Spindles per I/O node: data members plus the parity member, if the
@@ -307,10 +200,12 @@ pub fn metrics_report(cfg: &ExperimentConfig, result: &RunResult) -> Json {
     let calib = cfg.effective_calib();
     let spindles_per_ion = calib.raid_members + usize::from(calib.raid_parity);
     let spindles = (spindles_per_ion * cfg.io_nodes).max(1) as f64;
-    let util_disk = delta(names::DISK_BUSY_NS) / (spindles * elapsed_ns);
+    let util_disk = delta("disk.busy_ns") / (spindles * elapsed_ns);
     let threads = (cfg.calib.server_threads * cfg.io_nodes).max(1) as f64;
-    let util_server = delta(names::SERVER_BUSY_NS) / (threads * elapsed_ns);
-    let util_mesh = delta(names::NIC_BUSY_NS_MAX) / elapsed_ns;
+    // A server thread stays held across its disk await, so its busy time
+    // covers the service *and* disk span phases, not server CPU alone.
+    let util_server = delta("server.busy_ns") / (threads * elapsed_ns);
+    let util_mesh = delta("mesh.nic_busy_ns.max") / elapsed_ns;
     let art_mean = snap.series_time_mean(names::ART_ACTIVE).unwrap_or(0.0);
     let util_art = art_mean / (cn * cfg.calib.max_arts.max(1) as f64);
     let reads: u64 = result.per_node.iter().map(|n| n.reads).sum();
@@ -384,8 +279,11 @@ pub fn metrics_report(cfg: &ExperimentConfig, result: &RunResult) -> Json {
     // baseline reports committed before replication existed stay
     // byte-compatible with every non-replicated run.
     if matches!(cfg.redundancy, paragon_pfs::Redundancy::Replicated { .. }) {
-        put("replica.failovers", result.replica_failovers as f64);
-        put("replica.reads", result.replica_reads as f64);
+        put(
+            "replica.failovers",
+            result.work.get("replica.failovers") as f64,
+        );
+        put("replica.reads", result.work.get("replica.reads") as f64);
         put("rebuild.pending_end", result.rebuild_pending as f64);
         put(
             "rebuild.bytes",
@@ -422,8 +320,8 @@ pub fn metrics_report(cfg: &ExperimentConfig, result: &RunResult) -> Json {
     bottleneck.insert("top".into(), Json::Str(ranking[0].0.to_string()));
 
     let mut counters = std::collections::BTreeMap::new();
-    for (k, v) in &snap.counters {
-        counters.insert(k.clone(), Json::Num(*v));
+    for (k, v) in work.iter() {
+        counters.insert(k.to_string(), Json::Num(v as f64));
     }
     let mut series = std::collections::BTreeMap::new();
     series.insert(
@@ -650,11 +548,6 @@ mod tests {
         ] {
             assert!(snap.series.contains_key(g), "missing gauge series {g}");
         }
-        // The workload drives real disk and mesh work in the phase.
-        assert!(snap.counters[names::DISK_BUSY_NS] > 0.0);
-        assert!(snap.counters[names::MESH_BYTES] > 0.0);
-        assert!(snap.counters[names::MESH_HOPS] > 0.0);
-        assert!(snap.counters[&ion_metric(names::DISK_BUSY_NS, 0)] > 0.0);
         assert!(snap.series_max(names::NODES_IN_IO).unwrap_or(0.0) > 0.0);
         // An I/O-bound run keeps nodes inside read calls nearly all the
         // time, and Little's law ties the three measurements together.
@@ -741,8 +634,30 @@ mod tests {
     }
 
     #[test]
+    fn counters_are_the_measured_phase_window() {
+        let cfg = instrumented();
+        let r = crate::run(&cfg);
+        let [start, end] = r.phase_work.as_ref().expect("metrics on");
+        let report = metrics_report(&cfg, &r);
+        let counters = report.get("counters").and_then(Json::as_obj).unwrap();
+        let delta = |name: &str| counters[name].as_f64().unwrap() as u64;
+        assert_eq!(counters.len(), end.iter().count());
+        for (name, at_end) in end.iter() {
+            assert_eq!(start.get(name) + delta(name), at_end, "{name}");
+        }
+        // The workload reads; only the setup's populate writes, and it
+        // writes each I/O node's UFS directly, not through its server.
+        for name in ["disk.bytes_written", "ufs.bytes_written"] {
+            assert_eq!(delta(name), 0, "{name} moved in the measured phase");
+            assert!(r.work.get(name) > 0, "{name} never moved");
+        }
+        assert_eq!(r.work.get("server.writes"), 0);
+        assert!(delta("disk.busy_ns.ion0") > 0 && delta("mesh.hops") > 0);
+    }
+
+    #[test]
     fn ion_metric_names_are_stable() {
         assert_eq!(ion_metric(names::DISK_QUEUE, 3), "disk.queue.ion3");
-        assert_eq!(ion_metric(names::SERVER_BUSY_NS, 0), "server.busy_ns.ion0");
+        assert_eq!(ion_metric(names::SERVER_QUEUE, 0), "server.queue.ion0");
     }
 }

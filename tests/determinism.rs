@@ -94,17 +94,14 @@ fn faulted_runs_reproduce_exactly() {
     let a = run(&faulted(1234));
     let b = run(&faulted(1234));
     assert!(
-        a.fault.disk_transients
-            + a.fault.mesh_dropped
-            + a.fault.mesh_duplicated
-            + a.fault.mesh_delayed
-            > 0,
+        a.work
+            .iter()
+            .any(|(name, n)| name.starts_with("fault.") && n > 0),
         "fault plan never fired; the test is vacuous"
     );
     assert_eq!(a.trace_hash, b.trace_hash, "faulted trace diverged");
     assert_eq!(a.elapsed, b.elapsed);
-    assert_eq!(a.fault.disk_transients, b.fault.disk_transients);
-    assert_eq!(a.fault.mesh_dropped, b.fault.mesh_dropped);
+    assert_eq!(a.work, b.work);
     assert_eq!(a.prefetch.faults, b.prefetch.faults);
 }
 
@@ -170,7 +167,10 @@ fn full_machine_1024x128_pins_the_serial_golden() {
         r.elapsed.as_nanos()
     );
     assert_eq!(
-        (r.polls, r.raid.store_bytes_copied),
+        (
+            r.work.get("sim.polls"),
+            r.work.get("disk.store.bytes_copied")
+        ),
         work,
         "(task polls, store bytes copied) diverged"
     );

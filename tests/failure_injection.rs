@@ -275,11 +275,11 @@ fn replicated_mount_masks_an_ion_crash() {
     );
     assert_eq!(crashed.verify_failures, 0, "failover returned wrong bytes");
     assert!(
-        crashed.replica_failovers > 0,
+        crashed.work.get("replica.failovers") > 0,
         "crash window never bit: no read ever abandoned the dead primary"
     );
     assert!(
-        crashed.replica_reads > 0,
+        crashed.work.get("replica.reads") > 0,
         "no read was served by a surviving replica"
     );
     // Online re-replication ran to completion within the run.
@@ -315,7 +315,7 @@ fn replicated_crash_and_rebuild_are_deterministic() {
     let a = run(&traced());
     let b = run(&traced());
     assert!(
-        a.replica_failovers > 0 && a.rebuild.is_some(),
+        a.work.get("replica.failovers") > 0 && a.rebuild.is_some(),
         "crash plus rebuild never happened; the test is vacuous"
     );
     assert_eq!(
@@ -324,8 +324,7 @@ fn replicated_crash_and_rebuild_are_deterministic() {
     );
     assert_eq!(a.trace, b.trace, "event streams diverged");
     assert_eq!(a.elapsed, b.elapsed);
-    assert_eq!(a.replica_failovers, b.replica_failovers);
-    assert_eq!(a.replica_reads, b.replica_reads);
+    assert_eq!(a.work, b.work);
     assert_eq!(a.rebuild, b.rebuild);
     assert_eq!(a.rebuild_pending, b.rebuild_pending);
 }
@@ -432,11 +431,10 @@ fn rebuild_storm_smoke_sixteen_ions() {
     let r = run(&cfg);
     assert_eq!(r.read_errors, 0, "foreground saw a read error");
     assert_eq!(r.verify_failures, 0, "foreground saw corrupt data");
+    let (failovers, reads) = (r.work.get("replica.failovers"), r.work.get("replica.reads"));
     assert!(
-        r.replica_failovers > 0 && r.replica_reads > 0,
-        "replica counters must be nonzero under a crash: {} failovers / {} reads",
-        r.replica_failovers,
-        r.replica_reads
+        failovers > 0 && reads > 0,
+        "replica counters must be nonzero under a crash: {failovers} failovers / {reads} reads"
     );
     let rb = r.rebuild.expect("storm must trigger re-replication");
     assert!(rb.slots_copied > 0 && rb.bytes_copied > 0);

@@ -136,8 +136,8 @@ fn leg_futures_are_pinned_at_their_sizes() {
     let largest = largest_futures();
     let pinned = [
         ("art", 440),
-        ("pfs-read-leg", 440),
-        ("pfs-write-leg", 440),
+        ("pfs-read-leg", 432),
+        ("pfs-write-leg", 432),
         ("rpc-handler", 528),
         ("ufs-read-run", 200),
         ("ufs-write-run", 216),

@@ -191,7 +191,10 @@ fn full_machine_512x64_smoke_is_deterministic_and_bounded() {
         r.trace_hash
     );
     assert_eq!(
-        (r.polls, r.raid.store_bytes_copied),
+        (
+            r.work.get("sim.polls"),
+            r.work.get("disk.store.bytes_copied")
+        ),
         GOLDEN_512X64.3,
         "(task polls, store bytes copied)"
     );

@@ -98,7 +98,10 @@ fn blame_sums_exactly_across_the_ext_matrix() {
 fn failover_run_yields_one_dag_per_request_and_a_pinned_blame_report() {
     let r = run(&failover_cfg(40));
     assert_eq!(r.read_errors, 0, "failover must mask the crash");
-    assert!(r.replica_failovers > 0, "crash window never bit");
+    assert!(
+        r.work.get("replica.failovers") > 0,
+        "crash window never bit"
+    );
 
     let paths = critical_paths(&r.trace);
     assert!(!paths.is_empty());

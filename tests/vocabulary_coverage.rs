@@ -1,7 +1,8 @@
 //! Every name the observability layers declare is actually produced: each
-//! `EventKind` is recorded by some run and each telemetry metric is
-//! registered. A kind or name that nothing emits fails here, so declared
-//! vocabulary cannot go dead.
+//! `EventKind` is recorded by some run, each telemetry gauge and
+//! histogram is registered, and each `Work` counter moves in some run. A
+//! kind or name that nothing emits fails here, so declared vocabulary
+//! cannot go dead.
 
 mod common;
 
@@ -14,10 +15,16 @@ use paragon::machine::{Machine, MachineConfig};
 use paragon::pfs::{IoMode, OpenOptions, ParallelFs, StripeAttrs};
 use paragon::sim::{EventKind, Sim, SimDuration};
 use paragon::workload::telemetry::names as telemetry_names;
-use paragon::workload::{run, ExperimentConfig, FaultSpec};
+use paragon::workload::{run, ExperimentConfig, FaultSpec, Work};
 
 /// Large enough that no config below drops events.
 const TRACE_CAP: usize = 1 << 20;
+
+/// `Work` counters that no correct run moves, each with the reason.
+const NEVER_MOVED: &[(&str, &str)] = &[(
+    "rpc.misrouted",
+    "counts a routing defect: a call delivered to a client, a reply to a server",
+)];
 
 /// A one-buffer prefetch list under a depth-4 pipeline, as in the
 /// failure-injection suite: prefetched buffers are evicted unused.
@@ -27,6 +34,16 @@ fn prefetch_buffer_pressure() -> ExperimentConfig {
         pc.depth = 4;
         pc.max_buffers = 1;
     }
+    c
+}
+
+/// M_GLOBAL without prefetching, so every node's read of a record is
+/// shared on the server, in 256 KB requests and stripe units, so one
+/// UFS read spans four contiguous 64 KB blocks.
+fn global_large_reads() -> ExperimentConfig {
+    let mut c = cfg(52, IoMode::MGlobal);
+    c.request_size = 256 * 1024;
+    c.stripe_unit = 256 * 1024;
     c
 }
 
@@ -68,14 +85,17 @@ fn fault_classes() -> Vec<ExperimentConfig> {
         .collect()
 }
 
-/// Event kinds of one traced client write; the experiment driver only
-/// reads, so writes go through the file API as in the PFS write suite.
-fn traced_write_kinds() -> BTreeSet<&'static str> {
+/// Event kinds and work of one traced client write; the experiment
+/// driver only reads, so writes go through the file API as in the PFS
+/// write suite.
+fn traced_write() -> (BTreeSet<&'static str>, Work) {
     let sim = Sim::new(53);
     let machine = Rc::new(Machine::new(&sim, MachineConfig::tiny_instant(1, 2)));
     let pfs = ParallelFs::new(machine);
     sim.tracer().arm(TRACE_CAP);
+    let writer = pfs.clone();
     sim.spawn(async move {
+        let pfs = writer;
         let id = pfs
             .create("/pfs/w", StripeAttrs::across(2, 4096))
             .await
@@ -86,23 +106,32 @@ fn traced_write_kinds() -> BTreeSet<&'static str> {
         f.write(Bytes::from(vec![7u8; 8192])).await.unwrap();
     });
     sim.run();
-    sim.tracer()
+    let work = Work::of(&sim, &pfs);
+    let kinds = sim
+        .tracer()
         .events()
         .iter()
         .map(|e| e.kind.as_str())
-        .collect()
+        .collect();
+    (kinds, work)
+}
+
+/// Every experiment config of the suite: the EXT matrix, prefetch
+/// buffer pressure, shared large reads, the fault classes, and a
+/// replicated crash and rebuild.
+fn suite() -> impl Iterator<Item = ExperimentConfig> {
+    ext_matrix()
+        .into_iter()
+        .map(|(_, c)| c)
+        .chain([prefetch_buffer_pressure(), global_large_reads()])
+        .chain(fault_classes())
+        .chain([crash_and_rebuild(44)])
 }
 
 #[test]
 fn every_event_kind_is_recorded_by_some_run() {
-    let configs = ext_matrix()
-        .into_iter()
-        .map(|(_, c)| c)
-        .chain([prefetch_buffer_pressure()])
-        .chain(fault_classes())
-        .chain([crash_and_rebuild(44)]);
-    let mut seen = traced_write_kinds();
-    for mut c in configs {
+    let (mut seen, _) = traced_write();
+    for mut c in suite() {
         c.trace_cap = TRACE_CAP;
         let r = run(&c);
         assert!(r.trace.len() < TRACE_CAP, "trace truncated");
@@ -124,7 +153,6 @@ fn every_telemetry_name_is_registered() {
     let registered: BTreeSet<&str> = m
         .series
         .keys()
-        .chain(m.counters.keys())
         .chain(m.hists.keys())
         .map(String::as_str)
         .collect();
@@ -134,4 +162,21 @@ fn every_telemetry_name_is_registered() {
         .filter(|n| !registered.contains(n))
         .collect();
     assert!(missing.is_empty(), "never registered: {missing:?}");
+
+    // Each counter name, and whether any run of the suite moved it.
+    let mut moved = std::collections::BTreeMap::new();
+    let mut note = |w: &Work| {
+        for (name, v) in w.iter() {
+            *moved.entry(name.to_string()).or_insert(false) |= v > 0;
+        }
+    };
+    note(&traced_write().1);
+    for c in suite() {
+        note(&run(&c).work);
+    }
+    for (name, why) in NEVER_MOVED {
+        assert_eq!(moved.remove(*name), Some(false), "{name} ({why})");
+    }
+    let still: Vec<&String> = moved.iter().filter(|(_, &m)| !m).map(|(n, _)| n).collect();
+    assert!(still.is_empty(), "no run moves: {still:?}");
 }
