@@ -1,16 +1,18 @@
-//! One simulated spindle: a server task draining a request queue with FIFO
-//! or C-SCAN elevator order and charging the timing model per request.
+//! One simulated spindle: a server task draining a request queue in
+//! N-step SCAN elevator order and charging the timing model per request.
+//! The order is the RAID controller's: near-offset requests arriving out
+//! of order (adjacent records from different compute nodes) are served in
+//! disk order, not arrival order.
 //! A member disk is a service-time model only: the RAID layer keeps the
 //! array's bytes in one logical store.
 
 use std::cell::{Cell, RefCell};
-use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use paragon_sim::sync::{channel, oneshot, OneshotSender, Receiver, Sender};
 use paragon_sim::{ev, DiskFault, EventKind, ReqId, Rng, Sim, SimDuration, Track};
 
-use crate::params::{DiskParams, SchedPolicy};
+use crate::params::DiskParams;
 
 /// Why a disk request failed. Injected by the simulation's
 /// [`FaultPlan`](paragon_sim::FaultPlan); never produced on a healthy run.
@@ -114,7 +116,7 @@ impl Disk {
     ///
     /// `label` names the RNG stream for seek jitter, so two disks with the
     /// same parameters still jitter independently but deterministically.
-    pub(crate) fn new(sim: &Sim, params: DiskParams, policy: SchedPolicy, label: &str) -> Disk {
+    pub(crate) fn new(sim: &Sim, params: DiskParams, label: &str) -> Disk {
         let (tx, rx) = channel::<DiskRequest>();
         let shared = Rc::new(Shared {
             stats: RefCell::new(DiskStats::default()),
@@ -125,7 +127,7 @@ impl Disk {
         let rng = sim.rng(&format!("disk.{label}"));
         sim.spawn_named(
             "disk-server",
-            server_loop(sim.clone(), rx, params, policy, shared.clone(), rng),
+            server_loop(sim.clone(), rx, params, shared.clone(), rng),
         );
         Disk { tx, shared }
     }
@@ -184,7 +186,6 @@ async fn server_loop(
     sim: Sim,
     mut rx: Receiver<DiskRequest>,
     params: DiskParams,
-    policy: SchedPolicy,
     shared: Rc<Shared>,
     mut rng: Rng,
 ) {
@@ -203,72 +204,51 @@ async fn server_loop(
     let mut was_dead = false;
     // Segmented read cache: the streams the drive is tracking.
     let mut segments = Segments::new(params.cache_segments.max(1));
-    // Elevator state: pending requests keyed by (offset, arrival seq).
-    let mut pending: BTreeMap<(u64, u64), DiskRequest> = BTreeMap::new();
-    let mut arrival_seq: u64 = 0;
-    // N-step SCAN: the sweep currently being served, in offset order.
-    // Requests that arrive mid-sweep wait for the next snapshot, which
-    // makes the elevator starvation-free.
-    let mut sweep: Vec<(u64, u64)> = Vec::new();
+    // N-step SCAN: requests that arrived since the current sweep was
+    // taken, in arrival order, and the sweep itself, sorted so that
+    // popping from the back serves it by (offset, arrival). Requests that
+    // arrive mid-sweep wait for the next snapshot, which makes the
+    // elevator starvation-free. The drained sweep's `Vec` becomes the
+    // next arrival list, so neither is reallocated in a steady state.
+    let mut arrivals: Vec<DiskRequest> = Vec::new();
+    let mut sweep: Vec<DiskRequest> = Vec::new();
 
     loop {
-        // Refill the pending set without blocking.
+        // Collect arrivals without blocking.
         while let Some(req) = rx.try_recv() {
-            pending.insert((req.offset, arrival_seq), req);
-            arrival_seq += 1;
+            arrivals.push(req);
         }
-        if pending.is_empty() {
-            queue.set(0);
-            match rx.recv().await {
-                Some(req) => {
-                    pending.insert((req.offset, arrival_seq), req);
-                    arrival_seq += 1;
-                }
-                None => return, // all handles dropped
-            }
-            continue; // re-run refill to batch simultaneous arrivals
-        }
-        {
-            let mut st = stats.borrow_mut();
-            let depth = pending.len() + rx.queued();
-            st.max_queue_depth = st.max_queue_depth.max(depth);
-        }
-        queue.set(pending.len().saturating_sub(1) + rx.queued());
-
-        let key = match policy {
-            SchedPolicy::Fifo => {
-                // Earliest arrival (pending is nonempty here).
-                match pending.iter().min_by_key(|((_, seq), _)| *seq) {
-                    Some((k, _)) => *k,
-                    None => continue,
-                }
-            }
-            SchedPolicy::Elevator => {
-                // N-step SCAN: snapshot the queue, serve it in offset
-                // order, re-snapshot when drained.
-                sweep.retain(|k| pending.contains_key(k));
-                if sweep.is_empty() {
-                    // BTreeMap keys are already (offset, seq)-sorted;
-                    // serve descending from the back for O(1) pops. The
-                    // drained `Vec` is refilled, never reallocated.
-                    sweep.extend(pending.keys().rev().copied());
-                }
-                match sweep.pop() {
-                    Some(k) => k,
-                    None => continue,
-                }
-            }
-        };
-        let Some(req) = pending.remove(&key) else {
-            continue;
-        };
         let DiskRequest {
             op,
             offset,
             len,
             req,
             reply,
-        } = req;
+        } = match sweep.pop() {
+            Some(next) => next,
+            None if arrivals.is_empty() => {
+                match rx.recv().await {
+                    Some(req) => arrivals.push(req),
+                    None => return, // all handles dropped
+                }
+                continue; // re-collect to batch simultaneous arrivals
+            }
+            None => {
+                // The sweep drained: snapshot the arrivals. The stable
+                // sort keeps arrival order among equal offsets; reversing
+                // puts the next request to serve at the back.
+                std::mem::swap(&mut sweep, &mut arrivals);
+                sweep.sort_by_key(|r| r.offset);
+                sweep.reverse();
+                continue;
+            }
+        };
+        {
+            let mut st = stats.borrow_mut();
+            let depth = sweep.len() + arrivals.len() + 1;
+            st.max_queue_depth = st.max_queue_depth.max(depth);
+        }
+        queue.set(sweep.len() + arrivals.len());
 
         // Consult the fault plan. A dead member fails fast (the controller
         // knows the device is gone); a transient media error is discovered
@@ -416,7 +396,7 @@ mod tests {
     use paragon_sim::SimTime;
 
     fn fixed_disk(sim: &Sim, bw: f64) -> Disk {
-        Disk::new(sim, DiskParams::ideal(bw), SchedPolicy::Fifo, "t0")
+        Disk::new(sim, DiskParams::ideal(bw), "t0")
     }
 
     impl Disk {
@@ -440,57 +420,11 @@ mod tests {
     }
 
     #[test]
-    fn fifo_services_in_arrival_order() {
-        let sim = Sim::new(1);
-        let disk = Disk::new(&sim, DiskParams::ideal(1e6), SchedPolicy::Fifo, "fifo");
-        let order: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(Vec::new()));
-        // Enqueue far-apart offsets in a scrambled order; FIFO must keep it.
-        for off in [900_000u64, 100_000, 500_000] {
-            let d = disk.clone();
-            let o = order.clone();
-            sim.spawn(async move {
-                d.read(off, 1000).await.unwrap();
-                o.borrow_mut().push(off);
-            });
-        }
-        sim.run();
-        assert_eq!(*order.borrow(), vec![900_000, 100_000, 500_000]);
-    }
-
-    #[test]
-    fn elevator_services_in_scan_order() {
-        let sim = Sim::new(1);
-        let disk = Disk::new(&sim, DiskParams::ideal(1e6), SchedPolicy::Elevator, "elev");
-        let order: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(Vec::new()));
-        let d0 = disk.clone();
-        let o0 = order.clone();
-        let s0 = sim.clone();
-        // Occupy the disk so the following three requests queue up together.
-        sim.spawn(async move {
-            d0.read(0, 100_000).await.unwrap();
-            o0.borrow_mut().push(0);
-        });
-        for off in [900_000u64, 200_000, 500_000] {
-            let d = disk.clone();
-            let o = order.clone();
-            let s = s0.clone();
-            sim.spawn(async move {
-                // Arrive while the first request is being serviced.
-                s.sleep(SimDuration::from_millis(10)).await;
-                d.read(off, 1000).await.unwrap();
-                o.borrow_mut().push(off);
-            });
-        }
-        sim.run();
-        assert_eq!(*order.borrow(), vec![0, 200_000, 500_000, 900_000]);
-    }
-
-    #[test]
     fn sequential_reads_skip_positioning() {
         let sim = Sim::new(1);
         let mut params = DiskParams::scsi_1995();
         params.seek_jitter = 0.0;
-        let disk = Disk::new(&sim, params, SchedPolicy::Fifo, "seq");
+        let disk = Disk::new(&sim, params, "seq");
         let d = disk.clone();
         sim.spawn(async move {
             for i in 0..8u64 {
@@ -509,7 +443,7 @@ mod tests {
     fn random_reads_pay_seeks() {
         let sim = Sim::new(1);
         let params = DiskParams::scsi_1995();
-        let disk = Disk::new(&sim, params, SchedPolicy::Fifo, "rnd");
+        let disk = Disk::new(&sim, params, "rnd");
         let d = disk.clone();
         sim.spawn(async move {
             // Touch ten scattered regions: each first touch is a fresh
@@ -531,7 +465,7 @@ mod tests {
         let sim = Sim::new(1);
         let mut params = DiskParams::scsi_1995();
         params.seek_jitter = 0.0;
-        let disk = Disk::new(&sim, params, SchedPolicy::Fifo, "seg");
+        let disk = Disk::new(&sim, params, "seg");
         let d = disk.clone();
         sim.spawn(async move {
             for i in 0..6u64 {

@@ -2,9 +2,9 @@
 //!
 //! Simulated storage for the Paragon I/O nodes: a first-order disk timing
 //! model (controller overhead + seek/rotation + media transfer, with a
-//! sequential window standing in for the track buffer), FIFO or C-SCAN
-//! request scheduling, and a RAID-3-style array striping a logical device
-//! over synchronized members.
+//! sequential window standing in for the track buffer), N-step SCAN
+//! elevator request scheduling, and a RAID-3-style array striping a
+//! logical device over synchronized members.
 //!
 //! Each array keeps its *real bytes* in one logical, sparse in-memory
 //! store, so the layers above (UFS, PFS, the prefetcher) can be tested for
@@ -31,6 +31,6 @@ mod raid;
 mod store;
 
 pub use disk::{DiskError, DiskStats};
-pub use params::{DiskParams, SchedPolicy};
+pub use params::DiskParams;
 pub use raid::{RaidArray, RaidStats, StripeMap, StripePiece};
 pub use store::{BlockStore, STORE_PAGE};

@@ -82,15 +82,6 @@ impl DiskParams {
     }
 }
 
-/// How the disk server orders queued requests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchedPolicy {
-    /// First-come, first-served (the Paragon default the paper describes).
-    Fifo,
-    /// C-SCAN elevator: serve ascending offsets, wrap at the top.
-    Elevator,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

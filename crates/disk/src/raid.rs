@@ -22,7 +22,7 @@ use paragon_sim::sync::Semaphore;
 use paragon_sim::{ev, EventKind, JoinHandle, ReqId, Sim, Track, VecPool};
 
 use crate::disk::{Disk, DiskError, DiskOp, DiskStats};
-use crate::params::{DiskParams, SchedPolicy};
+use crate::params::DiskParams;
 use crate::store::BlockStore;
 
 /// Striping math shared by the array (and tested independently): maps a
@@ -158,12 +158,11 @@ impl RaidArray {
     pub fn new(
         sim: &Sim,
         params: DiskParams,
-        policy: SchedPolicy,
         width: usize,
         interleave: u64,
         label: &str,
     ) -> RaidArray {
-        Self::new_with_parity(sim, params, policy, width, interleave, false, label)
+        Self::new_with_parity(sim, params, width, interleave, false, label)
     }
 
     /// Build an array of `width` data members, plus one parity member when
@@ -172,16 +171,15 @@ impl RaidArray {
     pub fn new_with_parity(
         sim: &Sim,
         params: DiskParams,
-        policy: SchedPolicy,
         width: usize,
         interleave: u64,
         parity: bool,
         label: &str,
     ) -> RaidArray {
         let members = (0..width)
-            .map(|i| Disk::new(sim, params.clone(), policy, &format!("{label}.m{i}")))
+            .map(|i| Disk::new(sim, params.clone(), &format!("{label}.m{i}")))
             .collect();
-        let parity = parity.then(|| Disk::new(sim, params.clone(), policy, &format!("{label}.p")));
+        let parity = parity.then(|| Disk::new(sim, params.clone(), &format!("{label}.p")));
         RaidArray {
             inner: Rc::new(Inner {
                 sim: sim.clone(),
@@ -590,14 +588,7 @@ mod tests {
         let sim = Sim::new(1);
         // 4 members at 1 MB/s each; a 400 KB aligned read puts 100 KB on
         // each member, so it takes ~0.1 s, not 0.4 s.
-        let raid = RaidArray::new(
-            &sim,
-            DiskParams::ideal(1e6),
-            SchedPolicy::Fifo,
-            4,
-            100 * 1024,
-            "r0",
-        );
+        let raid = RaidArray::new(&sim, DiskParams::ideal(1e6), 4, 100 * 1024, "r0");
         let r = raid.clone();
         sim.spawn(async move {
             r.read(0, 400 * 1024, 0).await.unwrap();
@@ -612,14 +603,7 @@ mod tests {
     #[test]
     fn raid_write_read_roundtrip() {
         let sim = Sim::new(1);
-        let raid = RaidArray::new(
-            &sim,
-            DiskParams::ideal(1e6),
-            SchedPolicy::Fifo,
-            3,
-            8 * 1024,
-            "r1",
-        );
+        let raid = RaidArray::new(&sim, DiskParams::ideal(1e6), 3, 8 * 1024, "r1");
         let r = raid.clone();
         let h = sim.spawn(async move {
             let payload: Vec<u8> = (0..100_000u32).map(|i| (i * 7 % 256) as u8).collect();
@@ -635,14 +619,7 @@ mod tests {
     #[test]
     fn degraded_member_slows_whole_array() {
         let sim = Sim::new(1);
-        let raid = RaidArray::new(
-            &sim,
-            DiskParams::ideal(1e6),
-            SchedPolicy::Fifo,
-            4,
-            100 * 1024,
-            "r2",
-        );
+        let raid = RaidArray::new(&sim, DiskParams::ideal(1e6), 4, 100 * 1024, "r2");
         raid.set_member_slowdown(2, 5.0);
         let r = raid.clone();
         sim.spawn(async move {
@@ -657,15 +634,8 @@ mod tests {
     }
 
     fn parity_array(sim: &Sim, width: usize) -> RaidArray {
-        let raid = RaidArray::new_with_parity(
-            sim,
-            DiskParams::ideal(1e6),
-            SchedPolicy::Fifo,
-            width,
-            8 * 1024,
-            true,
-            "rp",
-        );
+        let raid =
+            RaidArray::new_with_parity(sim, DiskParams::ideal(1e6), width, 8 * 1024, true, "rp");
         raid.set_tracks(0);
         raid
     }
@@ -752,14 +722,7 @@ mod tests {
     #[test]
     fn dead_member_without_parity_is_unrecoverable() {
         let sim = Sim::new(1);
-        let raid = RaidArray::new(
-            &sim,
-            DiskParams::ideal(1e6),
-            SchedPolicy::Fifo,
-            3,
-            8 * 1024,
-            "r3",
-        );
+        let raid = RaidArray::new(&sim, DiskParams::ideal(1e6), 3, 8 * 1024, "r3");
         raid.set_tracks(0);
         let r = raid.clone();
         let faults = sim.faults();

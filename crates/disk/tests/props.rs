@@ -2,10 +2,13 @@
 //! under arbitrary operation mixes, and the RAID stripe map is a
 //! bijection. Cases come from the in-repo [`Rng`].
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use bytes::Bytes;
 
-use paragon_disk::{BlockStore, DiskParams, RaidArray, SchedPolicy, StripeMap, STORE_PAGE};
-use paragon_sim::{Rng, Sim};
+use paragon_disk::{BlockStore, DiskParams, RaidArray, StripeMap, STORE_PAGE};
+use paragon_sim::{Rng, Sim, SimDuration};
 
 #[derive(Debug, Clone)]
 struct Op {
@@ -111,7 +114,7 @@ fn store_matches_a_flat_model_and_never_changes_held_views() {
 
 /// A sequential write script, then a read-back, equals a flat model
 /// through a RAID array (which splits every request over members and
-/// reassembles) under both scheduling policies.
+/// reassembles).
 #[test]
 fn raid_preserves_data() {
     let mut rng = Rng::seed_from_u64(0x4a1d);
@@ -120,16 +123,10 @@ fn raid_preserves_data() {
         let width = rng.range_usize(1..6);
         let interleave = rng.range_u64(1..40_000);
         let parity = rng.gen_bool(0.5);
-        let policy = if rng.gen_bool(0.5) {
-            SchedPolicy::Elevator
-        } else {
-            SchedPolicy::Fifo
-        };
         let sim = Sim::new(6);
         let raid = RaidArray::new_with_parity(
             &sim,
             DiskParams::ideal(1e9),
-            policy,
             width,
             interleave,
             parity,
@@ -184,5 +181,119 @@ fn stripe_map_bijection() {
             );
         }
         assert_eq!(pos, len);
+    }
+}
+
+/// One request of an elevator script: when it reaches the disk, where,
+/// and how many bytes it moves.
+#[derive(Debug, Clone, Copy)]
+struct Arrival {
+    at: SimDuration,
+    offset: u64,
+    len: u32,
+}
+
+/// The member disks' media rate in [`elevator_matches_an_n_step_scan_model`].
+const SCAN_BW: f64 = 1e6;
+
+/// Reference N-step SCAN over a script sorted by arrival: when the
+/// previous sweep drains (or the idle disk sees its next arrival), snapshot
+/// every request that has arrived and serve the snapshot by (offset,
+/// arrival); requests that arrive mid-sweep wait for the next snapshot.
+/// Returns script indices in service order.
+fn n_step_scan(script: &[Arrival]) -> Vec<usize> {
+    let mut order = Vec::with_capacity(script.len());
+    let mut now = SimDuration::ZERO;
+    let mut admitted = 0;
+    while let Some(first) = script.get(admitted) {
+        now = now.max(first.at);
+        let arrived = script[admitted..]
+            .iter()
+            .take_while(|a| a.at <= now)
+            .count();
+        let mut sweep: Vec<usize> = (admitted..admitted + arrived).collect();
+        sweep.sort_by_key(|&i| (script[i].offset, i));
+        for i in sweep {
+            now += SimDuration::for_bytes(script[i].len as u64, SCAN_BW);
+            order.push(i);
+        }
+        admitted += arrived;
+    }
+    order
+}
+
+/// Runs `script` (sorted by arrival) on one disk, a one-member array.
+/// Requests that share an arrival time are issued by one task from one
+/// wake, so all of them reach the disk before it next runs. Returns
+/// script indices in service order.
+fn serve(seed: u64, script: &[Arrival]) -> Vec<usize> {
+    let sim = Sim::new(seed);
+    let raid = RaidArray::new(&sim, DiskParams::ideal(SCAN_BW), 1, 1 << 30, "scan");
+    let served = Rc::new(RefCell::new(Vec::new()));
+    let mut first = 0;
+    for burst in script.chunk_by(|a, b| a.at == b.at) {
+        let at = burst[0].at;
+        let burst: Vec<(usize, Arrival)> = (first..).zip(burst.iter().copied()).collect();
+        first += burst.len();
+        let (s, raid, served) = (sim.clone(), raid.clone(), served.clone());
+        sim.spawn(async move {
+            s.sleep(at).await;
+            for (i, a) in burst {
+                let (raid, served) = (raid.clone(), served.clone());
+                s.spawn(async move {
+                    raid.read(a.offset, a.len, 0).await.unwrap();
+                    served.borrow_mut().push(i);
+                });
+            }
+        });
+    }
+    sim.run();
+    served.take()
+}
+
+/// One disk serves arrival scripts in the reference N-step SCAN order:
+/// ties at one offset go by arrival, bursts of up to 8 simultaneous
+/// requests (an 8-way collective on one I/O node) form one sweep, and
+/// arrivals during a sweep wait for the next. Transfers are whole
+/// milliseconds and each arrival instant has its own microsecond phase,
+/// so no arrival coincides with a completion.
+#[test]
+fn elevator_matches_an_n_step_scan_model() {
+    // Fixed first case: three scattered reads queue behind a 100 ms read
+    // and form the next sweep, served in offset order.
+    let fixed = [
+        (1, 0, 100),
+        (10_000, 900_000, 1),
+        (10_000, 200_000, 1),
+        (10_000, 500_000, 1),
+    ]
+    .map(|(us, offset, kb)| Arrival {
+        at: SimDuration::from_micros(us),
+        offset,
+        len: kb * 1000,
+    });
+    assert_eq!(serve(0, &fixed), [0, 2, 3, 1]);
+    assert_eq!(n_step_scan(&fixed), [0, 2, 3, 1]);
+
+    let mut rng = Rng::seed_from_u64(0x5ca7);
+    for trial in 0..200 {
+        let mut script = Vec::new();
+        let mut ms = 0u64;
+        for instant in 0..rng.range_u64(1..12) {
+            ms += rng.range_u64(0..6);
+            let at = SimDuration::from_micros(ms * 1000 + instant + 1);
+            for _ in 0..rng.range_usize(1..9) {
+                script.push(Arrival {
+                    at,
+                    offset: rng.range_u64(0..5) * 64 * 1024,
+                    len: rng.range_u64(1..5) as u32 * 1000,
+                });
+            }
+        }
+        assert_eq!(
+            serve(trial, &script),
+            n_step_scan(&script),
+            "trial {trial}: {script:?}"
+        );
     }
 }

@@ -23,7 +23,7 @@
 //! * **Copies** — ~45 MB/s i860 memcpy; the prefetch-hit copy and the
 //!   buffered-read copy both pay it.
 
-use paragon_disk::{DiskParams, SchedPolicy};
+use paragon_disk::DiskParams;
 use paragon_mesh::MeshParams;
 use paragon_sim::SimDuration;
 use paragon_ufs::UfsParams;
@@ -33,8 +33,6 @@ use paragon_ufs::UfsParams;
 pub struct Calibration {
     /// Per-member disk timing.
     pub disk: DiskParams,
-    /// Disk queue discipline.
-    pub sched: SchedPolicy,
     /// Member spindles per I/O-node RAID array.
     pub raid_members: usize,
     /// RAID interleave in bytes.
@@ -104,10 +102,6 @@ impl Calibration {
                 transfer_bw: 0.78e6,
                 ..DiskParams::scsi_1995()
             },
-            // The RAID controller sorts its queue: near-offset requests
-            // arriving out of order (adjacent records from different
-            // compute nodes) are served in disk order, not arrival order.
-            sched: SchedPolicy::Elevator,
             raid_members: 3,
             raid_interleave: 8 * 1024,
             raid_parity: false,
@@ -161,7 +155,6 @@ impl Calibration {
     pub fn instant() -> Self {
         Calibration {
             disk: DiskParams::ideal(1e9),
-            sched: SchedPolicy::Fifo,
             raid_members: 1,
             raid_interleave: 64 * 1024,
             raid_parity: false,

@@ -72,7 +72,6 @@ impl Machine {
             let raid = RaidArray::new_with_parity(
                 sim,
                 config.calib.disk.clone(),
-                config.calib.sched,
                 config.calib.raid_members,
                 config.calib.raid_interleave,
                 config.calib.raid_parity,

@@ -10,7 +10,6 @@
 //! 3 MB/s disks on a >150 MB/s mesh, is folded into the NIC term.
 
 use std::cell::{Cell, RefCell};
-use std::collections::BTreeMap;
 use std::future::Future;
 use std::rc::Rc;
 
@@ -92,7 +91,9 @@ pub struct MeshStats {
 }
 
 struct MeshInner<M> {
-    mailboxes: BTreeMap<NodeId, Sender<Envelope<M>>>,
+    /// Mailbox senders indexed by node id, up to the highest bound node;
+    /// `None` where no node bound one.
+    mailboxes: Vec<Option<Sender<Envelope<M>>>>,
     stats: MeshStats,
 }
 
@@ -139,7 +140,7 @@ impl<M: Clone + 'static> Mesh<M> {
                 nic_tx,
                 faults: sim.faults(),
                 inner: RefCell::new(MeshInner {
-                    mailboxes: BTreeMap::new(),
+                    mailboxes: Vec::new(),
                     stats: MeshStats::default(),
                 }),
                 inflight_bytes: Rc::new(Cell::new(0)),
@@ -152,7 +153,11 @@ impl<M: Clone + 'static> Mesh<M> {
     /// node has exactly one receive loop.
     pub fn bind(&self, node: NodeId) -> Receiver<Envelope<M>> {
         let (tx, rx) = channel();
-        let prev = self.shared.inner.borrow_mut().mailboxes.insert(node, tx);
+        let mailboxes = &mut self.shared.inner.borrow_mut().mailboxes;
+        if mailboxes.len() <= node.0 {
+            mailboxes.resize_with(node.0 + 1, || None);
+        }
+        let prev = mailboxes.get_mut(node.0).and_then(|slot| slot.replace(tx));
         assert!(prev.is_none(), "mailbox for node {} bound twice", node.0);
         rx
     }
@@ -311,20 +316,20 @@ impl<M: Clone + 'static> Mesh<M> {
                 src.0 as u64,
             )
         });
-        let mailbox = self.shared.inner.borrow().mailboxes.get(&dst).cloned();
+        let envelope = Envelope {
+            src,
+            wire_bytes,
+            payload,
+        };
         // An unbound destination or a dropped receiver means the node
         // never existed or shut down; either way the frame is lost like
-        // on a real NIC — but observably so.
-        if mailbox
-            .map(|mb| {
-                mb.send(Envelope {
-                    src,
-                    wire_bytes,
-                    payload,
-                })
-            })
-            .is_none_or(|r| r.is_err())
-        {
+        // on a real NIC — but observably so. The lost envelope is
+        // dropped only after the table's borrow ends.
+        let lost = match self.shared.inner.borrow().mailboxes.get(dst.0) {
+            Some(Some(mailbox)) => mailbox.send(envelope).err(),
+            _ => Some(envelope),
+        };
+        if lost.is_some() {
             self.shared.sim.emit(|| {
                 ev(
                     Track::Node(dst.0 as u16),
@@ -541,6 +546,32 @@ mod tests {
             .events()
             .iter()
             .any(|e| e.kind == EventKind::MeshDrop));
+    }
+
+    #[test]
+    fn unbound_destination_drop_is_counted_and_traced() {
+        // Node 2's mailbox sizes the table at three slots: node 1 has a
+        // slot it never filled, and node 3 lies past the table's end.
+        let sim = Sim::new(1);
+        let mesh: Mesh<u64> = Mesh::new(&sim, Topology::new(2, 2), MeshParams::instant());
+        let _rx = mesh.bind(NodeId(2));
+        sim.tracer().arm(16);
+        for dst in [1, 3] {
+            let m = mesh.clone();
+            sim.spawn(async move {
+                m.send(NodeId(0), NodeId(dst), 64, 1, 0).await;
+            });
+        }
+        sim.run();
+        assert_eq!(mesh.stats().drops, 2);
+        let dropped: Vec<Track> = sim
+            .tracer()
+            .events()
+            .iter()
+            .filter(|e| e.kind == EventKind::MeshDrop)
+            .map(|e| e.track)
+            .collect();
+        assert_eq!(dropped, vec![Track::Node(1), Track::Node(3)]);
     }
 
     #[test]

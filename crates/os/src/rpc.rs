@@ -12,7 +12,6 @@
 //! server handler with [`RpcNet::serve`] (I/O and service nodes).
 
 use std::cell::{Cell, RefCell};
-use std::collections::BTreeMap;
 use std::future::Future;
 use std::ops::Deref;
 use std::pin::Pin;
@@ -189,14 +188,14 @@ where
     /// receive loop, which routes replies to their waiting callers.
     pub fn client(&self, node: NodeId) -> RpcClient<Req, Resp> {
         let mut rx = self.mesh.bind(node);
-        let pending: Pending<Resp> = Rc::new(RefCell::new(BTreeMap::new()));
+        let pending: Pending<Resp> = Rc::new(RefCell::new(Vec::new()));
         let pending2 = pending.clone();
         let stats = self.stats.clone();
         self.sim.spawn_named("rpc-client-rx", async move {
             while let Some(env) = rx.recv().await {
                 match env.payload {
                     RpcWire::Reply { id, resp } => {
-                        if let Some(tx) = pending2.borrow_mut().remove(&id) {
+                        if let Some(tx) = take_pending(&pending2, id) {
                             tx.send(resp);
                         }
                         // A missing entry means the caller timed out and
@@ -263,14 +262,25 @@ where
     }
 }
 
-type Pending<Resp> = Rc<RefCell<BTreeMap<u64, OneshotSender<Resp>>>>;
+/// A client's calls awaiting replies, searched by call id. Few are ever
+/// in flight at once (at most 32 in any experiment, usually one), and the
+/// `Vec` keeps its capacity where a B-tree frees its node whenever it
+/// empties.
+type Pending<Resp> = Rc<RefCell<Vec<(u64, OneshotSender<Resp>)>>>;
+
+/// Remove call `id`'s reply sender, if the call still waits for one.
+fn take_pending<Resp>(pending: &Pending<Resp>, id: u64) -> Option<OneshotSender<Resp>> {
+    let mut calls = pending.borrow_mut();
+    let at = calls.iter().position(|&(k, _)| k == id)?;
+    Some(calls.swap_remove(at).1)
+}
 
 /// The reply slot of one call: its receiver, and its entry in the
-/// client's pending map. Dropping it before the reply arrives (the
+/// client's pending calls. Dropping it before the reply arrives (the
 /// attempt timed out, or the fabric lost the call or the reply) removes
 /// the entry, so a late reply finds none and is discarded, waking nobody.
 struct ReplySlot<'a, Resp> {
-    pending: &'a RefCell<BTreeMap<u64, OneshotSender<Resp>>>,
+    pending: &'a Pending<Resp>,
     id: u64,
     rx: OneshotReceiver<Resp>,
 }
@@ -288,7 +298,7 @@ impl<Resp> Drop for ReplySlot<'_, Resp> {
     fn drop(&mut self) {
         // Close first: dropping the sender must not wake this caller.
         self.rx.close();
-        self.pending.borrow_mut().remove(&self.id);
+        take_pending(self.pending, self.id);
     }
 }
 
@@ -336,7 +346,7 @@ where
             let id = self.next_id.get();
             self.next_id.set(id + 1);
             let (tx, rx) = oneshot();
-            self.pending.borrow_mut().insert(id, tx);
+            self.pending.borrow_mut().push((id, tx));
             let reply = ReplySlot {
                 pending: &self.pending,
                 id,
@@ -514,7 +524,7 @@ mod tests {
         let net = net(&sim, MeshParams::instant());
         let s = sim.clone();
         // Handler finishes in *reverse* arrival order to stress the
-        // pending-map routing.
+        // pending-call routing.
         net.serve(NodeId(1), move |_src, Ping(x)| {
             let s = s.clone();
             async move {

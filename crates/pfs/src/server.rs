@@ -333,18 +333,11 @@ mod tests {
     use super::*;
     use crate::meta::Replica;
     use crate::stripe::StripeAttrs;
-    use paragon_disk::{DiskParams, RaidArray, SchedPolicy};
+    use paragon_disk::{DiskParams, RaidArray};
     use paragon_ufs::UfsParams;
 
     fn setup(sim: &Sim) -> (IonServer, PfsFileId) {
-        let raid = RaidArray::new(
-            sim,
-            DiskParams::ideal(1e8),
-            SchedPolicy::Fifo,
-            1,
-            64 * 1024,
-            "s",
-        );
+        let raid = RaidArray::new(sim, DiskParams::ideal(1e8), 1, 64 * 1024, "s");
         let mut up = UfsParams::paragon();
         up.metadata_op = SimDuration::ZERO;
         let ufs = Ufs::new(sim, raid, up);

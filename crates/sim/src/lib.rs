@@ -15,8 +15,8 @@
 //!   derived from one seed. Equal `(seed, model)` ⇒ equal
 //!   [`RunReport::trace_hash`].
 //! * **FIFO fairness.** [`sync::Semaphore`] grants strictly in arrival
-//!   order, matching the FIFO disk queues and ART active lists of the
-//!   Paragon OS.
+//!   order, matching the ART active lists and the shared-file-pointer
+//!   token of the Paragon OS.
 //!
 //! ```
 //! use paragon_sim::{Sim, SimDuration};

@@ -92,11 +92,6 @@ impl<T> Receiver<T> {
     pub fn try_recv(&mut self) -> Option<T> {
         self.state.borrow_mut().queue.pop_front()
     }
-
-    /// Number of queued messages.
-    pub fn queued(&self) -> usize {
-        self.state.borrow().queue.len()
-    }
 }
 
 impl<T> Drop for Receiver<T> {

@@ -1,7 +1,7 @@
 //! Synchronization primitives for simulated processes.
 //!
 //! These mirror the OS facilities the Paragon models need — message queues,
-//! mutual exclusion with FIFO fairness (disk queues, pointer tokens), and
+//! mutual exclusion with FIFO fairness (NIC transmit, pointer tokens), and
 //! completion signals (ART request completion) — all parked on the virtual
 //! clock, never the host clock.
 

@@ -1,9 +1,9 @@
 //! Counting semaphore with strict FIFO grant order.
 //!
-//! FIFO fairness matters for fidelity: the Paragon's disk queues and the
-//! shared-file-pointer token are first-come-first-served, and the paper's
-//! "prefetching benefits should be equally distributed amongst the
-//! processors" observation depends on no node starving another.
+//! FIFO fairness matters for fidelity: the Paragon's NIC transmit queues
+//! and shared-file-pointer token are first-come-first-served, and the
+//! paper's "prefetching benefits should be equally distributed amongst
+//! the processors" observation depends on no node starving another.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;

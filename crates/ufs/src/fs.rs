@@ -481,40 +481,29 @@ impl Ufs {
         let mut problems = Vec::new();
         let mut owner: Map<u64, InodeId> = Map::new();
         let mut mapped_total = 0u64;
-        // Walk all inodes via the name table is not possible (names can
-        // alias); walk ids 0..next by probing.
-        for id in 0..u64::MAX {
-            let id = InodeId(id);
-            match inner.inodes.get(id) {
-                Some(inode) => {
-                    let bs = self.params.block_size;
-                    if inode.size > inode.mapped_blocks() * bs {
-                        problems.push(format!(
-                            "inode {}: size {} exceeds mapped bytes {}",
-                            id.0,
-                            inode.size,
-                            inode.mapped_blocks() * bs
-                        ));
-                    }
-                    for e in &inode.extents {
-                        if e.end() > inner.alloc.capacity() {
-                            problems.push(format!("inode {}: extent {e} beyond partition", id.0));
+        for (id, inode) in inner.inodes.iter() {
+            let bs = self.params.block_size;
+            if inode.size > inode.mapped_blocks() * bs {
+                problems.push(format!(
+                    "inode {}: size {} exceeds mapped bytes {}",
+                    id.0,
+                    inode.size,
+                    inode.mapped_blocks() * bs
+                ));
+            }
+            for e in &inode.extents {
+                if e.end() > inner.alloc.capacity() {
+                    problems.push(format!("inode {}: extent {e} beyond partition", id.0));
+                }
+                for b in e.start..e.end() {
+                    if let Some(prev) = owner.insert(b, id) {
+                        if prev != id {
+                            problems
+                                .push(format!("block {b} owned by inodes {} and {}", prev.0, id.0));
                         }
-                        for b in e.start..e.end() {
-                            if let Some(prev) = owner.insert(b, id) {
-                                if prev != id {
-                                    problems.push(format!(
-                                        "block {b} owned by inodes {} and {}",
-                                        prev.0, id.0
-                                    ));
-                                }
-                            }
-                        }
-                        mapped_total += e.len;
                     }
                 }
-                // Ids are allocated densely, so the first gap ends the scan.
-                None => break,
+                mapped_total += e.len;
             }
         }
         let free = inner.alloc.free_blocks();
@@ -531,17 +520,10 @@ impl Ufs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use paragon_disk::{DiskParams, SchedPolicy};
+    use paragon_disk::DiskParams;
 
     fn test_fs(sim: &Sim) -> Ufs {
-        let raid = RaidArray::new(
-            sim,
-            DiskParams::ideal(10e6),
-            SchedPolicy::Fifo,
-            3,
-            16 * 1024,
-            "ufs-test",
-        );
+        let raid = RaidArray::new(sim, DiskParams::ideal(10e6), 3, 16 * 1024, "ufs-test");
         let mut p = UfsParams::paragon();
         p.block_size = 4096;
         p.cache_blocks = 8;

@@ -101,8 +101,9 @@ impl Inode {
 /// The inode table of one UFS instance, with a flat name directory.
 #[derive(Debug, Default)]
 pub(crate) struct InodeTable {
-    next: u64,
-    inodes: BTreeMap<InodeId, Inode>,
+    /// Indexed by id: ids are dense and never freed, so the length is
+    /// the next id.
+    inodes: Vec<Inode>,
     names: BTreeMap<String, InodeId>,
 }
 
@@ -117,15 +118,11 @@ impl InodeTable {
         if let Some(&id) = self.names.get(name) {
             return Err(id);
         }
-        let id = InodeId(self.next);
-        self.next += 1;
-        self.inodes.insert(
-            id,
-            Inode {
-                size: 0,
-                extents: Vec::new(),
-            },
-        );
+        let id = InodeId(self.inodes.len() as u64);
+        self.inodes.push(Inode {
+            size: 0,
+            extents: Vec::new(),
+        });
         self.names.insert(name.to_owned(), id);
         Ok(id)
     }
@@ -137,12 +134,17 @@ impl InodeTable {
 
     /// Borrow an inode.
     pub(crate) fn get(&self, id: InodeId) -> Option<&Inode> {
-        self.inodes.get(&id)
+        self.inodes.get(usize::try_from(id.0).ok()?)
     }
 
     /// Mutably borrow an inode.
     pub(crate) fn get_mut(&mut self, id: InodeId) -> Option<&mut Inode> {
-        self.inodes.get_mut(&id)
+        self.inodes.get_mut(usize::try_from(id.0).ok()?)
+    }
+
+    /// Every inode, in id order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (InodeId, &Inode)> {
+        (0..).map(InodeId).zip(&self.inodes)
     }
 }
 

@@ -12,13 +12,12 @@
 //!
 //! ```
 //! use paragon_sim::Sim;
-//! use paragon_disk::{DiskParams, RaidArray, SchedPolicy};
+//! use paragon_disk::{DiskParams, RaidArray};
 //! use paragon_ufs::{Ufs, UfsParams};
 //! use bytes::Bytes;
 //!
 //! let sim = Sim::new(7);
-//! let raid = RaidArray::new(&sim, DiskParams::ideal(1e7), SchedPolicy::Fifo,
-//!                           4, 16 * 1024, "doc");
+//! let raid = RaidArray::new(&sim, DiskParams::ideal(1e7), 4, 16 * 1024, "doc");
 //! let fs = Ufs::new(&sim, raid, UfsParams::paragon());
 //! let fs2 = fs.clone();
 //! let h = sim.spawn(async move {

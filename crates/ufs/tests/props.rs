@@ -5,7 +5,7 @@
 
 use bytes::Bytes;
 
-use paragon_disk::{DiskParams, RaidArray, SchedPolicy};
+use paragon_disk::{DiskParams, RaidArray};
 use paragon_sim::{Rng, Sim};
 use paragon_ufs::{BlockCache, BlockKey, Extent, ExtentAllocator, InodeId, Ufs, UfsParams};
 
@@ -175,14 +175,7 @@ fn fs_matches_flat_model() {
     for _ in 0..32 {
         let script = write_script(&mut rng);
         let sim = Sim::new(3);
-        let raid = RaidArray::new(
-            &sim,
-            DiskParams::ideal(1e9),
-            SchedPolicy::Fifo,
-            3,
-            8192,
-            "p",
-        );
+        let raid = RaidArray::new(&sim, DiskParams::ideal(1e9), 3, 8192, "p");
         let mut params = UfsParams::paragon();
         params.block_size = 4096;
         params.cache_blocks = 4;

@@ -4,9 +4,17 @@
 # with seed k, back to back, and alternates which one runs first, so a
 # drift of the host between runs is split evenly between the two sides.
 # For each end-to-end metric it prints both sides' median and quartiles,
-# the ratio of the change's median to the parent's, and the number of
-# pairs in which the change did better, and it prints each side's failed
-# checks, summed over its runs.
+# the ratio of the change's median to the parent's, the number of pairs
+# in which the change did better, and a verdict, and it prints each
+# side's failed checks, summed over its runs. The verdict is the first
+# that holds of:
+#   gain        the change did better in at least 9 of 10 pairs, and its
+#               median beats the parent's by more than the parent's q3 - q1;
+#   worse       the change's median is worse than the parent's by more
+#               than the metric's bound (a fraction of the parent's median);
+#   unresolved  the parent's q3 - q1 is wider than the bound, and not every
+#               change run beats every parent run;
+#   level       anything else.
 #
 #   scripts/bench_pairs.sh PARENT_BIN CHANGE_BIN [PAIRS]   # PAIRS defaults to 10
 #
@@ -45,8 +53,8 @@ if [[ -n ${BENCH_WORKLOADS:-} ]]; then
     done
     workloads=$BENCH_WORKLOADS
 fi
-# name:better for each end-to-end metric.
-metrics=$(awk -F'"' '/"end_to_end"/ { on = 1 } on && /"name"/ { print $4 ":" $12 } on && /^  \]/ { on = 0 }' BENCHMARK.json)
+# name:better:bound for each end-to-end metric.
+metrics=$(awk -F'"' '/"end_to_end"/ { on = 1 } on && /"name"/ { b = $15; gsub(/[^0-9.]/, "", b); print $4 ":" $12 ":" b } on && /^  \]/ { on = 0 }' BENCHMARK.json)
 
 out=${BENCH_PAIRS_DIR:-$(mktemp -d)}
 mkdir -p "$out"
@@ -64,18 +72,17 @@ for w in $workloads; do
     done
     echo
     echo "== $w"
-    printf '%-18s %34s %34s %7s %6s\n' metric "parent median [q1, q3]" "change median [q1, q3]" ratio wins
+    printf '%-18s %34s %34s %7s %6s  %s\n' metric "parent median [q1, q3]" "change median [q1, q3]" ratio wins verdict
     for m in $metrics; do
-        name=${m%%:*}
-        better=${m##*:}
+        IFS=: read -r name better bound <<<"$m"
         for ((k = 1; k <= pairs; k++)); do
             for side in parent change; do
                 awk -v n="$name" -v s="$side" -v k="$k" '$1 == n { print s, k, $2 }' \
                     "$out/$w.$side.$k.txt"
             done
-        done | awk -v name="$name" -v better="$better" '
+        done | awk -v name="$name" -v better="$better" -v bound="$bound" '
             # Median and hinges (medians of the lower and upper halves)
-            # of the n sorted values in v[1..n].
+            # of the n values in v[1..n], which it leaves sorted.
             function sort_values(v, n,    i, j, t) {
                 for (i = 2; i <= n; i++) {
                     t = v[i]
@@ -91,7 +98,9 @@ for w in $workloads; do
                 sort_values(v, n)
                 h = int(n / 2)
                 median = mid(v, 1, n)
-                return sprintf("%.5g [%.5g, %.5g]", median, mid(v, 1, h), mid(v, n - h + 1, n))
+                q1 = mid(v, 1, h)
+                q3 = mid(v, n - h + 1, n)
+                return sprintf("%.5g [%.5g, %.5g]", median, q1, q3)
             }
             { value[$1, $2] = $3; if ($1 == "parent") np++; else nc++ }
             END {
@@ -104,9 +113,17 @@ for w in $workloads; do
                 }
                 ps = summary(p, np)
                 pm = median
+                spread = q3 - q1
                 cs = summary(c, nc)
                 ratio = pm == 0 ? "-" : sprintf("%.4f", median / pm)
-                printf "%-18s %34s %34s %7s %3d/%d\n", name, ps, cs, ratio, wins, np
+                # gap > 0: the change'"'"'s median is the better one.
+                gap = better == "higher" ? median - pm : pm - median
+                all_beat = better == "higher" ? c[1] > p[np] : c[nc] < p[1]
+                if (wins * 10 >= 9 * np && gap > spread) verdict = "gain"
+                else if (-gap > bound * pm) verdict = "worse"
+                else if (spread > bound * pm && !all_beat) verdict = "unresolved"
+                else verdict = "level"
+                printf "%-18s %34s %34s %7s %3d/%d  %s\n", name, ps, cs, ratio, wins, np, verdict
             }'
     done
     for side in parent change; do
