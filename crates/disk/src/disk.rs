@@ -98,8 +98,8 @@ struct Shared {
     slowdown: Cell<f64>,
     /// Flight-recorder lane for this spindle's DiskStart/DiskDone events.
     track: Cell<Track>,
-    /// Live queue depth (requests waiting, not counting the one in
-    /// service), maintained by the server loop for telemetry gauges.
+    /// Live queue depth for telemetry gauges: requests sent and not yet
+    /// taken by the server loop (the one in service is not counted).
     queue: Rc<Cell<usize>>,
 }
 
@@ -160,6 +160,8 @@ impl Disk {
         if self.tx.send(request).is_err() {
             return Err(DiskError::Down);
         }
+        let queue = &self.shared.queue;
+        queue.set(queue.get() + 1);
         done.await.unwrap_or(Err(DiskError::Down))
     }
 
@@ -168,8 +170,9 @@ impl Disk {
         self.shared.stats.borrow().clone()
     }
 
-    /// The live queue-depth cell this spindle's server loop maintains;
-    /// telemetry gauges read it while the simulation runs.
+    /// The live queue-depth cell: [`Disk::access`] counts a request in
+    /// when it sends it and the server loop counts it out when it takes
+    /// it. Telemetry gauges read it while the simulation runs.
     pub(crate) fn queue_cell(&self) -> Rc<Cell<usize>> {
         self.shared.queue.clone()
     }
@@ -248,7 +251,7 @@ async fn server_loop(
             let depth = sweep.len() + arrivals.len() + 1;
             st.max_queue_depth = st.max_queue_depth.max(depth);
         }
-        queue.set(sweep.len() + arrivals.len());
+        queue.set(queue.get() - 1);
 
         // Consult the fault plan. A dead member fails fast (the controller
         // knows the device is gone); a transient media error is discovered
@@ -509,6 +512,26 @@ mod tests {
         }
         sim.run();
         assert!(disk.stats().max_queue_depth >= 4);
+    }
+
+    #[test]
+    fn queue_gauge_counts_arrivals_during_a_service() {
+        // A 100 ms read, and a second request sent 10 ms into its
+        // service: at 20 ms the second one waits, and the gauge says so.
+        let sim = Sim::new(1);
+        let disk = fixed_disk(&sim, 1e6);
+        let queue = disk.queue_cell();
+        for (at_ms, offset) in [(0, 0), (10, 100_000)] {
+            let (d, s) = (disk.clone(), sim.clone());
+            sim.spawn(async move {
+                s.sleep(SimDuration::from_millis(at_ms)).await;
+                d.read(offset, 100_000).await.unwrap();
+            });
+        }
+        sim.run_until(SimTime::ZERO + SimDuration::from_millis(20));
+        assert_eq!(queue.get(), 1);
+        sim.run();
+        assert_eq!(queue.get(), 0);
     }
 
     #[test]

@@ -189,9 +189,11 @@ impl<M: Clone + 'static> Mesh<M> {
         };
         async move {
             {
-                let Some(sem) = self.shared.nic_tx.get(src.0) else {
-                    // A source outside the topology has no NIC; the frame is
-                    // lost observably, like a send from a decommissioned node.
+                let routed = dst.0 < self.shared.topo.nodes();
+                let Some(sem) = self.shared.nic_tx.get(src.0).filter(|_| routed) else {
+                    // A source outside the topology has no NIC and a
+                    // destination outside it no route; the frame is lost
+                    // observably, like a send from a decommissioned node.
                     self.shared.sim.emit(|| {
                         ev(
                             Track::Node(src.0 as u16),
@@ -551,19 +553,22 @@ mod tests {
     #[test]
     fn unbound_destination_drop_is_counted_and_traced() {
         // Node 2's mailbox sizes the table at three slots: node 1 has a
-        // slot it never filled, and node 3 lies past the table's end.
+        // slot it never filled, node 3 lies past the table's end, and node
+        // 9 lies outside the 2x2 topology, so it has no route either; its
+        // drop is traced on the sender's track, like an unknown source's.
         let sim = Sim::new(1);
         let mesh: Mesh<u64> = Mesh::new(&sim, Topology::new(2, 2), MeshParams::instant());
         let _rx = mesh.bind(NodeId(2));
         sim.tracer().arm(16);
-        for dst in [1, 3] {
+        for dst in [1, 3, 9] {
             let m = mesh.clone();
             sim.spawn(async move {
                 m.send(NodeId(0), NodeId(dst), 64, 1, 0).await;
             });
         }
         sim.run();
-        assert_eq!(mesh.stats().drops, 2);
+        assert_eq!(mesh.stats().drops, 3);
+        assert_eq!(mesh.stats().messages, 2);
         let dropped: Vec<Track> = sim
             .tracer()
             .events()
@@ -571,7 +576,10 @@ mod tests {
             .filter(|e| e.kind == EventKind::MeshDrop)
             .map(|e| e.track)
             .collect();
-        assert_eq!(dropped, vec![Track::Node(1), Track::Node(3)]);
+        assert_eq!(
+            dropped,
+            vec![Track::Node(0), Track::Node(1), Track::Node(3)]
+        );
     }
 
     #[test]

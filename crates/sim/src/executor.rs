@@ -11,7 +11,7 @@
 //! monotone sequence number, so a given `(seed, model)` pair always produces
 //! the identical event trace — the property tests in this crate assert it.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
@@ -20,7 +20,7 @@ use std::task::{Context, Poll, Waker};
 use crate::fault::FaultPlan;
 use crate::kernel::{Kernel, TimerKey};
 use crate::rng::Rng;
-use crate::task::{new_task, JoinHandle, ReadyQueue, TaskTable};
+use crate::task::{JoinHandle, ReadyQueue, TaskTable};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{EventBody, ReqId, Trace};
 
@@ -38,10 +38,6 @@ pub struct RunReport {
     /// this counts executor work the trace hash cannot see. A cancelled
     /// timer wakes nothing, so it adds no poll either.
     pub polls: u64,
-    /// Task wakers allocated. A spawn reuses its slot's waker unless a
-    /// clone of the previous occupant's is still held somewhere (a timer,
-    /// a waiter list, a join slot), so in a steady state this stays flat.
-    pub wakers_built: u64,
     /// Tasks that were spawned but never completed (deadlocked or still
     /// waiting when the horizon was reached). Zero for a clean run.
     pub unfinished_tasks: usize,
@@ -62,6 +58,8 @@ struct World {
     kernel: RefCell<Kernel>,
     tasks: RefCell<TaskTable>,
     ready: ReadyQueue,
+    /// Wakes handled: task polls plus dropped stale wakes.
+    polls: Cell<u64>,
     seed: u64,
     trace: Trace,
     faults: FaultPlan,
@@ -76,6 +74,7 @@ impl Sim {
                 kernel: RefCell::new(Kernel::new()),
                 tasks: RefCell::new(TaskTable::default()),
                 ready: ReadyQueue::default(),
+                polls: Cell::new(0),
                 seed,
                 trace: Trace::default(),
                 faults: FaultPlan::new(derive_seed(seed, "fault-plan")),
@@ -136,10 +135,9 @@ impl Sim {
         F: Future<Output = T> + 'static,
         T: 'static,
     {
-        let (task, handle) = new_task(fut);
         let world = &*self.world;
-        let id = world.tasks.borrow_mut().insert(label, task, &world.ready);
-        world.ready.push(id);
+        let (task, handle) = world.tasks.borrow_mut().spawn(label, fut, &world.ready);
+        world.ready.push(task);
         handle
     }
 
@@ -206,8 +204,7 @@ impl Sim {
         RunReport {
             end_time: kernel.now,
             events_processed: kernel.events_processed,
-            polls: tasks.polls,
-            wakers_built: tasks.wakers_built,
+            polls: self.world.polls.get(),
             unfinished_tasks: tasks.len(),
             trace_hash: kernel.trace_hash,
         }
@@ -218,7 +215,8 @@ impl Sim {
     /// the task map lives *inside* `Sim`, an `Rc` cycle that would
     /// otherwise keep the whole world alive forever; harnesses that
     /// build many worlds (a sweep runs dozens) must break it when a run
-    /// finishes. The world must not be `run` again afterwards.
+    /// finishes. Call it from outside the world's tasks; the world must
+    /// not be `run` again afterwards.
     pub fn shutdown(&self) {
         self.world.tasks.borrow_mut().clear();
     }
@@ -226,7 +224,8 @@ impl Sim {
     /// Labels of tasks that have not completed, in spawn order. Useful in
     /// deadlock triage.
     pub fn pending_task_labels(&self) -> Vec<&'static str> {
-        self.world.tasks.borrow().live_labels()
+        let sizes = self.pending_task_sizes();
+        sizes.into_iter().map(|(label, _)| label).collect()
     }
 
     /// Label and size in bytes of the future of each task that has not
@@ -235,41 +234,17 @@ impl Sim {
         self.world.tasks.borrow().live_future_sizes()
     }
 
-    /// Poll woken tasks until the ready ring is empty.
+    /// Poll woken tasks until the ready ring is empty. Each pop is one
+    /// handled wake: the task is polled unless it already finished.
     fn drain_ready(&self) {
         let world = &*self.world;
-        while let Some(id) = world.ready.pop() {
-            // Take the task out so model code may re-enter `Sim` freely
-            // while we poll, and so wakes during the poll are harmless.
-            // The slot's waker is cloned (an `Rc` bump), not built.
-            let (task, waker) = {
-                let mut tasks = world.tasks.borrow_mut();
-                tasks.polls += 1;
-                match tasks.get_live(id) {
-                    Some(slot) => match slot.task.take() {
-                        Some(t) => {
-                            let w = slot.waker();
-                            (t, w)
-                        }
-                        // Already being polled higher up the stack or woken
-                        // twice; the in-progress poll will see the wake.
-                        None => continue,
-                    },
-                    // Task already completed — or its slot was reused and
-                    // the generation check failed. Stale wake; drop it.
-                    None => continue,
-                }
-            };
-            let mut cx = Context::from_waker(&waker);
-            match task.poll_task(&mut cx) {
-                Poll::Ready(()) => {
-                    world.tasks.borrow_mut().remove(id);
-                }
-                Poll::Pending => {
-                    if let Some(slot) = world.tasks.borrow_mut().get_live(id) {
-                        slot.task = Some(task);
-                    }
-                }
+        while let Some(task) = world.ready.pop() {
+            world.polls.set(world.polls.get() + 1);
+            if let Some(slot) = task.run() {
+                // Dropped outside the borrow: the task's output may own
+                // anything, and its destructor may re-enter `Sim`.
+                let finished = world.tasks.borrow_mut().remove(slot);
+                drop(finished);
             }
         }
     }
@@ -371,8 +346,7 @@ impl<F: Future> Future for Timeout<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::task::TaskId;
-    use std::cell::Cell;
+    use crate::task::Runnable;
 
     #[test]
     fn sleep_advances_virtual_time_only() {
@@ -442,6 +416,7 @@ mod tests {
         let report = sim.run_until(SimTime::ZERO + SimDuration::from_secs(10));
         assert_eq!(report.unfinished_tasks, 1);
         assert_eq!(sim.pending_task_labels(), vec!["task"]);
+        sim.shutdown();
     }
 
     #[test]
@@ -556,47 +531,45 @@ mod tests {
         assert_eq!(derive_seed(3, "x"), derive_seed(3, "x"));
     }
 
-    /// Spawn `fut` on an idle world; returns its handle and the id the
-    /// executor queued it under.
-    fn spawn_with_id<T: 'static>(
+    /// Spawn `fut` on an idle world; returns its handle and the task
+    /// the executor queued.
+    fn spawn_queued<T: 'static>(
         sim: &Sim,
         fut: impl Future<Output = T> + 'static,
-    ) -> (JoinHandle<T>, TaskId) {
+    ) -> (JoinHandle<T>, Rc<dyn Runnable>) {
         let h = sim.spawn(fut);
-        let id = sim.world.ready.pop().expect("spawn queues the task");
-        sim.world.ready.push(id);
-        (h, id)
+        let task = sim.world.ready.pop().expect("spawn queues the task");
+        sim.world.ready.push(task.clone());
+        (h, task)
     }
 
     #[test]
     fn stale_wake_to_freed_slot_is_dropped() {
         let sim = Sim::new(1);
-        let (h, id) = spawn_with_id(&sim, async {});
+        let (h, task) = spawn_queued(&sim, async {});
         sim.run();
         assert!(h.is_finished());
-        // The task's slot is free; a wake addressed to it must be ignored.
-        sim.world.ready.push(id);
+        // The task finished and left the registry; a wake of it must be
+        // counted and ignored.
+        sim.world.ready.push(task);
         let report = sim.run();
         assert_eq!(report.unfinished_tasks, 0);
+        assert_eq!(report.polls, 2);
+        assert_eq!(h.try_take(), Some(()));
     }
 
     #[test]
     fn stale_wake_to_reused_slot_is_not_misdelivered() {
-        // The generational-index ABA case: task A stashes a clone of its
-        // waker and completes, its slot is reused by task B, then the stale
-        // waker fires. The generation mismatch must drop the wake — B must
-        // not be polled — and the stale waker must not have been recycled
-        // into B's.
+        // Task A stashes a clone of its waker and completes, task B is
+        // spawned into A's registry slot, then the stale waker fires. It
+        // must not poll B, and it must not be B's waker.
         let sim = Sim::new(1);
         let stash: Rc<RefCell<Option<Waker>>> = Rc::new(RefCell::new(None));
         let a_stash = stash.clone();
-        let (_a, old_id) = spawn_with_id(
-            &sim,
-            std::future::poll_fn(move |cx| {
-                *a_stash.borrow_mut() = Some(cx.waker().clone());
-                Poll::Ready(())
-            }),
-        );
+        sim.spawn(std::future::poll_fn(move |cx| {
+            *a_stash.borrow_mut() = Some(cx.waker().clone());
+            Poll::Ready(())
+        }));
         sim.run();
         let stale = stash.borrow_mut().take().expect("A stashed its waker");
 
@@ -605,20 +578,11 @@ mod tests {
         let polls = Rc::new(Cell::new(0u32));
         let p = polls.clone();
         let b_stash = stash.clone();
-        let (_b, b_id) = spawn_with_id(
-            &sim,
-            std::future::poll_fn(move |cx| {
-                p.set(p.get() + 1);
-                *b_stash.borrow_mut() = Some(cx.waker().clone());
-                Poll::<()>::Pending
-            }),
-        );
-        assert_eq!(b_id.slot(), old_id.slot(), "slot must be reused");
-        assert_ne!(
-            b_id.generation(),
-            old_id.generation(),
-            "generation must be bumped on free"
-        );
+        sim.spawn(std::future::poll_fn(move |cx| {
+            p.set(p.get() + 1);
+            *b_stash.borrow_mut() = Some(cx.waker().clone());
+            Poll::<()>::Pending
+        }));
         sim.run();
         assert_eq!(polls.get(), 1, "initial spawn polls B once");
         let b_waker = stash.borrow_mut().take().expect("B stashed its waker");
@@ -627,7 +591,7 @@ mod tests {
             "A's waker was recycled while a clone of it was outstanding"
         );
 
-        // Fire the stale waker: right slot, wrong generation. B must not run.
+        // Fire the stale waker: it reaches A's finished task, not B.
         stale.wake();
         sim.run();
         assert_eq!(polls.get(), 1, "stale wake was misdelivered to B");
@@ -641,6 +605,24 @@ mod tests {
         assert_eq!(polls.get(), 2);
         assert_eq!(sim.report().polls, 4);
         assert_eq!(sim.report().events_processed, events);
+        sim.shutdown();
+    }
+
+    #[test]
+    fn a_waker_fired_after_its_world_is_dropped_wakes_nothing() {
+        // The cell holds its ring weakly: with the world gone the wake
+        // finds no ring, and the cell is freed (the `asan` stage of
+        // `scripts/ci.sh` would report a leak).
+        let sim = Sim::new(1);
+        let stash: Rc<RefCell<Option<Waker>>> = Rc::new(RefCell::new(None));
+        let s = stash.clone();
+        sim.spawn(std::future::poll_fn(move |cx| {
+            *s.borrow_mut() = Some(cx.waker().clone());
+            Poll::Ready(())
+        }));
+        sim.run();
+        drop(sim);
+        stash.take().expect("the task stashed its waker").wake();
     }
 
     #[test]
@@ -656,18 +638,15 @@ mod tests {
         };
         let future_size = std::mem::size_of_val(&future);
         assert!(future_size >= 1024, "{future_size} B");
-        let (_h, id) = spawn_with_id(&sim, future);
-        let mut tasks = sim.world.tasks.borrow_mut();
-        let task = tasks
-            .get_live(id)
-            .and_then(|slot| slot.task.as_ref())
-            .expect("a spawned task waits in its slot");
+        let (_h, task) = spawn_queued(&sim, future);
         // The `Rc` allocation: strong and weak counts, then the cell.
-        let stored = 2 * std::mem::size_of::<usize>() + std::mem::size_of_val(&**task);
+        let stored = 2 * std::mem::size_of::<usize>() + std::mem::size_of_val(&*task);
         assert!(
             stored <= future_size + 64,
             "{stored} B stored for a {future_size} B future"
         );
+        drop(task);
+        sim.shutdown();
     }
 
     #[test]

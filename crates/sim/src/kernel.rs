@@ -5,8 +5,8 @@
 //! a monotone counter, so simultaneous events fire in registration order and
 //! the whole simulation is deterministic.
 //!
-//! Storage is a [`BinaryHeap`] of [`Reverse`]d `(time, seq, slot)` keys
-//! beside a FIFO lane. A wake whose deadline is no
+//! Storage is a [`BinaryHeap`] (of [`Reverse`]d keys) beside a FIFO lane;
+//! both hold `(time, seq, slot)` keys. A wake whose deadline is no
 //! earlier than the lane's last one is appended to the lane; any other
 //! goes to the heap. `seq` grows with every registration, so an appended
 //! entry's `(time, seq)` is greater than every lane entry's and the lane
@@ -18,63 +18,59 @@
 //!
 //! A registration can be cancelled: [`Kernel::schedule_wake`] returns a
 //! [`TimerKey`], and [`Kernel::cancel`] drops the registered waker at once.
-//! Entries leave in `(time, seq)` order, so one comparison with the last
-//! fired key tells whether the entry is still queued. The lane is sorted
-//! on `seq` too, so a cancel there is a binary search that leaves the
-//! entry as a tombstone. A heap entry's waker waits in a slab slot that
-//! the entry's key names, so a cancel there empties the slot and leaves
-//! the key as a tombstone; the slot is reused once the key leaves the
-//! heap. Neither cancel scans a queue. Heap cancels are not rare: a far
-//! deadline at the lane's back (EXT-FAULTS' 7,200 s fault-window marker)
-//! sends every later attempt timeout to the heap, and 3,328 of that
-//! record's 6,400 cancels of queued entries hit the heap.
-//! [`Kernel::fire_next`] and [`Kernel::next_event_time`] pop tombstones
-//! without counting or hashing them, advancing the clock or waking
-//! anything, and every surviving entry keeps the `(time, seq)` it was
-//! registered with: the event stream is exactly the one without the
-//! cancelled registrations.
+//! Every queued registration's waker waits in one slab, and both queues
+//! hold `(time, seq, slot)` keys that name its slot, so a cancel is the
+//! same wherever the key sits: entries leave in `(time, seq)` order, so
+//! one comparison with the last fired key tells whether the entry is
+//! still queued, and if it is, the cancel empties its slot and leaves the
+//! key as a tombstone. [`Kernel::fire_next`] and
+//! [`Kernel::next_event_time`] pop tombstones from either queue's front,
+//! freeing their slots, without counting or hashing them, advancing the
+//! clock or waking anything, and every surviving entry keeps the
+//! `(time, seq)` it was registered with: the event stream is exactly the
+//! one without the cancelled registrations. No cancel scans a queue.
 //! A [`Sleep`](crate::executor::Sleep) cancels its entry when it is
 //! dropped, so a timeout whose future wins (every healthy RPC attempt)
 //! leaves no event behind.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::num::NonZeroU32;
 use std::task::Waker;
 
 use crate::time::SimTime;
 
-/// A lane entry: a scheduled wake, or a tombstone once cancelled (`waker`
-/// is `None`).
-struct Entry {
-    time: SimTime,
-    seq: u64,
-    waker: Option<Waker>,
-}
+/// A waker's index in the slab. Slot 0 is a permanent placeholder, so a
+/// [`TimerKey`] has a niche: `Sleep`'s registration state stores its tag
+/// there, and every future holding a `Sleep` keeps its size.
+type Slot = NonZeroU32;
+
+/// A queued registration: `seq` is unique, so the slot never takes part in
+/// the order. A key whose slot is empty is a tombstone.
+type Key = (SimTime, u64, Slot);
 
 /// Names one registration for [`Kernel::cancel`]: its `(time, seq)` (the
-/// deadline clamped to the registration instant), and its waker's slot if
-/// it went to the heap. Not `Clone`: a key is cancelled at most once, so a
-/// slot reused after its tombstone left cannot be emptied by a stale key.
+/// deadline clamped to the registration instant) and its waker's slot.
+/// Not `Clone`: a key is cancelled at most once, so a slot reused after
+/// its tombstone left cannot be emptied by a stale key.
 #[derive(Debug)]
 pub(crate) struct TimerKey {
     pub(crate) time: SimTime,
     seq: u64,
-    heap_slot: Option<u32>,
+    slot: Slot,
 }
 
 /// Event queue + virtual clock. Owned by the executor behind a `RefCell`.
 pub(crate) struct Kernel {
     pub(crate) now: SimTime,
     seq: u64,
-    /// `(time, seq, slot)`: `seq` is unique, so the slot never takes part
-    /// in the order. A key whose slot is empty is a tombstone.
-    heap: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
-    /// The heap entries' wakers, by slot.
+    heap: BinaryHeap<Reverse<Key>>,
+    /// Sorted on `(time, seq)`: see the module docs.
+    lane: VecDeque<Key>,
+    /// The wakers of every queued registration, by slot.
     slots: Vec<Option<Waker>>,
-    /// Slots whose key has left the heap.
-    free_slots: Vec<u32>,
-    /// Sorted on `(time, seq)`, and so on `seq`: see the module docs.
-    lane: VecDeque<Entry>,
+    /// Slots whose key has left its queue.
+    free_slots: Vec<Slot>,
     /// `(time, seq)` of the last entry fired: every entry at or below it
     /// has left the queue.
     last_fired: Option<(SimTime, u64)>,
@@ -90,9 +86,9 @@ impl Kernel {
             now: SimTime::ZERO,
             seq: 0,
             heap: BinaryHeap::new(),
-            slots: Vec::new(),
-            free_slots: Vec::new(),
             lane: VecDeque::new(),
+            slots: vec![None],
+            free_slots: Vec::new(),
             last_fired: None,
             events_processed: 0,
             trace_hash: 0xcbf2_9ce4_8422_2325,
@@ -104,32 +100,22 @@ impl Kernel {
         let time = deadline.max(self.now);
         let seq = self.seq;
         self.seq += 1;
-        let heap_slot = if self.lane.back().is_none_or(|last| time >= last.time) {
-            self.lane.push_back(Entry {
-                time,
-                seq,
-                waker: Some(waker),
-            });
-            None
-        } else {
-            let slot = match self.free_slots.pop() {
-                Some(slot) => {
-                    self.slots[slot as usize] = Some(waker);
-                    slot
-                }
-                None => {
-                    self.slots.push(Some(waker));
-                    (self.slots.len() - 1) as u32
-                }
-            };
-            self.heap.push(Reverse((time, seq, slot)));
-            Some(slot)
+        let slot = match self.free_slots.pop() {
+            Some(slot) => {
+                *self.waker(slot) = Some(waker);
+                slot
+            }
+            None => {
+                self.slots.push(Some(waker));
+                Slot::new((self.slots.len() - 1) as u32).expect("slot 0 is the placeholder")
+            }
         };
-        TimerKey {
-            time,
-            seq,
-            heap_slot,
+        if self.lane.back().is_none_or(|&(last, _, _)| time >= last) {
+            self.lane.push_back((time, seq, slot));
+        } else {
+            self.heap.push(Reverse((time, seq, slot)));
         }
+        TimerKey { time, seq, slot }
     }
 
     /// Cancel the registration `key` and drop its waker now. A no-op when
@@ -137,70 +123,67 @@ impl Kernel {
     pub(crate) fn cancel(&mut self, key: TimerKey) {
         if self
             .last_fired
-            .is_some_and(|last| (key.time, key.seq) <= last)
+            .is_none_or(|last| (key.time, key.seq) > last)
         {
-            return;
-        }
-        match key.heap_slot {
-            None => {
-                if let Ok(at) = self.lane.binary_search_by_key(&key.seq, |e| e.seq) {
-                    self.lane[at].waker = None;
-                }
-            }
-            Some(slot) => self.slots[slot as usize] = None,
+            *self.waker(key.slot) = None;
         }
     }
 
-    /// Drop the tombstones at the lane's front and the heap's top, then
-    /// return the earliest entry's `(time, seq)` and whether it is the
-    /// lane's front.
-    fn peek_live(&mut self) -> Option<((SimTime, u64), bool)> {
-        while self.lane.front().is_some_and(|e| e.waker.is_none()) {
+    /// Pop the tombstones at the lane's front and the heap's top, freeing
+    /// their slots, then return the earliest entry's key and whether it is
+    /// the lane's front.
+    fn peek_live(&mut self) -> Option<(Key, bool)> {
+        while let Some(&(_, _, slot)) = self.lane.front() {
+            if self.waker(slot).is_some() {
+                break;
+            }
             self.lane.pop_front();
+            self.free_slots.push(slot);
         }
         while let Some(&Reverse((_, _, slot))) = self.heap.peek() {
-            if self.slots[slot as usize].is_some() {
+            if self.waker(slot).is_some() {
                 break;
             }
             self.heap.pop();
             self.free_slots.push(slot);
         }
-        let heap = self.heap.peek().map(|&Reverse((time, seq, _))| (time, seq));
-        let lane = self.lane.front().map(|e| (e.time, e.seq));
-        match (heap, lane) {
-            (Some(h), Some(l)) if h < l => Some((h, false)),
-            (_, Some(l)) => Some((l, true)),
-            (Some(h), None) => Some((h, false)),
+        match (self.heap.peek(), self.lane.front()) {
+            (Some(&Reverse(h)), Some(&l)) if h < l => Some((h, false)),
+            (_, Some(&l)) => Some((l, true)),
+            (Some(&Reverse(h)), None) => Some((h, false)),
             (None, None) => None,
         }
     }
 
     /// The instant of the earliest live entry.
     pub(crate) fn next_event_time(&mut self) -> Option<SimTime> {
-        self.peek_live().map(|((time, _), _)| time)
+        self.peek_live().map(|((time, _, _), _)| time)
     }
 
     /// Pop the earliest live entry if it is due by `horizon`, advance the
     /// clock, and return its waker.
     pub(crate) fn fire_next(&mut self, horizon: SimTime) -> Option<Waker> {
-        let ((time, seq), from_lane) = self.peek_live()?;
+        let ((time, seq, slot), from_lane) = self.peek_live()?;
         if time > horizon {
             return None;
         }
-        let waker = if from_lane {
-            self.lane.pop_front()?.waker
+        if from_lane {
+            self.lane.pop_front();
         } else {
-            let Reverse((_, _, slot)) = self.heap.pop()?;
-            self.free_slots.push(slot);
-            self.slots[slot as usize].take()
-        };
+            self.heap.pop();
+        }
+        self.free_slots.push(slot);
         debug_assert!(time >= self.now, "event queue went backwards");
         self.now = time;
         self.last_fired = Some((time, seq));
         self.events_processed += 1;
         self.fold_trace(time.as_nanos());
         self.fold_trace(seq);
-        waker
+        self.waker(slot).take()
+    }
+
+    fn waker(&mut self, slot: Slot) -> &mut Option<Waker> {
+        &mut self.slots[slot.get() as usize]
     }
 
     fn fold_trace(&mut self, v: u64) {

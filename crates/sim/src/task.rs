@@ -1,137 +1,71 @@
 //! Task bookkeeping for the single-threaded executor.
 //!
-//! Tasks live in a slab: a flat `Vec` of slots indexed by the low 32 bits
-//! of the [`TaskId`], with a free list for reuse. The high 32 bits carry a
-//! per-slot generation that is bumped every time a slot is freed, so a wake
-//! addressed to a task that has completed — even if its slot has since been
-//! reused — fails the generation check and is dropped instead of being
-//! misdelivered (the classic ABA hazard of index reuse).
-//!
 //! A spawned task is one heap allocation, a [`TaskCell`]: the future at its
-//! own size, its output once ready (in the future's place), and the waker
-//! of the task awaiting its [`JoinHandle`]. The slab polls the cell as an
-//! `Rc<dyn Runnable>`; the handle reads it as an `Rc<dyn JoinSlot<T>>`.
+//! own size, its output once ready (in the future's place), the waker of
+//! the task awaiting its [`JoinHandle`], and a weak handle to the world's
+//! ready ring. The cell is its own waker: a task's [`Waker`] is a counted
+//! pointer to its cell, an `Rc<TaskCell<F>>` behind a per-`F`
+//! [`RawWakerVTable`] (the design of runtimes such as `async-task`), and
+//! waking moves that `Rc` onto the ready ring. A wake therefore reaches
+//! only its own task. One fired after the task finished finds its own
+//! finished cell, which the executor counts as a stale wake and does not
+//! poll; no id, generation or slot lookup stands between a wake and its
+//! task. The ring holds cells as `Rc<dyn Runnable>`; a handle reads its
+//! cell as an `Rc<dyn JoinSlot<T>>`.
 //!
-//! Wakers are `Rc`-based with a hand-rolled [`RawWakerVTable`]: a world's
-//! executor, its tasks, and every waker they clone all live on the one
-//! host thread that runs the simulation, so the `Send + Sync` contract of
-//! `std::task::Waker` is vacuously met and the ready ring needs no lock.
-//! Each slot keeps the waker payload of its current occupant, so polling
-//! allocates nothing, and hands it on to its next occupant when no clone of
-//! it is outstanding, so spawning usually allocates only the cell.
+//! [`TaskTable`] is only a registry of live tasks (label, spawn order and
+//! cell), touched at spawn, at completion and at shutdown, and by the
+//! pending-task reports. A cell knows its registry slot, so a task that
+//! finishes frees its own entry.
+//!
+//! Wakers are `Rc`-based: a world's executor, its tasks, and every waker
+//! they clone all live on the one host thread that runs the simulation,
+//! so the `Send + Sync` contract of `std::task::Waker` is vacuously met
+//! and the ready ring needs no lock. A poll lends the task its own waker
+//! without touching the count, so polling allocates nothing, and a spawn
+//! allocates nothing but its cell.
 #![expect(
     unsafe_code,
-    reason = "the Rc waker vtable and the task cell's pin projection; their safety arguments are on VTABLE and TaskCell"
+    reason = "the Rc waker vtable and the task cell's pin projection; their safety arguments are on TaskCell::VTABLE and TaskCell"
 )]
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::future::Future;
+use std::mem::ManuallyDrop;
 use std::pin::Pin;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 use std::task::{Context, Poll, RawWaker, RawWakerVTable, Waker};
 
-/// Identifies a spawned task for the lifetime of a simulation.
-///
-/// Packs `(generation << 32) | slot`: the slot indexes the executor's task
-/// slab, the generation detects stale references to a reused slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub(crate) struct TaskId(pub(crate) u64);
+/// Tasks that have been woken and must be polled, in wake order.
+type Ring = RefCell<VecDeque<Rc<dyn Runnable>>>;
 
-impl TaskId {
-    pub(crate) fn new(slot: u32, generation: u32) -> TaskId {
-        TaskId(((generation as u64) << 32) | slot as u64)
-    }
-
-    pub(crate) fn slot(self) -> u32 {
-        self.0 as u32
-    }
-
-    pub(crate) fn generation(self) -> u32 {
-        (self.0 >> 32) as u32
-    }
-}
-
-/// Ring of tasks that have been woken and must be polled.
-///
-/// Shared between the executor and every waker handed to a task.
-#[derive(Clone, Default)]
+/// The world's ready ring. Each task cell holds a weak handle to it.
+#[derive(Default)]
 pub(crate) struct ReadyQueue {
-    inner: Rc<RefCell<VecDeque<TaskId>>>,
+    inner: Rc<Ring>,
 }
 
 impl ReadyQueue {
-    pub(crate) fn push(&self, id: TaskId) {
-        // The borrow lasts only for this statement, so a task waking
-        // itself mid-poll (executor not holding a borrow) cannot trip it.
-        self.inner.borrow_mut().push_back(id);
+    // Every borrow of the ring lasts one statement, so a task waking
+    // itself mid-poll (executor not holding a borrow) cannot trip it.
+    pub(crate) fn push(&self, task: Rc<dyn Runnable>) {
+        self.inner.borrow_mut().push_back(task);
     }
 
-    pub(crate) fn pop(&self) -> Option<TaskId> {
+    pub(crate) fn pop(&self) -> Option<Rc<dyn Runnable>> {
         self.inner.borrow_mut().pop_front()
     }
 }
 
-/// Waker payload for one task: waking pushes the task id back onto the
-/// ready ring.
-struct TaskWaker {
-    id: TaskId,
-    ready: ReadyQueue,
-}
-
-/// Waker vtable over `Rc<TaskWaker>`.
-///
-/// # Safety
-///
-/// `Waker` requires `Send + Sync`, which `Rc` cannot promise; the vtable
-/// is sound anyway because no waker ever leaves its world's thread: the
-/// executor, the kernel's timer queue, and every sync primitive that
-/// stashes a waker are world-local, and the simulator is single-threaded
-/// (no `Sim`, task or waker is ever handed to another host thread; `Sim`
-/// is `!Send` through its `Rc`). Every vtable entry is only ever called
-/// with a pointer produced by `Rc::into_raw` in [`waker_of`] or
-/// [`clone_raw`], whose strong count the calling waker owns.
-static VTABLE: RawWakerVTable = RawWakerVTable::new(clone_raw, wake_raw, wake_by_ref_raw, drop_raw);
-
-unsafe fn clone_raw(ptr: *const ()) -> RawWaker {
-    // SAFETY: `ptr` is a live `Rc<TaskWaker>` (VTABLE's contract); the
-    // count added here is owned by the returned waker.
-    unsafe { Rc::increment_strong_count(ptr as *const TaskWaker) };
-    RawWaker::new(ptr, &VTABLE)
-}
-
-unsafe fn wake_raw(ptr: *const ()) {
-    // SAFETY: `ptr` is a live `Rc<TaskWaker>` whose count this waker owns
-    // and gives up by being consumed (VTABLE's contract).
-    let w = unsafe { Rc::from_raw(ptr as *const TaskWaker) };
-    w.ready.push(w.id);
-}
-
-unsafe fn wake_by_ref_raw(ptr: *const ()) {
-    // SAFETY: `ptr` is a live `Rc<TaskWaker>` that the borrowed waker keeps
-    // alive for this call (VTABLE's contract).
-    let w = unsafe { &*(ptr as *const TaskWaker) };
-    w.ready.push(w.id);
-}
-
-unsafe fn drop_raw(ptr: *const ()) {
-    // SAFETY: `ptr` is a live `Rc<TaskWaker>` whose count the dropped waker
-    // owns (VTABLE's contract).
-    drop(unsafe { Rc::from_raw(ptr as *const TaskWaker) });
-}
-
-/// A waker that owns one count of `w`; cloning it is an `Rc` count bump.
-fn waker_of(w: Rc<TaskWaker>) -> Waker {
-    // SAFETY: the pointer comes from `Rc::into_raw` and its count moves
-    // into the waker, which is what VTABLE's entries assume.
-    unsafe { Waker::from_raw(RawWaker::new(Rc::into_raw(w) as *const (), &VTABLE)) }
-}
-
 /// The executor's view of a task.
 pub(crate) trait Runnable {
-    /// Poll the future once. On `Ready` its output is in the join slot and
-    /// the task awaiting the handle, if any, has been woken.
-    fn poll_task(&self, cx: &mut Context<'_>) -> Poll<()>;
+    /// Poll the future once, with the cell as its waker, unless the task
+    /// already finished or was cancelled (a stale wake). Returns the
+    /// task's registry slot when this poll finished it; its output is
+    /// then in the join slot and the task awaiting the handle, if any,
+    /// has been woken.
+    fn run(self: Rc<Self>) -> Option<u32>;
 
     /// Drop the future in place (world shutdown).
     fn cancel(&self);
@@ -154,14 +88,15 @@ enum Stage<F: Future> {
     Done,
 }
 
-/// One spawned task: its future and its join slot in one allocation.
+/// One spawned task: its future, its join slot and its waker in one
+/// allocation.
 ///
 /// # Pin projection
 ///
-/// [`Runnable::poll_task`] pins the future where it lies with
+/// [`Runnable::run`] pins the future where it lies with
 /// `Pin::new_unchecked`. That is sound because the future never moves and
 /// is dropped in place: the cell is created inside its `Rc` by
-/// `spawn_named` and nothing moves it out (no `Rc::try_unwrap`, no
+/// [`TaskTable::spawn`] and nothing moves it out (no `Rc::try_unwrap`, no
 /// `get_mut` on a cell); `Stage::Running` is only ever left by assigning
 /// a new stage over it, which drops the future where it lies; and
 /// `take_output` moves a value out of `Stage::Finished` only, never out of
@@ -170,44 +105,99 @@ struct TaskCell<F: Future> {
     stage: RefCell<Stage<F>>,
     /// Waker of the task awaiting this one's [`JoinHandle`].
     joiner: Cell<Option<Waker>>,
+    /// Weak, so a woken cell and the ring that holds it form no cycle,
+    /// and a waker fired after its world is gone finds no ring.
+    ready: Weak<Ring>,
+    /// This task's entry in the [`TaskTable`].
+    slot: u32,
 }
 
-/// Move `future` into a fresh task cell: the one allocation of a spawn.
-/// Returns the slab's view of it and the handle's.
-pub(crate) fn new_task<F>(future: F) -> (Rc<dyn Runnable>, JoinHandle<F::Output>)
-where
-    F: Future + 'static,
-{
-    let cell = Rc::new(TaskCell {
-        stage: RefCell::new(Stage::Running(future)),
-        joiner: Cell::new(None),
-    });
-    (cell.clone(), JoinHandle { task: cell })
+impl<F: Future + 'static> TaskCell<F> {
+    /// Waker vtable over `Rc<TaskCell<F>>`.
+    ///
+    /// # Safety
+    ///
+    /// `Waker` requires `Send + Sync`, which `Rc` cannot promise; the vtable
+    /// is sound anyway because no waker ever leaves its world's thread: the
+    /// executor, the kernel's timer queue, and every sync primitive that
+    /// stashes a waker are world-local, and the simulator is single-threaded
+    /// (no `Sim`, task or waker is ever handed to another host thread; `Sim`
+    /// is `!Send` through its `Rc`). Every entry is only ever called with
+    /// the pointer of a live `Rc<TaskCell<F>>`: one that
+    /// [`Runnable::run`] lends for the length of a poll, or one whose
+    /// strong count the calling waker owns because [`TaskCell::clone_raw`]
+    /// added it.
+    const VTABLE: RawWakerVTable = RawWakerVTable::new(
+        Self::clone_raw,
+        Self::wake_raw,
+        Self::wake_by_ref_raw,
+        Self::drop_raw,
+    );
+
+    unsafe fn clone_raw(ptr: *const ()) -> RawWaker {
+        // SAFETY: `ptr` is a live `Rc<TaskCell<F>>` (VTABLE's contract);
+        // the count added here is owned by the returned waker.
+        unsafe { Rc::increment_strong_count(ptr.cast::<Self>()) };
+        RawWaker::new(ptr, &Self::VTABLE)
+    }
+
+    unsafe fn wake_raw(ptr: *const ()) {
+        // SAFETY: `ptr` is a live `Rc<TaskCell<F>>` whose count this waker
+        // owns and hands to the ring by being consumed (VTABLE's contract).
+        Self::schedule(unsafe { Rc::from_raw(ptr.cast::<Self>()) });
+    }
+
+    unsafe fn wake_by_ref_raw(ptr: *const ()) {
+        // SAFETY: `ptr` is a live `Rc<TaskCell<F>>` that the borrowed waker
+        // keeps alive for this call (VTABLE's contract); `ManuallyDrop`
+        // leaves its count alone and the ring gets a clone of its own.
+        let task = ManuallyDrop::new(unsafe { Rc::from_raw(ptr.cast::<Self>()) });
+        Self::schedule(Rc::clone(&task));
+    }
+
+    unsafe fn drop_raw(ptr: *const ()) {
+        // SAFETY: `ptr` is a live `Rc<TaskCell<F>>` whose count the dropped
+        // waker owns (VTABLE's contract).
+        drop(unsafe { Rc::from_raw(ptr.cast::<Self>()) });
+    }
+
+    fn schedule(self: Rc<Self>) {
+        if let Some(ready) = self.ready.upgrade() {
+            ready.borrow_mut().push_back(self);
+        }
+    }
 }
 
-impl<F: Future> Runnable for TaskCell<F> {
-    fn poll_task(&self, cx: &mut Context<'_>) -> Poll<()> {
+impl<F: Future + 'static> Runnable for TaskCell<F> {
+    fn run(self: Rc<Self>) -> Option<u32> {
         let mut stage = self.stage.borrow_mut();
         let Stage::Running(future) = &mut *stage else {
-            // Finished tasks leave the slab, so only a cancelled one is here.
-            return Poll::Ready(());
+            return None;
         };
+        // SAFETY: the pointer is the live `Rc` this poll holds, which
+        // outlives the waker; `ManuallyDrop` never gives up a count the
+        // lent waker does not own (VTABLE's contract).
+        let waker =
+            ManuallyDrop::new(unsafe { Waker::new(Rc::as_ptr(&self).cast(), &Self::VTABLE) });
         // SAFETY: the future never moves and is dropped in place; see
         // "Pin projection" on `TaskCell`.
         let future = unsafe { Pin::new_unchecked(future) };
-        let Poll::Ready(output) = future.poll(cx) else {
-            return Poll::Pending;
+        let Poll::Ready(output) = future.poll(&mut Context::from_waker(&waker)) else {
+            return None;
         };
         *stage = Stage::Finished(output);
         drop(stage);
         if let Some(joiner) = self.joiner.take() {
             joiner.wake();
         }
-        Poll::Ready(())
+        Some(self.slot)
     }
 
     fn cancel(&self) {
         *self.stage.borrow_mut() = Stage::Done;
+        // Two tasks that await each other's handles hold each other's
+        // cells through their joiners: drop the waker to break the cycle.
+        self.joiner.take();
     }
 
     fn future_size(&self) -> usize {
@@ -266,160 +256,85 @@ impl<T> Future for JoinHandle<T> {
     }
 }
 
-/// One slab slot.
-pub(crate) struct TaskSlot {
-    pub(crate) generation: u32,
-    live: bool,
+/// One live task in the registry.
+struct Live {
     /// Monotone spawn counter, used to report pending tasks in spawn order.
     spawn_seq: u64,
-    pub(crate) label: &'static str,
-    /// `None` while the executor has taken the task out to poll it (so
-    /// re-entrant wakes during the poll are harmless) and after the slot
-    /// is freed.
-    pub(crate) task: Option<Rc<dyn Runnable>>,
-    /// Waker payload of the current occupant, kept when it completes so
-    /// the slot's next occupant can reuse the allocation.
-    waker: Option<Rc<TaskWaker>>,
+    label: &'static str,
+    task: Rc<dyn Runnable>,
 }
 
-impl TaskSlot {
-    fn vacant() -> Self {
-        TaskSlot {
-            generation: 0,
-            live: false,
-            spawn_seq: 0,
-            label: "",
-            task: None,
-            waker: None,
-        }
-    }
-
-    /// The occupant's waker: an `Rc` count bump, no allocation.
-    pub(crate) fn waker(&self) -> Waker {
-        waker_of(self.waker.clone().expect("live task slot has a waker"))
-    }
-}
-
-/// Slab of task slots with generational ids and a free list.
+/// Registry of live tasks: a slab with a free list, whose slot each task's
+/// cell carries.
 #[derive(Default)]
 pub(crate) struct TaskTable {
-    slots: Vec<TaskSlot>,
+    slots: Vec<Option<Live>>,
     free: Vec<u32>,
     next_spawn: u64,
-    live: usize,
-    /// Wakes handled: task polls plus dropped stale wakes.
-    pub(crate) polls: u64,
-    /// `TaskWaker`s allocated by [`TaskTable::insert`].
-    pub(crate) wakers_built: u64,
 }
 
 impl TaskTable {
     /// Number of live (spawned, not yet completed) tasks.
     pub(crate) fn len(&self) -> usize {
-        self.live
+        self.slots.len() - self.free.len()
     }
 
-    /// Claim a slot for a new task and point the slot's waker at it.
-    pub(crate) fn insert(
+    /// Move `future` into a fresh task cell, the one allocation of a
+    /// spawn, and register it. Returns the cell for the ready ring and
+    /// the handle's view of it.
+    pub(crate) fn spawn<F>(
         &mut self,
         label: &'static str,
-        task: Rc<dyn Runnable>,
+        future: F,
         ready: &ReadyQueue,
-    ) -> TaskId {
-        let idx = match self.free.pop() {
-            Some(i) => i,
-            None => {
-                self.slots.push(TaskSlot::vacant());
-                (self.slots.len() - 1) as u32
-            }
-        };
-        let slot = &mut self.slots[idx as usize];
-        let id = TaskId::new(idx, slot.generation);
-        slot.live = true;
-        slot.spawn_seq = self.next_spawn;
-        slot.label = label;
-        slot.task = Some(task);
-        // Retarget the previous occupant's payload only if no clone of its
-        // waker is left (in the timer heap, a waiter list, a join slot):
-        // such a clone would deliver its stale wake to this task.
-        match slot.waker.as_mut().and_then(Rc::get_mut) {
-            Some(w) => w.id = id,
-            None => {
-                slot.waker = Some(Rc::new(TaskWaker {
-                    id,
-                    ready: ready.clone(),
-                }));
-                self.wakers_built += 1;
-            }
-        }
+    ) -> (Rc<dyn Runnable>, JoinHandle<F::Output>)
+    where
+        F: Future + 'static,
+    {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(None);
+            (self.slots.len() - 1) as u32
+        });
+        let cell = Rc::new(TaskCell {
+            stage: RefCell::new(Stage::Running(future)),
+            joiner: Cell::new(None),
+            ready: Rc::downgrade(&ready.inner),
+            slot,
+        });
+        self.slots[slot as usize] = Some(Live {
+            spawn_seq: self.next_spawn,
+            label,
+            task: cell.clone(),
+        });
         self.next_spawn += 1;
-        self.live += 1;
-        id
+        (cell.clone(), JoinHandle { task: cell })
     }
 
-    /// The slot for `id`, or `None` if the task completed — including when
-    /// its slot was reused (generation mismatch drops the stale reference).
-    pub(crate) fn get_live(&mut self, id: TaskId) -> Option<&mut TaskSlot> {
-        let slot = self.slots.get_mut(id.slot() as usize)?;
-        if slot.live && slot.generation == id.generation() {
-            Some(slot)
-        } else {
-            None
-        }
+    /// Unregister the finished task in `slot` and hand back the registry's
+    /// count of its cell.
+    pub(crate) fn remove(&mut self, slot: u32) -> Option<Rc<dyn Runnable>> {
+        let live = self.slots[slot as usize].take()?;
+        self.free.push(slot);
+        Some(live.task)
     }
 
-    /// Free `id`'s slot, bumping its generation so stale wakes miss.
-    pub(crate) fn remove(&mut self, id: TaskId) {
-        let idx = id.slot();
-        if let Some(slot) = self.slots.get_mut(idx as usize) {
-            if slot.live && slot.generation == id.generation() {
-                slot.live = false;
-                slot.task = None;
-                slot.generation = slot.generation.wrapping_add(1);
-                self.live -= 1;
-                self.free.push(idx);
-            }
-        }
-    }
-
-    /// Drop every live task's future, freeing the slots.
+    /// Drop every live task's future and empty the registry.
     pub(crate) fn clear(&mut self) {
-        for (idx, slot) in self.slots.iter_mut().enumerate() {
-            if slot.live {
-                slot.live = false;
-                // Drop the future now even if a `JoinHandle` keeps the
-                // cell alive: the future owns the `Sim` clones that would
-                // otherwise keep the world alive.
-                if let Some(task) = slot.task.take() {
-                    task.cancel();
-                }
-                slot.generation = slot.generation.wrapping_add(1);
-                self.free.push(idx as u32);
-            }
+        // Drop the future now even if a `JoinHandle` or a waker keeps the
+        // cell alive: the future owns the `Sim` clones that would
+        // otherwise keep the world alive.
+        for live in self.slots.drain(..).flatten() {
+            live.task.cancel();
         }
-        self.live = 0;
+        self.free.clear();
     }
 
-    /// Labels of live tasks, in spawn order.
-    pub(crate) fn live_labels(&self) -> Vec<&'static str> {
-        self.live_in_spawn_order()
-            .into_iter()
-            .map(|s| s.label)
-            .collect()
-    }
-
-    /// Label and future size of each live task that is not being polled,
-    /// in spawn order.
+    /// Label and future size of each live task, in spawn order.
     pub(crate) fn live_future_sizes(&self) -> Vec<(&'static str, usize)> {
-        self.live_in_spawn_order()
-            .into_iter()
-            .filter_map(|s| Some((s.label, s.task.as_ref()?.future_size())))
+        let mut live: Vec<&Live> = self.slots.iter().flatten().collect();
+        live.sort_unstable_by_key(|l| l.spawn_seq);
+        live.iter()
+            .map(|l| (l.label, l.task.future_size()))
             .collect()
-    }
-
-    fn live_in_spawn_order(&self) -> Vec<&TaskSlot> {
-        let mut live: Vec<&TaskSlot> = self.slots.iter().filter(|s| s.live).collect();
-        live.sort_unstable_by_key(|s| s.spawn_seq);
-        live
     }
 }

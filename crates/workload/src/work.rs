@@ -25,7 +25,6 @@ impl Work {
         let run = sim.report();
         w.add("sim.events", run.events_processed);
         w.add("sim.polls", run.polls);
-        w.add("sim.wakers_built", run.wakers_built);
 
         let machine = pfs.machine();
         for i in 0..machine.io_nodes() {

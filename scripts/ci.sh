@@ -41,6 +41,26 @@ echo "=== cargo test -q --workspace"
 # `cargo test` would run only the root's tests/*.rs.
 cargo test -q --workspace
 
+echo "=== asan"
+# AddressSanitizer, leak detection on, over the executor's unsafe code:
+# the simulation kernel's unit and integration tests and the root
+# determinism suite. A waker vtable that miscounts its `Rc` shows here as
+# a use-after-free or a leak, where a plain test run may only abort in
+# the allocator, or pass. `-Zsanitizer` needs nightly; doctests are left
+# out because they fail to link under ASan, and the instrumented build
+# keeps a target directory of its own.
+if cargo +nightly --version > /dev/null 2>&1; then
+    asan() {
+        RUSTFLAGS="-Zsanitizer=address" ASAN_OPTIONS="detect_leaks=1" \
+            cargo +nightly test -q --target x86_64-unknown-linux-gnu \
+            --target-dir target/asan "$@"
+    }
+    asan -p paragon-sim --lib --tests
+    asan --test determinism
+else
+    echo "!!! === asan SKIPPED: no nightly toolchain (cargo +nightly) found !!!" >&2
+fi
+
 echo "=== examples"
 # Each example asserts what it prints (checkpoint_restart restores bit
 # for bit, out_of_core_matvec checks y = A*x over a file populated from a

@@ -1,7 +1,6 @@
 //! What one transfer leaves behind on the host: the futures its legs
-//! spawn, and the task wakers those spawns build. Both are pinned on a
-//! small paper-calibrated mount, where every data leg runs under the
-//! 10 s RPC attempt timeout.
+//! spawn, pinned on a small paper-calibrated mount, where every data leg
+//! runs under the 10 s RPC attempt timeout.
 
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -41,56 +40,6 @@ fn mounted(sim: &Sim) -> (Rc<ParallelFs>, PfsFile) {
     });
     sim.run();
     (pfs, h.try_take().expect("setup finished"))
-}
-
-#[derive(Clone, Copy, Debug)]
-enum Transfer {
-    /// A 64 KB read.
-    Read,
-    /// A 64 KB read through the prefetch engine (depth 1), 25 ms apart.
-    PrefetchRead,
-    /// A 256 KB `write_at` record.
-    Record,
-}
-
-/// Task wakers a world builds for setup plus `n` transfers.
-fn wakers_built(n: u64, transfer: Transfer) -> u64 {
-    let sim = Sim::new(9);
-    let (_pfs, f) = mounted(&sim);
-    let s = sim.clone();
-    sim.spawn(async move {
-        let prefetching = PrefetchingFile::new(f.clone(), PrefetchConfig::paper_prototype());
-        for k in 0..n {
-            match transfer {
-                Transfer::Read => drop(f.read(64 * KB).await.unwrap()),
-                Transfer::PrefetchRead => {
-                    prefetching.read(64 * KB).await.unwrap();
-                    s.sleep(SimDuration::from_millis(25)).await;
-                }
-                Transfer::Record => {
-                    let len = 256 * KB as u64;
-                    let data = Bytes::from(vec![k as u8; len as usize]);
-                    f.write_at(k * len % FILE, data).await.unwrap();
-                }
-            }
-        }
-    });
-    let report = sim.run();
-    assert_eq!(report.unfinished_tasks, sim.pending_task_labels().len());
-    report.wakers_built
-}
-
-/// A healthy leg drops every clone of its waker by the time it finishes:
-/// its attempt timeout is cancelled when the reply wins. So the next
-/// task spawned into its slot reuses the waker, and twice the transfers
-/// build no more wakers than once as many.
-#[test]
-fn steady_state_transfers_build_no_wakers() {
-    for transfer in [Transfer::Read, Transfer::PrefetchRead, Transfer::Record] {
-        let once = wakers_built(16, transfer);
-        let twice = wakers_built(32, transfer);
-        assert_eq!(once, twice, "{transfer:?}");
-    }
 }
 
 /// The largest future each task label spawned while an asynchronous
