@@ -16,7 +16,7 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use crate::experiments::{faults_base, redundancy_sweep, Experiment, EXPERIMENTS, EXT_FAULTS};
-use crate::{col, results_dir, save_record, shown, stored, HarnessError, Sweep};
+use crate::{check_claims, col, results_dir, save_record, shown, stored, HarnessError, Sweep};
 
 /// The help text.
 pub(crate) const USAGE: &str = "\
@@ -568,6 +568,13 @@ fn faults_cmd(argv: &[String]) -> Result<ExitCode, String> {
     let base = faults_base(base);
     let (mut sweep, checked);
     if all.is_some() {
+        // The three-way comparison's replicated row must fit the machine.
+        let redundancy = Redundancy::Replicated { rf: 2 };
+        ExperimentConfig {
+            redundancy,
+            ..base.clone()
+        }
+        .validate()?;
         sweep = Sweep::new(EXT_FAULTS[0], EXT_FAULTS[1]);
         checked = redundancy_sweep(&mut sweep, &base);
     } else {
@@ -583,7 +590,16 @@ fn faults_cmd(argv: &[String]) -> Result<ExitCode, String> {
         eprintln!("error: {e}");
         return Ok(ExitCode::FAILURE);
     }
-    Ok(ExitCode::SUCCESS)
+    Ok(claims_verdict(&check_claims(&sweep.record, !json)))
+}
+
+/// Success when no claim failed; otherwise name every failed claim.
+fn claims_verdict(failed: &[String]) -> ExitCode {
+    if failed.is_empty() {
+        return ExitCode::SUCCESS;
+    }
+    eprintln!("error: the record contradicts claims {}", failed.join(", "));
+    ExitCode::FAILURE
 }
 
 /// The `faults` class sweep: one run per fault class over `base`, which
@@ -656,8 +672,10 @@ fn fault_class_sweep(
 }
 
 /// `paragonctl reproduce <ID|all>`: run the named experiments (`all`: the
-/// whole table, in order; an id in any letter case) and save their
-/// records, stopping at the first failure.
+/// whole table, in order; an id in any letter case), check their claims
+/// and save their records. A sweep or save error stops the run; a failed
+/// claim does not, so every record lands for inspection, and the exit
+/// status then names every failed claim.
 fn reproduce(arg: &[String], dir: &Path) -> ExitCode {
     let selected: Vec<&Experiment> = match arg {
         [all] if all == "all" => EXPERIMENTS.iter().collect(),
@@ -674,14 +692,19 @@ fn reproduce(arg: &[String], dir: &Path) -> ExitCode {
         }
         return ExitCode::FAILURE;
     }
+    let mut failed = Vec::new();
     for e in selected {
         let mut sweep = Sweep::new(e.id, e.description);
-        if let Err(err) = (e.run)(&mut sweep).and_then(|()| save_record(dir, &sweep.record)) {
+        let saved = (e.run)(&mut sweep).and_then(|()| {
+            failed.extend(check_claims(&sweep.record, true));
+            save_record(dir, &sweep.record)
+        });
+        if let Err(err) = saved {
             eprintln!("error: {}: {err}", e.id);
             return ExitCode::FAILURE;
         }
     }
-    ExitCode::SUCCESS
+    claims_verdict(&failed)
 }
 
 /// A command's handler: it gets the arguments after the command words,
@@ -899,6 +922,9 @@ mod tests {
             assert_eq!(main_impl(args(&format!("run {cli}")).0), ExitCode::FAILURE);
         }
         build_config(&mut args("--mode m_unix --strided-predictor")).unwrap();
+        // The EXT-FAULTS replicated row needs two I/O nodes.
+        let err = faults_cmd(&args("--redundancy all --ion 1 --cn 2 --file-mb 2").0).unwrap_err();
+        assert!(err.contains("replication factor 2 exceeds 1"), "{err}");
         // Zero passes would run nothing and report success.
         let err = build_config(&mut args("--pattern reread:0")).unwrap_err();
         assert!(err.contains("at least one pass"), "{err}");

@@ -1,17 +1,18 @@
 //! The experiment table: every table and figure of the paper's
 //! evaluation plus the extension studies, one entry each. An entry's id
 //! and description are its record's; its sweep prints the rendered table
-//! or figure and fills the record. EXPERIMENTS.md states, per id, the
-//! paper's claim and the measured shape.
+//! or figure and fills the record; its claims are the findings that
+//! record must show, each stated once, here.
 
 use std::cell::Cell;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use paragon_core::{
     PredictorKind, PrefetchConfig, PrefetchingFile, WriteBehindConfig, WriteBehindFile,
 };
 use paragon_machine::Calibration;
-use paragon_metrics::AsciiChart;
+use paragon_metrics::{AsciiChart, DataPoint, ExperimentRecord};
 use paragon_pfs::{pattern_slice, IoMode, Redundancy};
 use paragon_sim::SimDuration;
 use paragon_workload::{
@@ -30,6 +31,88 @@ pub(crate) struct Experiment {
     pub(crate) description: &'static str,
     /// The sweep: prints its tables and fills the record.
     pub(crate) run: fn(&mut Sweep) -> Result<(), HarnessError>,
+    /// The findings the record must show.
+    pub(crate) claims: &'static [Claim],
+}
+
+/// A finding an experiment's record must show. `margin` says how far the
+/// record sits inside the finding, in the finding's own unit: `>= 0`
+/// holds; a negative margin, or NaN (a value the finding needs is
+/// missing), fails.
+pub struct Claim {
+    /// Short name, unique within its experiment.
+    pub name: &'static str,
+    /// The finding.
+    pub text: &'static str,
+    /// The record's margin.
+    pub margin: fn(&ExperimentRecord) -> f64,
+}
+
+/// A list of claims, each written `name "text" => margin`.
+macro_rules! claims {
+    ($($name:ident $text:literal => $margin:expr,)*) => {
+        &[$(Claim { name: stringify!($name), text: $text, margin: $margin }),*]
+    };
+}
+
+/// Value `key` of point `p`; NaN when the point does not carry it.
+fn v(p: &DataPoint, key: &str) -> f64 {
+    p.values.get(key).copied().unwrap_or(f64::NAN)
+}
+
+/// Parameter `key` of point `p` as a number; NaN when it is not one.
+fn num(p: &DataPoint, key: &str) -> f64 {
+    p.params
+        .get(key)
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(f64::NAN)
+}
+
+/// The first point of `r` whose parameters include every `(key, value)`
+/// of `at`; when there is none, a point without values, so every margin
+/// over it is NaN.
+fn point<'r>(r: &'r ExperimentRecord, at: &[(&str, &str)]) -> &'r DataPoint {
+    static MISSING: DataPoint = DataPoint {
+        params: BTreeMap::new(),
+        values: BTreeMap::new(),
+    };
+    let matches = |p: &&DataPoint| {
+        at.iter()
+            .all(|(k, v)| p.params.get(*k).is_some_and(|x| x == v))
+    };
+    r.points.iter().find(matches).unwrap_or(&MISSING)
+}
+
+/// The least of `xs`; NaN when `xs` is empty or holds a NaN, so a claim
+/// over no points fails.
+fn least(xs: impl IntoIterator<Item = f64>) -> f64 {
+    let mut xs = xs.into_iter();
+    let first = xs.next().unwrap_or(f64::NAN);
+    xs.fold(first, |a, x| if a.is_nan() || a < x { a } else { x })
+}
+
+/// The least relative step from each of `xs` to the next: `>= 0` when
+/// `xs` never falls.
+fn rise(xs: impl IntoIterator<Item = f64>) -> f64 {
+    let xs: Vec<f64> = xs.into_iter().collect();
+    least(xs.windows(2).map(|w| w[1] / w[0] - 1.0))
+}
+
+/// Prefetch over no-prefetch bandwidth at `p`.
+fn gain(p: &DataPoint) -> f64 {
+    v(p, "bw_prefetch_mb_s") / v(p, "bw_no_prefetch_mb_s")
+}
+
+/// How far in-flight hits outnumber ready ones at `p`, from -1 (all
+/// ready) to 1 (all in flight).
+fn inflight_lead(p: &DataPoint) -> f64 {
+    let (inflight, ready) = (v(p, "hits_inflight"), v(p, "hits_ready"));
+    (inflight - ready) / (inflight + ready)
+}
+
+/// Compute nodes per I/O node at `p`.
+fn ratio(p: &DataPoint) -> f64 {
+    num(p, "compute_nodes") / num(p, "io_nodes")
 }
 
 /// Every experiment, in the order `paragonctl reproduce all` runs them.
@@ -38,77 +121,305 @@ pub(crate) static EXPERIMENTS: [Experiment; 15] = [
         id: "FIG2",
         description: "Read throughput of the PFS I/O modes vs request size, 64 KB blocks",
         run: fig2,
+        claims: claims![
+            mode_order "At every request size M_UNIX < M_SYNC < M_RECORD and M_LOG < \
+                M_RECORD, with M_RECORD at most 1 % above M_ASYNC" => |r| {
+                use IoMode::{MAsync, MLog, MRecord, MSync, MUnix};
+                least(r.points.iter().flat_map(|p| {
+                    let bw = |m: IoMode| v(p, &format!("bw_{m}"));
+                    let (unix, log, sync) = (bw(MUnix), bw(MLog), bw(MSync));
+                    let (record, r#async) = (bw(MRecord), bw(MAsync));
+                    [sync / unix, record / sync, record / log, 1.01 * r#async / record]
+                        .map(|x| x - 1.0)
+                }))
+            },
+            rises_with_size "Every curve rises with request size, but for a dip of at most \
+                0.1 % where M_RECORD and M_ASYNC sit on the disk ceiling (256 -> 512 KB)" => |r| {
+                let keys = r.points.first().into_iter().flat_map(|p| p.values.keys());
+                least(keys.map(|k| rise(r.points.iter().map(|p| v(p, k))) + 0.001))
+            },
+            separate_files_deviation "Deviation from the paper: through 256 KB Separate Files \
+                sits up to 2 % below M_RECORD instead of on top" => |r| {
+                let early = r.points.iter().filter(|p| num(p, "request_kb") <= 256.0);
+                least(early.map(|p| v(p, "bw_separate_files") / v(p, "bw_M_RECORD") - 0.98))
+            },
+        ],
     },
     Experiment {
         id: "TAB1",
         description: "Read bandwidth with vs without prefetching, I/O-bound M_RECORD workload",
         run: tab1,
+        claims: claims![
+            no_win_without_overlap "With no computation to overlap, prefetching never reads \
+                faster than reading without it"
+                => |r| least(r.points.iter().map(|p| 1.0 - gain(p))),
+            penalty_largest_at_64k "The prefetch-buffer copy and issue cost show most at \
+                64 KB: a penalty of at least 2 %, above every other size's" => |r| {
+                let g64 = gain(point(r, &[("request_kb", "64")]));
+                let larger = r.points.iter().filter(|p| num(p, "request_kb") > 64.0);
+                least(larger.map(|p| gain(p) - g64).chain([0.98 - g64]))
+            },
+            hits_in_flight "The prefetch has no head start: at every size in-flight hits \
+                outnumber ready ones at least tenfold" => |r| {
+                let lead = |p| v(p, "hits_inflight") / (10.0 * v(p, "hits_ready").max(1.0));
+                least(r.points.iter().map(|p| lead(p) - 1.0))
+            },
+        ],
     },
     Experiment {
         id: "TAB2",
         description: "Per-request read access times vs request size, collective 8-node load",
         run: tab2,
+        claims: claims![
+            grows_with_size "The mean access time rises with request size"
+                => |r| rise(r.points.iter().map(|p| v(p, "mean_access_s"))),
+            anchor_1024k "A 1024 KB request under 8-node collective load takes the paper's \
+                0.45 s, within 0.15 s" => |r| {
+                let t = v(point(r, &[("request_kb", "1024")]), "mean_access_s");
+                0.15 - (t - 0.45).abs()
+            },
+        ],
     },
     Experiment {
         id: "FIG4",
         description: "Balanced workloads: read bandwidth vs compute delay, 64/128/256 KB requests",
         run: |sweep| balanced(sweep, &[64 * 1024, 128 * 1024, 256 * 1024]),
+        claims: claims![
+            gain_at_25ms_64k "At 64 KB and a 25 ms delay prefetching gains at least 25 %, \
+                though the hits are still in flight" => |r| {
+                let p = point(r, &[("request_kb", "64"), ("delay_ms", "25")]);
+                least([gain(p) - 1.25, inflight_lead(p)])
+            },
+            ready_past_read_time_64k "At 64 KB, from a 50 ms delay on, the prefetch completes \
+                during the computation: ready hits outnumber in-flight ones" => |r| {
+                let late = r.points.iter().filter(|p| num(p, "delay_ms") >= 50.0);
+                least(late.filter(|p| num(p, "request_kb") == 64.0).map(|p| -inflight_lead(p)))
+            },
+            peak_near_crossover "The closer the delay to the read time, the bigger the win: \
+                at each size the gain peaks within one sweep step of the first delay at which \
+                ready hits outnumber in-flight ones (the step past the sweep when none does)"
+                => |r| {
+                let mut sizes: Vec<f64> = r.points.iter().map(|p| num(p, "request_kb")).collect();
+                sizes.dedup();
+                least(sizes.into_iter().map(|kb| {
+                    let row = r.points.iter().filter(|p| num(p, "request_kb") == kb);
+                    let row: Vec<_> = row.collect();
+                    let gains = (0..row.len()).map(|i| (gain(row[i]), i));
+                    let peak = gains.max_by(|a, b| a.0.total_cmp(&b.0)).map(|(_, i)| i);
+                    let ready = row.iter().position(|p| inflight_lead(p) < 0.0);
+                    let far = |i: usize| i.abs_diff(ready.unwrap_or(row.len())) as f64;
+                    peak.map_or(f64::NAN, |i| 1.0 - far(i))
+                }))
+            },
+        ],
     },
     Experiment {
         id: "FIG5",
         description: "Balanced workloads: read bandwidth vs compute delay, 512/1024 KB requests",
         run: |sweep| balanced(sweep, &[512 * 1024, 1024 * 1024]),
+        claims: claims![
+            no_gain_when_read_dwarfs_delay "At 512 and 1024 KB the read time dwarfs every \
+                delay of the sweep: prefetching gains or loses under 1 %"
+                => |r| least(r.points.iter().map(|p| 0.01 - (gain(p) - 1.0).abs())),
+            hits_stay_in_flight "In-flight hits outnumber ready ones at every point"
+                => |r| least(r.points.iter().map(inflight_lead)),
+        ],
     },
     Experiment {
         id: "TAB3",
         description: "Read bandwidth with prefetching across stripe-unit sizes, I/O-bound",
         run: tab3,
+        claims: claims![
+            su64_best "su = 64 KB, the file-system block, is best or tied at every request \
+                size" => |r| {
+                least(r.points.iter().flat_map(|p| {
+                    let best = v(p, "bw_su64k");
+                    [best / v(p, "bw_su16k") - 1.0, best / v(p, "bw_su1024k") - 1.0]
+                }))
+            },
+            one_mb_unit_convoys_small_requests "A 1 MB unit queues every node behind one I/O \
+                node at a time: at 64 KB requests it is the slowest unit, over 20 % below \
+                su = 64 KB" => |r| {
+                let p = point(r, &[("request_kb", "64")]);
+                let su1m = v(p, "bw_su1024k");
+                least([0.8 - su1m / v(p, "bw_su64k"), v(p, "bw_su16k") / su1m - 1.0])
+            },
+        ],
     },
     Experiment {
         id: "TAB4",
         description: "Read bandwidth with prefetching: stripe group of 8 I/O nodes vs 8 ways on 1",
         run: tab4,
+        claims: claims![
+            wide_beats_narrow "Striping over 8 I/O nodes beats 8 ways on one by over 2x at \
+                every request size"
+                => |r| least(r.points.iter().map(|p| v(p, "speedup") / 2.0 - 1.0)),
+            smallest_at_64k "The speedup is smallest at 64 KB, where the prefetch overhead \
+                shows most" => |r| {
+                let s64 = v(point(r, &[("request_kb", "64")]), "speedup");
+                let larger = r.points.iter().filter(|p| num(p, "request_kb") > 64.0);
+                least(larger.map(|p| v(p, "speedup") / s64 - 1.0))
+            },
+            flat_from_128k "From 128 KB up the speedup does not grow with request size: it \
+                stays within 2 % of flat" => |r| {
+                let from128 = r.points.iter().filter(|p| num(p, "request_kb") >= 128.0);
+                let speedups: Vec<f64> = from128.map(|p| v(p, "speedup")).collect();
+                1.02 + least(speedups.iter().map(|s| -s)) / least(speedups.clone())
+            },
+        ],
     },
     Experiment {
         id: "EXT-SCALING",
         description: "Prefetching gain, fairness, hit ratio, and server queue depth while \
                       scaling compute and I/O nodes",
         run: ext_scaling,
+        claims: claims![
+            bandwidth_scales "Aggregate bandwidth rises with every larger shape"
+                => |r| rise(r.points.iter().map(|p| v(p, "bw_no_prefetch_mb_s"))),
+            gain_peaks_at_8x8 "The prefetching gain peaks at the paper's 8 x 8 shape, where \
+                the 25 ms delay best matches T(64 KB)" => |r| {
+                let peak = v(point(r, &[("compute_nodes", "8"), ("io_nodes", "8")]), "gain");
+                let others = r.points.iter().filter(|p| num(p, "compute_nodes") != 8.0);
+                least(others.map(|p| peak / v(p, "gain") - 1.0))
+            },
+            queues_deepen_with_oversubscription "The mean request queue per I/O node deepens \
+                as the compute-to-I/O ratio grows" => |r| {
+                let queue = |p: &DataPoint| v(p, "server_queue_mean") / num(p, "io_nodes");
+                least(r.points.iter().flat_map(|a| {
+                    let deeper = r.points.iter().filter(|b| ratio(b) > ratio(a));
+                    deeper.map(|b| queue(b) / queue(a) - 1.0)
+                }))
+            },
+            fair_through_8_to_1 "Prefetching benefits stay evenly spread: node imbalance is \
+                under 10 % at every shape up to 8 compute nodes per I/O node" => |r| {
+                let shapes = r.points.iter().filter(|p| ratio(p) <= 8.0);
+                least(shapes.map(|p| 0.1 - v(p, "node_imbalance")))
+            },
+        ],
     },
     Experiment {
         id: "EXT-PATTERNS",
         description: "Prefetching under sequential, broadcast, strided, random, re-read patterns",
         run: ext_patterns,
+        claims: claims![
+            streams_hit_and_gain "Sequential, broadcast and re-read streams hit over 90 % of \
+                the time and gain over 40 %" => |r| {
+                let streams = ["sequential/M_ASYNC", "broadcast/M_GLOBAL", "re-read x2"];
+                let points = streams.map(|s| point(r, &[("pattern", s)]));
+                least(points.iter().flat_map(|p| [v(p, "hit_ratio") - 0.9, gain(p) - 1.4]))
+            },
+            random_defeats_prediction "Random access defeats prediction (hit ratio under \
+                5 %) yet costs under 5 % of the bandwidth" => |r| {
+                let p = point(r, &[("pattern", "random")]);
+                least([0.05 - v(p, "hit_ratio"), gain(p) - 0.95])
+            },
+        ],
     },
     Experiment {
         id: "EXT-DEPTH",
         description: "Prefetch depth 1-8 on a balanced workload with delay >> read time",
         run: ext_depth,
+        claims: claims![
+            depth_one_suffices "With the delay above the read time, depth 1, the prototype's, \
+                beats no prefetching and no deeper pipeline reads faster" => |r| {
+                let depth1 = v(point(r, &[("depth", "1")]), "bw_mb_s");
+                let others = r.points.iter().filter(|p| num(p, "depth") != 1.0);
+                least(others.map(|p| depth1 / v(p, "bw_mb_s") - 1.0))
+            },
+        ],
     },
     Experiment {
         id: "EXT-ABLATION",
         description: "Fast Path, copy-bandwidth, and ART-limit ablations",
         run: ext_ablation,
+        claims: claims![
+            fast_path_for_cold_reads "Fast Path wins on cold sequential reads; the buffer \
+                cache pays off only on re-reads" => |r| {
+                let bw = |workload, key| v(point(r, &[("workload", workload)]), key);
+                let (fast, buffered) = ("bw_fast_path_mb_s", "bw_buffered_mb_s");
+                let cold = bw("sequential", fast) / bw("sequential", buffered);
+                least([cold, bw("re-read x3", buffered) / bw("re-read x3", fast)]) - 1.0
+            },
+            slower_copy_smaller_win "The prefetch gain shrinks as the compute-node copy gets \
+                slower" => |r| {
+                let copies = r.points.iter().filter(|p| num(p, "copy_mb_s") > 0.0);
+                rise(copies.map(|p| v(p, "gain")))
+            },
+            one_art_serializes "One ART serializes a depth-4 pipeline: more ARTs read over \
+                10 % faster" => |r| {
+                let one = v(point(r, &[("max_arts", "1")]), "bw_prefetch_mb_s");
+                let more = r.points.iter().filter(|p| num(p, "max_arts") > 1.0);
+                least(more.map(|p| v(p, "bw_prefetch_mb_s") / one - 1.1))
+            },
+        ],
     },
     Experiment {
         id: "EXT-WRITES",
         description: "Write-behind vs synchronous writes, balanced M_RECORD write workload",
         run: ext_writes,
+        claims: claims![
+            write_behind_wins_at_64k "At 64 KB write-behind beats synchronous writes by over \
+                20 % at every delay" => |r| {
+                let small = r.points.iter().filter(|p| num(p, "request_kb") == 64.0);
+                least(small.map(|p| v(p, "gain") - 1.2))
+            },
+            large_writes_mirror_fig5 "At 512 KB the transfer dwarfs the delay, as in Figure 5: \
+                the gain stays within 10 % of 1x" => |r| {
+                let large = r.points.iter().filter(|p| num(p, "request_kb") == 512.0);
+                least(large.map(|p| 0.1 - (v(p, "gain") - 1.0).abs()))
+            },
+        ],
     },
     Experiment {
         id: "EXT-DOUBLEBUF",
         description: "System-level prefetching vs application-level double buffering",
         run: ext_doublebuf,
+        claims: claims![
+            system_tracks_double_buffering "Application double buffering (same overlap, no \
+                prefetch-buffer copy) is the upper bound, and the transparent prefetcher \
+                tracks it within 5 %" => |r| {
+                least(r.points.iter().flat_map(|p| {
+                    let ratio = v(p, "bw_system_prefetch_mb_s") / v(p, "bw_double_buffer_mb_s");
+                    [1.0 - ratio, ratio - 0.95]
+                }))
+            },
+        ],
     },
     Experiment {
         id: "EXT-SCSI16",
         description: "Headline experiments on the SCSI-16 hardware the paper mentions",
         run: ext_scsi16,
+        claims: claims![
+            faster_disks "SCSI-16 at least doubles the I/O-bound bandwidth and cuts the access \
+                time at least twofold at every request size" => |r| {
+                let ceiling = r.points.iter().filter(|p| p.values.contains_key("t_scsi8_s"));
+                least(ceiling.flat_map(|p| {
+                    let faster = v(p, "bw_scsi16_mb_s") / v(p, "bw_scsi8_mb_s");
+                    [faster, v(p, "t_scsi8_s") / v(p, "t_scsi16_s")].map(|x| x / 2.0 - 1.0)
+                }))
+            },
+            crossover_moves_left "Faster disks widen the regime where prefetching helps: \
+                Figure 5's 1024 KB requests gain over 5 % at a 0.1 s delay" => |r| {
+                gain(point(r, &[("experiment", "fig5_on_scsi16"), ("delay_ms", "100")])) - 1.05
+            },
+        ],
     },
     Experiment {
         id: EXT_FAULTS[0],
         description: EXT_FAULTS[1],
         run: ext_faults,
+        claims: claims![
+            replication_masks_the_crash "replicated:2 masks the whole-run crash: no \
+                client-visible read error, and the rebuild queue drains to exactly zero" => |r| {
+                let p = point(r, &[("redundancy", "replicated:2")]);
+                0.0 - (v(p, "read_errors") + v(p, "rebuild_pending"))
+            },
+            unreplicated_modes_lose_reads "Without cross-node copies the crash surfaces as \
+                read errors, under parity too: per-node RAID cannot rebuild a lost node" => |r| {
+                let errors = |mode| v(point(r, &[("redundancy", mode)]), "read_errors");
+                least([errors("none"), errors("parity")]) - 1.0
+            },
+        ],
     },
 ];
 
@@ -117,8 +428,7 @@ pub(crate) static EXPERIMENTS: [Experiment; 15] = [
 pub(crate) const EXT_FAULTS: [&str; 2] = ["EXT-FAULTS", "paragonctl faults --redundancy all"];
 
 /// FIG2: 8 CN read one shared file in each I/O mode (Separate Files: a
-/// private file each); the modes should order
-/// `M_UNIX < M_SYNC ≈ M_LOG < M_RECORD < M_ASYNC ≤ Separate Files`.
+/// private file each).
 fn fig2(sweep: &mut Sweep) -> Result<(), HarnessError> {
     use IoMode::{MAsync, MLog, MRecord, MSync, MUnix};
     const MODES: [IoMode; 5] = [MUnix, MLog, MSync, MRecord, MAsync];
@@ -164,17 +474,10 @@ fn fig2(sweep: &mut Sweep) -> Result<(), HarnessError> {
         chart = chart.series(sweep.series(name, key, REQUEST_SIZES.map(|sz| kb(sz) as f64)));
     }
     println!("{}", chart.render());
-    println!(
-        "Paper's ordering to check: M_UNIX lowest (pointer token serializes),\n\
-         M_LOG/M_SYNC next (coordination per call), then M_RECORD, M_ASYNC,\n\
-         and Separate Files on top; all rising with request size."
-    );
     Ok(())
 }
 
-/// TAB1: I/O-bound M_RECORD reads with and without prefetching. With
-/// nothing to overlap, prefetching neither helps nor hurts beyond a small
-/// copy and issue cost at 64 KB.
+/// TAB1: I/O-bound M_RECORD reads with and without prefetching.
 fn tab1(sweep: &mut Sweep) -> Result<(), HarnessError> {
     sweep.stamp(&ExperimentConfig::paper_iobound(REQUEST_SIZES[0], 8));
     sweep.table(
@@ -207,18 +510,11 @@ fn tab1(sweep: &mut Sweep) -> Result<(), HarnessError> {
     }
 
     sweep.print();
-    println!(
-        "Paper's finding: bandwidths comparable in all sizes; prefetching slightly\n\
-         slower at 64 KB (copy + issue overhead, no computation to hide I/O behind).\n\
-         Note the hits are overwhelmingly *in-flight* hits: the prefetch has no\n\
-         head start, so the demand read still waits out most of the disk time."
-    );
     Ok(())
 }
 
 /// TAB2: per-request read access times under collective 8-node load;
-/// they bound how much compute delay a prefetch can hide (≈ 0.45 s at
-/// 1024 KB in the paper).
+/// they bound how much compute delay a prefetch can hide.
 fn tab2(sweep: &mut Sweep) -> Result<(), HarnessError> {
     sweep.stamp(&ExperimentConfig::paper_iobound(REQUEST_SIZES[0], 8));
     sweep.table(
@@ -253,17 +549,11 @@ fn tab2(sweep: &mut Sweep) -> Result<(), HarnessError> {
     }
 
     sweep.print();
-    println!(
-        "Paper's anchor: a 1024 KB per-node request costs about 0.45 s under\n\
-         8-node collective load; access time grows with request size."
-    );
     Ok(())
 }
 
 /// FIG4 and FIG5, which differ only in request sizes: for each size,
 /// sweep the compute delay between reads with and without prefetching.
-/// Prefetching holds the I/O-bound ceiling while the delay is at most the
-/// read access time T(sz); at 512/1024 KB T(sz) dwarfs every delay.
 fn balanced(sweep: &mut Sweep, sizes: &[u32]) -> Result<(), HarnessError> {
     let cfg = |sz, ms| ExperimentConfig::paper_balanced(sz, SimDuration::from_millis(ms));
     sweep.stamp(&cfg(sizes[0], DELAYS_MS[0]));
@@ -311,17 +601,10 @@ fn balanced(sweep: &mut Sweep, sizes: &[u32]) -> Result<(), HarnessError> {
         .series(sweep.series("prefetching", "bw_prefetch_mb_s", delay_s));
         println!("{}", chart.render());
     }
-    println!(
-        "Paper's finding: significant gains whenever computation overlaps I/O;\n\
-         the closer the delay is to the read access time, the bigger the win.\n\
-         For large requests (T(sz) >> delay) no significant overlap is possible."
-    );
     Ok(())
 }
 
-/// TAB3: I/O-bound reads with prefetching across stripe units. Small
-/// units pay per-piece overhead; a 1 MB unit convoys every node behind
-/// one I/O node at a time (Figure 3's declustering).
+/// TAB3: I/O-bound reads with prefetching across stripe units.
 fn tab3(sweep: &mut Sweep) -> Result<(), HarnessError> {
     const STRIPE_UNITS: [u64; 3] = [64 * 1024, 16 * 1024, 1024 * 1024];
     let cfg = |sz, su| ExperimentConfig {
@@ -350,18 +633,11 @@ fn tab3(sweep: &mut Sweep) -> Result<(), HarnessError> {
     }
 
     sweep.print();
-    println!(
-        "Paper's finding: with no delay between requests the results track the\n\
-         no-prefetching case; small stripe units hurt small requests (per-piece\n\
-         overhead), and a 1 MB unit serializes the nodes behind one I/O node at\n\
-         a time for small requests."
-    );
     Ok(())
 }
 
 /// TAB4: striping over all 8 I/O nodes (R) vs 8 ways on one (R'), with
-/// prefetching; the speedup is smallest at 64 KB, where the prefetch
-/// overhead shows most.
+/// prefetching.
 fn tab4(sweep: &mut Sweep) -> Result<(), HarnessError> {
     let wide = |sz| ExperimentConfig::paper_iobound(sz, 8).with_prefetch();
     sweep.stamp(&wide(REQUEST_SIZES[0]));
@@ -375,7 +651,6 @@ fn tab4(sweep: &mut Sweep) -> Result<(), HarnessError> {
             col("Speedup R/R'", "speedup"),
         ],
     );
-    let mut max_speedup: f64 = 0.0;
 
     for sz in REQUEST_SIZES {
         // R: across all 8 I/O nodes (the testbed default).
@@ -386,30 +661,22 @@ fn tab4(sweep: &mut Sweep) -> Result<(), HarnessError> {
             ..wide(sz)
         };
         let r_narrow = run_logged(&format!("{}KB sgroup=1", kb(sz)), &narrow);
-        let speedup = r_wide.bandwidth_mb_s() / r_narrow.bandwidth_mb_s();
-        max_speedup = max_speedup.max(speedup);
         sweep.row(&[
             kb(sz).to_string().into(),
             "8".into(),
             r_wide.bandwidth_mb_s().into(),
             r_narrow.bandwidth_mb_s().into(),
-            speedup.into(),
+            (r_wide.bandwidth_mb_s() / r_narrow.bandwidth_mb_s()).into(),
         ]);
     }
 
     sweep.print();
-    println!(
-        "Maximum speedup observed: {max_speedup:.2}x.\n\
-         Paper's finding: striping across 8 I/O nodes beats 8-way striping on one\n\
-         node; the speedup is smallest at 64 KB where prefetching overhead is most\n\
-         pronounced (the paper's lost digit reports only 'a factor of _._')."
-    );
     Ok(())
 }
 
 /// EXT-SCALING (paper §5, "much larger systems"): shapes from 2×1 to
 /// 4096×256 under the balanced workload, recording fairness and the
-/// server queue depth that grows with the compute-to-I/O ratio.
+/// server queue depth.
 fn ext_scaling(sweep: &mut Sweep) -> Result<(), HarnessError> {
     const SHAPES: [(usize, usize); 10] = [
         (2, 1),
@@ -494,13 +761,6 @@ fn ext_scaling(sweep: &mut Sweep) -> Result<(), HarnessError> {
     }
 
     sweep.print();
-    println!(
-        "Expected: bandwidth scales with I/O nodes; the prefetching gain persists\n\
-         at every machine size with a stable hit ratio; imbalance stays small\n\
-         (benefits equally distributed amongst the processors, as the paper\n\
-         requires); and the mean server queue depth degrades as the\n\
-         compute-to-I/O ratio grows from 2:1 to 8:1 at 512 x 64."
-    );
     Ok(())
 }
 
@@ -562,18 +822,11 @@ fn ext_patterns(sweep: &mut Sweep) -> Result<(), HarnessError> {
     }
 
     sweep.print();
-    println!(
-        "Findings: sequential, broadcast, and re-read streams hit ~always and\n\
-         gain; the stride detector locks on (high hit ratio) but strided access\n\
-         is seek-bound, so hiding latency barely moves bandwidth; random access\n\
-         defeats prediction entirely (hit ratio ~0) yet costs almost nothing\n\
-         beyond the wasted prefetches — and stays byte-correct throughout."
-    );
     Ok(())
 }
 
 /// EXT-DEPTH: prefetch depth 1–8 with the delay well above the read
-/// time; depth 1, the prototype's, already captures the whole win.
+/// time.
 fn ext_depth(sweep: &mut Sweep) -> Result<(), HarnessError> {
     sweep.record.config("request_kb", 64);
     sweep.record.config("delay_ms", 150);
@@ -627,12 +880,6 @@ fn ext_depth(sweep: &mut Sweep) -> Result<(), HarnessError> {
     }
 
     sweep.print();
-    println!(
-        "Finding: depth 1 (the paper's prototype) captures the whole win here —\n\
-         with delay > T the single prefetch is already ready at every demand\n\
-         read, and deeper pipelines cannot exceed the disk ceiling. The paper's\n\
-         fixed depth-1 choice costs nothing on these workloads."
-    );
     Ok(())
 }
 
@@ -673,10 +920,6 @@ fn ext_ablation(sweep: &mut Sweep) -> Result<(), HarnessError> {
         ]);
     }
     sweep.print();
-    println!(
-        "Expected: Fast Path wins on cold sequential reads (no extra copy);\n\
-         the buffer cache only pays off when data is re-read.\n"
-    );
 
     // --- 2. Copy-bandwidth sensitivity. ---------------------------------
     sweep.table(
@@ -707,10 +950,6 @@ fn ext_ablation(sweep: &mut Sweep) -> Result<(), HarnessError> {
         ]);
     }
     sweep.print();
-    println!(
-        "Expected: the prototype's win shrinks as the compute-node copy gets\n\
-         slower — the buffered hit must beat (read time − delay) + copy.\n"
-    );
 
     // --- 3. ART concurrency limit. ---------------------------------------
     sweep.table(
@@ -737,10 +976,6 @@ fn ext_ablation(sweep: &mut Sweep) -> Result<(), HarnessError> {
         ]);
     }
     sweep.print();
-    println!(
-        "Expected: a single ART serializes a depth-4 pipeline; a handful of\n\
-         ARTs restores full overlap."
-    );
     Ok(())
 }
 
@@ -835,12 +1070,6 @@ fn ext_writes(sweep: &mut Sweep) -> Result<(), HarnessError> {
         }
         sweep.print();
     }
-    println!(
-        "Expected (mirror of Figures 4/5): balanced writers hide one transfer\n\
-         per compute phase; I/O-bound writers gain little beyond the window's\n\
-         initial pipelining; stalls appear once the disks can no longer keep\n\
-         up with the capture rate."
-    );
     Ok(())
 }
 
@@ -932,17 +1161,11 @@ fn ext_doublebuf(sweep: &mut Sweep) -> Result<(), HarnessError> {
     }
 
     sweep.print();
-    println!(
-        "Reading: application double buffering is the upper bound (same overlap,\n\
-         no prefetch-buffer copy); the transparent system prefetcher tracks it\n\
-         to within the copy overhead — the paper's case that the file system\n\
-         can do this for every unmodified application."
-    );
     Ok(())
 }
 
 /// EXT-SCSI16: the headline experiments on the SCSI-16 disks of the
-/// paper's §2; shorter read times move Figure 5's crossover left.
+/// paper's §2.
 fn ext_scsi16(sweep: &mut Sweep) -> Result<(), HarnessError> {
     // --- ceiling + access times across request sizes -------------------
     sweep.table(
@@ -1008,11 +1231,6 @@ fn ext_scsi16(sweep: &mut Sweep) -> Result<(), HarnessError> {
         ]);
     }
     sweep.print();
-    println!(
-        "Reading: SCSI-16 shrinks T(1024 KB) ~4x, so the 0-0.1 s delays that\n\
-         bought nothing in Figure 5 now overlap usefully — faster disks widen\n\
-         the regime where the paper's prefetching helps."
-    );
     Ok(())
 }
 
@@ -1036,22 +1254,12 @@ fn ext_faults(sweep: &mut Sweep) -> Result<(), HarnessError> {
     checked
 }
 
-/// The EXT-FAULTS three-way comparison. The same I/O-node crash (ion 0
+/// The EXT-FAULTS three-way comparison: the same I/O-node crash (ion 0
 /// down from the measured phase's start, for a window that outlasts the
-/// run — a permanent failure as far as the workload is concerned) runs
-/// under each redundancy mode, next to that mode's healthy baseline:
-///
-/// * `none` — the crashed node's stripes are simply gone; every read of
-///   them burns the full retry budget and surfaces as an error.
-/// * `parity` — per-node RAID reconstructs dead *spindles*, but a whole
-///   crashed node still takes its stripes with it (the motivating gap).
-/// * `replicated:2` — reads fail over to surviving copies with zero
-///   client-visible errors while the recovery coordinator re-replicates
-///   the lost copies under the foreground load (the rebuild storm).
-///
-/// Fills `sweep` with every row, then checks data verification and, for
-/// the replicated rows, the robustness invariants: no client-visible read
-/// errors, and the rebuild queue drained to exactly zero.
+/// run — a permanent failure as far as the workload is concerned) under
+/// each redundancy mode, `none`, `parity` and `replicated:2`, next to that
+/// mode's healthy baseline. Fills `sweep` with every row, then checks data
+/// verification; the EXT-FAULTS claims state what the rows must show.
 pub(crate) fn redundancy_sweep(
     sweep: &mut Sweep,
     base: &ExperimentConfig,
@@ -1132,18 +1340,10 @@ pub(crate) fn redundancy_sweep(
     }
 
     for (mode, h, c) in &rows {
-        let case = mode.to_string();
         let failures = h.verify_failures + c.verify_failures;
         if failures > 0 {
+            let case = mode.to_string();
             return Err(HarnessError::Verify { case, failures });
-        }
-        let (errors, pending) = (c.read_errors, c.rebuild_pending);
-        if matches!(mode, Redundancy::Replicated { .. }) && errors + pending > 0 {
-            let what = format!(
-                "{errors} client-visible read errors, {pending} rebuild slots pending \
-                 (replication must mask the crash and drain its queue)"
-            );
-            return Err(HarnessError::Invariant { case, what });
         }
     }
     Ok(())

@@ -3,7 +3,8 @@
 //! Every table and figure of the paper's evaluation, plus the extension
 //! studies, is one entry of the experiment table in `experiments.rs`;
 //! `paragonctl reproduce <ID|all>` runs entries, prints the table or
-//! ASCII figure each regenerates, and writes its machine-readable JSON
+//! ASCII figure each regenerates, checks the entry's claims (the
+//! findings its record must show) and writes its machine-readable JSON
 //! record as `results/<id>.json` (DESIGN.md §4 maps ids to the paper).
 
 pub mod cli;
@@ -16,6 +17,8 @@ use std::path::{Path, PathBuf};
 use paragon_metrics::{ExperimentRecord, Series, Table};
 use paragon_workload::{ExperimentConfig, RunResult};
 
+pub use experiments::Claim;
+
 /// Why an experiment could not produce or persist its record.
 #[derive(Debug)]
 pub(crate) enum HarnessError {
@@ -27,8 +30,6 @@ pub(crate) enum HarnessError {
     /// `failures` requests of sweep `case` read bytes that differ from the
     /// file's pattern.
     Verify { case: String, failures: u64 },
-    /// Sweep `case` broke a robustness invariant the experiment enforces.
-    Invariant { case: String, what: String },
 }
 
 impl fmt::Display for HarnessError {
@@ -38,7 +39,6 @@ impl fmt::Display for HarnessError {
             HarnessError::Verify { case, failures } => {
                 write!(f, "data corruption in {case}: {failures} verify failures")
             }
-            HarnessError::Invariant { case, what } => write!(f, "{case}: {what}"),
         }
     }
 }
@@ -63,6 +63,34 @@ pub(crate) fn save_record(dir: &Path, record: &ExperimentRecord) -> Result<(), H
     fs::write(&path, record.to_json()).map_err(io(&path))?;
     println!("\n[record saved to {}]", path.display());
     Ok(())
+}
+
+/// The claims of the experiment `record` is a record of, each with its
+/// margin on `record`; none for a record no experiment makes.
+pub fn claims(record: &ExperimentRecord) -> impl Iterator<Item = (&'static Claim, f64)> + '_ {
+    let entry = experiments::EXPERIMENTS.iter().find(|e| e.id == record.id);
+    let claims = entry.map_or(&[][..], |e| e.claims);
+    claims.iter().map(|c| (c, (c.margin)(record)))
+}
+
+/// Check `record`'s claims, printing one line each when `print`, and
+/// return the `ID/name` of every claim it fails.
+fn check_claims(record: &ExperimentRecord, print: bool) -> Vec<String> {
+    let mut failed = Vec::new();
+    for (claim, margin) in claims(record) {
+        let (name, holds) = (format!("{}/{}", record.id, claim.name), margin >= 0.0);
+        if print {
+            let verdict = if holds { "pass" } else { "FAIL" };
+            println!(
+                "claim {name}: {verdict} (margin {margin:.4}): {}",
+                claim.text
+            );
+        }
+        if !holds {
+            failed.push(name);
+        }
+    }
+    failed
 }
 
 /// Request sizes the paper sweeps (bytes).
@@ -261,6 +289,28 @@ mod tests {
     #[test]
     fn request_sizes_match_paper_sweep() {
         assert_eq!(REQUEST_SIZES.map(kb), [64, 128, 256, 512, 1024]);
+    }
+
+    #[test]
+    fn a_contradicting_or_empty_record_fails_its_claims_by_name() {
+        // 64 KB prefetching beats reading without it.
+        let mut tab1 = ExperimentRecord::new("TAB1", "t");
+        let bw = |no_pf, pf| [("bw_no_prefetch_mb_s", no_pf), ("bw_prefetch_mb_s", pf)];
+        tab1.point(&[("request_kb", "64")], &bw(10.0, 10.2));
+        tab1.point(&[("request_kb", "128")], &bw(10.0, 9.9));
+        let failed = check_claims(&tab1, false);
+        assert!(
+            failed.contains(&"TAB1/no_win_without_overlap".into()),
+            "{failed:?}"
+        );
+        assert!(
+            failed.contains(&"TAB1/penalty_largest_at_64k".into()),
+            "{failed:?}"
+        );
+        // A point a claim needs is missing: its margin is NaN, a failure.
+        let fig4 = ExperimentRecord::new("FIG4", "t");
+        assert_eq!(check_claims(&fig4, false).len(), claims(&fig4).count());
+        assert_eq!(claims(&ExperimentRecord::new("CTL", "t")).count(), 0);
     }
 
     #[test]

@@ -215,10 +215,12 @@ impl RaidArray {
         }
     }
 
-    /// Global `Track::Disk` index of data member `m`, once tracks are set.
+    /// Global `Track::Disk` index of data member `m`, once tracks are set;
+    /// `None` before that, or when the array has no data member `m`.
     /// This is the index the fault plan's `kill_disk` takes.
     pub fn member_track_index(&self, m: usize) -> Option<u16> {
-        self.inner.track_base.get().map(|base| base + m as u16)
+        let base = self.inner.track_base.get()?;
+        (m < self.inner.members.len()).then(|| base + m as u16)
     }
 
     /// Flight-recorder lane of data member `m`.
@@ -723,7 +725,13 @@ mod tests {
     fn dead_member_without_parity_is_unrecoverable() {
         let sim = Sim::new(1);
         let raid = RaidArray::new(&sim, DiskParams::ideal(1e6), 3, 8 * 1024, "r3");
+        assert_eq!(raid.member_track_index(1), None, "no tracks yet");
         raid.set_tracks(0);
+        // A member past the array is no disk of it, not the next array's.
+        assert_eq!(
+            (raid.member_track_index(2), raid.member_track_index(3)),
+            (Some(2), None)
+        );
         let r = raid.clone();
         let faults = sim.faults();
         let h = sim.spawn(async move {

@@ -17,7 +17,7 @@ mod table;
 pub use chart::{AsciiChart, Series};
 pub use hist::Histogram;
 pub use json::Json;
-pub use record::ExperimentRecord;
+pub use record::{DataPoint, ExperimentRecord};
 pub use registry::{MetricsRegistry, MetricsSnapshot, Sampler};
 pub use table::Table;
 

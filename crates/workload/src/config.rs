@@ -249,6 +249,24 @@ impl ExperimentConfig {
                 self.mode
             ));
         }
+        if let Some((node, member)) = self.faults.dead_member {
+            let members = self.calib.raid_members;
+            if node >= ion || member >= members {
+                return Err(format!(
+                    "dead_member ({node}, {member}) names no disk: \
+                     {ion} I/O nodes of {members} data members each"
+                ));
+            }
+        }
+        match self.faults.ion_crash {
+            Some((node, ..)) if node >= ion => {
+                return Err(format!("ion_crash I/O node {node} exceeds {ion} I/O nodes"));
+            }
+            Some((_, from, until)) if from >= until => {
+                return Err(format!("ion_crash window {from}..{until} is empty"));
+            }
+            _ => {}
+        }
         match self.redundancy {
             Redundancy::Replicated { rf } if rf < 2 => {
                 Err("replication factor below 2 is not replication".into())
@@ -337,6 +355,37 @@ mod tests {
         cfg.redundancy = Redundancy::Replicated { rf: 9 };
         let err = cfg.validate().unwrap_err();
         assert!(err.contains("replication factor 9 exceeds 8"), "{err}");
+    }
+
+    #[test]
+    fn fault_targets_must_exist() {
+        let base = ExperimentConfig::paper_iobound(64 * 1024, 8);
+        let secs = SimDuration::from_secs;
+        let with = |faults| ExperimentConfig {
+            faults,
+            ..base.clone()
+        };
+        let dead = |at| FaultSpec {
+            dead_member: Some(at),
+            ..FaultSpec::default()
+        };
+        let crash = |node, from, until| FaultSpec {
+            ion_crash: Some((node, secs(from), secs(until))),
+            ..FaultSpec::default()
+        };
+        for (faults, msg) in [
+            // Member 3 of a 3-member array would be node 1's first member
+            // (or node 0's parity disk); I/O node 8 is past the machine.
+            (dead((0, 3)), "dead_member (0, 3) names no disk"),
+            (dead((8, 0)), "dead_member (8, 0) names no disk"),
+            (crash(8, 0, 5), "ion_crash I/O node 8 exceeds 8"),
+            (crash(0, 5, 5), "ion_crash window 5.0000s..5.0000s is empty"),
+        ] {
+            let err = with(faults).validate().unwrap_err();
+            assert!(err.contains(msg), "{err}");
+        }
+        assert_eq!(with(dead((7, 2))).validate(), Ok(()));
+        assert_eq!(with(crash(7, 0, 5)).validate(), Ok(()));
     }
 
     #[test]

@@ -251,7 +251,7 @@ fn arm_faults(sim: &Sim, machine: &Machine, spec: &FaultSpec) {
         let track = machine
             .raid(ion)
             .member_track_index(member)
-            .unwrap_or_else(|| panic!("I/O node {ion} has no flight-recorder tracks"));
+            .unwrap_or_else(|| panic!("I/O node {ion} has no data member {member} on a track"));
         faults.kill_disk(track);
     }
     if spec.mesh_drop_pm + spec.mesh_dup_pm + spec.mesh_delay_pm > 0 {
@@ -263,7 +263,6 @@ fn arm_faults(sim: &Sim, machine: &Machine, spec: &FaultSpec) {
         );
     }
     if let Some((ion, from, until)) = spec.ion_crash {
-        assert!(from < until, "empty I/O-node crash window");
         let node = machine.io_node(ion).0 as u16;
         let now = sim.now();
         faults.crash_node(node, now + from, now + until);

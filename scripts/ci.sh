@@ -107,9 +107,13 @@ echo "=== reproduce"
 # BENCH_metrics.json (a fresh `metrics run --seed 42`, written next to
 # that directory so `diff -r` sees only records). The report's pretty
 # JSON puts one key per line, so a diff line names the counter or scalar
-# that moved. Host time is not gated here: hostbench/ measures it. After
-# an intentional change, regenerate both with scripts/reproduce.sh
-# (which runs this gate afterwards) and update EXPERIMENTS.md.
+# that moved. Host time is not gated here: hostbench/ measures it. Each
+# experiment's claims (the paper's findings, crates/bench/src/experiments.rs)
+# are checked on its fresh record too: a failed claim makes `reproduce`
+# exit non-zero, after it has saved every record, and the log shown then
+# names each failed claim. After an intentional change, regenerate both
+# with scripts/reproduce.sh (which runs this gate afterwards) and update
+# EXPERIMENTS.md.
 fresh=$(mktemp -d)
 trap 'rm -rf "$fresh" "$fresh.log" "$fresh.metrics.json"' EXIT
 paragonctl() { cargo run -q -p paragon-bench --release --bin paragonctl -- "$@"; }

@@ -8,10 +8,15 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 mkdir -p results/logs
+# `reproduce all` checks each experiment's claims (the paper's findings)
+# on its fresh record. A failed claim still saves every record, so the
+# re-bless can be inspected, but the command then exits non-zero and
+# `set -o pipefail` stops this script before the gate.
 cargo run --release -q -p paragon-bench --bin paragonctl -- reproduce all \
     2> results/logs/reproduce.err |
-    # Each experiment's output ends with its "[record saved to .../<id>.json]"
-    # line: split the stream there into one log per id.
+    # Each experiment's output ends with its claim lines and then its
+    # "[record saved to .../<id>.json]" line: split the stream there into
+    # one log per id, so each log holds that id's claim lines.
     awk '{ buf = buf $0 "\n" }
          /^\[record saved to .*\.json\]$/ {
              id = $0; sub(/.*\//, "", id); sub(/\.json\]$/, "", id)

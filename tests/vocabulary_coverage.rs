@@ -2,7 +2,8 @@
 //! `EventKind` is recorded by some run, each telemetry gauge and
 //! histogram is registered, and each `Work` counter moves in some run. A
 //! kind or name that nothing emits fails here, so declared vocabulary
-//! cannot go dead.
+//! cannot go dead. The counters of different layers also agree: every
+//! fault-free run keeps the cross-layer identities.
 
 mod common;
 
@@ -126,6 +127,41 @@ fn suite() -> impl Iterator<Item = ExperimentConfig> {
         .chain([prefetch_buffer_pressure(), global_large_reads()])
         .chain(fault_classes())
         .chain([crash_and_rebuild(44)])
+}
+
+/// Cross-layer identities of a fault-free run's `Work`, as (name, left
+/// side, right side): every call is answered once, over one request and
+/// one reply message, and every server read is a direct or a cached UFS
+/// read, or an M_GLOBAL arrival that shares another node's read.
+fn identities(w: &Work) -> [(&'static str, u64, u64); 3] {
+    let ufs_reads = w.get("ufs.direct_reads") + w.get("ufs.cached_reads");
+    [
+        (
+            "rpc.calls = rpc.replies",
+            w.get("rpc.calls"),
+            w.get("rpc.replies"),
+        ),
+        (
+            "mesh.messages = 2 * rpc.calls",
+            w.get("mesh.messages"),
+            2 * w.get("rpc.calls"),
+        ),
+        (
+            "server.reads = ufs.direct_reads + ufs.cached_reads + server.global_shares",
+            w.get("server.reads"),
+            ufs_reads + w.get("server.global_shares"),
+        ),
+    ]
+}
+
+#[test]
+fn fault_free_runs_keep_the_work_identities() {
+    let fault_free = suite().filter(|c| c.faults == FaultSpec::default());
+    for (i, c) in fault_free.enumerate() {
+        for (name, lhs, rhs) in identities(&run(&c).work) {
+            assert_eq!(lhs, rhs, "fault-free config {i}: {name}");
+        }
+    }
 }
 
 #[test]
