@@ -9,14 +9,16 @@ use paragon_profile::{export_perfetto, render_critical_path};
 use paragon_sim::{export_json, hash_events, parse_json, SimDuration, TraceEvent};
 use paragon_workload::{
     metrics_report, render_report, run, AccessPattern, ExperimentConfig, FaultSpec, RunResult,
-    StripeLayout, Work,
+    StripeLayout,
 };
 
 use std::path::Path;
 use std::process::ExitCode;
 
-use crate::experiments::{faults_base, redundancy_sweep, Experiment, EXPERIMENTS, EXT_FAULTS};
-use crate::{check_claims, col, results_dir, save_record, shown, stored, HarnessError, Sweep};
+use crate::experiments::{
+    fault_study, Experiment, DISK_ERROR_PM, EXPERIMENTS, EXT_FAULTS, MESH_DROP_PM, REPLICATED,
+};
+use crate::{check_claims, results_dir, save_record, Sweep};
 
 /// The help text.
 pub(crate) const USAGE: &str = "\
@@ -66,19 +68,17 @@ METRICS:
                and ASCII queue-depth charts
 
 FAULTS:
-    run the OPTIONS-selected experiment once per fault class (none,
-    disk-transient, dead-member, mesh-drop, ion-crash) with a RAID
-    parity member, prefetching, and data verification forced on, and
-    report how throughput and the prefetch hit rate degrade
+    run EXT-FAULTS over the OPTIONS-selected experiment (`reproduce
+    EXT-FAULTS` runs the default OPTIONS) with prefetching and data
+    verification forced on, and check its claims. Two tables: one run
+    per fault class (none, disk-transient, dead-member, mesh-drop,
+    ion-crash) with a RAID parity member, showing how throughput and the
+    prefetch hit rate degrade; then I/O node 0 down for the whole run
+    under none, parity and replicated:2 (--redundancy sets only the
+    class runs' mode)
     --error-pm <N>    transient disk error rate, per mille   [20]
     --drop-pm <N>     mesh message drop rate, per mille      [10]
-    --redundancy all  instead run the EXT-FAULTS three-way comparison:
-               the same I/O-node crash under none (client-visible
-               errors), parity (in-array reconstruction), and
-               replicated:2 (replica failover + online re-replication
-               under the foreground load; `reproduce EXT-FAULTS` at the
-               default OPTIONS); any other value selects that
-               redundancy mode for the five-class sweep
+    --json            print the record instead of the tables
 
 TRACE:
     capture    run an experiment with the flight recorder armed and
@@ -104,7 +104,7 @@ OPTIONS:
     --strided-predictor   use the stride detector (implies --prefetch)
     --pattern <mode|strided:BYTES|random|reread:N>           [mode]
     --separate            one private file per node
-    --redundancy <none|parity|replicated[:rf]>  mount redundancy [none]
+    --redundancy <none|parity|replicated[:rf]>  RAID parity member or replicas [none]
     --buffered            disable Fast Path (server buffer cache on)
     --verify              verify returned bytes against the pattern
     --compare             also run with prefetching toggled, print both
@@ -203,18 +203,25 @@ pub(crate) fn build_config(args: &mut Args) -> Result<ExperimentConfig, String> 
     let pattern = parse_pattern(&args.value("--pattern")?.unwrap_or_else(|| "mode".into()))?;
     let strided_pred = args.flag("--strided-predictor");
     let prefetch_on = args.flag("--prefetch") || depth > 0 || strided_pred;
-    let redundancy = match args.value("--redundancy")? {
-        Some(v) => {
-            Redundancy::parse(&v).ok_or_else(|| format!("bad value for --redundancy: {v}"))?
-        }
-        None => Redundancy::None,
+    // `parity` is the calibration's per-I/O-node parity member, not a
+    // mount policy.
+    let (redundancy, raid_parity) = match args.value("--redundancy")?.as_deref() {
+        None => (Redundancy::None, false),
+        Some("parity") => (Redundancy::None, true),
+        Some(v) => (
+            Redundancy::parse(v).ok_or_else(|| format!("bad value for --redundancy: {v}"))?,
+            false,
+        ),
     };
 
     let mut cfg = ExperimentConfig {
         seed,
         compute_nodes: cn,
         io_nodes: ion,
-        calib: Calibration::paragon_1995(),
+        calib: Calibration {
+            raid_parity,
+            ..Calibration::paragon_1995()
+        },
         mode,
         fast_path: !args.flag("--buffered"),
         stripe_unit: su_kb * 1024,
@@ -492,99 +499,27 @@ fn profile_export(argv: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// The fault classes `paragonctl faults` sweeps, in report order.
-fn fault_classes(error_pm: u32, drop_pm: u32) -> Vec<(&'static str, FaultSpec)> {
-    vec![
-        ("none", FaultSpec::default()),
-        (
-            "disk-transient",
-            FaultSpec {
-                disk_error_pm: error_pm,
-                ..FaultSpec::default()
-            },
-        ),
-        (
-            "dead-member",
-            FaultSpec {
-                dead_member: Some((0, 0)),
-                ..FaultSpec::default()
-            },
-        ),
-        (
-            "mesh-drop",
-            FaultSpec {
-                mesh_drop_pm: drop_pm,
-                ..FaultSpec::default()
-            },
-        ),
-        (
-            "ion-crash",
-            FaultSpec {
-                ion_crash: Some((0, SimDuration::ZERO, SimDuration::from_secs(5))),
-                ..FaultSpec::default()
-            },
-        ),
-    ]
-}
-
-/// Compact "what the plan actually injected" summary for one run.
-fn injected_summary(work: &Work) -> String {
-    let mut parts = Vec::new();
-    for (name, label) in [
-        ("fault.disk_transients", "disk-err"),
-        ("fault.disk_dead_hits", "dead-hit"),
-        ("fault.mesh_dropped", "drop"),
-        ("fault.mesh_duplicated", "dup"),
-        ("fault.mesh_delayed", "delay"),
-        ("fault.node_down_drops", "node-down"),
-    ] {
-        let n = work.get(name);
-        if n > 0 {
-            parts.push(format!("{label} {n}"));
-        }
-    }
-    if parts.is_empty() {
-        "-".into()
-    } else {
-        parts.join(", ")
-    }
-}
-
-/// `paragonctl faults`: sweep the fault classes over one base experiment
-/// and report the robustness metrics side by side.
+/// `paragonctl faults`: EXT-FAULTS over the OPTIONS-selected experiment,
+/// its claims checked.
 fn faults_cmd(argv: &[String]) -> Result<ExitCode, String> {
     let mut args = Args(argv.to_vec());
     let json = args.flag("--json");
-    let error_pm: u32 = args.parsed("--error-pm", 20)?;
-    let drop_pm: u32 = args.parsed("--drop-pm", 10)?;
-    // `--redundancy all` is a faults-only axis value, so it is peeled
-    // off before `build_config` (whose parser would reject it).
-    let all = args.0.windows(2).position(|w| w == ["--redundancy", "all"]);
-    if let Some(i) = all {
-        args.0.drain(i..i + 2);
-    }
+    let error_pm: u32 = args.parsed("--error-pm", DISK_ERROR_PM)?;
+    let drop_pm: u32 = args.parsed("--drop-pm", MESH_DROP_PM)?;
     let base = build_config(&mut args)?;
     args.finish()?;
-    let base = faults_base(base);
-    let (mut sweep, checked);
-    if all.is_some() {
-        // The three-way comparison's replicated row must fit the machine.
-        let redundancy = Redundancy::Replicated { rf: 2 };
-        ExperimentConfig {
-            redundancy,
-            ..base.clone()
-        }
-        .validate()?;
-        sweep = Sweep::new(EXT_FAULTS[0], EXT_FAULTS[1]);
-        checked = redundancy_sweep(&mut sweep, &base);
-    } else {
-        sweep = Sweep::new("FAULT", "paragonctl faults");
-        checked = fault_class_sweep(&mut sweep, base, error_pm, drop_pm);
+    // The three-way comparison's replicated row must fit the machine.
+    ExperimentConfig {
+        redundancy: REPLICATED,
+        ..base.clone()
     }
+    .validate()?;
+    let mut sweep = Sweep::new(EXT_FAULTS[0], EXT_FAULTS[1]);
+    sweep.echo = !json;
+    let checked = fault_study(&mut sweep, base, error_pm, drop_pm);
     if json {
-        println!("{}", sweep.record.to_json());
-    } else {
-        sweep.print();
+        // The record's own bytes, as `reproduce` saves them.
+        print!("{}", sweep.record.to_json());
     }
     if let Err(e) = checked {
         eprintln!("error: {e}");
@@ -600,75 +535,6 @@ fn claims_verdict(failed: &[String]) -> ExitCode {
     }
     eprintln!("error: the record contradicts claims {}", failed.join(", "));
     ExitCode::FAILURE
-}
-
-/// The `faults` class sweep: one run per fault class over `base`, which
-/// compares like with like, every class (the fault-free baseline
-/// included) with a parity member so dead-member reads can reconstruct.
-fn fault_class_sweep(
-    sweep: &mut Sweep,
-    mut base: ExperimentConfig,
-    error_pm: u32,
-    drop_pm: u32,
-) -> Result<(), HarnessError> {
-    base.calib.raid_parity = true;
-    let mut results: Vec<(&'static str, RunResult)> = Vec::new();
-    for (label, spec) in fault_classes(error_pm, drop_pm) {
-        let mut cfg = base.clone();
-        cfg.faults = spec;
-        results.push((label, run(&cfg)));
-    }
-
-    sweep
-        .record
-        .config("mode", base.mode)
-        .config("compute_nodes", base.compute_nodes)
-        .config("io_nodes", base.io_nodes)
-        .config("request_kb", base.request_size / 1024)
-        .config("file_mb", base.file_size >> 20)
-        .config("error_pm", error_pm)
-        .config("drop_pm", drop_pm)
-        .config("seed", base.seed);
-    sweep.table(
-        &format!(
-            "== fault sweep: {} cn × {} ion, {:?}, {} KB requests, parity on",
-            base.compute_nodes,
-            base.io_nodes,
-            base.mode,
-            base.request_size / 1024
-        ),
-        vec![
-            col("class", "class"),
-            col("bw MB/s", "bw_mb_s"),
-            shown("hit%").prec(1),
-            stored("hit_ratio"),
-            col("errs", "read_errors").prec(0),
-            col("reconst", "reconstructed_reads").prec(0),
-            col("pf-flt", "prefetch_faults").prec(0),
-            col("verify-fail", "verify_failures").prec(0),
-            shown("injected"),
-        ],
-    );
-    for (label, r) in &results {
-        sweep.row(&[
-            (*label).into(),
-            r.bandwidth_mb_s().into(),
-            (r.prefetch.hit_ratio() * 100.0).into(),
-            r.prefetch.hit_ratio().into(),
-            r.read_errors.into(),
-            r.work.get("raid.reconstructed_reads").into(),
-            r.prefetch.faults.into(),
-            r.verify_failures.into(),
-            injected_summary(&r.work).into(),
-        ]);
-    }
-    match results.iter().find(|(_, r)| r.verify_failures > 0) {
-        Some((case, r)) => Err(HarnessError::Verify {
-            case: case.to_string(),
-            failures: r.verify_failures,
-        }),
-        None => Ok(()),
-    }
 }
 
 /// `paragonctl reproduce <ID|all>`: run the named experiments (`all`: the
@@ -923,7 +789,7 @@ mod tests {
         }
         build_config(&mut args("--mode m_unix --strided-predictor")).unwrap();
         // The EXT-FAULTS replicated row needs two I/O nodes.
-        let err = faults_cmd(&args("--redundancy all --ion 1 --cn 2 --file-mb 2").0).unwrap_err();
+        let err = faults_cmd(&args("--ion 1 --cn 2 --file-mb 2").0).unwrap_err();
         assert!(err.contains("replication factor 2 exceeds 1"), "{err}");
         // Zero passes would run nothing and report success.
         let err = build_config(&mut args("--pattern reread:0")).unwrap_err();
@@ -932,6 +798,17 @@ mod tests {
             main_impl(args("run --pattern reread:0").0),
             ExitCode::FAILURE
         );
+    }
+
+    #[test]
+    fn parity_is_the_calibrations_parity_member() {
+        let cfg = build_config(&mut args("--redundancy parity")).unwrap();
+        assert!(cfg.calib.raid_parity);
+        assert_eq!(cfg.redundancy, Redundancy::None);
+        assert!(!build_config(&mut args("")).unwrap().calib.raid_parity);
+        let cfg = build_config(&mut args("--redundancy replicated")).unwrap();
+        assert_eq!(cfg.redundancy, Redundancy::Replicated { rf: 2 });
+        assert!(!cfg.calib.raid_parity);
     }
 
     #[test]
@@ -1017,24 +894,14 @@ mod tests {
 
     #[test]
     fn fault_sweep_covers_every_class_and_exits_clean() {
-        assert_eq!(fault_classes(20, 10).len(), 5);
-        // Tiny shape so the five runs stay cheap; verification is forced
-        // on inside the command, so SUCCESS means every class delivered
-        // pattern-correct data.
+        // Tiny shape so the eleven runs stay cheap; verification is
+        // forced on inside the command, so SUCCESS means every run
+        // delivered pattern-correct data and every EXT-FAULTS claim held.
         let argv: Vec<String> = "faults --cn 2 --ion 2 --request-kb 16 --file-mb 2 --su-kb 16"
             .split_whitespace()
             .map(String::from)
             .collect();
         assert_eq!(main_impl(argv), ExitCode::SUCCESS);
-    }
-
-    #[test]
-    fn injected_summary_formats() {
-        assert_eq!(injected_summary(&Work::default()), "-");
-        let w = [("fault.mesh_dropped", 3), ("fault.disk_transients", 1)]
-            .into_iter()
-            .collect();
-        assert_eq!(injected_summary(&w), "disk-err 1, drop 3");
     }
 
     const TINY: &str = "--cn 2 --ion 2 --request-kb 16 --file-mb 2 --su-kb 16";

@@ -16,7 +16,7 @@ use paragon_metrics::{AsciiChart, DataPoint, ExperimentRecord};
 use paragon_pfs::{pattern_slice, IoMode, Redundancy};
 use paragon_sim::SimDuration;
 use paragon_workload::{
-    run_with, AccessPattern, ExperimentConfig, FaultSpec, NodeResult, StripeLayout,
+    run_with, AccessPattern, ExperimentConfig, FaultSpec, NodeResult, StripeLayout, Work,
 };
 
 use crate::{
@@ -407,8 +407,31 @@ pub(crate) static EXPERIMENTS: [Experiment; 15] = [
     Experiment {
         id: EXT_FAULTS[0],
         description: EXT_FAULTS[1],
-        run: ext_faults,
+        run: |sweep| {
+            let base = ExperimentConfig::paper_iobound(64 * 1024, 8);
+            fault_study(sweep, base, DISK_ERROR_PM, MESH_DROP_PM)
+        },
         claims: claims![
+            transients_cost_hits_not_data "Transient disk errors land on the prefetcher: it \
+                absorbs the failed prefetches, and the hit ratio pays for them, by at most one \
+                point against the fault-free run" => |r| {
+                let class = |c| point(r, &[("class", c)]);
+                let lost = v(class("none"), "hit_ratio") - v(class("disk-transient"), "hit_ratio");
+                least([v(class("disk-transient"), "prefetch_faults") - 1.0, lost, 0.01 - lost])
+            },
+            parity_rebuilds_a_dead_member "A dead RAID member costs no read: every read of it \
+                is reconstructed from the survivors plus parity" => |r| {
+                let p = point(r, &[("class", "dead-member")]);
+                least([0.0 - v(p, "read_errors"), v(p, "reconstructed_reads") - 1.0])
+            },
+            retries_hide_lost_messages "RPC retries hide dropped messages and a 5 s I/O-node \
+                crash: neither fails a read or a prefetch" => |r| {
+                let failed = |c| {
+                    let p = point(r, &[("class", c)]);
+                    v(p, "read_errors") + v(p, "prefetch_faults")
+                };
+                0.0 - (failed("mesh-drop") + failed("ion-crash"))
+            },
             replication_masks_the_crash "replicated:2 masks the whole-run crash: no \
                 client-visible read error, and the rebuild queue drains to exactly zero" => |r| {
                 let p = point(r, &[("redundancy", "replicated:2")]);
@@ -423,9 +446,9 @@ pub(crate) static EXPERIMENTS: [Experiment; 15] = [
     },
 ];
 
-/// Id and description of the EXT-FAULTS record, which `paragonctl faults
-/// --redundancy all` also writes, at any options.
-pub(crate) const EXT_FAULTS: [&str; 2] = ["EXT-FAULTS", "paragonctl faults --redundancy all"];
+/// Id and description of the EXT-FAULTS record, which `paragonctl faults`
+/// also builds, at any options.
+pub(crate) const EXT_FAULTS: [&str; 2] = ["EXT-FAULTS", "paragonctl faults"];
 
 /// FIG2: 8 CN read one shared file in each I/O mode (Separate Files: a
 /// private file each).
@@ -1234,58 +1257,96 @@ fn ext_scsi16(sweep: &mut Sweep) -> Result<(), HarnessError> {
     Ok(())
 }
 
-/// `paragonctl faults` runs every fault class with prefetching on, so
-/// hit-rate degradation shows, and every byte read verified, so silent
-/// corruption fails loud.
-pub(crate) fn faults_base(mut cfg: ExperimentConfig) -> ExperimentConfig {
-    cfg.verify_data = true;
-    if cfg.prefetch.is_none() {
-        cfg = cfg.with_prefetch();
+/// Default rates of the EXT-FAULTS fault classes, per mille: transient
+/// disk errors and dropped mesh messages.
+pub(crate) const DISK_ERROR_PM: u32 = 20;
+pub(crate) const MESH_DROP_PM: u32 = 10;
+
+/// The fault classes of EXT-FAULTS, in report order: none, transient
+/// disk errors at `error_pm`, a dead RAID member (member 0 of I/O node
+/// 0), mesh drops at `drop_pm` and a 5 s crash of I/O node 0.
+pub fn fault_classes(error_pm: u32, drop_pm: u32) -> [(&'static str, FaultSpec); 5] {
+    [
+        ("none", FaultSpec::default()),
+        (
+            "disk-transient",
+            FaultSpec {
+                disk_error_pm: error_pm,
+                ..FaultSpec::default()
+            },
+        ),
+        (
+            "dead-member",
+            FaultSpec {
+                dead_member: Some((0, 0)),
+                ..FaultSpec::default()
+            },
+        ),
+        (
+            "mesh-drop",
+            FaultSpec {
+                mesh_drop_pm: drop_pm,
+                ..FaultSpec::default()
+            },
+        ),
+        (
+            "ion-crash",
+            FaultSpec {
+                ion_crash: Some((0, SimDuration::ZERO, SimDuration::from_secs(5))),
+                ..FaultSpec::default()
+            },
+        ),
+    ]
+}
+
+/// What the fault plan injected into one run, for the class table; a
+/// crash-window drop counts once, as node-down, not again as a drop.
+fn injected_summary(work: &Work) -> String {
+    let node_down = work.get("fault.node_down_drops");
+    let parts: Vec<String> = [
+        ("disk-err", work.get("fault.disk_transients")),
+        ("dead-hit", work.get("fault.disk_dead_hits")),
+        ("drop", work.get("fault.mesh_dropped") - node_down),
+        ("dup", work.get("fault.mesh_duplicated")),
+        ("delay", work.get("fault.mesh_delayed")),
+        ("node-down", node_down),
+    ]
+    .into_iter()
+    .filter(|&(_, n)| n > 0)
+    .map(|(label, n)| format!("{label} {n}"))
+    .collect();
+    if parts.is_empty() {
+        "-".into()
+    } else {
+        parts.join(", ")
     }
-    cfg
 }
 
-/// EXT-FAULTS: `paragonctl faults --redundancy all` at its default
-/// options (the paper's 8×8 I/O-bound testbed, 64 KB requests).
-fn ext_faults(sweep: &mut Sweep) -> Result<(), HarnessError> {
-    let base = faults_base(ExperimentConfig::paper_iobound(64 * 1024, 8));
-    let checked = redundancy_sweep(sweep, &base);
-    sweep.print();
-    checked
-}
+/// The three-way comparison's replicated mode.
+pub(crate) const REPLICATED: Redundancy = Redundancy::Replicated { rf: 2 };
 
-/// The EXT-FAULTS three-way comparison: the same I/O-node crash (ion 0
-/// down from the measured phase's start, for a window that outlasts the
-/// run — a permanent failure as far as the workload is concerned) under
-/// each redundancy mode, `none`, `parity` and `replicated:2`, next to that
-/// mode's healthy baseline. Fills `sweep` with every row, then checks data
+/// EXT-FAULTS over `base` (`paragonctl faults` at its OPTIONS), with
+/// prefetching on, so hit-rate degradation shows, and every byte read
+/// verified, so silent corruption fails loud. Two tables: one run per
+/// fault class at the given rates, every class (the fault-free baseline
+/// included) with a RAID parity member so dead-member reads can
+/// reconstruct; then the same I/O-node crash (ion 0 down from the
+/// measured phase's start for a window that outlasts the run, a
+/// permanent failure as far as the workload is concerned) under
+/// `none`, `parity` and `replicated:2`, next to each one's healthy
+/// baseline. Fills `sweep` with every row, then checks data
 /// verification; the EXT-FAULTS claims state what the rows must show.
-pub(crate) fn redundancy_sweep(
+pub(crate) fn fault_study(
     sweep: &mut Sweep,
-    base: &ExperimentConfig,
+    mut base: ExperimentConfig,
+    error_pm: u32,
+    drop_pm: u32,
 ) -> Result<(), HarnessError> {
-    let crash = FaultSpec {
-        ion_crash: Some((0, SimDuration::ZERO, SimDuration::from_secs(7200))),
-        ..FaultSpec::default()
-    };
-    let modes = [
-        Redundancy::None,
-        Redundancy::ParityRaid,
-        Redundancy::Replicated { rf: 2 },
-    ];
-    let mut rows = Vec::new();
-    for mode in modes {
-        let mut healthy = base.clone();
-        healthy.redundancy = mode;
-        let mut crashed = healthy.clone();
-        crashed.faults = crash.clone();
-        rows.push((
-            mode,
-            paragon_workload::run(&healthy),
-            paragon_workload::run(&crashed),
-        ));
+    base.verify_data = true;
+    if base.prefetch.is_none() {
+        base = base.with_prefetch();
     }
-
+    let mut verified = Vec::new();
     sweep
         .record
         .config("mode", base.mode)
@@ -1293,15 +1354,53 @@ pub(crate) fn redundancy_sweep(
         .config("io_nodes", base.io_nodes)
         .config("request_kb", base.request_size / 1024)
         .config("file_mb", base.file_size >> 20)
+        .config("error_pm", error_pm)
+        .config("drop_pm", drop_pm)
         .config("seed", base.seed);
+    let shape = format!(
+        "{} cn x {} ion, {:?}, {} KB requests",
+        base.compute_nodes,
+        base.io_nodes,
+        base.mode,
+        base.request_size / 1024
+    );
+
     sweep.table(
-        &format!(
-            "== redundancy sweep: ion 0 down for the whole run, {} cn x {} ion, {:?}, {} KB requests",
-            base.compute_nodes,
-            base.io_nodes,
-            base.mode,
-            base.request_size / 1024
-        ),
+        &format!("== fault classes: {shape}, parity on"),
+        vec![
+            col("class", "class"),
+            col("bw MB/s", "bw_mb_s"),
+            shown("hit%").prec(1),
+            stored("hit_ratio"),
+            col("errs", "read_errors").prec(0),
+            col("reconst", "reconstructed_reads").prec(0),
+            col("pf-flt", "prefetch_faults").prec(0),
+            col("verify-fail", "verify_failures").prec(0),
+            shown("injected"),
+        ],
+    );
+    for (class, faults) in fault_classes(error_pm, drop_pm) {
+        let mut cfg = base.clone();
+        cfg.calib.raid_parity = true;
+        cfg.faults = faults;
+        let r = run_logged(class, &cfg);
+        sweep.row(&[
+            class.into(),
+            r.bandwidth_mb_s().into(),
+            (r.prefetch.hit_ratio() * 100.0).into(),
+            r.prefetch.hit_ratio().into(),
+            r.read_errors.into(),
+            r.work.get("raid.reconstructed_reads").into(),
+            r.prefetch.faults.into(),
+            r.verify_failures.into(),
+            injected_summary(&r.work).into(),
+        ]);
+        verified.push((class.to_owned(), r.verify_failures));
+    }
+    sweep.print();
+
+    sweep.table(
+        &format!("== redundancy: ion 0 down for the whole run, {shape}"),
         vec![
             col("redundancy", "redundancy"),
             col("healthy", "bw_healthy_mb_s"),
@@ -1316,18 +1415,35 @@ pub(crate) fn redundancy_sweep(
             col("pend", "rebuild_pending").prec(0),
         ],
     );
-    for (mode, h, c) in &rows {
-        let (healthy, crashed) = (h.bandwidth_mb_s(), c.bandwidth_mb_s());
-        let keep = if healthy > 0.0 {
-            crashed / healthy * 100.0
+    let crash = FaultSpec {
+        ion_crash: Some((0, SimDuration::ZERO, SimDuration::from_secs(7200))),
+        ..FaultSpec::default()
+    };
+    for (label, parity, redundancy) in [
+        ("none", false, Redundancy::None),
+        ("parity", true, Redundancy::None),
+        ("replicated:2", false, REPLICATED),
+    ] {
+        let mut healthy = base.clone();
+        healthy.calib.raid_parity = parity;
+        healthy.redundancy = redundancy;
+        let mut crashed = healthy.clone();
+        crashed.faults = crash.clone();
+        let (h, c) = (
+            run_logged(&format!("{label} healthy"), &healthy),
+            run_logged(&format!("{label} crashed"), &crashed),
+        );
+        let (bw_healthy, bw_crashed) = (h.bandwidth_mb_s(), c.bandwidth_mb_s());
+        let keep = if bw_healthy > 0.0 {
+            bw_crashed / bw_healthy * 100.0
         } else {
             0.0
         };
         let rebuilt = c.rebuild.as_ref().map_or(0, |r| r.bytes_copied);
         sweep.row(&[
-            mode.label().into(),
-            healthy.into(),
-            crashed.into(),
+            label.into(),
+            bw_healthy.into(),
+            bw_crashed.into(),
             keep.into(),
             c.read_errors.into(),
             c.work.get("raid.reconstructed_reads").into(),
@@ -1337,14 +1453,35 @@ pub(crate) fn redundancy_sweep(
             rebuilt.into(),
             c.rebuild_pending.into(),
         ]);
+        verified.push((label.to_owned(), h.verify_failures + c.verify_failures));
     }
+    sweep.print();
 
-    for (mode, h, c) in &rows {
-        let failures = h.verify_failures + c.verify_failures;
-        if failures > 0 {
-            let case = mode.to_string();
-            return Err(HarnessError::Verify { case, failures });
-        }
+    match verified.into_iter().find(|&(_, failures)| failures > 0) {
+        Some((case, failures)) => Err(HarnessError::Verify { case, failures }),
+        None => Ok(()),
     }
-    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn injected_summary_formats() {
+        assert_eq!(injected_summary(&Work::default()), "-");
+        let w = [("fault.mesh_dropped", 3), ("fault.disk_transients", 1)]
+            .into_iter()
+            .collect();
+        assert_eq!(injected_summary(&w), "disk-err 1, drop 3");
+        // A message lost to a crash window counts once, as node-down.
+        let w = [("fault.mesh_dropped", 1), ("fault.node_down_drops", 1)]
+            .into_iter()
+            .collect();
+        assert_eq!(injected_summary(&w), "node-down 1");
+        let w = [("fault.mesh_dropped", 5), ("fault.node_down_drops", 2)]
+            .into_iter()
+            .collect();
+        assert_eq!(injected_summary(&w), "drop 3, node-down 2");
+    }
 }

@@ -17,7 +17,7 @@ use std::path::{Path, PathBuf};
 use paragon_metrics::{ExperimentRecord, Series, Table};
 use paragon_workload::{ExperimentConfig, RunResult};
 
-pub use experiments::Claim;
+pub use experiments::{fault_classes, Claim};
 
 /// Why an experiment could not produce or persist its record.
 #[derive(Debug)]
@@ -205,6 +205,9 @@ struct Sweep {
     cols: Vec<Col>,
     /// Index of the current table's first point in the record.
     first_point: usize,
+    /// Whether [`Sweep::print`] prints (`faults --json` prints the
+    /// record instead).
+    echo: bool,
 }
 
 impl Sweep {
@@ -214,6 +217,7 @@ impl Sweep {
             table: Table::default(),
             cols: Vec::new(),
             first_point: 0,
+            echo: true,
         }
     }
 
@@ -264,9 +268,11 @@ impl Sweep {
         self.record.point(&params, &values);
     }
 
-    /// Print the current table.
+    /// Print the current table, unless the sweep is silenced.
     fn print(&self) {
-        println!("\n{}", self.table.render());
+        if self.echo {
+            println!("\n{}", self.table.render());
+        }
     }
 
     /// A chart series of the current table: the `i`th row's `key` value

@@ -74,8 +74,8 @@ impl ParallelFs {
 
     /// Mount with an explicit redundancy policy. `Replicated { rf }`
     /// places `rf` copies of every stripe slot on `rf` distinct I/O
-    /// nodes; `None`/`ParityRaid` behave exactly like [`ParallelFs::new`]
-    /// (parity membership is a machine-calibration matter).
+    /// nodes; `None` behaves exactly like [`ParallelFs::new`] (parity
+    /// membership is a machine-calibration matter).
     pub fn new_with_redundancy(machine: Rc<Machine>, redundancy: Redundancy) -> Rc<Self> {
         let sim = machine.sim().clone();
         let calib = machine.calib().clone();

@@ -6,9 +6,8 @@
 //! alternatives the experiments compare:
 //!
 //! * [`Redundancy::None`] — the paper's layout: one copy per stripe
-//!   unit, per-node RAID as configured by the calibration.
-//! * [`Redundancy::ParityRaid`] — one copy per stripe unit plus the
-//!   per-I/O-node parity member (degraded-mode reads reconstruct a dead
+//!   unit, per-node RAID as configured by the calibration (its
+//!   `raid_parity` member lets degraded-mode reads reconstruct a dead
 //!   spindle from parity, inside one node).
 //! * [`Redundancy::Replicated`] — `rf` full copies of every stripe
 //!   slot, each on a *distinct* I/O node (cross-failure-domain
@@ -23,8 +22,6 @@ pub enum Redundancy {
     /// exactly the paper's layout).
     #[default]
     None,
-    /// Single-copy striping over per-I/O-node parity RAID arrays.
-    ParityRaid,
     /// `rf` copies of every stripe slot on `rf` distinct I/O nodes.
     Replicated {
         /// Replication factor: total copies, primary included. Must be
@@ -37,16 +34,15 @@ impl Redundancy {
     /// Copies kept of every stripe slot (1 unless replicated).
     pub(crate) fn replication_factor(&self) -> usize {
         match *self {
-            Redundancy::None | Redundancy::ParityRaid => 1,
+            Redundancy::None => 1,
             Redundancy::Replicated { rf } => rf.max(1),
         }
     }
 
-    /// Stable CLI/config name: `none`, `parity`, or `replicated:<rf>`.
+    /// Stable CLI/config name: `none` or `replicated:<rf>`.
     pub fn label(&self) -> String {
         match *self {
             Redundancy::None => "none".to_owned(),
-            Redundancy::ParityRaid => "parity".to_owned(),
             Redundancy::Replicated { rf } => format!("replicated:{rf}"),
         }
     }
@@ -56,7 +52,6 @@ impl Redundancy {
     pub fn parse(s: &str) -> Option<Redundancy> {
         match s {
             "none" => Some(Redundancy::None),
-            "parity" | "parity-raid" => Some(Redundancy::ParityRaid),
             "replicated" => Some(Redundancy::Replicated { rf: 2 }),
             _ => {
                 let rf = s.strip_prefix("replicated:")?.parse::<usize>().ok()?;
@@ -80,7 +75,6 @@ mod tests {
     fn labels_roundtrip() {
         for r in [
             Redundancy::None,
-            Redundancy::ParityRaid,
             Redundancy::Replicated { rf: 2 },
             Redundancy::Replicated { rf: 3 },
         ] {
@@ -90,10 +84,7 @@ mod tests {
             Redundancy::parse("replicated"),
             Some(Redundancy::Replicated { rf: 2 })
         );
-        assert_eq!(
-            Redundancy::parse("parity-raid"),
-            Some(Redundancy::ParityRaid)
-        );
+        assert_eq!(Redundancy::parse("parity"), None);
         assert_eq!(Redundancy::parse("replicated:1"), None);
         assert_eq!(Redundancy::parse("raid6"), None);
     }
@@ -101,7 +92,6 @@ mod tests {
     #[test]
     fn replication_factor_is_one_unless_replicated() {
         assert_eq!(Redundancy::None.replication_factor(), 1);
-        assert_eq!(Redundancy::ParityRaid.replication_factor(), 1);
         assert_eq!(Redundancy::Replicated { rf: 3 }.replication_factor(), 3);
     }
 }

@@ -118,10 +118,9 @@ pub struct ExperimentConfig {
     /// Faults to inject during the measured phase.
     pub faults: FaultSpec,
     /// Mount-level redundancy: single-copy striping (`None`, the paper's
-    /// layout), per-I/O-node parity RAID (`ParityRaid`, forces
-    /// `calib.raid_parity`), or cross-I/O-node replication
-    /// (`Replicated { rf }`; an I/O-node crash triggers online
-    /// re-replication under the foreground load).
+    /// layout) or cross-I/O-node replication (`Replicated { rf }`; an
+    /// I/O-node crash triggers online re-replication under the foreground
+    /// load). Per-I/O-node parity RAID is `calib.raid_parity`.
     pub redundancy: Redundancy,
     /// Sample telemetry gauges every this much simulated time during the
     /// measured phase; `None` = telemetry off (zero overhead, unchanged
@@ -186,17 +185,6 @@ impl ExperimentConfig {
             // Each node reads its own whole file.
             (true, _) => self.file_size / sz,
         }
-    }
-
-    /// The calibration the machine is built with: `calib`, except that
-    /// mount-level parity redundancy forces the parity member on (parity
-    /// is a per-I/O-node RAID property).
-    pub(crate) fn effective_calib(&self) -> Calibration {
-        let mut calib = self.calib.clone();
-        if self.redundancy == Redundancy::ParityRaid {
-            calib.raid_parity = true;
-        }
-        calib
     }
 
     /// Sanity checks a run performs before starting: the first problem

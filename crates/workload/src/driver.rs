@@ -70,7 +70,7 @@ where
         MachineConfig {
             compute_nodes: cfg.compute_nodes,
             io_nodes: cfg.io_nodes,
-            calib: cfg.effective_calib(),
+            calib: cfg.calib.clone(),
         },
     ));
     let pfs = ParallelFs::new_with_redundancy(machine.clone(), cfg.redundancy);

