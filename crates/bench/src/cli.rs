@@ -897,11 +897,12 @@ mod tests {
         // Tiny shape so the eleven runs stay cheap; verification is
         // forced on inside the command, so SUCCESS means every run
         // delivered pattern-correct data and every EXT-FAULTS claim held.
-        let argv: Vec<String> = "faults --cn 2 --ion 2 --request-kb 16 --file-mb 2 --su-kb 16"
-            .split_whitespace()
-            .map(String::from)
-            .collect();
-        assert_eq!(main_impl(argv), ExitCode::SUCCESS);
+        // At a zero disk-error rate no prefetch fails, and that is no
+        // failed claim.
+        for extra in ["", "--error-pm 0"] {
+            let argv = args(&format!("faults {TINY} {extra}")).0;
+            assert_eq!(main_impl(argv), ExitCode::SUCCESS, "faults {extra}");
+        }
     }
 
     const TINY: &str = "--cn 2 --ion 2 --request-kb 16 --file-mb 2 --su-kb 16";

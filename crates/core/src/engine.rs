@@ -691,10 +691,13 @@ mod tests {
     fn failed_prefetches_throttle_then_resume() {
         // Real 1995 latencies so the prefetch pipelined by the second
         // read is guaranteed still short of the disks when the fault
-        // plan arms; its member-0 read then fails, the engine
-        // quarantines itself (threshold 1), and the demand fallback —
-        // served after the scheduled transient is exhausted — both
-        // returns correct data and re-enables speculation.
+        // plan arms with every disk read failing; that prefetch fails,
+        // the engine quarantines itself (threshold 1), and the third
+        // read's demand fallback fails too. Once the disks are healthy
+        // again, the next demand read returns correct data and
+        // re-enables speculation; the M_ASYNC stride detector never saw
+        // the failed read, so it re-locks after two clean reads and the
+        // last one hits.
         let sim = Sim::new(11);
         let machine = Rc::new(Machine::new(
             &sim,
@@ -724,9 +727,16 @@ mod tests {
                 let data = pf.read(32 * 1024).await.unwrap();
                 assert_eq!(&data[..], &pattern_slice(13, i * 32 * KB, 32 * 1024)[..]);
             }
-            faults.schedule_disk_transients(0, 1);
+            faults.set_disk_error_rate(1000);
             faults.arm();
-            for i in 2..5u64 {
+            let failed = pf.read(32 * 1024).await;
+            assert!(
+                matches!(failed, Err(PfsError::DiskError(_))),
+                "the fallback meets the sick disks too: {failed:?}"
+            );
+            assert!(pf.throttled.get(), "the failed prefetch must throttle");
+            faults.set_disk_error_rate(0);
+            for i in 3..7u64 {
                 let data = pf.read(32 * 1024).await.unwrap();
                 assert_eq!(&data[..], &pattern_slice(13, i * 32 * KB, 32 * 1024)[..]);
             }
@@ -735,10 +745,13 @@ mod tests {
         });
         sim.run();
         let stats = h.try_take().expect("body did not complete");
-        assert_eq!(stats.faults, 1, "exactly the one injected fault");
+        assert_eq!(stats.faults, 1, "one failed prefetch, then quarantine");
         assert_eq!(stats.throttles, 1);
         assert_eq!(stats.resumes, 1);
-        assert!(stats.hits() >= 1, "post-resume prefetches hit again");
+        assert!(
+            stats.hits() >= 1,
+            "post-resume prefetches hit again: {stats:?}"
+        );
     }
 
     #[test]

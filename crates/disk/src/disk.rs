@@ -539,12 +539,14 @@ mod tests {
         let sim = Sim::new(1);
         let disk = fixed_disk(&sim, 1e6);
         disk.set_track(Track::Disk(0));
-        sim.faults().schedule_disk_transients(0, 1);
-        sim.faults().arm();
+        let faults = sim.faults();
+        faults.set_disk_error_rate(1000);
+        faults.arm();
         let d = disk.clone();
         let h = sim.spawn(async move {
             d.access(DiskOp::Write, 0, 64, 0).await.unwrap();
             let first = d.read(0, 64).await;
+            faults.set_disk_error_rate(0);
             let second = d.read(0, 64).await;
             (first, second)
         });

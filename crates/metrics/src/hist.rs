@@ -4,6 +4,10 @@
 //! per run, so we simply keep the samples and sort on demand — exact
 //! quantiles, no binning error, and no extra dependency.
 
+use std::collections::BTreeMap;
+
+use crate::json::Json;
+
 /// Collected samples with exact quantile queries.
 #[derive(Debug, Clone, Default)]
 pub struct Histogram {
@@ -83,6 +87,24 @@ impl Histogram {
             self.quantile(0.99)?,
         ))
     }
+
+    /// The summary a report prints: `count`, `mean`, `min`, `max`,
+    /// `p50`, `p90` and `p99` as a JSON object. `None` when empty.
+    pub fn summary(&mut self) -> Option<Json> {
+        // The mean first: it sums in recording order, before the
+        // quantiles sort the samples.
+        let mean = self.mean()?;
+        let (p50, p90, p99) = self.percentiles()?;
+        let mut o = BTreeMap::new();
+        o.insert("count".into(), Json::Num(self.len() as f64));
+        o.insert("mean".into(), Json::Num(mean));
+        o.insert("min".into(), Json::Num(self.min()?));
+        o.insert("max".into(), Json::Num(self.max()?));
+        o.insert("p50".into(), Json::Num(p50));
+        o.insert("p90".into(), Json::Num(p90));
+        o.insert("p99".into(), Json::Num(p99));
+        Some(Json::Obj(o))
+    }
 }
 
 #[cfg(test)]
@@ -130,6 +152,22 @@ mod tests {
         }
         let (p50, p90, p99) = h.percentiles().unwrap();
         assert_eq!((p50, p90, p99), (50.0, 90.0, 99.0));
+    }
+
+    #[test]
+    fn summary_reports_count_mean_and_tail() {
+        let mut h = Histogram::new();
+        assert_eq!(h.summary(), None);
+        for i in 1..=100 {
+            h.record(i as f64);
+        }
+        let s = h.summary().unwrap();
+        let f = |k: &str| s.get(k).and_then(Json::as_f64).unwrap();
+        assert_eq!(
+            (f("count"), f("mean"), f("min"), f("max")),
+            (100.0, 50.5, 1.0, 100.0)
+        );
+        assert_eq!((f("p50"), f("p90"), f("p99")), (50.0, 90.0, 99.0));
     }
 
     #[test]

@@ -3,22 +3,23 @@
 //! Rendering and aggregation for the experiment harness: aligned-text
 //! [`Table`]s (the paper's tables), multi-series [`AsciiChart`]s (the
 //! paper's figures), JSON [`ExperimentRecord`]s for the
-//! paper-vs-measured bookkeeping, and the sim-clock telemetry
-//! [`MetricsRegistry`] (gauges sampled at a fixed simulated-time cadence,
-//! and histograms).
+//! paper-vs-measured bookkeeping, exact-quantile [`Histogram`]s, and
+//! the [`MetricsSnapshot`] an instrumented run's gauge sampling fills.
+//! Plain data and rendering only: the sampling task is the experiment
+//! driver's.
 
 mod chart;
 mod hist;
 mod json;
 mod record;
-mod registry;
+mod snapshot;
 mod table;
 
 pub use chart::{AsciiChart, Series};
 pub use hist::Histogram;
 pub use json::Json;
 pub use record::{DataPoint, ExperimentRecord};
-pub use registry::{MetricsRegistry, MetricsSnapshot, Sampler};
+pub use snapshot::MetricsSnapshot;
 pub use table::Table;
 
 /// Declares a module's metric names: one documented `pub const` per

@@ -247,7 +247,6 @@ mod tests {
             phase_end_ns: 2_000,
             times_ns: vec![1_000, 2_000],
             series: Default::default(),
-            hists: Default::default(),
         };
         snap.series.insert("disk.queue".to_string(), vec![1.0, 2.5]);
         let out = export_perfetto(&sample(), Some(&snap));

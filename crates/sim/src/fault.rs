@@ -67,8 +67,6 @@ struct PlanState {
     rng: Rng,
     /// Per-mille probability that any disk read fails transiently.
     disk_error_pm: u32,
-    /// Scheduled one-shot transient errors, per disk track index.
-    disk_transients: BTreeMap<u16, u32>,
     /// Sticky-dead disks (RAID members).
     dead_disks: BTreeSet<u16>,
     mesh_drop_pm: u32,
@@ -91,7 +89,6 @@ impl Default for PlanState {
             armed: false,
             rng: Rng::seed_from_u64(0),
             disk_error_pm: 0,
-            disk_transients: BTreeMap::new(),
             dead_disks: BTreeSet::new(),
             mesh_drop_pm: 0,
             mesh_dup_pm: 0,
@@ -131,16 +128,6 @@ impl FaultPlan {
     pub fn set_disk_error_rate(&self, pm: u32) {
         assert!(pm <= 1000, "per-mille rate over 1000");
         self.state.borrow_mut().disk_error_pm = pm;
-    }
-
-    /// The next `count` reads on disk track `disk` fail transiently.
-    pub fn schedule_disk_transients(&self, disk: u16, count: u32) {
-        *self
-            .state
-            .borrow_mut()
-            .disk_transients
-            .entry(disk)
-            .or_insert(0) += count;
     }
 
     /// Kill disk track `disk`: every request fails from then on.
@@ -195,8 +182,8 @@ impl FaultPlan {
     // ---- queries (called from the model layers) ------------------------
 
     /// Consult the plan for one disk *read* on track `disk`. Order of
-    /// precedence: dead member, scheduled transients, then the random
-    /// error rate. Consumes one RNG draw only when a rate is configured.
+    /// precedence: dead member, then the random error rate. Consumes one
+    /// RNG draw only when a rate is configured.
     pub fn disk_read_fault(&self, disk: u16) -> Option<DiskFault> {
         let mut st = self.state.borrow_mut();
         if !st.armed {
@@ -205,13 +192,6 @@ impl FaultPlan {
         if st.dead_disks.contains(&disk) {
             st.stats.disk_dead_hits += 1;
             return Some(DiskFault::Dead);
-        }
-        if let Some(n) = st.disk_transients.get_mut(&disk) {
-            if *n > 0 {
-                *n -= 1;
-                st.stats.disk_transients += 1;
-                return Some(DiskFault::Transient);
-            }
         }
         if st.disk_error_pm > 0 && st.rng.range_u64(0..1000) < st.disk_error_pm as u64 {
             st.stats.disk_transients += 1;
@@ -310,20 +290,6 @@ mod tests {
     }
 
     #[test]
-    fn scheduled_transients_fire_exactly_n_times() {
-        let plan = FaultPlan::new(1);
-        plan.schedule_disk_transients(0, 2);
-        plan.arm();
-        assert_eq!(plan.disk_read_fault(0), Some(DiskFault::Transient));
-        assert_eq!(plan.disk_read_fault(0), Some(DiskFault::Transient));
-        assert_eq!(plan.disk_read_fault(0), None);
-        // Writes never draw transients.
-        plan.schedule_disk_transients(0, 1);
-        assert_eq!(plan.disk_write_fault(0), None);
-        assert_eq!(plan.stats().disk_transients, 2);
-    }
-
-    #[test]
     fn error_rate_draws_are_deterministic() {
         let run = |seed| {
             let plan = FaultPlan::new(seed);
@@ -338,6 +304,15 @@ mod tests {
         assert_ne!(a, run(8));
         assert!(a.iter().any(|&f| f), "250‰ must fire in 64 draws");
         assert!(!a.iter().all(|&f| f), "250‰ must also miss");
+
+        // At 1000‰ every read fails transiently, and writes never draw.
+        let plan = FaultPlan::new(7);
+        plan.set_disk_error_rate(1000);
+        plan.arm();
+        assert_eq!(plan.disk_read_fault(0), Some(DiskFault::Transient));
+        assert_eq!(plan.disk_write_fault(0), None);
+        assert_eq!(plan.disk_read_fault(0), Some(DiskFault::Transient));
+        assert_eq!(plan.stats().disk_transients, 2);
     }
 
     #[test]

@@ -21,7 +21,7 @@ use paragon_sim::{ev, EventKind, Sim, SimDuration, SimTime, Track};
 
 use crate::config::{AccessPattern, ExperimentConfig, FaultSpec};
 use crate::result::{NodeResult, RunResult};
-use crate::telemetry::{names, Telemetry};
+use crate::telemetry::Telemetry;
 use crate::work::Work;
 
 /// Run `cfg`'s access pattern to completion and return its measurements:
@@ -204,18 +204,7 @@ where
             }
         }
     }
-    let (metrics, phase_work) = telemetry
-        .map(|t| {
-            // Distributions are recorded post-run from the per-request
-            // timers the node programs already keep.
-            for n in &per_node {
-                for &dt in &n.read_times {
-                    t.record(names::READ_TIME_S, dt.as_secs_f64());
-                }
-            }
-            t.snapshot()
-        })
-        .unzip();
+    let (metrics, phase_work) = telemetry.map(|t| t.snapshot()).unzip();
     let rebuild = rebuild_out.borrow_mut().take();
     RunResult {
         read_errors: per_node.iter().map(|n| n.read_errors).sum(),
@@ -393,9 +382,6 @@ async fn node_program(ctx: NodeCtx) -> NodeResult {
     let mut read_errors = 0u64;
     let mut verify_failures = 0u64;
     let mut bytes = 0u64;
-    let mut total = SimDuration::ZERO;
-    let mut tmax = SimDuration::ZERO;
-    let mut tmin = SimDuration::MAX;
     let mut read_times = Vec::new();
 
     // The per-read offsets the pattern dictates; `None` = mode-driven
@@ -451,9 +437,6 @@ async fn node_program(ctx: NodeCtx) -> NodeResult {
         };
         reads += 1;
         bytes += data.len() as u64;
-        total += dt;
-        tmax = tmax.max(dt);
-        tmin = tmin.min(dt);
         read_times.push(dt);
 
         if cfg.verify_data {
@@ -489,9 +472,6 @@ async fn node_program(ctx: NodeCtx) -> NodeResult {
         verify_failures,
         bytes,
         elapsed: ctx.sim.now().since(ctx.t0),
-        read_time_total: total,
-        read_time_max: tmax,
-        read_time_min: if reads == 0 { SimDuration::ZERO } else { tmin },
         read_times,
         prefetch,
     }

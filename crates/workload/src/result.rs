@@ -31,19 +31,30 @@ pub struct NodeResult {
     /// Wall time from the measured phase's start to this node's last
     /// completion.
     pub elapsed: SimDuration,
-    /// Sum of per-request access times.
-    pub read_time_total: SimDuration,
-    /// Slowest single request.
-    pub read_time_max: SimDuration,
-    /// Fastest single request.
-    pub read_time_min: SimDuration,
-    /// Every request's access time, issue order (percentile analysis).
+    /// Every successful request's access time, issue order.
     pub read_times: Vec<SimDuration>,
     /// Prefetch counters (when the prototype was enabled).
     pub prefetch: Option<PrefetchStats>,
 }
 
 impl NodeResult {
+    /// Sum of per-request access times.
+    pub fn read_time_total(&self) -> SimDuration {
+        self.read_times
+            .iter()
+            .fold(SimDuration::ZERO, |acc, &t| acc + t)
+    }
+
+    /// Slowest single request (zero without reads).
+    pub fn read_time_max(&self) -> SimDuration {
+        self.read_times.iter().copied().max().unwrap_or_default()
+    }
+
+    /// Fastest single request (zero without reads).
+    pub fn read_time_min(&self) -> SimDuration {
+        self.read_times.iter().copied().min().unwrap_or_default()
+    }
+
     /// This node's observed bandwidth, bytes/second.
     pub(crate) fn bandwidth(&self) -> f64 {
         if self.elapsed.is_zero() {
@@ -112,7 +123,7 @@ impl RunResult {
         let total = self
             .per_node
             .iter()
-            .fold(SimDuration::ZERO, |acc, n| acc + n.read_time_total);
+            .fold(SimDuration::ZERO, |acc, n| acc + n.read_time_total());
         total / reads
     }
 
@@ -150,15 +161,20 @@ impl RunResult {
 mod tests {
     use super::*;
 
+    /// Four reads that take `ms` in all, the last one the slowest.
     fn node(rank: usize, bytes: u64, ms: u64) -> NodeResult {
+        let quarter = SimDuration::from_millis(ms / 4);
         NodeResult {
             rank,
             reads: 4,
             bytes,
             elapsed: SimDuration::from_millis(ms),
-            read_time_total: SimDuration::from_millis(ms),
-            read_time_max: SimDuration::from_millis(ms / 2),
-            read_time_min: SimDuration::from_millis(1),
+            read_times: vec![
+                quarter,
+                quarter - quarter / 2,
+                quarter,
+                quarter + quarter / 2,
+            ],
             ..NodeResult::default()
         }
     }
@@ -174,6 +190,10 @@ mod tests {
         assert!((r.bandwidth_mb_s() - 2.0).abs() < 1e-9);
         // Mean access time over 8 reads = (500+1000)/8 ms.
         assert_eq!(r.read_time_mean(), SimDuration::from_micros(187_500));
+        let n = &r.per_node[1];
+        assert_eq!(n.read_time_total(), SimDuration::from_millis(1000));
+        assert_eq!(n.read_time_max(), SimDuration::from_millis(375));
+        assert_eq!(n.read_time_min(), SimDuration::from_millis(125));
     }
 
     #[test]
@@ -191,6 +211,9 @@ mod tests {
     fn node_bandwidth_handles_zero_reads() {
         let mut n = node(0, 0, 0);
         n.reads = 0;
+        n.read_times.clear();
         assert_eq!(n.bandwidth(), 0.0);
+        assert_eq!(n.read_time_min(), SimDuration::ZERO);
+        assert_eq!(n.read_time_max(), SimDuration::ZERO);
     }
 }

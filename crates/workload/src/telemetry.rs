@@ -1,16 +1,17 @@
 //! Time-resolved telemetry for an experiment run.
 //!
 //! The flight recorder answers *what happened to one request*; this
-//! module answers *where simulated time goes in aggregate*. It wires the
-//! whole I/O path into a [`MetricsRegistry`]: per-I/O-node disk queues
-//! and busy time, server request queues and thread busy time, mesh
-//! bytes-in-flight and NIC occupancy, ART active-list length, prefetch
-//! buffer-list occupancy, and the number of compute nodes currently
-//! inside a read call. A [`Sampler`] task on the simulation kernel
-//! snapshots every gauge at a fixed simulated-time cadence, so the
-//! series are a pure function of the seed. Work counters are not
-//! registered: the measured phase's boundaries each take a [`Work`]
-//! snapshot, and the report shows their difference.
+//! module answers *where simulated time goes in aggregate*. [`Telemetry`]
+//! holds one gauge per instantaneous level on the whole I/O path:
+//! per-I/O-node disk queues, server request queues, mesh bytes in
+//! flight, ART active-list length, prefetch buffer-list occupancy, and
+//! the number of compute nodes currently inside a read call. Its
+//! `metrics-sampler` task on the simulation kernel samples every gauge
+//! at a fixed simulated-time cadence, so the series are a pure function
+//! of the seed. Work counters are not gauges: the measured phase's
+//! boundaries each take a [`Work`] snapshot, and the report shows their
+//! difference. The read-time distribution comes from the per-request
+//! timers the node programs keep ([`RunResult::access_time_histogram`]).
 //!
 //! On top of the raw snapshot, [`metrics_report`] derives the
 //! bottleneck-attribution report: per-component utilizations, a
@@ -22,10 +23,11 @@
 //! report must equal the committed `BENCH_metrics.json` byte for byte.
 
 use std::cell::{Cell, RefCell};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use paragon_core::PrefetchGauges;
-use paragon_metrics::{Json, MetricsRegistry, MetricsSnapshot, Sampler};
+use paragon_metrics::{Json, MetricsSnapshot};
 use paragon_pfs::ParallelFs;
 use paragon_profile::{critical_paths, CriticalPath, SpanKind};
 use paragon_sim::{Sim, SimDuration};
@@ -37,7 +39,7 @@ use crate::work::Work;
 /// Stable dotted names of the gauges and histograms. Per-I/O-node
 /// gauges append an `.ion<N>` suffix (`disk.queue.ion3`); everything
 /// else uses the constant verbatim. `tests/vocabulary_coverage.rs`
-/// checks that each name in `names::ALL` is registered by an
+/// checks that each name in `names::ALL` is sampled or reported by an
 /// instrumented run. Counter names are [`Work`]'s.
 pub mod names {
     paragon_metrics::metric_names! {
@@ -68,15 +70,30 @@ pub(crate) fn ion_metric(base: &str, ion: usize) -> String {
     format!("{base}.ion{ion}")
 }
 
-/// One run's telemetry: the registry with every gauge registered, the
-/// sampler driving it over the measured phase, and the [`Work`] at the
+/// A polled gauge: reads one instantaneous level.
+type Gauge = Box<dyn Fn() -> f64>;
+
+/// Add gauge `name` to `gauges`. Each name is sampled into one series,
+/// so registering it twice is a bug.
+fn register(gauges: &mut BTreeMap<String, Gauge>, name: &str, f: impl Fn() -> f64 + 'static) {
+    let prev = gauges.insert(name.to_string(), Box::new(f));
+    assert!(prev.is_none(), "duplicate gauge {name}");
+}
+
+/// One run's telemetry: every gauge, the samples its `metrics-sampler`
+/// task takes of them over the measured phase, and the [`Work`] at the
 /// phase's start and end.
 pub struct Telemetry {
     sim: Sim,
     pfs: Rc<ParallelFs>,
-    registry: MetricsRegistry,
     cadence: SimDuration,
-    sampler: RefCell<Option<Sampler>>,
+    /// Every gauge, sorted by name: the order each sample polls them in.
+    gauges: BTreeMap<String, Gauge>,
+    /// Sample times, one series per gauge, and the phase bounds.
+    samples: RefCell<MetricsSnapshot>,
+    /// Set at the phase's end: the sampler's pending wakeup exits
+    /// without another sample.
+    stopped: Cell<bool>,
     phase: RefCell<[Work; 2]>,
     /// Wire to node programs: ±1 around every read call.
     pub in_io: Rc<Cell<i64>>,
@@ -85,89 +102,112 @@ pub struct Telemetry {
 }
 
 impl Telemetry {
-    /// Build a registry wired to `pfs` and its machine and covering the
-    /// whole I/O path. Gauges read live `Cell`s, so sampling emits no
-    /// events and draws no randomness.
+    /// Build the gauges of `pfs` and its machine, covering the whole I/O
+    /// path. Gauges read live `Cell`s, so sampling emits no events and
+    /// draws no randomness.
     pub(crate) fn new(sim: &Sim, pfs: &Rc<ParallelFs>, cadence: SimDuration) -> Rc<Telemetry> {
-        let registry = MetricsRegistry::new();
+        assert!(!cadence.is_zero(), "sampler cadence must be positive");
+        let mut gauges = BTreeMap::new();
         let machine = pfs.machine();
         let ions = machine.io_nodes();
 
-        // -- Gauges: instantaneous levels, polled every sampler tick. --
-        let in_io = registry.gauge_cell(names::NODES_IN_IO);
+        let in_io = Rc::new(Cell::new(0i64));
+        let c = in_io.clone();
+        register(&mut gauges, names::NODES_IN_IO, move || c.get() as f64);
         let prefetch = PrefetchGauges::default();
         let g = prefetch.entries.clone();
-        registry.register_gauge(names::PREFETCH_BUFFERS, move || g.get() as f64);
+        register(&mut gauges, names::PREFETCH_BUFFERS, move || g.get() as f64);
         let g = prefetch.bytes.clone();
-        registry.register_gauge(names::PREFETCH_BYTES, move || g.get() as f64);
+        register(&mut gauges, names::PREFETCH_BYTES, move || g.get() as f64);
 
         let mut every_disk = Vec::new();
         for i in 0..ions {
             let cells = machine.raid(i).member_queue_cells();
             every_disk.extend(cells.iter().cloned());
-            registry.register_gauge(&ion_metric(names::DISK_QUEUE, i), move || {
+            register(&mut gauges, &ion_metric(names::DISK_QUEUE, i), move || {
                 cells.iter().map(|c| c.get() as f64).sum()
             });
         }
-        registry.register_gauge(names::DISK_QUEUE, move || {
+        register(&mut gauges, names::DISK_QUEUE, move || {
             every_disk.iter().map(|c| c.get() as f64).sum()
         });
 
         let server_cells = pfs.server_inflight_cells();
         for (i, cell) in server_cells.iter().enumerate() {
             let c = cell.clone();
-            registry.register_gauge(&ion_metric(names::SERVER_QUEUE, i), move || c.get() as f64);
+            let name = ion_metric(names::SERVER_QUEUE, i);
+            register(&mut gauges, &name, move || c.get() as f64);
         }
-        registry.register_gauge(names::SERVER_QUEUE, move || {
+        register(&mut gauges, names::SERVER_QUEUE, move || {
             server_cells.iter().map(|c| c.get() as f64).sum()
         });
 
         let c = pfs.rpc_net().inflight_bytes_cell();
-        registry.register_gauge(names::MESH_INFLIGHT_BYTES, move || c.get() as f64);
+        register(&mut gauges, names::MESH_INFLIGHT_BYTES, move || {
+            c.get() as f64
+        });
         let c = pfs.rebuild_pending_cell();
-        registry.register_gauge(names::REBUILD_QUEUE, move || c.get() as f64);
+        register(&mut gauges, names::REBUILD_QUEUE, move || c.get() as f64);
         let p = pfs.clone();
-        registry.register_gauge(names::ART_ACTIVE, move || p.art_active() as f64);
+        register(&mut gauges, names::ART_ACTIVE, move || {
+            p.art_active() as f64
+        });
 
+        let series = gauges.keys().map(|k| (k.clone(), Vec::new())).collect();
         Rc::new(Telemetry {
             sim: sim.clone(),
             pfs: pfs.clone(),
-            registry,
             cadence,
-            sampler: RefCell::new(None),
+            gauges,
+            samples: RefCell::new(MetricsSnapshot {
+                series,
+                ..MetricsSnapshot::default()
+            }),
+            stopped: Cell::new(false),
             phase: RefCell::default(),
             in_io,
             prefetch,
         })
     }
 
-    /// Start the measured phase: the start's [`Work`] is taken and the
-    /// sampler task begins ticking at the configured cadence.
-    pub(crate) fn begin(&self) {
-        self.phase.borrow_mut()[0] = Work::of(&self.sim, &self.pfs);
-        self.registry.mark_phase_start(self.sim.now().as_nanos());
-        *self.sampler.borrow_mut() = Some(Sampler::start(&self.sim, &self.registry, self.cadence));
-    }
-
-    /// End the measured phase: the sampler is stopped (its pending
-    /// wakeup exits without sampling) and the end's [`Work`] is taken.
-    pub(crate) fn end(&self) {
-        if let Some(s) = self.sampler.borrow_mut().take() {
-            s.stop();
+    /// Poll every gauge into its series, stamped with the sim clock.
+    fn sample(&self) {
+        let mut s = self.samples.borrow_mut();
+        s.times_ns.push(self.sim.now().as_nanos());
+        for (vals, gauge) in s.series.values_mut().zip(self.gauges.values()) {
+            vals.push(gauge());
         }
+    }
+
+    /// Start the measured phase: the start's [`Work`] and one sample are
+    /// taken, then the `metrics-sampler` task samples now and every
+    /// cadence after until [`Telemetry::end`].
+    pub(crate) fn begin(self: &Rc<Self>) {
+        self.phase.borrow_mut()[0] = Work::of(&self.sim, &self.pfs);
+        self.samples.borrow_mut().phase_start_ns = self.sim.now().as_nanos();
+        self.sample();
+        let t = self.clone();
+        self.sim.spawn_named("metrics-sampler", async move {
+            while !t.stopped.get() {
+                t.sample();
+                t.sim.sleep(t.cadence).await;
+            }
+        });
+    }
+
+    /// End the measured phase: the sampler is stopped, then the end's
+    /// [`Work`] and one last sample are taken.
+    pub(crate) fn end(&self) {
+        self.stopped.set(true);
         self.phase.borrow_mut()[1] = Work::of(&self.sim, &self.pfs);
-        self.registry.finish(self.sim.now().as_nanos());
+        self.samples.borrow_mut().phase_end_ns = self.sim.now().as_nanos();
+        self.sample();
     }
 
-    /// Record one histogram sample (post-run, from per-request data).
-    pub(crate) fn record(&self, name: &str, v: f64) {
-        self.registry.record(name, v);
-    }
-
-    /// Freeze the run's telemetry: the gauge and histogram snapshot,
-    /// and the [`Work`] at the measured phase's start and end.
+    /// Hand over the run's telemetry: the gauge samples, and the
+    /// [`Work`] at the measured phase's start and end.
     pub(crate) fn snapshot(&self) -> (MetricsSnapshot, [Work; 2]) {
-        (self.registry.snapshot(), self.phase.take())
+        (self.samples.take(), self.phase.take())
     }
 }
 
@@ -334,8 +374,8 @@ pub fn metrics_report(cfg: &ExperimentConfig, result: &RunResult) -> Json {
         );
     }
     let mut histograms = std::collections::BTreeMap::new();
-    for (k, h) in &snap.hists {
-        histograms.insert(k.clone(), h.to_json());
+    if let Some(h) = result.access_time_histogram().summary() {
+        histograms.insert(names::READ_TIME_S.to_string(), h);
     }
 
     let mut root = std::collections::BTreeMap::new();
@@ -631,6 +671,47 @@ mod tests {
         }
         assert_eq!(r.work.get("server.writes"), 0);
         assert!(delta("disk.busy_ns.ion0") > 0 && delta("mesh.hops") > 0);
+    }
+
+    #[test]
+    fn sampler_ticks_on_the_cadence_between_the_phase_bounds() {
+        let mut cfg = instrumented();
+        cfg.metrics_cadence = Some(SimDuration::from_millis(100));
+        let snap = crate::run(&cfg).metrics.expect("metrics on");
+        // The phase-start sample and the task's first tick at the same
+        // instant, one tick per 100 ms, then the phase-end sample.
+        let (start, end) = (117_628_206, 389_345_873);
+        assert_eq!((snap.phase_start_ns, snap.phase_end_ns), (start, end));
+        let ticks = [start + 100_000_000, start + 200_000_000];
+        assert_eq!(snap.times_ns, [start, start, ticks[0], ticks[1], end]);
+        for series in snap.series.values() {
+            assert_eq!(series.len(), snap.times_ns.len());
+        }
+
+        // The sampler task lives only in instrumented runs.
+        let sampler_seen = |cadence| {
+            let mut cfg = instrumented();
+            cfg.metrics_cadence = cadence;
+            let seen = Rc::new(Cell::new(false));
+            let s = seen.clone();
+            let r = crate::run_with(&cfg, move |ctx: crate::NodeCtx| {
+                let labels = ctx.sim.pending_task_labels();
+                s.set(s.get() || labels.contains(&"metrics-sampler"));
+                async { crate::NodeResult::default() }
+            });
+            assert_eq!(r.metrics.is_some(), cadence.is_some());
+            seen.get()
+        };
+        assert!(sampler_seen(cfg.metrics_cadence));
+        assert!(!sampler_seen(None));
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate gauge")]
+    fn duplicate_gauge_names_are_a_bug() {
+        let mut gauges = BTreeMap::new();
+        register(&mut gauges, "x", || 0.0);
+        register(&mut gauges, "x", || 1.0);
     }
 
     #[test]

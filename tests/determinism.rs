@@ -58,7 +58,7 @@ fn identical_configs_reproduce_exactly() {
         assert_eq!(a.elapsed, b.elapsed);
         assert_eq!(a.total_bytes, b.total_bytes);
         for (na, nb) in a.per_node.iter().zip(&b.per_node) {
-            assert_eq!(na.read_time_total, nb.read_time_total);
+            assert_eq!(na.read_time_total(), nb.read_time_total());
         }
     }
 }

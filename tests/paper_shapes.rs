@@ -122,7 +122,7 @@ fn prefetching_hides_latency_it_claims_to_hide() {
     let mut cfg = testbed(64 * 1024);
     cfg.delay = SimDuration::from_millis(25);
     let pf = run(&cfg.with_prefetch());
-    let max_read = pf.per_node.iter().map(|n| n.read_time_max).max().unwrap();
+    let max_read = pf.per_node.iter().map(|n| n.read_time_max()).max().unwrap();
     let bound = max_read * pf.prefetch.issued.max(1);
     assert!(pf.prefetch.overlap_saved > SimDuration::ZERO);
     assert!(pf.prefetch.overlap_saved < bound);

@@ -1,6 +1,6 @@
 //! Every name the observability layers declare is actually produced: each
-//! `EventKind` is recorded by some run, each telemetry gauge and
-//! histogram is registered, and each `Work` counter moves in some run. A
+//! `EventKind` is recorded by some run, each telemetry gauge is sampled
+//! and each histogram reported, and each `Work` counter moves in some run. A
 //! kind or name that nothing emits fails here, so declared vocabulary
 //! cannot go dead. The counters of different layers also agree: every
 //! fault-free run keeps the cross-layer identities.
@@ -13,10 +13,11 @@ use std::rc::Rc;
 use bytes::Bytes;
 use common::{cfg, crash_and_rebuild, ext_matrix};
 use paragon::machine::{Machine, MachineConfig};
+use paragon::metrics::Json;
 use paragon::pfs::{IoMode, OpenOptions, ParallelFs, StripeAttrs};
 use paragon::sim::{EventKind, Sim, SimDuration};
 use paragon::workload::telemetry::names as telemetry_names;
-use paragon::workload::{run, ExperimentConfig, FaultSpec, Work};
+use paragon::workload::{metrics_report, run, ExperimentConfig, FaultSpec, Work};
 
 /// Large enough that no config below drops events.
 const TRACE_CAP: usize = 1 << 20;
@@ -169,11 +170,14 @@ fn every_event_kind_is_recorded_by_some_run() {
 fn every_telemetry_name_is_registered() {
     let mut c = crash_and_rebuild(44).with_prefetch();
     c.metrics_cadence = Some(SimDuration::from_millis(5));
-    let m = run(&c).metrics.expect("sampler armed but no snapshot");
+    let r = run(&c);
+    let m = r.metrics.as_ref().expect("sampler armed but no snapshot");
+    let report = metrics_report(&c, &r);
+    let hists = report.get("histograms").and_then(Json::as_obj);
     let registered: BTreeSet<&str> = m
         .series
         .keys()
-        .chain(m.hists.keys())
+        .chain(hists.into_iter().flat_map(|h| h.keys()))
         .map(String::as_str)
         .collect();
     let missing: Vec<&str> = telemetry_names::ALL
