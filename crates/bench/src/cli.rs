@@ -779,15 +779,17 @@ mod tests {
         let err = build_config(&mut args("--sgroup 0")).unwrap_err();
         assert!(err.contains("stripe factor must be positive"), "{err}");
         assert_eq!(main_impl(args("run --sgroup 0").0), ExitCode::FAILURE);
-        // Prefetching cannot anticipate a shared pointer; the engine
-        // would panic, so the config is refused up front.
+        // Prefetching cannot anticipate a shared pointer, with either
+        // predictor; the engine would panic, so the config is refused up
+        // front.
         for mode in ["m_unix", "m_log", "m_sync"] {
-            let cli = format!("--cn 2 --ion 2 --file-mb 1 --mode {mode} --prefetch");
-            let err = build_config(&mut args(&cli)).unwrap_err();
-            assert!(err.contains("shared-pointer mode"), "{err}");
-            assert_eq!(main_impl(args(&format!("run {cli}")).0), ExitCode::FAILURE);
+            for predictor in ["--prefetch", "--prefetch --strided-predictor"] {
+                let cli = format!("--cn 2 --ion 2 --file-mb 1 --mode {mode} {predictor}");
+                let err = build_config(&mut args(&cli)).unwrap_err();
+                assert!(err.contains("shared-pointer mode"), "{err}");
+                assert_eq!(main_impl(args(&format!("run {cli}")).0), ExitCode::FAILURE);
+            }
         }
-        build_config(&mut args("--mode m_unix --strided-predictor")).unwrap();
         // The EXT-FAULTS replicated row needs two I/O nodes.
         let err = faults_cmd(&args("--ion 1 --cn 2 --file-mb 2").0).unwrap_err();
         assert!(err.contains("replication factor 2 exceeds 1"), "{err}");

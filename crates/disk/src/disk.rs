@@ -9,7 +9,7 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use paragon_sim::sync::{channel, oneshot, OneshotSender, Receiver, Sender};
+use paragon_sim::sync::{channel, Receiver, ReplyTable, Sender};
 use paragon_sim::{ev, DiskFault, EventKind, ReqId, Rng, Sim, SimDuration, Track};
 
 use crate::params::DiskParams;
@@ -50,7 +50,8 @@ struct DiskRequest {
     offset: u64,
     len: u64,
     req: ReqId,
-    reply: OneshotSender<Result<(), DiskError>>,
+    /// The key of the request's entry in the disk's reply table.
+    id: u64,
 }
 
 /// Cumulative per-disk counters, readable while the simulation runs.
@@ -101,6 +102,10 @@ struct Shared {
     /// Live queue depth for telemetry gauges: requests sent and not yet
     /// taken by the server loop (the one in service is not counted).
     queue: Rc<Cell<usize>>,
+    /// Requests awaiting their outcome, keyed by `next_id`. The server
+    /// loop closes it when it ends, failing them with [`DiskError::Down`].
+    replies: ReplyTable<Result<(), DiskError>>,
+    next_id: Cell<u64>,
 }
 
 /// Handle to a simulated disk. Clone freely; all clones enqueue to the same
@@ -123,6 +128,8 @@ impl Disk {
             slowdown: Cell::new(1.0),
             track: Cell::new(Track::Sys),
             queue: Rc::new(Cell::new(0)),
+            replies: ReplyTable::new(),
+            next_id: Cell::new(0),
         });
         let rng = sim.rng(&format!("disk.{label}"));
         sim.spawn_named(
@@ -149,13 +156,15 @@ impl Disk {
         len: u32,
         req: ReqId,
     ) -> Result<(), DiskError> {
-        let (reply, done) = oneshot();
+        let id = self.shared.next_id.get();
+        self.shared.next_id.set(id + 1);
+        let done = self.shared.replies.expect(id);
         let request = DiskRequest {
             op,
             offset,
             len: len as u64,
             req,
-            reply,
+            id,
         };
         if self.tx.send(request).is_err() {
             return Err(DiskError::Down);
@@ -198,7 +207,11 @@ async fn server_loop(
         slowdown,
         track,
         queue,
+        replies,
+        next_id: _,
     } = &*shared;
+    // However the loop ends, requests still waiting fail with `Down`.
+    let _close = replies.close_on_drop();
     // Head position: byte offset just past the last serviced request.
     let mut head: u64 = 0;
     // Tracks the dead/alive edge so FaultDiskDown is emitted once per death,
@@ -226,7 +239,7 @@ async fn server_loop(
             offset,
             len,
             req,
-            reply,
+            id,
         } = match sweep.pop() {
             Some(next) => next,
             None if arrivals.is_empty() => {
@@ -268,7 +281,8 @@ async fn server_loop(
             }
             sim.emit(|| ev(track.get(), EventKind::FaultDiskError, req, offset, len));
             stats.borrow_mut().faulted += 1;
-            reply.send(Err(DiskError::Dead));
+            // `Err`: the requester is gone; nobody is left to tell.
+            let _ = replies.reply(id, Err(DiskError::Dead));
             continue;
         }
         was_dead = false;
@@ -286,14 +300,14 @@ async fn server_loop(
         if fault == Some(DiskFault::Transient) {
             sim.emit(|| ev(track.get(), EventKind::FaultDiskError, req, offset, len));
             st.faulted += 1;
-            reply.send(Err(DiskError::Transient));
+            let _ = replies.reply(id, Err(DiskError::Transient));
             continue;
         }
         match op {
             DiskOp::Read => st.bytes_read += len,
             DiskOp::Write => st.bytes_written += len,
         }
-        reply.send(Ok(()));
+        let _ = replies.reply(id, Ok(()));
     }
 }
 
@@ -420,6 +434,7 @@ mod tests {
         drop(h);
         // 500 KB at 1 MB/s = 0.5 s.
         assert_eq!(disk.stats().busy, SimDuration::from_millis(500));
+        sim.shutdown();
     }
 
     #[test]
@@ -440,6 +455,7 @@ mod tests {
         // because the forward gap is zero), rest are sequential.
         assert_eq!(st.sequential_hits, 8);
         assert_eq!(st.far_seeks + st.near_seeks, 0);
+        sim.shutdown();
     }
 
     #[test]
@@ -458,6 +474,7 @@ mod tests {
         sim.run();
         let st = disk.stats();
         assert!(st.far_seeks >= 9, "expected far seeks, got {st:?}");
+        sim.shutdown();
     }
 
     #[test]
@@ -480,6 +497,7 @@ mod tests {
         let st = disk.stats();
         assert_eq!(st.far_seeks, 1, "only stream B's first touch seeks: {st:?}");
         assert_eq!(st.sequential_hits, 11);
+        sim.shutdown();
     }
 
     #[test]
@@ -498,6 +516,7 @@ mod tests {
             report.end_time,
             SimTime::ZERO + SimDuration::from_millis(300)
         );
+        sim.shutdown();
     }
 
     #[test]
@@ -512,6 +531,7 @@ mod tests {
         }
         sim.run();
         assert!(disk.stats().max_queue_depth >= 4);
+        sim.shutdown();
     }
 
     #[test]
@@ -532,6 +552,7 @@ mod tests {
         assert_eq!(queue.get(), 1);
         sim.run();
         assert_eq!(queue.get(), 0);
+        sim.shutdown();
     }
 
     #[test]
@@ -555,6 +576,7 @@ mod tests {
         assert_eq!(first, Err(DiskError::Transient));
         assert_eq!(second, Ok(()));
         assert_eq!(disk.stats().faulted, 1);
+        sim.shutdown();
     }
 
     #[test]
@@ -570,6 +592,7 @@ mod tests {
         assert_eq!(h.try_take(), Some(Err(DiskError::Dead)));
         assert_eq!(report.end_time, SimTime::ZERO, "no media time charged");
         assert_eq!(disk.stats().busy, SimDuration::ZERO);
+        sim.shutdown();
     }
 
     #[test]
@@ -584,5 +607,25 @@ mod tests {
         let h = sim2.spawn(async move { d.read(0, 64).await });
         sim2.run();
         assert_eq!(h.try_take(), Some(Err(DiskError::Down)));
+    }
+
+    #[test]
+    fn a_request_in_service_when_the_server_goes_returns_down() {
+        // The requester runs in a world of its own, so tearing down the
+        // disk's world drops the server task and nothing else.
+        let sim = Sim::new(1);
+        let disk = fixed_disk(&sim, 1e6);
+        let requester = Sim::new(2);
+        let d = disk.clone();
+        let h = requester.spawn(async move { d.read(0, 64_000).await });
+        requester.run();
+        // 64 KB at 1 MB/s: 64 ms of service, 10 ms of it done.
+        sim.run_until(SimTime::ZERO + SimDuration::from_millis(10));
+        assert_eq!(disk.queue_cell().get(), 0, "the request is in service");
+        assert!(!h.is_finished());
+        sim.shutdown();
+        requester.run();
+        assert_eq!(h.try_take(), Some(Err(DiskError::Down)));
+        assert_eq!(disk.stats().requests, 0);
     }
 }

@@ -600,6 +600,7 @@ mod tests {
             report.end_time,
             SimTime::ZERO + SimDuration::for_bytes(100 * 1024, 1e6)
         );
+        sim.shutdown();
     }
 
     #[test]
@@ -616,6 +617,7 @@ mod tests {
         });
         sim.run();
         assert_eq!(h.try_take(), Some(true));
+        sim.shutdown();
     }
 
     #[test]
@@ -633,6 +635,7 @@ mod tests {
             report.end_time,
             SimTime::ZERO + SimDuration::from_millis(512)
         );
+        sim.shutdown();
     }
 
     fn parity_array(sim: &Sim, width: usize) -> RaidArray {
@@ -667,6 +670,7 @@ mod tests {
         let rs = raid.raid_stats();
         assert!(rs.reconstructed_reads > 0, "{rs:?}");
         assert!(rs.parity_rmws > 0, "{rs:?}");
+        sim.shutdown();
     }
 
     #[test]
@@ -690,6 +694,7 @@ mod tests {
         });
         sim.run();
         assert_eq!(h.try_take(), Some(true));
+        sim.shutdown();
     }
 
     #[test]
@@ -719,6 +724,7 @@ mod tests {
             );
         });
         sim.run();
+        sim.shutdown();
     }
 
     #[test]
@@ -742,6 +748,7 @@ mod tests {
         });
         sim.run();
         assert_eq!(h.try_take(), Some(Err(DiskError::Dead)));
+        sim.shutdown();
     }
 
     #[test]
@@ -772,5 +779,6 @@ mod tests {
         let (x, y) = h.try_take().unwrap();
         assert_eq!(x, a);
         assert_eq!(y, b);
+        sim.shutdown();
     }
 }

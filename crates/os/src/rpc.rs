@@ -14,12 +14,10 @@
 use std::cell::{Cell, RefCell};
 use std::future::Future;
 use std::ops::Deref;
-use std::pin::Pin;
 use std::rc::Rc;
-use std::task::{Context, Poll};
 
 use paragon_mesh::{Mesh, MeshParams, MeshStats, NodeId, Topology};
-use paragon_sim::sync::{oneshot, OneshotReceiver, OneshotSender};
+use paragon_sim::sync::ReplyTable;
 use paragon_sim::{ev, EventKind, ReqId, Sim, SimDuration, Track};
 
 /// Types that know their size on the wire. Headers are added by the RPC
@@ -185,21 +183,22 @@ where
     }
 
     /// Claim `node`'s mailbox as a client endpoint. Spawns the node's
-    /// receive loop, which routes replies to their waiting callers.
+    /// receive loop, which routes replies to their waiting callers. When
+    /// the loop ends, its calls fail with [`RpcError::Dropped`].
     pub fn client(&self, node: NodeId) -> RpcClient<Req, Resp> {
         let mut rx = self.mesh.bind(node);
-        let pending: Pending<Resp> = Rc::new(RefCell::new(Vec::new()));
-        let pending2 = pending.clone();
+        let replies = Rc::new(ReplyTable::new());
+        let table = replies.clone();
         let stats = self.stats.clone();
         self.sim.spawn_named("rpc-client-rx", async move {
+            let _close = table.close_on_drop();
             while let Some(env) = rx.recv().await {
                 match env.payload {
                     RpcWire::Reply { id, resp } => {
-                        if let Some(tx) = take_pending(&pending2, id) {
-                            tx.send(resp);
-                        }
-                        // A missing entry means the caller timed out and
-                        // dropped its receiver; the reply is discarded.
+                        // `Err`: the caller timed out and gave up the
+                        // call, or this is a duplicate of a reply that
+                        // arrived; it is discarded.
+                        let _ = table.reply(id, resp);
                     }
                     RpcWire::Call { .. } => {
                         // A client endpoint cannot serve calls; the frame
@@ -212,7 +211,7 @@ where
         RpcClient(Rc::new(Endpoint {
             net: self.clone(),
             node,
-            pending,
+            replies,
             next_id: Cell::new(0),
         }))
     }
@@ -262,46 +261,6 @@ where
     }
 }
 
-/// A client's calls awaiting replies, searched by call id. Few are ever
-/// in flight at once (at most 32 in any experiment, usually one), and the
-/// `Vec` keeps its capacity where a B-tree frees its node whenever it
-/// empties.
-type Pending<Resp> = Rc<RefCell<Vec<(u64, OneshotSender<Resp>)>>>;
-
-/// Remove call `id`'s reply sender, if the call still waits for one.
-fn take_pending<Resp>(pending: &Pending<Resp>, id: u64) -> Option<OneshotSender<Resp>> {
-    let mut calls = pending.borrow_mut();
-    let at = calls.iter().position(|&(k, _)| k == id)?;
-    Some(calls.swap_remove(at).1)
-}
-
-/// The reply slot of one call: its receiver, and its entry in the
-/// client's pending calls. Dropping it before the reply arrives (the
-/// attempt timed out, or the fabric lost the call or the reply) removes
-/// the entry, so a late reply finds none and is discarded, waking nobody.
-struct ReplySlot<'a, Resp> {
-    pending: &'a Pending<Resp>,
-    id: u64,
-    rx: OneshotReceiver<Resp>,
-}
-
-impl<Resp> Future for ReplySlot<'_, Resp> {
-    type Output = Result<Resp, RpcError>;
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        Pin::new(&mut self.get_mut().rx)
-            .poll(cx)
-            .map(|r| r.map_err(|_| RpcError::Dropped))
-    }
-}
-
-impl<Resp> Drop for ReplySlot<'_, Resp> {
-    fn drop(&mut self) {
-        // Close first: dropping the sender must not wake this caller.
-        self.rx.close();
-        take_pending(self.pending, self.id);
-    }
-}
-
 /// A node's client endpoint; issue calls with [`RpcClient::call`].
 /// Clone freely: a clone is one `Rc` count bump.
 pub struct RpcClient<Req, Resp>(Rc<Endpoint<Req, Resp>>);
@@ -311,7 +270,10 @@ pub struct RpcClient<Req, Resp>(Rc<Endpoint<Req, Resp>>);
 pub struct Endpoint<Req, Resp> {
     net: RpcNet<Req, Resp>,
     node: NodeId,
-    pending: Pending<Resp>,
+    /// The calls awaiting replies, keyed by call id. A call abandoned
+    /// before its reply (the attempt timed out, or the fabric lost the
+    /// call or the reply) leaves it, so a late reply wakes nobody.
+    replies: Rc<ReplyTable<Resp>>,
     next_id: Cell<u64>,
 }
 
@@ -336,22 +298,19 @@ where
     /// Send `req` to `dst` and wait for its reply. No deadline: if the
     /// fabric loses the call or the reply, this waits forever (the run
     /// report will show the unfinished task). `Err(Dropped)` means the
-    /// reply path was torn down, e.g. the client endpoint shut down.
+    /// reply path was torn down: the endpoint's receive loop ended.
     ///
     /// Not an `async fn`: that would store `req` twice, once as the
     /// argument and once as the body's local.
     pub fn call(&self, dst: NodeId, req: Req) -> impl Future<Output = Result<Resp, RpcError>> + '_ {
         let node = self.node;
         async move {
+            if self.replies.is_closed() {
+                return Err(RpcError::Dropped);
+            }
             let id = self.next_id.get();
             self.next_id.set(id + 1);
-            let (tx, rx) = oneshot();
-            self.pending.borrow_mut().push((id, tx));
-            let reply = ReplySlot {
-                pending: &self.pending,
-                id,
-                rx,
-            };
+            let reply = self.replies.expect(id);
             self.net.stats.borrow_mut().calls += 1;
             let bytes = req.wire_bytes() + RPC_HEADER_BYTES;
             let tag = req.trace_req();
@@ -361,7 +320,7 @@ where
                 req,
             };
             self.net.mesh.send(node, dst, bytes, call, tag).await;
-            reply.await
+            reply.await.map_err(|_| RpcError::Dropped)
         }
     }
 
@@ -491,6 +450,7 @@ mod tests {
         assert_eq!(h.try_take(), Some(42));
         let st = net.stats();
         assert_eq!((st.calls, st.replies), (1, 1));
+        sim.shutdown();
     }
 
     #[test]
@@ -516,6 +476,7 @@ mod tests {
         sim.run_until(paragon_sim::SimTime::ZERO + SimDuration::from_secs(10));
         let ms = h.try_take().unwrap();
         assert!((1000..1100).contains(&ms), "reply took {ms} ms");
+        sim.shutdown();
     }
 
     #[test]
@@ -541,6 +502,7 @@ mod tests {
         sim.run_until(paragon_sim::SimTime::ZERO + SimDuration::from_secs(1));
         let got: Vec<u64> = handles.iter().map(|h| h.try_take().unwrap()).collect();
         assert_eq!(got, vec![100, 101, 102, 103, 104]);
+        sim.shutdown();
     }
 
     #[test]
@@ -563,6 +525,7 @@ mod tests {
         });
         sim.run_until(paragon_sim::SimTime::ZERO + SimDuration::from_secs(1));
         assert_eq!(h.try_take(), Some((1, 2)));
+        sim.shutdown();
     }
 
     #[test]
@@ -597,6 +560,7 @@ mod tests {
         assert_eq!(st.timeouts, 2, "two attempts died in the window");
         assert_eq!(st.retries, 2);
         assert_eq!(st.give_ups, 0);
+        sim.shutdown();
     }
 
     #[test]
@@ -622,8 +586,123 @@ mod tests {
             Some(Err(RpcError::TooManyRetries { attempts: 3 }))
         );
         assert_eq!(net.stats().give_ups, 1);
-        // Every abandoned attempt gave its reply slot back.
-        assert_eq!(client.pending.borrow().len(), 0);
+        // Every abandoned attempt gave its reply entry back.
+        assert_eq!(client.replies.awaited(), 0);
+        sim.shutdown();
+    }
+
+    #[test]
+    fn a_duplicated_reply_is_discarded() {
+        // Every frame is duplicated: a call runs twice on the server and
+        // four replies come back for it (three duplicates per call). The
+        // first answers the call; the other three find no waiter.
+        let sim = Sim::new(1);
+        let faults = sim.faults();
+        faults.set_mesh_faults(0, 1000, 0, SimDuration::ZERO);
+        faults.arm();
+        let net = net(&sim, MeshParams::paragon());
+        net.serve(
+            NodeId(1),
+            |_src, Ping(x)| async move { Pong(x + 1, Vec::new()) },
+        );
+        let client = net.client(NodeId(0));
+        let caller = client.clone();
+        let h = sim.spawn(async move {
+            let a = caller.call(NodeId(1), Ping(10)).await.unwrap().0;
+            let b = caller.call(NodeId(1), Ping(20)).await.unwrap().0;
+            (a, b)
+        });
+        sim.run();
+        assert_eq!(h.try_take(), Some((11, 21)));
+        assert_eq!(net.stats().replies, 4, "each call ran twice");
+        assert_eq!(net.mesh_stats().dups, 6);
+        assert_eq!(client.replies.awaited(), 0);
+        sim.shutdown();
+    }
+
+    /// Polls of a caller that times out on a server answering after
+    /// `answer_in`, then sleeps on past the answer.
+    fn polls_of_a_timed_out_caller(
+        answer_in: SimDuration,
+    ) -> (u32, Option<Result<Pong, RpcError>>) {
+        let sim = Sim::new(1);
+        let net = net(&sim, MeshParams::paragon());
+        let s = sim.clone();
+        net.serve(NodeId(1), move |_src, Ping(x)| {
+            let s = s.clone();
+            async move {
+                s.sleep(answer_in).await;
+                Pong(x, Vec::new())
+            }
+        });
+        let client = net.client(NodeId(0));
+        let policy = RpcPolicy {
+            attempt_timeout: Some(SimDuration::from_millis(10)),
+            retries: 0,
+            backoff: SimDuration::ZERO,
+        };
+        let polls = Rc::new(Cell::new(0u32));
+        let (p, s) = (polls.clone(), sim.clone());
+        let mut caller = Box::pin(async move {
+            let outcome = client.call_policy(NodeId(1), Ping(0), policy).await;
+            s.sleep(SimDuration::from_secs(1)).await;
+            outcome
+        });
+        let h = sim.spawn(std::future::poll_fn(move |cx| {
+            p.set(p.get() + 1);
+            caller.as_mut().poll(cx)
+        }));
+        sim.run_until(paragon_sim::SimTime::ZERO + SimDuration::from_secs(2));
+        let answered = net.stats().replies;
+        sim.shutdown();
+        assert_eq!(answered, u64::from(answer_in < SimDuration::from_secs(1)));
+        (polls.get(), h.try_take())
+    }
+
+    #[test]
+    fn a_late_reply_after_a_timeout_wakes_nobody() {
+        // The reply 50 ms in lands while the caller sleeps; one 10 s in
+        // never comes within the run. The caller is polled the same
+        // number of times either way.
+        let late = polls_of_a_timed_out_caller(SimDuration::from_millis(50));
+        let never = polls_of_a_timed_out_caller(SimDuration::from_secs(10));
+        assert_eq!(late.1, Some(Err(RpcError::Timeout)));
+        assert_eq!(late, never);
+    }
+
+    #[test]
+    fn a_torn_down_endpoint_fails_its_calls_with_dropped() {
+        // The caller runs in a world of its own; tearing down the
+        // fabric's world drops the endpoint's receive loop (and the
+        // server, which never answers) while the call waits.
+        let sim = Sim::new(1);
+        let net = net(&sim, MeshParams::instant());
+        net.serve(NodeId(1), |_src, _ping| std::future::pending::<Pong>());
+        let client = net.client(NodeId(0));
+        let world = Sim::new(2);
+        let caller = client.clone();
+        let h = world.spawn(async move {
+            let waiting = caller.call(NodeId(1), Ping(0)).await;
+            let after = caller.call(NodeId(1), Ping(1)).await;
+            (waiting, after)
+        });
+        // Alternate the worlds until the call sits on the server.
+        let t = |ms| paragon_sim::SimTime::ZERO + SimDuration::from_millis(ms);
+        world.run();
+        sim.run_until(t(1));
+        world.run();
+        sim.run_until(t(2));
+        assert_eq!((net.stats().calls, client.replies.awaited()), (1, 1));
+        assert!(!h.is_finished());
+        sim.shutdown();
+        world.run();
+        // The waiting call fails, and so does a call made afterwards,
+        // without reaching the mesh.
+        assert_eq!(
+            h.try_take(),
+            Some((Err(RpcError::Dropped), Err(RpcError::Dropped)))
+        );
+        assert_eq!(net.stats().calls, 1);
     }
 
     #[test]
@@ -647,5 +726,6 @@ mod tests {
         let h = sim.spawn(async move { client.call_policy(NodeId(1), Ping(0), policy).await });
         sim.run_until(t0 + SimDuration::from_secs(1));
         assert_eq!(h.try_take(), Some(Err(RpcError::Timeout)));
+        sim.shutdown();
     }
 }

@@ -10,11 +10,11 @@
 //! * **M_SYNC** — a collective: all ranks must arrive, then node-ordered
 //!   ranges are released at once.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
-use paragon_sim::sync::{oneshot, OneshotSender, Semaphore};
+use paragon_sim::sync::{ReplyTable, Semaphore};
 use paragon_sim::{ev, EventKind, Sim, SimDuration, Track};
 
 use crate::proto::{PfsError, PfsFileId, PtrRequest};
@@ -23,8 +23,10 @@ use crate::proto::{PfsError, PfsFileId, PtrRequest};
 struct FilePtr {
     offset: u64,
     token_held: bool,
-    token_queue: VecDeque<OneshotSender<u64>>,
-    sync_waiters: Vec<(u16, u64, OneshotSender<u64>)>,
+    /// Waiters for the M_UNIX token, in arrival order, by waiter id.
+    token_queue: VecDeque<u64>,
+    /// Arrived M_SYNC ranks: `(rank, len, waiter id)`.
+    sync_waiters: Vec<(u16, u64, u64)>,
 }
 
 /// The pointer state machine. The PFS mounts it on the service node; unit
@@ -36,6 +38,10 @@ pub(crate) struct PointerServer {
     /// The pointer server is one OS process: operations serialize on it.
     gate: Semaphore,
     files: Rc<RefCell<BTreeMap<PfsFileId, FilePtr>>>,
+    /// Offsets handed to parked token and collective waiters, keyed by
+    /// waiter ids from `next_waiter`.
+    waiters: Rc<ReplyTable<u64>>,
+    next_waiter: Rc<Cell<u64>>,
 }
 
 impl PointerServer {
@@ -47,7 +53,16 @@ impl PointerServer {
             op_cost,
             gate: Semaphore::new(1),
             files: Rc::new(RefCell::new(BTreeMap::new())),
+            waiters: Rc::new(ReplyTable::new()),
+            next_waiter: Rc::new(Cell::new(0)),
         }
+    }
+
+    /// A fresh waiter id.
+    fn mint_waiter(&self) -> u64 {
+        let id = self.next_waiter.get();
+        self.next_waiter.set(id + 1);
+        id
     }
 
     /// Current pointer of `file` (0 if never touched).
@@ -78,9 +93,9 @@ impl PointerServer {
                         f.token_held = true;
                         None
                     } else {
-                        let (tx, rx) = oneshot();
-                        f.token_queue.push_back(tx);
-                        Some(rx)
+                        let id = self.mint_waiter();
+                        f.token_queue.push_back(id);
+                        Some(self.waiters.expect(id))
                     }
                 };
                 match waiter {
@@ -95,8 +110,9 @@ impl PointerServer {
                 f.offset += advance;
                 let new_offset = f.offset;
                 if let Some(next) = f.token_queue.pop_front() {
-                    // Token passes directly to the next waiter.
-                    next.send(new_offset);
+                    // Token passes directly to the next waiter; one that
+                    // gave up takes it along.
+                    let _ = self.waiters.reply(next, new_offset);
                 } else {
                     f.token_held = false;
                 }
@@ -118,19 +134,19 @@ impl PointerServer {
                 let rx = {
                     let mut files = self.files.borrow_mut();
                     let f = files.entry(file).or_default();
-                    let (tx, rx) = oneshot();
                     assert!(
                         !f.sync_waiters.iter().any(|(r, _, _)| *r == rank),
                         "rank {rank} arrived twice at an M_SYNC collective"
                     );
-                    f.sync_waiters.push((rank, len, tx));
+                    let id = self.mint_waiter();
+                    let rx = self.waiters.expect(id);
+                    f.sync_waiters.push((rank, len, id));
                     if f.sync_waiters.len() == nprocs as usize {
                         // Everyone is here: assign node-ordered ranges.
-                        let mut arrivals = std::mem::take(&mut f.sync_waiters);
-                        arrivals.sort_by_key(|(r, _, _)| *r);
+                        f.sync_waiters.sort_by_key(|(r, _, _)| *r);
                         let mut at = f.offset;
-                        for (_, want, tx) in arrivals {
-                            tx.send(at);
+                        for (_, want, waiter) in f.sync_waiters.drain(..) {
+                            let _ = self.waiters.reply(waiter, at);
                             at += want;
                         }
                         f.offset = at;

@@ -95,11 +95,11 @@ impl Sim {
         self.world.faults.clone()
     }
 
-    /// Record a trace event at the current virtual time; `body` is only
-    /// evaluated when the recorder is armed, so a disarmed simulation
-    /// performs no per-event work or allocation.
+    /// Record a trace event at the current virtual time; the clock and
+    /// `body` are only read when the recorder is armed, so a disarmed
+    /// simulation performs no per-event work or allocation.
     pub fn emit(&self, body: impl FnOnce() -> EventBody) {
-        self.world.trace.record(self.now(), body);
+        self.world.trace.record(|| self.now(), body);
     }
 
     /// Mint a fresh request id for threading one logical operation through
@@ -136,7 +136,10 @@ impl Sim {
         T: 'static,
     {
         let world = &*self.world;
-        let (task, handle) = world.tasks.borrow_mut().spawn(label, fut, &world.ready);
+        let (task, handle, retired) = world.tasks.borrow_mut().spawn(label, fut, &world.ready);
+        // A reused cell's last output may own anything, and its
+        // destructor may re-enter `Sim`.
+        drop(retired);
         world.ready.push(task);
         handle
     }
@@ -218,7 +221,8 @@ impl Sim {
     /// finishes. Call it from outside the world's tasks; the world must
     /// not be `run` again afterwards.
     pub fn shutdown(&self) {
-        self.world.tasks.borrow_mut().clear();
+        let kept = self.world.tasks.borrow_mut().clear();
+        drop(kept);
     }
 
     /// Labels of tasks that have not completed, in spawn order. Useful in
@@ -241,10 +245,7 @@ impl Sim {
         while let Some(task) = world.ready.pop() {
             world.polls.set(world.polls.get() + 1);
             if let Some(slot) = task.run() {
-                // Dropped outside the borrow: the task's output may own
-                // anything, and its destructor may re-enter `Sim`.
-                let finished = world.tasks.borrow_mut().remove(slot);
-                drop(finished);
+                world.tasks.borrow_mut().remove(slot);
             }
         }
     }
@@ -365,6 +366,16 @@ mod tests {
             SimTime::ZERO + SimDuration::from_secs(3600)
         );
         assert_eq!(report.unfinished_tasks, 0);
+    }
+
+    #[test]
+    fn a_disarmed_emit_reads_neither_clock_nor_body() {
+        let sim = Sim::new(1);
+        // The kernel (and with it the clock) is borrowed: reading the
+        // clock would panic.
+        let kernel = sim.world.kernel.borrow_mut();
+        sim.emit(|| unreachable!("a disarmed recorder builds no event"));
+        drop(kernel);
     }
 
     #[test]
@@ -606,6 +617,123 @@ mod tests {
         assert_eq!(sim.report().polls, 4);
         assert_eq!(sim.report().events_processed, events);
         sim.shutdown();
+    }
+
+    /// A task that counts its polls, stashes its waker, and finishes on
+    /// its first poll if `finish`. Every call returns the same future
+    /// type, so a spawn of one may reuse the cell of another.
+    fn probe(
+        stash: &Rc<RefCell<Option<Waker>>>,
+        polls: &Rc<Cell<u32>>,
+        finish: bool,
+    ) -> impl Future<Output = ()> + 'static {
+        let (stash, polls) = (stash.clone(), polls.clone());
+        std::future::poll_fn(move |cx| {
+            polls.set(polls.get() + 1);
+            *stash.borrow_mut() = Some(cx.waker().clone());
+            if finish {
+                Poll::Ready(())
+            } else {
+                Poll::Pending
+            }
+        })
+    }
+
+    #[test]
+    fn a_finished_task_whose_waker_is_held_is_not_reused() {
+        let sim = Sim::new(1);
+        let stash = Rc::new(RefCell::new(None));
+        let a_polls = Rc::new(Cell::new(0));
+        sim.spawn(probe(&stash, &a_polls, true));
+        sim.run();
+        let stale = stash.borrow_mut().take().expect("A stashed its waker");
+
+        // B, of A's type, parks: only a misdelivered wake could poll it.
+        let b_polls = Rc::new(Cell::new(0));
+        sim.spawn(probe(&stash, &b_polls, false));
+        sim.run();
+        let b_waker = stash.borrow_mut().take().expect("B stashed its waker");
+        assert!(
+            !stale.will_wake(&b_waker),
+            "B reused a cell A's waker reaches"
+        );
+        stale.wake_by_ref();
+        sim.run();
+        assert_eq!(
+            (a_polls.get(), b_polls.get()),
+            (1, 1),
+            "the stale wake polled a task"
+        );
+        assert_eq!(sim.report().polls, 3, "a dropped stale wake still counts");
+
+        // Once the stale waker is gone the table holds A's cell alone,
+        // and the next spawn of the type moves into it.
+        let a_cell = stale.data();
+        drop(stale);
+        let c_polls = Rc::new(Cell::new(0));
+        sim.spawn(probe(&stash, &c_polls, true));
+        sim.run();
+        let c_waker = stash.borrow_mut().take().expect("C stashed its waker");
+        assert_eq!(c_waker.data(), a_cell, "C did not reuse A's cell");
+        assert_eq!((a_polls.get(), b_polls.get(), c_polls.get()), (1, 1, 1));
+        drop((b_waker, c_waker));
+        sim.shutdown();
+    }
+
+    /// Output of [`relay`]: dropping it spawns the next relay of the
+    /// chain.
+    struct SpawnOnDrop {
+        sim: Sim,
+        left: u32,
+        cells: Rc<RefCell<Vec<*const ()>>>,
+    }
+
+    impl Drop for SpawnOnDrop {
+        fn drop(&mut self) {
+            if self.left > 0 {
+                let next = relay(&self.sim, self.left - 1, &self.cells);
+                self.sim.spawn(next);
+            }
+        }
+    }
+
+    /// A task that records its cell and finishes with a [`SpawnOnDrop`].
+    fn relay(
+        sim: &Sim,
+        left: u32,
+        cells: &Rc<RefCell<Vec<*const ()>>>,
+    ) -> impl Future<Output = SpawnOnDrop> + 'static {
+        let (sim, cells) = (sim.clone(), cells.clone());
+        let mut out = Some((sim, cells));
+        std::future::poll_fn(move |cx| {
+            let (sim, cells) = out.take().expect("polled once");
+            cells.borrow_mut().push(cx.waker().data());
+            Poll::Ready(SpawnOnDrop { sim, left, cells })
+        })
+    }
+
+    #[test]
+    fn a_reused_cell_whose_old_output_spawns_on_drop_does_not_trip_the_table() {
+        // Each relay's output spawns the next relay when dropped: at once
+        // for a detached task, when the handle goes for a joined one.
+        // Every relay after the second moves into a kept cell.
+        let sim = Sim::new(1);
+        let cells = Rc::new(RefCell::new(Vec::new()));
+        sim.spawn(relay(&sim, 3, &cells));
+        sim.run();
+        let joined = sim.spawn(relay(&sim, 3, &cells));
+        sim.run();
+        assert!(joined.is_finished());
+        drop(joined);
+        sim.run();
+        let cells = cells.borrow();
+        assert_eq!(cells.len(), 8);
+        assert_eq!(
+            cells[0], cells[2],
+            "the third relay reused the first's cell"
+        );
+        assert_eq!(cells[4], cells[0], "the joined chain reused a kept cell");
+        assert_eq!(sim.report().unfinished_tasks, 0);
     }
 
     #[test]

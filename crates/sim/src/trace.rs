@@ -305,9 +305,10 @@ impl Trace {
         self.state.cap.get() > self.state.events.borrow().len()
     }
 
-    /// Record an event; `body` is only evaluated while armed, so a
-    /// disarmed recorder costs one capacity check and nothing more.
-    pub(crate) fn record(&self, now: SimTime, body: impl FnOnce() -> EventBody) {
+    /// Record an event at the instant `now` reads; `now` and `body` are
+    /// only evaluated while armed, so a disarmed recorder costs one
+    /// capacity check and nothing more.
+    pub(crate) fn record(&self, now: impl FnOnce() -> SimTime, body: impl FnOnce() -> EventBody) {
         if self.armed() {
             let EventBody {
                 track,
@@ -317,7 +318,7 @@ impl Trace {
                 b,
             } = body();
             self.state.events.borrow_mut().push(TraceEvent {
-                time: now,
+                time: now(),
                 track,
                 kind,
                 req,
@@ -563,10 +564,13 @@ mod tests {
     fn disarmed_trace_records_nothing_and_skips_construction() {
         let t = Trace::default();
         let mut evaluated = false;
-        t.record(SimTime::ZERO, || {
-            evaluated = true;
-            ev(Track::Sys, EventKind::Mark, 0, 0, 0)
-        });
+        t.record(
+            || SimTime::ZERO,
+            || {
+                evaluated = true;
+                ev(Track::Sys, EventKind::Mark, 0, 0, 0)
+            },
+        );
         assert!(!evaluated, "body must not be built while disarmed");
         assert_eq!(t.len(), 0);
     }
@@ -576,9 +580,10 @@ mod tests {
         let t = Trace::default();
         t.arm(2);
         for i in 0..5u64 {
-            t.record(SimTime::from_nanos(i), || {
-                ev(Track::Cn(0), EventKind::Mark, i, i, 0)
-            });
+            t.record(
+                || SimTime::from_nanos(i),
+                || ev(Track::Cn(0), EventKind::Mark, i, i, 0),
+            );
         }
         assert_eq!(t.len(), 2);
         let events = t.events();
@@ -591,7 +596,10 @@ mod tests {
     fn rearming_clears_old_events() {
         let t = Trace::default();
         t.arm(4);
-        t.record(SimTime::ZERO, || ev(Track::Sys, EventKind::Mark, 0, 0, 0));
+        t.record(
+            || SimTime::ZERO,
+            || ev(Track::Sys, EventKind::Mark, 0, 0, 0),
+        );
         t.arm(4);
         assert_eq!(t.len(), 0);
     }

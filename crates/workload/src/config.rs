@@ -6,7 +6,7 @@
 //! whether the prototype prefetcher is enabled. Identical configs (same
 //! seed) produce identical results — the determinism tests rely on it.
 
-use paragon_core::{PredictorKind, PrefetchConfig};
+use paragon_core::PrefetchConfig;
 use paragon_machine::Calibration;
 use paragon_pfs::{IoMode, Redundancy, StripeAttrs};
 use paragon_sim::SimDuration;
@@ -223,19 +223,22 @@ impl ExperimentConfig {
         if self.access == (AccessPattern::Reread { passes: 0 }) {
             return Err("reread needs at least one pass".into());
         }
-        // The prototype's predictors cover only modes whose next offset
-        // the client can anticipate; a shared pointer moves with other
-        // nodes' arrival order. The stride detector needs no mode.
-        if self.mode.shared_pointer()
-            && self
-                .prefetch
-                .as_ref()
-                .is_some_and(|pc| pc.predictor == PredictorKind::ModeDefault)
-        {
-            return Err(format!(
-                "prefetching under shared-pointer mode {} needs the strided predictor",
-                self.mode
-            ));
+        // A prefetch is a positioned read at a predicted offset; under a
+        // shared pointer the next offset depends on the other nodes'
+        // arrival order, and the engine's pointer step
+        // (`PfsFile::advance_pointer`) is refused there. So neither
+        // predictor runs under a shared-pointer mode.
+        if let Some(pc) = &self.prefetch {
+            if self.mode.shared_pointer() {
+                return Err(format!(
+                    "prefetching cannot run under shared-pointer mode {}: \
+                     the pointer moves with the other nodes' arrival order",
+                    self.mode
+                ));
+            }
+            if pc.max_buffers == 0 {
+                return Err("prefetching needs at least one buffer (max_buffers)".into());
+            }
         }
         if let Some((node, member)) = self.faults.dead_member {
             let members = self.calib.raid_members;
@@ -270,6 +273,7 @@ impl ExperimentConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use paragon_core::PredictorKind;
 
     #[test]
     fn paper_iobound_matches_testbed() {
@@ -292,17 +296,33 @@ mod tests {
     }
 
     #[test]
-    fn shared_pointer_prefetch_needs_the_strided_predictor() {
+    fn shared_pointer_modes_refuse_prefetching_with_either_predictor() {
         for mode in [IoMode::MUnix, IoMode::MLog, IoMode::MSync] {
-            let mut cfg = ExperimentConfig::paper_iobound(64 * 1024, 8).with_prefetch();
-            cfg.mode = mode;
-            let err = cfg.validate().unwrap_err();
-            assert!(err.contains("strided predictor"), "{mode}: {err}");
-            if let Some(pc) = cfg.prefetch.as_mut() {
-                pc.predictor = PredictorKind::Strided;
+            for predictor in [PredictorKind::ModeDefault, PredictorKind::Strided] {
+                let mut cfg = ExperimentConfig::paper_iobound(64 * 1024, 8).with_prefetch();
+                cfg.mode = mode;
+                if let Some(pc) = cfg.prefetch.as_mut() {
+                    pc.predictor = predictor;
+                }
+                let err = cfg.validate().unwrap_err();
+                assert!(err.contains("shared-pointer mode"), "{mode}: {err}");
+                cfg.prefetch = None;
+                assert_eq!(cfg.validate(), Ok(()), "{mode}");
             }
-            assert_eq!(cfg.validate(), Ok(()), "{mode}");
         }
+    }
+
+    #[test]
+    fn prefetching_needs_a_buffer() {
+        let mut cfg = ExperimentConfig::paper_iobound(64 * 1024, 8).with_prefetch();
+        if let Some(pc) = cfg.prefetch.as_mut() {
+            pc.max_buffers = 0;
+        }
+        assert!(cfg.validate().unwrap_err().contains("at least one buffer"));
+        if let Some(pc) = cfg.prefetch.as_mut() {
+            pc.max_buffers = 1;
+        }
+        assert_eq!(cfg.validate(), Ok(()));
     }
 
     #[test]

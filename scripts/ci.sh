@@ -56,10 +56,12 @@ cargo test -q --workspace
 echo "=== asan"
 # AddressSanitizer, leak detection on, over the executor's unsafe code:
 # the simulation kernel's unit and integration tests, the root
-# determinism suite, and the workload driver's unit tests. A waker vtable
-# that miscounts its `Rc` shows here as a use-after-free or a leak, where
-# a plain test run may only abort in the allocator, or pass; and a world
-# that `run_with` fails to free (an instrumented run's sampler task
+# determinism suite, the workload driver's unit tests, and the RPC and
+# disk unit tests, which tear their reply tables down mid-request. A
+# waker vtable that miscounts its `Rc`, or a reused task cell that a
+# stale waker still reaches, shows here as a use-after-free or a leak,
+# where a plain test run may only abort in the allocator, or pass; and a
+# world that `run_with` fails to free (an instrumented run's sampler task
 # holds its `Telemetry`, which holds the file system) shows as a leak. `-Zsanitizer` needs nightly; doctests are left
 # out because they fail to link under ASan, and the instrumented build
 # keeps a target directory of its own.
@@ -72,6 +74,8 @@ if cargo +nightly --version > /dev/null 2>&1; then
     asan -p paragon-sim --lib --tests
     asan --test determinism
     asan -p paragon-workload --lib
+    asan -p paragon-os --lib
+    asan -p paragon-disk --lib
 else
     echo "!!! === asan SKIPPED: no nightly toolchain (cargo +nightly) found !!!" >&2
 fi

@@ -85,12 +85,12 @@ fn leg_futures_are_pinned_at_their_sizes() {
     let largest = largest_futures();
     let pinned = [
         ("art", 440),
-        ("pfs-read-leg", 432),
-        ("pfs-write-leg", 432),
+        ("pfs-read-leg", 424),
+        ("pfs-write-leg", 424),
         ("rpc-handler", 528),
         ("ufs-read-run", 200),
         ("ufs-write-run", 216),
-        ("raid-read-run", 80),
+        ("raid-read-run", 88),
     ];
     for (label, size) in pinned {
         assert_eq!(largest.get(label), Some(&size), "{label}: {largest:?}");
