@@ -800,6 +800,13 @@ mod tests {
             main_impl(args("run --pattern reread:0").0),
             ExitCode::FAILURE
         );
+        // Under M_GLOBAL every rank's rereads would run past EOF.
+        const GLOBAL_REREAD: &str = "--mode global --pattern reread:1 --cn 2 --ion 2 \
+                                     --file-mb 1 --request-kb 64 --su-kb 64";
+        let err = build_config(&mut args(GLOBAL_REREAD)).unwrap_err();
+        assert!(err.contains("reread cannot run under M_GLOBAL"), "{err}");
+        let argv = args(&format!("run {GLOBAL_REREAD}")).0;
+        assert_eq!(main_impl(argv), ExitCode::FAILURE);
     }
 
     #[test]
@@ -823,13 +830,9 @@ mod tests {
     #[test]
     fn the_report_reconstructs_spans_from_a_trace_file() {
         use paragon_sim::{ev, EventKind, SimTime, Track};
-        let mk = |t_us: u64, body: paragon_sim::EventBody| TraceEvent {
+        let mk = |t_us: u64, event: TraceEvent| TraceEvent {
             time: SimTime::from_nanos(t_us * 1000),
-            track: body.track,
-            kind: body.kind,
-            req: body.req,
-            a: body.a,
-            b: body.b,
+            ..event
         };
         let events = vec![
             mk(0, ev(Track::Cn(0), EventKind::ReadStart, 1, 0, 4096)),

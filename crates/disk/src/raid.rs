@@ -84,7 +84,7 @@ impl StripeMap {
     /// per-unit command overhead). A member's pieces of one extent always
     /// abut (every piece but the first starts at a unit boundary, every
     /// piece but the last ends at one), so a member gets at most one run.
-    pub(crate) fn runs(&self, offset: u64, len: u64) -> impl Iterator<Item = (usize, u64, u64)> {
+    pub fn runs(&self, offset: u64, len: u64) -> impl Iterator<Item = (usize, u64, u64)> {
         let map = *self;
         (0..self.width).filter_map(move |member| {
             let start = map.member_bytes_below(member, offset);

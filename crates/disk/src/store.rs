@@ -42,8 +42,6 @@ pub struct BlockStore {
     pages: BTreeMap<u64, Bytes>,
     /// Shared all-zero page backing single-page reads of holes.
     zero: OnceCell<Bytes>,
-    /// Total bytes ever written (for capacity accounting in tests).
-    bytes_written: u64,
     /// Bytes copied by the multi-page read gather and the partial-page
     /// merge.
     bytes_copied: Cell<u64>,
@@ -126,18 +124,12 @@ impl BlockStore {
             }
             pos += chunk;
         }
-        self.bytes_written += data.len() as u64;
         self.bytes_copied.set(self.bytes_copied.get() + copied);
     }
 
     /// Number of resident pages (sparse footprint).
     pub fn resident_pages(&self) -> usize {
         self.pages.len()
-    }
-
-    /// Total bytes written over the store's lifetime.
-    pub fn bytes_written(&self) -> u64 {
-        self.bytes_written
     }
 
     /// Bytes copied over the store's lifetime by the multi-page read
@@ -200,7 +192,6 @@ mod tests {
         store.write(0, &fill(7, 1));
         store.write(STORE_PAGE * 1000, &fill(7, 1));
         assert_eq!(store.resident_pages(), 2);
-        assert_eq!(store.bytes_written(), 2);
     }
 
     #[test]

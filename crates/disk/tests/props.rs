@@ -49,7 +49,6 @@ fn store_matches_a_flat_model_and_never_changes_held_views() {
         let mut model = vec![0u8; PAGES * PAGE];
         // (view, the bytes it showed when taken)
         let mut held: Vec<(Bytes, Vec<u8>)> = Vec::new();
-        let mut written = 0u64;
         for step in 0..160 {
             let copied = store.bytes_copied();
             let (offset, len) = match rng.range_usize(0..5) {
@@ -76,7 +75,6 @@ fn store_matches_a_flat_model_and_never_changes_held_views() {
                 let data = Bytes::from(payload(rng.next_u64(), lead + len)).slice(lead..);
                 store.write(offset as u64, &data);
                 model[offset..offset + len].copy_from_slice(&data);
-                written += len as u64;
                 if offset % PAGE == 0 && len % PAGE == 0 {
                     assert_eq!(store.bytes_copied(), copied, "whole pages are adopted");
                 }
@@ -107,7 +105,6 @@ fn store_matches_a_flat_model_and_never_changes_held_views() {
             }
         }
         assert_eq!(&store.read(0, model.len())[..], &model[..]);
-        assert_eq!(store.bytes_written(), written);
         assert!(store.resident_pages() <= PAGES);
     }
 }
@@ -154,7 +151,10 @@ fn raid_preserves_data() {
 }
 
 /// The stripe map is a bijection: split pieces tile the extent, map
-/// to disjoint member ranges, and invert through `to_logical`.
+/// to disjoint member ranges, and invert through `to_logical`. The
+/// production `runs` agrees with `split`: exactly one run per member the
+/// extent touches, starting at that member's first piece and covering
+/// all of its pieces.
 #[test]
 fn stripe_map_bijection() {
     let mut rng = Rng::seed_from_u64(0xb17e);
@@ -181,6 +181,24 @@ fn stripe_map_bijection() {
             );
         }
         assert_eq!(pos, len);
+        let runs: Vec<(usize, u64, u64)> = map.runs(offset, len).collect();
+        let case = format!("{interleave}x{width} at {offset}+{len}");
+        let mut touched: Vec<usize> = pieces.iter().map(|p| p.member).collect();
+        touched.sort_unstable();
+        touched.dedup();
+        let run_members: Vec<usize> = runs.iter().map(|r| r.0).collect();
+        assert_eq!(run_members, touched, "{case}: one run per touched member");
+        for &(member, start, run_len) in &runs {
+            let mine = pieces.iter().filter(|p| p.member == member);
+            let first = mine.clone().map(|p| p.offset).min();
+            assert_eq!(Some(start), first, "{case}: member {member}'s run start");
+            // The pieces are disjoint, so the run holds them all exactly
+            // when each ends inside it and their lengths sum to its own.
+            let end = start + run_len;
+            assert!(mine.clone().all(|p| p.offset + p.len <= end), "{case}");
+            let covered: u64 = mine.map(|p| p.len).sum();
+            assert_eq!(run_len, covered, "{case}: member {member}'s run length");
+        }
     }
 }
 

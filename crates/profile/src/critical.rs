@@ -421,16 +421,12 @@ pub fn render_critical_path(events: &[TraceEvent], top: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use paragon_sim::{ev, EventBody, SimDuration};
+    use paragon_sim::{ev, SimDuration};
 
-    fn mk(t_us: u64, body: EventBody) -> TraceEvent {
+    fn mk(t_us: u64, event: TraceEvent) -> TraceEvent {
         TraceEvent {
             time: SimTime::ZERO + SimDuration::from_micros(t_us),
-            track: body.track,
-            kind: body.kind,
-            req: body.req,
-            a: body.a,
-            b: body.b,
+            ..event
         }
     }
 

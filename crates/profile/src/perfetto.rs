@@ -178,16 +178,12 @@ pub fn export_perfetto(events: &[TraceEvent], counters: Option<&MetricsSnapshot>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use paragon_sim::{ev, EventBody, SimDuration, SimTime};
+    use paragon_sim::{ev, SimDuration, SimTime};
 
-    fn mk(t_us: u64, body: EventBody) -> TraceEvent {
+    fn mk(t_us: u64, event: TraceEvent) -> TraceEvent {
         TraceEvent {
             time: SimTime::ZERO + SimDuration::from_micros(t_us),
-            track: body.track,
-            kind: body.kind,
-            req: body.req,
-            a: body.a,
-            b: body.b,
+            ..event
         }
     }
 

@@ -22,7 +22,7 @@ use crate::kernel::{Kernel, TimerKey};
 use crate::rng::Rng;
 use crate::task::{JoinHandle, ReadyQueue, TaskTable};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{EventBody, ReqId, Trace};
+use crate::trace::{ReqId, Trace, TraceEvent};
 
 /// Summary of a completed (or exhausted) simulation run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -98,7 +98,7 @@ impl Sim {
     /// Record a trace event at the current virtual time; the clock and
     /// `body` are only read when the recorder is armed, so a disarmed
     /// simulation performs no per-event work or allocation.
-    pub fn emit(&self, body: impl FnOnce() -> EventBody) {
+    pub fn emit(&self, body: impl FnOnce() -> TraceEvent) {
         self.world.trace.record(|| self.now(), body);
     }
 

@@ -47,6 +47,4 @@ pub use pool::VecPool;
 pub use rng::Rng;
 pub use task::JoinHandle;
 pub use time::{SimDuration, SimTime};
-pub use trace::{
-    ev, export_json, hash_events, parse_json, EventBody, EventKind, ReqId, TraceEvent, Track,
-};
+pub use trace::{ev, export_json, hash_events, parse_json, EventKind, ReqId, TraceEvent, Track};

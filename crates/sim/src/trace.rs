@@ -256,21 +256,12 @@ impl std::fmt::Display for TraceEvent {
     }
 }
 
-/// The body of an event, before the recorder stamps the time. Built by
-/// call-site closures via [`ev`].
-#[derive(Debug, Clone, Copy)]
-pub struct EventBody {
-    pub track: Track,
-    pub kind: EventKind,
-    pub req: ReqId,
-    pub a: u64,
-    pub b: u64,
-}
-
 /// Shorthand constructor used at recording sites:
 /// `sim.emit(|| ev(Track::Cn(0), EventKind::ReadStart, req, off, len))`.
-pub fn ev(track: Track, kind: EventKind, req: ReqId, a: u64, b: u64) -> EventBody {
-    EventBody {
+/// The event's time is zero until the recorder stamps it.
+pub fn ev(track: Track, kind: EventKind, req: ReqId, a: u64, b: u64) -> TraceEvent {
+    TraceEvent {
+        time: SimTime::ZERO,
         track,
         kind,
         req,
@@ -308,23 +299,11 @@ impl Trace {
     /// Record an event at the instant `now` reads; `now` and `body` are
     /// only evaluated while armed, so a disarmed recorder costs one
     /// capacity check and nothing more.
-    pub(crate) fn record(&self, now: impl FnOnce() -> SimTime, body: impl FnOnce() -> EventBody) {
+    pub(crate) fn record(&self, now: impl FnOnce() -> SimTime, body: impl FnOnce() -> TraceEvent) {
         if self.armed() {
-            let EventBody {
-                track,
-                kind,
-                req,
-                a,
-                b,
-            } = body();
-            self.state.events.borrow_mut().push(TraceEvent {
-                time: now(),
-                track,
-                kind,
-                req,
-                a,
-                b,
-            });
+            let mut event = body();
+            event.time = now();
+            self.state.events.borrow_mut().push(event);
         }
     }
 

@@ -23,9 +23,8 @@ use bytes::{Bytes, BytesMut};
 use paragon_disk::{DiskError, RaidArray};
 use paragon_sim::{JoinHandle, ReqId, Sim, SimDuration, VecPool};
 
-use crate::alloc::{ExtentAllocator, NoSpace};
 use crate::cache::{BlockCache, BlockKey};
-use crate::inode::{DiskRun, InodeId, InodeTable};
+use crate::inode::{DiskRun, Extent, InodeId, InodeTable};
 
 /// Configuration of one UFS instance.
 #[derive(Debug, Clone)]
@@ -54,6 +53,15 @@ impl UfsParams {
             metadata_op: SimDuration::from_micros(500),
         }
     }
+}
+
+/// Out of disk space.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NoSpace {
+    /// Blocks requested.
+    pub wanted: u64,
+    /// Largest free run available.
+    pub largest_free: u64,
 }
 
 /// UFS failure modes.
@@ -115,7 +123,9 @@ pub struct UfsStats {
 
 struct Inner {
     inodes: InodeTable,
-    alloc: ExtentAllocator,
+    /// The next unallocated block: files only grow, so blocks
+    /// `[next, capacity_blocks)` are the one free run.
+    next: u64,
     cache: BlockCache,
     stats: UfsStats,
     /// Join-handle lists of the fast-path reads in flight: each run's
@@ -138,12 +148,13 @@ impl Ufs {
     /// Mount a file system on `raid`.
     pub fn new(sim: &Sim, raid: RaidArray, params: UfsParams) -> Self {
         assert!(params.block_size > 0, "zero block size");
+        assert!(params.capacity_blocks > 0, "zero-capacity disk");
         Ufs {
             sim: sim.clone(),
             raid,
             inner: Rc::new(RefCell::new(Inner {
                 inodes: InodeTable::new(),
-                alloc: ExtentAllocator::new(params.capacity_blocks),
+                next: 0,
                 cache: BlockCache::new(params.cache_blocks),
                 stats: UfsStats::default(),
                 read_legs: VecPool::default(),
@@ -188,7 +199,7 @@ impl Ufs {
     }
 
     /// Ensure blocks covering `[0, end_byte)` are mapped, allocating the
-    /// tail as contiguously as the allocator allows.
+    /// tail as one extent.
     fn ensure_mapped(&self, id: InodeId, end_byte: u64) -> Result<(), UfsError> {
         let bs = self.bs();
         let need_blocks = end_byte.div_ceil(bs);
@@ -197,13 +208,10 @@ impl Ufs {
         let inode = inner.inodes.get_mut(id).ok_or(UfsError::NotFound)?;
         let have = inode.mapped_blocks();
         if need_blocks > have {
-            let extents = inner
-                .alloc
-                .alloc(need_blocks - have)
+            let n = need_blocks - have;
+            let got = take_blocks(&mut inner.next, self.params.capacity_blocks, n)
                 .map_err(UfsError::NoSpace)?;
-            for e in extents {
-                inode.push_extent(e);
-            }
+            inode.push_extent(got);
         }
         Ok(())
     }
@@ -472,7 +480,7 @@ impl Ufs {
 
     /// File-system consistency check (an `fsck`): verifies that no two
     /// inodes share a disk block, that every mapped block is inside the
-    /// partition, and that the allocator's free count matches the space
+    /// partition, and that the free run's length matches the space
     /// the inodes do not use. Returns the list of violations (empty =
     /// consistent). Cheap enough to run after failure-injection tests.
     pub fn check(&self) -> Vec<String> {
@@ -481,6 +489,7 @@ impl Ufs {
         let mut problems = Vec::new();
         let mut owner: Map<u64, InodeId> = Map::new();
         let mut mapped_total = 0u64;
+        let capacity = self.params.capacity_blocks;
         for (id, inode) in inner.inodes.iter() {
             let bs = self.params.block_size;
             if inode.size > inode.mapped_blocks() * bs {
@@ -492,7 +501,7 @@ impl Ufs {
                 ));
             }
             for e in &inode.extents {
-                if e.end() > inner.alloc.capacity() {
+                if e.end() > capacity {
                     problems.push(format!("inode {}: extent {e} beyond partition", id.0));
                 }
                 for b in e.start..e.end() {
@@ -506,15 +515,33 @@ impl Ufs {
                 mapped_total += e.len;
             }
         }
-        let free = inner.alloc.free_blocks();
-        if free + mapped_total != inner.alloc.capacity() {
+        let free = capacity.saturating_sub(inner.next);
+        if free + mapped_total != capacity {
             problems.push(format!(
-                "accounting: {free} free + {mapped_total} mapped != {} capacity",
-                inner.alloc.capacity()
+                "accounting: {free} free + {mapped_total} mapped != {capacity} capacity"
             ));
         }
         problems
     }
+}
+
+/// Take `n` blocks for a growing file. Files never shrink, so the free
+/// space is one run, `[*next, capacity)`, and the blocks are its start:
+/// the first fit.
+fn take_blocks(next: &mut u64, capacity: u64, n: u64) -> Result<Extent, NoSpace> {
+    let free = capacity - *next;
+    if free < n {
+        return Err(NoSpace {
+            wanted: n,
+            largest_free: free,
+        });
+    }
+    let got = Extent {
+        start: *next,
+        len: n,
+    };
+    *next += n;
+    Ok(got)
 }
 
 #[cfg(test)]
@@ -537,6 +564,34 @@ mod tests {
                 .map(|i| (i as u8).wrapping_mul(31).wrapping_add(salt))
                 .collect::<Vec<u8>>(),
         )
+    }
+
+    /// Successive allocations tile the partition in call order; one that
+    /// does not fit fails naming the free run's length and moves nothing.
+    #[test]
+    fn blocks_tile_the_partition_in_call_order() {
+        let capacity = 100;
+        let (mut next, mut end) = (0, 0);
+        for n in [30, 71, 1, 49, 21, 20, 1] {
+            let free = capacity - next;
+            match take_blocks(&mut next, capacity, n) {
+                Ok(got) => {
+                    assert!(n <= free, "{n} blocks from a run of {free}");
+                    assert_eq!(got, Extent { start: end, len: n });
+                    end += n;
+                }
+                Err(e) => {
+                    assert!(n > free, "{n} blocks refused from a run of {free}");
+                    let want = NoSpace {
+                        wanted: n,
+                        largest_free: free,
+                    };
+                    assert_eq!(e, want);
+                }
+            }
+            assert_eq!(next, end);
+        }
+        assert_eq!(next, capacity);
     }
 
     #[test]

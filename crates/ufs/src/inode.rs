@@ -6,12 +6,33 @@
 //! lookup that both the Fast Path and the buffer cache share.
 
 use std::collections::BTreeMap;
-
-use crate::alloc::Extent;
+use std::fmt;
 
 /// Identifier of a file within one UFS instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct InodeId(pub u64);
+
+/// A contiguous run of file-system blocks on the local disk.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Extent {
+    /// First block number.
+    pub start: u64,
+    /// Length in blocks; never zero.
+    pub len: u64,
+}
+
+impl Extent {
+    /// One past the last block.
+    pub(crate) fn end(&self) -> u64 {
+        self.start + self.len
+    }
+}
+
+impl fmt::Display for Extent {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "[{}..{})", self.start, self.end())
+    }
+}
 
 /// A contiguous run of *disk* blocks backing a run of *file* blocks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -2,13 +2,14 @@
 //!
 //! Each Paragon I/O node ran a regular Unix File System on its RAID array;
 //! the PFS stripes one parallel file over many of these. This crate is that
-//! building block: an extent allocator, an inode table with a coalescing
-//! block map, an LRU read cache, and the two read paths the PFS server
-//! selects between — the **Fast Path** ([`Ufs::read_direct`], cache
-//! bypassed, data moved disk → caller directly, contiguous blocks merged
-//! into single device requests) and the buffered path
-//! ([`Ufs::read_cached`]). There is one write path, [`Ufs::write`]: data
-//! goes to disk and purges the cached copies of the blocks it overwrote.
+//! building block: blocks handed out in order from a bump pointer (files
+//! only grow), an inode table with a coalescing block map, an LRU read
+//! cache, and the two read paths the PFS server selects between — the
+//! **Fast Path** ([`Ufs::read_direct`], cache bypassed, data moved disk →
+//! caller directly, contiguous blocks merged into single device requests)
+//! and the buffered path ([`Ufs::read_cached`]). There is one write path,
+//! [`Ufs::write`]: data goes to disk and purges the cached copies of the
+//! blocks it overwrote.
 //!
 //! ```
 //! use paragon_sim::Sim;
@@ -44,12 +45,10 @@
     )
 )]
 
-mod alloc;
 mod cache;
 mod fs;
 mod inode;
 
-pub use alloc::{Extent, ExtentAllocator};
 pub use cache::{BlockCache, BlockKey};
 pub use fs::{Ufs, UfsError, UfsParams};
 pub use inode::InodeId;

@@ -1,68 +1,12 @@
-//! Randomized tests for the UFS building blocks: the extent allocator
-//! never double-allocates, the cache is a bounded LRU, and the file
-//! system round-trips arbitrary write/read scripts byte-for-byte. Cases
-//! come from the in-repo [`Rng`].
+//! Randomized tests for the UFS building blocks: the cache is a bounded
+//! LRU, and the file system round-trips arbitrary write/read scripts
+//! byte-for-byte. Cases come from the in-repo [`Rng`].
 
 use bytes::Bytes;
 
 use paragon_disk::{DiskParams, RaidArray};
 use paragon_sim::{Rng, Sim};
-use paragon_ufs::{BlockCache, BlockKey, Extent, ExtentAllocator, InodeId, Ufs, UfsParams};
-
-// ---------------------------------------------------------------- allocator
-
-#[derive(Debug, Clone)]
-enum AllocOp {
-    Alloc(u64),
-    FreeNth(usize),
-}
-
-fn alloc_ops(rng: &mut Rng) -> Vec<AllocOp> {
-    (0..rng.range_usize(1..80))
-        .map(|_| {
-            if rng.gen_bool(0.5) {
-                AllocOp::Alloc(rng.range_u64(1..50))
-            } else {
-                AllocOp::FreeNth(rng.range_usize(0..64))
-            }
-        })
-        .collect()
-}
-
-#[test]
-fn allocator_never_overlaps_and_conserves() {
-    let mut rng = Rng::seed_from_u64(0xa110);
-    for _ in 0..256 {
-        let ops = alloc_ops(&mut rng);
-        let capacity = 500u64;
-        let mut a = ExtentAllocator::new(capacity);
-        let mut live: Vec<Extent> = Vec::new();
-        for op in ops {
-            match op {
-                AllocOp::Alloc(n) => {
-                    if let Ok(extents) = a.alloc(n) {
-                        assert_eq!(extents.iter().map(|e| e.len).sum::<u64>(), n);
-                        for e in &extents {
-                            assert!(e.end() <= capacity);
-                            for other in &live {
-                                assert!(!e.overlaps(other), "{e} overlaps {other}");
-                            }
-                        }
-                        live.extend(extents);
-                    }
-                }
-                AllocOp::FreeNth(i) => {
-                    if !live.is_empty() {
-                        let e = live.swap_remove(i % live.len());
-                        a.free(e);
-                    }
-                }
-            }
-            let live_blocks: u64 = live.iter().map(|e| e.len).sum();
-            assert_eq!(a.free_blocks() + live_blocks, capacity);
-        }
-    }
-}
+use paragon_ufs::{BlockCache, BlockKey, InodeId, Ufs, UfsParams};
 
 // -------------------------------------------------------------------- cache
 

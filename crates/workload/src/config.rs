@@ -223,6 +223,16 @@ impl ExperimentConfig {
         if self.access == (AccessPattern::Reread { passes: 0 }) {
             return Err("reread needs at least one pass".into());
         }
+        // A reread walks each rank's partition of the file `rounds` reads
+        // long; under M_GLOBAL the rounds cover the whole file, so every
+        // rank above 0 would read past EOF.
+        if matches!(self.access, AccessPattern::Reread { .. }) && self.mode == IoMode::MGlobal {
+            return Err(
+                "reread cannot run under M_GLOBAL: each node's rounds cover \
+                 the whole file, so a reread from its partition runs past EOF"
+                    .into(),
+            );
+        }
         // A prefetch is a positioned read at a predicted offset; under a
         // shared pointer the next offset depends on the other nodes'
         // arrival order, and the engine's pointer step
@@ -292,6 +302,17 @@ mod tests {
         cfg.access = AccessPattern::Reread { passes: 0 };
         assert!(cfg.validate().unwrap_err().contains("at least one pass"));
         cfg.access = AccessPattern::Reread { passes: 1 };
+        assert_eq!(cfg.validate(), Ok(()));
+    }
+
+    #[test]
+    fn reread_is_refused_under_m_global() {
+        let mut cfg = ExperimentConfig::paper_iobound(64 * 1024, 8);
+        cfg.access = AccessPattern::Reread { passes: 1 };
+        cfg.mode = IoMode::MGlobal;
+        let err = cfg.validate().unwrap_err();
+        assert!(err.contains("reread cannot run under M_GLOBAL"), "{err}");
+        cfg.mode = IoMode::MAsync;
         assert_eq!(cfg.validate(), Ok(()));
     }
 

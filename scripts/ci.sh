@@ -5,8 +5,13 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "=== cargo fmt --check"
+# First, with clippy, so a formatting slip fails the gate before the
+# expensive build/test stages run.
+cargo fmt --check
+
 echo "=== cargo clippy -D warnings"
-# First, so a rule violation fails the gate before the expensive
+# Early, so a rule violation fails the gate before the expensive
 # build/test stages run. The root clippy.toml bans HashMap/HashSet (D1),
 # the host clock and host threads (D2), and thread-shared state and host
 # channels (C1/C2), because the simulator is single-threaded; the
@@ -124,8 +129,5 @@ PARAGON_RESULTS_DIR="$fresh" paragonctl reproduce all > /dev/null 2> "$fresh.log
 diff -r --exclude=logs results "$fresh"
 paragonctl metrics run --seed 42 --out "$fresh.metrics.json" > /dev/null
 diff -u BENCH_metrics.json "$fresh.metrics.json"
-
-echo "=== cargo fmt --check"
-cargo fmt --check
 
 echo "ci: all green"

@@ -208,15 +208,15 @@ fn rebuild_step(sim: &Sim, n: u64) -> impl Future<Output = ()> + 'static {
 /// a read, plain or not, allocates nothing; a prefetching read and an
 /// `aread` allocate one ART request (144 B); a 256 KB `write_at`
 /// allocates the client's two 128 KB slot gathers, each a `Vec` and its
-/// 40 B `Bytes` header. A rebuild step grows its staging copy, so the
-/// UFS allocates an extent (16 B) per chunk and the block store's page
-/// map a B-tree node now and then.
+/// 40 B `Bytes` header. A rebuild step grows its staging copy: the UFS
+/// takes the chunk's blocks from its bump pointer, which allocates
+/// nothing, and the block store's page map a B-tree node now and then.
 const BUDGET: [(&str, u64, u64); 5] = [
     ("plain read", 0, 0),
     ("prefetching read", 32, 32 * 144),
     ("aread", 32, 32 * 144),
     ("write_at 256 KB", 32 * 4, 32 * (2 * 131_072 + 2 * 40)),
-    ("rebuild step", 38, 2_448),
+    ("rebuild step", 6, 1_936),
 ];
 
 #[test]

@@ -3,7 +3,8 @@
 //! and each histogram reported, and each `Work` counter moves in some run. A
 //! kind or name that nothing emits fails here, so declared vocabulary
 //! cannot go dead. The counters of different layers also agree: every
-//! fault-free run keeps the cross-layer identities.
+//! fault-free run keeps the cross-layer identities, and every prefetching
+//! one the prefetch engine's.
 
 mod common;
 
@@ -17,7 +18,7 @@ use paragon::metrics::Json;
 use paragon::pfs::{IoMode, OpenOptions, ParallelFs, StripeAttrs};
 use paragon::sim::{EventKind, Sim, SimDuration};
 use paragon::workload::telemetry::names as telemetry_names;
-use paragon::workload::{metrics_report, run, ExperimentConfig, FaultSpec, Work};
+use paragon::workload::{metrics_report, run, ExperimentConfig, FaultSpec, RunResult, Work};
 
 /// Large enough that no config below drops events.
 const TRACE_CAP: usize = 1 << 20;
@@ -139,11 +140,36 @@ fn identities(w: &Work) -> [(&'static str, u64, u64); 3] {
     ]
 }
 
+/// The prefetch engine's identities on a fault-free prefetching run:
+/// every successful read is a ready hit, an in-flight hit or a miss, and
+/// each hit copies one whole request out of its prefetch buffer.
+fn prefetch_identities(c: &ExperimentConfig, r: &RunResult) -> [(&'static str, u64, u64); 2] {
+    let p = &r.prefetch;
+    let hits = p.hits_ready + p.hits_inflight;
+    [
+        (
+            "reads = prefetch.hits_ready + prefetch.hits_inflight + prefetch.misses",
+            r.per_node.iter().map(|n| n.reads).sum(),
+            hits + p.misses,
+        ),
+        (
+            "prefetch.bytes_copied = request_size * (hits_ready + hits_inflight)",
+            p.bytes_copied,
+            u64::from(c.request_size) * hits,
+        ),
+    ]
+}
+
 #[test]
 fn fault_free_runs_keep_the_work_identities() {
     let fault_free = suite().filter(|c| c.faults == FaultSpec::default());
     for (i, c) in fault_free.enumerate() {
-        for (name, lhs, rhs) in identities(&run(&c).work) {
+        let r = run(&c);
+        let mut checks = identities(&r.work).to_vec();
+        if c.prefetch.is_some() {
+            checks.extend(prefetch_identities(&c, &r));
+        }
+        for (name, lhs, rhs) in checks {
             assert_eq!(lhs, rhs, "fault-free config {i}: {name}");
         }
     }
